@@ -110,12 +110,27 @@ struct RunResult {
 /// Runs one named workload; throws std::invalid_argument on unknown names.
 RunResult run_workload(const RunOptions& options, Tracer& tracer);
 
+struct ChurnResult {
+  double ns_per_op = 0.0;
+  std::uint64_t ops = 0;
+  std::uint64_t changed = 0;  ///< variables solve_changed() reported
+};
+
 /// Solver churn micro benchmark (sim::MaxMin public API). One op removes a
 /// variable, adds one on the same resource and calls solve_changed().
 /// `shared`: 1024 variables on one saturated resource; otherwise 128
-/// disjoint components of 8 variables. Returns ns per op.
-double maxmin_churn_ns_per_op(bool shared, std::uint64_t seed,
-                              double seconds);
+/// disjoint components of 8 variables. Every op moves at least the added
+/// variable's rate, so `changed < ops` means the solver skipped work.
+ChurnResult maxmin_churn(bool shared, std::uint64_t seed, double seconds);
+
+/// Builds the host speed probe's data (host_probe.cpp) for `threads`
+/// threads probing at once; returns the resident MiB it added, which the
+/// reported peak_rss_mib leaves out.
+double host_probe_build(int threads);
+
+/// Seconds one pass of the probe takes on this host now: the mean of a
+/// dozen passes on each probe thread, averaged over the threads.
+double host_probe_seconds();
 
 // -- statistics ---------------------------------------------------------------
 
@@ -127,5 +142,8 @@ inline double median(std::vector<double> values) {
 
 /// Peak resident set (VmHWM) of this process, MiB; 0 when unavailable.
 double peak_rss_mib();
+
+/// Resident set (VmRSS) of this process now, MiB; 0 when unavailable.
+double resident_mib();
 
 }  // namespace perfbench

@@ -17,8 +17,10 @@ BENCHMARK.json:
   same        otherwise
 
 A rise in the share of failed operations is flagged on its own. Traced runs
-(--trace 1) are listed as per-layer median changes, without verdicts. Exits
-1 when any metric regressed or the failed share rose.
+(--trace 1) are listed as per-layer median changes, without verdicts. When
+the records' host stamps (nproc, CPU model, compiler, build type) differ, a
+warning lists them first: such sets measure different hosts. Exits 1 when
+any metric regressed or the failed share rose.
 """
 
 import argparse
@@ -29,12 +31,16 @@ from pathlib import Path
 
 
 def load(where):
+    """Records of a file or directory, by (workload, trace), and the set of
+    host stamps they carry (without the commit)."""
     paths = [where] if where.is_file() else sorted(where.glob("*.json"))
-    runs = {}
+    runs, hosts = {}, set()
     for path in paths:
         record = json.loads(path.read_text())
         runs.setdefault((record["workload"], record["trace"]), []).append(record)
-    return runs
+        host = {k: v for k, v in record.get("host", {}).items() if k != "commit"}
+        hosts.add(json.dumps(host, sort_keys=True))
+    return runs, hosts
 
 
 def summary(values):
@@ -77,7 +83,15 @@ def main():
                         "BENCHMARK.json")
     args = parser.parse_args()
     spec = json.loads(args.benchmark.read_text())
-    base, new = load(args.base), load(args.new)
+    (base, base_hosts), (new, new_hosts) = load(args.base), load(args.new)
+    hosts = base_hosts | new_hosts
+    if len(hosts) > 1:
+        print("warning: the records come from different hosts or builds:")
+        for host in sorted(hosts):
+            sides = [side for side, group in (("base", base_hosts),
+                                              ("new", new_hosts))
+                     if host in group]
+            print(f"  {'+'.join(sides):8s} {host}")
 
     bad = False
     for workload in [w["name"] for w in spec["workloads"]]:

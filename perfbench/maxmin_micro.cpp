@@ -13,8 +13,7 @@
 
 namespace perfbench {
 
-double maxmin_churn_ns_per_op(bool shared, std::uint64_t seed,
-                              double seconds) {
+ChurnResult maxmin_churn(bool shared, std::uint64_t seed, double seconds) {
   constexpr int kVars = 1024;
   const int group = shared ? kVars : 8;
   const int resources = kVars / group;
@@ -35,7 +34,7 @@ double maxmin_churn_ns_per_op(bool shared, std::uint64_t seed,
   }
   lmm.solve();
 
-  std::uint64_t ops = 0, changed = 0;
+  ChurnResult out;
   const auto t0 = Clock::now();
   double elapsed = 0.0;
   do {
@@ -44,15 +43,13 @@ double maxmin_churn_ns_per_op(bool shared, std::uint64_t seed,
       auto& slot = members[r][static_cast<std::size_t>(pick_member(rng))];
       lmm.remove_variable(slot);
       slot = lmm.add_variable(weight(rng), {res[r]});
-      changed += lmm.solve_changed().size();
-      ++ops;
+      out.changed += lmm.solve_changed().size();
+      ++out.ops;
     }
     elapsed = seconds_since(t0);
   } while (elapsed < seconds);
-  // Every op moves at least the added variable's rate; a solver that
-  // skipped work would show here.
-  if (changed < ops) return 0.0;
-  return elapsed * 1e9 / static_cast<double>(ops);
+  out.ns_per_op = elapsed * 1e9 / static_cast<double>(out.ops);
+  return out;
 }
 
 }  // namespace perfbench

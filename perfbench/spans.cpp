@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -125,15 +126,24 @@ double quantile(std::vector<double> values, double q) {
   return values[std::min(index, values.size() - 1)];
 }
 
-double peak_rss_mib() {
+namespace {
+
+/// A "<field>: N kB" line of /proc/self/status, in MiB; 0 when absent.
+double status_mib(const char* field) {
   std::ifstream in("/proc/self/status");
   std::string line;
+  const std::string prefix = std::string(field) + ":";
   while (std::getline(in, line)) {
-    unsigned long long kb = 0;
-    if (std::sscanf(line.c_str(), "VmHWM: %llu kB", &kb) == 1)
-      return static_cast<double>(kb) / 1024.0;
+    if (line.rfind(prefix, 0) != 0) continue;
+    return std::strtod(line.c_str() + prefix.size(), nullptr) / 1024.0;
   }
   return 0.0;
 }
+
+}  // namespace
+
+double peak_rss_mib() { return status_mib("VmHWM"); }
+
+double resident_mib() { return status_mib("VmRSS"); }
 
 }  // namespace perfbench

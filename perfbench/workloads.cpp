@@ -57,6 +57,43 @@ constexpr double kMakespanBudget = 1e-9;
 /// Untraced runs set up this many times and report the median as setup_s.
 constexpr int kSetups = 3;
 
+/// About the median host_probe_seconds() on the host the bounds in
+/// BENCHMARK.json were set on (4-vCPU Xeon, GCC 12.2, Release build).
+constexpr double kReferenceProbeSeconds = 0.0135;
+
+/// Resident MiB of the host probe's data, left out of peak_rss_mib.
+double g_probe_mib = 0.0;
+
+double workload_peak_rss_mib() { return peak_rss_mib() - g_probe_mib; }
+
+/// Rescales wall times to the reference host speed, so that the end-to-end
+/// metrics of runs made minutes apart on a shared host stay comparable.
+/// Measured stretches alternate with probes (host_probe.cpp); a stretch's
+/// wall time is multiplied by the reference probe time over the mean of the
+/// probes on either side of it. The wall-clock figures are printed beside.
+class HostSpeed {
+ public:
+  HostSpeed() : last_(host_probe_seconds()) { probes_.push_back(last_); }
+
+  /// Probes again; returns `wall`, measured since the previous probe, at
+  /// the reference speed.
+  double rescale(double wall) {
+    const double next = host_probe_seconds();
+    const double scaled =
+        wall * kReferenceProbeSeconds / (0.5 * (last_ + next));
+    last_ = next;
+    probes_.push_back(next);
+    return scaled;
+  }
+
+  /// Median probe time over the reference: above 1, slower than it.
+  double slowdown() const { return median(probes_) / kReferenceProbeSeconds; }
+
+ private:
+  double last_;
+  std::vector<double> probes_;
+};
+
 /// Counts operations and the ones that failed a check; never aborts.
 struct Checks {
   std::uint64_t attempted = 0;
@@ -87,19 +124,24 @@ double timed(Tracer& tracer, const char* name, const std::function<void()>& fn,
 double ratio(double num, double den) { return den != 0.0 ? num / den : 0.0; }
 
 /// The solver churn micro benchmark, a quarter second per shape.
-void run_micro(Metrics& metrics, Tracer& tracer, std::uint64_t seed) {
-  double shared = 0.0, disjoint = 0.0;
+void run_micro(Metrics& metrics, Tracer& tracer, std::uint64_t seed,
+               Checks& checks) {
+  ChurnResult shared, disjoint;
   timed(tracer, "simkern.maxmin_churn_shared",
-        [&] { shared = maxmin_churn_ns_per_op(true, seed, 0.25); });
+        [&] { shared = maxmin_churn(true, seed, 0.25); });
   timed(tracer, "simkern.maxmin_churn_disjoint",
-        [&] { disjoint = maxmin_churn_ns_per_op(false, seed, 0.25); });
-  add(metrics, "maxmin.churn_ns_per_op.shared", shared, "ns");
-  add(metrics, "maxmin.churn_ns_per_op.disjoint", disjoint, "ns");
+        [&] { disjoint = maxmin_churn(false, seed, 0.25); });
+  checks.operation(shared.changed >= shared.ops, "maxmin churn (shared)");
+  checks.operation(disjoint.changed >= disjoint.ops, "maxmin churn (disjoint)");
+  add(metrics, "maxmin.churn_ns_per_op.shared", shared.ns_per_op, "ns");
+  add(metrics, "maxmin.churn_ns_per_op.disjoint", disjoint.ns_per_op, "ns");
 }
 
 void finish_traced(Metrics& metrics, const Tracer& tracer, int root,
                    double overhead, const Checks& checks) {
   add(metrics, "bench.tracing_overhead", overhead, "ratio");
+  add(metrics, "bench.host_slowdown",
+      host_probe_seconds() / kReferenceProbeSeconds, "ratio");
   add(metrics, "bench.span_coverage", tracer.layer_coverage(root), "ratio");
   add(metrics, "bench.failed_ratio",
       ratio(static_cast<double>(checks.failed),
@@ -177,7 +219,10 @@ trace::SyntheticSpec cg_stream_spec() {
   trace::SyntheticSpec spec;
   spec.pattern = trace::SyntheticPattern::cg;
   spec.nprocs = 8;
-  spec.iterations = 50'000;  // 2.0M actions, ~35 MB of text
+  spec.iterations = 50'000;  // 2.0M actions, 46 MB of text
+  // A measured flop count rather than a round one: the volumes of acquired
+  // traces print with all 17 digits, which is what the text cursors parse.
+  spec.compute_flops = 1234567.891;
   return spec;
 }
 
@@ -213,7 +258,7 @@ std::vector<ReplayWorkload> replay_workloads() {
          return setup_lu(256, 1e-6, dir, t);
        },
        0.081866314740068724, false},
-      {"cg-text-stream", setup_cg_stream, 393.4113036349421, false},
+      {"cg-text-stream", setup_cg_stream, 400.75472595124864, false},
   };
 }
 
@@ -267,31 +312,38 @@ RunResult run_replay(const ReplayWorkload& w, const RunOptions& o,
   RunResult out;
 
   if (!o.trace) {
-    std::vector<double> setups;
+    HostSpeed host;
+    std::vector<double> setups, setup_walls;
     ReplayInputs in;
     for (int i = 0; i < kSetups; ++i) {
       in = ReplayInputs{};  // release the previous set-up first
       const fs::path dir = o.workdir / ("setup" + std::to_string(i));
       in = w.setup(dir, off);
       fs::remove_all(dir / "tau");  // acquisition by-products, not replayed
-      setups.push_back(in.setup_s);
+      setup_walls.push_back(in.setup_s);
+      setups.push_back(host.rescale(in.setup_s));
       check_inputs(w, in, checks);
     }
     // Throughput over every replay of the run rather than a median of a few:
     // on a shared host, slow phases last seconds and cover whole replays.
-    double wall = 0.0, actions = 0.0;
+    double wall = 0.0, scaled = 0.0, actions = 0.0;
     int replays = 0;
     const auto t0 = Clock::now();
     do {
       const Replayed r = replay_checked(w, in, false, "replay.run", off, checks);
       wall += r.wall;
+      scaled += host.rescale(r.wall);
       actions += static_cast<double>(r.result.actions_replayed);
       ++replays;
     } while (seconds_since(t0) < o.seconds || replays < 3);
+    std::printf("wall-clock setup_s=%.6g actions_per_s=%.6g "
+                "requests_per_s=%.6g host_slowdown=%.4f\n",
+                median(setup_walls), actions / wall, replays / wall,
+                host.slowdown());
     add(out.metrics, "setup_s", median(setups), "s");
-    add(out.metrics, "actions_per_s", actions / wall, "1/s");
-    add(out.metrics, "requests_per_s", replays / wall, "1/s");
-    add(out.metrics, "peak_rss_mib", peak_rss_mib(), "MiB");
+    add(out.metrics, "actions_per_s", actions / scaled, "1/s");
+    add(out.metrics, "requests_per_s", replays / scaled, "1/s");
+    add(out.metrics, "peak_rss_mib", workload_peak_rss_mib(), "MiB");
     out.attempted = checks.attempted;
     out.failed = checks.failed;
     return out;
@@ -355,7 +407,7 @@ RunResult run_replay(const ReplayWorkload& w, const RunOptions& o,
         recorded_walls.push_back(
             replay_checked(w, in, true, "replay.run_recorded", tracer, checks)
                 .wall);
-    run_micro(out.metrics, tracer, o.seed);
+    run_micro(out.metrics, tracer, o.seed, checks);
   }
   std::vector<double> untraced_walls;
   for (std::size_t i = 0; i < traced_walls.size(); ++i)
@@ -452,7 +504,8 @@ std::string request_line(const std::string& id, const ServeScenario& s) {
 }
 
 /// A round of requests: kNewPerRound fresh scenarios at seeded positions,
-/// the rest drawn from the known set.
+/// as many on each platform (their replays cost differently), the rest drawn
+/// from the known set.
 struct Round {
   std::vector<std::string> lines;
   std::vector<int> known;  ///< known-scenario index, -1 = new scenario
@@ -470,8 +523,8 @@ class RequestMix {
     std::vector<bool> fresh(kRound, false);
     for (int i = 0; i < kNewPerRound; ++i) fresh[order[i]] = true;
     std::uniform_int_distribution<int> pick_known(0, kKnown - 1);
-    std::uniform_int_distribution<int> pick_platform(0, 3);
     std::uniform_int_distribution<int> pick_eff(0, 199'999);
+    int fresh_no = 0;
     for (int i = 0; i < kRound; ++i) {
       const std::string id =
           "r" + std::to_string(round) + "-" + std::to_string(i);
@@ -485,8 +538,9 @@ class RequestMix {
       do {  // efficiencies below the known ladder, never repeated
         char eff[16];
         std::snprintf(eff, sizeof eff, "%.6f", 0.3 + 1e-6 * pick_eff(rng_));
-        s = {kServePlatforms[pick_platform(rng_)], eff};
+        s = {kServePlatforms[fresh_no % 4], eff};
       } while (!used_.insert(s.key()).second);
+      ++fresh_no;
       r.known.push_back(-1);
       r.lines.push_back(request_line(id, s));
     }
@@ -505,7 +559,7 @@ struct Sample {
   double queue = 0.0;
   double solve = 0.0;
   double decode = 0.0;
-  double actions_per_s = 0.0;  ///< misses only
+  double actions = 0.0;  ///< actions replayed; misses only
 };
 
 struct ServeState {
@@ -607,9 +661,7 @@ void run_round(ServeState& st, const Round& round, std::uint64_t trace_base,
           good = good && !response.memo_hit &&
                  response.actions_replayed == expected &&
                  response.solve_seconds > 0.0;
-          s.actions_per_s =
-              ratio(static_cast<double>(response.actions_replayed),
-                    response.solve_seconds);
+          s.actions = static_cast<double>(response.actions_replayed);
         }
         ok[i] = good;
       }
@@ -639,7 +691,8 @@ std::pair<double, const char*> tail(const std::vector<double>& v) {
 }
 
 struct Split {
-  std::vector<double> all, hit, miss, queue, solve, miss_rate;
+  std::vector<double> all, hit, miss, queue, solve;
+  double miss_actions = 0.0, miss_solve_s = 0.0;
 };
 
 Split split(const std::vector<Sample>& samples) {
@@ -650,7 +703,8 @@ Split split(const std::vector<Sample>& samples) {
     (x.known ? s.hit : s.miss).push_back(x.latency);
     if (!x.known) {
       s.solve.push_back(x.solve);
-      s.miss_rate.push_back(x.actions_per_s);
+      s.miss_actions += x.actions;
+      s.miss_solve_s += x.solve;
     }
   }
   return s;
@@ -686,22 +740,42 @@ RunResult run_serve(const RunOptions& o, Tracer& tracer) {
   };
 
   if (!o.trace) {
-    std::vector<double> setups;
+    HostSpeed host;
+    std::vector<double> setups, setup_walls;
     ServeState st;
     for (int i = 0; i < kSetups; ++i) {
       st = ServeState{};  // stops the previous service first
       st = setup_serve(o.workdir / ("setup" + std::to_string(i)), off, checks);
-      setups.push_back(st.setup_s);
+      setup_walls.push_back(st.setup_s);
+      setups.push_back(host.rescale(st.setup_s));
     }
+    // Rounds run in stretches of about three seconds with a probe after
+    // each, so the probe takes a few percent of the run.
     std::vector<Sample> samples;
-    const auto [wall, rounds] = loop(st, off, o.seconds, samples);
+    double wall = 0.0, scaled = 0.0, wall_solve_s = 0.0;
+    do {
+      const std::size_t first = samples.size();
+      const double stretch = loop(st, off, 3.0, samples).first;
+      const double factor = host.rescale(stretch) / stretch;
+      for (std::size_t i = first; i < samples.size(); ++i) {
+        if (!samples[i].known) wall_solve_s += samples[i].solve;
+        samples[i].solve *= factor;
+      }
+      wall += stretch;
+      scaled += stretch * factor;
+    } while (wall < o.seconds);
     const Split s = split(samples);
     print_latency(s);
+    const double requests = static_cast<double>(samples.size());
+    std::printf("wall-clock setup_s=%.6g actions_per_s=%.6g "
+                "requests_per_s=%.6g host_slowdown=%.4f\n",
+                median(setup_walls), ratio(s.miss_actions, wall_solve_s),
+                requests / wall, host.slowdown());
     add(out.metrics, "setup_s", median(setups), "s");
-    add(out.metrics, "actions_per_s", median(s.miss_rate), "1/s");
-    add(out.metrics, "peak_rss_mib", peak_rss_mib(), "MiB");
-    add(out.metrics, "requests_per_s",
-        static_cast<double>(samples.size()) / wall, "1/s");
+    add(out.metrics, "actions_per_s", ratio(s.miss_actions, s.miss_solve_s),
+        "1/s");
+    add(out.metrics, "requests_per_s", requests / scaled, "1/s");
+    add(out.metrics, "peak_rss_mib", workload_peak_rss_mib(), "MiB");
     out.attempted = checks.attempted;
     out.failed = checks.failed;
     return out;
@@ -718,7 +792,7 @@ RunResult run_serve(const RunOptions& o, Tracer& tracer) {
     before = st.service->stats();
     rounds = loop(st, tracer, o.seconds, traced).second;
     after = st.service->stats();
-    run_micro(out.metrics, tracer, o.seed);
+    run_micro(out.metrics, tracer, o.seed, checks);
   }
   loop(st, off, 0.0, untraced);
 
@@ -769,6 +843,9 @@ RunResult run_serve(const RunOptions& o, Tracer& tracer) {
 }  // namespace
 
 RunResult run_workload(const RunOptions& options, Tracer& tracer) {
+  // serve-mixed keeps its kWorkers replay workers busy at once.
+  g_probe_mib =
+      host_probe_build(options.workload == "serve-mixed" ? kWorkers : 1);
   fs::remove_all(options.workdir);
   fs::create_directories(options.workdir);
   RunResult result;
