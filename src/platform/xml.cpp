@@ -47,13 +47,18 @@ class Parser {
 
   std::unique_ptr<Element> parse_document() {
     skip_misc();
-    auto root = parse_element();
+    auto root = parse_element(1);
     skip_misc();
     if (pos_ != text_.size()) fail("trailing content after root element");
     return root;
   }
 
  private:
+  // Deepest element nesting accepted. Real platform files nest a handful of
+  // levels; the bound keeps hostile input from exhausting the stack in the
+  // recursive descent here and in the Element tree's recursive teardown.
+  static constexpr int kMaxDepth = 64;
+
   [[noreturn]] void fail(const std::string& msg) const {
     std::size_t line = 1;
     for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i)
@@ -151,7 +156,9 @@ class Parser {
     return decode_entities(raw);
   }
 
-  std::unique_ptr<Element> parse_element() {
+  std::unique_ptr<Element> parse_element(int depth) {
+    if (depth > kMaxDepth)
+      fail("elements nested deeper than " + std::to_string(kMaxDepth));
     if (!consume("<")) fail("expected '<'");
     auto elem = std::make_unique<Element>();
     elem->name = parse_name();
@@ -188,7 +195,7 @@ class Parser {
         if (!consume(">")) fail("expected '>' in closing tag");
         return elem;
       }
-      elem->children.push_back(parse_element());
+      elem->children.push_back(parse_element(depth + 1));
     }
   }
 

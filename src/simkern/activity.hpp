@@ -55,7 +55,10 @@ using ActivityPtr = std::shared_ptr<Activity>;
 /// Progress is tracked lazily: `remaining` is exact as of `last_update`,
 /// and the engine keeps the predicted finish in its indexed finish queue —
 /// one entry per running fluid, re-keyed in place when the rate changes,
-/// located through `heap_pos`.
+/// located through `heap_pos`. A flow in a share group instead progresses
+/// on its group's virtual clock (see engine.hpp): `remaining`, `rate` and
+/// `last_update` are stale while `group` is set, and only the group head
+/// holds a finish-queue entry.
 struct FluidState {
   VarId var = -1;            ///< network-solver variable (flows only)
   double remaining = 0.0;    ///< work left as of last_update
@@ -63,6 +66,8 @@ struct FluidState {
   SimTime last_update = 0.0;
   SimTime finish_est = 0.0;  ///< predicted completion (inf when starved)
   std::int32_t heap_pos = -1;  ///< slot in the finish queue (-1: not queued)
+  std::int32_t group = -1;      ///< share group (flows only; -1: none)
+  std::int32_t group_pos = -1;  ///< slot in the group's member heap
   std::size_t index = 0;     ///< Execs: slot in the engine's per-host list.
                              ///< Transfers are tracked by `var` instead
                              ///< (the engine's VarId-indexed flow table).

@@ -201,6 +201,124 @@ void Engine::set_rate(const ActivityPtr& activity, FluidState& fluid,
   }
 }
 
+// Share groups: the flows of one solver hub group progress on one virtual
+// clock. Member keys order the group's binary heap; ties fall to join
+// order (seq). The head's finish is last_update + (key − clock) / rate at
+// the stored clock, so a leave — which leaves the clock alone — requeues
+// the next head at exactly the time try_fast_complete predicts for it.
+
+void Engine::member_place(ShareGroup& group, Member m, std::size_t i) {
+  m.flow->fluid.group_pos = static_cast<std::int32_t>(i);
+  group.members[i] = m;
+}
+
+void Engine::member_sift(ShareGroup& group, std::size_t i) {
+  const auto before = [](const Member& a, const Member& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.seq < b.seq;
+  };
+  const Member m = group.members[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(m, group.members[parent])) break;
+    member_place(group, group.members[parent], i);
+    i = parent;
+  }
+  const std::size_t n = group.members.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(group.members[child + 1], group.members[child]))
+      ++child;
+    if (!before(group.members[child], m)) break;
+    member_place(group, group.members[child], i);
+    i = child;
+  }
+  member_place(group, m, i);
+}
+
+void Engine::group_catch_up(ShareGroup& group) {
+  if (now_ > group.last_update)
+    group.clock += group.rate * (now_ - group.last_update);
+  group.last_update = now_;
+}
+
+void Engine::group_requeue(ShareGroup& group) {
+  Transfer* head = group.members.empty() ? nullptr : group.members[0].flow;
+  if (group.queued != nullptr && group.queued != head)
+    finish_remove(group.queued->fluid);
+  group.queued = head;
+  if (head == nullptr) return;
+  FluidState& fluid = head->fluid;
+  fluid.finish_est = member_finish(group, group.members[0].key);
+  finish_update(var_flows_[static_cast<std::size_t>(fluid.var)], fluid,
+                fluid.finish_est);
+}
+
+void Engine::group_join(Transfer& flow, GroupId g) {
+  ShareGroup& group = groups_[static_cast<std::size_t>(g)];
+  group_catch_up(group);
+  flow.fluid.group = g;
+  group.members.push_back(
+      Member{group.clock + flow.fluid.remaining, seq_++, &flow});
+  member_sift(group, group.members.size() - 1);
+  if (flow.fluid.group_pos == 0) group_requeue(group);
+}
+
+void Engine::group_leave(Transfer& flow) {
+  ShareGroup& group = groups_[static_cast<std::size_t>(flow.fluid.group)];
+  const auto i = static_cast<std::size_t>(flow.fluid.group_pos);
+  const Member last = group.members.back();
+  group.members.pop_back();
+  if (i < group.members.size()) {
+    group.members[i] = last;
+    member_sift(group, i);
+  }
+  flow.fluid.group = -1;
+  flow.fluid.group_pos = -1;
+  if (group.queued == &flow) {
+    group.queued = nullptr;  // the caller dropped its finish entry
+    group_requeue(group);
+  }
+}
+
+void Engine::group_form(GroupId g) {
+  if (static_cast<std::size_t>(g) >= groups_.size())
+    groups_.resize(static_cast<std::size_t>(g) + 1);
+  ShareGroup& group = groups_[static_cast<std::size_t>(g)];
+  group.rate = net_lmm_.group_rate(g);
+  group.clock = 0.0;
+  group.last_update = now_;
+  group.queued = nullptr;
+  for (const VarId var : net_lmm_.group_members(g)) {
+    Transfer& flow = *var_flows_[static_cast<std::size_t>(var)];
+    catch_up(flow.fluid);
+    finish_remove(flow.fluid);
+    flow.fluid.group = g;
+    group.members.push_back(Member{flow.fluid.remaining, seq_++, &flow});
+    member_sift(group, group.members.size() - 1);
+  }
+  group_requeue(group);
+}
+
+void Engine::group_dissolve(GroupId g) {
+  ShareGroup& group = groups_[static_cast<std::size_t>(g)];
+  group_catch_up(group);
+  for (const Member& m : group.members) {
+    FluidState& fluid = m.flow->fluid;
+    fluid.remaining = std::max(0.0, m.key - group.clock);
+    fluid.rate = group.rate;
+    fluid.last_update = now_;
+    fluid.group = -1;
+    fluid.group_pos = -1;
+    fluid.finish_est = now_ + fluid.remaining / fluid.rate;
+    finish_update(var_flows_[static_cast<std::size_t>(fluid.var)], fluid,
+                  fluid.finish_est);
+  }
+  group.members.clear();
+  group.queued = nullptr;
+}
+
 void Engine::reschedule_host(int host) {
   auto& execs = host_execs_[static_cast<std::size_t>(host)];
   if (execs.empty()) return;
@@ -222,6 +340,14 @@ void Engine::resolve_network() {
       std::max<std::uint64_t>(stats_.solver_component_size_max,
                               solver.max_component_vars);
   stats_.solver_parallel_fills = solver.parallel_fills;
+  stats_.solver_hub_solves = solver.hub_solves;
+  stats_.solver_large_fills = solver.large_fills;
+  stats_.hub_entries = solver.hub_entries;
+  stats_.hub_exits = solver.hub_exits;
+  // Dissolved groups first: their flows must be per-flow again before the
+  // fill's changes re-rate them. Formed groups last: the fill just rated
+  // their members.
+  for (const GroupId g : net_lmm_.exited_groups()) group_dissolve(g);
   for (const VarId var : changed) {
     const auto& transfer = var_flows_[static_cast<std::size_t>(var)];
     if (!transfer) continue;
@@ -233,6 +359,14 @@ void Engine::resolve_network() {
       set_rate(transfer, transfer->fluid, rate);
       ++stats_.flows_rerated;
     }
+  }
+  for (const GroupId g : net_lmm_.entered_groups()) group_form(g);
+  for (const GroupId g : net_lmm_.changed_groups()) {
+    ShareGroup& group = groups_[static_cast<std::size_t>(g)];
+    group_catch_up(group);
+    group.rate = net_lmm_.group_rate(g);
+    group_requeue(group);
+    ++stats_.groups_rerated;
   }
 }
 
@@ -428,6 +562,10 @@ void Engine::start_flow(Transfer& transfer) {
   if (slot >= var_flows_.size()) var_flows_.resize(slot + 1);
   var_flows_[slot] =
       std::static_pointer_cast<Transfer>(transfer.shared_from_this());
+  // Joining a hub group happens at once; the group's new rate follows at
+  // the next solve, still at this instant.
+  const GroupId g = net_lmm_.group_of(transfer.fluid.var);
+  if (g >= 0) group_join(transfer, g);
 }
 
 void Engine::complete(Activity& activity) {
@@ -464,6 +602,7 @@ void Engine::complete(Activity& activity) {
     case Activity::Kind::transfer: {
       auto& transfer = static_cast<Transfer&>(activity);
       finish_remove(transfer.fluid);
+      if (transfer.fluid.group >= 0) group_leave(transfer);
       if (transfer.fluid.var >= 0) {
         net_lmm_.remove_variable(transfer.fluid.var);
         var_flows_[static_cast<std::size_t>(transfer.fluid.var)].reset();
@@ -515,6 +654,16 @@ bool Engine::try_fast_complete(Activity& activity) {
   const std::size_t second = std::min<std::size_t>(5, finish_heap_.size());
   for (std::size_t c = 1; c < second; ++c) {
     if (finish_heap_[c].time <= t + time_eps) return false;
+  }
+  if (fluid->group >= 0) {
+    // A group head's completion queues the group's next member — the
+    // earlier of the head's children — at member_finish.
+    const ShareGroup& group = groups_[static_cast<std::size_t>(fluid->group)];
+    const std::size_t next = std::min<std::size_t>(3, group.members.size());
+    for (std::size_t c = 1; c < next; ++c) {
+      if (member_finish(group, group.members[c].key) <= t + time_eps)
+        return false;
+    }
   }
   if (activity.kind() == Activity::Kind::exec) {
     // Completing an Exec speeds up its host siblings; if one would then

@@ -16,11 +16,22 @@
 //     touched, and only flows whose solved rate actually moved are re-rated
 //     (O(changed), not O(live flows)).
 //   - Fluid progress is tracked lazily: each fluid stores its remaining
-//     work as of `last_update` and a predicted finish time kept in a
-//     priority queue (stale entries are skipped by generation counters).
-//     Advancing simulated time is O(1) instead of O(active fluids).
+//     work as of `last_update`, and its predicted finish sits in an indexed
+//     4-ary min-heap — one entry per running fluid, re-keyed in place when
+//     its rate changes. Advancing simulated time is O(1) instead of
+//     O(active fluids).
+//   - Share groups: the flows of one solver hub group (a saturated
+//     backbone every member crosses, all at one rate; see maxmin.hpp) share
+//     a virtual clock V, the work each member has done since the group
+//     formed. A member's key is V at its join plus its remaining work, so
+//     its remaining is key − V; only the group head (smallest key) sits in
+//     the finish heap. A group re-rate is O(log) instead of O(members), a
+//     join or leave O(log members). Exact in real arithmetic; in floating
+//     point the finish times stay within 1e-9 relative of the per-flow
+//     reference (full_solve, which never forms groups).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -112,6 +123,12 @@ struct EngineStats {
   std::uint64_t solver_vars_touched = 0;  ///< component vars re-solved (sum)
   std::uint64_t solver_component_size_max = 0;  ///< largest single re-solve
   std::uint64_t flows_rerated = 0;  ///< transfers whose rate was requeued
+  // Hub groups (see maxmin.hpp) and their engine-side share groups.
+  std::uint64_t solver_hub_solves = 0;  ///< re-solves a hub group answered
+  std::uint64_t solver_large_fills = 0;  ///< fills of >= kHubMinVars vars
+  std::uint64_t groups_rerated = 0;     ///< share groups re-rated as one
+  std::uint64_t hub_entries = 0;        ///< share groups formed
+  std::uint64_t hub_exits = 0;          ///< share groups dissolved
   // Parallel replay: coroutine switches avoided by the fast path and solver
   // epochs filled on the shard pool. Both are exactly zero when the
   // corresponding EngineConfig knob is off.
@@ -330,6 +347,36 @@ class Engine {
   /// Sets a fluid's rate (catching it up first) and requeues its finish.
   void set_rate(const ActivityPtr& activity, FluidState& fluid, double rate);
 
+  // Share groups (see the header comment). Members sit in a binary min-heap
+  // on (key, seq); the head alone holds a finish-heap entry.
+  struct Member {
+    double key;  // V at the join + remaining work then
+    std::uint64_t seq;
+    Transfer* flow;  // kept alive by var_flows_
+  };
+  struct ShareGroup {
+    double rate = 0.0;   // every member's rate
+    double clock = 0.0;  // V as of last_update
+    SimTime last_update = 0.0;
+    std::vector<Member> members;
+    Transfer* queued = nullptr;  // the member holding the finish entry
+  };
+  /// Finish time of a member with `key` at the group's stored clock.
+  static SimTime member_finish(const ShareGroup& group, double key) {
+    return group.last_update + std::max(0.0, key - group.clock) / group.rate;
+  }
+  void member_place(ShareGroup& group, Member m, std::size_t i);
+  void member_sift(ShareGroup& group, std::size_t i);
+  void group_catch_up(ShareGroup& group);
+  /// Gives the finish-heap entry to the current head, keyed at its finish.
+  void group_requeue(ShareGroup& group);
+  void group_join(Transfer& flow, GroupId g);
+  void group_leave(Transfer& flow);
+  /// Solver group `g` formed: its flows leave the finish heap for the group.
+  void group_form(GroupId g);
+  /// Solver group `g` dissolved: members return to per-flow state.
+  void group_dissolve(GroupId g);
+
   /// Equal-share rescheduling of one host's Execs.
   void reschedule_host(int host);
   /// Incremental network max-min resolve; re-rates only the flows whose
@@ -352,6 +399,7 @@ class Engine {
   MaxMin net_lmm_;
   std::vector<ResourceId> link_res_;   // link id -> network resource
   std::vector<std::shared_ptr<Transfer>> var_flows_;  // VarId -> flow
+  std::vector<ShareGroup> groups_;  // GroupId -> share group
 
   // CPU scheduling state; active execs per host, kept alive by the engine.
   std::vector<std::vector<std::shared_ptr<Exec>>> host_execs_;

@@ -32,6 +32,24 @@
 // remove_variable is O(degree · log degree) swap-removes instead of
 // deferring compaction into the solver hot loop.
 //
+// Hub groups. A *hub component* is one where every variable has weight 1
+// and no bound, and one resource H (a saturated cluster backbone) is
+// crossed by every variable and is the only binding one: every other
+// member resource r offers a share cap_r / n_r above cap_H / n_H by more
+// than the fill's 1e-9 binding tolerance. Progressive filling then ends in
+// one round with every rate equal to cap_H / n_H. After a fill of at least
+// kHubMinVars variables finds such a component, the solver keeps it as a
+// hub group named by a GroupId: adds and removes that keep the shape are
+// answered in O(degree + log R) — a min-heap over the other resources'
+// shares tracks the binding condition — and one group-rate change is
+// reported (changed_groups()) instead of n changed variables. The rate is
+// the fill's own expression, so it is bit-identical to a fill. The group
+// falls back to the BFS and fill (exited_groups()) on a set_capacity in the
+// component, on a variable that skips the hub, bridges into another
+// component or carries a non-unit weight or finite bound, and on a removal
+// that lets another resource reach the hub share. Full-solve mode never
+// forms groups.
+//
 // Optimality conditions (checked by the property tests):
 //   1. No resource exceeds its capacity.
 //   2. Every variable either sits at its bound or uses at least one
@@ -51,6 +69,7 @@ namespace tir::sim {
 
 using ResourceId = int;
 using VarId = int;
+using GroupId = int;  ///< hub group (dense, recycled; -1 = none)
 
 /// Runs `fn(0) .. fn(n-1)` with any schedule it likes, returning only once
 /// every call finished (a full barrier). Implementations may run calls
@@ -66,14 +85,32 @@ class MaxMin {
  public:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
+  /// Smallest filled component considered for a hub group. Measured on LU
+  /// class B replays (bordereau cluster, best-of-3 CPU time over four
+  /// interleaved rounds): 32 and 64 are indistinguishable at 64 and at 256
+  /// ranks, 128 is ~10% slower at 256 ranks. 64 keeps B/64 — coupled
+  /// components of at most 62 variables — entirely on the fill path, bit
+  /// for bit, while B/256 couples ~280 flows on its backbone.
+  static constexpr std::size_t kHubMinVars = 64;
+
   /// Cumulative solver-work counters (observable via EngineStats).
   struct SolveStats {
     std::uint64_t solves = 0;         ///< solve() calls that did work
-    std::uint64_t vars_touched = 0;   ///< component variables re-solved
+    /// solve() calls in which the hub path settled a group's membership
+    /// change (unrelated components may have been filled as well).
+    std::uint64_t hub_solves = 0;
+    /// Fills of a component of at least kHubMinVars variables: the coupled
+    /// work the hub path did not answer (entries and fallbacks included).
+    std::uint64_t large_fills = 0;
+    std::uint64_t vars_touched = 0;   ///< component variables re-filled
     std::uint64_t rate_changes = 0;   ///< variables whose rate moved
+    std::uint64_t group_changes = 0;  ///< hub groups whose rate moved
+    std::uint64_t hub_entries = 0;    ///< hub groups formed
+    std::uint64_t hub_exits = 0;      ///< hub groups dissolved
     std::uint64_t parallel_fills = 0;  ///< solves dispatched to the executor
-    std::size_t last_component_vars = 0;  ///< size of the last re-solve
-    std::size_t max_component_vars = 0;   ///< largest re-solve so far
+    std::size_t last_component_vars = 0;  ///< size of the last fill
+    /// Largest coupled component so far: filled, or re-rated as a group.
+    std::size_t max_component_vars = 0;
   };
 
   /// Adds a resource with the given capacity (units: flop/s or bytes/s).
@@ -93,16 +130,42 @@ class MaxMin {
 
   /// True when the system changed since the last solve().
   bool dirty() const {
-    return !modified_resources_.empty() || !modified_vars_.empty();
+    return !modified_resources_.empty() || !modified_vars_.empty() ||
+           !pending_hubs_.empty() || !pending_exits_.empty();
   }
 
-  /// Re-solves the components reachable from the modified set (no-op when
-  /// not dirty).
+  /// Re-solves the components reachable from the modified set and the hub
+  /// groups whose membership changed (no-op when not dirty).
   void solve();
 
-  /// solve(), then the variables whose rate changed in that solve. The span
-  /// is valid until the next mutation or solve. Empty when nothing changed.
+  /// solve(), then the variables whose rate changed in that solve, members
+  /// of hub groups excepted (see changed_groups()). The span is valid until
+  /// the next mutation or solve. Empty when nothing changed.
   std::span<const VarId> solve_changed();
+
+  /// Outcome of the last solve() for hub groups; valid until the next
+  /// mutation or solve. A variable's rate moved in that solve iff it is in
+  /// solve_changed() or its group is in changed_groups(). Groups formed in
+  /// the solve are listed in entered_groups() (their members' rate moves
+  /// are in solve_changed()); groups dissolved since the previous solve are
+  /// in exited_groups() — their former members are ordinary variables
+  /// again, listed in solve_changed() when the fill moved them. A GroupId
+  /// may appear in exited_groups() and, recycled, in entered_groups().
+  std::span<const GroupId> changed_groups() const { return changed_groups_; }
+  std::span<const GroupId> entered_groups() const { return entered_groups_; }
+  std::span<const GroupId> exited_groups() const { return exited_groups_; }
+
+  /// Hub group `v` belongs to, or -1. Decided when `v` is added, so a
+  /// caller can attach a new variable to its group before the next solve.
+  GroupId group_of(VarId v) const {
+    return vars_[static_cast<std::size_t>(v)].group;
+  }
+  /// Members of a live hub group (valid until the next mutation).
+  std::span<const VarId> group_members(GroupId g) const;
+  /// Per-member rate of a live hub group as of the last solve().
+  double group_rate(GroupId g) const {
+    return hubs_[static_cast<std::size_t>(g)].rate;
+  }
 
   /// Rate assigned by the last solve(). Requires an active variable.
   double rate(VarId v) const;
@@ -114,8 +177,8 @@ class MaxMin {
   double resource_load(ResourceId r) const;
 
   /// When on, every solve() re-solves the whole system (differential
-  /// testing of the incremental path). Changed-variable reporting still
-  /// works.
+  /// testing of the incremental path) and no hub group forms. Changed-
+  /// variable reporting still works. Set it before adding variables.
   void set_full_solve(bool on) { full_solve_ = on; }
   bool full_solve() const { return full_solve_; }
 
@@ -140,6 +203,8 @@ class MaxMin {
     double capacity = 0.0;
     std::vector<VarId> vars;  // active members (positions mirrored in Var)
     bool modified = false;    // queued in modified_resources_
+    GroupId hub = -1;         // hub group whose component holds it
+    std::int32_t share_pos = -1;  // slot in that group's share heap
     // solve() scratch:
     bool in_component = false;
     std::int32_t slot = -1;  // component-local index during a fill
@@ -147,9 +212,10 @@ class MaxMin {
   struct Var {
     double weight = 1.0;
     double bound = kInf;
-    double rate = 0.0;
+    double rate = 0.0;  // members of a hub group: see Hub::rate
     bool active = false;
     bool modified = false;  // queued in modified_vars_ (resource-less vars)
+    GroupId group = -1;
     // solve() scratch:
     bool in_component = false;
     std::int32_t slot = -1;  // component-local index during a fill
@@ -161,8 +227,37 @@ class MaxMin {
     std::size_t res_begin = 0, res_end = 0;
     std::size_t var_begin = 0, var_end = 0;
   };
+  /// A non-hub resource of a hub group and the rate it would offer.
+  struct Share {
+    double share;  // cap_r / n_r
+    ResourceId r;
+  };
+  /// A hub component kept out of the fill (see the header comment).
+  struct Hub {
+    ResourceId res = -1;  // the hub resource; -1 = free slot
+    double rate = 0.0;    // cap / n as of the last solve: every member's rate
+    bool pending = false;  // membership changed; queued in pending_hubs_
+    std::vector<Share> shares;  // binary min-heap: the other resources
+  };
 
   void mark_resource_modified(ResourceId r);
+  /// add_variable's hub check: joins `v` to the group whose hub it crosses
+  /// when the component keeps its shape, and dissolves every group it
+  /// touches otherwise. Returns true when `v` joined.
+  bool hub_admit(VarId v);
+  /// Dissolves group `g` back into an ordinary component: members get the
+  /// group's published rate (the fill's `prev`), and the hub resource is
+  /// marked modified so the next solve re-fills the component.
+  void hub_exit(GroupId g);
+  /// After fill_component(c): forms a hub group when component `c` has the
+  /// hub shape (see the header comment).
+  void hub_try_enter(std::size_t c);
+  /// Re-keys (or adds / drops) resource `r` in its group's share heap after
+  /// its member count changed.
+  void hub_update_share(ResourceId r);
+  void share_place(Hub& hub, Share s, std::size_t i);
+  void share_sift(Hub& hub, std::size_t i);
+  void hub_queue(GroupId g);
   /// Collects the connected components reachable from the modified sets
   /// (or every active variable when full_solve_ is on) into
   /// component_res_ / component_vars_, one Component slice per BFS, and
@@ -190,6 +285,13 @@ class MaxMin {
   // Modified sets (deduplicated through the per-entry `modified` flags).
   std::vector<ResourceId> modified_resources_;
   std::vector<VarId> modified_vars_;
+
+  // Hub groups, indexed by GroupId; free slots are recycled.
+  std::vector<Hub> hubs_;
+  std::vector<GroupId> free_hubs_;
+  std::vector<GroupId> pending_hubs_;   // membership changed since a solve
+  std::vector<GroupId> pending_exits_;  // dissolved since the last solve
+  std::vector<GroupId> changed_groups_, entered_groups_, exited_groups_;
 
   // solve() scratch, reused across calls so the steady state allocates
   // nothing.

@@ -246,6 +246,359 @@ TEST(MaxMinIncremental, IntrusiveRemovalSurvivesHeavyChurn) {
 }
 
 // ---------------------------------------------------------------------------
+// Hub groups: unit-weight "backbone" systems — one resource on every
+// variable plus private per-variable resources — with capacities that make
+// the backbone bind. Hub-group rates must equal a fresh rebuild bit for
+// bit, and a variable moved iff it or its group was reported.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using tir::sim::GroupId;
+
+/// Drives an incremental solver and a full-solve twin with one op stream,
+/// mirroring the system so it can be rebuilt from scratch.
+class HubHarness {
+ public:
+  HubHarness() { full_.set_full_solve(true); }
+
+  ResourceId add_resource(double cap) {
+    full_.add_resource(cap);
+    state_.capacities.push_back(cap);
+    return inc_.add_resource(cap);
+  }
+  VarId add(std::vector<ResourceId> use, double weight = 1.0,
+            double bound = MaxMin::kInf) {
+    const VarId a = inc_.add_variable(weight, use, bound);
+    EXPECT_EQ(a, full_.add_variable(weight, use, bound));
+    state_.live[a] = {a, weight, bound, std::move(use)};
+    return a;
+  }
+  void remove(VarId v) {
+    inc_.remove_variable(v);
+    full_.remove_variable(v);
+    state_.live.erase(v);
+    last_.erase(v);
+  }
+  void set_capacity(ResourceId r, double cap) {
+    inc_.set_capacity(r, cap);
+    full_.set_capacity(r, cap);
+    state_.capacities[static_cast<std::size_t>(r)] = cap;
+  }
+
+  /// Solves both and checks rates and change reporting. Members of a hub
+  /// group are compared with EXPECT_EQ (the hub path claims bit identity
+  /// with the fill); other variables within the fill's own tolerance, since
+  /// discovery order may round multi-round fills differently.
+  std::vector<VarId> solve_and_check() {
+    const auto span = inc_.solve_changed();
+    const std::vector<VarId> changed(span.begin(), span.end());
+    full_.solve();
+    const auto groups = inc_.changed_groups();
+    MaxMin fresh;
+    for (const double c : state_.capacities) fresh.add_resource(c);
+    std::map<VarId, VarId> to_fresh;
+    for (const auto& [id, v] : state_.live)
+      to_fresh[id] = fresh.add_variable(v.weight, v.resources, v.bound);
+    fresh.solve();
+    for (const auto& [id, v] : state_.live) {
+      const double rate = inc_.rate(id);
+      const GroupId g = inc_.group_of(id);
+      if (g >= 0) {
+        EXPECT_EQ(rate, fresh.rate(to_fresh[id])) << "member " << id;
+        EXPECT_EQ(rate, full_.rate(id)) << "member " << id;
+      } else {
+        expect_close(rate, fresh.rate(to_fresh[id]), "vs fresh rebuild");
+        expect_close(rate, full_.rate(id), "vs full-solve twin");
+      }
+      const auto it = last_.find(id);
+      if (it != last_.end()) {
+        const bool told =
+            std::find(changed.begin(), changed.end(), id) != changed.end() ||
+            (g >= 0 &&
+             std::find(groups.begin(), groups.end(), g) != groups.end());
+        EXPECT_EQ(rate != it->second, told) << "var " << id;
+      }
+      last_[id] = rate;
+    }
+    return changed;
+  }
+
+  MaxMin& solver() { return inc_; }
+  std::size_t live() const { return state_.live.size(); }
+  VarId nth_live(std::size_t i) const {
+    auto it = state_.live.begin();
+    std::advance(it, static_cast<long>(i));
+    return it->first;
+  }
+
+ private:
+  MaxMin inc_, full_;
+  SystemState state_;
+  std::map<VarId, double> last_;
+};
+
+/// A backbone of capacity 1000 and `nics` private resources: every
+/// variable crosses the backbone and two NICs. NICs hold a few members
+/// each and offer far more than the backbone share, so the backbone binds.
+struct Backbone {
+  ResourceId bb;
+  std::vector<ResourceId> nics;
+  std::vector<VarId> vars;
+};
+
+Backbone build_backbone(HubHarness& h, int vars, int nics = 40) {
+  Backbone b;
+  b.bb = h.add_resource(1000.0);
+  for (int i = 0; i < nics; ++i) b.nics.push_back(h.add_resource(400.0));
+  for (int i = 0; i < vars; ++i)
+    b.vars.push_back(h.add({b.bb, b.nics[static_cast<std::size_t>(i % nics)],
+                            b.nics[static_cast<std::size_t>((i + 7) % nics)]}));
+  return b;
+}
+
+}  // namespace
+
+TEST(MaxMinHub, LargeFillFormsAGroupThatAnswersChurn) {
+  HubHarness h;
+  Backbone b = build_backbone(h, 80);
+  MaxMin& m = h.solver();
+  h.solve_and_check();
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+  const GroupId g = m.entered_groups()[0];
+  for (const VarId v : b.vars) EXPECT_EQ(m.group_of(v), g);
+  EXPECT_EQ(m.group_members(g).size(), 80u);
+  EXPECT_EQ(m.group_rate(g), 1000.0 / 80.0);
+  EXPECT_EQ(m.solve_stats().hub_entries, 1u);
+
+  // Staying in hub mode: a removal and an add are answered without a fill
+  // and reported as one group-rate change.
+  const auto touched = m.solve_stats().vars_touched;
+  h.remove(b.vars.back());
+  b.vars.pop_back();
+  EXPECT_TRUE(h.solve_and_check().empty());
+  ASSERT_EQ(m.changed_groups().size(), 1u);
+  EXPECT_EQ(m.changed_groups()[0], g);
+  EXPECT_EQ(m.group_rate(g), 1000.0 / 79.0);
+
+  const VarId joined = h.add({b.bb, b.nics[3], b.nics[11]});
+  EXPECT_EQ(m.group_of(joined), g);  // decided at the add, before the solve
+  h.solve_and_check();
+  ASSERT_EQ(m.changed_groups().size(), 1u);
+  EXPECT_EQ(m.group_rate(g), 1000.0 / 80.0);
+  EXPECT_EQ(m.solve_stats().vars_touched, touched);
+  EXPECT_EQ(m.solve_stats().hub_solves, 2u);
+  EXPECT_EQ(m.solve_stats().hub_exits, 0u);
+}
+
+TEST(MaxMinHub, JoiningThroughAFreshlyModifiedResourceStaysInTheGroup) {
+  // A private resource emptied in the same epoch (so queued for the fill)
+  // becomes a new member's private resource: the group answers, no fill
+  // reaches into it.
+  HubHarness h;
+  const Backbone b = build_backbone(h, 80);
+  const ResourceId spare = h.add_resource(400.0);
+  const VarId alone = h.add({spare});
+  MaxMin& m = h.solver();
+  h.solve_and_check();
+  const GroupId g = m.entered_groups()[0];
+  const auto touched = m.solve_stats().vars_touched;
+
+  h.remove(alone);
+  const VarId joined = h.add({b.bb, spare});
+  EXPECT_EQ(m.group_of(joined), g);
+  h.solve_and_check();
+  EXPECT_TRUE(m.entered_groups().empty());
+  EXPECT_TRUE(m.exited_groups().empty());
+  EXPECT_EQ(m.solve_stats().vars_touched, touched);
+  EXPECT_EQ(m.group_members(g).size(), 81u);
+}
+
+TEST(MaxMinHub, SmallComponentsKeepTheFill) {
+  HubHarness h;
+  build_backbone(h, static_cast<int>(MaxMin::kHubMinVars) - 1);
+  h.solve_and_check();
+  EXPECT_TRUE(h.solver().entered_groups().empty());
+  EXPECT_EQ(h.solver().solve_stats().hub_entries, 0u);
+}
+
+TEST(MaxMinHub, SetCapacityLeavesAndReentersHubMode) {
+  HubHarness h;
+  const Backbone b = build_backbone(h, 80);
+  MaxMin& m = h.solver();
+  h.solve_and_check();
+  const GroupId g = m.entered_groups()[0];
+
+  // Backbone capacity: the fill re-runs and finds the hub shape again.
+  h.set_capacity(b.bb, 600.0);
+  EXPECT_EQ(m.group_of(b.vars[0]), -1);
+  h.solve_and_check();
+  ASSERT_EQ(m.exited_groups().size(), 1u);
+  EXPECT_EQ(m.exited_groups()[0], g);
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+  EXPECT_EQ(m.group_rate(m.entered_groups()[0]), 600.0 / 80.0);
+
+  // A private resource's capacity: same fallback.
+  h.set_capacity(b.nics[5], 300.0);
+  h.solve_and_check();
+  EXPECT_EQ(m.exited_groups().size(), 1u);
+  EXPECT_EQ(m.entered_groups().size(), 1u);
+  EXPECT_EQ(m.solve_stats().hub_exits, 2u);
+  EXPECT_EQ(m.solve_stats().hub_entries, 3u);
+}
+
+TEST(MaxMinHub, VariablesThatBreakTheShapeDissolveTheGroup) {
+  // Each odd variable touches the hub component without fitting it: it
+  // skips the hub, carries a non-unit weight or a bound, or bridges into
+  // another component. The group dissolves, and comes back once the odd
+  // variable is gone and a large fill sees the hub shape again.
+  enum class Odd { skips_hub, weighted, bounded, bridges };
+  for (const Odd odd :
+       {Odd::skips_hub, Odd::weighted, Odd::bounded, Odd::bridges}) {
+    SCOPED_TRACE(static_cast<int>(odd));
+    HubHarness h;
+    const Backbone b = build_backbone(h, 80);
+    const ResourceId side = h.add_resource(500.0);
+    h.add({side});
+    h.add({side});
+    MaxMin& m = h.solver();
+    h.solve_and_check();
+    ASSERT_EQ(m.entered_groups().size(), 1u);
+
+    VarId v = -1;
+    switch (odd) {
+      case Odd::skips_hub: v = h.add({b.nics[2]}); break;
+      case Odd::weighted: v = h.add({b.bb, b.nics[2]}, 2.0); break;
+      case Odd::bounded: v = h.add({b.bb, b.nics[2]}, 1.0, 5.0); break;
+      case Odd::bridges: v = h.add({b.bb, side}); break;
+    }
+    EXPECT_EQ(m.group_of(v), -1);
+    EXPECT_EQ(m.group_of(b.vars[0]), -1);
+    h.solve_and_check();
+    EXPECT_EQ(m.exited_groups().size(), 1u);
+    EXPECT_TRUE(m.entered_groups().empty());
+
+    h.remove(v);
+    h.solve_and_check();
+    EXPECT_EQ(m.entered_groups().size(), 1u);
+    EXPECT_GE(m.group_of(b.vars[0]), 0);
+  }
+}
+
+TEST(MaxMinHub, RemovalLettingAPrivateResourceBindDissolvesTheGroup) {
+  // NIC 0 carries three members at capacity 45 (share 15). The backbone
+  // share 1000/n overtakes it once n drops to 66.
+  HubHarness h;
+  const ResourceId bb = h.add_resource(1000.0);
+  const ResourceId weak = h.add_resource(45.0);
+  std::vector<ResourceId> nics;
+  for (int i = 0; i < 30; ++i) nics.push_back(h.add_resource(400.0));
+  for (int i = 0; i < 3; ++i) h.add({bb, weak});
+  std::vector<VarId> others;
+  for (int i = 0; i < 77; ++i)
+    others.push_back(h.add({bb, nics[static_cast<std::size_t>(i % 30)]}));
+  MaxMin& m = h.solver();
+  h.solve_and_check();
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+
+  std::size_t n = 80;
+  while (m.exited_groups().empty()) {
+    ASSERT_GT(n, 66u) << "the group should have dissolved";
+    h.remove(others.back());
+    others.pop_back();
+    --n;
+    h.solve_and_check();
+  }
+  EXPECT_EQ(n, 66u);
+  EXPECT_TRUE(m.entered_groups().empty());  // the NIC binds now
+  EXPECT_EQ(m.solve_stats().hub_exits, 1u);
+}
+
+TEST(MaxMinHub, RandomBackboneStreamsStayExact) {
+  for (const std::uint64_t seed : {3ull, 17ull, 2024ull}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    HubHarness h;
+    const ResourceId bb = h.add_resource(1000.0);
+    // Mostly roomy NICs, plus weak ones that bind once the group shrinks.
+    std::vector<ResourceId> nics;
+    for (int i = 0; i < 48; ++i)
+      nics.push_back(h.add_resource(i % 8 == 0 ? rng.uniform(140.0, 200.0)
+                                               : rng.uniform(300.0, 600.0)));
+    // Private resources, each carrying at most one variable at a time.
+    std::vector<ResourceId> spare;
+    for (int i = 0; i < 24; ++i)
+      spare.push_back(h.add_resource(rng.uniform(300.0, 600.0)));
+    const ResourceId side = h.add_resource(500.0);
+    h.add({side});
+    h.add({side});
+    const auto nic = [&] { return nics[rng.next_below(nics.size())]; };
+    std::map<VarId, ResourceId> owner;  // variable -> its private resource
+    // Last freed, first reused: a resource emptied earlier in the same
+    // epoch (still queued for the fill) often gets a new owner at once.
+    const auto add_private = [&](bool crosses_hub) {
+      const ResourceId r = spare.back();
+      spare.pop_back();
+      const VarId v = crosses_hub ? h.add({bb, nic(), r}) : h.add({r});
+      owner[v] = r;
+      return v;
+    };
+    const auto drop = [&](VarId v) {
+      h.remove(v);
+      const auto it = owner.find(v);
+      if (it == owner.end()) return;
+      spare.push_back(it->second);
+      owner.erase(it);
+    };
+    std::vector<VarId> odd;  // short-lived variables outside the shape
+
+    for (int step = 0; step < 600; ++step) {
+      // One to three mutations per solve, as an engine epoch batches them.
+      const auto ops = 1 + rng.next_below(3);
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        const double dice = rng.next_double();
+        if (!odd.empty() && rng.next_double() < 0.5) {
+          drop(odd.back());
+          odd.pop_back();
+        } else if (h.live() < 60 || (h.live() < 110 && dice < 0.42)) {
+          if (!spare.empty() && rng.next_double() < 0.3) {
+            add_private(true);
+          } else {
+            h.add({bb, nic(), nic()});
+          }
+        } else if (dice < 0.84) {
+          const VarId v = h.nth_live(rng.next_below(h.live()));
+          if (v < 2) continue;  // keep the side component
+          if (std::find(odd.begin(), odd.end(), v) != odd.end()) continue;
+          drop(v);
+        } else if (dice < 0.88) {
+          h.set_capacity(rng.next_double() < 0.5 ? bb : nic(),
+                         rng.uniform(800.0, 1200.0));
+        } else if (dice < 0.91) {
+          // Skips the hub: on a NIC it breaks the shape; on a private
+          // resource it is a component of its own until it leaves.
+          odd.push_back(!spare.empty() && rng.next_double() < 0.5
+                            ? add_private(false)
+                            : h.add({nic()}));
+        } else if (dice < 0.94) {
+          odd.push_back(h.add({bb, nic()}, 2.0));
+        } else if (dice < 0.97) {
+          odd.push_back(h.add({bb, nic()}, 1.0, rng.uniform(1.0, 30.0)));
+        } else {
+          odd.push_back(h.add({bb, side}));
+        }
+      }
+      h.solve_and_check();
+    }
+    const auto& st = h.solver().solve_stats();
+    EXPECT_GT(st.hub_entries, 0u);
+    EXPECT_GT(st.hub_exits, 0u);
+    EXPECT_GT(st.hub_solves, 0u);
+    EXPECT_GT(st.group_changes, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Engine-level differential: full replays (including the fault-injection
 // degrade paths) must produce the same simulated time with the incremental
 // solver and with full_solve.

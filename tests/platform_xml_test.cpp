@@ -74,6 +74,30 @@ TEST(Xml, RejectsDuplicateAttributes) {
   EXPECT_THROW(xml::parse("<a x='1' x='2'/>"), ParseError);
 }
 
+TEST(Xml, RejectsHostileNestingDepth) {
+  const auto nested = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += "<a>";
+    for (int i = 0; i < depth; ++i) text += "</a>";
+    return text;
+  };
+  EXPECT_NO_THROW(xml::parse(nested(64)));
+  EXPECT_THROW(xml::parse(nested(65)), ParseError);
+  // 100k levels would overflow the recursion without the bound; so would
+  // an unterminated bomb.
+  EXPECT_THROW(xml::parse(nested(100'000)), ParseError);
+  std::string open_only;
+  for (int i = 0; i < 100'000; ++i) open_only += "<a>";
+  try {
+    xml::parse(open_only);
+    ADD_FAILURE() << "no error";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nested deeper than 64"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Xml, MissingFileThrows) {
   EXPECT_THROW(xml::parse_file("/nonexistent/file.xml"), IoError);
 }

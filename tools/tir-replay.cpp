@@ -16,6 +16,10 @@
 //   --profile                 print a per-action profile
 //   --efficiency X            compute-rate scale (default 1.0)
 //   --stats                   print engine counters (solver work, events)
+//                             and the solver's shape: vars per solve,
+//                             re-rates per action, the largest coupled
+//                             component and the hub-group counters; warns
+//                             on stderr when re-rates per action pass 16
 //   --full-solve              disable the incremental network solver
 //                             (reference path for differential testing)
 //   --fast-path               run deterministic action chains inline without
@@ -41,6 +45,13 @@
 using namespace tir;
 
 namespace {
+
+/// Flow re-rates per replayed action above which --stats warns: the
+/// network model is re-rating a large coupled component on every event, as
+/// LU class B did at 256 ranks before share groups (373 per action; LU B at
+/// 16 to 128 ranks reads 1.0 to 9.4, and at 256 ranks with share groups
+/// 2.1).
+constexpr double kRerateWarning = 16.0;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -131,7 +142,7 @@ int run(int argc, char** argv) {
 
   const auto result = replay::replay_files(platform_file, deployment_file,
                                            traces, config, decode);
-  std::printf("processes:        %zu\n", traces.size());
+  std::printf("processes:        %zu\n", result.process_finish_times.size());
   std::printf("actions replayed: %llu\n",
               static_cast<unsigned long long>(result.actions_replayed));
   std::printf("simulated time:   %.6f s\n", result.simulated_time);
@@ -155,10 +166,41 @@ int run(int argc, char** argv) {
     std::printf("  max component size:     %llu\n",
                 u64(st.solver_component_size_max));
     std::printf("  flows re-rated:         %llu\n", u64(st.flows_rerated));
+    std::printf("  hub solves:             %llu\n", u64(st.solver_hub_solves));
+    std::printf("  large fills:            %llu\n",
+                u64(st.solver_large_fills));
+    std::printf("  group re-rates:         %llu\n", u64(st.groups_rerated));
+    std::printf("  hub entries / exits:    %llu / %llu\n", u64(st.hub_entries),
+                u64(st.hub_exits));
     std::printf("  fast-path inline:       %llu\n", u64(st.fast_path_inline));
     std::printf("  fast-path ready:        %llu\n", u64(st.fast_path_ready));
     std::printf("  parallel solver fills:  %llu\n",
                 u64(st.solver_parallel_fills));
+
+    // The solver's shape, with the max component size above: what exposed
+    // the 256-rank cliff. A group re-rate counts as one re-rate, and the hub
+    // share is over the solves that met a large coupled component (answered
+    // by a group or filled).
+    const auto per = [](double num, double den) {
+      return den > 0 ? num / den : 0.0;
+    };
+    const double rerates =
+        per(static_cast<double>(st.flows_rerated + st.groups_rerated),
+            static_cast<double>(result.actions_replayed));
+    std::printf("\nsolver shape:\n");
+    std::printf("  vars per solve:         %.2f\n",
+                per(static_cast<double>(st.solver_vars_touched),
+                    static_cast<double>(st.solver_calls)));
+    std::printf("  re-rates per action:    %.3f\n", rerates);
+    std::printf("  hub share of coupled:   %.1f%%\n",
+                100.0 * per(static_cast<double>(st.solver_hub_solves),
+                            static_cast<double>(st.solver_hub_solves +
+                                                st.solver_large_fills)));
+    if (rerates > kRerateWarning)
+      std::fprintf(stderr,
+                   "warning: %.1f flow re-rates per action (threshold %.0f): "
+                   "a large coupled component is re-solved on every event\n",
+                   rerates, kRerateWarning);
   }
   if (want_profile) {
     const auto profile = replay::Profile::from_timed_trace(result.timed_trace);

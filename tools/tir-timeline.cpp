@@ -129,7 +129,7 @@ int run(int argc, char** argv) {
   if (!result.spans) throw SimError("replay returned no span timeline");
   const obs::Recorder& recorder = *result.spans;
 
-  std::printf("processes:        %zu\n", traces.size());
+  std::printf("processes:        %zu\n", result.process_finish_times.size());
   std::printf("actions replayed: %llu\n",
               static_cast<unsigned long long>(result.actions_replayed));
   std::printf("simulated time:   %.6f s\n", result.simulated_time);
