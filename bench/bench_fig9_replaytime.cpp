@@ -4,28 +4,66 @@
 // Paper shapes to reproduce: the replay time tracks the number of actions
 // in the trace (Table 3's right column), because each action costs a
 // simulated-process context switch in the kernel.
+//
+// Rank counts: by default classes B and C at 8, 16, 32 and 64 ranks.
+// TIR_FIG9_PROCS=8,64,256 (comma list, powers of two) replaces them and
+// runs class B only; it reaches 1024 ranks when you have the minutes — see
+// EXPERIMENTS.md.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "acquisition/acquisition.hpp"
 #include "apps/lu.hpp"
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
 #include "replay/replayer.hpp"
+#include "support/strings.hpp"
 
 using namespace tir;
 
+namespace {
+
+/// The TIR_FIG9_PROCS list, or empty when the variable is unset.
+std::vector<int> proc_counts() {
+  std::vector<int> procs;
+  if (const char* env = std::getenv("TIR_FIG9_PROCS")) {
+    for (const auto tok : str::split(env, ',')) {
+      const int n = std::atoi(std::string(tok).c_str());
+      if (n <= 0 || (n & (n - 1)) != 0) {
+        std::fprintf(stderr, "error: TIR_FIG9_PROCS: '%s' is not a power "
+                             "of two\n", std::string(tok).c_str());
+        std::exit(2);
+      }
+      procs.push_back(n);
+    }
+  }
+  return procs;
+}
+
+}  // namespace
+
 int main() {
   const double scale = bench::scale();
+  std::vector<apps::NpbClass> classes{apps::NpbClass::B, apps::NpbClass::C};
+  std::vector<int> counts = proc_counts();
+  if (counts.empty()) {
+    counts = {8, 16, 32, 64};
+  } else {
+    classes = {apps::NpbClass::B};
+  }
   bench::banner("Figure 9 — trace replay wall-clock time vs process count",
-                "LU classes B and C; iteration fraction " +
-                    std::to_string(scale) +
+                std::string(classes.size() == 1 ? "LU class B"
+                                                : "LU classes B and C") +
+                    "; iteration fraction " + std::to_string(scale) +
                     " (full-run replay time extrapolates linearly)");
 
   std::printf("%-6s %5s | %12s %12s | %14s %16s\n", "class", "procs",
               "actions(M)", "replay (s)", "actions/sec", "ctx switches(M)");
-  for (const auto cls : {apps::NpbClass::B, apps::NpbClass::C}) {
-    for (const int procs : {8, 16, 32, 64}) {
+  for (const auto cls : classes) {
+    for (const int procs : counts) {
       apps::LuConfig cfg;
       cfg.cls = cls;
       cfg.nprocs = procs;

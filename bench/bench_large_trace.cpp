@@ -73,7 +73,6 @@ replay::ScenarioSpec cluster_scenario(int nprocs, trace::TraceSet traces) {
   spec.platform = platform;
   spec.process_hosts = hosts;
   spec.traces = std::move(traces);
-  spec.config.fast_path = true;
   return spec;
 }
 

@@ -14,13 +14,16 @@
 //   3. churn — trace-directory rotation under a deliberately tiny cache
 //              byte budget, proving eviction keeps residency bounded.
 //
-// Acceptance (exit 1 on violation):
-//   - warm throughput >= 10x cold throughput;
-//   - every warm response bit-identical (memcmp on the sim_time double) to
-//     its cold counterpart;
-//   - RSS growth across the warm soak < 64 MiB (the memo and caches are
+// Acceptance (exit 1 on violation), deterministic checks only:
+//   - no warm request misses the memo, and every warm response is
+//     bit-identical (memcmp on the sim_time double) to its cold counterpart;
+//   - RSS growth across the warm soak <= 64 MiB (the memo and caches are
 //     bounded; a leak per request would show at 10^4..10^5 requests);
-//   - churn phase keeps resident_bytes <= the configured budget.
+//   - three spellings of one trace directory decode once;
+//   - churn phase keeps resident_bytes <= the configured budget and evicts.
+// The warm/cold throughput ratio is printed, not asserted: wall-clock
+// ratios swing with host load, and timing comparisons belong to the
+// repository benchmark (perfbench/).
 //
 // TIR_SCALE scales the warm request count (default 0.1 -> 10^4 requests;
 // TIR_FULL=1 -> 10^5). The CI smoke runs TIR_SCALE=0.01 (10^3).
@@ -274,10 +277,6 @@ int main() {
   }
 
   bool failed = false;
-  if (speedup < 10.0) {
-    std::fprintf(stderr, "FAIL: warm/cold speedup %.1fx < 10x\n", speedup);
-    failed = true;
-  }
   if (misses != 0 || mismatches != 0) {
     std::fprintf(stderr, "FAIL: %zu warm misses, %zu bit mismatches\n",
                  misses, mismatches);
@@ -288,7 +287,7 @@ int main() {
                  rss_growth_mib);
     failed = true;
   }
-  std::printf("\n%s\n", failed ? "FAILED" : "OK: warm path >= 10x cold, "
-              "bit-identical, memory bounded");
+  std::printf("\n%s\n", failed ? "FAILED"
+                               : "OK: warm path bit-identical, memory bounded");
   return failed ? 1 : 0;
 }

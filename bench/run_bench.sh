@@ -11,6 +11,8 @@
 # Environment:
 #   MIN_TIME   google-benchmark min time per bench, seconds (default 0.2)
 #   TIR_SCALE  Figure 9 iteration fraction (default 0.05)
+#   TIR_FIG9_PROCS  Figure 9 rank counts, class B only (e.g. 8,64,256;
+#              default: classes B and C at 8..64 — see EXPERIMENTS.md)
 #   OUT        output directory (default bench/results)
 set -euo pipefail
 
@@ -36,20 +38,12 @@ echo "== Figure 9 replay time -> $OUT/BENCH_fig9.txt"
 TIR_SCALE="${TIR_SCALE:-0.05}" "$BUILD/bench/bench_fig9_replaytime" \
   | tee "$OUT/BENCH_fig9.txt"
 
-# Parallel-engine counterpart: sequential vs fast-path vs fast-path+shards
-# over the same LU class-B replays; the bench exits nonzero if any engine's
-# simulated time diverges bitwise. TIR_FIG9_PROCS=8,64,256,... extends the
-# rank counts (acquisition dominates past 64 — see EXPERIMENTS.md).
-echo "== Figure 9 parallel engines -> $OUT/BENCH_fig9_parallel.txt"
-TIR_SCALE="${TIR_SCALE:-0.05}" "$BUILD/bench/bench_fig9_parallel" \
-  | tee "$OUT/BENCH_fig9_parallel.txt"
-
-# Replay-as-a-service soak: warm memo hits vs cold replays (>= 10x), RSS
-# bounded, responses bit-identical. Also recordable standalone via the
-# bench-serve-record cmake target.
+# Replay-as-a-service soak: warm memo hits vs cold replays (the speed-up is
+# printed), RSS bounded, responses bit-identical. Also recordable standalone
+# via the bench-serve-record cmake target.
 echo "== replay-as-a-service soak -> $OUT/BENCH_serve.txt"
 TIR_SCALE="${TIR_SCALE:-0.05}" "$BUILD/bench/bench_serve" \
   | tee "$OUT/BENCH_serve.txt"
 
 echo "== recorded: $OUT/BENCH_kernel.json $OUT/BENCH_fig9.txt" \
-     "$OUT/BENCH_fig9_parallel.txt $OUT/BENCH_serve.txt"
+     "$OUT/BENCH_serve.txt"

@@ -252,9 +252,8 @@ sim::Co<void> Rank::wait(Request request) {
 sim::Co<void> Rank::waitall(std::vector<Request> requests) {
   OpScope scope(*this, "waitAll", obs::SpanKind::waitall);
   for (auto& request : requests) {
-    // Null or already-waited requests need no nested coroutine at all
-    // (wait() would co_return before doing anything observable); skipping
-    // the frame keeps the engine's inline fast-path chains unbroken.
+    // Null or already-waited requests need no nested coroutine at all:
+    // wait() would co_return before doing anything observable.
     if (!request || request->completed) continue;
     co_await wait(std::move(request));
   }

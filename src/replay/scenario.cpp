@@ -163,13 +163,8 @@ void run_scenario_into(const ScenarioSpec& spec, const ActionRegistry& registry,
   // Every mutable piece of the simulation lives below this line, scoped to
   // this call: the engine (event heaps, route cache, fluid state), the MPI
   // world (matching queues) and the per-process replay contexts.
-  if (spec.config.shards < 1 || spec.config.shards > 512)
-    throw SimError("scenario: shards must be in [1, 512], got " +
-                   std::to_string(spec.config.shards));
   sim::Engine engine(*spec.platform,
                      sim::EngineConfig{.full_solve = spec.config.full_solve,
-                                       .fast_path = spec.config.fast_path,
-                                       .shards = spec.config.shards,
                                        .recorder = recorder});
   mpi::Config mpi_config = spec.config.mpi;
   if (recorder != nullptr) mpi_config.recorder = recorder;

@@ -31,18 +31,6 @@ struct ReplayConfig {
   /// Disable the incremental network solver (full re-solve on every change)
   /// — the reference path for differential testing; results must match.
   bool full_solve = false;
-  /// Coroutine fast path (EngineConfig::fast_path): runnable deterministic
-  /// action chains — compute bursts, eager sends, already-satisfied waits —
-  /// execute inline at the await point without a coroutine switch. Results
-  /// are bit-identical to the sequential engine; the parallel differential
-  /// battery asserts it. Off by default: the sequential engine is the
-  /// bit-exactness reference, same pattern as full_solve.
-  bool fast_path = false;
-  /// Sharded execution (EngineConfig::shards): > 1 solves disconnected
-  /// network components on a pool of this many OS threads, one conservative
-  /// barrier per solver epoch. Bit-identical for every value; range
-  /// [1, 512]. 1 = fully sequential reference engine.
-  int shards = 1;
   /// Record the span timeline (src/obs/): one span per outermost MPI
   /// operation per rank, message edges, fault events. The run allocates a
   /// Recorder and returns it through ReplayResult::spans. Recording must

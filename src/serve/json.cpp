@@ -121,6 +121,42 @@ class Parser {
     }
   }
 
+  unsigned hex4() {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9')
+        code += static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f')
+        code += static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F')
+        code += static_cast<unsigned>(h - 'A' + 10);
+      else
+        fail("bad \\u escape");
+    }
+    return code;
+  }
+
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+
   std::string string_body() {
     expect('"');
     std::string out;
@@ -146,32 +182,17 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9')
-              code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code += static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("bad \\u escape");
+          unsigned code = hex4();
+          if (code >= 0xDC00 && code <= 0xDFFF) fail("unpaired low surrogate");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // Above the BMP, JSON spells a code point as an escaped UTF-16
+            // pair; a lone half has no UTF-8 encoding at all.
+            if (!consume_literal("\\u")) fail("unpaired high surrogate");
+            const unsigned low = hex4();
+            if (low < 0xDC00 || low > 0xDFFF) fail("unpaired high surrogate");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
           }
-          // UTF-8 encode the BMP code point (surrogate pairs land as two
-          // 3-byte sequences — good enough for path/label payloads).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
+          append_utf8(out, code);
           break;
         }
         default:

@@ -45,8 +45,6 @@ std::string scenario_memo_key(const replay::ScenarioSpec& spec,
   append_int(key, "coll", static_cast<long long>(spec.config.mpi.collectives));
   append_num(key, "eff", spec.config.compute_efficiency);
   append_int(key, "full", spec.config.full_solve ? 1 : 0);
-  append_int(key, "fast", spec.config.fast_path ? 1 : 0);
-  append_int(key, "shards", spec.config.shards);
   append_int(key, "timed", spec.config.record_timed_trace ? 1 : 0);
   append_int(key, "spans", spec.config.record_spans ? 1 : 0);
   append_int(key, "detail", spec.config.span_activity_detail ? 1 : 0);

@@ -322,22 +322,6 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
   if (const auto* eff = kv.find("efficiency"))
     spec.config.compute_efficiency =
         parse_double("scenario '" + spec.name + "': efficiency", *eff);
-  if (const auto* fastpath = kv.find("fastpath")) {
-    if (*fastpath == "on")
-      spec.config.fast_path = true;
-    else if (*fastpath == "off")
-      spec.config.fast_path = false;
-    else
-      throw Error("scenario '" + spec.name + "': fastpath must be on or off" +
-                  ", got '" + *fastpath + "'");
-  }
-  if (const auto* shards = kv.find("shards")) {
-    spec.config.shards =
-        parse_int("scenario '" + spec.name + "': shards", *shards);
-    if (spec.config.shards < 1 || spec.config.shards > 512)
-      throw Error("scenario '" + spec.name + "': shards must be in [1, 512]" +
-                  ", got '" + *shards + "'");
-  }
   if (const auto* fault = kv.find("fault"))
     for (const auto& token : str::split(*fault, ','))
       spec.faults.push_back(parse_fault(spec.name, std::string(token)));

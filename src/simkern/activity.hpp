@@ -89,7 +89,6 @@ class Transfer final : public Activity {
   double bytes = 0.0;      ///< payload size
   double amount = 0.0;     ///< model amount (bytes / bandwidth_factor)
   double latency = 0.0;    ///< effective route latency
-  bool flowing = false;    ///< latency phase finished, flow phase running
   std::vector<ResourceId> link_resources;
   FluidState fluid;
 };

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "obs/recorder.hpp"
-#include "simkern/shard_pool.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -30,13 +29,6 @@ void Gate::open() {
 
 Engine::Engine(const plat::Platform& platform, EngineConfig config)
     : platform_(platform), config_(config) {
-  if (config.shards < 1)
-    throw SimError("engine: shards must be >= 1, got " +
-                   std::to_string(config.shards));
-  if (config.shards > 1) {
-    shard_pool_ = std::make_unique<ShardPool>(config.shards);
-    net_lmm_.set_executor(shard_pool_.get());
-  }
   net_lmm_.set_full_solve(config.full_solve);
   link_res_.reserve(platform.link_count());
   for (std::size_t l = 0; l < platform.link_count(); ++l)
@@ -204,8 +196,8 @@ void Engine::set_rate(const ActivityPtr& activity, FluidState& fluid,
 // Share groups: the flows of one solver hub group progress on one virtual
 // clock. Member keys order the group's binary heap; ties fall to join
 // order (seq). The head's finish is last_update + (key − clock) / rate at
-// the stored clock, so a leave — which leaves the clock alone — requeues
-// the next head at exactly the time try_fast_complete predicts for it.
+// the stored clock; a leave leaves the clock alone and requeues the next
+// head at its finish under that same clock.
 
 void Engine::member_place(ShareGroup& group, Member m, std::size_t i) {
   m.flow->fluid.group_pos = static_cast<std::int32_t>(i);
@@ -339,7 +331,6 @@ void Engine::resolve_network() {
   stats_.solver_component_size_max =
       std::max<std::uint64_t>(stats_.solver_component_size_max,
                               solver.max_component_vars);
-  stats_.solver_parallel_fills = solver.parallel_fills;
   stats_.solver_hub_solves = solver.hub_solves;
   stats_.solver_large_fills = solver.large_fills;
   stats_.hub_entries = solver.hub_entries;
@@ -549,7 +540,6 @@ GatePtr Engine::make_gate() {
 
 void Engine::start_flow(Transfer& transfer) {
   if (transfer.done()) return;
-  transfer.flowing = true;
   if (transfer.amount <= 0 || transfer.link_resources.empty()) {
     // Nothing to stream (zero payload) or an unconstrained local copy.
     complete(transfer);
@@ -617,83 +607,6 @@ void Engine::complete(Activity& activity) {
   activity.waiters_.clear();
 }
 
-bool Engine::try_fast_complete(Activity& activity) {
-  // Eligibility: the engine is mid-run with no error, the awaiting
-  // coroutine is the only runnable one (ready_ empty — it is running right
-  // now and has not registered itself as a waiter yet), nobody else awaits
-  // this activity (an inline completion would otherwise reorder their
-  // wakeups), and the activity is fluid-backed so it has a finish estimate
-  // to check against the event horizon.
-  if (!config_.fast_path || !running_ || first_error_ || !ready_.empty())
-    return false;
-  if (!activity.waiters_.empty()) return false;
-  FluidState* fluid = nullptr;
-  if (activity.kind() == Activity::Kind::exec) {
-    fluid = &static_cast<Exec&>(activity).fluid;
-  } else if (activity.kind() == Activity::Kind::transfer) {
-    auto& transfer = static_cast<Transfer&>(activity);
-    if (!transfer.flowing) return false;  // still in its latency phase
-    fluid = &transfer.fluid;
-  } else {
-    return false;
-  }
-
-  // Mirror one iteration of run()'s loop: catch the solver up on this
-  // coroutine's mutations, then require this fluid's completion to be the
-  // next event — and the only one inside its epsilon window.
-  resolve_network();
-  if (finish_heap_.empty()) return false;
-  if (finish_heap_.front().fluid != fluid) return false;
-  const SimTime t = finish_heap_.front().time;
-  const double time_eps = 1e-9 * (1.0 + std::abs(t));
-  if (!heap_.empty() && heap_.top().time <= t + time_eps) return false;
-  // The runner-up finish is the earliest of the root's (up to four)
-  // children — every deeper entry sorts at or after one of them. If it
-  // lands inside the epsilon window the sequential loop would
-  // batch-complete both; bail without touching the heap.
-  const std::size_t second = std::min<std::size_t>(5, finish_heap_.size());
-  for (std::size_t c = 1; c < second; ++c) {
-    if (finish_heap_[c].time <= t + time_eps) return false;
-  }
-  if (fluid->group >= 0) {
-    // A group head's completion queues the group's next member — the
-    // earlier of the head's children — at member_finish.
-    const ShareGroup& group = groups_[static_cast<std::size_t>(fluid->group)];
-    const std::size_t next = std::min<std::size_t>(3, group.members.size());
-    for (std::size_t c = 1; c < next; ++c) {
-      if (member_finish(group, group.members[c].key) <= t + time_eps)
-        return false;
-    }
-  }
-  if (activity.kind() == Activity::Kind::exec) {
-    // Completing an Exec speeds up its host siblings; if one would then
-    // finish inside this epsilon window, the sequential loop batch-completes
-    // it before resuming anyone — too entangled to inline.
-    const auto& exec = static_cast<const Exec&>(activity);
-    const auto& execs = host_execs_[static_cast<std::size_t>(exec.host)];
-    if (execs.size() > 1) {
-      const double share =
-          platform_.host(exec.host).power *
-          host_power_factor_[static_cast<std::size_t>(exec.host)] /
-          static_cast<double>(execs.size() - 1);
-      for (const auto& sibling : execs) {
-        if (sibling.get() == &exec) continue;
-        const FluidState& f = sibling->fluid;
-        double remaining = f.remaining;
-        if (f.rate > 0 && t > f.last_update)
-          remaining = std::max(0.0, remaining - f.rate * (t - f.last_update));
-        if (remaining <= share * time_eps) return false;  // finish <= t + eps
-      }
-    }
-  }
-
-  finish_pop();
-  now_ = t;
-  ++stats_.fast_path_inline;
-  complete(activity);
-  return true;
-}
-
 void Engine::drain_ready() {
   while (!ready_.empty()) {
     const auto handle = ready_.front();
@@ -704,7 +617,6 @@ void Engine::drain_ready() {
 }
 
 void Engine::run() {
-  running_ = true;
   drain_ready();
 
   while (!first_error_) {
@@ -744,7 +656,6 @@ void Engine::run() {
     drain_ready();
   }
 
-  running_ = false;
   if (first_error_) {
     const auto error = first_error_;
     first_error_ = nullptr;

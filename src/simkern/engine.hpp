@@ -6,6 +6,10 @@
 // expiring). Simulated processes are coroutines resumed by the engine;
 // they create activities and `co_await engine.wait(activity)`.
 //
+// Scheduling is sequential: an await on an unfinished activity always
+// suspends, and run() resumes ready coroutines one at a time in wake-up
+// order. That single schedule defines the results every test pins.
+//
 // Scalability design (this is what keeps 1,024-rank replays tractable):
 //   - CPUs are scheduled separately from the network: concurrent Execs on
 //     a host share its power equally, so only that host's Execs are
@@ -52,8 +56,6 @@ class Recorder;
 
 namespace tir::sim {
 
-class ShardPool;
-
 class Process {
  public:
   int id() const { return id_; }
@@ -91,21 +93,6 @@ struct EngineConfig {
   /// every change instead of only the modified connected components —
   /// the reference path for differential testing of the incremental solver.
   bool full_solve = false;
-  /// Coroutine fast path: when the awaited fluid's completion is provably
-  /// the sole event in the next epsilon window (no other runnable process,
-  /// no earlier or batched event), the engine completes it inline at the
-  /// await point instead of suspending and round-tripping through the
-  /// scheduler. Deterministic action chains — compute bursts, eager sends,
-  /// already-satisfied waits — then run without a coroutine switch.
-  /// Bit-identical to the sequential schedule by construction; only the
-  /// EngineStats fast-path/resume counters differ. Off = reference engine.
-  bool fast_path = false;
-  /// Sharded execution: > 1 spins up a pool of this many OS threads
-  /// (ShardPool) and fills disconnected network solver components in
-  /// parallel, one conservative barrier per solver epoch. Event order is
-  /// untouched, so results are bit-identical for every shard count.
-  /// 1 (default) = fully sequential reference engine. Range [1, 512].
-  int shards = 1;
   /// Observability sink, or null (the default: recording fully disabled,
   /// costing one pointer test per emission site). The engine records fault
   /// activations always, and per-activity spans on host tracks when the
@@ -129,12 +116,6 @@ struct EngineStats {
   std::uint64_t groups_rerated = 0;     ///< share groups re-rated as one
   std::uint64_t hub_entries = 0;        ///< share groups formed
   std::uint64_t hub_exits = 0;          ///< share groups dissolved
-  // Parallel replay: coroutine switches avoided by the fast path and solver
-  // epochs filled on the shard pool. Both are exactly zero when the
-  // corresponding EngineConfig knob is off.
-  std::uint64_t fast_path_inline = 0;  ///< fluid completions run at the await
-  std::uint64_t fast_path_ready = 0;   ///< already-done awaits, no suspension
-  std::uint64_t solver_parallel_fills = 0;  ///< solves filled on the pool
 };
 
 class Engine {
@@ -238,20 +219,8 @@ class Engine {
   // -- awaiting ------------------------------------------------------------
 
   struct Awaiter {
-    Engine* engine;
     Activity* activity;
-    // The fast path lives here: an await either observes a completed
-    // activity (no suspension ever happened for these) or asks the engine
-    // to prove the activity's completion is the next event and run it
-    // inline — in both cases await_suspend is skipped and the coroutine
-    // continues without a context switch.
-    bool await_ready() const noexcept {
-      if (activity->done()) {
-        engine->note_fast_ready();
-        return true;
-      }
-      return engine->try_fast_complete(*activity);
-    }
+    bool await_ready() const noexcept { return activity->done(); }
     void await_suspend(std::coroutine_handle<> h) {
       activity->waiters_.push_back(h);
     }
@@ -272,10 +241,8 @@ class Engine {
   };
 
   /// co_await engine.wait(act) — suspends until the activity completes.
-  Awaiter wait(const ActivityPtr& activity) {
-    return Awaiter{this, activity.get()};
-  }
-  Awaiter wait(Activity& activity) { return Awaiter{this, &activity}; }
+  Awaiter wait(const ActivityPtr& activity) { return Awaiter{activity.get()}; }
+  Awaiter wait(Activity& activity) { return Awaiter{&activity}; }
 
   /// Convenience: one-shot sleep.
   OwningAwaiter wait_for(SimTime duration) {
@@ -331,17 +298,6 @@ class Engine {
   /// Removes the earliest entry.
   void finish_pop();
 
-  /// The coroutine fast path (EngineConfig::fast_path): proves `activity`'s
-  /// completion is the sole event inside the next epsilon window — no other
-  /// runnable coroutine, no earlier/equal fluid or timed event, no exec
-  /// sibling pulled into the window by the completion — and if so advances
-  /// time and completes it inline, returning true so the await never
-  /// suspends. Mirrors exactly one iteration of run()'s event loop.
-  bool try_fast_complete(Activity& activity);
-  void note_fast_ready() {
-    if (config_.fast_path) ++stats_.fast_path_ready;
-  }
-
   /// Brings `fluid.remaining` up to date at the current time.
   void catch_up(FluidState& fluid);
   /// Sets a fluid's rate (catching it up first) and requeues its finish.
@@ -393,9 +349,6 @@ class Engine {
   // var_flows_, a VarId-indexed side table (dense: the solver recycles ids)
   // that lets resolve_network() re-rate exactly the flows the incremental
   // solver reports as changed instead of rescanning every live flow.
-  // The shard pool (EngineConfig::shards > 1) backs the solver's
-  // ParallelExecutor hook; it must outlive net_lmm_'s last solve.
-  std::unique_ptr<ShardPool> shard_pool_;
   MaxMin net_lmm_;
   std::vector<ResourceId> link_res_;   // link id -> network resource
   std::vector<std::shared_ptr<Transfer>> var_flows_;  // VarId -> flow
@@ -422,7 +375,6 @@ class Engine {
   std::size_t live_processes_ = 0;
   std::exception_ptr first_error_;
   EngineStats stats_;
-  bool running_ = false;
 };
 
 /// Awaits every activity in order (completion order does not matter for the

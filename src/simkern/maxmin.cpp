@@ -481,12 +481,11 @@ void MaxMin::fill_component(std::size_t c) {
     }
   }
 
-  std::vector<VarId>& out = comp_changed_[c];
   for (std::size_t j = vb; j < ve; ++j) {
     Var& v = vars_[static_cast<std::size_t>(component_vars_[j])];
     v.rate = fill_var_[j].rate;
     if (fill_var_[j].rate != fill_var_[j].prev)
-      out.push_back(component_vars_[j]);
+      changed_.push_back(component_vars_[j]);
   }
 }
 
@@ -529,23 +528,8 @@ void MaxMin::solve() {
 
   expand_components();
 
-  const std::size_t ncomp = components_.size();
-  if (comp_changed_.size() < ncomp) comp_changed_.resize(ncomp);
-  for (std::size_t c = 0; c < ncomp; ++c) comp_changed_[c].clear();
-
-  // Components are disjoint slices of the constraint graph, so the fills
-  // are independent; the executor path and the sequential loop produce the
-  // same rates bit for bit.
-  if (executor_ != nullptr && ncomp >= 2 &&
-      component_vars_.size() >= parallel_threshold_) {
-    executor_->run(ncomp, [this](std::size_t c) { fill_component(c); });
-    ++stats_.parallel_fills;
-  } else {
-    for (std::size_t c = 0; c < ncomp; ++c) fill_component(c);
-  }
-  for (std::size_t c = 0; c < ncomp; ++c) {
-    changed_.insert(changed_.end(), comp_changed_[c].begin(),
-                    comp_changed_[c].end());
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    fill_component(c);
     if (components_[c].var_end - components_[c].var_begin >= kHubMinVars) {
       ++stats_.large_fills;
       if (!full_solve_) hub_try_enter(c);

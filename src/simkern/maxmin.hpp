@@ -21,11 +21,10 @@
 //
 // Components are kept separate all the way through progressive filling:
 // expand_components() records one [res, var) slice per connected component
-// and fill stops at component boundaries. That makes each component's fill
-// a pure function of that component's state alone, so disconnected
-// components can fill on different OS threads (set_executor) and the rates
-// are bit-identical to the sequential fill by construction — the changed
-// list is merged back in component order either way.
+// and fill stops at component boundaries, so each component's fill is a
+// pure function of that component's state alone. Fills run one after
+// another in component order and append their changed variables to one
+// list in that order.
 //
 // Membership lists are intrusively bidirectional: each variable stores, for
 // every resource it uses, its index in that resource's member list, so
@@ -60,7 +59,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -70,16 +68,6 @@ namespace tir::sim {
 using ResourceId = int;
 using VarId = int;
 using GroupId = int;  ///< hub group (dense, recycled; -1 = none)
-
-/// Runs `fn(0) .. fn(n-1)` with any schedule it likes, returning only once
-/// every call finished (a full barrier). Implementations may run calls
-/// concurrently; callers guarantee the calls are mutually independent.
-class ParallelExecutor {
- public:
-  virtual ~ParallelExecutor() = default;
-  virtual void run(std::size_t n,
-                   const std::function<void(std::size_t)>& fn) = 0;
-};
 
 class MaxMin {
  public:
@@ -107,7 +95,6 @@ class MaxMin {
     std::uint64_t group_changes = 0;  ///< hub groups whose rate moved
     std::uint64_t hub_entries = 0;    ///< hub groups formed
     std::uint64_t hub_exits = 0;      ///< hub groups dissolved
-    std::uint64_t parallel_fills = 0;  ///< solves dispatched to the executor
     std::size_t last_component_vars = 0;  ///< size of the last fill
     /// Largest coupled component so far: filled, or re-rated as a group.
     std::size_t max_component_vars = 0;
@@ -182,20 +169,6 @@ class MaxMin {
   void set_full_solve(bool on) { full_solve_ = on; }
   bool full_solve() const { return full_solve_; }
 
-  /// Fills disconnected components through `executor` when a solve touches
-  /// at least two of them and `parallel_threshold()` variables in total.
-  /// nullptr (the default) keeps every fill on the calling thread. Results
-  /// are bit-identical either way — components share no state and the
-  /// changed list is merged in component order.
-  void set_executor(ParallelExecutor* executor) { executor_ = executor; }
-  ParallelExecutor* executor() const { return executor_; }
-
-  /// Minimum total component variables before a multi-component solve is
-  /// handed to the executor; below it the pool wakeup costs more than the
-  /// fill. Affects scheduling only, never rates.
-  void set_parallel_threshold(std::size_t vars) { parallel_threshold_ = vars; }
-  std::size_t parallel_threshold() const { return parallel_threshold_; }
-
   const SolveStats& solve_stats() const { return stats_; }
 
  private:
@@ -269,9 +242,7 @@ class MaxMin {
   void expand_components();
   /// Progressive filling of one component, operating on that component's
   /// [res_begin, res_end) / [var_begin, var_end) slices of the fill_*
-  /// arrays. Slices of different components are disjoint, so fills of
-  /// different components can run concurrently. Changed vars land in
-  /// comp_changed_[c].
+  /// arrays. Changed vars are appended to changed_.
   void fill_component(std::size_t c);
 
   std::vector<Res> resources_;
@@ -279,8 +250,6 @@ class MaxMin {
   std::vector<VarId> free_ids_;
   std::size_t active_count_ = 0;
   bool full_solve_ = false;
-  ParallelExecutor* executor_ = nullptr;
-  std::size_t parallel_threshold_ = 32;
 
   // Modified sets (deduplicated through the per-entry `modified` flags).
   std::vector<ResourceId> modified_resources_;
@@ -298,7 +267,6 @@ class MaxMin {
   std::vector<ResourceId> component_res_;
   std::vector<VarId> component_vars_;
   std::vector<Component> components_;
-  std::vector<std::vector<VarId>> comp_changed_;  // per component, merged
   std::vector<VarId> changed_;
 
   // Progressive-filling state, slot-indexed (slot = position in

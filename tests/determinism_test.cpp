@@ -11,8 +11,6 @@
 
 #include "obs/recorder.hpp"
 #include "platform/cluster.hpp"
-#include "replay/montecarlo.hpp"
-#include "replay/perturb.hpp"
 #include "replay/scenario.hpp"
 #include "replay/sweep.hpp"
 #include "trace/trace_set.hpp"
@@ -159,129 +157,6 @@ TEST(DeterminismTest, SpanStreamsIdenticalAcrossSweepWorkerCounts) {
     EXPECT_TRUE(
         serial[i].replay.spans->same_streams(*parallel[i].replay.spans))
         << "scenario " << i;
-  }
-}
-
-namespace {
-
-// The parallel-engine matrix (shards x fast path). Used by the tests below
-// to assert a replay is a pure function of its spec regardless of which
-// engine executes it — the license for every parallel knob to default on in
-// sweeps someday without changing a single result.
-struct EngineKnobs {
-  bool fast_path;
-  int shards;
-};
-const EngineKnobs kEngineMatrix[] = {
-    {false, 1}, {false, 2}, {false, 4}, {false, 8},
-    {true, 1},  {true, 2},  {true, 4},  {true, 8},
-};
-
-// Runs `spec` under every matrix entry and asserts results and span
-// streams are bit-identical to the (fast_path=off, shards=1) reference.
-void expect_matrix_identical(ScenarioSpec spec) {
-  spec.config.record_spans = true;
-  spec.config.fast_path = false;
-  spec.config.shards = 1;
-  const ReplayResult ref = run_scenario(spec);
-  ASSERT_TRUE(ref.spans);
-
-  for (const EngineKnobs& knobs : kEngineMatrix) {
-    SCOPED_TRACE("fast_path=" + std::to_string(knobs.fast_path) +
-                 " shards=" + std::to_string(knobs.shards));
-    spec.config.fast_path = knobs.fast_path;
-    spec.config.shards = knobs.shards;
-    const ReplayResult r = run_scenario(spec);
-    EXPECT_TRUE(bit_equal(ref.simulated_time, r.simulated_time))
-        << ref.simulated_time << " vs " << r.simulated_time;
-    EXPECT_EQ(ref.actions_replayed, r.actions_replayed);
-    ASSERT_EQ(ref.process_finish_times.size(), r.process_finish_times.size());
-    for (std::size_t p = 0; p < ref.process_finish_times.size(); ++p)
-      EXPECT_TRUE(bit_equal(ref.process_finish_times[p],
-                            r.process_finish_times[p]))
-          << "process " << p;
-    ASSERT_TRUE(r.spans);
-    EXPECT_TRUE(ref.spans->same_streams(*r.spans));
-  }
-}
-
-}  // namespace
-
-TEST(DeterminismTest, EngineMatrixBitIdenticalOnMixedTraffic) {
-  const auto platform = std::make_shared<plat::Platform>();
-  const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(8));
-  const auto traces = trace::TraceSet::in_memory(mixed_actions(8, 3));
-  expect_matrix_identical(make_spec(platform, hosts, traces));
-}
-
-TEST(DeterminismTest, EngineMatrixBitIdenticalUnderFaultRecovery) {
-  const auto platform = std::make_shared<plat::Platform>();
-  const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(8));
-  const auto traces = trace::TraceSet::in_memory(mixed_actions(8, 4));
-  ScenarioSpec spec = make_spec(platform, hosts, traces);
-
-  // A transient host brown-out and a flapping link: the recovery
-  // transitions re-rate running activities, which must happen at identical
-  // simulated instants on every engine.
-  FaultSpec host_fault;
-  host_fault.kind = FaultSpec::Kind::host;
-  host_fault.id = 1;
-  host_fault.at_time = 0.001;
-  host_fault.until_time = 0.003;
-  host_fault.compute_factor = 0.3;
-  spec.faults.push_back(host_fault);
-
-  FaultSpec link_flaps;
-  link_flaps.kind = FaultSpec::Kind::link;
-  link_flaps.id = 2;
-  link_flaps.at_time = 0.0004;
-  link_flaps.until_time = 0.0012;
-  link_flaps.repeat = 2;
-  link_flaps.period = 0.0025;
-  link_flaps.bandwidth_factor = 0.2;
-  spec.faults.push_back(link_flaps);
-
-  expect_matrix_identical(std::move(spec));
-}
-
-TEST(DeterminismTest, MonteCarloReplicasAgreeAcrossEngineModes) {
-  const auto platform = std::make_shared<plat::Platform>();
-  const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(4));
-  const auto traces = trace::TraceSet::in_memory(mixed_actions(4, 2));
-
-  PerturbSpec perturb;
-  perturb.host_noise = 0.08;
-  perturb.link_bw_noise = 0.08;
-  perturb.fault_rate = 50.0;
-  perturb.fault_horizon = 0.01;
-  perturb.fault_duration = 0.002;
-
-  McOptions opts;
-  opts.replicas = 8;
-  opts.seed = 11;
-  opts.workers = 4;
-  opts.keep_samples = true;
-
-  ScenarioSpec spec = make_spec(platform, hosts, traces);
-  spec.config.record_spans = false;
-  const McSummary ref = run_monte_carlo(spec, perturb, opts);
-  ASSERT_EQ(0, ref.failures);
-  ASSERT_EQ(static_cast<std::size_t>(opts.replicas), ref.samples.size());
-
-  for (const EngineKnobs& knobs : kEngineMatrix) {
-    SCOPED_TRACE("fast_path=" + std::to_string(knobs.fast_path) +
-                 " shards=" + std::to_string(knobs.shards));
-    spec.config.fast_path = knobs.fast_path;
-    spec.config.shards = knobs.shards;
-    const McSummary run = run_monte_carlo(spec, perturb, opts);
-    EXPECT_EQ(0, run.failures);
-    EXPECT_TRUE(bit_equal(ref.baseline, run.baseline));
-    EXPECT_TRUE(bit_equal(ref.mean, run.mean));
-    EXPECT_TRUE(bit_equal(ref.stddev, run.stddev));
-    ASSERT_EQ(ref.samples.size(), run.samples.size());
-    for (std::size_t i = 0; i < ref.samples.size(); ++i)
-      EXPECT_TRUE(bit_equal(ref.samples[i], run.samples[i]))
-          << "replica " << i;
   }
 }
 

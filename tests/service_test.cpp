@@ -501,15 +501,36 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_THROW(serve::parse_json(deep), ParseError);
 }
 
+TEST(JsonTest, SurrogatePairDecodesToOneCodePoint) {
+  // U+1F600 as a UTF-16 pair: one 4-byte UTF-8 sequence, not CESU-8.
+  const auto v = serve::parse_json("\"\\ud83d\\ude00\"");
+  EXPECT_EQ(v.string, "\xF0\x9F\x98\x80");
+  // Upper-case hex digits and surrounding text decode the same way.
+  EXPECT_EQ(serve::parse_json("\"a\\uD83D\\uDE00b\"").string,
+            "a\xF0\x9F\x98\x80"
+            "b");
+}
+
+TEST(JsonTest, RejectsLoneAndReversedSurrogates) {
+  // Either would otherwise decode to bytes that are not UTF-8, and echoing
+  // them back (an id) would produce an invalid JSON response.
+  EXPECT_THROW(serve::parse_json("\"\\ud800\""), ParseError);
+  EXPECT_THROW(serve::parse_json("\"\\udc00\""), ParseError);
+  EXPECT_THROW(serve::parse_json("\"\\ud800x\""), ParseError);
+  EXPECT_THROW(serve::parse_json("\"\\ude00\\ud83d\""), ParseError);
+  EXPECT_THROW(serve::parse_json("\"\\ud800\\u0041\""), ParseError);
+  EXPECT_THROW(serve::parse_json("\"\\ud800\\ud800\""), ParseError);
+}
+
 TEST(ProtocolTest, RequestLineRoundTrip) {
   const auto request = serve::parse_request_line(
       "{\"id\":\"r7\",\"platform\":\"cluster:hosts=4\",\"eager\":65536,"
-      "\"efficiency\":0.5,\"fastpath\":true}");
+      "\"efficiency\":0.5,\"flag\":true}");
   EXPECT_EQ(request.id, "r7");
   EXPECT_EQ(request.params.at("platform"), "cluster:hosts=4");
   EXPECT_EQ(request.params.at("eager"), "65536");  // integral, no exponent
   EXPECT_EQ(request.params.at("efficiency"), "0.5");
-  EXPECT_EQ(request.params.at("fastpath"), "on");
+  EXPECT_EQ(request.params.at("flag"), "on");
 
   EXPECT_THROW(serve::parse_request_line("[1,2]"), ParseError);
   EXPECT_THROW(serve::parse_request_line("{\"a\":[1]}"), ParseError);
@@ -746,6 +767,32 @@ TEST(ReplayServiceTest, CrossEncodingRequestsHitOneMemoEntry) {
   EXPECT_EQ(service.stats().replays, 1u);
 }
 
+TEST(ReplayServiceTest, FormerEngineKnobSpellingsHitTheMemo) {
+  // fastpath= and shards= once selected engine schedules with identical
+  // answers; lists that still carry them run as if the keys were absent and
+  // share the memo entry of the plain request.
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+  serve::Request plain;
+  plain.id = "plain";
+  plain.params = fixture.base_params;
+  const auto first = service.run(plain);
+  ASSERT_EQ(first.status, serve::Response::Status::ok) << first.error;
+
+  serve::Request former = plain;
+  former.id = "former";
+  former.params["fastpath"] = "on";
+  former.params["shards"] = "4";
+  const auto second = service.run(former);
+  ASSERT_EQ(second.status, serve::Response::Status::ok) << second.error;
+  EXPECT_EQ(std::memcmp(&second.sim_time, &first.sim_time,
+                        sizeof first.sim_time),
+            0);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.replays, 1u);
+  EXPECT_EQ(stats.memo_hits + stats.batch_dedups, 1u);
+}
+
 TEST(ReplayServiceTest, StreamedDecodeMemoHitsAcrossPoliciesBitIdentically) {
   // decode= is a performance knob, not a semantic one: a report computed
   // under decode=stream must serve a decode=materialise request from the
@@ -866,7 +913,7 @@ TEST(ReplayServiceTest, BadRequestIsIsolatedFromItsBatch) {
   serve::Request bad;
   bad.id = "bad";
   bad.params = fixture.base_params;
-  bad.params["shards"] = "0";  // validated at build time
+  bad.params["collectives"] = "bogus";  // validated at build time
   serve::Request bad_mc;
   bad_mc.id = "mc";
   bad_mc.params = fixture.base_params;
@@ -874,7 +921,7 @@ TEST(ReplayServiceTest, BadRequestIsIsolatedFromItsBatch) {
 
   const auto r_bad = service.run(bad);
   EXPECT_EQ(r_bad.status, serve::Response::Status::badrequest);
-  EXPECT_NE(r_bad.error.find("shards"), std::string::npos);
+  EXPECT_NE(r_bad.error.find("collectives"), std::string::npos);
   const auto r_mc = service.run(bad_mc);
   EXPECT_EQ(r_mc.status, serve::Response::Status::badrequest);
   const auto r_good = service.run(good);

@@ -2,15 +2,12 @@
 // rates bit-identical to the fill, but the engine's share groups advance
 // their members on one virtual clock, which rounds progress differently
 // from per-flow catch-up. So every per-rank finish time must stay within
-// 1e-9 relative of the full_solve reference — which never forms groups —
-// with the coroutine fast path off and on, and the fast path and the
-// sharded solver must stay bit-identical to the sequential engine. Where
-// the backbone saturates, the battery also asserts that hub mode actually
-// engaged.
+// 1e-9 relative of the full_solve reference, which never forms groups.
+// Where the backbone saturates, the battery also asserts that hub mode
+// actually engaged.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -42,64 +39,28 @@ double relative(double a, double ref) {
   return std::abs(a - ref) / std::max(std::abs(ref), 1e-300);
 }
 
-bool bit_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
-struct Mode {
-  const char* label;
-  bool fast_path;
-  int shards;
-};
-constexpr Mode kModes[] = {
-    {"sequential", false, 1}, {"fast path", true, 1}, {"fp+4shards", true, 4}};
-
-/// Replays `spec` against the full_solve reference in every engine mode;
-/// returns the sequential run's engine stats.
-sim::EngineStats expect_within_budget(ScenarioSpec spec) {
+/// Replays `spec` against the full_solve reference; returns the
+/// incremental run's engine stats.
+sim::EngineStats expect_within_budget(const ScenarioSpec& spec) {
   ScenarioSpec reference = spec;
   reference.config.full_solve = true;
   const ReplayResult ref = run_scenario(reference);
   EXPECT_EQ(ref.engine_stats.hub_entries, 0u) << "full_solve formed a group";
 
-  std::vector<ReplayResult> runs;
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(mode.label);
-    spec.config.fast_path = mode.fast_path;
-    spec.config.shards = mode.shards;
-    runs.push_back(run_scenario(spec));
-    const ReplayResult& r = runs.back();
-    EXPECT_EQ(r.actions_replayed, ref.actions_replayed);
-    EXPECT_LE(relative(r.simulated_time, ref.simulated_time), kBudget);
-    EXPECT_EQ(r.engine_stats.activities, ref.engine_stats.activities);
-    EXPECT_EQ(r.process_finish_times.size(), ref.process_finish_times.size());
-    for (std::size_t p = 0; p < r.process_finish_times.size() &&
-                            p < ref.process_finish_times.size();
-         ++p) {
-      EXPECT_LE(relative(r.process_finish_times[p],
-                         ref.process_finish_times[p]),
-                kBudget)
-          << "rank " << p << ": " << r.process_finish_times[p] << " vs "
-          << ref.process_finish_times[p];
-    }
+  const ReplayResult r = run_scenario(spec);
+  EXPECT_EQ(r.actions_replayed, ref.actions_replayed);
+  EXPECT_LE(relative(r.simulated_time, ref.simulated_time), kBudget);
+  EXPECT_EQ(r.engine_stats.activities, ref.engine_stats.activities);
+  EXPECT_EQ(r.process_finish_times.size(), ref.process_finish_times.size());
+  for (std::size_t p = 0; p < r.process_finish_times.size() &&
+                          p < ref.process_finish_times.size();
+       ++p) {
+    EXPECT_LE(relative(r.process_finish_times[p], ref.process_finish_times[p]),
+              kBudget)
+        << "rank " << p << ": " << r.process_finish_times[p] << " vs "
+        << ref.process_finish_times[p];
   }
-  // The other modes mirror the sequential engine, groups included.
-  const ReplayResult& seq = runs[0];
-  for (std::size_t m = 1; m < runs.size(); ++m) {
-    SCOPED_TRACE(kModes[m].label);
-    const ReplayResult& r = runs[m];
-    EXPECT_TRUE(bit_equal(seq.simulated_time, r.simulated_time));
-    for (std::size_t p = 0; p < seq.process_finish_times.size() &&
-                            p < r.process_finish_times.size();
-         ++p) {
-      EXPECT_TRUE(bit_equal(seq.process_finish_times[p],
-                            r.process_finish_times[p]))
-          << "rank " << p;
-    }
-    EXPECT_EQ(seq.engine_stats.solver_hub_solves,
-              r.engine_stats.solver_hub_solves);
-    EXPECT_EQ(seq.engine_stats.groups_rerated, r.engine_stats.groups_rerated);
-    EXPECT_EQ(seq.engine_stats.hub_entries, r.engine_stats.hub_entries);
-  }
-  return seq.engine_stats;
+  return r.engine_stats;
 }
 
 /// Acquired LU traces (one iteration), cached per class and size.

@@ -1,11 +1,10 @@
 // Streaming-decode differential battery: the bounded-memory streaming
 // decoder is a pure optimisation — every observable output must be
 // BIT-IDENTICAL to the materialised decode of the same bytes. This file
-// locks that contract down across codecs (text, binary, compact), engine
-// modes (sequential, coroutine fast path, sharded solver), fault timelines,
-// acquired NPB skeleton traces (LU, EP, FT, MG, CG), the synthetic
-// generator, and the automatic-policy size heuristics; plus the streamed
-// digest and the index-backed stats()/action_count() views.
+// locks that contract down across codecs (text, binary, compact), fault
+// timelines, acquired NPB skeleton traces (LU, EP, FT, MG, CG), the
+// synthetic generator, and the automatic-policy size heuristics; plus the
+// streamed digest and the index-backed stats()/action_count() views.
 //
 // Carries the ctest label "stream"; the CI sanitizer jobs include it in
 // their label filters (.github/workflows/ci.yml).
@@ -67,8 +66,6 @@ void expect_identical_reports(const ReplayReport& ref, const ReplayReport& r) {
   EXPECT_EQ(se.heap_events, re.heap_events);
   EXPECT_EQ(se.solver_vars_touched, re.solver_vars_touched);
   EXPECT_EQ(se.flows_rerated, re.flows_rerated);
-  EXPECT_EQ(se.fast_path_inline, re.fast_path_inline);
-  EXPECT_EQ(se.fast_path_ready, re.fast_path_ready);
   ASSERT_EQ(ref.result.timed_trace.size(), r.result.timed_trace.size());
   for (std::size_t i = 0; i < ref.result.timed_trace.size(); ++i) {
     EXPECT_EQ(ref.result.timed_trace[i].pid, r.result.timed_trace[i].pid);
@@ -89,9 +86,8 @@ std::vector<Action> drain(const trace::TraceSet& set, int pid) {
 }
 
 // Mixed traffic crossing every protocol boundary (eager + rendezvous rings,
-// nonblocking pairs, the collective family) — the workload shape the
-// parallel battery uses, reused here so stream-vs-materialise covers the
-// same simulator paths.
+// nonblocking pairs, the collective family), so stream-vs-materialise
+// covers every simulator path the replay actor drives.
 std::vector<std::vector<Action>> mixed_actions(int nprocs, int rounds) {
   std::vector<std::vector<Action>> per(static_cast<std::size_t>(nprocs));
   for (int p = 0; p < nprocs; ++p)
@@ -155,10 +151,9 @@ class StreamTraceTest : public ::testing::Test {
     return spec;
   }
 
-  // Replays the files under both decode policies and a given engine mode;
-  // the streamed report must be bit-identical to the materialised one.
+  // Replays the files under both decode policies; the streamed report must
+  // be bit-identical to the materialised one.
   void expect_replay_identical(const std::vector<fs::path>& files,
-                               bool fast_path, int shards,
                                std::vector<replay::FaultSpec> faults = {}) {
     ReplayReport reports[2];
     const DecodePolicy policies[2] = {DecodePolicy::materialise,
@@ -169,8 +164,6 @@ class StreamTraceTest : public ::testing::Test {
           files, trace::DecodeMode::strict, policies[i]);
       EXPECT_EQ(spec.traces.streaming(), i == 1);
       spec.faults = faults;
-      spec.config.fast_path = fast_path;
-      spec.config.shards = shards;
       spec.config.record_timed_trace = true;
       reports[i] = run_scenario_report(spec);
     }
@@ -292,23 +285,15 @@ TEST_F(StreamTraceTest, MergedCompactFallsBackToMaterialise) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay identity across engine modes and fault timelines.
+// Replay identity across codecs and fault timelines.
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamTraceTest, ReplayIdenticalSequentialEveryCodec) {
   const auto program = mixed_actions(8, 3);
   for (const char* codec : {"text", "binary", "compact"}) {
     SCOPED_TRACE(codec);
-    expect_replay_identical(write_files(program, codec),
-                            /*fast_path=*/false, /*shards=*/1);
+    expect_replay_identical(write_files(program, codec));
   }
-}
-
-TEST_F(StreamTraceTest, ReplayIdenticalFastPathAndShards) {
-  const auto files = write_files(mixed_actions(8, 3), "compact");
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/1);
-  expect_replay_identical(files, /*fast_path=*/false, /*shards=*/4);
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/4);
 }
 
 TEST_F(StreamTraceTest, ReplayIdenticalUnderFaultTimeline) {
@@ -324,8 +309,7 @@ TEST_F(StreamTraceTest, ReplayIdenticalUnderFaultTimeline) {
   link.bandwidth_factor = 0.2;
   link.at_time = 0.002;
   link.until_time = 0.004;
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/2,
-                          {host, link});
+  expect_replay_identical(files, {host, link});
 }
 
 TEST_F(StreamTraceTest, NpbSkeletonTracesStreamIdentically) {
@@ -365,7 +349,7 @@ TEST_F(StreamTraceTest, NpbSkeletonTracesStreamIdentically) {
     SCOPED_TRACE(kernel.label);
     const auto files = acquire_npb(dir_, std::move(kernel.app), kernel.label);
     ASSERT_EQ(files.size(), 4u);
-    expect_replay_identical(files, /*fast_path=*/true, /*shards=*/2);
+    expect_replay_identical(files);
 
     const auto mat = trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, DecodePolicy::materialise);
@@ -399,7 +383,7 @@ TEST_F(StreamTraceTest, SyntheticCompactStreamsWithoutMaterialising) {
       files, trace::DecodeMode::strict, DecodePolicy::materialise);
   for (int p = 0; p < 4; ++p) EXPECT_EQ(drain(mat, p), drain(str, p));
   EXPECT_EQ(trace::digest(mat), trace::digest(str));
-  expect_replay_identical(files, /*fast_path=*/true, /*shards=*/1);
+  expect_replay_identical(files);
 }
 
 TEST_F(StreamTraceTest, AutomaticPolicySizesTheDecodePath) {

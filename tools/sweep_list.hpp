@@ -29,8 +29,6 @@
 //                          process), min, max (factor clamps)
 //   mc=N                   Monte-Carlo replica count for this row
 //   seed=S                 sweep seed (default 1); replicas derive from it
-//   fastpath=on|off        coroutine fast path (bit-identical results)
-//   shards=N               solver shard threads, [1, 512] (bit-identical)
 //   decode=stream|materialise|auto
 //                          trace decode path: stream replays through a
 //                          bounded-memory offset index, materialise decodes

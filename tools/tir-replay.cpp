@@ -22,10 +22,6 @@
 //                             on stderr when re-rates per action pass 16
 //   --full-solve              disable the incremental network solver
 //                             (reference path for differential testing)
-//   --fast-path               run deterministic action chains inline without
-//                             coroutine switches (bit-identical results)
-//   --shards N                solve disconnected network components on N OS
-//                             threads (bit-identical results; default 1)
 //   --decode stream|materialise|auto
 //                             trace decode path: "stream" replays through a
 //                             bounded-memory offset index without loading
@@ -59,7 +55,7 @@ constexpr double kRerateWarning = 16.0;
                "--deployment FILE|block|roundrobin TRACE...|TRACEDIR \n"
                "  [--eager-threshold BYTES] [--collectives flat|binomial]\n"
                "  [--timed-trace FILE] [--profile] [--efficiency X]\n"
-               "  [--stats] [--full-solve] [--fast-path] [--shards N]\n"
+               "  [--stats] [--full-solve]\n"
                "  [--decode stream|materialise|auto]\n",
                argv0);
   std::exit(2);
@@ -117,15 +113,6 @@ int run(int argc, char** argv) {
       want_stats = true;
     } else if (arg == "--full-solve") {
       config.full_solve = true;
-    } else if (arg == "--fast-path") {
-      config.fast_path = true;
-    } else if (arg == "--shards") {
-      const std::string text = next();
-      const double value = parse_double_flag("--shards", text);
-      if (value < 1 || value > 512 || value != static_cast<int>(value))
-        throw ParseError("invalid value '" + text +
-                         "' for --shards (integer in [1, 512])");
-      config.shards = static_cast<int>(value);
     } else if (arg == "--decode") {
       decode = trace::parse_decode_policy(next());
     } else if (arg == "--help" || arg == "-h") {
@@ -172,10 +159,6 @@ int run(int argc, char** argv) {
     std::printf("  group re-rates:         %llu\n", u64(st.groups_rerated));
     std::printf("  hub entries / exits:    %llu / %llu\n", u64(st.hub_entries),
                 u64(st.hub_exits));
-    std::printf("  fast-path inline:       %llu\n", u64(st.fast_path_inline));
-    std::printf("  fast-path ready:        %llu\n", u64(st.fast_path_ready));
-    std::printf("  parallel solver fills:  %llu\n",
-                u64(st.solver_parallel_fills));
 
     // The solver's shape, with the max component size above: what exposed
     // the 256-rank cliff. A group re-rate counts as one re-rate, and the hub

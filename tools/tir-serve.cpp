@@ -9,8 +9,8 @@
 // A request is a JSON object whose "id" is echoed back and whose remaining
 // string/number/boolean fields are exactly the sweep-list vocabulary
 // (platform=, traces= or merged=, deployment=, eager=, collectives=,
-// efficiency=, fastpath=, shards=, fault=, perturb=, seed=) plus
-// replica=R to pick one Monte-Carlo replica of a perturbed scenario:
+// efficiency=, fault=, perturb=, seed=, decode=) plus replica=R to pick
+// one Monte-Carlo replica of a perturbed scenario:
 //
 //   {"id":"r1","platform":"cluster:hosts=8","traces":"ti","deployment":"block"}
 //   {"id":"r2","platform":"cluster:hosts=8","traces":"ti","deployment":"block",

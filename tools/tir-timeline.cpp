@@ -23,10 +23,6 @@
 //   --eager-threshold BYTES   eager/rendezvous switch (default 64KiB)
 //   --collectives flat|binomial
 //   --efficiency X            compute-rate scale (default 1.0)
-//   --fast-path               run deterministic action chains inline without
-//                             coroutine switches (bit-identical results)
-//   --shards N                solve disconnected network components on N OS
-//                             threads (bit-identical results; default 1)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,7 +44,7 @@ namespace {
                "--deployment FILE|block|roundrobin TRACE...|TRACEDIR \n"
                "  [--chrome FILE] [--paje FILE] [--detail] [--path-rows N]\n"
                "  [--eager-threshold BYTES] [--collectives flat|binomial]\n"
-               "  [--efficiency X] [--fast-path] [--shards N]\n",
+               "  [--efficiency X]\n",
                argv0);
   std::exit(2);
 }
@@ -103,15 +99,6 @@ int run(int argc, char** argv) {
       }
     } else if (arg == "--efficiency") {
       config.compute_efficiency = parse_double_flag("--efficiency", next());
-    } else if (arg == "--fast-path") {
-      config.fast_path = true;
-    } else if (arg == "--shards") {
-      const std::string text = next();
-      const double value = parse_double_flag("--shards", text);
-      if (value < 1 || value > 512 || value != static_cast<int>(value))
-        throw ParseError("invalid value '" + text +
-                         "' for --shards (integer in [1, 512])");
-      config.shards = static_cast<int>(value);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
