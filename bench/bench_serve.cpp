@@ -5,34 +5,43 @@
 // of questions thousands of times, so a persistent daemon with a
 // content-addressed trace cache and a result memo should answer repeats at
 // memory speed. This bench drives the in-process ReplayService (the same
-// object tir-serve wraps) through three phases:
+// object tir-serve wraps) through four phases:
 //
-//   1. cold  — N distinct scenarios (efficiency ladder + fault rows), every
-//              one a memo miss that actually replays;
-//   2. warm  — K requests cycling over those same scenarios, every one a
-//              memo hit answered without simulation;
-//   3. churn — trace-directory rotation under a deliberately tiny cache
-//              byte budget, proving eviction keeps residency bounded.
+//   1. cold   — N distinct scenarios (efficiency ladder + fault rows), every
+//               one a memo miss that actually replays;
+//   2. warm   — K requests cycling over those same scenarios as one
+//               open-loop burst, every one a memo hit answered without
+//               simulation (its queue wait measures the backlog, not the
+//               service);
+//   3. closed — 2 closed-loop clients, each sending a warm request and
+//               waiting for the reply, K/10 requests in total: the hit
+//               latency a caller actually sees;
+//   4. churn  — trace-directory rotation under a deliberately tiny cache
+//               byte budget, proving eviction keeps residency bounded.
 //
 // Acceptance (exit 1 on violation), deterministic checks only:
-//   - no warm request misses the memo, and every warm response is
-//     bit-identical (memcmp on the sim_time double) to its cold counterpart;
+//   - no warm or closed-loop request misses the memo, and every such
+//     response is bit-identical (memcmp on the sim_time double) to its cold
+//     counterpart;
 //   - RSS growth across the warm soak <= 64 MiB (the memo and caches are
 //     bounded; a leak per request would show at 10^4..10^5 requests);
 //   - three spellings of one trace directory decode once;
 //   - churn phase keeps resident_bytes <= the configured budget and evicts.
-// The warm/cold throughput ratio is printed, not asserted: wall-clock
-// ratios swing with host load, and timing comparisons belong to the
-// repository benchmark (perfbench/).
+// The warm/cold throughput ratio and the closed-loop latencies are printed,
+// not asserted: wall-clock figures swing with host load, and timing
+// comparisons belong to the repository benchmark (perfbench/).
 //
-// TIR_SCALE scales the warm request count (default 0.1 -> 10^4 requests;
-// TIR_FULL=1 -> 10^5). The CI smoke runs TIR_SCALE=0.01 (10^3).
+// TIR_SCALE scales the warm request count (default 0.1 -> 10^4 requests and
+// 10^3 closed-loop ones; TIR_FULL=1 -> 10^5). The CI smoke runs
+// TIR_SCALE=0.01 (10^3 warm, 10^2 closed-loop).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -131,8 +140,8 @@ int main() {
 
   serve::ServiceOptions options;
   options.base_dir = dir.string();
-  options.queue_limit = kWarm + kDistinct + 16;  // soak measures caches,
-  options.max_batch = 256;                       // not admission control
+  // The soak measures caches, not admission control.
+  options.queue_limit = kWarm + kDistinct + 16;
   serve::ReplayService service(options);
 
   // Mixed distinct scenarios: an efficiency ladder, every fourth row with a
@@ -180,14 +189,42 @@ int main() {
   const double warm_seconds = seconds_since(t_warm);
   const std::uint64_t rss_after = rss_bytes();
 
-  std::size_t mismatches = 0, misses = 0;
-  for (std::size_t i = 0; i < warm.size(); ++i) {
-    const double expect =
-        cold[i % static_cast<std::size_t>(kDistinct)].sim_time;
-    if (std::memcmp(&warm[i].sim_time, &expect, sizeof expect) != 0)
-      ++mismatches;
-    if (!warm[i].memo_hit) ++misses;
+  // Closed loop: kClients callers, each waiting for its reply before it
+  // sends the next warm request.
+  constexpr int kClients = 2;
+  const std::size_t kClosed = kWarm / 10;
+  std::vector<Outcome> closed(kClosed);
+  std::vector<double> closed_latency(kClosed);
+  {
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+      clients.emplace_back([&] {
+        for (std::size_t i = next++; i < kClosed; i = next++) {
+          serve::Request request =
+              distinct[i % static_cast<std::size_t>(kDistinct)];
+          request.id = "closed-" + std::to_string(i);
+          const auto t0 = std::chrono::steady_clock::now();
+          const serve::Response response = service.run(std::move(request));
+          closed_latency[i] = seconds_since(t0);
+          closed[i] = {response.sim_time, response.memo_hit, response.status};
+        }
+      });
+    for (std::thread& client : clients) client.join();
   }
+
+  std::size_t mismatches = 0, misses = 0;
+  const auto check = [&](const std::vector<Outcome>& outcomes) {
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const double expect =
+          cold[i % static_cast<std::size_t>(kDistinct)].sim_time;
+      if (std::memcmp(&outcomes[i].sim_time, &expect, sizeof expect) != 0)
+        ++mismatches;
+      if (!outcomes[i].memo_hit) ++misses;
+    }
+  };
+  check(warm);
+  check(closed);
 
   const double cold_rps = static_cast<double>(kDistinct) / cold_seconds;
   const double warm_rps = static_cast<double>(kWarm) / warm_seconds;
@@ -203,7 +240,18 @@ int main() {
               cold_seconds, cold_rps);
   std::printf("%-28s %12zu %12.4f %10.0f\n", "warm (memoised)", kWarm,
               warm_seconds, warm_rps);
-  std::printf("\nwarm/cold speedup: %.1fx   warm misses: %zu   "
+  // p50 plus the highest percentile with at least ten samples beyond it.
+  std::sort(closed_latency.begin(), closed_latency.end());
+  const auto at = [&](double q) {
+    return closed_latency[static_cast<std::size_t>(
+               q * static_cast<double>(kClosed - 1))] *
+           1e3;
+  };
+  const bool p99 = kClosed >= 1000;
+  std::printf("%-28s %12zu  hit latency p50=%.3f ms %s=%.3f ms\n",
+              "closed loop (2 clients)", kClosed, at(0.5),
+              p99 ? "p99" : "p90", at(p99 ? 0.99 : 0.9));
+  std::printf("\nwarm/cold speedup: %.1fx   warm+closed misses: %zu   "
               "bit mismatches: %zu\n", speedup, misses, mismatches);
   std::printf("rss before/after warm soak: %.1f / %.1f MiB (growth %.1f)\n",
               static_cast<double>(rss_before) / (1024.0 * 1024.0),

@@ -23,8 +23,6 @@ int SweepRunner::effective_workers(std::size_t scenario_count) const {
   return workers < 1 ? 1 : workers;
 }
 
-namespace {
-
 void run_one(const ScenarioSpec& spec, SweepResult& slot) {
   slot.name = spec.name;
   slot.platform = spec.platform_label;
@@ -53,8 +51,6 @@ void run_one(const ScenarioSpec& spec, SweepResult& slot) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 }
-
-}  // namespace
 
 std::vector<SweepResult> SweepRunner::run(
     const std::vector<ScenarioSpec>& scenarios) const {

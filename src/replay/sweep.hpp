@@ -45,6 +45,12 @@ struct SweepResult {
   ReplayResult replay;     ///< full when ok, partial otherwise
 };
 
+/// Runs one scenario into `slot` with the isolation every sweep row gets:
+/// any exception escaping run_scenario_report, std or not, becomes a
+/// `failed` result instead of propagating, and wall_seconds records the
+/// time spent. Thread-safe across distinct slots.
+void run_one(const ScenarioSpec& spec, SweepResult& slot);
+
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});

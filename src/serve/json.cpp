@@ -157,6 +157,40 @@ class Parser {
     }
   }
 
+  /// Copies the raw multi-byte sequence whose lead byte was just read,
+  /// after checking it is well-formed UTF-8: an id is echoed back in the
+  /// response, which must stay valid JSON text.
+  void append_raw_utf8(std::string& out, unsigned char lead) {
+    int extra = 0;
+    unsigned code = 0;
+    if (lead < 0xC0) {
+      fail("stray UTF-8 continuation byte");
+    } else if (lead < 0xE0) {
+      extra = 1;
+      code = lead & 0x1Fu;
+    } else if (lead < 0xF0) {
+      extra = 2;
+      code = lead & 0x0Fu;
+    } else if (lead < 0xF8) {
+      extra = 3;
+      code = lead & 0x07u;
+    } else {
+      fail("invalid UTF-8 lead byte");
+    }
+    const std::size_t start = pos_ - 1;
+    for (int i = 0; i < extra; ++i) {
+      if (pos_ >= text_.size() ||
+          (static_cast<unsigned char>(text_[pos_]) & 0xC0u) != 0x80u)
+        fail("truncated UTF-8 sequence");
+      code = (code << 6) | (static_cast<unsigned char>(text_[pos_++]) & 0x3Fu);
+    }
+    static constexpr unsigned kMinCode[] = {0, 0x80, 0x800, 0x10000};
+    if (code < kMinCode[extra]) fail("overlong UTF-8 sequence");
+    if (code >= 0xD800 && code <= 0xDFFF) fail("UTF-8-encoded surrogate");
+    if (code > 0x10FFFF) fail("UTF-8 code point above U+10FFFF");
+    out.append(text_.substr(start, pos_ - start));
+  }
+
   std::string string_body() {
     expect('"');
     std::string out;
@@ -166,6 +200,10 @@ class Parser {
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20)
         fail("unescaped control character in string");
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        append_raw_utf8(out, static_cast<unsigned char>(c));
+        continue;
+      }
       if (c != '\\') {
         out += c;
         continue;

@@ -1,6 +1,5 @@
 #include "serve/memo.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
@@ -64,8 +63,20 @@ std::string scenario_memo_key(const replay::ScenarioSpec& spec,
 
 ResultMemo::ResultMemo(MemoOptions options) : options_(options) {}
 
-void ResultMemo::store_locked(const std::string& key,
-                              replay::ReplayReport report) {
+std::optional<replay::ReplayReport> ResultMemo::lookup(const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++stats_.misses;
+    return std::nullopt;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  ++stats_.hits;
+  return it->second.report;
+}
+
+void ResultMemo::store(const std::string& key, replay::ReplayReport report) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (const auto it = entries_.find(key); it != entries_.end()) {
     it->second.report = std::move(report);
     lru_.splice(lru_.begin(), lru_, it->second.lru);
@@ -82,70 +93,6 @@ void ResultMemo::store_locked(const std::string& key,
     }
   }
   stats_.entries = entries_.size();
-}
-
-ResultMemo::Outcome ResultMemo::get_or_compute(const std::string& key,
-                                               const Compute& compute) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (const auto it = entries_.find(key); it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    ++stats_.hits;
-    return Outcome{it->second.report, /*hit=*/true, 0.0};
-  }
-  if (const auto flight = inflight_.find(key); flight != inflight_.end()) {
-    const std::shared_ptr<Pending> pending = flight->second;
-    ++stats_.inflight_joins;
-    cv_.wait(lock, [&] { return pending->done; });
-    if (pending->error) std::rethrow_exception(pending->error);
-    return Outcome{pending->report, /*hit=*/true, 0.0};
-  }
-
-  const auto pending = std::make_shared<Pending>();
-  inflight_.emplace(key, pending);
-  lock.unlock();
-
-  replay::ReplayReport report;
-  double seconds = 0.0;
-  try {
-    const auto t0 = std::chrono::steady_clock::now();
-    report = compute();
-    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count();
-  } catch (...) {
-    lock.lock();
-    pending->error = std::current_exception();
-    pending->done = true;
-    inflight_.erase(key);
-    cv_.notify_all();
-    throw;
-  }
-
-  lock.lock();
-  ++stats_.misses;
-  store_locked(key, report);
-  pending->report = report;
-  pending->done = true;
-  inflight_.erase(key);
-  cv_.notify_all();
-  return Outcome{std::move(report), /*hit=*/false, seconds};
-}
-
-std::optional<replay::ReplayReport> ResultMemo::lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  ++stats_.hits;
-  return it->second.report;
-}
-
-void ResultMemo::store(const std::string& key, replay::ReplayReport report) {
-  std::lock_guard<std::mutex> lock(mu_);
-  store_locked(key, std::move(report));
 }
 
 MemoStats ResultMemo::stats() const {

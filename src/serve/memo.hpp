@@ -8,17 +8,14 @@
 // repeat request returns the stored ReplayReport bit-for-bit — the
 // differential tests compare the doubles with memcmp.
 //
-// Entry-count LRU (reports are small: a few vectors of doubles/strings),
-// single-flight on concurrent identical misses: one caller computes, the
-// rest block and share.
+// Entry-count LRU (reports are small: a few vectors of doubles/strings).
+// Concurrent identical misses are the caller's to collapse: ReplayService
+// keeps one replay in flight per key and stores its report here.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -35,8 +32,7 @@ struct MemoOptions {
 
 struct MemoStats {
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;          ///< compute invocations
-  std::uint64_t inflight_joins = 0;  ///< waited on another caller's compute
+  std::uint64_t misses = 0;  ///< lookups that found nothing
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
 };
@@ -58,23 +54,9 @@ std::string scenario_memo_key(const replay::ScenarioSpec& spec,
 
 class ResultMemo {
  public:
-  struct Outcome {
-    replay::ReplayReport report;
-    bool hit = false;
-    double compute_seconds = 0.0;  ///< 0 on hit
-  };
-  using Compute = std::function<replay::ReplayReport()>;
-
   explicit ResultMemo(MemoOptions options = {});
 
-  /// Single-flight lookup: runs `compute` (outside the lock) only when the
-  /// key is neither stored nor being computed. Compute exceptions propagate
-  /// to every waiter and leave the key uncached. Thread-safe.
-  Outcome get_or_compute(const std::string& key, const Compute& compute);
-
-  /// Lock-free-of-compute probe and insert — the service's batch path
-  /// probes the whole batch first, runs the misses through one SweepRunner
-  /// fan-out, then stores. Thread-safe.
+  /// Probe and insert. Thread-safe.
   std::optional<replay::ReplayReport> lookup(const std::string& key);
   void store(const std::string& key, replay::ReplayReport report);
 
@@ -85,20 +67,10 @@ class ResultMemo {
     replay::ReplayReport report;
     std::list<std::string>::iterator lru;
   };
-  struct Pending {
-    bool done = false;
-    std::exception_ptr error;
-    replay::ReplayReport report;
-  };
-
-  void store_locked(const std::string& key, replay::ReplayReport report);
-
   MemoOptions options_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::map<std::string, Entry> entries_;
   std::list<std::string> lru_;  ///< front = most recent
-  std::map<std::string, std::shared_ptr<Pending>> inflight_;
   MemoStats stats_;
 };
 

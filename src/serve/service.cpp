@@ -58,8 +58,19 @@ ReplayService::ReplayService(ServiceOptions options)
       memo_(options.memo),
       resolver_(options.base_dir, trace_cache_) {
   if (options_.queue_limit == 0) options_.queue_limit = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  const int workers =
+      options_.workers > 0
+          ? options_.workers
+          : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  try {
+    workers_.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w)
+      workers_.emplace_back([this] { worker_loop(); });
+    dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  } catch (...) {
+    stop_workers();
+    throw;
+  }
 }
 
 ReplayService::~ReplayService() {
@@ -68,19 +79,31 @@ ReplayService::~ReplayService() {
     stopping_ = true;
   }
   work_cv_.notify_all();
+  // The dispatcher exits only once the queue is empty, so every accepted
+  // request is answered or waits in a flight the workers still run.
   dispatcher_.join();
+  stop_workers();
+}
+
+void ReplayService::stop_workers() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    workers_stopping_ = true;
+  }
+  run_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 bool ReplayService::submit(Request request, Callback done) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.received;
-  if (stopping_ || queue_.size() >= options_.queue_limit) {
+  if (stopping_ || outstanding_ >= options_.queue_limit) {
     ++stats_.shed;
     return false;
   }
-  queue_.push_back(
-      PendingRequest{std::move(request), std::move(done), Clock::now()});
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
+  queue_.push_back({std::move(request), std::move(done), Clock::now(), {}});
+  ++outstanding_;
+  stats_.max_queue_depth = std::max(stats_.max_queue_depth, outstanding_);
   work_cv_.notify_one();
   return true;
 }
@@ -106,7 +129,7 @@ Response ReplayService::run(Request request) {
 
 void ReplayService::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  drain_cv_.wait(lock, [&] { return queue_.empty() && in_batch_ == 0; });
+  drain_cv_.wait(lock, [&] { return outstanding_ == 0; });
 }
 
 Response ReplayService::make_overloaded(const Request& request) const {
@@ -131,169 +154,164 @@ ServiceStats ReplayService::stats() const {
 
 void ReplayService::dispatcher_loop() {
   for (;;) {
-    std::vector<PendingRequest> batch;
+    std::deque<Pending> pass;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      while (!queue_.empty() && batch.size() < options_.max_batch) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      in_batch_ = batch.size();
-    }
-    process_batch(batch);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      in_batch_ = 0;
+      if (queue_.empty()) return;  // stopping, and nothing left to dispatch
+      pass.swap(queue_);
       ++stats_.batches;
     }
-    drain_cv_.notify_all();
+    for (Pending& pending : pass) dispatch(pending);
   }
 }
 
-void ReplayService::process_batch(std::vector<PendingRequest>& batch) {
-  struct Slot {
-    PendingRequest* pending = nullptr;
-    Response response;
-    std::string memo_key;
-    bool needs_run = false;
-    bool memoisable = false;
-    replay::ScenarioSpec spec;
-  };
+void ReplayService::dispatch(Pending& pending) {
+  Response& response = pending.response;
+  response.id = std::move(pending.request.id);
+  response.queue_seconds = seconds_between(pending.enqueued, Clock::now());
+  replay::ScenarioSpec spec;
+  std::string memo_key;  // empty: never memoised
+  try {
+    KeyValues kv;
+    kv.kv = std::move(pending.request.params);
+    int replica = 0;
+    if (const auto it = kv.kv.find("replica"); it != kv.kv.end()) {
+      replica = parse_int("replica", it->second);
+      if (replica < 0) throw Error("replica must be >= 0");
+      kv.kv.erase(it);
+    }
+    if (kv.kv.count("mc") != 0)
+      throw Error(
+          "mc= aggregation is not servable per request; "
+          "use replica=R for one replica or tir-mc for the summary");
+    const SweepEntry entry = build_scenario(kv, resolver_, seq_++);
+    spec = bake_replica(entry, replica);
+    response.name = spec.name;
+    response.trace_hit = entry.trace_cache_hit;
+    response.decode_seconds = entry.trace_decode_seconds;
+    // A zero digest means the resolver fell back to an uncached lazy
+    // TraceSet (unreadable input): never memoise under an ambiguous key —
+    // run it and let the replay report the error.
+    if (!(entry.trace_digest == trace::Digest{})) {
+      response.trace_digest = entry.trace_digest.hex();
+      memo_key =
+          scenario_memo_key(spec, entry.platform_key, entry.trace_digest);
+    }
+  } catch (const std::exception& e) {
+    response.status = Response::Status::badrequest;
+    response.error = e.what();
+    respond({&pending, 1});
+    return;
+  }
 
-  const auto dispatch_time = Clock::now();
-  std::vector<Slot> slots(batch.size());
-
-  // Phase 1: build scenarios, probe the memo, answer hits immediately.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Slot& slot = slots[i];
-    slot.pending = &batch[i];
-    slot.response.id = batch[i].request.id;
-    slot.response.queue_seconds =
-        seconds_between(batch[i].enqueued, dispatch_time);
-    try {
-      KeyValues kv;
-      kv.kv = batch[i].request.params;
-      int replica = 0;
-      if (const auto it = kv.kv.find("replica"); it != kv.kv.end()) {
-        replica = parse_int("replica", it->second);
-        if (replica < 0) throw Error("replica must be >= 0");
-        kv.kv.erase(it);
+  if (!memo_key.empty()) {
+    // The flight table before the memo: a worker stores its report before
+    // it leaves the table, so a key absent from the table is either
+    // memoised already or not running at all.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (const auto it = in_flight_.find(memo_key); it != in_flight_.end()) {
+        ++stats_.batch_dedups;
+        it->second->waiters.push_back(std::move(pending));
+        return;
       }
-      if (kv.kv.count("mc") != 0)
-        throw Error(
-            "mc= aggregation is not servable per request; "
-            "use replica=R for one replica or tir-mc for the summary");
-      const SweepEntry entry =
-          build_scenario(kv, resolver_, seq_++);
-      slot.spec = bake_replica(entry, replica);
-      slot.response.name = slot.spec.name;
-      slot.response.trace_hit = entry.trace_cache_hit;
-      slot.response.decode_seconds = entry.trace_decode_seconds;
-      // A zero digest means the resolver fell back to an uncached lazy
-      // TraceSet (unreadable input): never memoise under an ambiguous key —
-      // run it and let the replay report the error.
-      slot.memoisable = !(entry.trace_digest == trace::Digest{});
-      if (slot.memoisable) {
-        slot.response.trace_digest = entry.trace_digest.hex();
-        slot.memo_key = scenario_memo_key(slot.spec, entry.platform_key,
-                                          entry.trace_digest);
-        if (auto report = memo_.lookup(slot.memo_key)) {
-          fill_from_report(slot.response, *report);
-          slot.response.memo_hit = true;
-          continue;
-        }
-      }
-      slot.needs_run = true;
-    } catch (const std::exception& e) {
-      slot.response.status = Response::Status::badrequest;
-      slot.response.error = e.what();
+    }
+    if (auto report = memo_.lookup(memo_key)) {
+      fill_from_report(response, *report);
+      response.memo_hit = true;
+      respond({&pending, 1});
+      return;
     }
   }
 
-  // Phase 2: one SweepRunner fan-out over the distinct misses.
-  std::map<std::string, std::size_t> key_to_scenario;
-  std::vector<std::size_t> scenario_slot;       // scenario -> defining slot
-  std::vector<replay::ScenarioSpec> scenarios;
-  std::vector<std::size_t> slot_scenario(slots.size(), SIZE_MAX);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot& slot = slots[i];
-    if (!slot.needs_run) continue;
-    if (slot.memoisable) {
-      if (const auto it = key_to_scenario.find(slot.memo_key);
-          it != key_to_scenario.end()) {
-        slot_scenario[i] = it->second;  // duplicate inside this batch
-        continue;
-      }
-      key_to_scenario.emplace(slot.memo_key, scenarios.size());
-    }
-    slot_scenario[i] = scenarios.size();
-    scenario_slot.push_back(i);
-    scenarios.push_back(slot.spec);
-  }
-
-  std::vector<replay::SweepResult> results;
-  if (!scenarios.empty()) {
-    replay::SweepOptions sweep_options;
-    sweep_options.workers = options_.workers;
-    results = replay::SweepRunner(sweep_options).run(scenarios);
-  }
-
-  // Phase 3: memoise deterministic outcomes, answer everything.
-  for (std::size_t s = 0; s < results.size(); ++s) {
-    const replay::SweepResult& r = results[s];
-    replay::ReplayReport report;
-    report.status = r.status;
-    report.sim_time = r.sim_time;
-    report.coverage = r.coverage;
-    report.error = r.error;
-    report.diagnostics = r.diagnostics;
-    report.result = r.replay;
-    Slot& owner = slots[scenario_slot[s]];
-    // ok and deadlock are deterministic functions of the scenario; a
-    // `failed` outcome may be environmental (OOM, racing file edits), so it
-    // is answered but never cached.
-    if (owner.memoisable && r.status != replay::ReplayStatus::failed)
-      memo_.store(owner.memo_key, report);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slot_scenario[i] != s) continue;
-      fill_from_report(slots[i].response, report);
-      slots[i].response.solve_seconds = r.wall_seconds;
-    }
-  }
-
-  const auto finish_time = Clock::now();
+  auto flight = std::make_unique<Flight>();
+  flight->spec = std::move(spec);
+  flight->memo_key = memo_key;
+  flight->waiters.push_back(std::move(pending));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.replays += results.size();
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const Slot& slot = slots[i];
+    if (!memo_key.empty()) in_flight_.emplace(memo_key, flight.get());
+    runnable_.push_back(std::move(flight));
+  }
+  run_cv_.notify_one();
+}
+
+void ReplayService::worker_loop() {
+  for (;;) {
+    std::unique_ptr<Flight> flight;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      run_cv_.wait(lock, [&] { return workers_stopping_ || !runnable_.empty(); });
+      if (runnable_.empty()) return;  // stopping, and no flight is left
+      flight = std::move(runnable_.front());
+      runnable_.pop_front();
+      // A miss's queue wait runs until its replay starts; a request that
+      // joins the flight later keeps the wait it had at dispatch.
+      const auto start = Clock::now();
+      for (Pending& waiter : flight->waiters)
+        waiter.response.queue_seconds =
+            seconds_between(waiter.enqueued, start);
+    }
+    run_flight(*flight);
+  }
+}
+
+void ReplayService::run_flight(Flight& flight) {
+  replay::SweepResult r;
+  replay::run_one(flight.spec, r);
+  replay::ReplayReport report;
+  report.status = r.status;
+  report.sim_time = r.sim_time;
+  report.coverage = r.coverage;
+  report.error = std::move(r.error);
+  report.diagnostics = std::move(r.diagnostics);
+  report.result = std::move(r.replay);
+  // ok and deadlock are deterministic functions of the scenario; a `failed`
+  // outcome may be environmental (OOM, racing file edits), so it is
+  // answered but never cached. The store precedes leaving the flight table.
+  if (!flight.memo_key.empty() && r.status != replay::ReplayStatus::failed)
+    memo_.store(flight.memo_key, report);
+
+  std::vector<Pending> answered;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!flight.memo_key.empty()) in_flight_.erase(flight.memo_key);
+    answered = std::move(flight.waiters);
+    ++stats_.replays;
+  }
+  for (Pending& waiter : answered) {
+    fill_from_report(waiter.response, report);
+    waiter.response.solve_seconds = r.wall_seconds;
+  }
+  respond(answered);
+}
+
+void ReplayService::respond(std::span<Pending> answered) {
+  const auto now = Clock::now();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Pending& p : answered) {
+      const Response& response = p.response;
       ++stats_.completed;
-      if (slot.response.status == Response::Status::badrequest)
+      if (response.status == Response::Status::badrequest)
         ++stats_.badrequests;
-      if (slot.response.memo_hit) ++stats_.memo_hits;
-      if (slot.needs_run && slot.memoisable &&
-          slot_scenario[i] != SIZE_MAX &&
-          scenario_slot[slot_scenario[i]] != i)
-        ++stats_.batch_dedups;
-      stats_.queue_wait.record(slot.response.queue_seconds);
-      if (slot.response.decode_seconds > 0.0)
-        stats_.decode.record(slot.response.decode_seconds);
-      if (slot.response.solve_seconds > 0.0)
-        stats_.solve.record(slot.response.solve_seconds);
-      stats_.total.record(
-          seconds_between(slot.pending->enqueued, finish_time));
+      if (response.memo_hit) ++stats_.memo_hits;
+      stats_.queue_wait.record(response.queue_seconds);
+      if (response.decode_seconds > 0.0)
+        stats_.decode.record(response.decode_seconds);
+      if (response.solve_seconds > 0.0)
+        stats_.solve.record(response.solve_seconds);
+      stats_.total.record(seconds_between(p.enqueued, now));
     }
   }
-
   // Callbacks run outside the lock: a callback is allowed to call stats()
   // or submit() without deadlocking.
-  for (Slot& slot : slots)
-    if (slot.pending->done) slot.pending->done(std::move(slot.response));
+  for (Pending& p : answered)
+    if (p.done) p.done(std::move(p.response));
+  std::lock_guard<std::mutex> lock(mu_);
+  outstanding_ -= answered.size();
+  if (outstanding_ == 0) drain_cv_.notify_all();
 }
 
 // -- line protocol -----------------------------------------------------------

@@ -1,11 +1,13 @@
 // Service-layer suite: content-addressed trace digests, the TraceCache
 // (alias hits, content dedup across encodings, LRU eviction, single-flight
-// decode), the ResultMemo (bit-identical hits, single-flight compute), the
-// JSON line protocol, and the ReplayService end to end — including the
-// differential guarantee the whole layer hangs on: a memoised response is
-// bit-for-bit the report a cold replay computes.
+// decode), the ResultMemo (bit-identical hits, LRU eviction), the JSON line
+// protocol, and the ReplayService end to end — dispatch (hits answered while
+// a replay runs, in-flight joins, admission, shutdown) and the differential
+// guarantee the whole layer hangs on: a memoised response is bit-for-bit the
+// report a cold replay computes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -413,32 +415,6 @@ TEST(ResultMemoTest, EntryCountLruEviction) {
   EXPECT_EQ(memo.stats().entries, 2u);
 }
 
-TEST(ResultMemoTest, SingleFlightComputesOnceAcrossThreads) {
-  serve::ResultMemo memo;
-  std::atomic<int> computes{0};
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<serve::ResultMemo::Outcome> got(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      got[static_cast<std::size_t>(t)] = memo.get_or_compute("k", [&] {
-        computes.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        replay::ReplayReport report;
-        report.status = replay::ReplayStatus::ok;
-        report.sim_time = 42.0;
-        return report;
-      });
-    });
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(computes.load(), 1);
-  for (const auto& outcome : got) EXPECT_EQ(outcome.report.sim_time, 42.0);
-  const auto stats = memo.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits + stats.inflight_joins,
-            static_cast<std::uint64_t>(kThreads - 1));
-}
-
 TEST(ResultMemoTest, MemoKeyIgnoresNameButNotKnobs) {
   const auto platform_key = std::string("cluster:hosts=4");
   const trace::Digest digest{1, 2};
@@ -520,6 +496,25 @@ TEST(JsonTest, RejectsLoneAndReversedSurrogates) {
   EXPECT_THROW(serve::parse_json("\"\\ude00\\ud83d\""), ParseError);
   EXPECT_THROW(serve::parse_json("\"\\ud800\\u0041\""), ParseError);
   EXPECT_THROW(serve::parse_json("\"\\ud800\\ud800\""), ParseError);
+}
+
+TEST(JsonTest, RejectsInvalidRawUtf8) {
+  // Raw bytes are copied through only as well-formed UTF-8: a request id
+  // is echoed back, and the response must stay valid JSON text.
+  EXPECT_THROW(serve::parse_json("\"\x80\""), ParseError);  // stray
+  EXPECT_THROW(serve::parse_json("\"\xC0\xAF\""), ParseError);  // overlong
+  EXPECT_THROW(serve::parse_json("\"\xE2\x82\""), ParseError);  // truncated
+  EXPECT_THROW(serve::parse_json("\"\xED\xA0\x80\""), ParseError);  // surrogate
+  EXPECT_THROW(serve::parse_json("\"\xF4\x90\x80\x80\""),
+               ParseError);  // above U+10FFFF
+  EXPECT_THROW(serve::parse_json("{\"\xE2\x82\":1}"), ParseError);  // in a key
+
+  // Well-formed 3- and 4-byte sequences survive parse -> dump -> parse.
+  for (const std::string text : {"\xE2\x82\xAC", "a\xF0\x9F\x98\x80z"}) {
+    const auto v = serve::parse_json("\"" + text + "\"");
+    EXPECT_EQ(v.string, text);
+    EXPECT_EQ(serve::parse_json(v.dump()).string, text);
+  }
 }
 
 TEST(ProtocolTest, RequestLineRoundTrip) {
@@ -929,10 +924,11 @@ TEST(ReplayServiceTest, BadRequestIsIsolatedFromItsBatch) {
 }
 
 TEST(ReplayServiceTest, OverloadShedsWithDistinctStatus) {
-  ServiceFixture fixture(4, 64);  // heavier rows: batches take real time
+  ServiceFixture fixture(4, 64);  // heavier rows: replays take real time
   auto options = fixture.options();
+  // The limit counts every request accepted and not yet answered, including
+  // the ones waiting on a replay, so one busy worker fills it at once.
   options.queue_limit = 2;
-  options.max_batch = 1;
   options.workers = 1;
   serve::ReplayService service(options);
 
@@ -953,8 +949,8 @@ TEST(ReplayServiceTest, OverloadShedsWithDistinctStatus) {
   }
   service.drain();
 
-  // Admission control kept the queue bounded: with a 2-deep queue and
-  // millisecond batches, a tight 64-request loop must shed.
+  // Admission control kept the backlog bounded: with 2 slots and
+  // millisecond replays, a tight 64-request loop must shed.
   EXPECT_GT(shed, 0);
   EXPECT_EQ(answered.load(), accepted);
   const auto stats = service.stats();
@@ -968,6 +964,74 @@ TEST(ReplayServiceTest, OverloadShedsWithDistinctStatus) {
   const auto response = service.make_overloaded(probe);
   EXPECT_EQ(response.status, serve::Response::Status::overloaded);
   EXPECT_EQ(serve::to_string(response.status), "overloaded");
+}
+
+TEST(ReplayServiceTest, HitIsNotQueuedBehindARunningMiss) {
+  ServiceFixture fixture;
+  trace::SyntheticSpec heavy;
+  heavy.nprocs = 16;
+  heavy.iterations = 2000;  // replays for well over 100 ms
+  trace::write_synthetic_traces(fixture.scratch.path / "cg", heavy);
+
+  auto options = fixture.options();
+  options.workers = 1;
+  serve::ReplayService service(options);
+  serve::Request light;
+  light.id = "light";
+  light.params = fixture.base_params;
+  ASSERT_EQ(service.run(light).status, serve::Response::Status::ok);
+
+  serve::Request miss;
+  miss.id = "heavy";
+  miss.params = {{"platform", "cluster:hosts=16"},
+                 {"traces", "cg"},
+                 {"deployment", "block"}};
+  std::atomic<bool> miss_answered{false};
+  serve::Response miss_response;
+  ASSERT_TRUE(service.submit(miss, [&](serve::Response response) {
+    miss_response = std::move(response);
+    miss_answered = true;
+  }));
+
+  // The only worker is busy with the heavy replay; the dispatcher still
+  // answers the memoised request on arrival.
+  light.id = "light-again";
+  const auto hit = service.run(light);
+  EXPECT_TRUE(hit.memo_hit);
+  EXPECT_FALSE(miss_answered.load());
+
+  service.drain();
+  ASSERT_TRUE(miss_answered.load());
+  EXPECT_EQ(miss_response.status, serve::Response::Status::ok)
+      << miss_response.error;
+  EXPECT_EQ(miss_response.actions_replayed, trace::synthetic_actions(heavy));
+}
+
+TEST(ReplayServiceTest, DestructorAnswersEveryAcceptedRequest) {
+  ServiceFixture fixture(4, 64);
+  constexpr int kRequests = 8;
+  std::array<std::atomic<int>, kRequests> calls{};
+  std::array<bool, kRequests> accepted{};
+  {
+    auto options = fixture.options();
+    options.workers = 2;
+    serve::ReplayService service(options);
+    for (int i = 0; i < kRequests; ++i) {
+      serve::Request request;
+      request.id = std::to_string(i);
+      request.params = fixture.base_params;
+      request.params["efficiency"] = std::to_string(0.5 + 0.01 * i);
+      accepted[static_cast<std::size_t>(i)] =
+          service.submit(std::move(request), [&calls, i](serve::Response) {
+            calls[static_cast<std::size_t>(i)].fetch_add(1);
+          });
+    }
+  }  // destroyed with replays queued and running; no drain()
+  for (int i = 0; i < kRequests; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_TRUE(accepted[k]);
+    EXPECT_EQ(calls[k].load(), accepted[k] ? 1 : 0) << "request " << i;
+  }
 }
 
 TEST(ReplayServiceTest, DeadlockReportsMemoiseLikeSuccesses) {

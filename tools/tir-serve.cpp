@@ -2,10 +2,11 @@
 //
 // Usage:
 //   tir-serve [--stdin] [--socket PATH] [--workers N] [--queue N]
-//             [--batch N] [--cache-bytes B] [--memo N] [--base DIR]
+//             [--cache-bytes B] [--memo N] [--base DIR]
 //
 // Protocol: newline-delimited JSON, one request per line, one response
-// line per request, in completion order (responses carry the request id).
+// line per request, in completion order: a memo hit overtakes a replay
+// still running, so match responses to requests by id.
 // A request is a JSON object whose "id" is echoed back and whose remaining
 // string/number/boolean fields are exactly the sweep-list vocabulary
 // (platform=, traces= or merged=, deployment=, eager=, collectives=,
@@ -27,14 +28,19 @@
 //
 // status is one of ok | deadlock | failed | badrequest | overloaded.
 // Repeats of a scenario already answered hit the result memo and return
-// the stored report bit-for-bit without re-simulation; repeats of a trace
-// directory (under any spelling or encoding) share one decode through the
-// content-addressed trace cache.
+// the stored report bit-for-bit without re-simulation; a repeat of a
+// scenario still replaying joins that replay; repeats of a trace directory
+// (under any spelling or encoding) share one decode through the
+// content-addressed trace cache. --workers sets the replay worker threads
+// (0 = one per core); --queue bounds the requests accepted and not yet
+// answered, queued or replaying, beyond which requests are answered
+// "overloaded".
 //
 // --stdin (default when no --socket) serves the stdin/stdout pipe and
 // exits at EOF. --socket PATH listens on a unix stream socket and serves
-// connections one at a time — scenario throughput comes from batching
-// inside the service, not connection concurrency — until {"cmd":"quit"}.
+// connections one at a time — scenario throughput comes from the
+// service's replay workers, not connection concurrency — until
+// {"cmd":"quit"}.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -61,7 +67,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--stdin] [--socket PATH] [--workers N] "
-               "[--queue N] [--batch N] [--cache-bytes B] [--memo N] "
+               "[--queue N] [--cache-bytes B] [--memo N] "
                "[--base DIR]\n"
                "newline-delimited JSON protocol; see the header of "
                "tools/tir-serve.cpp\n",
@@ -84,7 +90,8 @@ int parse_positive(const char* what, const std::string& s) {
 
 /// Serves one request line; returns false when the line asks to quit.
 /// Output lines are serialised by `out_mu` because responses surface from
-/// the dispatcher thread while shed/badrequest answers print inline.
+/// the service's dispatcher and worker threads while shed and unparseable
+/// requests are answered inline.
 bool serve_line(serve::ReplayService& service, const std::string& line,
                 std::FILE* out, std::mutex& out_mu) {
   const auto emit = [out, &out_mu](const std::string& rendered) {
@@ -222,9 +229,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue") {
       options.queue_limit =
           static_cast<std::size_t>(parse_positive("--queue", next()));
-    } else if (arg == "--batch") {
-      options.max_batch =
-          static_cast<std::size_t>(parse_positive("--batch", next()));
     } else if (arg == "--cache-bytes") {
       options.trace_cache.byte_budget = static_cast<std::uint64_t>(
           parse_positive("--cache-bytes", next()));
