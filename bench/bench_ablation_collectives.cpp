@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 #include "mpisim/mpi.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 
 using namespace tir;
 
@@ -71,12 +71,14 @@ int main() {
         std::uint64_t{64} << 10, std::uint64_t{1} << 30}) {
     plat::Platform target;
     const auto hosts = plat::build_cluster(target, plat::bordereau_spec(16));
-    replay::ReplayConfig rc;
-    rc.mpi.eager_threshold = threshold;
-    replay::Replayer replayer(target, hosts, traces, rc);
+    replay::ScenarioSpec scenario;
+    scenario.platform = replay::share_platform(target);
+    scenario.process_hosts = hosts;
+    scenario.traces = traces;
+    scenario.config.mpi.eager_threshold = threshold;
     std::printf("%-14llu | %12.3f\n",
                 static_cast<unsigned long long>(threshold),
-                replayer.run().simulated_time);
+                replay::run_scenario(scenario).simulated_time);
     std::fflush(stdout);
   }
   std::printf("\nA zero threshold forces every message through the "

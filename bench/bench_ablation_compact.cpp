@@ -9,7 +9,7 @@
 #include "apps/lu.hpp"
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/compact.hpp"
 #include "trace/text_format.hpp"
@@ -70,10 +70,12 @@ int main() {
   const auto hosts =
       plat::build_cluster(target, plat::bordereau_spec(cfg.nprocs));
   const auto replay_set = [&](const std::vector<fs::path>& files) {
-    const auto traces = trace::TraceSet::per_process_files(files);
-    replay::Replayer replayer(target, hosts, traces);
+    replay::ScenarioSpec scenario;
+    scenario.platform = replay::share_platform(target);
+    scenario.process_hosts = hosts;
+    scenario.traces = trace::TraceSet::per_process_files(files);
     const auto start = std::chrono::steady_clock::now();
-    const double t = replayer.run().simulated_time;
+    const double t = replay::run_scenario(scenario).simulated_time;
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();

@@ -11,7 +11,7 @@
 #include "apps/lu.hpp"
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "skampi/pingpong.hpp"
 #include "skampi/pwl_fit.hpp"
 #include "support/stats.hpp"
@@ -60,8 +60,11 @@ int main() {
     const auto target_hosts =
         plat::build_cluster(target, plat::bordereau_spec(16));
     target.set_net_model(model);
-    replay::Replayer replayer(target, target_hosts, traces);
-    return replayer.run().simulated_time;
+    replay::ScenarioSpec scenario;
+    scenario.platform = replay::share_platform(target);
+    scenario.process_hosts = target_hosts;
+    scenario.traces = traces;
+    return replay::run_scenario(scenario).simulated_time;
   };
   const double t_pwl =
       replay_with(plat::PiecewiseNetModel::default_cluster_model());

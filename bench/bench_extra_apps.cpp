@@ -19,7 +19,7 @@
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
 #include "replay/calibration.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/stats.hpp"
 
 using namespace tir;
@@ -118,9 +118,11 @@ int main() {
     auto target_spec = plat::bordereau_spec(entry.app.nprocs);
     target_spec.power = calibration.flop_rate;
     const auto hosts = plat::build_cluster(target, target_spec);
-    const auto traces = trace::TraceSet::per_process_files(report.ti_files);
-    replay::Replayer replayer(target, hosts, traces);
-    const double replayed = replayer.run().simulated_time;
+    replay::ScenarioSpec scenario;
+    scenario.platform = replay::share_platform(target);
+    scenario.process_hosts = hosts;
+    scenario.traces = trace::TraceSet::per_process_files(report.ti_files);
+    const double replayed = replay::run_scenario(scenario).simulated_time;
 
     std::printf("%-24s | %12.3f %12.3f | %7.1f%%\n", entry.name.c_str(),
                 direct, replayed,

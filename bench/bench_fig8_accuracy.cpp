@@ -17,7 +17,7 @@
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
 #include "replay/calibration.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/stats.hpp"
 #include "support/units.hpp"
 
@@ -85,9 +85,11 @@ int main() {
       auto target_spec = plat::bordereau_spec(procs);
       target_spec.power = calibration.flop_rate;
       const auto hosts = plat::build_cluster(target, target_spec);
-      const auto traces = trace::TraceSet::per_process_files(r.ti_files);
-      replay::Replayer replayer(target, hosts, traces);
-      const double simulated = replayer.run().simulated_time;
+      replay::ScenarioSpec scenario;
+      scenario.platform = replay::share_platform(target);
+      scenario.process_hosts = hosts;
+      scenario.traces = trace::TraceSet::per_process_files(r.ti_files);
+      const double simulated = replay::run_scenario(scenario).simulated_time;
 
       std::printf("%-6s %5d | %12.2f %12.2f | %8.1f%%\n",
                   apps::to_string(cls).c_str(), procs, actual, simulated,

@@ -19,7 +19,7 @@
 #include "apps/lu.hpp"
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/strings.hpp"
 
 using namespace tir;
@@ -84,11 +84,13 @@ int main() {
       plat::Platform target;
       const auto hosts =
           plat::build_cluster(target, plat::bordereau_spec(procs));
-      const auto traces = trace::TraceSet::per_process_files(r.ti_files);
-      replay::Replayer replayer(target, hosts, traces);
+      replay::ScenarioSpec scenario;
+      scenario.platform = replay::share_platform(target);
+      scenario.process_hosts = hosts;
+      scenario.traces = trace::TraceSet::per_process_files(r.ti_files);
 
       const auto start = std::chrono::steady_clock::now();
-      const auto result = replayer.run();
+      const auto result = replay::run_scenario(scenario);
       const double wall = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();

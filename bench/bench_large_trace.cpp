@@ -6,7 +6,7 @@
 // Phase 1 — streaming replay. A CG-pattern compact trace (8 ranks, the
 //   iteration loop stored as one TIRC repeat block, so the file is a few
 //   hundred bytes however many actions it expands to) is replayed with
-//   decode=stream. The assertion the subsystem hangs on: peak RSS stays
+//   DecodePolicy::stream. The assertion the subsystem hangs on: peak RSS stays
 //   under 512 MiB however large the logical trace is. Runs FIRST so the
 //   process-wide VmHWM reflects only this phase.
 //   Scale: TIR_SCALE=0.1 (default) -> 10^7 actions, TIR_FULL=1 -> 10^8;

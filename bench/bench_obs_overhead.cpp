@@ -11,7 +11,7 @@
 #include "apps/lu.hpp"
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 
 using namespace tir;
 
@@ -22,11 +22,15 @@ double replay_seconds(const plat::Platform& platform,
                       const trace::TraceSet& traces,
                       const replay::ReplayConfig& config, int reps,
                       std::uint64_t* spans_out) {
+  replay::ScenarioSpec scenario;
+  scenario.platform = replay::share_platform(platform);
+  scenario.process_hosts = hosts;
+  scenario.traces = traces;
+  scenario.config = config;
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    replay::Replayer replayer(platform, hosts, traces, config);
     const auto start = std::chrono::steady_clock::now();
-    const auto result = replayer.run();
+    const auto result = replay::run_scenario(scenario);
     best = std::min(best, std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count());

@@ -20,7 +20,7 @@
 #include "apps/lu.hpp"
 #include "platform/cluster.hpp"
 #include "replay/calibration.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/stats.hpp"
 #include "support/units.hpp"
 
@@ -73,9 +73,11 @@ int main(int argc, char** argv) {
   auto target_spec = plat::bordereau_spec(16);
   target_spec.power = calibration.flop_rate;
   const auto hosts = plat::build_cluster(target, target_spec);
-  const auto traces = trace::TraceSet::per_process_files(report.ti_files);
-  replay::Replayer replayer(target, hosts, traces);
-  const double predicted = replayer.run().simulated_time;
+  replay::ScenarioSpec scenario;
+  scenario.platform = replay::share_platform(target);
+  scenario.process_hosts = hosts;
+  scenario.traces = trace::TraceSet::per_process_files(report.ti_files);
+  const double predicted = replay::run_scenario(scenario).simulated_time;
 
   // Ground truth: the high-fidelity direct simulation on 16 real nodes.
   const auto ap = acq::build_acquisition_platform(acq::Mode::regular, 16, 1);

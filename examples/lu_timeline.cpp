@@ -1,12 +1,11 @@
 // Timeline example: acquire LU class S on 8 processes, then hand the
-// time-independent traces to tir-timeline for the per-rank breakdown,
-// critical path, and Chrome/Paje timeline exports.
+// time-independent traces to tir-replay --timeline for the per-rank
+// breakdown, critical path, and Chrome/Paje timeline exports.
 //
 // Run:  ./lu_timeline [workdir]
-// Then: tir-timeline --platform <workdir>/platform.xml
-//                    --deployment <workdir>/deployment.xml
-//                    <workdir>/ti/SG_process*.trace
-//                    --chrome lu.json --paje lu.paje
+// Then: tir-replay --timeline --platform <workdir>/platform.xml
+//                  --deployment <workdir>/deployment.xml <workdir>/ti
+//                  --chrome lu.json --paje lu.paje
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -56,9 +55,9 @@ int main(int argc, char** argv) {
   std::cout << "Platform file:   " << platform_xml << "\n"
             << "Deployment file: " << deployment_xml << "\n\n"
             << "Now render the timeline:\n"
-            << "  tir-timeline --platform " << platform_xml.string()
-            << " \\\n      --deployment " << deployment_xml.string();
-  for (const auto& f : report.ti_files) std::cout << " \\\n      " << f.string();
-  std::cout << " \\\n      --chrome lu.json --paje lu.paje\n";
+            << "  tir-replay --timeline --platform " << platform_xml.string()
+            << " \\\n      --deployment " << deployment_xml.string()
+            << " \\\n      " << (workdir / "ti").string()
+            << " \\\n      --chrome lu.json --paje lu.paje\n";
   return 0;
 }

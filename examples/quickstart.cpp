@@ -13,7 +13,7 @@
 #include "platform/cluster.hpp"
 #include "platform/deployment.hpp"
 #include "platform/platform_file.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/units.hpp"
 #include "trace/text_format.hpp"
 

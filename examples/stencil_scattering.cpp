@@ -11,7 +11,7 @@
 #include "acquisition/acquisition.hpp"
 #include "apps/stencil.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/stats.hpp"
 #include "support/units.hpp"
 
@@ -23,9 +23,11 @@ double replay_on_target(const acq::AcquisitionReport& report, int nprocs) {
   plat::Platform target;
   const auto hosts =
       plat::build_cluster(target, plat::bordereau_physical_spec(nprocs));
-  const auto traces = trace::TraceSet::per_process_files(report.ti_files);
-  replay::Replayer replayer(target, hosts, traces);
-  return replayer.run().simulated_time;
+  replay::ScenarioSpec scenario;
+  scenario.platform = replay::share_platform(target);
+  scenario.process_hosts = hosts;
+  scenario.traces = trace::TraceSet::per_process_files(report.ti_files);
+  return replay::run_scenario(scenario).simulated_time;
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //
 // Run:  ./topology_zoo [workdir]
 // Then: tir-sweep <workdir>/topologies.list
-//       tir-timeline --platform dragonfly:groups=9,routers=4,hosts=2
-//                    --deployment block <workdir>/ti
+//       tir-replay --timeline --platform dragonfly:groups=9,routers=4,hosts=2
+//                  --deployment block <workdir>/ti
 // (pass the trace *directory*, not a shell glob: globs sort SG_process10
 // before SG_process2 and scramble the pid order for >= 10 ranks)
 #include <filesystem>
@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
             << "Replay LU across the zoo in one deterministic sweep:\n"
             << "  tir-sweep " << list_file.string() << "\n\n"
             << "Then compare critical paths per fabric, e.g.:\n"
-            << "  tir-timeline --platform dragonfly:groups=9,routers=4,hosts=2"
+            << "  tir-replay --timeline"
+            << " --platform dragonfly:groups=9,routers=4,hosts=2"
             << " \\\n      --deployment block " << (workdir / "ti").string()
             << "\n";
   return 0;

@@ -1,5 +1,7 @@
 #include "platform/topology.hpp"
 
+#include <initializer_list>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -14,6 +16,19 @@ namespace tir::plat {
 
 // ---------------------------------------------------------------------------
 // TopoParams
+
+namespace {
+
+// Narrows a parsed value to the int the builders take: past int range a
+// cast would wrap (4294967297 hosts would become 1).
+int narrow(long long value, const std::string& where, const std::string& key) {
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max())
+    throw ParseError(where + ": key '" + key + "' is out of range");
+  return static_cast<int>(value);
+}
+
+}  // namespace
 
 TopoParams TopoParams::parse(std::string_view text, const std::string& where) {
   TopoParams params;
@@ -52,15 +67,17 @@ std::string TopoParams::get(const std::string& key,
   return v ? *v : fallback;
 }
 
-long long TopoParams::get_int(const std::string& key, long long fallback) const {
+int TopoParams::get_int(const std::string& key, int fallback) const {
   const std::string* v = find(key);
   if (!v) return fallback;
+  long long value = 0;
   try {
-    return str::to_int(*v);
+    value = str::to_int(*v);
   } catch (const ParseError&) {
     throw ParseError(where_ + ": key '" + key + "' expects an integer, got '" +
                      *v + "'");
   }
+  return narrow(value, where_, key);
 }
 
 double TopoParams::get_value(const std::string& key, double fallback) const {
@@ -95,12 +112,14 @@ std::vector<int> TopoParams::get_dims(const std::string& key,
     if (trimmed.empty())
       throw ParseError(where_ + ": key '" + key + "' expects NxNx..., got '" +
                        *v + "'");
+    long long dim = 0;
     try {
-      dims.push_back(static_cast<int>(str::to_int(trimmed)));
+      dim = str::to_int(trimmed);
     } catch (const ParseError&) {
       throw ParseError(where_ + ": key '" + key + "' expects NxNx..., got '" +
                        *v + "'");
     }
+    dims.push_back(narrow(dim, where_, key));
   }
   return dims;
 }
@@ -124,10 +143,36 @@ struct RegisteredTopology {
   std::string summary;
 };
 
+// Largest host, switch or cable count a registry spec may ask for. The
+// largest registry platform any list, test or bench builds has 544 hosts;
+// a count past this is a typo, and it must fail here, before the builder
+// allocates, rather than after seconds of allocation with std::bad_alloc.
+constexpr long long kMaxCount = 1 << 20;
+
+/// Product of counts, saturating at kMaxCount + 1 so that no parameter
+/// value can overflow it. A factor below 1 gives 0: the builder rejects it
+/// with its own message.
+long long count_product(std::initializer_list<long long> factors) {
+  long long product = 1;
+  for (const long long f : factors) {
+    if (f < 1) return 0;
+    if (product > kMaxCount / f) return kMaxCount + 1;
+    product *= f;
+  }
+  return product;
+}
+
+void check_count(const char* topo, const char* what, long long count) {
+  if (count > kMaxCount)
+    throw ParseError("topology '" + std::string(topo) + "': more than " +
+                     std::to_string(kMaxCount) + " " + what);
+}
+
 std::vector<HostId> build_cluster_topo(Platform& platform,
                                        const TopoParams& params) {
   ClusterSpec spec;
-  spec.count = static_cast<int>(params.get_int("hosts", 16));
+  spec.count = params.get_int("hosts", 16);
+  check_count("cluster", "hosts", count_product({spec.count}));
   spec.prefix = params.get("prefix", spec.prefix);
   spec.suffix = params.get("suffix", spec.suffix);
   spec.power = params.get_value("power", spec.power);
@@ -144,15 +189,18 @@ std::vector<HostId> build_cluster_topo(Platform& platform,
 
 std::vector<HostId> build_bordereau_topo(Platform& platform,
                                          const TopoParams& params) {
-  return build_bordereau(platform,
-                         static_cast<int>(params.get_int("nodes", 93)));
+  const int nodes = params.get_int("nodes", 93);
+  check_count("bordereau", "hosts", count_product({nodes}));
+  return build_bordereau(platform, nodes);
 }
 
 std::vector<HostId> build_gdx_topo(Platform& platform,
                                    const TopoParams& params) {
   GdxSpec spec;
-  spec.nodes = static_cast<int>(params.get_int("nodes", spec.nodes));
-  spec.cabinets = static_cast<int>(params.get_int("cabinets", spec.cabinets));
+  spec.nodes = params.get_int("nodes", spec.nodes);
+  spec.cabinets = params.get_int("cabinets", spec.cabinets);
+  check_count("gdx", "hosts", count_product({spec.nodes}));
+  check_count("gdx", "cabinets", count_product({spec.cabinets}));
   spec.power = params.get_value("power", spec.power);
   spec.bandwidth = params.get_value("bw", spec.bandwidth);
   spec.latency = params.get_duration("lat", spec.latency);
@@ -162,10 +210,20 @@ std::vector<HostId> build_gdx_topo(Platform& platform,
 std::vector<HostId> build_dragonfly_topo(Platform& platform,
                                          const TopoParams& params) {
   DragonflySpec spec;
-  spec.groups = static_cast<int>(params.get_int("groups", spec.groups));
-  spec.routers = static_cast<int>(params.get_int("routers", spec.routers));
-  spec.hosts = static_cast<int>(params.get_int("hosts", spec.hosts));
-  spec.globals = static_cast<int>(params.get_int("globals", spec.globals));
+  spec.groups = params.get_int("groups", spec.groups);
+  spec.routers = params.get_int("routers", spec.routers);
+  spec.hosts = params.get_int("hosts", spec.hosts);
+  spec.globals = params.get_int("globals", spec.globals);
+  const long long g = spec.groups;
+  const long long r = spec.routers;
+  check_count("dragonfly", "switches", count_product({g, r}));
+  check_count("dragonfly", "hosts", count_product({g, r, spec.hosts}));
+  // Every group is a complete graph of its routers, and every pair of
+  // groups is joined by one global cable.
+  const long long local = r < 1 ? 0 : r * (r - 1) / 2;
+  const long long global = g < 1 ? 0 : g * (g - 1) / 2;
+  check_count("dragonfly", "cables",
+              count_product({g, local}) + count_product({global}));
   spec.routing = params.get("routing", spec.routing);
   spec.power = params.get_value("power", spec.power);
   spec.bandwidth = params.get_value("bw", spec.bandwidth);
@@ -181,7 +239,11 @@ std::vector<HostId> build_dragonfly_topo(Platform& platform,
 std::vector<HostId> build_fattree_topo(Platform& platform,
                                        const TopoParams& params) {
   FatTreeSpec spec;
-  spec.k = static_cast<int>(params.get_int("k", spec.k));
+  spec.k = params.get_int("k", spec.k);
+  const long long half = spec.k / 2;
+  check_count("fattree", "hosts", count_product({spec.k, half, half}));
+  check_count("fattree", "switches",
+              count_product({spec.k, spec.k}) + count_product({half, half}));
   spec.routing = params.get("routing", spec.routing);
   spec.power = params.get_value("power", spec.power);
   spec.bandwidth = params.get_value("bw", spec.bandwidth);
@@ -196,7 +258,11 @@ std::vector<HostId> build_torus_topo(Platform& platform,
                                      const TopoParams& params) {
   TorusSpec spec;
   spec.dims = params.get_dims("dims", spec.dims);
-  spec.hosts = static_cast<int>(params.get_int("hosts", spec.hosts));
+  spec.hosts = params.get_int("hosts", spec.hosts);
+  long long switches = 1;
+  for (const int d : spec.dims) switches = count_product({switches, d});
+  check_count("torus", "switches", switches);
+  check_count("torus", "hosts", count_product({switches, spec.hosts}));
   spec.routing = params.get("routing", spec.routing);
   spec.power = params.get_value("power", spec.power);
   spec.bandwidth = params.get_value("bw", spec.bandwidth);

@@ -40,8 +40,8 @@ class TopoParams {
 
   /// Raw string value, or `fallback` when the key is absent.
   std::string get(const std::string& key, const std::string& fallback) const;
-  /// Integer value (no unit suffix).
-  long long get_int(const std::string& key, long long fallback) const;
+  /// Integer value (no unit suffix) that fits an int.
+  int get_int(const std::string& key, int fallback) const;
   /// Value with an optional SI/IEC suffix — flop rates, bandwidths.
   double get_value(const std::string& key, double fallback) const;
   /// Duration with an optional ns/us/ms/s suffix.

@@ -1,9 +1,9 @@
 // Action registry: maps trace keywords to replay behaviours, mirroring
-// SimGrid's MSG_action_register (paper §5). The replayer installs default
-// handlers for every Table 1 action; callers may override any of them to
-// explore alternative semantics without touching the replayer (the paper's
-// "wide range of what-if scenarios ... without any modification of the
-// simulator").
+// SimGrid's MSG_action_register (paper §5). run_scenario installs default
+// handlers for every Table 1 action; a scenario's customize_registry hook
+// may override any of them to explore alternative semantics without
+// touching the replayer (the paper's "wide range of what-if scenarios ...
+// without any modification of the simulator").
 #pragma once
 
 #include <deque>
@@ -15,8 +15,6 @@
 #include "trace/action.hpp"
 
 namespace tir::replay {
-
-class Replayer;
 
 /// Per-process state handed to action handlers.
 class ReplayCtx {

@@ -4,6 +4,8 @@
 #include <string_view>
 #include <utility>
 
+#include "platform/deployment.hpp"
+#include "platform/topology.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -136,8 +138,7 @@ sim::Task fault_injector(sim::Engine& engine, ResolvedFault fault) {
 // Body of a replay; writes into `result` as it goes so a caller catching a
 // SimError (deadlock, mismatch) still sees the partial progress — how many
 // actions replayed, which processes finished — at the instant it stopped.
-void run_scenario_into(const ScenarioSpec& spec, const ActionRegistry& registry,
-                       ReplayResult& result) {
+void run_scenario_into(const ScenarioSpec& spec, ReplayResult& result) {
   if (!spec.platform) throw SimError("scenario: no platform");
   const int nprocs = spec.traces.nprocs();
   if (nprocs == 0) throw SimError("scenario: empty trace set");
@@ -147,6 +148,8 @@ void run_scenario_into(const ScenarioSpec& spec, const ActionRegistry& registry,
                    " processes but the trace set has " +
                    std::to_string(nprocs));
   const std::vector<ResolvedFault> faults = resolve_faults(spec);
+  ActionRegistry registry = ActionRegistry::with_defaults();
+  if (spec.customize_registry) spec.customize_registry(registry);
 
   // The recorder is constructed (and stored into the result) before the
   // engine and world: deadlocked rank frames close their open spans from
@@ -244,16 +247,26 @@ void validate_faults(const ScenarioSpec& spec) {
 }
 
 ReplayResult run_scenario(const ScenarioSpec& spec) {
-  ActionRegistry registry = ActionRegistry::with_defaults();
-  if (spec.customize_registry) spec.customize_registry(registry);
-  return run_scenario(spec, registry);
+  ReplayResult result;
+  run_scenario_into(spec, result);
+  return result;
 }
 
-ReplayResult run_scenario(const ScenarioSpec& spec,
-                          const ActionRegistry& registry) {
-  ReplayResult result;
-  run_scenario_into(spec, registry, result);
-  return result;
+ReplayResult replay_files(const std::filesystem::path& platform,
+                          const std::filesystem::path& deployment,
+                          const std::vector<std::filesystem::path>& traces,
+                          ReplayConfig config) {
+  ScenarioSpec spec;
+  spec.name = platform.stem().string();
+  spec.platform_label = platform.string();
+  spec.platform = std::make_shared<const plat::Platform>(
+      plat::load_platform_spec(platform.string()));
+  spec.traces =
+      trace::TraceSet::per_process_files(trace::process_trace_files(traces));
+  spec.process_hosts = plat::resolve_deployment_spec(
+      deployment.string(), *spec.platform, spec.traces.nprocs());
+  spec.config = config;
+  return run_scenario(spec);
 }
 
 ReplayReport run_scenario_report(const ScenarioSpec& spec) {
@@ -275,9 +288,7 @@ ReplayReport run_scenario_report(const ScenarioSpec& spec) {
   };
 
   try {
-    ActionRegistry registry = ActionRegistry::with_defaults();
-    if (spec.customize_registry) spec.customize_registry(registry);
-    run_scenario_into(spec, registry, report.result);
+    run_scenario_into(spec, report.result);
     report.status = ReplayStatus::ok;
     report.sim_time = report.result.simulated_time;
     report.coverage = 1.0;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -160,10 +161,14 @@ void validate_faults(const ScenarioSpec& spec);
 /// safe. Throws tir::SimError on inconsistent inputs.
 ReplayResult run_scenario(const ScenarioSpec& spec);
 
-/// As above but with an explicit, caller-built registry (the Replayer
-/// compatibility path). `registry` is only read.
-ReplayResult run_scenario(const ScenarioSpec& spec,
-                          const ActionRegistry& registry);
+/// The Figure 4 workflow from files: loads the platform (a platform file or
+/// a topology-registry spec), the deployment (a deployment file, "block" or
+/// "roundrobin") and the traces (files, or directories standing for their
+/// SG_process<i>.trace files), then replays them once.
+ReplayResult replay_files(const std::filesystem::path& platform,
+                          const std::filesystem::path& deployment,
+                          const std::vector<std::filesystem::path>& traces,
+                          ReplayConfig config = {});
 
 // -- structured outcome reporting -------------------------------------------
 

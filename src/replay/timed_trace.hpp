@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 
 namespace tir::replay {
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace tir::serve {
 
@@ -288,7 +289,7 @@ std::string JsonValue::dump() const {
     }
     case Type::string: {
       std::string out = "\"";
-      out += json_escape(string);
+      out += str::json_escape(string);
       out += "\"";
       return out;
     }
@@ -297,7 +298,7 @@ std::string JsonValue::dump() const {
       for (std::size_t i = 0; i < object.size(); ++i) {
         if (i > 0) out += ",";
         out += "\"";
-        out += json_escape(object[i].first);
+        out += str::json_escape(object[i].first);
         out += "\":";
         out += object[i].second.dump();
       }
@@ -316,29 +317,5 @@ std::string JsonValue::dump() const {
 }
 
 JsonValue parse_json(std::string_view text) { return Parser(text).parse(); }
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace tir::serve

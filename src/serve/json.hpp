@@ -37,7 +37,4 @@ struct JsonValue {
 /// whitespace allowed). Throws tir::ParseError.
 JsonValue parse_json(std::string_view text);
 
-/// Escapes for embedding inside a JSON string literal (no quotes added).
-std::string json_escape(std::string_view s);
-
 }  // namespace tir::serve

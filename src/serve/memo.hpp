@@ -42,10 +42,8 @@ struct MemoStats {
 /// file path or topology spec — `platform_key`), the resolved process ->
 /// host mapping, MPI and engine knobs, recording flags, and the full fault
 /// timeline. Scenario *names* stay out: renaming a row must still hit.
-/// The trace decode policy stays out too — streamed and materialised decode
-/// of the same bytes are bit-identical by construction, so a report computed
-/// under decode=stream serves a later decode=materialise request and vice
-/// versa.
+/// The trace decode path stays out too — streamed and materialised decode
+/// of the same bytes are bit-identical by construction.
 /// Specs carrying a customize_registry hook are not fingerprintable —
 /// callers must bypass the memo for those (the service does).
 std::string scenario_memo_key(const replay::ScenarioSpec& spec,

@@ -196,8 +196,7 @@ const plat::Deployment& InputResolver::deployment(const std::string& file) {
   return it->second;
 }
 
-CachedTrace InputResolver::traces(const std::string& spec, bool merged,
-                                  trace::DecodePolicy decode) {
+CachedTrace InputResolver::traces(const std::string& spec, bool merged) {
   std::string key;
   TraceCache::Loader load;
   if (merged) {
@@ -209,41 +208,20 @@ CachedTrace InputResolver::traces(const std::string& spec, bool merged,
     const int nprocs =
         parse_int("merged=" + spec, spec.substr(colon + 1));
     key = "merged:" + canonical_path_key(file) + ":" + std::to_string(nprocs);
-    load = [file, nprocs, decode] {
-      return trace::TraceSet::merged_file(file, nprocs,
-                                          trace::DecodeMode::strict, decode);
+    load = [file, nprocs] {
+      return trace::TraceSet::merged_file(file, nprocs);
     };
   } else {
-    std::vector<fs::path> files;
-    for (const auto& token : str::split(spec, ',')) {
-      const fs::path p = resolve(std::string(token));
-      if (fs::is_directory(p)) {
-        for (int pid = 0;; ++pid) {
-          const fs::path f =
-              p / ("SG_process" + std::to_string(pid) + ".trace");
-          if (!fs::exists(f)) break;
-          files.push_back(f);
-        }
-      } else {
-        files.push_back(p);
-      }
-    }
+    std::vector<fs::path> paths;
+    for (const auto& token : str::split(spec, ','))
+      paths.push_back(resolve(std::string(token)));
+    const std::vector<fs::path> files = trace::process_trace_files(paths);
     key = "split:";
     for (const auto& f : files) {
       key += canonical_path_key(f);
       key += ',';
     }
-    load = [files, decode] {
-      return trace::TraceSet::per_process_files(
-          files, trace::DecodeMode::strict, decode);
-    };
-  }
-  // A forced policy changes the handle we hand out (index-backed vs
-  // materialised), so it gets its own alias; content dedup still collapses
-  // identical bytes because the digest ignores the decode path.
-  if (decode != trace::DecodePolicy::automatic) {
-    key += ";decode=";
-    key += trace::to_string(decode);
+    load = [files] { return trace::TraceSet::per_process_files(files); };
   }
 
   try {
@@ -275,20 +253,11 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
   spec.platform_label = *platform;
   entry.platform_key = resolver.platform_key(*platform);
 
-  auto decode = trace::DecodePolicy::automatic;
-  if (const auto* policy = kv.find("decode")) {
-    try {
-      decode = trace::parse_decode_policy(*policy);
-    } catch (const std::exception& e) {
-      throw Error("scenario '" + spec.name + "': " + e.what());
-    }
-  }
-
   CachedTrace cached;
   if (const auto* merged = kv.find("merged")) {
-    cached = resolver.traces(*merged, /*merged=*/true, decode);
+    cached = resolver.traces(*merged, /*merged=*/true);
   } else if (const auto* traces = kv.find("traces")) {
-    cached = resolver.traces(*traces, /*merged=*/false, decode);
+    cached = resolver.traces(*traces, /*merged=*/false);
   } else {
     throw Error("scenario '" + spec.name + "': missing traces= or merged=");
   }

@@ -101,14 +101,8 @@ class InputResolver {
   /// Resolves traces=/merged= through the TraceCache. On decode failure the
   /// error is swallowed and an uncached lazy TraceSet handle is returned
   /// (hit=false, zero digest) so the scenario fails at replay time with the
-  /// original per-row semantics. `decode` picks the decode path; non-auto
-  /// policies get their own cache alias, but content dedup still unifies
-  /// identical traces (the digest is decode-independent).
-  CachedTrace traces(const std::string& spec, bool merged,
-                     trace::DecodePolicy decode =
-                         trace::DecodePolicy::automatic);
-
-  TraceCache& trace_cache() { return trace_cache_; }
+  /// original per-row semantics.
+  CachedTrace traces(const std::string& spec, bool merged);
 
  private:
   std::filesystem::path base_;

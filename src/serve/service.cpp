@@ -8,6 +8,7 @@
 #include "replay/sweep.hpp"
 #include "serve/json.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace tir::serve {
 
@@ -356,12 +357,12 @@ Request parse_request_line(const std::string& line) {
 }
 
 std::string render_response(const Response& response) {
-  std::string out = "{\"id\":\"" + json_escape(response.id) + "\"";
+  std::string out = "{\"id\":\"" + str::json_escape(response.id) + "\"";
   out += ",\"status\":\"";
   out += to_string(response.status);
   out += "\"";
   if (!response.name.empty())
-    out += ",\"name\":\"" + json_escape(response.name) + "\"";
+    out += ",\"name\":\"" + str::json_escape(response.name) + "\"";
   char buf[64];
   if (response.status == Response::Status::ok ||
       response.status == Response::Status::deadlock) {
@@ -393,12 +394,12 @@ std::string render_response(const Response& response) {
   timing("decode_s", response.decode_seconds);
   timing("solve_s", response.solve_seconds);
   if (!response.error.empty())
-    out += ",\"error\":\"" + json_escape(response.error) + "\"";
+    out += ",\"error\":\"" + str::json_escape(response.error) + "\"";
   if (!response.diagnostics.empty()) {
     out += ",\"diagnostics\":[";
     for (std::size_t i = 0; i < response.diagnostics.size(); ++i) {
       if (i > 0) out += ",";
-      out += "\"" + json_escape(response.diagnostics[i]) + "\"";
+      out += "\"" + str::json_escape(response.diagnostics[i]) + "\"";
     }
     out += "]";
   }
@@ -431,11 +432,11 @@ std::string render_stats(const ServiceStats& stats) {
   count("trace_entries", stats.trace_cache.entries);
   count("memo_entries", stats.memo.entries);
   count("memo_evictions", stats.memo.evictions);
-  out += ",\"queue_wait\":\"" + json_escape(stats.queue_wait.summary()) +
+  out += ",\"queue_wait\":\"" + str::json_escape(stats.queue_wait.summary()) +
          "\"";
-  out += ",\"decode\":\"" + json_escape(stats.decode.summary()) + "\"";
-  out += ",\"solve\":\"" + json_escape(stats.solve.summary()) + "\"";
-  out += ",\"total\":\"" + json_escape(stats.total.summary()) + "\"";
+  out += ",\"decode\":\"" + str::json_escape(stats.decode.summary()) + "\"";
+  out += ",\"solve\":\"" + str::json_escape(stats.solve.summary()) + "\"";
+  out += ",\"total\":\"" + str::json_escape(stats.total.summary()) + "\"";
   out += "}}";
   return out;
 }

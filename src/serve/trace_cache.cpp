@@ -42,54 +42,28 @@ void TraceCache::evict_locked() {
 CachedTrace TraceCache::get(const std::string& source_key,
                             const Loader& load) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (const auto alias = aliases_.find(source_key);
-        alias != aliases_.end()) {
-      Entry& entry = entries_.at(alias->second);
-      touch_locked(entry);
-      ++stats_.hits;
-      CachedTrace out;
-      out.traces = entry.traces;
-      out.digest = entry.digest;
-      out.bytes = entry.bytes;
-      out.hit = true;
-      return out;
-    }
-    const auto flight = inflight_.find(source_key);
-    if (flight == inflight_.end()) break;
-    // Someone is decoding this key right now; share their outcome.
-    const std::shared_ptr<Pending> pending = flight->second;
-    ++stats_.inflight_joins;
-    cv_.wait(lock, [&] { return pending->done; });
-    if (pending->error) std::rethrow_exception(pending->error);
-    CachedTrace out = pending->result;
+  if (const auto alias = aliases_.find(source_key); alias != aliases_.end()) {
+    Entry& entry = entries_.at(alias->second);
+    touch_locked(entry);
+    ++stats_.hits;
+    CachedTrace out;
+    out.traces = entry.traces;
+    out.digest = entry.digest;
+    out.bytes = entry.bytes;
     out.hit = true;
-    out.decode_seconds = 0.0;
     return out;
   }
-
-  const auto pending = std::make_shared<Pending>();
-  inflight_.emplace(source_key, pending);
   lock.unlock();
 
   CachedTrace out;
-  try {
-    const auto t0 = std::chrono::steady_clock::now();
-    trace::TraceSet loaded = load();
-    // One full pass: materialising sets decode here; streaming sets are
-    // index-scanned and hashed without ever holding the actions.
-    out.digest = trace::digest(loaded);
-    out.bytes = loaded.resident_bytes();
-    out.traces = std::move(loaded);
-    out.decode_seconds = seconds_since(t0);
-  } catch (...) {
-    lock.lock();
-    pending->error = std::current_exception();
-    pending->done = true;
-    inflight_.erase(source_key);
-    cv_.notify_all();
-    throw;
-  }
+  const auto t0 = std::chrono::steady_clock::now();
+  trace::TraceSet loaded = load();
+  // One full pass: materialising sets decode here; streaming sets are
+  // index-scanned and hashed without ever holding the actions.
+  out.digest = trace::digest(loaded);
+  out.bytes = loaded.resident_bytes();
+  out.traces = std::move(loaded);
+  out.decode_seconds = seconds_since(t0);
 
   lock.lock();
   ++stats_.misses;
@@ -115,21 +89,7 @@ CachedTrace TraceCache::get(const std::string& source_key,
   aliases_[source_key] = out.digest;
   stats_.entries = entries_.size();
   stats_.aliases = aliases_.size();
-  pending->result = out;
-  pending->done = true;
-  inflight_.erase(source_key);
-  cv_.notify_all();
   return out;
-}
-
-void TraceCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  aliases_.clear();
-  entries_.clear();
-  lru_.clear();
-  stats_.resident_bytes = 0;
-  stats_.entries = 0;
-  stats_.aliases = 0;
 }
 
 TraceCacheStats TraceCache::stats() const {

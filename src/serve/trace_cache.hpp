@@ -18,18 +18,19 @@
 // Eviction is LRU over a byte budget of resident footprints — the decoded
 // actions for a materialised set, the stream index for an index-backed one
 // (which is why a daemon can keep a 10^8-action trace "cached" in a few
-// kilobytes). Concurrent
-// misses on the same source key are single-flighted: one caller decodes,
-// the rest block and share the result (a thundering herd on a cold 10-GB
-// trace must not decode it per request).
+// kilobytes).
+//
+// In the service only the dispatcher thread calls get(); tir-sweep and
+// tir-mc resolve their lists serially. The mutex is there because stats()
+// is read from other threads. A loader runs outside the lock, so two
+// callers racing on one cold key would both decode; the digest-twin dedup
+// above keeps one copy and both answers correct.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -60,7 +61,6 @@ struct CachedTrace {
 struct TraceCacheStats {
   std::uint64_t hits = 0;            ///< alias or content served resident
   std::uint64_t misses = 0;          ///< loader invocations
-  std::uint64_t inflight_joins = 0;  ///< waited on another caller's decode
   std::uint64_t dedups = 0;          ///< decode discarded for resident twin
   std::uint64_t evictions = 0;
   std::uint64_t resident_bytes = 0;
@@ -76,12 +76,9 @@ class TraceCache {
 
   /// Returns the TraceSet for `source_key`, running `load` (then digesting,
   /// outside the lock) only when the key is unknown. Loader exceptions
-  /// propagate to every caller waiting on that key, and the key stays
-  /// uncached so a later request retries. Thread-safe.
+  /// propagate, and the key stays uncached so a later request retries.
+  /// Thread-safe.
   CachedTrace get(const std::string& source_key, const Loader& load);
-
-  /// Drops everything (aliases, entries, stats keep their totals).
-  void clear();
 
   TraceCacheStats stats() const;
 
@@ -93,23 +90,14 @@ class TraceCache {
     std::list<trace::Digest>::iterator lru;  ///< position in lru_
   };
 
-  /// Single-flight rendezvous for one in-progress decode.
-  struct Pending {
-    bool done = false;
-    std::exception_ptr error;
-    CachedTrace result;
-  };
-
   void touch_locked(Entry& entry);
   void evict_locked();
 
   TraceCacheOptions options_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::map<std::string, trace::Digest> aliases_;
   std::map<trace::Digest, Entry> entries_;
   std::list<trace::Digest> lru_;  ///< front = most recent
-  std::map<std::string, std::shared_ptr<Pending>> inflight_;
   TraceCacheStats stats_;
 };
 

@@ -180,9 +180,9 @@ class Engine {
   // factor is ABSOLUTE RELATIVE TO THE PLATFORM'S NOMINAL value, tracked by
   // the engine against the pristine platform. Setting a factor twice does
   // not compound — the second call overwrites the first — so repeated
-  // degrade events on one resource are idempotent, and restore_host /
-  // restore_link (factor 1.0) always return the resource exactly to its
-  // nominal rate whatever sequence of events preceded them.
+  // degrade events on one resource are idempotent, and a factor of 1.0
+  // always returns the resource exactly to its nominal rate whatever
+  // sequence of events preceded it.
 
   /// Sets `host`'s compute power to `factor` (> 0) times nominal from the
   /// current simulated time onwards. Running Execs are re-rated.
@@ -194,19 +194,6 @@ class Engine {
   /// applies to transfers started after the call.
   void set_link_factors(int link, double bandwidth_factor,
                         double latency_factor);
-
-  /// Returns `host` to its nominal compute power.
-  void restore_host(int host) { set_host_factor(host, 1.0); }
-
-  /// Returns a link to its nominal bandwidth and latency.
-  void restore_link(int link) { set_link_factors(link, 1.0, 1.0); }
-
-  /// Synonyms kept for the fault-injection callers that read better as
-  /// "degrade" — identical set-relative-to-nominal semantics.
-  void degrade_host(int host, double factor) { set_host_factor(host, factor); }
-  void degrade_link(int link, double bandwidth_factor, double latency_factor) {
-    set_link_factors(link, bandwidth_factor, latency_factor);
-  }
 
   /// Current factors relative to nominal (1.0 = healthy). Used by recovery
   /// injectors to capture the factor in force before an outage.

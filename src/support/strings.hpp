@@ -36,4 +36,8 @@ long long to_int(std::string_view s);
 /// Lower-cases ASCII.
 std::string lower(std::string_view s);
 
+/// Escapes `s` for embedding inside a JSON string literal (no quotes
+/// added): quote, backslash and every control byte below 0x20.
+std::string json_escape(std::string_view s);
+
 }  // namespace tir::str

@@ -375,25 +375,21 @@ std::vector<SalvageInfo> TraceSet::salvage_report() const {
   return s.salvage;
 }
 
-DecodePolicy parse_decode_policy(std::string_view text) {
-  if (text == "stream") return DecodePolicy::stream;
-  if (text == "materialise" || text == "materialize")
-    return DecodePolicy::materialise;
-  if (text == "auto" || text == "automatic") return DecodePolicy::automatic;
-  throw ParseError("invalid decode policy '" + std::string(text) +
-                   "' (stream|materialise|auto)");
-}
-
-std::string_view to_string(DecodePolicy policy) {
-  switch (policy) {
-    case DecodePolicy::materialise:
-      return "materialise";
-    case DecodePolicy::stream:
-      return "stream";
-    case DecodePolicy::automatic:
-      break;
+std::vector<std::filesystem::path> process_trace_files(
+    const std::vector<std::filesystem::path>& paths) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& path : paths) {
+    if (!std::filesystem::is_directory(path)) {
+      files.push_back(path);
+      continue;
+    }
+    for (int pid = 0;; ++pid) {
+      auto file = path / ("SG_process" + std::to_string(pid) + ".trace");
+      if (!std::filesystem::exists(file)) break;
+      files.push_back(std::move(file));
+    }
   }
-  return "auto";
+  return files;
 }
 
 }  // namespace tir::trace

@@ -19,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "trace/action.hpp"
@@ -70,18 +69,19 @@ enum class DecodePolicy {
                 ///< compact actions above a threshold); the default
 };
 
-/// Parses "stream" / "materialise" ("materialize") / "auto" ("automatic").
-/// Throws tir::ParseError on anything else.
-DecodePolicy parse_decode_policy(std::string_view text);
-
-/// Canonical spelling ("stream", "materialise", "auto").
-std::string_view to_string(DecodePolicy policy);
-
 /// Automatic-policy thresholds: a set streams when its on-disk footprint or
 /// its compact-expanded action count (read from container framing alone)
 /// exceeds these.
 constexpr std::uint64_t kAutoStreamBytes = 64ull << 20;   // 64 MiB on disk
 constexpr std::uint64_t kAutoStreamActions = 4'000'000;   // expanded actions
+
+/// Expands trace arguments into one file per process, in pid order: a
+/// directory stands for its SG_process<i>.trace files (i = 0, 1, ... up to
+/// the first missing one), any other path for itself. Unlike a shell glob,
+/// which sorts SG_process10 before SG_process2, this keeps the positional
+/// pid mapping.
+std::vector<std::filesystem::path> process_trace_files(
+    const std::vector<std::filesystem::path>& paths);
 
 class TraceSet {
  public:

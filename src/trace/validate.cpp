@@ -1,10 +1,11 @@
 #include "trace/validate.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <utility>
+
+#include "support/strings.hpp"
 
 namespace tir::trace {
 
@@ -46,29 +47,6 @@ bool is_send(ActionType t) {
 
 bool is_recv(ActionType t) {
   return t == ActionType::recv || t == ActionType::irecv;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct IssueSink {
@@ -299,7 +277,7 @@ std::string ValidateReport::to_json() const {
     if (i) os << ", ";
     os << "{\"severity\": \"" << to_string(issue.severity)
        << "\", \"pid\": " << issue.pid << ", \"index\": " << issue.index
-       << ", \"message\": \"" << json_escape(issue.message) << "\"}";
+       << ", \"message\": \"" << str::json_escape(issue.message) << "\"}";
   }
   os << "]}";
   return os.str();

@@ -6,7 +6,7 @@
 #include "acquisition/acquisition.hpp"
 #include "apps/lu.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "trace/compact.hpp"
@@ -147,16 +147,15 @@ TEST(CompactTrace, ReplayFromCompactFilesMatchesText) {
 
   plat::Platform target;
   const auto hosts = plat::build_cluster(target, plat::bordereau_spec(4));
-  const double t_text =
-      replay::Replayer(target, hosts,
-                       trace::TraceSet::per_process_files(report.ti_files))
-          .run()
-          .simulated_time;
-  const double t_compact =
-      replay::Replayer(target, hosts,
-                       trace::TraceSet::per_process_files(compact_files))
-          .run()
-          .simulated_time;
+  const auto run_files = [&](const std::vector<fs::path>& files) {
+    replay::ScenarioSpec spec;
+    spec.platform = replay::share_platform(target);
+    spec.process_hosts = hosts;
+    spec.traces = trace::TraceSet::per_process_files(files);
+    return replay::run_scenario(spec).simulated_time;
+  };
+  const double t_text = run_files(report.ti_files);
+  const double t_compact = run_files(compact_files);
   EXPECT_DOUBLE_EQ(t_text, t_compact);
   fs::remove_all(dir);
 }
@@ -211,7 +210,11 @@ TEST(CompactTrace, ReplayIsLayoutIndependent) {
   plat::Platform target;
   const auto hosts = plat::build_cluster(target, plat::bordereau_spec(4));
   const auto run_set = [&](const trace::TraceSet& set) {
-    return replay::Replayer(target, hosts, set).run().simulated_time;
+    replay::ScenarioSpec spec;
+    spec.platform = replay::share_platform(target);
+    spec.process_hosts = hosts;
+    spec.traces = set;
+    return replay::run_scenario(spec).simulated_time;
   };
 
   const double t_memory = run_set(trace::TraceSet::in_memory(per));

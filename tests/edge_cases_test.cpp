@@ -6,7 +6,7 @@
 
 #include "mpisim/mpi.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/error.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/text_format.hpp"
@@ -26,14 +26,23 @@ plat::Platform small_platform(int nodes = 2) {
   return p;
 }
 
+// One replay of `traces` on `platform`, process i on hosts[i].
+replay::ScenarioSpec spec_for(const plat::Platform& platform,
+                              std::vector<int> hosts, trace::TraceSet traces) {
+  replay::ScenarioSpec spec;
+  spec.platform = replay::share_platform(platform);
+  spec.process_hosts = std::move(hosts);
+  spec.traces = std::move(traces);
+  return spec;
+}
+
 }  // namespace
 
 TEST(EdgeCases, EmptyTraceReplaysToZero) {
   const auto p = small_platform();
   std::vector<std::vector<trace::Action>> per(2);  // no actions at all
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, {0, 1}, traces);
-  const auto result = replayer.run();
+  const auto result = replay::run_scenario(spec_for(p, {0, 1}, traces));
   EXPECT_DOUBLE_EQ(result.simulated_time, 0.0);
   EXPECT_EQ(result.actions_replayed, 0u);
 }
@@ -46,8 +55,7 @@ TEST(EdgeCases, ZeroByteMessagesReplay) {
   per[0] = {{0, ActionType::send, 1, 0, 0, 0}};
   per[1] = {{1, ActionType::recv, 0, 0, 0, 0}};
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, {0, 1}, traces);
-  const auto result = replayer.run();
+  const auto result = replay::run_scenario(spec_for(p, {0, 1}, traces));
   EXPECT_GT(result.simulated_time, 0.0);  // still pays latency
   EXPECT_LT(result.simulated_time, 1e-3);
 }
@@ -60,8 +68,8 @@ TEST(EdgeCases, SingleProcessComputeOnlyTrace) {
   for (int i = 0; i < 100; ++i)
     per[0].push_back({0, ActionType::compute, -1, 1e7, 0, 0});
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, {0}, traces);
-  EXPECT_NEAR(replayer.run().simulated_time, 100 * 1e7 / 1e9, 1e-9);
+  EXPECT_NEAR(replay::run_scenario(spec_for(p, {0}, traces)).simulated_time,
+              100 * 1e7 / 1e9, 1e-9);
 }
 
 TEST(EdgeCases, SelfMessagingRank) {
@@ -92,8 +100,8 @@ TEST(EdgeCases, HugeVolumesDoNotOverflow) {
   per[0] = {{0, ActionType::compute, -1, 1e15, 0, 0}};
   per[1] = {{1, ActionType::compute, -1, 1e15, 0, 0}};
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, {0, 1}, traces);
-  EXPECT_NEAR(replayer.run().simulated_time, 1e15 / 1e9, 1.0);
+  EXPECT_NEAR(replay::run_scenario(spec_for(p, {0, 1}, traces)).simulated_time,
+              1e15 / 1e9, 1.0);
 }
 
 TEST(EdgeCases, CrlfTraceFilesParse) {
@@ -220,8 +228,8 @@ TEST(EdgeCases, ReplayCommSizeOnlyTrace) {
   per[0] = {{0, ActionType::comm_size, -1, 0, 0, 2}};
   per[1] = {{1, ActionType::comm_size, -1, 0, 0, 2}};
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, {0, 1}, traces);
-  EXPECT_DOUBLE_EQ(replayer.run().simulated_time, 0.0);
+  EXPECT_DOUBLE_EQ(
+      replay::run_scenario(spec_for(p, {0, 1}, traces)).simulated_time, 0.0);
 }
 
 TEST(EdgeCases, MismatchedPidInsideTraceThrows) {
@@ -232,6 +240,6 @@ TEST(EdgeCases, MismatchedPidInsideTraceThrows) {
   per[0] = {{1, ActionType::barrier, -1, 0, 0, 0}};  // claims to be p1
   per[1] = {{1, ActionType::barrier, -1, 0, 0, 0}};
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, {0, 1}, traces);
-  EXPECT_THROW(replayer.run(), tir::SimError);
+  EXPECT_THROW(replay::run_scenario(spec_for(p, {0, 1}, traces)),
+               tir::SimError);
 }

@@ -9,7 +9,7 @@
 #include "apps/npb_extra.hpp"
 #include "mpisim/mpi.hpp"
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "trace/text_format.hpp"
@@ -39,6 +39,16 @@ std::vector<int> one_per_host(int n) {
   std::vector<int> hosts(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) hosts[static_cast<std::size_t>(i)] = i;
   return hosts;
+}
+
+// One replay of `traces` on `platform`, process i on hosts[i].
+replay::ScenarioSpec spec_for(const plat::Platform& platform,
+                              std::vector<int> hosts, trace::TraceSet traces) {
+  replay::ScenarioSpec spec;
+  spec.platform = replay::share_platform(platform);
+  spec.process_hosts = std::move(hosts);
+  spec.traces = std::move(traces);
+  return spec;
 }
 
 double run_collective(int nprocs, Config cfg,
@@ -175,8 +185,8 @@ TEST(ExtActions, ReplayRunsNewCollectives) {
     };
   }
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, one_per_host(4), traces);
-  const auto result = replayer.run();
+  const auto result =
+      replay::run_scenario(spec_for(p, one_per_host(4), traces));
   EXPECT_EQ(result.actions_replayed, 16u);
   EXPECT_GT(result.simulated_time, 0.0);
 }
@@ -199,8 +209,7 @@ TEST(ExtActions, WaitAllCompletesEveryPendingRequest) {
       {1, ActionType::waitall, -1, 0, 0, 0},
   };
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  replay::Replayer replayer(p, one_per_host(2), traces);
-  EXPECT_NO_THROW(replayer.run());
+  EXPECT_NO_THROW(replay::run_scenario(spec_for(p, one_per_host(2), traces)));
 }
 
 TEST(ExtActions, AcquisitionExtractsNewCollectives) {
@@ -352,10 +361,9 @@ TEST(NpbExtra, AcquiredFtTraceReplaysToDirectTime) {
 
   const auto ap = acq::build_acquisition_platform(acq::Mode::regular, 8, 1);
   const auto traces = trace::TraceSet::per_process_files(report.ti_files);
-  replay::ReplayConfig rc;
-  rc.compute_efficiency = cfg.efficiency;  // replay at the app's rate
-  replay::Replayer replayer(ap.platform, ap.rank_hosts, traces, rc);
-  const double replayed = replayer.run().simulated_time;
+  auto scenario = spec_for(ap.platform, ap.rank_hosts, traces);
+  scenario.config.compute_efficiency = cfg.efficiency;  // the app's rate
+  const double replayed = replay::run_scenario(scenario).simulated_time;
   EXPECT_LT(tir::relative_error(replayed, direct), 0.08);
   fs::remove_all(dir);
 }
@@ -401,9 +409,10 @@ TEST(NpbExtra, MgTraceReplaysFaithfully) {
 
   const auto ap = acq::build_acquisition_platform(acq::Mode::regular, 8, 1);
   const auto traces = trace::TraceSet::per_process_files(report.ti_files);
-  replay::ReplayConfig rc;
-  rc.compute_efficiency = cfg.efficiency;
-  replay::Replayer replayer(ap.platform, ap.rank_hosts, traces, rc);
-  EXPECT_LT(tir::relative_error(replayer.run().simulated_time, direct), 0.1);
+  auto scenario = spec_for(ap.platform, ap.rank_hosts, traces);
+  scenario.config.compute_efficiency = cfg.efficiency;
+  EXPECT_LT(tir::relative_error(replay::run_scenario(scenario).simulated_time,
+                                direct),
+            0.1);
   fs::remove_all(dir);
 }

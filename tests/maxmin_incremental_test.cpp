@@ -705,7 +705,7 @@ TEST(MaxMinIncremental, DegradeLinkInvalidatesOnlyAffectedRoutes) {
   const auto nic =
       platform.find_link("bordereau-0.bordeaux.grid5000.fr_nic");
   ASSERT_TRUE(nic.has_value());
-  engine.degrade_link(*nic, 1.0, 2.0);
+  engine.set_link_factors(*nic, 1.0, 2.0);
 
   // Routes crossing the degraded NIC pick up the doubled latency; routes
   // that avoid it keep their (still-cached) value.

@@ -8,8 +8,9 @@
 #include "apps/ring.hpp"
 #include "apps/stencil.hpp"
 #include "platform/cluster.hpp"
+#include "platform/deployment.hpp"
 #include "platform/platform_file.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "trace/text_format.hpp"
@@ -57,14 +58,23 @@ trace::TraceSet figure1_traces() {
   return trace::TraceSet::in_memory(figure1_actions());
 }
 
+// One replay of `traces` on `platform`, process i on hosts[i].
+ScenarioSpec spec_for(const plat::Platform& platform, std::vector<int> hosts,
+                      trace::TraceSet traces) {
+  ScenarioSpec spec;
+  spec.platform = share_platform(platform);
+  spec.process_hosts = std::move(hosts);
+  spec.traces = std::move(traces);
+  return spec;
+}
+
 }  // namespace
 
 TEST_F(ReplayTest, Figure1TraceReplays) {
   plat::Platform platform;
   const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
-  const auto traces = figure1_traces();
-  Replayer replayer(platform, hosts, traces);
-  const ReplayResult result = replayer.run();
+  const ReplayResult result =
+      run_scenario(spec_for(platform, hosts, figure1_traces()));
   EXPECT_EQ(result.actions_replayed, 12u);
   // Ring of 4: computes are 1 Mflop at 1.17 Gflop/s, messages 1 MB.
   EXPECT_GT(result.simulated_time, 4 * (1e6 / 1.17e9));
@@ -74,9 +84,9 @@ TEST_F(ReplayTest, Figure1TraceReplays) {
 TEST_F(ReplayTest, ReplayIsDeterministic) {
   plat::Platform platform;
   const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
-  const auto traces = figure1_traces();
-  const double t1 = Replayer(platform, hosts, traces).run().simulated_time;
-  const double t2 = Replayer(platform, hosts, traces).run().simulated_time;
+  const ScenarioSpec spec = spec_for(platform, hosts, figure1_traces());
+  const double t1 = run_scenario(spec).simulated_time;
+  const double t2 = run_scenario(spec).simulated_time;
   EXPECT_DOUBLE_EQ(t1, t2);
 }
 
@@ -92,8 +102,8 @@ TEST_F(ReplayTest, AcquiredRingTraceReplaysToDirectExecutionTime) {
 
   const auto ap = acq::build_acquisition_platform(acq::Mode::regular, 4, 1);
   const auto traces = trace::TraceSet::per_process_files(report.ti_files);
-  Replayer replayer(ap.platform, ap.rank_hosts, traces);
-  const double replayed = replayer.run().simulated_time;
+  const double replayed =
+      run_scenario(spec_for(ap.platform, ap.rank_hosts, traces)).simulated_time;
   EXPECT_LT(tir::relative_error(replayed, direct), 0.02);
 }
 
@@ -111,7 +121,7 @@ TEST_F(ReplayTest, StencilWithNonBlockingOpsReplaysFaithfully) {
   const auto ap = acq::build_acquisition_platform(acq::Mode::regular, 4, 1);
   const auto traces = trace::TraceSet::per_process_files(report.ti_files);
   const double replayed =
-      Replayer(ap.platform, ap.rank_hosts, traces).run().simulated_time;
+      run_scenario(spec_for(ap.platform, ap.rank_hosts, traces)).simulated_time;
   EXPECT_LT(tir::relative_error(replayed, report.app_time), 0.05);
 }
 
@@ -144,7 +154,7 @@ TEST_F(ReplayTest, ModeInvarianceOfSimulatedTime) {
         plat::build_cluster(target, plat::bordereau_physical_spec(4));
     const auto traces = trace::TraceSet::per_process_files(report.ti_files);
     times.push_back(
-        Replayer(target, hosts, traces).run().simulated_time);
+        run_scenario(spec_for(target, hosts, traces)).simulated_time);
   }
   for (const double t : times)
     EXPECT_LT(tir::relative_error(t, times[0]), 0.01)
@@ -154,11 +164,9 @@ TEST_F(ReplayTest, ModeInvarianceOfSimulatedTime) {
 TEST_F(ReplayTest, TimedTraceIsRecordedInOrder) {
   plat::Platform platform;
   const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
-  const auto traces = figure1_traces();
-  ReplayConfig config;
-  config.record_timed_trace = true;
-  Replayer replayer(platform, hosts, traces, config);
-  const ReplayResult result = replayer.run();
+  ScenarioSpec spec = spec_for(platform, hosts, figure1_traces());
+  spec.config.record_timed_trace = true;
+  const ReplayResult result = run_scenario(spec);
   ASSERT_EQ(result.timed_trace.size(), 12u);
   double max_end = 0;
   for (const auto& row : result.timed_trace) {
@@ -171,16 +179,16 @@ TEST_F(ReplayTest, TimedTraceIsRecordedInOrder) {
 TEST_F(ReplayTest, CustomActionHandlerOverridesDefault) {
   plat::Platform platform;
   const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
-  const auto traces = figure1_traces();
-  Replayer normal(platform, hosts, traces);
-  const double t_normal = normal.run().simulated_time;
+  ScenarioSpec spec = spec_for(platform, hosts, figure1_traces());
+  const double t_normal = run_scenario(spec).simulated_time;
 
-  Replayer hacked(platform, hosts, traces);
-  hacked.registry().register_action(
-      "compute", [](ReplayCtx&, const trace::Action&) -> sim::Co<void> {
-        co_return;  // free compute
-      });
-  const double t_free = hacked.run().simulated_time;
+  spec.customize_registry = [](ActionRegistry& registry) {
+    registry.register_action(
+        "compute", [](ReplayCtx&, const trace::Action&) -> sim::Co<void> {
+          co_return;  // free compute
+        });
+  };
+  const double t_free = run_scenario(spec).simulated_time;
   EXPECT_LT(t_free, t_normal);
 }
 
@@ -201,8 +209,8 @@ TEST_F(ReplayTest, CommSizeMismatchThrows) {
   per[0] = {{0, trace::ActionType::comm_size, -1, 0, 0, 8}};
   per[1] = {{1, trace::ActionType::comm_size, -1, 0, 0, 8}};
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  Replayer replayer(platform, {hosts[0], hosts[1]}, traces);
-  EXPECT_THROW(replayer.run(), SimError);
+  EXPECT_THROW(run_scenario(spec_for(platform, {hosts[0], hosts[1]}, traces)),
+               SimError);
 }
 
 TEST_F(ReplayTest, WaitWithoutPendingRequestThrows) {
@@ -211,15 +219,14 @@ TEST_F(ReplayTest, WaitWithoutPendingRequestThrows) {
   std::vector<std::vector<trace::Action>> per(1);
   per[0] = {{0, trace::ActionType::wait, -1, 0, 0, 0}};
   const auto traces = trace::TraceSet::in_memory(std::move(per));
-  Replayer replayer(platform, {hosts[0]}, traces);
-  EXPECT_THROW(replayer.run(), SimError);
+  EXPECT_THROW(run_scenario(spec_for(platform, {hosts[0]}, traces)), SimError);
 }
 
 TEST_F(ReplayTest, DeploymentTraceCountMismatchThrows) {
   plat::Platform platform;
   const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
-  const auto traces = figure1_traces();
-  EXPECT_THROW(Replayer(platform, {hosts[0]}, traces), SimError);
+  EXPECT_THROW(run_scenario(spec_for(platform, {hosts[0]}, figure1_traces())),
+               SimError);
 }
 
 TEST_F(ReplayTest, ReplayFilesWorkflowMatchesFigure4) {
@@ -259,9 +266,9 @@ TEST_F(ReplayTest, FasterTargetPlatformPredictsShorterTime) {
   spec.prefix = "fast-";
   const auto fast_hosts = plat::build_cluster(fast, spec);
   const double t_slow =
-      Replayer(slow, slow_hosts, traces).run().simulated_time;
+      run_scenario(spec_for(slow, slow_hosts, traces)).simulated_time;
   const double t_fast =
-      Replayer(fast, fast_hosts, traces).run().simulated_time;
+      run_scenario(spec_for(fast, fast_hosts, traces)).simulated_time;
   EXPECT_LT(t_fast, t_slow);
 }
 
@@ -286,6 +293,6 @@ TEST_F(ReplayTest, LuReplayPredictsDirectExecutionWithFlatEfficiency) {
   const auto hosts = plat::build_cluster(target, target_spec);
   const auto traces = trace::TraceSet::per_process_files(report.ti_files);
   const double replayed =
-      Replayer(target, hosts, traces).run().simulated_time;
+      run_scenario(spec_for(target, hosts, traces)).simulated_time;
   EXPECT_LT(tir::relative_error(replayed, report.app_time), 0.05);
 }

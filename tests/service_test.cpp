@@ -1,6 +1,6 @@
 // Service-layer suite: content-addressed trace digests, the TraceCache
-// (alias hits, content dedup across encodings, LRU eviction, single-flight
-// decode), the ResultMemo (bit-identical hits, LRU eviction), the JSON line
+// (alias hits, content dedup across encodings, LRU eviction), the
+// ResultMemo (bit-identical hits, LRU eviction), the JSON line
 // protocol, and the ReplayService end to end — dispatch (hits answered while
 // a replay runs, in-flight joins, admission, shutdown) and the differential
 // guarantee the whole layer hangs on: a memoised response is bit-for-bit the
@@ -11,7 +11,8 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
-#include <thread>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -250,34 +251,6 @@ TEST(TraceCacheTest, OversizedEntryIsStillAdmitted) {
                    }).hit);
 }
 
-TEST(TraceCacheTest, SingleFlightDecodesOnceAcrossThreads) {
-  serve::TraceCache cache;
-  const auto program = ring_actions(4, 2);
-  std::atomic<int> loads{0};
-
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<serve::CachedTrace> got(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      got[static_cast<std::size_t>(t)] = cache.get("shared", [&] {
-        loads.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return trace::TraceSet::in_memory(program);
-      });
-    });
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(loads.load(), 1);
-  for (int t = 1; t < kThreads; ++t)
-    EXPECT_EQ(&got[static_cast<std::size_t>(t)].traces.actions(0),
-              &got[0].traces.actions(0));
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.inflight_joins + stats.hits,
-            static_cast<std::uint64_t>(kThreads - 1));
-}
-
 TEST(TraceCacheTest, LoaderFailurePropagatesAndKeyRetries) {
   serve::TraceCache cache;
   int calls = 0;
@@ -305,7 +278,7 @@ TEST(TraceCacheTest, StreamedEntryAccountsIndexBytesAndDigestsIdentically) {
   const auto files = trace::write_synthetic_traces(scratch.path, spec);
 
   serve::TraceCache cache;
-  const auto streamed = cache.get("syn;decode=stream", [&] {
+  const auto streamed = cache.get("syn-streamed", [&] {
     return trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, trace::DecodePolicy::stream);
   });
@@ -317,7 +290,7 @@ TEST(TraceCacheTest, StreamedEntryAccountsIndexBytesAndDigestsIdentically) {
 
   // Same bytes materialised: full decode, same digest, content-deduped
   // onto the resident streamed entry.
-  const auto materialised = cache.get("syn;decode=materialise", [&] {
+  const auto materialised = cache.get("syn-materialised", [&] {
     return trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, trace::DecodePolicy::materialise);
   });
@@ -326,10 +299,10 @@ TEST(TraceCacheTest, StreamedEntryAccountsIndexBytesAndDigestsIdentically) {
   EXPECT_EQ(cache.stats().entries, 1u);
 
   // Both aliases now hit without running a loader.
-  EXPECT_TRUE(cache.get("syn;decode=stream", [&]() -> trace::TraceSet {
+  EXPECT_TRUE(cache.get("syn-streamed", [&]() -> trace::TraceSet {
                      throw Error("loader must not run");
                    }).hit);
-  EXPECT_TRUE(cache.get("syn;decode=materialise",
+  EXPECT_TRUE(cache.get("syn-materialised",
                         [&]() -> trace::TraceSet {
                           throw Error("loader must not run");
                         }).hit);
@@ -763,9 +736,10 @@ TEST(ReplayServiceTest, CrossEncodingRequestsHitOneMemoEntry) {
 }
 
 TEST(ReplayServiceTest, FormerEngineKnobSpellingsHitTheMemo) {
-  // fastpath= and shards= once selected engine schedules with identical
-  // answers; lists that still carry them run as if the keys were absent and
-  // share the memo entry of the plain request.
+  // fastpath= and shards= once selected engine schedules, and decode= a
+  // trace decode path, all with identical answers; lists that still carry
+  // them run as if the keys were absent and share the memo entry of the
+  // plain request.
   ServiceFixture fixture;
   serve::ReplayService service(fixture.options());
   serve::Request plain;
@@ -774,94 +748,25 @@ TEST(ReplayServiceTest, FormerEngineKnobSpellingsHitTheMemo) {
   const auto first = service.run(plain);
   ASSERT_EQ(first.status, serve::Response::Status::ok) << first.error;
 
-  serve::Request former = plain;
-  former.id = "former";
-  former.params["fastpath"] = "on";
-  former.params["shards"] = "4";
-  const auto second = service.run(former);
-  ASSERT_EQ(second.status, serve::Response::Status::ok) << second.error;
-  EXPECT_EQ(std::memcmp(&second.sim_time, &first.sim_time,
-                        sizeof first.sim_time),
-            0);
+  const std::vector<std::map<std::string, std::string>> former_keys = {
+      {{"fastpath", "on"}, {"shards", "4"}},
+      {{"decode", "stream"}},
+      {{"decode", "materialise"}},
+  };
+  for (const auto& keys : former_keys) {
+    serve::Request former = plain;
+    former.id = "former-" + keys.begin()->second;
+    for (const auto& [key, value] : keys) former.params[key] = value;
+    const auto again = service.run(former);
+    ASSERT_EQ(again.status, serve::Response::Status::ok) << again.error;
+    EXPECT_EQ(std::memcmp(&again.sim_time, &first.sim_time,
+                          sizeof first.sim_time),
+              0)
+        << former.id;
+  }
   const auto stats = service.stats();
   EXPECT_EQ(stats.replays, 1u);
-  EXPECT_EQ(stats.memo_hits + stats.batch_dedups, 1u);
-}
-
-TEST(ReplayServiceTest, StreamedDecodeMemoHitsAcrossPoliciesBitIdentically) {
-  // decode= is a performance knob, not a semantic one: a report computed
-  // under decode=stream must serve a decode=materialise request from the
-  // memo (the memo key holds the content digest, which ignores the decode
-  // path) — and both must equal the cold reference bit for bit.
-  ServiceFixture fixture;
-  const auto program = ring_actions(4, 3);
-  write_encoded(fixture.scratch.path / "ti_compact", "compact", program);
-
-  serve::ReplayService service(fixture.options());
-  serve::Request request;
-  request.id = "streamed";
-  request.params = fixture.base_params;
-  request.params["traces"] = "ti_compact";
-  request.params["decode"] = "stream";
-  const auto first = service.run(request);
-  ASSERT_EQ(first.status, serve::Response::Status::ok) << first.error;
-  EXPECT_FALSE(first.memo_hit);
-
-  request.id = "materialised";
-  request.params["decode"] = "materialise";
-  const auto second = service.run(request);
-  ASSERT_EQ(second.status, serve::Response::Status::ok) << second.error;
-  EXPECT_TRUE(second.memo_hit);
-  EXPECT_EQ(second.trace_digest, first.trace_digest);
-  EXPECT_EQ(std::memcmp(&second.sim_time, &first.sim_time,
-                        sizeof first.sim_time),
-            0);
-  EXPECT_EQ(service.stats().replays, 1u);
-
-  const auto reference = fixture.cold(request.params);
-  ASSERT_EQ(reference.status, replay::ReplayStatus::ok);
-  EXPECT_EQ(std::memcmp(&first.sim_time, &reference.sim_time,
-                        sizeof reference.sim_time),
-            0);
-  EXPECT_EQ(first.actions_replayed, reference.result.actions_replayed);
-
-  // A bad decode value is rejected at build time with the scenario named.
-  request.id = "bad";
-  request.params["decode"] = "sideways";
-  const auto bad = service.run(request);
-  EXPECT_EQ(bad.status, serve::Response::Status::badrequest);
-  EXPECT_NE(bad.error.find("decode policy"), std::string::npos) << bad.error;
-}
-
-TEST(InputResolverTest, DecodePolicyKeysAliasesButContentUnifies) {
-  ScratchDir scratch("resolver_decode");
-  write_encoded(scratch.path / "ti", "text", ring_actions(2, 2));
-  serve::TraceCache cache;
-  serve::InputResolver resolver(scratch.path, cache);
-
-  const auto automatic = resolver.traces("ti", /*merged=*/false);
-  EXPECT_FALSE(automatic.traces.streaming());
-  EXPECT_FALSE(automatic.hit);
-
-  // A forced policy is its own alias, so its loader runs — but the content
-  // digest matches the resident materialised twin, which is shared. The
-  // decode knob is a load preference, not a content identity.
-  const auto streamed =
-      resolver.traces("ti", /*merged=*/false, trace::DecodePolicy::stream);
-  EXPECT_FALSE(streamed.hit);
-  EXPECT_TRUE(streamed.deduplicated);
-  EXPECT_EQ(streamed.digest, automatic.digest);
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.aliases, 2u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.dedups, 1u);
-
-  // Both aliases are now resident hits.
-  EXPECT_TRUE(resolver
-                  .traces("ti", /*merged=*/false,
-                          trace::DecodePolicy::stream)
-                  .hit);
+  EXPECT_EQ(stats.memo_hits + stats.batch_dedups, former_keys.size());
 }
 
 TEST(ReplayServiceTest, IdenticalConcurrentRequestsSimulateOnce) {

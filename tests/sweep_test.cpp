@@ -4,7 +4,6 @@
 #include <filesystem>
 
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
 #include "replay/sweep.hpp"
 #include "support/error.hpp"
 #include "trace/text_format.hpp"
@@ -173,22 +172,6 @@ TEST(SweepTest, PoisonedScenariosDeterministicAcrossWorkerCounts) {
   // The healthy 14 still completed.
   EXPECT_TRUE(serial[15].ok);
   EXPECT_DOUBLE_EQ(serial[15].coverage, 1.0);
-}
-
-TEST(SweepTest, RunScenarioMatchesReplayer) {
-  const auto platform = std::make_shared<plat::Platform>();
-  const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(4));
-  const auto traces = trace::TraceSet::in_memory(ring_actions(4, 2));
-
-  Replayer replayer(*platform, hosts, traces);
-  const double via_replayer = replayer.run().simulated_time;
-
-  ScenarioSpec spec;
-  spec.platform = platform;
-  spec.process_hosts = hosts;
-  spec.traces = traces;
-  const double via_scenario = run_scenario(spec).simulated_time;
-  EXPECT_DOUBLE_EQ(via_replayer, via_scenario);
 }
 
 TEST(SweepTest, CustomRegistryHookAppliesPerScenario) {

@@ -4,7 +4,7 @@
 #include <fstream>
 
 #include "platform/cluster.hpp"
-#include "replay/replayer.hpp"
+#include "replay/scenario.hpp"
 #include "replay/timed_trace.hpp"
 #include "support/error.hpp"
 
@@ -40,11 +40,12 @@ ReplayResult run_ring_replay() {
         {p, ActionType::send, (p + 1) % 4, 1e6, 0, 0}};
   plat::Platform platform;
   const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
-  const auto traces = trace::TraceSet::in_memory(std::move(per));
-  ReplayConfig config;
-  config.record_timed_trace = true;
-  Replayer replayer(platform, hosts, traces, config);
-  return replayer.run();
+  ScenarioSpec spec;
+  spec.platform = share_platform(platform);
+  spec.process_hosts = hosts;
+  spec.traces = trace::TraceSet::in_memory(std::move(per));
+  spec.config.record_timed_trace = true;
+  return run_scenario(spec);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Regression coverage for Engine::degrade_link under graph routing
+// Regression coverage for Engine::set_link_factors under graph routing
 // providers. The engine's route cache is invalidated by *link membership*
 // (ResourceId scan), not by any tree structure, so it must behave
 // identically whether routes come from TreeRouting or a topology provider.
@@ -96,8 +96,9 @@ TEST(TopologyDegrade, UnrelatedLinkFaultLeavesTheResultBitIdentical) {
 }
 
 TEST(TopologyDegrade, LatencyFactorAppliesToTransfersAfterActivation) {
-  // Latency-bound ping-pong: if a stale cached route survived degrade_link
-  // under a graph provider, the inflated latency would never be applied.
+  // Latency-bound ping-pong: if a stale cached route survived
+  // set_link_factors under a graph provider, the inflated latency would
+  // never be applied.
   std::vector<std::vector<Action>> pingpong = {{}, {}};
   for (int i = 0; i < 50; ++i) {
     pingpong[0].push_back({0, ActionType::send, 1, 64, 0, 0});

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "platform/cluster.hpp"
 #include "platform/platform_file.hpp"
@@ -82,6 +83,61 @@ TEST(TopologyRegistry, UnknownKeyIsAHardError) {
     EXPECT_NE(std::string(e.what()).find("grps"), std::string::npos);
   }
   EXPECT_THROW(make_platform("torus:dims=2x2,size=4"), ParseError);
+}
+
+namespace {
+
+// A spec past the registry's 2^20 cap must fail as a ParseError naming the
+// count it exceeds, before the builder allocates anything.
+void expect_cap(const std::string& spec, const std::string& what) {
+  try {
+    make_platform(spec);
+    ADD_FAILURE() << spec << ": expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("more than 1048576 " + what),
+              std::string::npos)
+        << spec << ": " << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(TopologyRegistry, ClusterSizeIsCappedBeforeAllocating) {
+  expect_cap("cluster:hosts=2000000000", "hosts");
+  expect_cap("cluster:hosts=1048577", "hosts");
+  expect_cap("bordereau:nodes=1048577", "hosts");
+  expect_cap("gdx:nodes=36,cabinets=2000000", "cabinets");
+  // Past int range the value is rejected rather than truncated.
+  EXPECT_THROW(make_platform("cluster:hosts=4294967297"), ParseError);
+  EXPECT_EQ(make_platform("cluster:hosts=544").host_count(), 544u);
+}
+
+TEST(TopologyRegistry, DragonflySizeIsCappedBeforeAllocating) {
+  expect_cap("dragonfly:groups=2048,routers=1024,globals=2", "switches");
+  expect_cap("dragonfly:groups=2,routers=2,hosts=1000000,globals=1", "hosts");
+  // Few switches, but every router pair in a group is cabled.
+  expect_cap("dragonfly:groups=1,routers=2000", "cables");
+  // Every group pair gets a global cable.
+  expect_cap("dragonfly:groups=2000,routers=1,globals=2000", "cables");
+  // Products that overflow 64 bits saturate instead of wrapping.
+  expect_cap("dragonfly:groups=2147483647,routers=2147483647,"
+             "hosts=2147483647",
+             "switches");
+}
+
+TEST(TopologyRegistry, FatTreeSizeIsCappedBeforeAllocating) {
+  expect_cap("fattree:k=100000", "hosts");
+  expect_cap("fattree:k=256", "hosts");  // 256^3/4 = 2^22 hosts
+  expect_cap("fattree:k=2147483646", "hosts");
+  EXPECT_EQ(make_platform("fattree:k=8").host_count(), 128u);
+}
+
+TEST(TopologyRegistry, TorusSizeIsCappedAsAParseError) {
+  expect_cap("torus:dims=1024x1024x2", "switches");
+  expect_cap("torus:dims=64x64x64,hosts=8", "hosts");
+  expect_cap("torus:dims=2147483647x2147483647x2147483647", "switches");
+  EXPECT_THROW(make_platform("torus:dims=4x99999999999"), ParseError);
+  EXPECT_EQ(make_platform("torus:dims=4x4x4,hosts=2").host_count(), 128u);
 }
 
 TEST(TopologyRegistry, CustomRegistrationRoundTrips) {

@@ -29,11 +29,6 @@
 //                          process), min, max (factor clamps)
 //   mc=N                   Monte-Carlo replica count for this row
 //   seed=S                 sweep seed (default 1); replicas derive from it
-//   decode=stream|materialise|auto
-//                          trace decode path: stream replays through a
-//                          bounded-memory offset index, materialise decodes
-//                          fully, auto (default) streams only large traces
-//                          (bit-identical results; memo keys ignore it)
 //
 // The parsing/building machinery lives in src/serve/scenario_build.* so a
 // daemon request and a sweep-list row construct scenarios through exactly

@@ -12,7 +12,8 @@
 // prints one row per replica, tir-mc aggregates: the deterministic
 // baseline point next to the Monte-Carlo distribution — the Fig 8 error
 // bar the paper's single-calibration replay cannot produce — plus the
-// sensitivity table cross-checkable against tir-timeline's critical path.
+// sensitivity table cross-checkable against the critical path that
+// tir-replay --timeline prints.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>

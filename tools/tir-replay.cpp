@@ -7,7 +7,8 @@
 // --platform also accepts a topology-registry spec instead of a file, e.g.
 // "dragonfly:groups=9,routers=4,hosts=2" or "fattree:k=8" (see
 // src/platform/topology.hpp); --deployment accepts "block" / "roundrobin"
-// to derive the process->host mapping instead of reading a file.
+// to derive the process->host mapping instead of reading a file. A trace
+// directory stands for its SG_process<i>.trace files in pid order.
 //
 // Options:
 //   --eager-threshold BYTES   eager/rendezvous switch (default 64KiB)
@@ -22,18 +23,25 @@
 //                             on stderr when re-rates per action pass 16
 //   --full-solve              disable the incremental network solver
 //                             (reference path for differential testing)
-//   --decode stream|materialise|auto
-//                             trace decode path: "stream" replays through a
-//                             bounded-memory offset index without loading
-//                             the actions, "materialise" decodes fully up
-//                             front, "auto" (default) streams only when the
-//                             trace is large (bit-identical either way)
+//   --timeline                record the span timeline and print its report:
+//                             per-rank compute/p2p/wait/collective totals
+//                             and the critical path through the span graph
+//   --chrome FILE             also write the timeline as Chrome trace-event
+//                             JSON (chrome://tracing, Perfetto)
+//   --paje FILE               also write the timeline as a Paje trace (Vite,
+//                             the format SimGrid's own replayer emits)
+//   --detail                  also record kernel activity (per-host tracks:
+//                             every Exec/Transfer; voluminous)
+// Each of the last three implies --timeline.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "replay/replayer.hpp"
+#include "obs/chrome_export.hpp"
+#include "obs/paje_export.hpp"
+#include "obs/report.hpp"
+#include "replay/scenario.hpp"
 #include "replay/timed_trace.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
@@ -56,7 +64,7 @@ constexpr double kRerateWarning = 16.0;
                "  [--eager-threshold BYTES] [--collectives flat|binomial]\n"
                "  [--timed-trace FILE] [--profile] [--efficiency X]\n"
                "  [--stats] [--full-solve]\n"
-               "  [--decode stream|materialise|auto]\n",
+               "  [--timeline] [--chrome FILE] [--paje FILE] [--detail]\n",
                argv0);
   std::exit(2);
 }
@@ -73,10 +81,10 @@ double parse_double_flag(const std::string& flag, const std::string& text) {
 }
 
 int run(int argc, char** argv) {
-  std::string platform_file, deployment_file, timed_file;
+  std::string platform_file, deployment_file, timed_file, chrome_file,
+      paje_file;
   std::vector<std::filesystem::path> traces;
   replay::ReplayConfig config;
-  auto decode = trace::DecodePolicy::automatic;
   bool want_profile = false;
   bool want_stats = false;
 
@@ -113,8 +121,17 @@ int run(int argc, char** argv) {
       want_stats = true;
     } else if (arg == "--full-solve") {
       config.full_solve = true;
-    } else if (arg == "--decode") {
-      decode = trace::parse_decode_policy(next());
+    } else if (arg == "--timeline") {
+      config.record_spans = true;
+    } else if (arg == "--chrome") {
+      chrome_file = next();
+      config.record_spans = true;
+    } else if (arg == "--paje") {
+      paje_file = next();
+      config.record_spans = true;
+    } else if (arg == "--detail") {
+      config.span_activity_detail = true;
+      config.record_spans = true;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -127,12 +144,16 @@ int run(int argc, char** argv) {
   if (platform_file.empty() || deployment_file.empty() || traces.empty())
     usage(argv[0]);
 
-  const auto result = replay::replay_files(platform_file, deployment_file,
-                                           traces, config, decode);
+  const auto result =
+      replay::replay_files(platform_file, deployment_file, traces, config);
   std::printf("processes:        %zu\n", result.process_finish_times.size());
   std::printf("actions replayed: %llu\n",
               static_cast<unsigned long long>(result.actions_replayed));
   std::printf("simulated time:   %.6f s\n", result.simulated_time);
+  if (result.spans)
+    std::printf("spans recorded:   %llu (%zu edges, %zu faults)\n",
+                static_cast<unsigned long long>(result.spans->total_spans()),
+                result.spans->edges().size(), result.spans->faults().size());
   if (!timed_file.empty()) {
     replay::write_timed_trace(result.timed_trace, timed_file);
     std::printf("timed trace:      %s (%zu rows)\n", timed_file.c_str(),
@@ -184,6 +205,19 @@ int run(int argc, char** argv) {
                    "warning: %.1f flow re-rates per action (threshold %.0f): "
                    "a large coupled component is re-solved on every event\n",
                    rerates, kRerateWarning);
+  }
+  if (result.spans) {
+    const obs::TimelineReport report = obs::analyze(*result.spans);
+    std::printf("\n%s", report.render().c_str());
+    if (!chrome_file.empty()) {
+      obs::write_chrome_trace_file(*result.spans, chrome_file);
+      std::printf("\nchrome trace:     %s\n", chrome_file.c_str());
+    }
+    if (!paje_file.empty()) {
+      obs::write_paje_trace_file(*result.spans, paje_file);
+      std::printf("%spaje trace:       %s\n", chrome_file.empty() ? "\n" : "",
+                  paje_file.c_str());
+    }
   }
   if (want_profile) {
     const auto profile = replay::Profile::from_timed_trace(result.timed_trace);

@@ -10,8 +10,8 @@
 // A request is a JSON object whose "id" is echoed back and whose remaining
 // string/number/boolean fields are exactly the sweep-list vocabulary
 // (platform=, traces= or merged=, deployment=, eager=, collectives=,
-// efficiency=, fault=, perturb=, seed=, decode=) plus replica=R to pick
-// one Monte-Carlo replica of a perturbed scenario:
+// efficiency=, fault=, perturb=, seed=) plus replica=R to pick one
+// Monte-Carlo replica of a perturbed scenario:
 //
 //   {"id":"r1","platform":"cluster:hosts=8","traces":"ti","deployment":"block"}
 //   {"id":"r2","platform":"cluster:hosts=8","traces":"ti","deployment":"block",
@@ -50,6 +50,7 @@
 #include "serve/json.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 #ifndef _WIN32
 #include <sys/socket.h>
@@ -113,7 +114,7 @@ bool serve_line(serve::ReplayService& service, const std::string& line,
         return true;
       }
       emit("{\"status\":\"badrequest\",\"error\":\"unknown cmd '" +
-           serve::json_escape(cmd->string) + "'\"}");
+           str::json_escape(cmd->string) + "'\"}");
       return true;
     }
     request = serve::parse_request_line(line);

@@ -33,9 +33,11 @@
 #include "replay/sweep.hpp"
 #include "serve/scenario_build.hpp"
 #include "serve/trace_cache.hpp"
+#include "support/strings.hpp"
 #include "sweep_list.hpp"
 
 using namespace tir;
+using str::json_escape;
 namespace fs = std::filesystem;
 
 namespace {
@@ -94,19 +96,6 @@ ObsAverages obs_averages(const obs::Recorder& recorder) {
   avg.wait /= n;
   avg.collective /= n;
   return avg;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 /// One CSV cell: deadlock messages carry commas and newlines, so flatten

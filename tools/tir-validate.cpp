@@ -7,11 +7,6 @@
 //                                         file's clean prefix) and report
 //                                         the globally consistent cut
 //   tir-validate --json ...               machine-readable report
-//   tir-validate --decode stream ...      validate through the bounded-
-//                                         memory streaming decoder (the
-//                                         default "auto" streams only when
-//                                         the trace is large; results are
-//                                         identical either way)
 //
 // Exit status: 0 = trace is well-formed (warnings allowed), 1 = validation
 // errors found, 2 = usage or I/O problem.
@@ -29,8 +24,7 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--json] [--lenient] [--merged N] "
-               "[--decode stream|materialise|auto] TRACE...\n",
+               "usage: %s [--json] [--lenient] [--merged N] TRACE...\n",
                argv0);
   std::exit(2);
 }
@@ -50,7 +44,6 @@ int parse_int_flag(const char* argv0, const std::string& text) {
 int run(int argc, char** argv) {
   bool json = false;
   bool lenient = false;
-  auto decode = trace::DecodePolicy::automatic;
   int merged_nprocs = 0;
   std::vector<std::filesystem::path> files;
 
@@ -63,9 +56,6 @@ int run(int argc, char** argv) {
     } else if (arg == "--merged") {
       if (i + 1 >= argc) usage(argv[0]);
       merged_nprocs = parse_int_flag(argv[0], argv[++i]);
-    } else if (arg == "--decode") {
-      if (i + 1 >= argc) usage(argv[0]);
-      decode = trace::parse_decode_policy(argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -85,9 +75,8 @@ int run(int argc, char** argv) {
       lenient ? trace::DecodeMode::lenient : trace::DecodeMode::strict;
   const trace::TraceSet traces =
       merged_nprocs > 0
-          ? trace::TraceSet::merged_file(files.front(), merged_nprocs, mode,
-                                         decode)
-          : trace::TraceSet::per_process_files(files, mode, decode);
+          ? trace::TraceSet::merged_file(files.front(), merged_nprocs, mode)
+          : trace::TraceSet::per_process_files(files, mode);
 
   const trace::ValidateReport report = trace::validate(traces);
   const double decode_coverage = traces.coverage();
