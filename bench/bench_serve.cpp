@@ -46,7 +46,6 @@
 
 #include "bench_util.hpp"
 #include "serve/service.hpp"
-#include "trace/codec.hpp"
 #include "trace/text_format.hpp"
 
 using namespace tir;
@@ -297,7 +296,7 @@ int main() {
   {
     const auto probe = trace::TraceSet::in_memory(ring_actions(8, 48));
     serve::TraceCacheOptions copts;
-    copts.byte_budget = 3 * trace::decoded_bytes(probe) / 2;
+    copts.byte_budget = 3 * probe.resident_bytes() / 2;
     serve::TraceCache cache(copts);
     std::uint64_t max_resident = 0;
     const int kChurn = 24;

@@ -124,6 +124,7 @@ BinaryTraceReader::BinaryTraceReader(const std::filesystem::path& path)
   if (in_.gcount() != 4 || std::memcmp(magic, kBinaryMagic, 4) != 0)
     throw ParseError(path.string() + ": not a binary TIR trace");
   const int version = in_.get();
+  offset_ = sizeof(magic) + 1;  // magic + version
   if (version != kBinaryVersion)
     throw ParseError(path.string() + ": unsupported binary trace version " +
                      std::to_string(version));
@@ -131,14 +132,10 @@ BinaryTraceReader::BinaryTraceReader(const std::filesystem::path& path)
   default_pid_ = pid_plus_1 == 0 ? -1 : static_cast<int>(pid_plus_1 - 1);
 }
 
-std::uint64_t BinaryTraceReader::byte_offset() {
-  const auto pos = in_.tellg();
-  return pos < 0 ? 0 : static_cast<std::uint64_t>(pos);
-}
-
 void BinaryTraceReader::seek(std::uint64_t offset) {
   in_.clear();
   in_.seekg(static_cast<std::streamoff>(offset));
+  offset_ = offset;
 }
 
 std::uint64_t BinaryTraceReader::get_varint() {
@@ -148,6 +145,7 @@ std::uint64_t BinaryTraceReader::get_varint() {
     const int byte = in_.get();
     if (byte == EOF)
       throw ParseError(path_.string() + ": truncated varint");
+    ++offset_;
     value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return value;
     shift += 7;
@@ -158,6 +156,7 @@ std::uint64_t BinaryTraceReader::get_varint() {
 double BinaryTraceReader::get_double() {
   char raw[sizeof(double)];
   in_.read(raw, sizeof(double));
+  offset_ += static_cast<std::uint64_t>(in_.gcount());
   if (in_.gcount() != sizeof(double))
     throw ParseError(path_.string() + ": truncated double");
   double value;
@@ -168,6 +167,7 @@ double BinaryTraceReader::get_double() {
 std::optional<Action> BinaryTraceReader::next() {
   const int tag_byte = in_.get();
   if (tag_byte == EOF) return std::nullopt;
+  ++offset_;
   const auto tag = static_cast<std::uint8_t>(tag_byte);
   const auto type_raw = static_cast<int>(tag & 0x0F);
   if (type_raw > static_cast<int>(ActionType::waitall))

@@ -57,10 +57,11 @@ class BinaryTraceReader {
 
   std::optional<Action> next();
 
-  /// Current read position in bytes (salvage decoding snapshots it before
-  /// each record to locate the clean prefix). 0 when the stream is in a
-  /// failed state.
-  std::uint64_t byte_offset();
+  /// Current read position in bytes (the trace pass snapshots it before
+  /// each record to locate segments and the clean prefix). Counted as bytes
+  /// are read rather than asked of the stream: tellg costs a system call
+  /// per record.
+  std::uint64_t byte_offset() const { return offset_; }
 
   /// Repositions to an absolute byte offset (a record boundary recorded by
   /// byte_offset — the streaming index's segment starts). Clears any EOF
@@ -77,6 +78,7 @@ class BinaryTraceReader {
   std::ifstream in_;
   std::filesystem::path path_;
   int default_pid_;
+  std::uint64_t offset_ = 0;  ///< bytes consumed from the start of the file
 };
 
 /// True when the file starts with the binary-trace magic.

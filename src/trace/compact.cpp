@@ -10,9 +10,6 @@ namespace tir::trace {
 
 namespace {
 
-constexpr char kCompactMagic[4] = {'T', 'I', 'R', 'C'};
-constexpr std::uint8_t kCompactVersion = 1;
-
 // Content hash (pid excluded: programs are per-process anyway).
 std::size_t hash_action(const Action& a) {
   std::size_t h = static_cast<std::size_t>(a.type) * 1000003u;
@@ -151,114 +148,12 @@ std::uint64_t write_compact(const std::filesystem::path& path,
   return buffer.size();
 }
 
-CompactProgram read_compact(const std::filesystem::path& path, int* pid_out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open compact trace '" + path.string() + "'");
-  char magic[4];
-  in.read(magic, 4);
-  if (in.gcount() != 4 || std::memcmp(magic, kCompactMagic, 4) != 0)
-    throw ParseError(path.string() + ": not a compact TIR trace");
-  if (in.get() != kCompactVersion)
-    throw ParseError(path.string() + ": unsupported compact-trace version");
-  const auto get_varint = [&in, &path]() -> std::uint64_t {
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-      const int byte = in.get();
-      if (byte == EOF) throw ParseError(path.string() + ": truncated varint");
-      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return value;
-      shift += 7;
-      if (shift > 63) throw ParseError(path.string() + ": varint overflow");
-    }
-  };
-  const int pid = static_cast<int>(get_varint());
-  if (pid_out != nullptr) *pid_out = pid;
-  const std::uint64_t blocks = get_varint();
-  CompactProgram program;
-  program.reserve(blocks);
-  std::string line;
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    LoopBlock block;
-    block.count = static_cast<std::uint32_t>(get_varint());
-    const std::uint64_t body = get_varint();
-    block.body.reserve(body);
-    for (std::uint64_t k = 0; k < body; ++k) {
-      line.resize(get_varint());
-      in.read(line.data(), static_cast<std::streamsize>(line.size()));
-      if (static_cast<std::uint64_t>(in.gcount()) != line.size())
-        throw ParseError(path.string() + ": truncated action");
-      block.body.push_back(parse_line(line));
-    }
-    program.push_back(std::move(block));
-  }
-  return program;
-}
-
-std::uint64_t compact_expanded_hint(
-    const std::filesystem::path& path) noexcept {
-  try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return 0;
-    char magic[4];
-    in.read(magic, 4);
-    if (in.gcount() != 4 || std::memcmp(magic, kCompactMagic, 4) != 0)
-      return 0;
-    if (in.get() != kCompactVersion) return 0;
-    const auto get_varint = [&in]() -> std::uint64_t {
-      std::uint64_t value = 0;
-      int shift = 0;
-      for (;;) {
-        const int byte = in.get();
-        if (byte == EOF) throw ParseError("truncated varint");
-        value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) return value;
-        shift += 7;
-        if (shift > 63) throw ParseError("varint overflow");
-      }
-    };
-    get_varint();  // pid
-    const std::uint64_t blocks = get_varint();
-    std::uint64_t total = 0;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      // Same uint32 narrowing read_compact applies to the loop count.
-      const auto count = static_cast<std::uint32_t>(get_varint());
-      const std::uint64_t body = get_varint();
-      for (std::uint64_t k = 0; k < body; ++k) {
-        const std::uint64_t len = get_varint();
-        in.seekg(static_cast<std::streamoff>(len), std::ios::cur);
-        if (!in) throw ParseError("truncated action");
-      }
-      total += static_cast<std::uint64_t>(count) * body;
-    }
-    return total;
-  } catch (...) {
-    return 0;
-  }
-}
-
 bool is_compact_trace(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   char magic[4];
   in.read(magic, 4);
   return in.gcount() == 4 && std::memcmp(magic, kCompactMagic, 4) == 0;
-}
-
-CompactSource::CompactSource(CompactProgram program)
-    : program_(std::move(program)) {}
-
-std::optional<Action> CompactSource::next() {
-  while (block_ < program_.size()) {
-    const LoopBlock& block = program_[block_];
-    if (offset_ < block.body.size()) return block.body[offset_++];
-    offset_ = 0;
-    if (++repeat_ < block.count && !block.body.empty())
-      return block.body[offset_++];
-    repeat_ = 0;
-    ++block_;
-  }
-  return std::nullopt;
 }
 
 }  // namespace tir::trace

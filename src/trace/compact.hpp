@@ -18,9 +18,11 @@
 #include <vector>
 
 #include "trace/action.hpp"
-#include "trace/trace_set.hpp"
 
 namespace tir::trace {
+
+constexpr char kCompactMagic[4] = {'T', 'I', 'R', 'C'};
+constexpr std::uint8_t kCompactVersion = 1;
 
 /// One program step: `body` repeated `count` times (count == 1 -> literal).
 struct LoopBlock {
@@ -42,36 +44,15 @@ std::vector<Action> expand(const CompactProgram& program);
 /// Number of actions the program expands to.
 std::uint64_t expanded_size(const CompactProgram& program);
 
-/// Serialises a program ("TIRC" container embedding the binary action
-/// encoding). Returns bytes written.
+/// Serialises a program as a TIRC container:
+///   magic "TIRC" | version u8 | pid varint | block count varint
+///   per block: repeat varint | body length varint | body entries, each a
+///   varint byte length followed by the action's text line
+/// Returns bytes written. build_stream_index (stream.hpp) reads it back.
 std::uint64_t write_compact(const std::filesystem::path& path,
                             const CompactProgram& program, int pid);
 
-CompactProgram read_compact(const std::filesystem::path& path, int* pid_out =
-                                                                   nullptr);
-
 /// True when the file starts with the compact-trace magic.
 bool is_compact_trace(const std::filesystem::path& path);
-
-/// Expanded action count read from the container framing alone — loop
-/// counts and body lengths, skipping over the body bytes. Orders of
-/// magnitude cheaper than decoding (no action parsing, no allocation);
-/// the automatic decode-policy threshold uses it to spot a small file that
-/// expands into a huge trace. Returns 0 on any error (not compact,
-/// truncated, unreadable).
-std::uint64_t compact_expanded_hint(const std::filesystem::path& path) noexcept;
-
-/// Streams the expansion without materialising it (replay input).
-class CompactSource final : public ActionSource {
- public:
-  explicit CompactSource(CompactProgram program);
-  std::optional<Action> next() override;
-
- private:
-  CompactProgram program_;
-  std::size_t block_ = 0;
-  std::uint32_t repeat_ = 0;
-  std::size_t offset_ = 0;
-};
 
 }  // namespace tir::trace

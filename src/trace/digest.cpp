@@ -74,12 +74,4 @@ Digest digest(const TraceSet& traces) {
   return Digest{h.hi, h.lo};
 }
 
-std::uint64_t decoded_bytes(const TraceSet& traces) {
-  std::uint64_t bytes = 0;
-  for (int pid = 0; pid < traces.nprocs(); ++pid)
-    bytes += traces.actions(pid).size() * sizeof(Action) +
-             sizeof(std::vector<Action>);
-  return bytes;
-}
-
 }  // namespace tir::trace

@@ -38,8 +38,4 @@ struct Digest {
 /// without the actions ever being held in memory at once.
 Digest digest(const TraceSet& traces);
 
-/// Decoded in-memory footprint in bytes (forces a decode): what a cache
-/// entry holding this TraceSet keeps resident.
-std::uint64_t decoded_bytes(const TraceSet& traces);
-
 }  // namespace tir::trace

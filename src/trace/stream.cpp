@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "support/error.hpp"
@@ -28,36 +30,6 @@ std::uint64_t file_size_or_zero(const std::filesystem::path& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-std::string wild_pid_message(const std::filesystem::path& path, int pid,
-                             int nprocs) {
-  // Must match TraceSet's merged-distribution error verbatim: callers and
-  // tests see the same message whichever decode path runs.
-  return path.string() + ": action for process " + std::to_string(pid) +
-         " but nprocs is " + std::to_string(nprocs);
-}
-
-/// Grows per-pid runs one action at a time. Split files (merged == false)
-/// collapse into a single run regardless of record pids — the whole file is
-/// one process's stream, kept verbatim.
-struct SegmentBuilder {
-  std::vector<StreamIndex::Segment>& segments;
-  bool merged;
-  bool overflow = false;
-
-  void add(int pid, std::uint64_t offset) {
-    const int key = merged ? pid : -1;
-    if (!segments.empty() && segments.back().pid == key) {
-      ++segments.back().count;
-      return;
-    }
-    if (segments.size() >= kMaxStreamSegments) {
-      overflow = true;
-      return;
-    }
-    segments.push_back({key, offset, 1});
-  }
-};
-
 StreamIndex fallback_index(const std::filesystem::path& path) {
   StreamIndex idx;
   idx.kind = StreamIndex::Kind::fallback;
@@ -65,13 +37,103 @@ StreamIndex fallback_index(const std::filesystem::path& path) {
   return idx;
 }
 
-/// Sequential line reader for the text index pass: mmap + memchr where
-/// available (no per-line copy — the pass is pure parse), degrading to a
-/// getline ifstream. Bounded-memory either way: the mapping is backed by
-/// the page cache, the fallback keeps one line resident.
-class LineScanner {
+/// Records a lenient-mode decode error: the salvage keeps the clean prefix
+/// that ends at `offset`.
+void record_error(SalvageInfo& salvage, std::string what,
+                  std::uint64_t offset) {
+  salvage.complete = false;
+  salvage.error = std::move(what);
+  salvage.bytes_consumed = std::min(offset, salvage.bytes_total);
+}
+
+/// The distribution step every builder shares. In merged layout a pid
+/// outside [0, nprocs) stops distribution: strict mode defers that error to
+/// the end of a clean parse, so a parse error anywhere in the file outranks
+/// an earlier wild pid; lenient mode keeps what came before it. Accepted
+/// actions grow the index's per-pid segments or, when the pass
+/// materialises, the per-pid action vectors.
+class Distributor {
  public:
-  explicit LineScanner(const std::filesystem::path& path) {
+  Distributor(StreamIndex& idx, int merged_nprocs,
+              std::vector<std::vector<Action>>* actions)
+      : idx_(idx), merged_nprocs_(merged_nprocs), actions_(actions) {}
+
+  /// Range check and collection; false when `a` is not distributed (a wild
+  /// pid, or anything after one). `offset` locates the record holding `a`.
+  bool route(const Action& a, std::uint64_t offset) {
+    if (!wild_error_.empty()) return false;
+    const bool merged = merged_nprocs_ >= 0;
+    if (merged && (a.pid < 0 || a.pid >= merged_nprocs_)) {
+      wild_error_ = idx_.path.string() + ": action for process " +
+                    std::to_string(a.pid) + " but nprocs is " +
+                    std::to_string(merged_nprocs_);
+      wild_offset_ = offset;
+      return false;
+    }
+    if (actions_ != nullptr)
+      (*actions_)[merged ? static_cast<std::size_t>(a.pid) : 0].push_back(a);
+    return true;
+  }
+
+  /// route() plus the text/binary index bookkeeping: segments (indexing
+  /// only), the action count and the statistics.
+  void add(const Action& a, std::uint64_t offset) {
+    if (!route(a, offset)) return;
+    if (actions_ == nullptr) extend_segments(a.pid, offset);
+    ++idx_.total_actions;
+    idx_.stats.account(a);
+  }
+
+  /// True once indexing needed more than kMaxStreamSegments segments.
+  bool overflow() const { return overflow_; }
+
+  /// Ends the pass, at clean EOF or after a lenient decode error. A wild
+  /// pid throws in strict mode; in lenient mode it marks the salvage
+  /// incomplete (an earlier parse error keeps its text) and caps
+  /// bytes_consumed at the wild pid's record.
+  void finish(DecodeMode mode) {
+    if (wild_error_.empty()) return;
+    if (mode == DecodeMode::strict) throw ParseError(wild_error_);
+    SalvageInfo& salvage = idx_.salvage;
+    salvage.complete = false;
+    if (salvage.error.empty()) salvage.error = wild_error_;
+    salvage.bytes_consumed = std::min(salvage.bytes_consumed, wild_offset_);
+  }
+
+ private:
+  /// Grows per-pid runs one action at a time. Split files collapse into a
+  /// single run regardless of record pids — the whole file is one
+  /// process's stream, kept verbatim.
+  void extend_segments(int pid, std::uint64_t offset) {
+    const int key = merged_nprocs_ >= 0 ? pid : -1;
+    auto& segments = idx_.segments;
+    if (!segments.empty() && segments.back().pid == key) {
+      ++segments.back().count;
+      return;
+    }
+    if (segments.size() >= kMaxStreamSegments) {
+      overflow_ = true;
+      return;
+    }
+    segments.push_back({key, offset, 1});
+  }
+
+  StreamIndex& idx_;
+  int merged_nprocs_;
+  std::vector<std::vector<Action>>* actions_;
+  std::string wild_error_;
+  std::uint64_t wild_offset_ = 0;
+  bool overflow_ = false;
+};
+
+/// Line reader over one text file: mmap + memchr where available (no
+/// per-line copy), degrading to a getline ifstream. Bounded memory either
+/// way: the mapping is backed by the page cache, the fallback keeps one
+/// line resident. The index pass reads it front to back; a cursor seeks it
+/// to each of its segments.
+class LineReader {
+ public:
+  explicit LineReader(const std::filesystem::path& path) {
 #if TIR_HAVE_MMAP
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd >= 0) {
@@ -81,144 +143,206 @@ class LineScanner {
                          PROT_READ, MAP_PRIVATE, fd, 0);
         if (p != MAP_FAILED) {
           data_ = static_cast<const char*>(p);
-          size_ = static_cast<std::size_t>(st.st_size);
-          mapped_ = true;
+          size_ = static_cast<std::uint64_t>(st.st_size);
         }
       }
       ::close(fd);
-      if (mapped_) {
-        ok_ = true;
-        return;
-      }
+      if (data_ != nullptr) return;
     }
 #endif
     in_.open(path, std::ios::binary);
-    ok_ = static_cast<bool>(in_);
   }
 
-  ~LineScanner() {
+  ~LineReader() {
 #if TIR_HAVE_MMAP
-    if (mapped_) ::munmap(const_cast<char*>(data_), size_);
+    if (data_ != nullptr)
+      ::munmap(const_cast<char*>(data_), static_cast<std::size_t>(size_));
 #endif
   }
 
-  LineScanner(const LineScanner&) = delete;
-  LineScanner& operator=(const LineScanner&) = delete;
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
 
-  bool ok() const { return ok_; }
+  bool ok() const { return data_ != nullptr || in_.is_open(); }
+
+  /// Repositions at a line start recorded by offset().
+  void seek(std::uint64_t offset) {
+    if (data_ != nullptr) {
+      pos_ = std::min(offset, size_);
+      return;
+    }
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(offset));
+    pos_ = offset;
+  }
 
   /// Next line (newline stripped), or nullopt at EOF.
   std::optional<std::string_view> next() {
-    if (mapped_) {
+    line_start_ = pos_;
+    if (data_ != nullptr) {
       if (pos_ >= size_) return std::nullopt;
-      offset_ = pos_;
       const char* start = data_ + pos_;
       const auto* nl = static_cast<const char*>(
-          std::memchr(start, '\n', size_ - pos_));
-      const std::size_t len =
-          nl ? static_cast<std::size_t>(nl - start) : size_ - pos_;
+          std::memchr(start, '\n', static_cast<std::size_t>(size_ - pos_)));
+      const std::uint64_t len =
+          nl ? static_cast<std::uint64_t>(nl - start) : size_ - pos_;
       pos_ += len + (nl ? 1 : 0);
-      return std::string_view(start, len);
+      return std::string_view(start, static_cast<std::size_t>(len));
     }
-    offset_ = consumed_;
     if (!in_.is_open() || !std::getline(in_, line_)) return std::nullopt;
-    consumed_ += line_.size() + 1;  // +1: the newline getline swallowed
+    pos_ += line_.size() + 1;  // +1: the newline getline swallowed
     return std::string_view(line_);
   }
 
-  /// Byte offset of the line `next()` just returned.
-  std::uint64_t offset() const { return offset_; }
+  /// Byte offset of the line next() just returned.
+  std::uint64_t offset() const { return line_start_; }
 
  private:
-  bool ok_ = false;
-  std::uint64_t offset_ = 0;
-  // mmap state
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t pos_ = 0;
-  bool mapped_ = false;
-  // ifstream fallback
+  const char* data_ = nullptr;  ///< the mapping; null when reading in_
+  std::uint64_t size_ = 0;
+  std::uint64_t pos_ = 0;  ///< byte offset of the next line
+  std::uint64_t line_start_ = 0;
   std::ifstream in_;
   std::string line_;
-  std::uint64_t consumed_ = 0;
 };
 
+/// Reader over a TIRC container (layout at write_compact). The format's one
+/// decoder: the index pass, the block cursor and the expansion hint all
+/// read through it.
+class TircReader {
+ public:
+  explicit TircReader(const std::filesystem::path& path)
+      : path_(path), in_(path, std::ios::binary),
+        size_(file_size_or_zero(path)) {
+    if (!in_)
+      throw IoError("cannot open compact trace '" + path.string() + "'");
+    char magic[4];
+    in_.read(magic, 4);
+    if (in_.gcount() != 4 || std::memcmp(magic, kCompactMagic, 4) != 0)
+      throw ParseError(path.string() + ": not a compact TIR trace");
+    if (in_.get() != kCompactVersion)
+      throw ParseError(path.string() + ": unsupported compact-trace version");
+    varint();  // header pid (informational)
+    blocks_ = varint();
+  }
+
+  /// Block count the header declares.
+  std::uint64_t blocks() const { return blocks_; }
+
+  /// Reads the block header at the current position.
+  StreamIndex::Block block() {
+    StreamIndex::Block block;
+    block.offset = static_cast<std::uint64_t>(in_.tellg());
+    block.repeat = static_cast<std::uint32_t>(varint());  // LoopBlock::count
+    block.body_actions = varint();
+    return block;
+  }
+
+  /// Parses the next body entry.
+  Action entry() { return parse_line(entry_bytes()); }
+
+  /// Steps over the next body entry without parsing it.
+  void skip_entry() { entry_bytes(); }
+
+  /// Repositions at a block header recorded by block().
+  void seek(std::uint64_t offset) {
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(offset));
+  }
+
+ private:
+  std::uint64_t varint() {
+    std::uint64_t value = 0;
+    int shift = 0;
+    for (;;) {
+      const int byte = in_.get();
+      if (byte == EOF) throw ParseError(path_.string() + ": truncated varint");
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) return value;
+      shift += 7;
+      if (shift > 63) throw ParseError(path_.string() + ": varint overflow");
+    }
+  }
+
+  std::string_view entry_bytes() {
+    const std::uint64_t len = varint();
+    // A length past the end of the file is truncation; checking it first
+    // keeps a corrupt length from sizing the buffer.
+    if (len <= size_) {
+      line_.resize(static_cast<std::size_t>(len));
+      in_.read(line_.data(), static_cast<std::streamsize>(len));
+      if (static_cast<std::uint64_t>(in_.gcount()) == len) return line_;
+    }
+    throw ParseError(path_.string() + ": truncated action");
+  }
+
+  std::filesystem::path path_;
+  std::ifstream in_;
+  std::uint64_t size_;
+  std::uint64_t blocks_ = 0;
+  std::string line_;
+};
+
+/// Saturating a + b: a corrupt header must not wrap an expansion count.
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return a > std::numeric_limits<std::uint64_t>::max() - b
+             ? std::numeric_limits<std::uint64_t>::max()
+             : a + b;
+}
+
+/// Actions one block expands to, saturating.
+std::uint64_t block_expansion(const StreamIndex::Block& block) {
+  if (block.body_actions != 0 &&
+      block.repeat >
+          std::numeric_limits<std::uint64_t>::max() / block.body_actions)
+    return std::numeric_limits<std::uint64_t>::max();
+  return block.repeat * block.body_actions;
+}
+
 StreamIndex build_text_index(const std::filesystem::path& path,
-                             DecodeMode mode, int merged_nprocs) {
+                             DecodeMode mode, int merged_nprocs,
+                             std::vector<std::vector<Action>>* actions) {
   StreamIndex idx;
   idx.kind = StreamIndex::Kind::text;
   idx.path = path;
   idx.salvage.bytes_total = file_size_or_zero(path);
 
-  LineScanner scan(path);
-  if (!scan.ok()) {
-    const std::string what =
-        "cannot open trace file '" + path.string() + "'";
+  LineReader lines(path);
+  if (!lines.ok()) {
+    std::string what = "cannot open trace file '" + path.string() + "'";
     if (mode == DecodeMode::strict) throw IoError(what);
-    idx.salvage.complete = false;
-    idx.salvage.error = what;
+    record_error(idx.salvage, std::move(what), 0);
     return idx;
   }
 
-  const bool merged = merged_nprocs >= 0;
-  SegmentBuilder seg{idx.segments, merged};
+  Distributor dist(idx, merged_nprocs, actions);
   std::uint64_t line_no = 0;
-  bool distributing = true;
-  // Merged strict mode defers the wild-pid throw to clean EOF: the
-  // materialised path decodes the whole file first (surfacing any parse
-  // error) and only then distributes by pid, so a parse error anywhere in
-  // the file outranks an earlier out-of-range pid.
-  std::string wild_error;
-  const auto finalize_wild = [&] {
-    if (wild_error.empty()) return;
-    idx.salvage.complete = false;
-    if (idx.salvage.error.empty()) idx.salvage.error = wild_error;
-  };
-
-  while (const auto line = scan.next()) {
+  while (const auto line = lines.next()) {
     ++line_no;
-    const std::uint64_t line_offset = scan.offset();
     const auto trimmed = str::trim(*line);
-    if (!trimmed.empty() && trimmed[0] != '#') {
-      Action a;
-      try {
-        a = parse_line(trimmed);
-      } catch (const ParseError& e) {
-        const std::string what = path.string() + ":" +
-                                 std::to_string(line_no) + ": " + e.what();
-        if (mode == DecodeMode::strict) throw ParseError(what);
-        idx.salvage.complete = false;
-        idx.salvage.error = what;
-        idx.salvage.bytes_consumed =
-            std::min(line_offset, idx.salvage.bytes_total);
-        finalize_wild();
-        return idx;
-      }
-      if (distributing) {
-        if (merged && (a.pid < 0 || a.pid >= merged_nprocs)) {
-          distributing = false;
-          wild_error = wild_pid_message(path, a.pid, merged_nprocs);
-        } else {
-          seg.add(a.pid, line_offset);
-          if (seg.overflow) return fallback_index(path);
-          ++idx.total_actions;
-          idx.stats.account(a);
-        }
-      }
+    if (trimmed.empty() || trimmed[0] == '#') continue;
+    Action a;
+    try {
+      a = parse_line(trimmed);
+    } catch (const ParseError& e) {
+      std::string what =
+          path.string() + ":" + std::to_string(line_no) + ": " + e.what();
+      if (mode == DecodeMode::strict) throw ParseError(what);
+      record_error(idx.salvage, std::move(what), lines.offset());
+      dist.finish(mode);
+      return idx;
     }
-  }
-  if (mode == DecodeMode::strict) {
-    if (!wild_error.empty()) throw ParseError(wild_error);
-    idx.salvage.bytes_consumed = idx.salvage.bytes_total;
-    return idx;
+    dist.add(a, lines.offset());
+    if (dist.overflow()) return fallback_index(path);
   }
   idx.salvage.bytes_consumed = idx.salvage.bytes_total;  // clean to EOF
-  finalize_wild();
+  dist.finish(mode);
   return idx;
 }
 
 StreamIndex build_binary_index(const std::filesystem::path& path,
-                               DecodeMode mode, int merged_nprocs) {
+                               DecodeMode mode, int merged_nprocs,
+                               std::vector<std::vector<Action>>* actions) {
   StreamIndex idx;
   idx.kind = StreamIndex::Kind::binary;
   idx.path = path;
@@ -229,54 +353,30 @@ StreamIndex build_binary_index(const std::filesystem::path& path,
     reader.emplace(path);
   } catch (const Error& e) {  // bad version / unreadable header
     if (mode == DecodeMode::strict) throw;
-    idx.salvage.complete = false;
-    idx.salvage.error = e.what();
+    record_error(idx.salvage, e.what(), 0);
     return idx;
   }
-  idx.default_pid = reader->default_pid();
 
-  const bool merged = merged_nprocs >= 0;
-  SegmentBuilder seg{idx.segments, merged};
-  bool distributing = true;
-  std::string wild_error;  // same deferred-throw rule as the text builder
-  const auto finalize_wild = [&] {
-    if (wild_error.empty()) return;
-    idx.salvage.complete = false;
-    if (idx.salvage.error.empty()) idx.salvage.error = wild_error;
-  };
-
+  Distributor dist(idx, merged_nprocs, actions);
   for (;;) {
+    // Snapshot the offset before each record so a mid-record truncation
+    // salvages exactly the records before it.
     const std::uint64_t offset = reader->byte_offset();
     std::optional<Action> a;
     try {
       a = reader->next();
     } catch (const Error& e) {
       if (mode == DecodeMode::strict) throw;
-      idx.salvage.complete = false;
-      idx.salvage.error = e.what();
-      idx.salvage.bytes_consumed = std::min(offset, idx.salvage.bytes_total);
-      finalize_wild();
+      record_error(idx.salvage, e.what(), offset);
+      dist.finish(mode);
       return idx;
     }
     if (!a) break;
-    if (!distributing) continue;
-    if (merged && (a->pid < 0 || a->pid >= merged_nprocs)) {
-      distributing = false;
-      wild_error = wild_pid_message(path, a->pid, merged_nprocs);
-      continue;
-    }
-    seg.add(a->pid, offset);
-    if (seg.overflow) return fallback_index(path);
-    ++idx.total_actions;
-    idx.stats.account(*a);
-  }
-  if (mode == DecodeMode::strict) {
-    if (!wild_error.empty()) throw ParseError(wild_error);
-    idx.salvage.bytes_consumed = idx.salvage.bytes_total;
-    return idx;
+    dist.add(*a, offset);
+    if (dist.overflow()) return fallback_index(path);
   }
   idx.salvage.bytes_consumed = idx.salvage.bytes_total;
-  finalize_wild();
+  dist.finish(mode);
   return idx;
 }
 
@@ -291,83 +391,79 @@ void add_scaled(TraceStats& total, const TraceStats& body,
 }
 
 StreamIndex build_compact_index(const std::filesystem::path& path,
-                                DecodeMode mode, int merged_nprocs) {
+                                DecodeMode mode, int merged_nprocs,
+                                std::vector<std::vector<Action>>* actions) {
+  // A merged compact file interleaves pids inside loop bodies; per-pid
+  // segments don't apply, so it can only materialise.
+  if (merged_nprocs >= 0 && actions == nullptr) return fallback_index(path);
+
   StreamIndex idx;
   idx.kind = StreamIndex::Kind::compact;
   idx.path = path;
   idx.salvage.bytes_total = file_size_or_zero(path);
-  // A merged compact file interleaves pids inside loop bodies; per-pid
-  // segments don't apply, so the whole set falls back to materialising.
-  if (merged_nprocs >= 0) return fallback_index(path);
-
+  constexpr std::uint64_t kBudgetActions =
+      kMaterialiseBudgetBytes / sizeof(Action);
+  CompactProgram program;  // the loop bodies, kept when collecting
+  bool over_budget = false;
   try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-      throw IoError("cannot open compact trace '" + path.string() + "'");
-    char magic[4];
-    in.read(magic, 4);
-    if (in.gcount() != 4 || std::memcmp(magic, "TIRC", 4) != 0)
-      throw ParseError(path.string() + ": not a compact TIR trace");
-    if (in.get() != 1)
-      throw ParseError(path.string() + ": unsupported compact-trace version");
-    const auto get_varint = [&in, &path]() -> std::uint64_t {
-      std::uint64_t value = 0;
-      int shift = 0;
-      for (;;) {
-        const int byte = in.get();
-        if (byte == EOF)
-          throw ParseError(path.string() + ": truncated varint");
-        value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) return value;
-        shift += 7;
-        if (shift > 63)
-          throw ParseError(path.string() + ": varint overflow");
-      }
-    };
-    get_varint();  // header pid (informational)
-    const std::uint64_t blocks = get_varint();
-    idx.blocks.reserve(std::min<std::uint64_t>(blocks, 1 << 20));
-    std::string line;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      StreamIndex::Block block;
-      block.offset = static_cast<std::uint64_t>(in.tellg());
-      // Same uint32 narrowing as read_compact: the expansion must agree.
-      block.repeat = static_cast<std::uint32_t>(get_varint());
-      block.body_actions = get_varint();
+    TircReader in(path);
+    idx.blocks.reserve(std::min<std::uint64_t>(in.blocks(), 1 << 20));
+    for (std::uint64_t b = 0; b < in.blocks(); ++b) {
+      const StreamIndex::Block block = in.block();
+      LoopBlock loop{block.repeat, {}};
       TraceStats body_stats;
       for (std::uint64_t k = 0; k < block.body_actions; ++k) {
-        line.resize(get_varint());
-        in.read(line.data(), static_cast<std::streamsize>(line.size()));
-        if (static_cast<std::uint64_t>(in.gcount()) != line.size())
-          throw ParseError(path.string() + ": truncated action");
-        body_stats.account(parse_line(line));
+        const Action a = in.entry();
+        body_stats.account(a);
+        if (actions != nullptr) loop.body.push_back(a);
+      }
+      const std::uint64_t expanded =
+          saturating_add(idx.total_actions, block_expansion(block));
+      if (actions != nullptr && expanded > kBudgetActions) {
+        over_budget = true;
+        throw Error(path.string() + ": compact expansion reaches " +
+                    std::to_string(expanded) +
+                    " actions, over the materialise budget of " +
+                    std::to_string(kBudgetActions) + " actions (" +
+                    std::to_string(kMaterialiseBudgetBytes) +
+                    " bytes of decoded actions)");
       }
       idx.blocks.push_back(block);
-      idx.total_actions +=
-          static_cast<std::uint64_t>(block.repeat) * block.body_actions;
+      idx.total_actions = expanded;
       add_scaled(idx.stats, body_stats, block.repeat);
+      if (actions != nullptr) program.push_back(std::move(loop));
     }
     idx.salvage.bytes_consumed = idx.salvage.bytes_total;
   } catch (const std::exception& e) {
-    if (mode == DecodeMode::strict) throw;
-    // All-or-nothing, matching the codec's default decode_salvage: a
-    // length-prefixed container either decodes cleanly or salvages nothing.
+    if (mode == DecodeMode::strict || over_budget) throw;
+    // All-or-nothing: a length-prefixed container either decodes cleanly
+    // or salvages nothing.
     idx.blocks.clear();
     idx.total_actions = 0;
     idx.stats = TraceStats{};
-    idx.salvage.complete = false;
-    idx.salvage.error = e.what();
-    idx.salvage.bytes_consumed = 0;
+    record_error(idx.salvage, e.what(), 0);
+    return idx;
   }
+
+  if (actions == nullptr) return idx;
+  // Expand only what parsed cleanly and fits the budget.
+  if (merged_nprocs < 0) {
+    actions->front() = expand(program);
+    return idx;
+  }
+  Distributor dist(idx, merged_nprocs, actions);
+  for (std::size_t b = 0; b < program.size(); ++b)
+    for (std::uint32_t r = 0; r < program[b].count; ++r)
+      for (const Action& a : program[b].body)
+        dist.route(a, idx.blocks[b].offset);
+  dist.finish(mode);
   return idx;
 }
 
 // ---------------------------------------------------------------------------
 // Cursors
 
-/// Text cursor: mmaps the file (read-only, private) and scans lines with
-/// memchr from each segment's offset; where mmap is unavailable or fails it
-/// degrades to a seek+getline ifstream — still bounded (one line resident).
+/// Text cursor: a LineReader seeked to each of the pid's segments in turn.
 class MmapTextSource final : public ActionSource {
  public:
   MmapTextSource(std::shared_ptr<const StreamIndex> index, int pid_filter,
@@ -376,18 +472,12 @@ class MmapTextSource final : public ActionSource {
         index_(std::move(index)),
         pid_filter_(pid_filter) {}
 
-  ~MmapTextSource() override {
-#if TIR_HAVE_MMAP
-    if (mapped_) ::munmap(const_cast<char*>(data_), size_);
-#endif
-  }
-
   std::optional<Action> next() override {
     for (;;) {
       while (remaining_ == 0) {
         if (!enter_next_segment()) return std::nullopt;
       }
-      const auto line = next_line();
+      const auto line = lines_->next();
       if (!line) return std::nullopt;  // file shrank under us
       const auto trimmed = str::trim(*line);
       if (trimmed.empty() || trimmed[0] == '#') continue;
@@ -403,54 +493,11 @@ class MmapTextSource final : public ActionSource {
            !(pid_filter_ < 0 || segments[seg_].pid == pid_filter_))
       ++seg_;
     if (seg_ >= segments.size()) return false;
-    if (!opened_) open_file();
-    const std::uint64_t offset = segments[seg_].offset;
-    if (mapped_) {
-      pos_ = static_cast<std::size_t>(std::min<std::uint64_t>(offset, size_));
-    } else if (in_.is_open()) {
-      in_.clear();
-      in_.seekg(static_cast<std::streamoff>(offset));
-    }
+    if (!lines_) lines_.emplace(index_->path);
+    lines_->seek(segments[seg_].offset);
     remaining_ = segments[seg_].count;
     ++seg_;
     return true;
-  }
-
-  void open_file() {
-    opened_ = true;
-#if TIR_HAVE_MMAP
-    const int fd = ::open(index_->path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        if (p != MAP_FAILED) {
-          data_ = static_cast<const char*>(p);
-          size_ = static_cast<std::size_t>(st.st_size);
-          mapped_ = true;
-        }
-      }
-      ::close(fd);
-      if (mapped_) return;
-    }
-#endif
-    in_.open(index_->path, std::ios::binary);
-  }
-
-  std::optional<std::string_view> next_line() {
-    if (mapped_) {
-      if (pos_ >= size_) return std::nullopt;
-      const char* start = data_ + pos_;
-      const auto* nl = static_cast<const char*>(
-          std::memchr(start, '\n', size_ - pos_));
-      const std::size_t len =
-          nl ? static_cast<std::size_t>(nl - start) : size_ - pos_;
-      pos_ += len + (nl ? 1 : 0);
-      return std::string_view(start, len);
-    }
-    if (!in_.is_open() || !std::getline(in_, line_)) return std::nullopt;
-    return std::string_view(line_);
   }
 
   std::shared_ptr<void> owner_;
@@ -458,19 +505,11 @@ class MmapTextSource final : public ActionSource {
   int pid_filter_;
   std::size_t seg_ = 0;
   std::uint64_t remaining_ = 0;
-  bool opened_ = false;
-  // mmap state
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t pos_ = 0;
-  bool mapped_ = false;
-  // ifstream fallback
-  std::ifstream in_;
-  std::string line_;
+  std::optional<LineReader> lines_;
 };
 
-/// Binary cursor: one BinaryTraceReader (so record decoding is byte-for-byte
-/// the materialised path's), seeked to each of the pid's segments in turn.
+/// Binary cursor: one BinaryTraceReader (the reader the index pass ran),
+/// seeked to each of the pid's segments in turn.
 class BinarySegmentSource final : public ActionSource {
  public:
   BinarySegmentSource(std::shared_ptr<const StreamIndex> index,
@@ -526,45 +565,17 @@ class CompactBlockSource final : public ActionSource {
   }
 
  private:
-  std::uint64_t get_varint() {
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-      const int byte = in_.get();
-      if (byte == EOF)
-        throw ParseError(index_->path.string() + ": truncated varint");
-      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return value;
-      shift += 7;
-      if (shift > 63)
-        throw ParseError(index_->path.string() + ": varint overflow");
-    }
-  }
-
   bool load_next_block() {
     const auto& blocks = index_->blocks;
     while (block_ < blocks.size()) {
       const StreamIndex::Block& blk = blocks[block_++];
       if (blk.repeat == 0 || blk.body_actions == 0) continue;
-      if (!opened_) {
-        opened_ = true;
-        in_.open(index_->path, std::ios::binary);
-        if (!in_)
-          throw IoError("cannot open compact trace '" +
-                        index_->path.string() + "'");
-      }
-      in_.clear();
-      in_.seekg(static_cast<std::streamoff>(blk.offset));
-      get_varint();  // repeat count (held in the index)
-      get_varint();  // body length
+      if (!reader_) reader_.emplace(index_->path);
+      reader_->seek(blk.offset);
+      reader_->block();  // the index already holds the header
       body_.clear();
-      for (std::uint64_t k = 0; k < blk.body_actions; ++k) {
-        line_.resize(get_varint());
-        in_.read(line_.data(), static_cast<std::streamsize>(line_.size()));
-        if (static_cast<std::uint64_t>(in_.gcount()) != line_.size())
-          throw ParseError(index_->path.string() + ": truncated action");
-        body_.push_back(parse_line(line_));
-      }
+      for (std::uint64_t k = 0; k < blk.body_actions; ++k)
+        body_.push_back(reader_->entry());
       repeats_left_ = blk.repeat;
       offset_ = 0;
       return true;
@@ -574,11 +585,9 @@ class CompactBlockSource final : public ActionSource {
 
   std::shared_ptr<void> owner_;
   std::shared_ptr<const StreamIndex> index_;
-  std::ifstream in_;
-  bool opened_ = false;
+  std::optional<TircReader> reader_;
   std::size_t block_ = 0;
   std::vector<Action> body_;
-  std::string line_;
   std::uint32_t repeats_left_ = 0;
   std::size_t offset_ = 0;
 };
@@ -600,13 +609,33 @@ std::uint64_t StreamIndex::resident_bytes() const {
 }
 
 StreamIndex build_stream_index(const std::filesystem::path& path,
-                               DecodeMode mode, int merged_nprocs) {
-  // Same sniffing order as codec_for_file: magic-bearing formats first.
+                               DecodeMode mode, int merged_nprocs,
+                               std::vector<std::vector<Action>>* actions) {
+  if (actions != nullptr)
+    actions->assign(static_cast<std::size_t>(std::max(merged_nprocs, 1)), {});
+  // Magic-bearing formats first; anything else parses as text.
   if (is_binary_trace(path))
-    return build_binary_index(path, mode, merged_nprocs);
+    return build_binary_index(path, mode, merged_nprocs, actions);
   if (is_compact_trace(path))
-    return build_compact_index(path, mode, merged_nprocs);
-  return build_text_index(path, mode, merged_nprocs);
+    return build_compact_index(path, mode, merged_nprocs, actions);
+  return build_text_index(path, mode, merged_nprocs, actions);
+}
+
+std::uint64_t compact_expanded_hint(
+    const std::filesystem::path& path) noexcept {
+  if (!is_compact_trace(path)) return 0;
+  try {
+    TircReader in(path);
+    std::uint64_t total = 0;
+    for (std::uint64_t b = 0; b < in.blocks(); ++b) {
+      const StreamIndex::Block block = in.block();
+      for (std::uint64_t k = 0; k < block.body_actions; ++k) in.skip_entry();
+      total = saturating_add(total, block_expansion(block));
+    }
+    return total;
+  } catch (...) {
+    return 0;
+  }
 }
 
 std::unique_ptr<ActionSource> open_stream(

@@ -2,20 +2,22 @@
 //
 // At NPB class D/E sizes a trace stops fitting in RAM, so TraceSet grows a
 // second decode path: one cheap validating pass per file builds a
-// StreamIndex — per-pid byte-offset segments for the text/binary codecs,
-// per-block offsets for the compact ("TIRC") codec, plus the action counts
+// StreamIndex — per-pid byte-offset segments for text and binary files,
+// per-block offsets for compact ("TIRC") files, plus the action counts
 // and aggregate statistics every consumer (digest, stats, coverage) needs
 // up front — and replay then pulls actions through cursors that re-read the
 // file from those offsets instead of materialised vectors. Peak memory is
 // the index plus one cursor's working set (a text line, a binary record, or
 // one compact block body), independent of trace length.
 //
-// Fidelity contract: the indexed pass surfaces exactly the errors the
-// materialised decode would (same exception types and messages, same
-// lenient-salvage truncation points), and a cursor yields an action
-// sequence element-identical to TraceSet::actions(pid). The differential
-// batteries in tests/stream_trace_test.cpp and tests/codec_fuzz_test.cpp
-// hold both paths to that contract.
+// Fidelity contract: this pass is the only reader TraceSet has. A
+// materialising set runs the same pass and collects each distributed
+// action as it goes, so both memory shapes share their errors (types and
+// messages), lenient salvage points and merged wild-pid rule by
+// construction. What the cursors must add is an action sequence
+// element-identical to TraceSet::actions(pid); the stream and CodecFuzz
+// batteries (tests/stream_trace_test.cpp, tests/codec_fuzz_test.cpp) hold
+// them to it.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,6 @@ struct StreamIndex {
 
   Kind kind = Kind::fallback;
   std::filesystem::path path;
-  int default_pid = -1;  ///< binary header pid; -1 = per-record pids
 
   std::vector<Segment> segments;  ///< text / binary
   std::vector<Block> blocks;      ///< compact
@@ -68,7 +69,8 @@ struct StreamIndex {
   /// records) even for a 10^8-action trace.
   TraceStats stats;
 
-  /// Same values the materialised lenient decode would report.
+  /// The file's salvage outcome (always complete when a strict pass
+  /// returns).
   SalvageInfo salvage;
 
   /// Actions belonging to `pid` (merged layout: sum over its segments).
@@ -82,20 +84,37 @@ struct StreamIndex {
 /// Maximum segments indexed per file. A merged trace written per-process
 /// (the only layout the writers produce) needs nprocs segments; a
 /// pathologically interleaved file would need one per action, so past this
-/// cap the builder gives up (Kind::fallback) and the file decodes
-/// materialised instead — the index must never grow with trace length.
+/// cap the builder gives up (Kind::fallback) and the set materialises
+/// instead, through a collecting pass that ignores the cap — the index must
+/// never grow with trace length.
 constexpr std::size_t kMaxStreamSegments = 65536;
 
 /// Builds the index in one validating pass. `merged_nprocs < 0` indexes a
 /// split-layout file (per-record pids kept verbatim, no range checks);
 /// `merged_nprocs >= 0` applies merged semantics: actions split into
 /// per-pid segments and a pid outside [0, nprocs) is corruption — strict
-/// mode throws, lenient mode truncates, with the messages and salvage
-/// byte counts matching the materialised decode exactly. Merged compact
-/// files are not streamable (loop bodies interleave pids) and come back as
+/// mode throws once the whole file has parsed cleanly (a parse error
+/// anywhere outranks it), lenient mode keeps the actions before it and
+/// caps bytes_consumed at its record (for compact files, at its block).
+///
+/// With `actions` non-null the pass materialises instead: it resizes
+/// `*actions` to one vector per pid (one in split layout) and appends every
+/// distributed action, ignoring kMaxStreamSegments; merged compact files,
+/// which cannot stream, expand here. The returned index then carries the
+/// salvage outcome and counts but no segments. A compact file whose
+/// expansion passes kMaterialiseBudgetBytes throws tir::Error in either
+/// mode. Without `actions`, merged compact files come back as
 /// Kind::fallback.
 StreamIndex build_stream_index(const std::filesystem::path& path,
-                               DecodeMode mode, int merged_nprocs);
+                               DecodeMode mode, int merged_nprocs,
+                               std::vector<std::vector<Action>>* actions =
+                                   nullptr);
+
+/// Expanded action count of a compact file, read from its block headers
+/// alone (body entries are skipped, not parsed). The automatic decode
+/// policy uses it to spot a small file that expands into a huge trace.
+/// Returns 0 on any error (not compact, truncated, unreadable).
+std::uint64_t compact_expanded_hint(const std::filesystem::path& path) noexcept;
 
 /// Opens a bounded-memory cursor over the indexed file. `pid_filter >= 0`
 /// walks only that pid's segments (merged layout); -1 walks everything

@@ -4,8 +4,6 @@
 #include <mutex>
 
 #include "support/error.hpp"
-#include "trace/codec.hpp"
-#include "trace/compact.hpp"
 #include "trace/stream.hpp"
 
 namespace tir::trace {
@@ -82,7 +80,7 @@ struct TraceSet::Storage {
       std::error_code ec;
       const auto size = std::filesystem::file_size(f, ec);
       if (!ec) bytes += size;
-      if (is_compact_trace(f)) expanded += compact_expanded_hint(f);
+      expanded += compact_expanded_hint(f);
     }
     return bytes > kAutoStreamBytes || expanded > kAutoStreamActions;
   }
@@ -109,62 +107,25 @@ struct TraceSet::Storage {
     });
   }
 
-  /// Decodes one file honouring the mode: strict throws on corrupt input,
-  /// lenient keeps the clean prefix and records the outcome in `salvage`.
-  std::vector<Action> decode_file(std::size_t index) {
-    const auto& path = files[index];
-    if (mode == DecodeMode::strict) {
-      auto actions = codec_for_file(path).decode(path);
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(path, ec);
-      salvage[index].bytes_consumed = salvage[index].bytes_total =
-          ec ? 0 : size;
-      return actions;
-    }
-    DecodedTrace result = codec_for_file(path).decode_salvage(path);
-    salvage[index].complete = result.complete;
-    salvage[index].error = std::move(result.error);
-    salvage[index].bytes_consumed = result.bytes_consumed;
-    salvage[index].bytes_total = result.bytes_total;
-    return std::move(result.actions);
-  }
-
-  /// Ensures process `pid`'s actions are decoded; returns them.
+  /// Ensures process `pid`'s actions are decoded; returns them. A file is
+  /// materialised by the stream index pass collecting its actions: strict
+  /// mode throws on corrupt input, lenient keeps the clean prefix and
+  /// records the outcome in `salvage`.
   const std::vector<Action>& process_actions(int pid) {
-    switch (layout) {
-      case Layout::memory:
-        break;
-      case Layout::split: {
-        const auto index = static_cast<std::size_t>(pid);
-        std::call_once(decode_once[index], [&] {
-          decoded[index] = decode_file(index);
-          decodes.fetch_add(1, std::memory_order_relaxed);
-        });
-        break;
-      }
-      case Layout::merged:
-        std::call_once(decode_once[0], [&] {
-          auto all = decode_file(0);
-          for (Action& a : all) {
-            if (a.pid < 0 || a.pid >= nprocs) {
-              const std::string what = files.front().string() +
-                                       ": action for process " +
-                                       std::to_string(a.pid) +
-                                       " but nprocs is " +
-                                       std::to_string(nprocs);
-              if (mode == DecodeMode::strict) throw ParseError(what);
-              // Lenient: a wild pid is corruption too — stop distributing
-              // here, keeping the consistent prefix.
-              salvage[0].complete = false;
-              if (salvage[0].error.empty()) salvage[0].error = what;
-              break;
-            }
-            decoded[static_cast<std::size_t>(a.pid)].push_back(std::move(a));
-          }
-          decodes.fetch_add(1, std::memory_order_relaxed);
-        });
-        break;
-    }
+    if (layout == Layout::memory) return decoded[static_cast<std::size_t>(pid)];
+    const bool merged = layout == Layout::merged;
+    const std::size_t file = merged ? 0 : static_cast<std::size_t>(pid);
+    std::call_once(decode_once[file], [&] {
+      std::vector<std::vector<Action>> actions;
+      StreamIndex idx = build_stream_index(files[file], mode,
+                                           merged ? nprocs : -1, &actions);
+      salvage[file] = std::move(idx.salvage);
+      if (merged)
+        decoded = std::move(actions);
+      else
+        decoded[file] = std::move(actions.front());
+      decodes.fetch_add(1, std::memory_order_relaxed);
+    });
     return decoded[static_cast<std::size_t>(pid)];
   }
 

@@ -75,6 +75,12 @@ enum class DecodePolicy {
 constexpr std::uint64_t kAutoStreamBytes = 64ull << 20;   // 64 MiB on disk
 constexpr std::uint64_t kAutoStreamActions = 4'000'000;   // expanded actions
 
+/// Largest compact expansion a materialising pass accepts, in bytes of
+/// decoded Actions: a 38-byte file can declare billions of actions, so the
+/// pass checks the running expanded count block by block and throws
+/// tir::Error before expanding past this, in strict and lenient mode alike.
+constexpr std::uint64_t kMaterialiseBudgetBytes = 1ull << 30;  // 1 GiB
+
 /// Expands trace arguments into one file per process, in pid order: a
 /// directory stands for its SG_process<i>.trace files (i = 0, 1, ... up to
 /// the first missing one), any other path for itself. Unlike a shell glob,
@@ -123,8 +129,9 @@ class TraceSet {
   /// The reference stays valid for the storage's lifetime. Thread-safe.
   /// NOTE: this *materialises* the stream even when the set's policy is
   /// streaming — random-access consumers (truncate_consistent, compaction)
-  /// need the vector. Bounded-memory consumers must use open()/stats()/
-  /// action_count() instead.
+  /// need the vector, and a compact file expanding past
+  /// kMaterialiseBudgetBytes throws tir::Error here. Bounded-memory
+  /// consumers must use open()/stats()/action_count() instead.
   const std::vector<Action>& actions(int pid) const;
 
   /// Statistics over every stream. Streaming sets answer from the offset

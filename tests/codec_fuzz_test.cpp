@@ -1,32 +1,43 @@
-// Codec round-trip fuzz: randomly generated *valid* multi-process action
-// streams survive every registered codec (text, binary, compact) exactly,
-// re-encoding is a byte-level fixpoint, cross-codec conversion chains
+// Format round-trip fuzz: randomly generated *valid* multi-process action
+// streams survive every on-disk format (text, binary, compact) exactly,
+// re-encoding is a byte-level fixpoint, cross-format conversion chains
 // preserve the stream, trace::validate reaches the same verdict whichever
-// on-disk format carried the trace, and the bounded-memory streaming
-// decoder yields element-identical sequences — including the salvage
-// truncation points lenient decode picks on corrupted files.
+// format carried the trace, and the bounded-memory streaming decoder yields
+// element-identical sequences — including the salvage truncation points
+// lenient decode picks on truncated files, checked against an independent
+// salvage oracle below.
 //
 // Seeds are logged on every run; reproduce one case with
-//   TIR_FUZZ_SEED=<seed> ./test_extended --gtest_filter='*CodecFuzz*'
+//   TIR_FUZZ_SEED=<seed> ./test_stream --gtest_filter='*CodecFuzz*'
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "support/error.hpp"
 #include "support/rng.hpp"
-#include "trace/codec.hpp"
+#include "support/strings.hpp"
+#include "trace/binary_format.hpp"
+#include "trace/compact.hpp"
 #include "trace/digest.hpp"
+#include "trace/stream.hpp"
 #include "trace/trace_set.hpp"
 #include "trace/validate.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
 using trace::Action;
 using trace::ActionType;
+using test::kTraceFormats;
+using test::read_trace;
+using test::write_trace;
 namespace fs = std::filesystem;
 
 namespace {
@@ -156,47 +167,45 @@ class CodecFuzz : public ::testing::TestWithParam<std::uint64_t> {
 }  // namespace
 
 TEST_P(CodecFuzz, EveryCodecRoundTripsExactly) {
-  for (const trace::TraceCodec* codec : trace::all_codecs()) {
+  for (const char* format : kTraceFormats) {
     for (int p = 0; p < static_cast<int>(program_.size()); ++p) {
       const auto& actions = program_[static_cast<std::size_t>(p)];
       const fs::path file =
-          dir_ / (std::string(codec->name()) + std::to_string(p) + ".trace");
-      codec->encode(file, actions, p);
-      EXPECT_EQ(codec->decode(file), actions)
-          << codec->name() << " pid " << p;
-      // Sniffing must route the file back to the codec that wrote it.
-      EXPECT_EQ(trace::codec_for_file(file).name(), codec->name());
+          dir_ / (std::string(format) + std::to_string(p) + ".trace");
+      write_trace(file, actions, p, format);
+      EXPECT_EQ(read_trace(file), actions) << format << " pid " << p;
+      // Sniffing must route the file back to the format that wrote it.
+      EXPECT_EQ(
+          trace::build_stream_index(file, trace::DecodeMode::strict, -1).kind,
+          test::format_kind(format))
+          << format;
     }
   }
 }
 
 TEST_P(CodecFuzz, ReEncodingDecodedOutputIsAByteFixpoint) {
   const auto& actions = program_[0];
-  for (const trace::TraceCodec* codec : trace::all_codecs()) {
-    const fs::path first = dir_ / ("fix1." + std::string(codec->name()));
-    const fs::path second = dir_ / ("fix2." + std::string(codec->name()));
-    codec->encode(first, actions, 0);
-    codec->encode(second, codec->decode(first), 0);
-    EXPECT_EQ(read_bytes(first), read_bytes(second)) << codec->name();
+  for (const char* format : kTraceFormats) {
+    const fs::path first = dir_ / ("fix1." + std::string(format));
+    const fs::path second = dir_ / ("fix2." + std::string(format));
+    write_trace(first, actions, 0, format);
+    write_trace(second, read_trace(first), 0, format);
+    EXPECT_EQ(read_bytes(first), read_bytes(second)) << format;
   }
 }
 
 TEST_P(CodecFuzz, CrossCodecConversionChainPreservesTheStream) {
   const auto& actions = program_[1];
   // text -> binary -> compact -> text, re-decoding at every hop.
-  const auto& text = trace::codec_by_name("text");
-  const auto& binary = trace::codec_by_name("binary");
-  const auto& compact = trace::codec_by_name("compact");
-
   const fs::path a = dir_ / "chain.trace";
   const fs::path b = dir_ / "chain.btrace";
   const fs::path c = dir_ / "chain.ctrace";
   const fs::path d = dir_ / "chain2.trace";
-  text.encode(a, actions, 1);
-  binary.encode(b, text.decode(a), 1);
-  compact.encode(c, binary.decode(b), 1);
-  text.encode(d, compact.decode(c), 1);
-  EXPECT_EQ(text.decode(d), actions);
+  write_trace(a, actions, 1, "text");
+  write_trace(b, read_trace(a), 1, "binary");
+  write_trace(c, read_trace(b), 1, "compact");
+  write_trace(d, read_trace(c), 1, "text");
+  EXPECT_EQ(read_trace(d), actions);
   EXPECT_EQ(read_bytes(a), read_bytes(d));
 }
 
@@ -206,19 +215,19 @@ TEST_P(CodecFuzz, ValidateVerdictIsStableAcrossFormats) {
   EXPECT_TRUE(memory_report.ok) << memory_report.render();
   EXPECT_EQ(memory_report.nprocs, 6);
 
-  for (const trace::TraceCodec* codec : trace::all_codecs()) {
+  for (const char* format : kTraceFormats) {
     std::vector<fs::path> files;
     for (int p = 0; p < static_cast<int>(program_.size()); ++p) {
-      files.push_back(dir_ / ("val" + std::to_string(p) + "." +
-                              std::string(codec->name())));
-      codec->encode(files.back(), program_[static_cast<std::size_t>(p)], p);
+      files.push_back(dir_ /
+                      ("val" + std::to_string(p) + "." + std::string(format)));
+      write_trace(files.back(), program_[static_cast<std::size_t>(p)], p,
+                  format);
     }
     const auto report =
         trace::validate(trace::TraceSet::per_process_files(files));
-    EXPECT_EQ(report.ok, memory_report.ok) << codec->name();
-    EXPECT_EQ(report.actions, memory_report.actions) << codec->name();
-    EXPECT_EQ(report.issues.size(), memory_report.issues.size())
-        << codec->name();
+    EXPECT_EQ(report.ok, memory_report.ok) << format;
+    EXPECT_EQ(report.actions, memory_report.actions) << format;
+    EXPECT_EQ(report.issues.size(), memory_report.issues.size()) << format;
   }
 
   // A consistent program truncates to itself.
@@ -240,69 +249,148 @@ std::vector<Action> drain(const trace::TraceSet& set, int pid) {
 }  // namespace
 
 TEST_P(CodecFuzz, StreamedDecodeIsElementIdenticalEveryCodec) {
-  for (const trace::TraceCodec* codec : trace::all_codecs()) {
+  for (const char* format : kTraceFormats) {
     std::vector<fs::path> files;
     for (int p = 0; p < static_cast<int>(program_.size()); ++p) {
       files.push_back(dir_ / ("stream" + std::to_string(p) + "." +
-                              std::string(codec->name())));
-      codec->encode(files.back(), program_[static_cast<std::size_t>(p)], p);
+                              std::string(format)));
+      write_trace(files.back(), program_[static_cast<std::size_t>(p)], p,
+                  format);
     }
     const auto mat = trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, trace::DecodePolicy::materialise);
     const auto str = trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, trace::DecodePolicy::stream);
-    ASSERT_TRUE(str.streaming()) << codec->name();
+    ASSERT_TRUE(str.streaming()) << format;
     for (int p = 0; p < static_cast<int>(program_.size()); ++p) {
-      EXPECT_EQ(drain(mat, p), drain(str, p))
-          << codec->name() << " pid " << p;
-      EXPECT_EQ(mat.action_count(p), str.action_count(p)) << codec->name();
+      EXPECT_EQ(drain(mat, p), drain(str, p)) << format << " pid " << p;
+      EXPECT_EQ(mat.action_count(p), str.action_count(p)) << format;
     }
-    EXPECT_EQ(trace::digest(mat), trace::digest(str)) << codec->name();
-    EXPECT_EQ(mat.stats().actions, str.stats().actions) << codec->name();
+    EXPECT_EQ(trace::digest(mat), trace::digest(str)) << format;
+    EXPECT_EQ(mat.stats().actions, str.stats().actions) << format;
   }
 }
 
+namespace {
+
+/// What a lenient decode of one split-layout file must report.
+struct Salvaged {
+  std::vector<Action> actions;
+  bool complete = true;
+  std::string error;  ///< empty for compact: see oracle_salvage
+  std::uint64_t bytes_consumed = 0;
+};
+
+/// Independent salvage oracle: the lenient rules written out without the
+/// stream index pass. Text keeps every line before the first bad one
+/// (getline offsets), binary every record before the first bad one; its
+/// clean prefix is measured by re-encoding the kept records (the writer is
+/// deterministic), not by the reader's own offsets. Compact has no record
+/// framing, so a damaged container keeps nothing; its error text is the
+/// pass's own.
+Salvaged oracle_salvage(const fs::path& path) {
+  Salvaged out;
+  const std::uint64_t total = fs::file_size(path);
+  if (trace::is_compact_trace(path)) {
+    out.complete = false;  // callers only hand it truncated containers
+    return out;
+  }
+  if (trace::is_binary_trace(path)) {
+    try {
+      trace::BinaryTraceReader reader(path);
+      for (;;) {
+        std::optional<Action> a;
+        try {
+          a = reader.next();
+        } catch (const Error& e) {
+          out.complete = false;
+          out.error = e.what();
+          trace::BinaryTraceWriter prefix(path.string() + ".prefix",
+                                          reader.default_pid());
+          for (const Action& kept : out.actions) prefix.write(kept);
+          out.bytes_consumed = prefix.close();
+          return out;
+        }
+        if (!a) break;
+        out.actions.push_back(*a);
+      }
+      out.bytes_consumed = total;
+    } catch (const Error& e) {  // bad magic / unreadable header
+      out.complete = false;
+      out.error = e.what();
+    }
+    return out;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  std::uint64_t line_no = 0;
+  std::uint64_t consumed = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const auto trimmed = str::trim(line);
+    if (!trimmed.empty() && trimmed[0] != '#') {
+      try {
+        out.actions.push_back(trace::parse_line(trimmed));
+      } catch (const ParseError& e) {
+        out.complete = false;
+        out.error = path.string() + ":" + std::to_string(line_no) + ": " +
+                    e.what();
+        out.bytes_consumed = std::min(consumed, total);
+        return out;
+      }
+    }
+    consumed += line.size() + 1;  // +1: the newline getline swallowed
+  }
+  out.bytes_consumed = total;  // clean to EOF
+  return out;
+}
+
+}  // namespace
+
 TEST_P(CodecFuzz, StreamedLenientSalvageMatchesMaterialised) {
-  // Truncate each codec's encoding of one stream at a random byte and
-  // lenient-decode both ways: the streaming index must pick exactly the
-  // same salvage point — same kept prefix, same bytes_consumed, same error
-  // text (compact is all-or-nothing; text and binary keep a clean prefix).
+  // Truncate each format's encoding of one stream at a random byte and
+  // lenient-decode it both ways: each memory shape must pick the oracle's
+  // salvage point — same kept prefix, same bytes_consumed, same error text
+  // (compact is all-or-nothing; text and binary keep a clean prefix).
   Rng rng(GetParam() ^ 0x5a11a6e);
-  for (const trace::TraceCodec* codec : trace::all_codecs()) {
+  for (const char* format : kTraceFormats) {
     const auto& actions = program_[0];
-    const fs::path whole =
-        dir_ / ("salvage_whole." + std::string(codec->name()));
-    codec->encode(whole, actions, 0);
+    const fs::path whole = dir_ / ("salvage_whole." + std::string(format));
+    write_trace(whole, actions, 0, format);
     const std::string bytes = read_bytes(whole);
     ASSERT_GT(bytes.size(), 2u);
     const std::size_t cut =
         1 + static_cast<std::size_t>(rng.next_below(
                 static_cast<std::uint64_t>(bytes.size() - 1)));
-    const fs::path trunc =
-        dir_ / ("salvage_cut." + std::string(codec->name()));
+    const fs::path trunc = dir_ / ("salvage_cut." + std::string(format));
     {
       std::ofstream out(trunc, std::ios::binary);
       out.write(bytes.data(), static_cast<std::streamsize>(cut));
     }
-    SCOPED_TRACE(std::string(codec->name()) + " cut at " +
-                 std::to_string(cut) + "/" + std::to_string(bytes.size()));
+    SCOPED_TRACE(std::string(format) + " cut at " + std::to_string(cut) +
+                 "/" + std::to_string(bytes.size()));
 
+    const Salvaged want = oracle_salvage(trunc);
     const auto mat = trace::TraceSet::per_process_files(
         {trunc}, trace::DecodeMode::lenient,
         trace::DecodePolicy::materialise);
     const auto str = trace::TraceSet::per_process_files(
         {trunc}, trace::DecodeMode::lenient, trace::DecodePolicy::stream);
-
-    EXPECT_EQ(drain(mat, 0), drain(str, 0));
+    for (const trace::TraceSet* set : {&mat, &str}) {
+      SCOPED_TRACE(set->streaming() ? "streamed" : "materialised");
+      EXPECT_EQ(drain(*set, 0), want.actions);
+      const auto salvage = set->salvage_report();
+      ASSERT_EQ(salvage.size(), 1u);
+      EXPECT_EQ(salvage[0].complete, want.complete);
+      EXPECT_EQ(salvage[0].bytes_consumed, want.bytes_consumed);
+      if (trace::is_compact_trace(trunc))
+        EXPECT_EQ(salvage[0].error.rfind(trunc.string() + ": ", 0), 0u)
+            << salvage[0].error;
+      else
+        EXPECT_EQ(salvage[0].error, want.error);
+    }
+    EXPECT_EQ(mat.salvage_report()[0].error, str.salvage_report()[0].error);
     EXPECT_EQ(trace::digest(mat), trace::digest(str));
-
-    const auto msal = mat.salvage_report();
-    const auto ssal = str.salvage_report();
-    ASSERT_EQ(msal.size(), 1u);
-    ASSERT_EQ(ssal.size(), 1u);
-    EXPECT_EQ(msal[0].complete, ssal[0].complete);
-    EXPECT_EQ(msal[0].error, ssal[0].error);
-    EXPECT_EQ(msal[0].bytes_consumed, ssal[0].bytes_consumed);
   }
 }
 

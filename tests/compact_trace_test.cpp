@@ -101,19 +101,30 @@ TEST(CompactTrace, FileRoundTripAndDetection) {
   const auto bytes = trace::write_compact(file, program, 0);
   EXPECT_GT(bytes, 0u);
   EXPECT_TRUE(trace::is_compact_trace(file));
-  int pid = -1;
-  const auto back = trace::read_compact(file, &pid);
-  EXPECT_EQ(pid, 0);
-  EXPECT_EQ(back, program);
+  const auto set = trace::TraceSet::per_process_files(
+      {file}, trace::DecodeMode::strict, trace::DecodePolicy::materialise);
+  EXPECT_EQ(set.actions(0), actions);
   fs::remove_all(dir);
 }
 
 TEST(CompactTrace, SourceStreamsTheExpansion) {
+  // A streamed compact file yields the expansion from its loop bodies:
+  // the index holds the block table, never the expanded actions.
+  const auto dir = fs::temp_directory_path() /
+                   ("tir_compactsrc_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const auto file = dir / "p0.ctrace";
   const auto actions = repetitive_trace(30);
-  trace::CompactSource source(trace::compact_actions(actions));
+  trace::write_compact(file, trace::compact_actions(actions), 0);
+  const auto set = trace::TraceSet::per_process_files(
+      {file}, trace::DecodeMode::strict, trace::DecodePolicy::stream);
+  ASSERT_TRUE(set.streaming());
   std::vector<Action> streamed;
-  while (auto a = source.next()) streamed.push_back(*a);
+  const auto source = set.open(0);
+  while (auto a = source->next()) streamed.push_back(*a);
   EXPECT_EQ(streamed, actions);
+  EXPECT_EQ(set.decode_count(), 0u);
+  fs::remove_all(dir);
 }
 
 TEST(CompactTrace, ReplayFromCompactFilesMatchesText) {
@@ -167,8 +178,14 @@ TEST(CompactTrace, RejectsCorruptFiles) {
   const auto file = dir / "bad.ctrace";
   std::ofstream(file, std::ios::binary) << "TIRC" << '\x01' << '\x00'
                                         << '\xFF';
-  EXPECT_THROW(trace::read_compact(file), tir::ParseError);
-  EXPECT_THROW(trace::read_compact(dir / "missing"), tir::IoError);
+  const auto decode = [](const fs::path& path) {
+    return trace::TraceSet::per_process_files(
+               {path}, trace::DecodeMode::strict,
+               trace::DecodePolicy::materialise)
+        .actions(0);
+  };
+  EXPECT_THROW(decode(file), tir::ParseError);
+  EXPECT_THROW(decode(dir / "missing"), tir::IoError);
   fs::remove_all(dir);
 }
 

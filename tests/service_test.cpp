@@ -23,11 +23,11 @@
 #include "serve/service.hpp"
 #include "serve/trace_cache.hpp"
 #include "support/error.hpp"
-#include "trace/codec.hpp"
 #include "trace/digest.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/text_format.hpp"
 #include "trace/trace_set.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
 namespace fs = std::filesystem;
@@ -69,17 +69,16 @@ struct ScratchDir {
   ~ScratchDir() { fs::remove_all(path); }
 };
 
-/// Writes `program` under dir/<sub> with the named codec, one file per
+/// Writes `program` under dir/<sub> in the named format, one file per
 /// process, returning the file list.
 std::vector<fs::path> write_encoded(
-    const fs::path& dir, const std::string& codec_name,
+    const fs::path& dir, const std::string& format,
     const std::vector<std::vector<trace::Action>>& program) {
   fs::create_directories(dir);
-  const trace::TraceCodec& codec = trace::codec_by_name(codec_name);
   std::vector<fs::path> files;
   for (std::size_t p = 0; p < program.size(); ++p) {
     files.push_back(dir / ("SG_process" + std::to_string(p) + ".trace"));
-    codec.encode(files.back(), program[p], static_cast<int>(p));
+    test::write_trace(files.back(), program[p], static_cast<int>(p), format);
   }
   return files;
 }
@@ -114,7 +113,7 @@ TEST(DigestTest, StableAcrossCodecsAndLayouts) {
   for (const auto& stream : program)
     merged.insert(merged.end(), stream.begin(), stream.end());
   const fs::path merged_file = scratch.path / "merged.trace";
-  trace::codec_by_name("text").encode(merged_file, merged, -1);
+  test::write_trace(merged_file, merged, -1, "text");
   const auto d_merged = trace::digest(trace::TraceSet::merged_file(
       merged_file, static_cast<int>(program.size())));
   EXPECT_EQ(d_mem, d_merged);
@@ -204,7 +203,7 @@ TEST(TraceCacheTest, ContentDedupAcrossEncodings) {
 TEST(TraceCacheTest, LruEvictionRespectsByteBudget) {
   const auto one = ring_actions(2, 1);
   const std::uint64_t entry_bytes =
-      trace::decoded_bytes(trace::TraceSet::in_memory(one));
+      trace::TraceSet::in_memory(one).resident_bytes();
 
   serve::TraceCacheOptions options;
   options.byte_budget = 2 * entry_bytes;  // room for two entries
@@ -321,7 +320,7 @@ TEST(TraceCacheTest, ChurnMixesStreamedAndMaterialisedEntries) {
   // Materialised entries big enough to dwarf a stream index's footprint.
   const auto one = ring_actions(2, 50);
   const std::uint64_t entry_bytes =
-      trace::decoded_bytes(trace::TraceSet::in_memory(one));
+      trace::TraceSet::in_memory(one).resident_bytes();
   serve::TraceCacheOptions options;
   options.byte_budget = 2 * entry_bytes;
   serve::TraceCache cache(options);

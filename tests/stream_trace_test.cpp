@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,10 +22,13 @@
 #include "apps/npb_extra.hpp"
 #include "platform/cluster.hpp"
 #include "replay/scenario.hpp"
-#include "trace/codec.hpp"
+#include "support/error.hpp"
+#include "trace/compact.hpp"
 #include "trace/digest.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_set.hpp"
+#include "trace/validate.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
 using namespace tir::replay;
@@ -130,12 +134,12 @@ class StreamTraceTest : public ::testing::Test {
   std::vector<fs::path> write_files(
       const std::vector<std::vector<Action>>& program,
       const std::string& codec_name) {
-    const auto& codec = trace::codec_by_name(codec_name);
     std::vector<fs::path> files;
     for (int p = 0; p < static_cast<int>(program.size()); ++p) {
       files.push_back(dir_ / (codec_name + "_SG_process" +
                               std::to_string(p) + ".trace"));
-      codec.encode(files.back(), program[static_cast<std::size_t>(p)], p);
+      test::write_trace(files.back(), program[static_cast<std::size_t>(p)],
+                        p, codec_name);
     }
     return files;
   }
@@ -250,7 +254,7 @@ TEST_F(StreamTraceTest, MergedTextStreamsAndMatchesMaterialised) {
     if (!any) break;
   }
   const fs::path file = dir_ / "merged.trace";
-  trace::codec_by_name("text").encode(file, interleaved, 0);
+  test::write_trace(file, interleaved, -1, "text");
 
   const auto mat = trace::TraceSet::merged_file(
       file, 4, trace::DecodeMode::strict, DecodePolicy::materialise);
@@ -273,7 +277,7 @@ TEST_F(StreamTraceTest, MergedCompactFallsBackToMaterialise) {
   for (const auto& stream : program)
     interleaved.insert(interleaved.end(), stream.begin(), stream.end());
   const fs::path file = dir_ / "merged.ctrace";
-  trace::codec_by_name("compact").encode(file, interleaved, 0);
+  test::write_trace(file, interleaved, -1, "compact");
 
   const auto mat = trace::TraceSet::merged_file(
       file, 4, trace::DecodeMode::strict, DecodePolicy::materialise);
@@ -410,4 +414,237 @@ TEST_F(StreamTraceTest, AutomaticPolicySizesTheDecodePath) {
   // without expanding anything.
   EXPECT_EQ(big_set.stats().actions, trace::synthetic_actions(big));
   EXPECT_EQ(big_set.action_count(0), 1 + big.iterations * 5);
+}
+
+TEST_F(StreamTraceTest, SegmentCapFallsBackToMaterialise) {
+  // A merged file alternating pids on every line needs one segment per
+  // action; past kMaxStreamSegments the index gives up and the set
+  // materialises through one collecting pass that ignores the cap.
+  std::vector<std::vector<Action>> program(2);
+  for (int i = 0; i < 40'000; ++i)
+    for (int p = 0; p < 2; ++p)
+      program[static_cast<std::size_t>(p)].push_back(
+          {p, ActionType::compute, -1, 1000.0 + i, 0, 0});
+  const fs::path file = dir_ / "alternating.trace";
+  {
+    trace::TextTraceWriter writer(file);
+    for (int i = 0; i < 40'000; ++i)
+      for (const auto& stream : program)
+        writer.write(stream[static_cast<std::size_t>(i)]);
+  }
+  const auto str = trace::TraceSet::merged_file(
+      file, 2, trace::DecodeMode::strict, DecodePolicy::stream);
+  EXPECT_FALSE(str.streaming());
+  EXPECT_EQ(str.index_count(), 1u);
+  const auto mat = trace::TraceSet::merged_file(
+      file, 2, trace::DecodeMode::strict, DecodePolicy::materialise);
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(drain(str, p), program[static_cast<std::size_t>(p)]);
+    EXPECT_EQ(drain(str, p), drain(mat, p));
+  }
+  EXPECT_EQ(str.decode_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Front door: a compact file's expansion is budgeted before it is
+// materialised.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A TIRC file whose one block repeats a 2-action body 2^24 times: 38 bytes
+/// on disk (one pid per body action), 2^25 actions once expanded.
+fs::path write_compact_bomb(const fs::path& file, int pid0, int pid1) {
+  const trace::CompactProgram program = {
+      {1u << 24,
+       {{pid0, ActionType::compute, -1, 1, 0, 0},
+        {pid1, ActionType::compute, -1, 1, 0, 0}}}};
+  trace::write_compact(file, program, 0);
+  return file;
+}
+
+/// Runs `consume` and requires the budget error naming `file`, its
+/// 2^25-action expansion and the budget.
+template <typename F>
+void expect_budget_error(const fs::path& file, F consume) {
+  try {
+    consume();
+    ADD_FAILURE() << "expected the materialise budget to refuse " << file;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(file.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("33554432 actions"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(trace::kMaterialiseBudgetBytes /
+                                       sizeof(Action))),
+              std::string::npos)
+        << what;
+  }
+}
+
+}  // namespace
+
+TEST_F(StreamTraceTest, MergedCompactBombIsRefusedBeforeExpanding) {
+  const fs::path file = write_compact_bomb(dir_ / "bomb.ctrace", 0, 1);
+  EXPECT_EQ(fs::file_size(file), 38u);
+  for (const auto mode : {trace::DecodeMode::strict,
+                          trace::DecodeMode::lenient}) {
+    for (const auto policy : {DecodePolicy::materialise, DecodePolicy::stream,
+                              DecodePolicy::automatic}) {
+      // A fresh set per throwing call: ThreadSanitizer's pthread_once never
+      // releases a once-flag whose callable threw, so a retry would hang.
+      const auto set = [&] {
+        return trace::TraceSet::merged_file(file, 2, mode, policy);
+      };
+      EXPECT_FALSE(set().streaming());  // merged compact never streams
+      expect_budget_error(file, [&] { (void)set().open(0); });
+      expect_budget_error(file, [&] { (void)set().coverage(); });
+    }
+  }
+}
+
+TEST_F(StreamTraceTest, SplitCompactBombStreamsButRefusesToMaterialise) {
+  const fs::path file = write_compact_bomb(dir_ / "bomb.ctrace", 0, 0);
+  for (const auto mode : {trace::DecodeMode::strict,
+                          trace::DecodeMode::lenient}) {
+    const auto forced = trace::TraceSet::per_process_files(
+        {file}, mode, DecodePolicy::materialise);
+    expect_budget_error(file, [&] { (void)forced.actions(0); });
+
+    // Streaming needs no expansion: the index holds one block.
+    const auto streamed =
+        trace::TraceSet::per_process_files({file}, mode, DecodePolicy::stream);
+    ASSERT_TRUE(streamed.streaming());
+    EXPECT_EQ(streamed.action_count(0), 1u << 25);
+    EXPECT_EQ(streamed.coverage(), 1.0);
+    // ...but the salvage cut needs the vectors, so it hits the budget too.
+    expect_budget_error(file,
+                        [&] { (void)trace::truncate_consistent(streamed); });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Merged wild-pid rule: an action for a process outside [0, nprocs).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A merged 2-process program whose seventh action names process 5: three
+/// rounds of (p0, p1), then p5, then one more p0 action. `prefix` is the
+/// part before the wild action — as a compact program, its first block.
+trace::CompactProgram wild_program(bool prefix_only) {
+  const Action a0{0, ActionType::compute, -1, 1, 0, 0};
+  const Action a1{1, ActionType::compute, -1, 2, 0, 0};
+  trace::CompactProgram program = {{3, {a0, a1}}};
+  if (!prefix_only)
+    program.push_back({1,
+                       {{5, ActionType::compute, -1, 3, 0, 0},
+                        {0, ActionType::compute, -1, 4, 0, 0}}});
+  return program;
+}
+
+/// Writes `program` in `format` (compact keeps its blocks; the others get
+/// the expansion). Returns the file.
+fs::path write_program(const fs::path& file,
+                       const trace::CompactProgram& program,
+                       const std::string& format) {
+  if (format == "compact")
+    trace::write_compact(file, program, -1);
+  else
+    test::write_trace(file, trace::expand(program), -1, format);
+  return file;
+}
+
+/// Appends bytes no decoder accepts after the wild action: a bad text line,
+/// a bogus binary record tag, or — compact having no record framing — a
+/// lopped-off last byte.
+void corrupt_tail(const fs::path& file, const std::string& format) {
+  if (format == "compact") {
+    fs::resize_file(file, fs::file_size(file) - 1);
+    return;
+  }
+  std::ofstream out(file, std::ios::binary | std::ios::app);
+  out << (format == "text" ? "p0 warp 9\n" : "\x0F");
+}
+
+}  // namespace
+
+TEST_F(StreamTraceTest, MergedWildPidRuleEveryFormatModeAndPolicy) {
+  for (const std::string format : test::kTraceFormats) {
+    SCOPED_TRACE(format);
+    const fs::path wild =
+        write_program(dir_ / ("wild." + format), wild_program(false), format);
+    // The clean prefix before the wild action, encoded alone: its size is
+    // the wild record's offset (for compact, its block's).
+    const std::uint64_t wild_offset = fs::file_size(write_program(
+        dir_ / ("prefix." + format), wild_program(true), format));
+    const fs::path wild_then_bad = write_program(
+        dir_ / ("wild_then_bad." + format), wild_program(false), format);
+    corrupt_tail(wild_then_bad, format);
+    const std::string wild_error =
+        wild.string() + ": action for process 5 but nprocs is 2";
+    const std::vector<Action> kept[2] = {
+        std::vector<Action>(3, {0, ActionType::compute, -1, 1, 0, 0}),
+        std::vector<Action>(3, {1, ActionType::compute, -1, 2, 0, 0})};
+
+    for (const auto policy : {DecodePolicy::materialise,
+                              DecodePolicy::stream}) {
+      SCOPED_TRACE(policy == DecodePolicy::stream ? "stream" : "materialise");
+      // Strict: the wild pid is an error...
+      const auto strict = trace::TraceSet::merged_file(
+          wild, 2, trace::DecodeMode::strict, policy);
+      try {
+        (void)strict.stats();
+        ADD_FAILURE() << "expected the wild-pid error";
+      } catch (const ParseError& e) {
+        EXPECT_EQ(std::string(e.what()), wild_error);
+      }
+      // ...outranked by a parse error anywhere later in the file.
+      const auto strict_bad = trace::TraceSet::merged_file(
+          wild_then_bad, 2, trace::DecodeMode::strict, policy);
+      try {
+        (void)strict_bad.stats();
+        ADD_FAILURE() << "expected the later parse error";
+      } catch (const ParseError& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.find("nprocs"), std::string::npos) << what;
+        EXPECT_EQ(what.rfind(wild_then_bad.string() + (format == "text"
+                                                           ? ":9: "
+                                                           : ": "),
+                             0),
+                  0u)
+            << what;
+      }
+
+      // Lenient: keep what came before the wild action; the coverage stops
+      // at its record.
+      const auto lenient = trace::TraceSet::merged_file(
+          wild, 2, trace::DecodeMode::lenient, policy);
+      for (int p = 0; p < 2; ++p) EXPECT_EQ(drain(lenient, p), kept[p]);
+      const auto salvage = lenient.salvage_report();
+      ASSERT_EQ(salvage.size(), 1u);
+      EXPECT_FALSE(salvage[0].complete);
+      EXPECT_EQ(salvage[0].error, wild_error);
+      EXPECT_EQ(salvage[0].bytes_consumed, wild_offset);
+      EXPECT_DOUBLE_EQ(lenient.coverage(),
+                       static_cast<double>(wild_offset) /
+                           static_cast<double>(fs::file_size(wild)));
+      EXPECT_LT(lenient.coverage(), 1.0);
+
+      // A parse error after the wild action keeps its own text, and the
+      // smaller of the two offsets (compact salvages all or nothing).
+      const auto lenient_bad = trace::TraceSet::merged_file(
+          wild_then_bad, 2, trace::DecodeMode::lenient, policy);
+      const auto bad_salvage = lenient_bad.salvage_report();
+      ASSERT_EQ(bad_salvage.size(), 1u);
+      EXPECT_FALSE(bad_salvage[0].complete);
+      EXPECT_EQ(bad_salvage[0].error.find("nprocs"), std::string::npos);
+      if (format == "compact") {
+        EXPECT_EQ(bad_salvage[0].bytes_consumed, 0u);
+        for (int p = 0; p < 2; ++p) EXPECT_TRUE(drain(lenient_bad, p).empty());
+      } else {
+        EXPECT_EQ(bad_salvage[0].bytes_consumed, wild_offset);
+        for (int p = 0; p < 2; ++p) EXPECT_EQ(drain(lenient_bad, p), kept[p]);
+      }
+    }
+  }
 }

@@ -5,11 +5,16 @@
 
 #include "support/error.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/codec.hpp"
+#include "trace/stream.hpp"
+#include "trace/synthetic.hpp"
 #include "trace/text_format.hpp"
 #include "trace/trace_set.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir::trace;
+using tir::test::kTraceFormats;
+using tir::test::read_trace;
+using tir::test::write_trace;
 namespace fs = std::filesystem;
 
 namespace {
@@ -220,11 +225,10 @@ TEST_F(TraceIoTest, MergedFileRoundTripsThroughAllCodecs) {
   for (const auto& actions : per_process)
     merged.insert(merged.end(), actions.begin(), actions.end());
 
-  for (const TraceCodec* codec : all_codecs()) {
-    const auto file = dir_ / ("merged_" + std::string(codec->name()));
-    EXPECT_GT(codec->encode(file, merged, /*pid=*/-1), 0u)
-        << codec->name();
-    EXPECT_EQ(codec->decode(file), merged) << codec->name();
+  for (const char* format : kTraceFormats) {
+    const auto file = dir_ / ("merged_" + std::string(format));
+    EXPECT_GT(write_trace(file, merged, /*pid=*/-1, format), 0u) << format;
+    EXPECT_EQ(read_trace(file), merged) << format;
 
     const TraceSet set = TraceSet::merged_file(file, 4);
     for (int p = 0; p < 4; ++p) {
@@ -232,10 +236,10 @@ TEST_F(TraceIoTest, MergedFileRoundTripsThroughAllCodecs) {
       std::vector<Action> back;
       while (auto a = source->next()) back.push_back(*a);
       EXPECT_EQ(back, per_process[static_cast<std::size_t>(p)])
-          << codec->name() << " pid " << p;
+          << format << " pid " << p;
     }
     // One merged file = exactly one decode pass, however many streams.
-    EXPECT_EQ(set.decode_count(), 1u) << codec->name();
+    EXPECT_EQ(set.decode_count(), 1u) << format;
   }
 }
 
@@ -249,27 +253,29 @@ TEST_F(TraceIoTest, RecvWithoutVolumeRoundTripsThroughAllCodecs) {
       {5, ActionType::recv, 2, 8192, 0, 0},  // explicit volume still works
       {5, ActionType::wait, -1, 0, 0, 0},
   };
-  for (const TraceCodec* codec : all_codecs()) {
-    const auto file = dir_ / ("recv_" + std::string(codec->name()));
-    codec->encode(file, actions, /*pid=*/5);
-    const auto back = codec->decode(file);
-    EXPECT_EQ(back, actions) << codec->name();
-    EXPECT_DOUBLE_EQ(back[0].volume, 0.0) << codec->name();
+  for (const char* format : kTraceFormats) {
+    const auto file = dir_ / ("recv_" + std::string(format));
+    write_trace(file, actions, /*pid=*/5, format);
+    const auto back = read_trace(file);
+    EXPECT_EQ(back, actions) << format;
+    EXPECT_DOUBLE_EQ(back[0].volume, 0.0) << format;
   }
 }
 
-TEST_F(TraceIoTest, CodecRegistryDetectsFormats) {
+TEST_F(TraceIoTest, FormatsAreDetectedByMagic) {
   const auto actions = ring_actions()[0];
-  const auto text = dir_ / "f.trace";
-  const auto bin = dir_ / "f.btrace";
-  const auto compact = dir_ / "f.ctrace";
-  codec_by_name("text").encode(text, actions, 0);
-  codec_by_name("binary").encode(bin, actions, 0);
-  codec_by_name("compact").encode(compact, actions, 0);
-  EXPECT_EQ(codec_for_file(text).name(), "text");
-  EXPECT_EQ(codec_for_file(bin).name(), "binary");
-  EXPECT_EQ(codec_for_file(compact).name(), "compact");
-  EXPECT_THROW(codec_by_name("tarot"), tir::Error);
+  for (const char* format : kTraceFormats) {
+    const auto file = dir_ / ("f." + std::string(format));
+    write_trace(file, actions, 0, format);
+    EXPECT_EQ(build_stream_index(file, DecodeMode::strict, -1).kind,
+              tir::test::format_kind(format))
+        << format;
+  }
+  // The one API left that names a format takes only the three.
+  SyntheticSpec spec;
+  spec.nprocs = 2;
+  EXPECT_THROW(write_synthetic_traces(dir_ / "syn", spec, "tarot"),
+               tir::Error);
 }
 
 TEST_F(TraceIoTest, TraceSetSharesDecodedStorageAcrossCopies) {
@@ -305,8 +311,8 @@ TEST_F(TraceIoTest, CompactFileWithBadMagicFailsStrictAndSalvagesLenient) {
   // than silently treating garbage as actions.
   const auto file = dir_ / "bad.ctrace";
   const auto good = dir_ / "good.trace";
-  codec_by_name("compact").encode(file, ring_actions()[0], 0);
-  codec_by_name("text").encode(good, ring_actions()[1], 1);
+  write_trace(file, ring_actions()[0], 0, "compact");
+  write_trace(good, ring_actions()[1], 1, "text");
   {
     std::fstream patch(file, std::ios::in | std::ios::out | std::ios::binary);
     patch.write("XXXX", 4);  // clobber the magic
