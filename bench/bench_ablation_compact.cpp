@@ -10,9 +10,8 @@
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
 #include "replay/scenario.hpp"
-#include "trace/binary_format.hpp"
 #include "trace/compact.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 using namespace tir;
 namespace fs = std::filesystem;
@@ -38,17 +37,18 @@ int main() {
   std::vector<fs::path> binary_files, compact_files;
   std::uint64_t text_bytes = 0, binary_bytes = 0, compact_bytes = 0;
   std::uint64_t compact_blocks = 0;
+  const auto text_set = trace::TraceSet::per_process_files(report.ti_files);
   for (int p = 0; p < cfg.nprocs; ++p) {
-    const auto& text = report.ti_files[static_cast<std::size_t>(p)];
-    text_bytes += fs::file_size(text);
+    text_bytes += fs::file_size(report.ti_files[static_cast<std::size_t>(p)]);
     const auto bin = workdir / ("SG_process" + std::to_string(p) + ".btrace");
-    binary_bytes += trace::text_to_binary(text, bin);
+    binary_bytes +=
+        trace::convert_trace(text_set, p, bin, trace::TraceFormat::binary);
     binary_files.push_back(bin);
-    const auto actions = trace::read_all(text);
-    const auto program = trace::compact_actions(actions);
+    const auto program = trace::compact_actions(text_set.actions(p));
     compact_blocks += program.size();
     const auto cmp = workdir / ("SG_process" + std::to_string(p) + ".ctrace");
-    compact_bytes += trace::write_compact(cmp, program, p);
+    compact_bytes +=
+        trace::write_trace(cmp, program, p, trace::TraceFormat::compact);
     compact_files.push_back(cmp);
   }
 

@@ -36,18 +36,13 @@
 #include "platform/cluster.hpp"
 #include "replay/scenario.hpp"
 #include "support/units.hpp"
-#include "trace/binary_format.hpp"
 #include "trace/synthetic.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 
 using namespace tir;
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Peak resident set (VmHWM) from /proc/self/status, in bytes; 0 when
 /// unavailable (non-Linux), which disables the RSS assertion.
@@ -125,7 +120,7 @@ int main() {
   const auto t0 = std::chrono::steady_clock::now();
   const auto streamed =
       replay::run_scenario_report(cluster_scenario(kRanks, streamed_set));
-  const double stream_wall = seconds_since(t0);
+  const double stream_wall = bench::seconds_since(t0);
   const std::uint64_t peak = peak_rss_bytes();
 
   std::printf("\nphase 1 — streaming replay (CG pattern, %d ranks)\n",
@@ -178,7 +173,7 @@ int main() {
       const auto t1 = std::chrono::steady_clock::now();
       auto report =
           replay::run_scenario_report(cluster_scenario(kRanks, std::move(set)));
-      const double w = seconds_since(t1);
+      const double w = bench::seconds_since(t1);
       if (rep == 0 || w < wall[i]) wall[i] = w;
       reports[i] = std::move(report);
     }
@@ -250,7 +245,9 @@ int main() {
   for (std::size_t p = 0; p < std::min<std::size_t>(r.ti_files.size(), 64);
        ++p) {
     const auto out = spec.workdir / ("bin" + std::to_string(p));
-    binary_bytes += trace::text_to_binary(r.ti_files[p], out);
+    binary_bytes += trace::convert_trace(
+        trace::TraceSet::per_process_files({r.ti_files[p]}), 0, out,
+        trace::TraceFormat::binary);
   }
   const double sampled_fraction =
       std::min<std::size_t>(r.ti_files.size(), 64) /

@@ -24,15 +24,6 @@
 using namespace tir;
 using namespace tir::replay;
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 int main() {
   const double scale = bench::scale();
   const int nprocs = 8;
@@ -108,7 +99,7 @@ int main() {
 
   const auto t0 = std::chrono::steady_clock::now();
   const McSummary summary = run_monte_carlo(spec, perturb, opts);
-  const double elapsed = seconds_since(t0);
+  const double elapsed = bench::seconds_since(t0);
 
   McOptions serial = opts;
   serial.workers = 1;

@@ -4,7 +4,6 @@
 // measurable (< 2% — it is one null-pointer branch per operation) and the
 // enabled recorder stays cheap enough to leave on during sweeps.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "acquisition/acquisition.hpp"
@@ -27,16 +26,10 @@ double replay_seconds(const plat::Platform& platform,
   scenario.process_hosts = hosts;
   scenario.traces = traces;
   scenario.config = config;
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
+  return bench::best_of(reps, [&] {
     const auto result = replay::run_scenario(scenario);
-    best = std::min(best, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count());
     *spans_out = result.spans ? result.spans->total_spans() : 0;
-  }
-  return best;
+  });
 }
 
 }  // namespace

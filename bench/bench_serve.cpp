@@ -46,7 +46,7 @@
 
 #include "bench_util.hpp"
 #include "serve/service.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 using namespace tir;
 
@@ -69,11 +69,6 @@ std::vector<std::vector<trace::Action>> ring_actions(int nprocs, int rounds) {
     }
   }
   return per;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 /// Resident set size from /proc/self/status, in bytes; 0 when unavailable
@@ -163,7 +158,7 @@ int main() {
 
   const auto t_cold = std::chrono::steady_clock::now();
   const auto cold = drive(service, distinct);
-  const double cold_seconds = seconds_since(t_cold);
+  const double cold_seconds = bench::seconds_since(t_cold);
   for (std::size_t i = 0; i < cold.size(); ++i) {
     if (cold[i].status != serve::Response::Status::ok) {
       std::fprintf(stderr, "cold request %zu not ok\n", i);
@@ -185,7 +180,7 @@ int main() {
   const std::uint64_t rss_before = rss_bytes();
   const auto t_warm = std::chrono::steady_clock::now();
   const auto warm = drive(service, warm_requests);
-  const double warm_seconds = seconds_since(t_warm);
+  const double warm_seconds = bench::seconds_since(t_warm);
   const std::uint64_t rss_after = rss_bytes();
 
   // Closed loop: kClients callers, each waiting for its reply before it
@@ -205,7 +200,7 @@ int main() {
           request.id = "closed-" + std::to_string(i);
           const auto t0 = std::chrono::steady_clock::now();
           const serve::Response response = service.run(std::move(request));
-          closed_latency[i] = seconds_since(t0);
+          closed_latency[i] = bench::seconds_since(t0);
           closed[i] = {response.sim_time, response.memo_hit, response.status};
         }
       });

@@ -17,7 +17,7 @@
 #include "bench_util.hpp"
 #include "platform/cluster.hpp"
 #include "replay/sweep.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 using namespace tir;
 using namespace tir::replay;
@@ -46,11 +46,6 @@ std::vector<std::vector<trace::Action>> synthetic_actions(int nprocs,
     }
   }
   return per;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 }  // namespace
@@ -95,11 +90,11 @@ int main() {
 
   const auto t_serial0 = std::chrono::steady_clock::now();
   const auto serial = run_sweep(scenarios, {.workers = 1});
-  const double t_serial = seconds_since(t_serial0);
+  const double t_serial = bench::seconds_since(t_serial0);
 
   const auto t_par0 = std::chrono::steady_clock::now();
   const auto parallel = run_sweep(scenarios, {.workers = kWorkers});
-  const double t_par = seconds_since(t_par0);
+  const double t_par = bench::seconds_since(t_par0);
 
   bool identical = true;
   for (int i = 0; i < kScenarios; ++i) {

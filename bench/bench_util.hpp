@@ -12,9 +12,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 namespace tir::bench {
@@ -28,6 +31,23 @@ inline double scale() {
     if (v > 0.0 && v <= 1.0) return v;
   }
   return 0.1;
+}
+
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The shortest wall time, in seconds, of `runs` calls of `fn`.
+template <typename F>
+double best_of(int runs, F&& fn) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < runs; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(best, seconds_since(t0));
+  }
+  return best;
 }
 
 inline std::filesystem::path fresh_workdir(const std::string& name) {

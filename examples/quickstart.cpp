@@ -15,7 +15,7 @@
 #include "platform/platform_file.hpp"
 #include "replay/scenario.hpp"
 #include "support/units.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 using namespace tir;
 
@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
 
   const auto trace_files = trace::write_split_traces(workdir, ring);
   std::cout << "Wrote the Figure 1 trace:\n";
-  for (const auto& line : trace::read_all(trace_files[0]))
+  const auto p0 = trace::TraceSet::per_process_files({trace_files[0]});
+  for (const auto& line : p0.actions(0))
     std::cout << "  " << trace::to_line(line) << '\n';
 
   // --- 2. Platform (Fig 5) and deployment (Fig 6) -------------------------

@@ -9,8 +9,7 @@
 #include "support/error.hpp"
 #include "tau/tau_reader.hpp"
 #include "tau/tau_writer.hpp"
-#include "trace/binary_format.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 namespace tir::acq {
 
@@ -255,19 +254,12 @@ ExtractResult tau2ti(const std::filesystem::path& tau_dir, int nprocs,
     const auto actions = extractor.finish();
     result.actions += actions.size();
 
-    std::filesystem::path out;
-    if (options.binary_output) {
-      out = out_dir / ("SG_process" + std::to_string(p) + ".btrace");
-      trace::BinaryTraceWriter writer(out, p);
-      for (const Action& a : actions) writer.write(a);
-      result.ti_bytes += writer.close();
-    } else {
-      out = out_dir / ("SG_process" + std::to_string(p) + ".trace");
-      trace::TextTraceWriter writer(out);
-      for (const Action& a : actions) writer.write(a);
-      result.ti_bytes += writer.close();
-    }
-    result.ti_files.push_back(out);
+    result.ti_files.push_back(out_dir /
+                              ("SG_process" + std::to_string(p) + ".trace"));
+    result.ti_bytes += trace::write_trace(
+        result.ti_files.back(), actions, p,
+        options.binary_output ? trace::TraceFormat::binary
+                              : trace::TraceFormat::text);
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -96,39 +96,37 @@ sim::Co<void> do_comm_size(ReplayCtx& ctx, const Action& a) {
 
 ActionRegistry ActionRegistry::with_defaults() {
   ActionRegistry registry;
-  registry.handlers_.emplace("compute", do_compute);
-  registry.handlers_.emplace("send", do_send);
-  registry.handlers_.emplace("Isend", do_isend);
-  registry.handlers_.emplace("recv", do_recv);
-  registry.handlers_.emplace("Irecv", do_irecv);
-  registry.handlers_.emplace("wait", do_wait);
-  registry.handlers_.emplace("barrier", do_barrier);
-  registry.handlers_.emplace("bcast", do_bcast);
-  registry.handlers_.emplace("reduce", do_reduce);
-  registry.handlers_.emplace("allReduce", do_allreduce);
-  registry.handlers_.emplace("comm_size", do_comm_size);
-  registry.handlers_.emplace("gather", do_gather);
-  registry.handlers_.emplace("allGather", do_allgather);
-  registry.handlers_.emplace("allToAll", do_alltoall);
-  registry.handlers_.emplace("waitAll", do_waitall);
+  registry.register_action("compute", do_compute);
+  registry.register_action("send", do_send);
+  registry.register_action("Isend", do_isend);
+  registry.register_action("recv", do_recv);
+  registry.register_action("Irecv", do_irecv);
+  registry.register_action("wait", do_wait);
+  registry.register_action("barrier", do_barrier);
+  registry.register_action("bcast", do_bcast);
+  registry.register_action("reduce", do_reduce);
+  registry.register_action("allReduce", do_allreduce);
+  registry.register_action("comm_size", do_comm_size);
+  registry.register_action("gather", do_gather);
+  registry.register_action("allGather", do_allgather);
+  registry.register_action("allToAll", do_alltoall);
+  registry.register_action("waitAll", do_waitall);
   return registry;
 }
 
 void ActionRegistry::register_action(const std::string& keyword,
                                      ActionHandler handler) {
   // Validate the keyword against Table 1 so typos fail loudly.
-  (void)trace::action_type_from_keyword(keyword);
-  handlers_[std::string(
-      trace::action_keyword(trace::action_type_from_keyword(keyword)))] =
-      std::move(handler);
+  handlers_[static_cast<std::size_t>(
+      trace::action_type_from_keyword(keyword))] = std::move(handler);
 }
 
 const ActionHandler& ActionRegistry::handler(trace::ActionType type) const {
-  const auto it = handlers_.find(std::string(trace::action_keyword(type)));
-  if (it == handlers_.end())
+  const auto index = static_cast<std::size_t>(type);
+  if (index >= handlers_.size() || !handlers_[index])
     throw SimError("replay: no handler registered for action '" +
                    std::string(trace::action_keyword(type)) + "'");
-  return it->second;
+  return handlers_[index];
 }
 
 }  // namespace tir::replay

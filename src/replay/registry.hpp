@@ -6,10 +6,10 @@
 // without any modification of the simulator").
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "mpisim/mpi.hpp"
 #include "trace/action.hpp"
@@ -57,7 +57,8 @@ class ActionRegistry {
   const ActionHandler& handler(trace::ActionType type) const;
 
  private:
-  std::unordered_map<std::string, ActionHandler> handlers_;
+  /// Indexed by ActionType; an empty function has no handler.
+  std::array<ActionHandler, trace::kActionTypes> handlers_;
 };
 
 }  // namespace tir::replay

@@ -36,9 +36,11 @@ double parse_double(const std::string& what, const std::string& s) {
 
 std::uint64_t parse_u64(const std::string& what, const std::string& s) {
   try {
+    // stoull wraps a leading '-' around: "-1" would read as 2^64 - 1.
     std::size_t used = 0;
     const unsigned long long v = std::stoull(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
+    if (used != s.size() || s.find('-') != std::string::npos)
+      throw std::invalid_argument(s);
     return v;
   } catch (const std::exception&) {
     throw ParseError(what + ": expected a non-negative integer, got '" + s +

@@ -16,8 +16,9 @@ struct KeywordEntry {
 };
 
 // Keywords exactly as Table 1 of the paper spells them, plus the later
-// SimGrid extensions (gather / allGather / allToAll / waitAll).
-constexpr std::array<KeywordEntry, 15> kKeywords{{
+// SimGrid extensions (gather / allGather / allToAll / waitAll). Indexed by
+// ActionType.
+constexpr std::array<KeywordEntry, kActionTypes> kKeywords{{
     {ActionType::compute, "compute"},
     {ActionType::send, "send"},
     {ActionType::isend, "Isend"},
@@ -35,6 +36,24 @@ constexpr std::array<KeywordEntry, 15> kKeywords{{
     {ActionType::waitall, "waitAll"},
 }};
 
+constexpr bool in_enum_order() {
+  for (std::size_t i = 0; i < kKeywords.size(); ++i)
+    if (static_cast<std::size_t>(kKeywords[i].type) != i) return false;
+  return true;
+}
+static_assert(in_enum_order(), "kKeywords must list ActionTypes in order");
+
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+bool equals_ignoring_case(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
+  return true;
+}
+
 // Accepts "p12" or "12".
 int parse_pid(std::string_view token) {
   if (!token.empty() && (token[0] == 'p' || token[0] == 'P'))
@@ -47,15 +66,14 @@ int parse_pid(std::string_view token) {
 }  // namespace
 
 std::string_view action_keyword(ActionType type) {
-  for (const auto& entry : kKeywords)
-    if (entry.type == type) return entry.keyword;
-  throw Error("unknown ActionType");
+  const auto index = static_cast<std::size_t>(type);
+  if (index >= kKeywords.size()) throw Error("unknown ActionType");
+  return kKeywords[index].keyword;
 }
 
 ActionType action_type_from_keyword(std::string_view keyword) {
-  const std::string lowered = str::lower(keyword);
   for (const auto& entry : kKeywords)
-    if (str::lower(entry.keyword) == lowered) return entry.type;
+    if (equals_ignoring_case(entry.keyword, keyword)) return entry.type;
   throw ParseError("unknown trace action keyword '" + std::string(keyword) +
                    "'");
 }

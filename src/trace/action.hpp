@@ -14,6 +14,7 @@
 // send carries it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -40,6 +41,10 @@ enum class ActionType {
   alltoall,   ///< MPI_Alltoall: volume = bytes sent to each peer
   waitall,    ///< MPI_Waitall: completes every pending request
 };
+
+/// Number of ActionType values (they run 0 .. kActionTypes - 1).
+constexpr std::size_t kActionTypes =
+    static_cast<std::size_t>(ActionType::waitall) + 1;
 
 /// Trace keyword for a type ("compute", "Isend", "allReduce", ...).
 std::string_view action_keyword(ActionType type);

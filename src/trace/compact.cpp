@@ -1,10 +1,6 @@
 #include "trace/compact.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <unordered_map>
-
-#include "support/error.hpp"
 
 namespace tir::trace {
 
@@ -114,46 +110,6 @@ std::uint64_t expanded_size(const CompactProgram& program) {
   for (const LoopBlock& block : program)
     total += static_cast<std::uint64_t>(block.count) * block.body.size();
   return total;
-}
-
-std::uint64_t write_compact(const std::filesystem::path& path,
-                            const CompactProgram& program, int pid) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out)
-    throw IoError("cannot create compact trace '" + path.string() + "'");
-  std::string buffer;
-  const auto put_varint = [&buffer](std::uint64_t value) {
-    while (value >= 0x80) {
-      buffer.push_back(static_cast<char>((value & 0x7F) | 0x80));
-      value >>= 7;
-    }
-    buffer.push_back(static_cast<char>(value));
-  };
-  buffer.append(kCompactMagic, sizeof(kCompactMagic));
-  buffer.push_back(static_cast<char>(kCompactVersion));
-  put_varint(static_cast<std::uint64_t>(pid));
-  put_varint(program.size());
-  for (const LoopBlock& block : program) {
-    put_varint(block.count);
-    put_varint(block.body.size());
-    // Reuse the textual action encoding per entry: simple and debuggable
-    // (the count dominates the savings anyway).
-    for (const Action& a : block.body) {
-      const std::string line = to_line(a);
-      put_varint(line.size());
-      buffer += line;
-    }
-  }
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  return buffer.size();
-}
-
-bool is_compact_trace(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[4];
-  in.read(magic, 4);
-  return in.gcount() == 4 && std::memcmp(magic, kCompactMagic, 4) == 0;
 }
 
 }  // namespace tir::trace

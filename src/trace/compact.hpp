@@ -14,15 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <vector>
 
 #include "trace/action.hpp"
 
 namespace tir::trace {
-
-constexpr char kCompactMagic[4] = {'T', 'I', 'R', 'C'};
-constexpr std::uint8_t kCompactVersion = 1;
 
 /// One program step: `body` repeated `count` times (count == 1 -> literal).
 struct LoopBlock {
@@ -43,16 +39,5 @@ std::vector<Action> expand(const CompactProgram& program);
 
 /// Number of actions the program expands to.
 std::uint64_t expanded_size(const CompactProgram& program);
-
-/// Serialises a program as a TIRC container:
-///   magic "TIRC" | version u8 | pid varint | block count varint
-///   per block: repeat varint | body length varint | body entries, each a
-///   varint byte length followed by the action's text line
-/// Returns bytes written. build_stream_index (stream.hpp) reads it back.
-std::uint64_t write_compact(const std::filesystem::path& path,
-                            const CompactProgram& program, int pid);
-
-/// True when the file starts with the compact-trace magic.
-bool is_compact_trace(const std::filesystem::path& path);
 
 }  // namespace tir::trace

@@ -9,8 +9,8 @@
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
-#include "trace/binary_format.hpp"
 #include "trace/compact.hpp"
+#include "trace/trace_format.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define TIR_HAVE_MMAP 1
@@ -32,9 +32,34 @@ std::uint64_t file_size_or_zero(const std::filesystem::path& path) {
 
 StreamIndex fallback_index(const std::filesystem::path& path) {
   StreamIndex idx;
-  idx.kind = StreamIndex::Kind::fallback;
+  idx.fallback = true;
   idx.path = path;
   return idx;
+}
+
+/// Opens a trace file once and reads its magic: binary and compact readers
+/// continue on `in`, positioned after it. A file too short for a magic, or
+/// unreadable, is text (the text pass reports an unreadable file).
+TraceFormat sniff(const std::filesystem::path& path, std::ifstream& in) {
+  in.open(path, std::ios::binary);
+  char magic[4];
+  in.read(magic, sizeof(magic));
+  if (in.gcount() == sizeof(magic)) {
+    if (std::memcmp(magic, kBinaryMagic, sizeof(magic)) == 0)
+      return TraceFormat::binary;
+    if (std::memcmp(magic, kCompactMagic, sizeof(magic)) == 0)
+      return TraceFormat::compact;
+  }
+  return TraceFormat::text;
+}
+
+/// Reopens a file the pass already sniffed, positioned after its magic
+/// (cursors).
+std::ifstream reopen_after_magic(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw IoError("cannot open trace file '" + path.string() + "'");
+  in.seekg(sizeof(kBinaryMagic));
+  return in;
 }
 
 /// Records a lenient-mode decode error: the salvage keeps the clean prefix
@@ -206,20 +231,136 @@ class LineReader {
   std::string line_;
 };
 
-/// Reader over a TIRC container (layout at write_compact). The format's one
-/// decoder: the index pass, the block cursor and the expansion hint all
-/// read through it.
-class TircReader {
+/// Bytes of a binary or compact file, read from the stream the sniff opened
+/// and counting the offset as they go (tellg costs a system call per call).
+class ByteReader {
+ protected:
+  /// `in` is positioned after the magic.
+  ByteReader(const std::filesystem::path& path, std::ifstream in)
+      : path_(path), in_(std::move(in)), offset_(sizeof(kBinaryMagic)) {}
+
+  std::uint64_t varint() {
+    std::uint64_t value = 0;
+    int shift = 0;
+    for (;;) {
+      const int byte = in_.get();
+      if (byte == EOF) throw ParseError(path_.string() + ": truncated varint");
+      ++offset_;
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) return value;
+      shift += 7;
+      if (shift > 63) throw ParseError(path_.string() + ": varint overflow");
+    }
+  }
+
+  /// Reads `n` bytes into `out`; false when the file ends first.
+  bool read(char* out, std::uint64_t n) {
+    in_.read(out, static_cast<std::streamsize>(n));
+    offset_ += static_cast<std::uint64_t>(in_.gcount());
+    return static_cast<std::uint64_t>(in_.gcount()) == n;
+  }
+
+  /// Repositions at an offset this reader reported; clears any EOF state.
+  void seek_to(std::uint64_t offset) {
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(offset));
+    offset_ = offset;
+  }
+
+  std::filesystem::path path_;
+  std::ifstream in_;
+  std::uint64_t offset_;  ///< bytes consumed from the start of the file
+};
+
+/// Reader over a binary trace (layout in trace_format.hpp): the index pass
+/// and the binary cursor both decode through it.
+class BinaryReader : ByteReader {
  public:
-  explicit TircReader(const std::filesystem::path& path)
-      : path_(path), in_(path, std::ios::binary),
-        size_(file_size_or_zero(path)) {
-    if (!in_)
-      throw IoError("cannot open compact trace '" + path.string() + "'");
-    char magic[4];
-    in_.read(magic, 4);
-    if (in_.gcount() != 4 || std::memcmp(magic, kCompactMagic, 4) != 0)
-      throw ParseError(path.string() + ": not a compact TIR trace");
+  BinaryReader(const std::filesystem::path& path, std::ifstream in)
+      : ByteReader(path, std::move(in)) {
+    const int version = in_.get();
+    ++offset_;
+    if (version != kBinaryVersion)
+      throw ParseError(path.string() + ": unsupported binary trace version " +
+                       std::to_string(version));
+    const std::uint64_t pid_plus_1 = varint();
+    default_pid_ = pid_plus_1 == 0 ? -1 : static_cast<int>(pid_plus_1 - 1);
+  }
+
+  /// Offset of the next record (the pass snapshots it before each one to
+  /// locate segments and the clean prefix).
+  std::uint64_t offset() const { return offset_; }
+
+  /// Repositions at a record boundary offset() reported.
+  void seek(std::uint64_t offset) { seek_to(offset); }
+
+  /// Next action, or nullopt at end of file.
+  std::optional<Action> next() {
+    const int tag_byte = in_.get();
+    if (tag_byte == EOF) return std::nullopt;
+    ++offset_;
+    const auto tag = static_cast<std::uint8_t>(tag_byte);
+    const auto type_raw = static_cast<int>(tag & 0x0F);
+    if (type_raw > static_cast<int>(ActionType::waitall))
+      throw ParseError(path_.string() + ": corrupt action tag");
+    Action a;
+    a.type = static_cast<ActionType>(type_raw);
+    a.pid = default_pid_ >= 0 ? default_pid_ : static_cast<int>(varint());
+
+    const auto volume = [&](bool as_double) {
+      if (!as_double) return static_cast<double>(varint());
+      char raw[sizeof(double)];
+      if (!read(raw, sizeof(double)))
+        throw ParseError(path_.string() + ": truncated double");
+      double value;
+      std::memcpy(&value, raw, sizeof(double));
+      return value;
+    };
+    const bool v_double = (tag & kVolumeIsDouble) != 0;
+    const bool v2_double = (tag & kVolume2IsDouble) != 0;
+
+    switch (a.type) {
+      case ActionType::compute:
+      case ActionType::bcast:
+      case ActionType::gather:
+      case ActionType::allgather:
+      case ActionType::alltoall:
+        a.volume = volume(v_double);
+        break;
+      case ActionType::send:
+      case ActionType::isend:
+      case ActionType::recv:
+      case ActionType::irecv:
+        a.partner = static_cast<int>(varint());
+        a.volume = volume(v_double);
+        break;
+      case ActionType::reduce:
+      case ActionType::allreduce:
+        a.volume = volume(v_double);
+        a.volume2 = volume(v2_double);
+        break;
+      case ActionType::comm_size:
+        a.comm_size = static_cast<int>(varint());
+        break;
+      case ActionType::barrier:
+      case ActionType::wait:
+      case ActionType::waitall:
+        break;
+    }
+    return a;
+  }
+
+ private:
+  int default_pid_ = -1;  ///< the header's factored-out pid, -1 per record
+};
+
+/// Reader over a TIRC container (layout in trace_format.hpp): the index
+/// pass, the block cursor and the expansion hint all decode through it.
+class TircReader : ByteReader {
+ public:
+  TircReader(const std::filesystem::path& path, std::ifstream in)
+      : ByteReader(path, std::move(in)), size_(file_size_or_zero(path)) {
+    ++offset_;
     if (in_.get() != kCompactVersion)
       throw ParseError(path.string() + ": unsupported compact-trace version");
     varint();  // header pid (informational)
@@ -232,7 +373,7 @@ class TircReader {
   /// Reads the block header at the current position.
   StreamIndex::Block block() {
     StreamIndex::Block block;
-    block.offset = static_cast<std::uint64_t>(in_.tellg());
+    block.offset = offset_;
     block.repeat = static_cast<std::uint32_t>(varint());  // LoopBlock::count
     block.body_actions = varint();
     return block;
@@ -245,39 +386,20 @@ class TircReader {
   void skip_entry() { entry_bytes(); }
 
   /// Repositions at a block header recorded by block().
-  void seek(std::uint64_t offset) {
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(offset));
-  }
+  void seek(std::uint64_t offset) { seek_to(offset); }
 
  private:
-  std::uint64_t varint() {
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-      const int byte = in_.get();
-      if (byte == EOF) throw ParseError(path_.string() + ": truncated varint");
-      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return value;
-      shift += 7;
-      if (shift > 63) throw ParseError(path_.string() + ": varint overflow");
-    }
-  }
-
   std::string_view entry_bytes() {
     const std::uint64_t len = varint();
     // A length past the end of the file is truncation; checking it first
     // keeps a corrupt length from sizing the buffer.
     if (len <= size_) {
       line_.resize(static_cast<std::size_t>(len));
-      in_.read(line_.data(), static_cast<std::streamsize>(len));
-      if (static_cast<std::uint64_t>(in_.gcount()) == len) return line_;
+      if (read(line_.data(), len)) return line_;
     }
     throw ParseError(path_.string() + ": truncated action");
   }
 
-  std::filesystem::path path_;
-  std::ifstream in_;
   std::uint64_t size_;
   std::uint64_t blocks_ = 0;
   std::string line_;
@@ -303,7 +425,6 @@ StreamIndex build_text_index(const std::filesystem::path& path,
                              DecodeMode mode, int merged_nprocs,
                              std::vector<std::vector<Action>>* actions) {
   StreamIndex idx;
-  idx.kind = StreamIndex::Kind::text;
   idx.path = path;
   idx.salvage.bytes_total = file_size_or_zero(path);
 
@@ -341,17 +462,18 @@ StreamIndex build_text_index(const std::filesystem::path& path,
 }
 
 StreamIndex build_binary_index(const std::filesystem::path& path,
-                               DecodeMode mode, int merged_nprocs,
+                               std::ifstream in, DecodeMode mode,
+                               int merged_nprocs,
                                std::vector<std::vector<Action>>* actions) {
   StreamIndex idx;
-  idx.kind = StreamIndex::Kind::binary;
+  idx.format = TraceFormat::binary;
   idx.path = path;
   idx.salvage.bytes_total = file_size_or_zero(path);
 
-  std::optional<BinaryTraceReader> reader;
+  std::optional<BinaryReader> reader;
   try {
-    reader.emplace(path);
-  } catch (const Error& e) {  // bad version / unreadable header
+    reader.emplace(path, std::move(in));
+  } catch (const Error& e) {  // bad version / truncated header
     if (mode == DecodeMode::strict) throw;
     record_error(idx.salvage, e.what(), 0);
     return idx;
@@ -361,7 +483,7 @@ StreamIndex build_binary_index(const std::filesystem::path& path,
   for (;;) {
     // Snapshot the offset before each record so a mid-record truncation
     // salvages exactly the records before it.
-    const std::uint64_t offset = reader->byte_offset();
+    const std::uint64_t offset = reader->offset();
     std::optional<Action> a;
     try {
       a = reader->next();
@@ -391,14 +513,15 @@ void add_scaled(TraceStats& total, const TraceStats& body,
 }
 
 StreamIndex build_compact_index(const std::filesystem::path& path,
-                                DecodeMode mode, int merged_nprocs,
+                                std::ifstream in, DecodeMode mode,
+                                int merged_nprocs,
                                 std::vector<std::vector<Action>>* actions) {
   // A merged compact file interleaves pids inside loop bodies; per-pid
   // segments don't apply, so it can only materialise.
   if (merged_nprocs >= 0 && actions == nullptr) return fallback_index(path);
 
   StreamIndex idx;
-  idx.kind = StreamIndex::Kind::compact;
+  idx.format = TraceFormat::compact;
   idx.path = path;
   idx.salvage.bytes_total = file_size_or_zero(path);
   constexpr std::uint64_t kBudgetActions =
@@ -406,14 +529,14 @@ StreamIndex build_compact_index(const std::filesystem::path& path,
   CompactProgram program;  // the loop bodies, kept when collecting
   bool over_budget = false;
   try {
-    TircReader in(path);
-    idx.blocks.reserve(std::min<std::uint64_t>(in.blocks(), 1 << 20));
-    for (std::uint64_t b = 0; b < in.blocks(); ++b) {
-      const StreamIndex::Block block = in.block();
+    TircReader tirc(path, std::move(in));
+    idx.blocks.reserve(std::min<std::uint64_t>(tirc.blocks(), 1 << 20));
+    for (std::uint64_t b = 0; b < tirc.blocks(); ++b) {
+      const StreamIndex::Block block = tirc.block();
       LoopBlock loop{block.repeat, {}};
       TraceStats body_stats;
       for (std::uint64_t k = 0; k < block.body_actions; ++k) {
-        const Action a = in.entry();
+        const Action a = tirc.entry();
         body_stats.account(a);
         if (actions != nullptr) loop.body.push_back(a);
       }
@@ -508,8 +631,8 @@ class MmapTextSource final : public ActionSource {
   std::optional<LineReader> lines_;
 };
 
-/// Binary cursor: one BinaryTraceReader (the reader the index pass ran),
-/// seeked to each of the pid's segments in turn.
+/// Binary cursor: one BinaryReader (the reader the index pass ran), seeked
+/// to each of the pid's segments in turn.
 class BinarySegmentSource final : public ActionSource {
  public:
   BinarySegmentSource(std::shared_ptr<const StreamIndex> index,
@@ -525,7 +648,8 @@ class BinarySegmentSource final : public ActionSource {
              !(pid_filter_ < 0 || segments[seg_].pid == pid_filter_))
         ++seg_;
       if (seg_ >= segments.size()) return std::nullopt;
-      if (!reader_) reader_.emplace(index_->path);
+      if (!reader_)
+        reader_.emplace(index_->path, reopen_after_magic(index_->path));
       reader_->seek(segments[seg_].offset);
       remaining_ = segments[seg_].count;
       ++seg_;
@@ -538,7 +662,7 @@ class BinarySegmentSource final : public ActionSource {
   std::shared_ptr<void> owner_;
   std::shared_ptr<const StreamIndex> index_;
   int pid_filter_;
-  std::optional<BinaryTraceReader> reader_;
+  std::optional<BinaryReader> reader_;
   std::size_t seg_ = 0;
   std::uint64_t remaining_ = 0;
 };
@@ -570,7 +694,8 @@ class CompactBlockSource final : public ActionSource {
     while (block_ < blocks.size()) {
       const StreamIndex::Block& blk = blocks[block_++];
       if (blk.repeat == 0 || blk.body_actions == 0) continue;
-      if (!reader_) reader_.emplace(index_->path);
+      if (!reader_)
+        reader_.emplace(index_->path, reopen_after_magic(index_->path));
       reader_->seek(blk.offset);
       reader_->block();  // the index already holds the header
       body_.clear();
@@ -595,7 +720,7 @@ class CompactBlockSource final : public ActionSource {
 }  // namespace
 
 std::uint64_t StreamIndex::action_count(int pid) const {
-  if (kind == Kind::compact) return total_actions;
+  if (format == TraceFormat::compact) return total_actions;
   std::uint64_t n = 0;
   for (const Segment& s : segments)
     if (s.pid < 0 || s.pid == pid) n += s.count;
@@ -613,23 +738,31 @@ StreamIndex build_stream_index(const std::filesystem::path& path,
                                std::vector<std::vector<Action>>* actions) {
   if (actions != nullptr)
     actions->assign(static_cast<std::size_t>(std::max(merged_nprocs, 1)), {});
-  // Magic-bearing formats first; anything else parses as text.
-  if (is_binary_trace(path))
-    return build_binary_index(path, mode, merged_nprocs, actions);
-  if (is_compact_trace(path))
-    return build_compact_index(path, mode, merged_nprocs, actions);
+  std::ifstream in;
+  switch (sniff(path, in)) {
+    case TraceFormat::binary:
+      return build_binary_index(path, std::move(in), mode, merged_nprocs,
+                                actions);
+    case TraceFormat::compact:
+      return build_compact_index(path, std::move(in), mode, merged_nprocs,
+                                 actions);
+    case TraceFormat::text:
+      break;
+  }
   return build_text_index(path, mode, merged_nprocs, actions);
 }
 
 std::uint64_t compact_expanded_hint(
     const std::filesystem::path& path) noexcept {
-  if (!is_compact_trace(path)) return 0;
   try {
-    TircReader in(path);
+    std::ifstream in;
+    if (sniff(path, in) != TraceFormat::compact) return 0;
+    TircReader tirc(path, std::move(in));
     std::uint64_t total = 0;
-    for (std::uint64_t b = 0; b < in.blocks(); ++b) {
-      const StreamIndex::Block block = in.block();
-      for (std::uint64_t k = 0; k < block.body_actions; ++k) in.skip_entry();
+    for (std::uint64_t b = 0; b < tirc.blocks(); ++b) {
+      const StreamIndex::Block block = tirc.block();
+      for (std::uint64_t k = 0; k < block.body_actions; ++k)
+        tirc.skip_entry();
       total = saturating_add(total, block_expansion(block));
     }
     return total;
@@ -641,22 +774,22 @@ std::uint64_t compact_expanded_hint(
 std::unique_ptr<ActionSource> open_stream(
     std::shared_ptr<const StreamIndex> index, int pid_filter,
     std::shared_ptr<void> owner) {
-  switch (index->kind) {
-    case StreamIndex::Kind::text:
-      return std::make_unique<MmapTextSource>(std::move(index), pid_filter,
-                                              std::move(owner));
-    case StreamIndex::Kind::binary:
+  if (index->fallback)
+    throw Error("open_stream: file is not streamable: " +
+                index->path.string());
+  switch (index->format) {
+    case TraceFormat::binary:
       return std::make_unique<BinarySegmentSource>(std::move(index),
                                                    pid_filter,
                                                    std::move(owner));
-    case StreamIndex::Kind::compact:
+    case TraceFormat::compact:
       return std::make_unique<CompactBlockSource>(std::move(index),
                                                   std::move(owner));
-    case StreamIndex::Kind::fallback:
+    case TraceFormat::text:
       break;
   }
-  throw Error("open_stream: file is not streamable: " +
-              index->path.string());
+  return std::make_unique<MmapTextSource>(std::move(index), pid_filter,
+                                          std::move(owner));
 }
 
 }  // namespace tir::trace

@@ -10,7 +10,8 @@
 // the index plus one cursor's working set (a text line, a binary record, or
 // one compact block body), independent of trace length.
 //
-// Fidelity contract: this pass is the only reader TraceSet has. A
+// Fidelity contract: this pass is the only trace reader — TraceSet, and
+// through it every tool, bench and example, decodes files here. A
 // materialising set runs the same pass and collects each distributed
 // action as it goes, so both memory shapes share their errors (types and
 // messages), lenient salvage points and merged wild-pid rule by
@@ -25,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 
 namespace tir::trace {
@@ -35,13 +37,6 @@ namespace tir::trace {
 /// blocks (the cursor re-parses one body at a time and replays its repeat
 /// count from memory).
 struct StreamIndex {
-  enum class Kind {
-    text,
-    binary,
-    compact,
-    fallback,  ///< not streamable: the caller must materialise this file
-  };
-
   struct Segment {
     int pid = -1;  ///< -1 in split layout (actions kept verbatim)
     std::uint64_t offset = 0;  ///< byte offset of the run's first record
@@ -54,7 +49,8 @@ struct StreamIndex {
     std::uint64_t body_actions = 0;  ///< actions per repetition
   };
 
-  Kind kind = Kind::fallback;
+  TraceFormat format = TraceFormat::text;  ///< what the sniff found
+  bool fallback = false;  ///< not streamable: the caller must materialise
   std::filesystem::path path;
 
   std::vector<Segment> segments;  ///< text / binary
@@ -84,7 +80,7 @@ struct StreamIndex {
 /// Maximum segments indexed per file. A merged trace written per-process
 /// (the only layout the writers produce) needs nprocs segments; a
 /// pathologically interleaved file would need one per action, so past this
-/// cap the builder gives up (Kind::fallback) and the set materialises
+/// cap the builder gives up (fallback) and the set materialises
 /// instead, through a collecting pass that ignores the cap — the index must
 /// never grow with trace length.
 constexpr std::size_t kMaxStreamSegments = 65536;
@@ -103,8 +99,10 @@ constexpr std::size_t kMaxStreamSegments = 65536;
 /// which cannot stream, expand here. The returned index then carries the
 /// salvage outcome and counts but no segments. A compact file whose
 /// expansion passes kMaterialiseBudgetBytes throws tir::Error in either
-/// mode. Without `actions`, merged compact files come back as
-/// Kind::fallback.
+/// mode. Without `actions`, merged compact files come back as fallback.
+///
+/// The pass opens the file once and sniffs its format from the first bytes
+/// (trace_format.hpp); binary and compact decoding continue on that stream.
 StreamIndex build_stream_index(const std::filesystem::path& path,
                                DecodeMode mode, int merged_nprocs,
                                std::vector<std::vector<Action>>* actions =
@@ -119,7 +117,7 @@ std::uint64_t compact_expanded_hint(const std::filesystem::path& path) noexcept;
 /// Opens a bounded-memory cursor over the indexed file. `pid_filter >= 0`
 /// walks only that pid's segments (merged layout); -1 walks everything
 /// (split layout). `owner` is pinned for the cursor's lifetime (the
-/// TraceSet storage). Precondition: index->kind != Kind::fallback.
+/// TraceSet storage). Precondition: !index->fallback.
 std::unique_ptr<ActionSource> open_stream(
     std::shared_ptr<const StreamIndex> index, int pid_filter,
     std::shared_ptr<void> owner);

@@ -3,8 +3,7 @@
 #include <limits>
 
 #include "support/error.hpp"
-#include "trace/binary_format.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 namespace tir::trace {
 
@@ -94,32 +93,19 @@ std::vector<std::filesystem::path> write_synthetic_traces(
     const std::filesystem::path& dir, const SyntheticSpec& spec,
     std::string_view codec) {
   check(spec);
-  if (codec != "compact" && codec != "text" && codec != "binary")
+  const TraceFormat format = [codec] {
+    for (const TraceFormat f :
+         {TraceFormat::compact, TraceFormat::text, TraceFormat::binary})
+      if (format_name(f) == codec) return f;
     throw ParseError("invalid synthetic codec '" + std::string(codec) +
                      "' (compact|text|binary)");
+  }();
   std::filesystem::create_directories(dir);
   std::vector<std::filesystem::path> paths;
   paths.reserve(static_cast<std::size_t>(spec.nprocs));
   for (int pid = 0; pid < spec.nprocs; ++pid) {
-    const auto path =
-        dir / ("SG_process" + std::to_string(pid) + ".trace");
-    const CompactProgram program = synthetic_program(spec, pid);
-    if (codec == "compact") {
-      write_compact(path, program, pid);
-    } else if (codec == "text") {
-      TextTraceWriter writer(path);
-      for (const LoopBlock& block : program)
-        for (std::uint32_t r = 0; r < block.count; ++r)
-          for (const Action& a : block.body) writer.write(a);
-      writer.close();
-    } else {
-      BinaryTraceWriter writer(path, pid);
-      for (const LoopBlock& block : program)
-        for (std::uint32_t r = 0; r < block.count; ++r)
-          for (const Action& a : block.body) writer.write(a);
-      writer.close();
-    }
-    paths.push_back(path);
+    paths.push_back(dir / ("SG_process" + std::to_string(pid) + ".trace"));
+    write_trace(paths.back(), synthetic_program(spec, pid), pid, format);
   }
   return paths;
 }

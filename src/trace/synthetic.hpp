@@ -6,7 +6,7 @@
 // per-iteration action block is fixed, so the whole trace is two compact
 // loop blocks per rank (a comm_size prologue and the iteration body), and a
 // multi-gigabyte logical trace serialises to a few hundred bytes of TIRC.
-// Text/binary output streams block-by-block through the format writers, so
+// Text/binary output streams the expansion through write_trace, so
 // generation itself is bounded-memory at any size.
 #pragma once
 

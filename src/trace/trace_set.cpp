@@ -99,7 +99,7 @@ struct TraceSet::Storage {
         auto idx = std::make_shared<StreamIndex>(
             build_stream_index(f, mode, merged_nprocs));
         index_builds.fetch_add(1, std::memory_order_relaxed);
-        if (idx->kind == StreamIndex::Kind::fallback) return;
+        if (idx->fallback) return;
         built.push_back(std::move(idx));
       }
       index = std::move(built);
@@ -346,7 +346,12 @@ std::vector<std::filesystem::path> process_trace_files(
     }
     for (int pid = 0;; ++pid) {
       auto file = path / ("SG_process" + std::to_string(pid) + ".trace");
-      if (!std::filesystem::exists(file)) break;
+      if (!std::filesystem::exists(file)) {
+        if (pid == 0)
+          throw IoError("no SG_process0.trace in trace directory '" +
+                        path.string() + "'");
+        break;
+      }
       files.push_back(std::move(file));
     }
   }

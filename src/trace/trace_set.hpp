@@ -85,7 +85,8 @@ constexpr std::uint64_t kMaterialiseBudgetBytes = 1ull << 30;  // 1 GiB
 /// directory stands for its SG_process<i>.trace files (i = 0, 1, ... up to
 /// the first missing one), any other path for itself. Unlike a shell glob,
 /// which sorts SG_process10 before SG_process2, this keeps the positional
-/// pid mapping.
+/// pid mapping. A directory without SG_process0.trace throws tir::IoError
+/// naming it.
 std::vector<std::filesystem::path> process_trace_files(
     const std::vector<std::filesystem::path>& paths);
 

@@ -11,7 +11,7 @@
 #include "apps/stencil.hpp"
 #include "platform/cluster.hpp"
 #include "support/error.hpp"
-#include "trace/text_format.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
 using namespace tir::acq;
@@ -42,14 +42,14 @@ TEST_F(AcquisitionTest, RingExtractionReproducesFigure1) {
   const AcquisitionReport report = run_acquisition(spec);
   ASSERT_EQ(report.ti_files.size(), 4u);
 
-  const auto p0 = trace::read_all(report.ti_files[0]);
+  const auto p0 = test::read_trace(report.ti_files[0]);
   ASSERT_EQ(p0.size(), 4u);  // comm_size + the three Figure 1 lines
   EXPECT_EQ(trace::to_line(p0[0]), "p0 comm_size 4");
   EXPECT_EQ(trace::to_line(p0[1]), "p0 compute 1000000");
   EXPECT_EQ(trace::to_line(p0[2]), "p0 send p1 1000000");
   EXPECT_EQ(trace::to_line(p0[3]), "p0 recv p3");
 
-  const auto p2 = trace::read_all(report.ti_files[2]);
+  const auto p2 = test::read_trace(report.ti_files[2]);
   ASSERT_EQ(p2.size(), 4u);
   EXPECT_EQ(trace::to_line(p2[1]), "p2 recv p1");
   EXPECT_EQ(trace::to_line(p2[2]), "p2 compute 1000000");
@@ -80,7 +80,7 @@ TEST_F(AcquisitionTest, IrecvLookupResolvesSources) {
   const AcquisitionReport report = run_acquisition(spec);
   int irecvs = 0, waits = 0;
   for (const auto& file : report.ti_files) {
-    for (const auto& action : trace::read_all(file)) {
+    for (const auto& action : test::read_trace(file)) {
       if (action.type == trace::ActionType::irecv) {
         EXPECT_GE(action.partner, 0) << "unresolved Irecv source";
         EXPECT_GT(action.volume, 0.0);
@@ -105,7 +105,7 @@ TEST_F(AcquisitionTest, ReduceVcompComesFromCounterDelta) {
   spec.app = app;
   spec.workdir = dir_;
   const AcquisitionReport report = run_acquisition(spec);
-  const auto actions = trace::read_all(report.ti_files[1]);
+  const auto actions = test::read_trace(report.ti_files[1]);
   bool found = false;
   for (const auto& action : actions) {
     if (action.type == trace::ActionType::reduce) {
@@ -215,8 +215,8 @@ TEST_F(AcquisitionTest, ExtractedVolumesAreModeIndependent) {
   const AcquisitionReport rb = run_acquisition(b);
 
   for (std::size_t p = 0; p < ra.ti_files.size(); ++p) {
-    const auto ta = trace::read_all(ra.ti_files[p]);
-    const auto tb = trace::read_all(rb.ti_files[p]);
+    const auto ta = test::read_trace(ra.ti_files[p]);
+    const auto tb = test::read_trace(rb.ti_files[p]);
     EXPECT_EQ(ta, tb) << "trace of process " << p
                       << " differs between R and F-4";
   }

@@ -17,17 +17,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
-#include "trace/binary_format.hpp"
 #include "trace/compact.hpp"
 #include "trace/digest.hpp"
 #include "trace/stream.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 #include "trace/validate.hpp"
 #include "trace_formats.hpp"
@@ -36,8 +35,10 @@ using namespace tir;
 using trace::Action;
 using trace::ActionType;
 using test::kTraceFormats;
+using test::read_bytes;
 using test::read_trace;
-using test::write_trace;
+using trace::TraceFormat;
+using trace::write_trace;
 namespace fs = std::filesystem;
 
 namespace {
@@ -131,12 +132,6 @@ std::vector<std::vector<Action>> random_program(std::uint64_t seed,
   return per;
 }
 
-std::string read_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
 /// Seeds: the env override (TIR_FUZZ_SEED=<n>) reruns one failing case;
 /// otherwise a fixed battery keeps the suite deterministic in CI.
 std::vector<std::uint64_t> fuzz_seeds() {
@@ -167,27 +162,27 @@ class CodecFuzz : public ::testing::TestWithParam<std::uint64_t> {
 }  // namespace
 
 TEST_P(CodecFuzz, EveryCodecRoundTripsExactly) {
-  for (const char* format : kTraceFormats) {
+  for (const TraceFormat format : kTraceFormats) {
     for (int p = 0; p < static_cast<int>(program_.size()); ++p) {
       const auto& actions = program_[static_cast<std::size_t>(p)];
       const fs::path file =
-          dir_ / (std::string(format) + std::to_string(p) + ".trace");
+          dir_ / (test::name(format) + std::to_string(p) + ".trace");
       write_trace(file, actions, p, format);
       EXPECT_EQ(read_trace(file), actions) << format << " pid " << p;
       // Sniffing must route the file back to the format that wrote it.
       EXPECT_EQ(
-          trace::build_stream_index(file, trace::DecodeMode::strict, -1).kind,
-          test::format_kind(format))
-          << format;
+          trace::build_stream_index(file, trace::DecodeMode::strict, -1)
+              .format,
+          format);
     }
   }
 }
 
 TEST_P(CodecFuzz, ReEncodingDecodedOutputIsAByteFixpoint) {
   const auto& actions = program_[0];
-  for (const char* format : kTraceFormats) {
-    const fs::path first = dir_ / ("fix1." + std::string(format));
-    const fs::path second = dir_ / ("fix2." + std::string(format));
+  for (const TraceFormat format : kTraceFormats) {
+    const fs::path first = dir_ / ("fix1." + test::name(format));
+    const fs::path second = dir_ / ("fix2." + test::name(format));
     write_trace(first, actions, 0, format);
     write_trace(second, read_trace(first), 0, format);
     EXPECT_EQ(read_bytes(first), read_bytes(second)) << format;
@@ -201,10 +196,10 @@ TEST_P(CodecFuzz, CrossCodecConversionChainPreservesTheStream) {
   const fs::path b = dir_ / "chain.btrace";
   const fs::path c = dir_ / "chain.ctrace";
   const fs::path d = dir_ / "chain2.trace";
-  write_trace(a, actions, 1, "text");
-  write_trace(b, read_trace(a), 1, "binary");
-  write_trace(c, read_trace(b), 1, "compact");
-  write_trace(d, read_trace(c), 1, "text");
+  write_trace(a, actions, 1, TraceFormat::text);
+  write_trace(b, read_trace(a), 1, TraceFormat::binary);
+  write_trace(c, read_trace(b), 1, TraceFormat::compact);
+  write_trace(d, read_trace(c), 1, TraceFormat::text);
   EXPECT_EQ(read_trace(d), actions);
   EXPECT_EQ(read_bytes(a), read_bytes(d));
 }
@@ -215,11 +210,11 @@ TEST_P(CodecFuzz, ValidateVerdictIsStableAcrossFormats) {
   EXPECT_TRUE(memory_report.ok) << memory_report.render();
   EXPECT_EQ(memory_report.nprocs, 6);
 
-  for (const char* format : kTraceFormats) {
+  for (const TraceFormat format : kTraceFormats) {
     std::vector<fs::path> files;
     for (int p = 0; p < static_cast<int>(program_.size()); ++p) {
       files.push_back(dir_ /
-                      ("val" + std::to_string(p) + "." + std::string(format)));
+                      ("val" + std::to_string(p) + "." + test::name(format)));
       write_trace(files.back(), program_[static_cast<std::size_t>(p)], p,
                   format);
     }
@@ -249,11 +244,11 @@ std::vector<Action> drain(const trace::TraceSet& set, int pid) {
 }  // namespace
 
 TEST_P(CodecFuzz, StreamedDecodeIsElementIdenticalEveryCodec) {
-  for (const char* format : kTraceFormats) {
+  for (const TraceFormat format : kTraceFormats) {
     std::vector<fs::path> files;
     for (int p = 0; p < static_cast<int>(program_.size()); ++p) {
       files.push_back(dir_ / ("stream" + std::to_string(p) + "." +
-                              std::string(format)));
+                              test::name(format)));
       write_trace(files.back(), program_[static_cast<std::size_t>(p)], p,
                   format);
     }
@@ -277,50 +272,47 @@ namespace {
 struct Salvaged {
   std::vector<Action> actions;
   bool complete = true;
-  std::string error;  ///< empty for compact: see oracle_salvage
+  std::string error;  ///< text files only: see oracle_salvage
+  bool text = false;  ///< the file sniffs as text
   std::uint64_t bytes_consumed = 0;
 };
 
 /// Independent salvage oracle: the lenient rules written out without the
 /// stream index pass. Text keeps every line before the first bad one
-/// (getline offsets), binary every record before the first bad one; its
-/// clean prefix is measured by re-encoding the kept records (the writer is
-/// deterministic), not by the reader's own offsets. Compact has no record
-/// framing, so a damaged container keeps nothing; its error text is the
-/// pass's own.
-Salvaged oracle_salvage(const fs::path& path) {
+/// (getline offsets). Binary keeps every record before the first bad one:
+/// `whole` is the per-process stream (pid 0) the truncated file encodes,
+/// and since the writer is deterministic, the kept records are the longest
+/// prefix of it whose encoding fits in the file — measured by encoding the
+/// header and each record alone, not by any reader's offsets. Compact has
+/// no record framing, so a damaged container keeps nothing. Only the text
+/// error text is the oracle's; binary and compact ones are the pass's.
+Salvaged oracle_salvage(const fs::path& path,
+                        const std::vector<Action>& whole) {
   Salvaged out;
-  const std::uint64_t total = fs::file_size(path);
-  if (trace::is_compact_trace(path)) {
+  const std::string bytes = read_bytes(path);
+  const std::uint64_t total = bytes.size();
+  if (bytes.compare(0, 4, trace::kCompactMagic, 4) == 0) {
     out.complete = false;  // callers only hand it truncated containers
     return out;
   }
-  if (trace::is_binary_trace(path)) {
-    try {
-      trace::BinaryTraceReader reader(path);
-      for (;;) {
-        std::optional<Action> a;
-        try {
-          a = reader.next();
-        } catch (const Error& e) {
-          out.complete = false;
-          out.error = e.what();
-          trace::BinaryTraceWriter prefix(path.string() + ".prefix",
-                                          reader.default_pid());
-          for (const Action& kept : out.actions) prefix.write(kept);
-          out.bytes_consumed = prefix.close();
-          return out;
-        }
-        if (!a) break;
-        out.actions.push_back(*a);
-      }
-      out.bytes_consumed = total;
-    } catch (const Error& e) {  // bad magic / unreadable header
-      out.complete = false;
-      out.error = e.what();
+  if (bytes.compare(0, 4, trace::kBinaryMagic, 4) == 0) {
+    const fs::path probe = path.string() + ".probe";
+    const std::uint64_t header = write_trace(probe, std::vector<Action>{}, 0,
+                                             TraceFormat::binary);
+    std::uint64_t size = header;
+    if (size <= total) out.bytes_consumed = size;
+    for (const Action& a : whole) {
+      size += write_trace(probe, std::vector<Action>{a}, 0,
+                          TraceFormat::binary) -
+              header;
+      if (size > total) break;
+      out.actions.push_back(a);
+      out.bytes_consumed = size;
     }
+    out.complete = out.bytes_consumed == total;
     return out;
   }
+  out.text = true;
   std::ifstream in(path, std::ios::binary);
   std::string line;
   std::uint64_t line_no = 0;
@@ -353,24 +345,24 @@ TEST_P(CodecFuzz, StreamedLenientSalvageMatchesMaterialised) {
   // salvage point — same kept prefix, same bytes_consumed, same error text
   // (compact is all-or-nothing; text and binary keep a clean prefix).
   Rng rng(GetParam() ^ 0x5a11a6e);
-  for (const char* format : kTraceFormats) {
+  for (const TraceFormat format : kTraceFormats) {
     const auto& actions = program_[0];
-    const fs::path whole = dir_ / ("salvage_whole." + std::string(format));
+    const fs::path whole = dir_ / ("salvage_whole." + test::name(format));
     write_trace(whole, actions, 0, format);
     const std::string bytes = read_bytes(whole);
     ASSERT_GT(bytes.size(), 2u);
     const std::size_t cut =
         1 + static_cast<std::size_t>(rng.next_below(
                 static_cast<std::uint64_t>(bytes.size() - 1)));
-    const fs::path trunc = dir_ / ("salvage_cut." + std::string(format));
+    const fs::path trunc = dir_ / ("salvage_cut." + test::name(format));
     {
       std::ofstream out(trunc, std::ios::binary);
       out.write(bytes.data(), static_cast<std::streamsize>(cut));
     }
-    SCOPED_TRACE(std::string(format) + " cut at " + std::to_string(cut) +
+    SCOPED_TRACE(test::name(format) + " cut at " + std::to_string(cut) +
                  "/" + std::to_string(bytes.size()));
 
-    const Salvaged want = oracle_salvage(trunc);
+    const Salvaged want = oracle_salvage(trunc, actions);
     const auto mat = trace::TraceSet::per_process_files(
         {trunc}, trace::DecodeMode::lenient,
         trace::DecodePolicy::materialise);
@@ -383,11 +375,11 @@ TEST_P(CodecFuzz, StreamedLenientSalvageMatchesMaterialised) {
       ASSERT_EQ(salvage.size(), 1u);
       EXPECT_EQ(salvage[0].complete, want.complete);
       EXPECT_EQ(salvage[0].bytes_consumed, want.bytes_consumed);
-      if (trace::is_compact_trace(trunc))
+      if (want.text || want.complete)
+        EXPECT_EQ(salvage[0].error, want.error);
+      else  // binary and compact error texts are the pass's own
         EXPECT_EQ(salvage[0].error.rfind(trunc.string() + ": ", 0), 0u)
             << salvage[0].error;
-      else
-        EXPECT_EQ(salvage[0].error, want.error);
     }
     EXPECT_EQ(mat.salvage_report()[0].error, str.salvage_report()[0].error);
     EXPECT_EQ(trace::digest(mat), trace::digest(str));

@@ -10,7 +10,8 @@
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "trace/compact.hpp"
-#include "trace/text_format.hpp"
+#include "trace/stream.hpp"
+#include "trace/trace_format.hpp"
 
 using namespace tir;
 using trace::Action;
@@ -98,9 +99,12 @@ TEST(CompactTrace, FileRoundTripAndDetection) {
   const auto file = dir / "p0.ctrace";
   const auto actions = repetitive_trace(40);
   const auto program = trace::compact_actions(actions);
-  const auto bytes = trace::write_compact(file, program, 0);
+  const auto bytes =
+      trace::write_trace(file, program, 0, trace::TraceFormat::compact);
   EXPECT_GT(bytes, 0u);
-  EXPECT_TRUE(trace::is_compact_trace(file));
+  EXPECT_EQ(
+      trace::build_stream_index(file, trace::DecodeMode::strict, -1).format,
+      trace::TraceFormat::compact);
   const auto set = trace::TraceSet::per_process_files(
       {file}, trace::DecodeMode::strict, trace::DecodePolicy::materialise);
   EXPECT_EQ(set.actions(0), actions);
@@ -115,7 +119,7 @@ TEST(CompactTrace, SourceStreamsTheExpansion) {
   fs::create_directories(dir);
   const auto file = dir / "p0.ctrace";
   const auto actions = repetitive_trace(30);
-  trace::write_compact(file, trace::compact_actions(actions), 0);
+  trace::write_trace(file, actions, 0, trace::TraceFormat::compact);
   const auto set = trace::TraceSet::per_process_files(
       {file}, trace::DecodeMode::strict, trace::DecodePolicy::stream);
   ASSERT_TRUE(set.streaming());
@@ -145,12 +149,11 @@ TEST(CompactTrace, ReplayFromCompactFilesMatchesText) {
 
   std::vector<fs::path> compact_files;
   std::uint64_t text_bytes = 0, compact_bytes = 0;
+  const auto text_set = trace::TraceSet::per_process_files(report.ti_files);
   for (int p = 0; p < 4; ++p) {
-    const auto actions = trace::read_all(report.ti_files[
-        static_cast<std::size_t>(p)]);
     const auto out = dir / ("SG_process" + std::to_string(p) + ".ctrace");
-    compact_bytes +=
-        trace::write_compact(out, trace::compact_actions(actions), p);
+    compact_bytes += trace::convert_trace(text_set, p, out,
+                                          trace::TraceFormat::compact);
     text_bytes += fs::file_size(report.ti_files[static_cast<std::size_t>(p)]);
     compact_files.push_back(out);
   }
@@ -243,8 +246,8 @@ TEST(CompactTrace, ReplayIsLayoutIndependent) {
   std::vector<fs::path> compact;
   for (int p = 0; p < 4; ++p) {
     const auto f = dir / ("c" + std::to_string(p) + ".ctrace");
-    trace::write_compact(
-        f, trace::compact_actions(per[static_cast<std::size_t>(p)]), p);
+    trace::write_trace(f, per[static_cast<std::size_t>(p)], p,
+                       trace::TraceFormat::compact);
     compact.push_back(f);
   }
   const double t_compact = run_set(trace::TraceSet::per_process_files(compact));

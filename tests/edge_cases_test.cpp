@@ -8,9 +8,9 @@
 #include "platform/cluster.hpp"
 #include "replay/scenario.hpp"
 #include "support/error.hpp"
-#include "trace/binary_format.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
 namespace fs = std::filesystem;
@@ -110,7 +110,7 @@ TEST(EdgeCases, CrlfTraceFilesParse) {
   const auto file = dir / "crlf.trace";
   std::ofstream(file, std::ios::binary)
       << "p0 compute 5\r\np0 barrier\r\n";
-  const auto actions = trace::read_all(file);
+  const auto actions = test::read_trace(file);
   ASSERT_EQ(actions.size(), 2u);
   EXPECT_EQ(actions[0].volume, 5.0);
   fs::remove_all(dir);
@@ -133,20 +133,14 @@ TEST(EdgeCases, TruncatedBinaryTraceMidRecordThrows) {
   const auto dir = fs::temp_directory_path() / "tir_trunc";
   fs::create_directories(dir);
   const auto file = dir / "t.btrace";
-  {
-    trace::BinaryTraceWriter writer(file, 0);
-    writer.write({0, trace::ActionType::send, 1, 163840, 0, 0});
-  }
+  trace::write_trace(file,
+                     std::vector<trace::Action>{
+                         {0, trace::ActionType::send, 1, 163840, 0, 0}},
+                     0, trace::TraceFormat::binary);
   // Chop the final bytes off.
   const auto size = fs::file_size(file);
   fs::resize_file(file, size - 2);
-  trace::BinaryTraceReader reader(file);
-  EXPECT_THROW(
-      {
-        while (reader.next()) {
-        }
-      },
-      tir::ParseError);
+  EXPECT_THROW(test::read_trace(file), tir::ParseError);
   fs::remove_all(dir);
 }
 
@@ -154,11 +148,11 @@ TEST(EdgeCases, TruncatedBinaryTraceSalvagesInLenientMode) {
   const auto dir = fs::temp_directory_path() / "tir_trunc_lenient";
   fs::create_directories(dir);
   const auto file = dir / "t.btrace";
-  {
-    trace::BinaryTraceWriter writer(file, 0);
-    writer.write({0, trace::ActionType::compute, -1, 1e6, 0, 0});
-    writer.write({0, trace::ActionType::send, 1, 163840, 0, 0});
-  }
+  trace::write_trace(file,
+                     std::vector<trace::Action>{
+                         {0, trace::ActionType::compute, -1, 1e6, 0, 0},
+                         {0, trace::ActionType::send, 1, 163840, 0, 0}},
+                     0, trace::TraceFormat::binary);
   fs::resize_file(file, fs::file_size(file) - 2);  // chop mid-record
 
   // Strict decode refuses the file outright.

@@ -12,7 +12,7 @@
 #include "replay/scenario.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
-#include "trace/text_format.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
 using namespace tir::mpi;
@@ -229,7 +229,7 @@ TEST(ExtActions, AcquisitionExtractsNewCollectives) {
   spec.app = app;
   spec.workdir = dir;
   const auto report = acq::run_acquisition(spec);
-  const auto actions = trace::read_all(report.ti_files[2]);
+  const auto actions = test::read_trace(report.ti_files[2]);
   std::vector<std::string> keywords;
   for (const auto& a : actions)
     keywords.emplace_back(trace::action_keyword(a.type));

@@ -22,7 +22,7 @@
 #include "obs/report.hpp"
 #include "platform/cluster.hpp"
 #include "replay/scenario.hpp"
-#include "trace/text_format.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
 namespace fs = std::filesystem;
@@ -143,7 +143,7 @@ const replay::ReplayResult& lu_replay() {
 
     std::vector<std::vector<trace::Action>> actions;
     for (const auto& file : acquired.ti_files)
-      actions.push_back(trace::read_all(file));
+      actions.push_back(test::read_trace(file));
     fs::remove_all(workdir);
 
     auto platform = std::make_shared<plat::Platform>();

@@ -13,7 +13,7 @@
 #include "replay/scenario.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 using namespace tir;
 using namespace tir::replay;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,11 +26,12 @@
 #include "support/error.hpp"
 #include "trace/digest.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 #include "trace_formats.hpp"
 
 using namespace tir;
+using trace::TraceFormat;
 namespace fs = std::filesystem;
 
 namespace {
@@ -69,16 +71,16 @@ struct ScratchDir {
   ~ScratchDir() { fs::remove_all(path); }
 };
 
-/// Writes `program` under dir/<sub> in the named format, one file per
-/// process, returning the file list.
+/// Writes `program` under dir/<sub> in `format`, one file per process,
+/// returning the file list.
 std::vector<fs::path> write_encoded(
-    const fs::path& dir, const std::string& format,
+    const fs::path& dir, TraceFormat format,
     const std::vector<std::vector<trace::Action>>& program) {
   fs::create_directories(dir);
   std::vector<fs::path> files;
   for (std::size_t p = 0; p < program.size(); ++p) {
     files.push_back(dir / ("SG_process" + std::to_string(p) + ".trace"));
-    test::write_trace(files.back(), program[p], static_cast<int>(p), format);
+    trace::write_trace(files.back(), program[p], static_cast<int>(p), format);
   }
   return files;
 }
@@ -92,10 +94,12 @@ TEST(DigestTest, StableAcrossCodecsAndLayouts) {
   ScratchDir scratch("digest");
   const auto program = ring_actions(4, 3);
 
-  const auto text = write_encoded(scratch.path / "text", "text", program);
-  const auto binary = write_encoded(scratch.path / "bin", "binary", program);
+  const auto text = write_encoded(scratch.path / "text",
+                                  TraceFormat::text, program);
+  const auto binary = write_encoded(scratch.path / "bin",
+                                    TraceFormat::binary, program);
   const auto compact =
-      write_encoded(scratch.path / "comp", "compact", program);
+      write_encoded(scratch.path / "comp", TraceFormat::compact, program);
 
   const auto d_mem = trace::digest(trace::TraceSet::in_memory(program));
   const auto d_text =
@@ -113,7 +117,7 @@ TEST(DigestTest, StableAcrossCodecsAndLayouts) {
   for (const auto& stream : program)
     merged.insert(merged.end(), stream.begin(), stream.end());
   const fs::path merged_file = scratch.path / "merged.trace";
-  test::write_trace(merged_file, merged, -1, "text");
+  trace::write_trace(merged_file, merged, -1, TraceFormat::text);
   const auto d_merged = trace::digest(trace::TraceSet::merged_file(
       merged_file, static_cast<int>(program.size())));
   EXPECT_EQ(d_mem, d_merged);
@@ -170,9 +174,10 @@ TEST(TraceCacheTest, AliasHitServesWithoutLoaderAndSharesStorage) {
 TEST(TraceCacheTest, ContentDedupAcrossEncodings) {
   ScratchDir scratch("dedup");
   const auto program = ring_actions(4, 2);
-  const auto text = write_encoded(scratch.path / "text", "text", program);
+  const auto text = write_encoded(scratch.path / "text",
+                                  TraceFormat::text, program);
   const auto compact =
-      write_encoded(scratch.path / "comp", "compact", program);
+      write_encoded(scratch.path / "comp", TraceFormat::compact, program);
 
   serve::TraceCache cache;
   const auto a = cache.get("text", [&] {
@@ -420,6 +425,15 @@ TEST(ResultMemoTest, MemoKeyIgnoresNameButNotKnobs) {
             serve::scenario_memo_key(a, "cluster:hosts=8", digest));
 }
 
+TEST(ScenarioBuildTest, U64FieldsRejectNegativeNumbers) {
+  // stoull reads "-1" as 2^64 - 1; a seed or size must not wrap around.
+  EXPECT_THROW(serve::parse_u64("seed", "-1"), ParseError);
+  EXPECT_THROW(serve::parse_u64("seed", " -7"), ParseError);
+  EXPECT_EQ(serve::parse_u64("seed", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(serve::parse_u64("--cache-bytes", "4294967296"), 1ull << 32);
+}
+
 // ---------------------------------------------------------------------------
 // JSON protocol
 
@@ -551,7 +565,7 @@ TEST(MetricsTest, HistogramPercentilesAndSummary)
 TEST(InputResolverTest, PathSpellingsShareOneDecode) {
   ScratchDir scratch("resolver");
   const auto program = ring_actions(4, 2);
-  write_encoded(scratch.path / "ti", "text", program);
+  write_encoded(scratch.path / "ti", TraceFormat::text, program);
 
   serve::TraceCache cache;
   serve::InputResolver resolver(scratch.path, cache);
@@ -566,6 +580,21 @@ TEST(InputResolverTest, PathSpellingsShareOneDecode) {
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(&a.traces.actions(0), &b.traces.actions(0));
   EXPECT_EQ(&a.traces.actions(0), &c.traces.actions(0));
+}
+
+TEST(InputResolverTest, EmptyTraceDirectoryIsAnIoErrorNamingIt) {
+  ScratchDir scratch("emptydir");
+  fs::create_directories(scratch.path / "no_traces_here");
+  serve::TraceCache cache;
+  serve::InputResolver resolver(scratch.path, cache);
+  try {
+    resolver.traces("no_traces_here", /*merged=*/false);
+    FAIL() << "expected an IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("no_traces_here"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(InputResolverTest, UnreadableTraceFallsBackToLazyUncached) {
@@ -593,7 +622,8 @@ struct ServiceFixture {
   std::map<std::string, std::string> base_params;
 
   explicit ServiceFixture(int nprocs = 4, int rounds = 3) {
-    write_encoded(scratch.path / "ti", "text", ring_actions(nprocs, rounds));
+    write_encoded(scratch.path / "ti", TraceFormat::text,
+                  ring_actions(nprocs, rounds));
     base_params = {{"platform", "cluster:hosts=" + std::to_string(nprocs)},
                    {"traces", "ti"},
                    {"deployment", "block"}};
@@ -711,7 +741,8 @@ TEST(ReplayServiceTest, PerturbedReplicaMemoisesBitIdentically) {
 TEST(ReplayServiceTest, CrossEncodingRequestsHitOneMemoEntry) {
   ServiceFixture fixture;
   const auto program = ring_actions(4, 3);
-  write_encoded(fixture.scratch.path / "ti_compact", "compact", program);
+  write_encoded(fixture.scratch.path / "ti_compact", TraceFormat::compact,
+                program);
 
   serve::ReplayService service(fixture.options());
   serve::Request request;
@@ -944,7 +975,7 @@ TEST(ReplayServiceTest, DeadlockReportsMemoiseLikeSuccesses) {
   std::vector<std::vector<trace::Action>> program(2);
   program[0].push_back({0, trace::ActionType::recv, 1, 0, 0, 0});
   program[1].push_back({1, trace::ActionType::compute, -1, 1e5, 0, 0});
-  write_encoded(scratch.path / "ti", "text", program);
+  write_encoded(scratch.path / "ti", TraceFormat::text, program);
 
   serve::ServiceOptions options;
   options.base_dir = scratch.path.string();

@@ -23,7 +23,7 @@
 #include "replay/scenario.hpp"
 #include "trace/compact.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/text_format.hpp"
+#include "trace_formats.hpp"
 #include "trace/trace_set.hpp"
 
 using namespace tir;
@@ -86,7 +86,7 @@ trace::TraceSet lu_traces(apps::NpbClass cls, int nprocs) {
     const auto acquired = acq::run_acquisition(spec);
     std::vector<std::vector<trace::Action>> actions;
     for (const auto& file : acquired.ti_files)
-      actions.push_back(trace::read_all(file));
+      actions.push_back(test::read_trace(file));
     fs::remove_all(workdir);
     it = cache->emplace(key, trace::TraceSet::in_memory(std::move(actions)))
              .first;

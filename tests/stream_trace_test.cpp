@@ -26,6 +26,7 @@
 #include "trace/compact.hpp"
 #include "trace/digest.hpp"
 #include "trace/synthetic.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 #include "trace/validate.hpp"
 #include "trace_formats.hpp"
@@ -133,13 +134,13 @@ class StreamTraceTest : public ::testing::Test {
 
   std::vector<fs::path> write_files(
       const std::vector<std::vector<Action>>& program,
-      const std::string& codec_name) {
+      trace::TraceFormat format) {
     std::vector<fs::path> files;
     for (int p = 0; p < static_cast<int>(program.size()); ++p) {
-      files.push_back(dir_ / (codec_name + "_SG_process" +
+      files.push_back(dir_ / (test::name(format) + "_SG_process" +
                               std::to_string(p) + ".trace"));
-      test::write_trace(files.back(), program[static_cast<std::size_t>(p)],
-                        p, codec_name);
+      trace::write_trace(files.back(), program[static_cast<std::size_t>(p)],
+                         p, format);
     }
     return files;
   }
@@ -200,8 +201,8 @@ std::vector<fs::path> acquire_npb(const fs::path& dir, apps::AppDesc app,
 
 TEST_F(StreamTraceTest, StreamedCursorsMatchMaterialisedEveryCodec) {
   const auto program = mixed_actions(6, 4);
-  for (const char* codec : {"text", "binary", "compact"}) {
-    SCOPED_TRACE(codec);
+  for (const trace::TraceFormat codec : test::kTraceFormats) {
+    SCOPED_TRACE(test::name(codec));
     const auto files = write_files(program, codec);
     const auto mat = trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, DecodePolicy::materialise);
@@ -254,7 +255,7 @@ TEST_F(StreamTraceTest, MergedTextStreamsAndMatchesMaterialised) {
     if (!any) break;
   }
   const fs::path file = dir_ / "merged.trace";
-  test::write_trace(file, interleaved, -1, "text");
+  trace::write_trace(file, interleaved, -1, trace::TraceFormat::text);
 
   const auto mat = trace::TraceSet::merged_file(
       file, 4, trace::DecodeMode::strict, DecodePolicy::materialise);
@@ -277,7 +278,7 @@ TEST_F(StreamTraceTest, MergedCompactFallsBackToMaterialise) {
   for (const auto& stream : program)
     interleaved.insert(interleaved.end(), stream.begin(), stream.end());
   const fs::path file = dir_ / "merged.ctrace";
-  test::write_trace(file, interleaved, -1, "compact");
+  trace::write_trace(file, interleaved, -1, trace::TraceFormat::compact);
 
   const auto mat = trace::TraceSet::merged_file(
       file, 4, trace::DecodeMode::strict, DecodePolicy::materialise);
@@ -294,14 +295,15 @@ TEST_F(StreamTraceTest, MergedCompactFallsBackToMaterialise) {
 
 TEST_F(StreamTraceTest, ReplayIdenticalSequentialEveryCodec) {
   const auto program = mixed_actions(8, 3);
-  for (const char* codec : {"text", "binary", "compact"}) {
-    SCOPED_TRACE(codec);
+  for (const trace::TraceFormat codec : test::kTraceFormats) {
+    SCOPED_TRACE(test::name(codec));
     expect_replay_identical(write_files(program, codec));
   }
 }
 
 TEST_F(StreamTraceTest, ReplayIdenticalUnderFaultTimeline) {
-  const auto files = write_files(mixed_actions(8, 4), "binary");
+  const auto files =
+      write_files(mixed_actions(8, 4), trace::TraceFormat::binary);
   replay::FaultSpec host;
   host.kind = replay::FaultSpec::Kind::host;
   host.target = "bordereau-1.bordeaux.grid5000.fr";
@@ -426,12 +428,11 @@ TEST_F(StreamTraceTest, SegmentCapFallsBackToMaterialise) {
       program[static_cast<std::size_t>(p)].push_back(
           {p, ActionType::compute, -1, 1000.0 + i, 0, 0});
   const fs::path file = dir_ / "alternating.trace";
-  {
-    trace::TextTraceWriter writer(file);
-    for (int i = 0; i < 40'000; ++i)
-      for (const auto& stream : program)
-        writer.write(stream[static_cast<std::size_t>(i)]);
-  }
+  std::vector<Action> alternating;
+  for (int i = 0; i < 40'000; ++i)
+    for (const auto& stream : program)
+      alternating.push_back(stream[static_cast<std::size_t>(i)]);
+  trace::write_trace(file, alternating, -1, trace::TraceFormat::text);
   const auto str = trace::TraceSet::merged_file(
       file, 2, trace::DecodeMode::strict, DecodePolicy::stream);
   EXPECT_FALSE(str.streaming());
@@ -459,7 +460,7 @@ fs::path write_compact_bomb(const fs::path& file, int pid0, int pid1) {
       {1u << 24,
        {{pid0, ActionType::compute, -1, 1, 0, 0},
         {pid1, ActionType::compute, -1, 1, 0, 0}}}};
-  trace::write_compact(file, program, 0);
+  trace::write_trace(file, program, 0, trace::TraceFormat::compact);
   return file;
 }
 
@@ -546,11 +547,8 @@ trace::CompactProgram wild_program(bool prefix_only) {
 /// the expansion). Returns the file.
 fs::path write_program(const fs::path& file,
                        const trace::CompactProgram& program,
-                       const std::string& format) {
-  if (format == "compact")
-    trace::write_compact(file, program, -1);
-  else
-    test::write_trace(file, trace::expand(program), -1, format);
+                       trace::TraceFormat format) {
+  trace::write_trace(file, program, -1, format);
   return file;
 }
 
@@ -569,16 +567,17 @@ void corrupt_tail(const fs::path& file, const std::string& format) {
 }  // namespace
 
 TEST_F(StreamTraceTest, MergedWildPidRuleEveryFormatModeAndPolicy) {
-  for (const std::string format : test::kTraceFormats) {
+  for (const trace::TraceFormat f : test::kTraceFormats) {
+    const std::string format = test::name(f);
     SCOPED_TRACE(format);
     const fs::path wild =
-        write_program(dir_ / ("wild." + format), wild_program(false), format);
+        write_program(dir_ / ("wild." + format), wild_program(false), f);
     // The clean prefix before the wild action, encoded alone: its size is
     // the wild record's offset (for compact, its block's).
     const std::uint64_t wild_offset = fs::file_size(write_program(
-        dir_ / ("prefix." + format), wild_program(true), format));
+        dir_ / ("prefix." + format), wild_program(true), f));
     const fs::path wild_then_bad = write_program(
-        dir_ / ("wild_then_bad." + format), wild_program(false), format);
+        dir_ / ("wild_then_bad." + format), wild_program(false), f);
     corrupt_tail(wild_then_bad, format);
     const std::string wild_error =
         wild.string() + ": action for process 5 but nprocs is 2";

@@ -6,7 +6,7 @@
 #include "platform/cluster.hpp"
 #include "replay/sweep.hpp"
 #include "support/error.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 
 using namespace tir;
 using namespace tir::replay;

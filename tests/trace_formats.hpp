@@ -1,52 +1,44 @@
-// Test helper: write an action list in one of the three on-disk trace
-// formats by name, through the production writers, and read a file back
+// Test helpers for the three on-disk trace formats: the list to loop over,
+// format names in gtest messages, a file's raw bytes, and a whole-file read
 // through TraceSet's materialising pass.
 #pragma once
 
-#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "support/error.hpp"
-#include "trace/binary_format.hpp"
-#include "trace/compact.hpp"
-#include "trace/stream.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
+
+namespace tir::trace {
+
+/// Prints a format by name in gtest messages.
+inline std::ostream& operator<<(std::ostream& os, TraceFormat format) {
+  return os << format_name(format);
+}
+
+}  // namespace tir::trace
 
 namespace tir::test {
 
-/// Every on-disk format, by the names tir-gentrace's --codec takes.
-inline constexpr const char* kTraceFormats[] = {"text", "binary", "compact"};
+/// Every on-disk format.
+inline constexpr trace::TraceFormat kTraceFormats[] = {
+    trace::TraceFormat::text, trace::TraceFormat::binary,
+    trace::TraceFormat::compact};
 
-/// Writes `actions` to `path` as `format`. `pid` >= 0 marks a per-process
-/// file (binary factors the pid out of its records); -1 keeps per-record
-/// pids (merged files). Returns bytes written.
-inline std::uint64_t write_trace(const std::filesystem::path& path,
-                                 const std::vector<trace::Action>& actions,
-                                 int pid, std::string_view format) {
-  if (format == "text") {
-    trace::TextTraceWriter writer(path);
-    for (const trace::Action& a : actions) writer.write(a);
-    return writer.close();
-  }
-  if (format == "binary") {
-    trace::BinaryTraceWriter writer(path, pid);
-    for (const trace::Action& a : actions) writer.write(a);
-    return writer.close();
-  }
-  if (format == "compact")
-    return trace::write_compact(path, trace::compact_actions(actions), pid);
-  throw Error("unknown trace format '" + std::string(format) + "'");
+/// The format's name as a string, for file names.
+inline std::string name(trace::TraceFormat format) {
+  return std::string(trace::format_name(format));
 }
 
-/// The index kind the stream pass sniffs for a file written as `format`.
-inline trace::StreamIndex::Kind format_kind(std::string_view format) {
-  if (format == "binary") return trace::StreamIndex::Kind::binary;
-  if (format == "compact") return trace::StreamIndex::Kind::compact;
-  return trace::StreamIndex::Kind::text;
+/// The file's bytes.
+inline std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 /// Every action in the file, in file order (record pids kept verbatim).

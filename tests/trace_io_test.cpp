@@ -4,17 +4,15 @@
 #include <fstream>
 
 #include "support/error.hpp"
-#include "trace/binary_format.hpp"
 #include "trace/stream.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 #include "trace_formats.hpp"
 
 using namespace tir::trace;
 using tir::test::kTraceFormats;
 using tir::test::read_trace;
-using tir::test::write_trace;
 namespace fs = std::filesystem;
 
 namespace {
@@ -52,7 +50,7 @@ TEST_F(TraceIoTest, SplitWriteReadRoundTrip) {
   ASSERT_EQ(paths.size(), 4u);
   EXPECT_EQ(paths[0].filename(), "SG_process0.trace");
   for (int p = 0; p < 4; ++p) {
-    const auto back = read_all(paths[static_cast<std::size_t>(p)]);
+    const auto back = read_trace(paths[static_cast<std::size_t>(p)]);
     EXPECT_EQ(back, actions[static_cast<std::size_t>(p)]);
   }
 }
@@ -61,18 +59,19 @@ TEST_F(TraceIoTest, MergedWriteReadWithFilter) {
   const auto actions = ring_actions();
   const auto file = dir_ / "merged.trace";
   write_merged_trace(file, actions);
+  const TraceSet set = TraceSet::merged_file(file, 4);
   for (int p = 0; p < 4; ++p) {
-    const auto back = read_all(file, p);
+    const auto back = set.actions(p);
     EXPECT_EQ(back, actions[static_cast<std::size_t>(p)]);
   }
-  EXPECT_EQ(read_all(file).size(), 12u);
+  EXPECT_EQ(read_trace(file).size(), 12u);
 }
 
 TEST_F(TraceIoTest, ReaderSkipsCommentsAndBlankLines) {
   const auto file = dir_ / "annotated.trace";
   std::ofstream(file) << "# header comment\n\n  \np0 compute 5\n"
                       << "# middle\np0 barrier\n";
-  const auto actions = read_all(file);
+  const auto actions = read_trace(file);
   ASSERT_EQ(actions.size(), 2u);
   EXPECT_EQ(actions[1].type, ActionType::barrier);
 }
@@ -81,7 +80,7 @@ TEST_F(TraceIoTest, ParseErrorCarriesLineNumber) {
   const auto file = dir_ / "bad.trace";
   std::ofstream(file) << "p0 compute 5\np0 warp 9\n";
   try {
-    read_all(file);
+    read_trace(file);
     FAIL() << "expected ParseError";
   } catch (const tir::ParseError& e) {
     EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos);
@@ -89,22 +88,16 @@ TEST_F(TraceIoTest, ParseErrorCarriesLineNumber) {
 }
 
 TEST_F(TraceIoTest, MissingFileThrows) {
-  EXPECT_THROW(TextTraceReader(dir_ / "nope.trace"), tir::IoError);
+  EXPECT_THROW(read_trace(dir_ / "nope.trace"), tir::IoError);
 }
 
 TEST_F(TraceIoTest, BinaryRoundTripPerProcess) {
   const auto actions = ring_actions()[1];
   const auto file = dir_ / "p1.btrace";
-  {
-    BinaryTraceWriter writer(file, 1);
-    for (const Action& a : actions) writer.write(a);
-    EXPECT_GT(writer.close(), 0u);
-  }
-  EXPECT_TRUE(is_binary_trace(file));
-  BinaryTraceReader reader(file);
-  std::vector<Action> back;
-  while (auto a = reader.next()) back.push_back(*a);
-  EXPECT_EQ(back, actions);
+  EXPECT_GT(write_trace(file, actions, 1, TraceFormat::binary), 0u);
+  EXPECT_EQ(build_stream_index(file, DecodeMode::strict, -1).format,
+            TraceFormat::binary);
+  EXPECT_EQ(read_trace(file), actions);
 }
 
 TEST_F(TraceIoTest, BinaryRoundTripMixedPidsAndDoubles) {
@@ -116,14 +109,8 @@ TEST_F(TraceIoTest, BinaryRoundTripMixedPidsAndDoubles) {
       {1, ActionType::wait, -1, 0, 0, 0},
   };
   const auto file = dir_ / "mixed.btrace";
-  {
-    BinaryTraceWriter writer(file, -1);
-    for (const Action& a : actions) writer.write(a);
-  }
-  BinaryTraceReader reader(file);
-  std::vector<Action> back;
-  while (auto a = reader.next()) back.push_back(*a);
-  EXPECT_EQ(back, actions);
+  write_trace(file, actions, -1, TraceFormat::binary);
+  EXPECT_EQ(read_trace(file), actions);
 }
 
 TEST_F(TraceIoTest, BinaryIsSmallerThanText) {
@@ -137,14 +124,8 @@ TEST_F(TraceIoTest, BinaryIsSmallerThanText) {
   }
   const auto text_file = dir_ / "t.trace";
   const auto bin_file = dir_ / "t.btrace";
-  {
-    TextTraceWriter w(text_file);
-    for (const Action& a : actions) w.write(a);
-  }
-  {
-    BinaryTraceWriter w(bin_file, 7);
-    for (const Action& a : actions) w.write(a);
-  }
+  write_trace(text_file, actions, 7, TraceFormat::text);
+  write_trace(bin_file, actions, 7, TraceFormat::binary);
   const auto text_size = fs::file_size(text_file);
   const auto bin_size = fs::file_size(bin_file);
   EXPECT_LT(bin_size * 2, text_size);  // at least 2x smaller
@@ -156,17 +137,18 @@ TEST_F(TraceIoTest, TextBinaryConvertersAgree) {
   write_merged_trace(text_file, actions);
   const auto bin_file = dir_ / "conv.btrace";
   const auto text_back = dir_ / "back.trace";
-  text_to_binary(text_file, bin_file);
-  binary_to_text(bin_file, text_back);
-  EXPECT_EQ(read_all(text_back), read_all(text_file));
+  convert_trace(TraceSet::per_process_files({text_file}), 0, bin_file,
+                TraceFormat::binary);
+  convert_trace(TraceSet::per_process_files({bin_file}), 0, text_back,
+                TraceFormat::text);
+  EXPECT_EQ(read_trace(text_back), read_trace(text_file));
 }
 
 TEST_F(TraceIoTest, CorruptBinaryThrows) {
   const auto file = dir_ / "corrupt.btrace";
   std::ofstream(file, std::ios::binary) << "TIRB" << '\x01' << '\x00'
                                         << '\x0F';  // bogus tag 15
-  BinaryTraceReader reader(file);
-  EXPECT_THROW(reader.next(), tir::ParseError);
+  EXPECT_THROW(read_trace(file), tir::ParseError);
 }
 
 TEST_F(TraceIoTest, TraceSetSplitLayout) {
@@ -225,8 +207,8 @@ TEST_F(TraceIoTest, MergedFileRoundTripsThroughAllCodecs) {
   for (const auto& actions : per_process)
     merged.insert(merged.end(), actions.begin(), actions.end());
 
-  for (const char* format : kTraceFormats) {
-    const auto file = dir_ / ("merged_" + std::string(format));
+  for (const TraceFormat format : kTraceFormats) {
+    const auto file = dir_ / ("merged_" + tir::test::name(format));
     EXPECT_GT(write_trace(file, merged, /*pid=*/-1, format), 0u) << format;
     EXPECT_EQ(read_trace(file), merged) << format;
 
@@ -253,8 +235,8 @@ TEST_F(TraceIoTest, RecvWithoutVolumeRoundTripsThroughAllCodecs) {
       {5, ActionType::recv, 2, 8192, 0, 0},  // explicit volume still works
       {5, ActionType::wait, -1, 0, 0, 0},
   };
-  for (const char* format : kTraceFormats) {
-    const auto file = dir_ / ("recv_" + std::string(format));
+  for (const TraceFormat format : kTraceFormats) {
+    const auto file = dir_ / ("recv_" + tir::test::name(format));
     write_trace(file, actions, /*pid=*/5, format);
     const auto back = read_trace(file);
     EXPECT_EQ(back, actions) << format;
@@ -264,12 +246,10 @@ TEST_F(TraceIoTest, RecvWithoutVolumeRoundTripsThroughAllCodecs) {
 
 TEST_F(TraceIoTest, FormatsAreDetectedByMagic) {
   const auto actions = ring_actions()[0];
-  for (const char* format : kTraceFormats) {
-    const auto file = dir_ / ("f." + std::string(format));
+  for (const TraceFormat format : kTraceFormats) {
+    const auto file = dir_ / ("f." + tir::test::name(format));
     write_trace(file, actions, 0, format);
-    EXPECT_EQ(build_stream_index(file, DecodeMode::strict, -1).kind,
-              tir::test::format_kind(format))
-        << format;
+    EXPECT_EQ(build_stream_index(file, DecodeMode::strict, -1).format, format);
   }
   // The one API left that names a format takes only the three.
   SyntheticSpec spec;
@@ -294,12 +274,9 @@ TEST_F(TraceIoTest, TraceSetAutoDetectsBinaryFiles) {
   const auto actions = ring_actions();
   std::vector<fs::path> paths;
   for (int p = 0; p < 4; ++p) {
-    const auto path = dir_ / ("SG_process" + std::to_string(p) + ".btrace");
-    BinaryTraceWriter writer(path, p);
-    for (const Action& a : actions[static_cast<std::size_t>(p)])
-      writer.write(a);
-    writer.close();
-    paths.push_back(path);
+    paths.push_back(dir_ / ("SG_process" + std::to_string(p) + ".btrace"));
+    write_trace(paths.back(), actions[static_cast<std::size_t>(p)], p,
+                TraceFormat::binary);
   }
   const TraceSet set = TraceSet::per_process_files(paths);
   EXPECT_EQ(set.stats().actions, 12u);
@@ -311,8 +288,8 @@ TEST_F(TraceIoTest, CompactFileWithBadMagicFailsStrictAndSalvagesLenient) {
   // than silently treating garbage as actions.
   const auto file = dir_ / "bad.ctrace";
   const auto good = dir_ / "good.trace";
-  write_trace(file, ring_actions()[0], 0, "compact");
-  write_trace(good, ring_actions()[1], 1, "text");
+  write_trace(file, ring_actions()[0], 0, TraceFormat::compact);
+  write_trace(good, ring_actions()[1], 1, TraceFormat::text);
   {
     std::fstream patch(file, std::ios::in | std::ios::out | std::ios::binary);
     patch.write("XXXX", 4);  // clobber the magic

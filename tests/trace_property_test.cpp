@@ -5,12 +5,14 @@
 #include <filesystem>
 
 #include "support/rng.hpp"
-#include "trace/binary_format.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
+#include "trace_formats.hpp"
 
 using namespace tir;
+using test::read_trace;
 using trace::Action;
 using trace::ActionType;
+using trace::TraceFormat;
 namespace fs = std::filesystem;
 
 namespace {
@@ -93,24 +95,15 @@ TEST_P(TraceProperty, TextLineRoundTrip) {
 TEST_P(TraceProperty, TextFileRoundTrip) {
   const auto actions = random_stream(GetParam(), 400);
   const auto file = dir_ / "t.trace";
-  {
-    trace::TextTraceWriter writer(file);
-    for (const Action& a : actions) writer.write(a);
-  }
-  EXPECT_EQ(trace::read_all(file), actions);
+  trace::write_trace(file, actions, -1, TraceFormat::text);
+  EXPECT_EQ(read_trace(file), actions);
 }
 
 TEST_P(TraceProperty, BinaryFileRoundTrip) {
   const auto actions = random_stream(GetParam(), 400);
   const auto file = dir_ / "t.btrace";
-  {
-    trace::BinaryTraceWriter writer(file, 3);
-    for (const Action& a : actions) writer.write(a);
-  }
-  trace::BinaryTraceReader reader(file);
-  std::vector<Action> back;
-  while (auto a = reader.next()) back.push_back(*a);
-  EXPECT_EQ(back, actions);
+  trace::write_trace(file, actions, 3, TraceFormat::binary);
+  EXPECT_EQ(read_trace(file), actions);
 }
 
 TEST_P(TraceProperty, FormatsAgreeThroughConversion) {
@@ -118,24 +111,21 @@ TEST_P(TraceProperty, FormatsAgreeThroughConversion) {
   const auto text = dir_ / "a.trace";
   const auto binary = dir_ / "a.btrace";
   const auto text2 = dir_ / "b.trace";
-  {
-    trace::TextTraceWriter writer(text);
-    for (const Action& a : actions) writer.write(a);
-  }
-  trace::text_to_binary(text, binary);
-  trace::binary_to_text(binary, text2);
-  EXPECT_EQ(trace::read_all(text2), trace::read_all(text));
+  trace::write_trace(text, actions, -1, TraceFormat::text);
+  trace::convert_trace(trace::TraceSet::per_process_files({text}), 0, binary,
+                       TraceFormat::binary);
+  trace::convert_trace(trace::TraceSet::per_process_files({binary}), 0, text2,
+                       TraceFormat::text);
+  EXPECT_EQ(read_trace(text2), read_trace(text));
 }
 
 TEST_P(TraceProperty, BinaryIsNeverLarger) {
   const auto actions = random_stream(GetParam(), 300);
   const auto text = dir_ / "a.trace";
   const auto binary = dir_ / "a.btrace";
-  {
-    trace::TextTraceWriter writer(text);
-    for (const Action& a : actions) writer.write(a);
-  }
-  trace::text_to_binary(text, binary);
+  trace::write_trace(text, actions, -1, TraceFormat::text);
+  trace::convert_trace(trace::TraceSet::per_process_files({text}), 0, binary,
+                       TraceFormat::binary);
   EXPECT_LE(fs::file_size(binary), fs::file_size(text));
 }
 

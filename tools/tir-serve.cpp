@@ -48,6 +48,7 @@
 #include <string>
 
 #include "serve/json.hpp"
+#include "serve/scenario_build.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -74,19 +75,6 @@ namespace {
                "tools/tir-serve.cpp\n",
                argv0);
   std::exit(2);
-}
-
-int parse_positive(const char* what, const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(s, &used);
-    if (used != s.size() || v < 0) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
-                 what, s.c_str());
-    std::exit(2);
-  }
 }
 
 /// Serves one request line; returns false when the line asks to quit.
@@ -215,7 +203,7 @@ int main(int argc, char** argv) {
   std::string socket_path;
   bool use_stdin = false;
 
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) try {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage(argv[0]);
@@ -226,16 +214,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--socket") {
       socket_path = next();
     } else if (arg == "--workers") {
-      options.workers = parse_positive("--workers", next());
+      options.workers = serve::parse_int("--workers", next());
+      if (options.workers < 0) usage(argv[0]);
     } else if (arg == "--queue") {
-      options.queue_limit =
-          static_cast<std::size_t>(parse_positive("--queue", next()));
+      options.queue_limit = serve::parse_u64("--queue", next());
     } else if (arg == "--cache-bytes") {
-      options.trace_cache.byte_budget = static_cast<std::uint64_t>(
-          parse_positive("--cache-bytes", next()));
+      options.trace_cache.byte_budget =
+          serve::parse_u64("--cache-bytes", next());
     } else if (arg == "--memo") {
-      options.memo.capacity =
-          static_cast<std::size_t>(parse_positive("--memo", next()));
+      options.memo.capacity = serve::parse_u64("--memo", next());
     } else if (arg == "--base") {
       options.base_dir = next();
     } else if (arg == "--help" || arg == "-h") {
@@ -244,6 +231,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       usage(argv[0]);
     }
+  } catch (const Error& e) {  // a malformed flag value
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
   if (use_stdin && !socket_path.empty()) {
     std::fprintf(stderr, "--stdin and --socket are exclusive\n");

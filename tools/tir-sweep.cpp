@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
       if (want_obs) os << ",avg_compute,avg_p2p,avg_wait,avg_collective";
       os << '\n';
       for (const auto& r : results) {
-        os << r.name << ',' << csv_cell(r.platform) << ','
+        os << csv_cell(r.name) << ',' << csv_cell(r.platform) << ','
            << replay::to_string(r.status) << ','
            << r.replay.process_finish_times.size() << ','
            << r.replay.actions_replayed << ',';

@@ -2,23 +2,34 @@
 //
 // Usage:
 //   tir-traceinfo TRACE...                  print aggregate statistics
-//   tir-traceinfo --to-binary IN OUT        convert text -> binary
-//   tir-traceinfo --to-text IN OUT          convert binary -> text
-//   tir-traceinfo --to-compact IN OUT       loop-compress a text trace
+//   tir-traceinfo --to-text IN OUT          convert IN to text
+//   tir-traceinfo --to-binary IN OUT        convert IN to binary
+//   tir-traceinfo --to-compact IN OUT       convert IN to loop-compressed
+//                                           compact
+// IN may be in any of the three formats (sniffed from its first bytes).
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/units.hpp"
-#include "trace/binary_format.hpp"
-#include "trace/compact.hpp"
-#include "trace/text_format.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 
 using namespace tir;
 
 namespace {
+
+struct Conversion {
+  const char* flag;
+  trace::TraceFormat format;
+};
+
+constexpr Conversion kConversions[] = {
+    {"--to-text", trace::TraceFormat::text},
+    {"--to-binary", trace::TraceFormat::binary},
+    {"--to-compact", trace::TraceFormat::compact},
+};
 
 int run(int argc, char** argv) {
   if (argc < 2) {
@@ -29,28 +40,15 @@ int run(int argc, char** argv) {
     return 2;
   }
   {
-    if (std::strcmp(argv[1], "--to-binary") == 0 && argc == 4) {
-      const auto bytes = trace::text_to_binary(argv[2], argv[3]);
+    for (const Conversion& c : kConversions) {
+      if (std::strcmp(argv[1], c.flag) != 0 || argc != 4) continue;
+      // IN goes through the trace pass like every tool's input; text and
+      // binary output stream from its cursor.
+      const auto in = trace::TraceSet::per_process_files(
+          {argv[2]}, trace::DecodeMode::strict, trace::DecodePolicy::stream);
+      const auto bytes = trace::convert_trace(in, 0, argv[3], c.format);
       std::printf("wrote %s (%s)\n", argv[3],
                   units::format_bytes(static_cast<double>(bytes)).c_str());
-      return 0;
-    }
-    if (std::strcmp(argv[1], "--to-text") == 0 && argc == 4) {
-      const auto bytes = trace::binary_to_text(argv[2], argv[3]);
-      std::printf("wrote %s (%s)\n", argv[3],
-                  units::format_bytes(static_cast<double>(bytes)).c_str());
-      return 0;
-    }
-    if (std::strcmp(argv[1], "--to-compact") == 0 && argc == 4) {
-      const auto actions = trace::read_all(argv[2]);
-      const int pid = actions.empty() ? 0 : actions.front().pid;
-      const auto program = trace::compact_actions(actions);
-      const auto bytes = trace::write_compact(argv[3], program, pid);
-      std::printf("wrote %s (%s; %zu blocks for %llu actions)\n", argv[3],
-                  units::format_bytes(static_cast<double>(bytes)).c_str(),
-                  program.size(),
-                  static_cast<unsigned long long>(
-                      trace::expanded_size(program)));
       return 0;
     }
     std::vector<std::filesystem::path> files;
