@@ -267,7 +267,7 @@ int main() {
 
   // Sweep decode-reuse (the tir-sweep satellite): three spellings of one
   // trace directory used to decode three times keyed by raw spec string;
-  // canonical path keys collapse them to one decode.
+  // file-identity keys collapse them to one decode.
   {
     serve::TraceCache cache;
     serve::InputResolver resolver(dir, cache);

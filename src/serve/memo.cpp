@@ -61,38 +61,24 @@ std::string scenario_memo_key(const replay::ScenarioSpec& spec,
   return key;
 }
 
-ResultMemo::ResultMemo(MemoOptions options) : options_(options) {}
+ResultMemo::ResultMemo(MemoOptions options) : entries_(options.capacity) {}
 
 std::optional<replay::ReplayReport> ResultMemo::lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const replay::ReplayReport* report = entries_.find(key);
+  if (report == nullptr) {
     ++stats_.misses;
     return std::nullopt;
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
   ++stats_.hits;
-  return it->second.report;
+  return *report;
 }
 
 void ResultMemo::store(const std::string& key, replay::ReplayReport report) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (const auto it = entries_.find(key); it != entries_.end()) {
-    it->second.report = std::move(report);
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-  } else {
-    Entry entry;
-    entry.report = std::move(report);
-    lru_.push_front(key);
-    entry.lru = lru_.begin();
-    entries_.emplace(key, std::move(entry));
-    while (options_.capacity > 0 && entries_.size() > options_.capacity) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-      ++stats_.evictions;
-    }
-  }
+  entries_.put(key, std::move(report));
   stats_.entries = entries_.size();
+  stats_.evictions = entries_.evictions();
 }
 
 MemoStats ResultMemo::stats() const {

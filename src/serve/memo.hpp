@@ -14,13 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 
 #include "replay/scenario.hpp"
+#include "serve/lru_map.hpp"
 #include "trace/digest.hpp"
 
 namespace tir::serve {
@@ -38,8 +37,8 @@ struct MemoStats {
 };
 
 /// Canonical memo fingerprint of one scenario. Everything that can change
-/// the report goes in: trace content digest, platform identity (canonical
-/// file path or topology spec — `platform_key`), the resolved process ->
+/// the report goes in: trace content digest, platform identity (file
+/// identity or topology spec — `platform_key`), the resolved process ->
 /// host mapping, MPI and engine knobs, recording flags, and the full fault
 /// timeline. Scenario *names* stay out: renaming a row must still hit.
 /// The trace decode path stays out too — streamed and materialised decode
@@ -61,14 +60,8 @@ class ResultMemo {
   MemoStats stats() const;
 
  private:
-  struct Entry {
-    replay::ReplayReport report;
-    std::list<std::string>::iterator lru;
-  };
-  MemoOptions options_;
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  ///< front = most recent
+  LruMap<replay::ReplayReport> entries_;
   MemoStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "serve/scenario_build.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "platform/platform_file.hpp"
@@ -139,26 +140,13 @@ replay::PerturbSpec parse_perturb(const std::string& scenario,
   return spec;
 }
 
-InputResolver::InputResolver(fs::path base, TraceCache& cache)
-    : base_(std::move(base)), trace_cache_(cache) {
-  if (base_.empty()) base_ = ".";
-}
-
-fs::path InputResolver::resolve(const std::string& path) const {
-  const fs::path p(path);
-  return p.is_absolute() ? p : base_ / p;
-}
-
 namespace {
 
-/// "dir", "./dir" and "/abs/dir" must key identically; weakly_canonical
-/// normalises dot segments and symlinks without requiring the leaf to
-/// exist.
-std::string canonical_path_key(const fs::path& p) {
-  std::error_code ec;
-  const fs::path canon = fs::weakly_canonical(p, ec);
-  return (ec ? p.lexically_normal() : canon).string();
-}
+// Resolutions outnumber inputs (every spelling of a directory has one);
+// platforms and deployments are few and heavy.
+constexpr std::size_t kMaxResolutions = 256;
+constexpr std::size_t kMaxPlatforms = 64;
+constexpr std::size_t kMaxDeployments = 64;
 
 bool is_topology_spec(const std::string& spec) {
   const std::string head{str::trim(spec.substr(0, spec.find(':')))};
@@ -167,39 +155,142 @@ bool is_topology_spec(const std::string& spec) {
 
 }  // namespace
 
-std::shared_ptr<const plat::Platform> InputResolver::platform(
-    const std::string& spec) {
-  auto it = platforms_.find(spec);
-  if (it == platforms_.end()) {
-    // Topology specs build through the registry; anything else is a file
-    // path and resolves against the base directory.
-    auto built = is_topology_spec(spec)
-                     ? plat::make_platform(spec)
-                     : plat::load_platform_file(resolve(spec).string());
-    it = platforms_
-             .emplace(spec, std::make_shared<const plat::Platform>(
-                                std::move(built)))
-             .first;
+InputResolver::InputResolver(fs::path base, TraceCache& cache)
+    : base_(std::move(base)),
+      trace_cache_(cache),
+      resolutions_(kMaxResolutions),
+      platforms_(kMaxPlatforms),
+      deployments_(kMaxDeployments) {
+  if (base_.empty()) base_ = ".";
+}
+
+fs::path InputResolver::resolve(const std::string& path) const {
+  const fs::path p(path);
+  return p.is_absolute() ? p : base_ / p;
+}
+
+std::optional<InputResolver::Resolution> InputResolver::single_file(
+    const std::string& prefix, const fs::path& path) {
+  const auto id = stat_identity(path);
+  if (!id) return std::nullopt;
+  Resolution r;
+  r.watched.emplace_back(path, *id);
+  r.key = prefix + id->key();
+  return r;
+}
+
+std::optional<InputResolver::Resolution> InputResolver::trace_files(
+    const std::vector<fs::path>& paths) {
+  Resolution r;
+  r.key = "split:";
+  const auto add_file = [&r](const fs::path& file,
+                             const FileIdentity& id) {
+    r.watched.emplace_back(file, id);
+    r.key += id.key();
+    r.key += ',';
+  };
+  for (const fs::path& path : paths) {
+    const auto id = stat_identity(path);
+    if (!id) return std::nullopt;
+    if (!id->directory) {
+      add_file(path, *id);
+      continue;
+    }
+    // A directory stands for its SG_process<i>.trace files; watching its
+    // own identity notices files added, removed or renamed there.
+    r.watched.emplace_back(path, *id);
+    for (const fs::path& file : trace::process_trace_files({path})) {
+      const auto file_id = stat_identity(file);
+      if (!file_id) return std::nullopt;
+      add_file(file, *file_id);
+    }
   }
-  return it->second;
+  return r;
 }
 
-std::string InputResolver::platform_key(const std::string& spec) const {
-  return is_topology_spec(spec) ? spec : canonical_path_key(resolve(spec));
+std::vector<fs::path> InputResolver::Resolution::files() const {
+  std::vector<fs::path> out;
+  for (const auto& [path, id] : watched)
+    if (!id.directory) out.push_back(path);
+  return out;
 }
 
-const plat::Deployment& InputResolver::deployment(const std::string& file) {
-  auto it = deployments_.find(file);
-  if (it == deployments_.end())
-    it = deployments_
-             .emplace(file,
-                      plat::load_deployment_file(resolve(file).string()))
-             .first;
-  return it->second;
+template <class Resolve>
+const InputResolver::Resolution* InputResolver::current(
+    const std::string& spelling, Resolve&& resolve) {
+  std::string stale;
+  if (Resolution* held = resolutions_.find(spelling)) {
+    bool unchanged = true;
+    for (const auto& [path, id] : held->watched) {
+      const auto now = stat_identity(path);
+      if (!now || !(*now == id)) {
+        unchanged = false;
+        break;
+      }
+    }
+    if (unchanged) return held;
+    stale = std::move(held->key);
+    resolutions_.erase(spelling);
+  }
+  std::optional<Resolution> fresh;
+  try {
+    fresh = resolve();
+  } catch (...) {
+    forget(stale);
+    throw;
+  }
+  // A directory touched without changing its trace files keeps its key.
+  if (!fresh || fresh->key != stale) forget(stale);
+  if (!fresh) return nullptr;
+  return &resolutions_.put(spelling, std::move(*fresh));
+}
+
+void InputResolver::forget(const std::string& key) {
+  if (key.empty()) return;
+  trace_cache_.forget(key);
+  platforms_.erase(key);
+  deployments_.erase(key);
+}
+
+InputResolver::ResolvedPlatform InputResolver::platform(
+    const std::string& spec) {
+  if (is_topology_spec(spec)) {
+    auto* built = platforms_.find(spec);
+    if (built == nullptr)
+      built = &platforms_.put(spec, std::make_shared<const plat::Platform>(
+                                        plat::make_platform(spec)));
+    return {*built, spec};
+  }
+  // Anything else is a file path and resolves against the base directory.
+  const fs::path path = resolve(spec);
+  const Resolution* r = current(
+      "platform=" + spec, [&] { return single_file("platform:", path); });
+  if (r == nullptr) throw IoError("cannot open '" + path.string() + "'");
+  auto* loaded = platforms_.find(r->key);
+  if (loaded == nullptr)
+    loaded = &platforms_.put(r->key,
+                             std::make_shared<const plat::Platform>(
+                                 plat::load_platform_file(path.string())));
+  return {*loaded, r->key};
+}
+
+std::shared_ptr<const plat::Deployment> InputResolver::deployment(
+    const std::string& file) {
+  const fs::path path = resolve(file);
+  const Resolution* r = current("deployment=" + file, [&] {
+    return single_file("deployment:", path);
+  });
+  if (r == nullptr) throw IoError("cannot open '" + path.string() + "'");
+  auto* loaded = deployments_.find(r->key);
+  if (loaded == nullptr)
+    loaded = &deployments_.put(r->key,
+                               std::make_shared<const plat::Deployment>(
+                                   plat::load_deployment_file(path.string())));
+  return *loaded;
 }
 
 CachedTrace InputResolver::traces(const std::string& spec, bool merged) {
-  std::string key;
+  const Resolution* r = nullptr;
   TraceCache::Loader load;
   if (merged) {
     // merged=FILE:N — one file carrying N process streams.
@@ -209,7 +300,9 @@ CachedTrace InputResolver::traces(const std::string& spec, bool merged) {
     const fs::path file = resolve(spec.substr(0, colon));
     const int nprocs =
         parse_int("merged=" + spec, spec.substr(colon + 1));
-    key = "merged:" + canonical_path_key(file) + ":" + std::to_string(nprocs);
+    r = current("merged=" + spec, [&] {
+      return single_file("merged:" + std::to_string(nprocs) + ":", file);
+    });
     load = [file, nprocs] {
       return trace::TraceSet::merged_file(file, nprocs);
     };
@@ -217,26 +310,29 @@ CachedTrace InputResolver::traces(const std::string& spec, bool merged) {
     std::vector<fs::path> paths;
     for (const auto& token : str::split(spec, ','))
       paths.push_back(resolve(std::string(token)));
-    const std::vector<fs::path> files = trace::process_trace_files(paths);
-    key = "split:";
-    for (const auto& f : files) {
-      key += canonical_path_key(f);
-      key += ',';
-    }
-    load = [files] { return trace::TraceSet::per_process_files(files); };
+    r = current("traces=" + spec, [&] { return trace_files(paths); });
+    // Lists the files only when it runs, on a cache miss; `r` outlives it.
+    load = [r, paths = std::move(paths)] {
+      return trace::TraceSet::per_process_files(
+          r != nullptr ? r->files() : trace::process_trace_files(paths));
+    };
   }
 
-  try {
-    return trace_cache_.get(key, load);
-  } catch (const std::exception&) {
-    // The cache decodes eagerly (it must, to digest); sweep rows decode
-    // lazily so a missing or corrupt trace fails *that row* mid-sweep, not
-    // the whole list. Hand back an uncached lazy handle and let the replay
-    // rediscover the error.
-    CachedTrace out;
-    out.traces = load();
-    return out;
+  // A file that cannot be stat'ed cannot be read either: no cache entry,
+  // the replay reports it.
+  if (r != nullptr) {
+    try {
+      return trace_cache_.get(r->key, load);
+    } catch (const std::exception&) {
+      // The cache decodes eagerly (it must, to digest); sweep rows decode
+      // lazily so a missing or corrupt trace fails *that row* mid-sweep,
+      // not the whole list. Fall through to an uncached lazy handle and let
+      // the replay rediscover the error.
+    }
   }
+  CachedTrace out;
+  out.traces = load();
+  return out;
 }
 
 SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
@@ -251,9 +347,10 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
   const auto* platform = kv.find("platform");
   if (platform == nullptr)
     throw Error("scenario '" + spec.name + "': missing platform=");
-  spec.platform = resolver.platform(*platform);
+  auto resolved = resolver.platform(*platform);
+  spec.platform = std::move(resolved.platform);
   spec.platform_label = *platform;
-  entry.platform_key = resolver.platform_key(*platform);
+  entry.platform_key = std::move(resolved.key);
 
   CachedTrace cached;
   if (const auto* merged = kv.find("merged")) {
@@ -277,7 +374,7 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
         *deployment, *spec.platform, spec.traces.nprocs());
   else
     spec.process_hosts =
-        resolver.deployment(*deployment).resolve(*spec.platform);
+        resolver.deployment(*deployment)->resolve(*spec.platform);
 
   if (const auto* eager = kv.find("eager"))
     spec.config.mpi.eager_threshold = units::parse_bytes(*eager);

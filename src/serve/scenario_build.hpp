@@ -5,12 +5,13 @@
 // layer promotes it to a library so a daemon request and a sweep-list row
 // build scenarios through exactly one code path. A KeyValues map (the
 // sweep-list vocabulary: platform=, traces=, fault=, perturb=, mc=, ...)
-// plus an InputResolver (shared immutable inputs: platforms and deployments
-// cached by spec, traces through the content-addressed TraceCache with
-// canonicalised path keys — `dir`, `./dir` and the absolute spelling all
-// decode once) yields a SweepEntry: the deterministic ScenarioSpec, its
-// optional stochastic envelope, and the serving metadata (trace digest,
-// canonical platform key) the result memo fingerprints.
+// plus an InputResolver (shared immutable inputs keyed by file identity:
+// platforms and deployments in small caches, traces through the
+// content-addressed TraceCache — `dir`, `./dir`, the absolute spelling and a
+// symlink all decode once, and a rewritten file decodes again) yields a
+// SweepEntry: the deterministic ScenarioSpec, its optional stochastic
+// envelope, and the serving metadata (trace digest, platform identity) the
+// result memo fingerprints.
 //
 // Every parameter is validated here, at build time — a typo fails with the
 // scenario name attached instead of mid-sweep inside a worker thread.
@@ -20,14 +21,18 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "platform/deployment.hpp"
 #include "platform/platform.hpp"
 #include "replay/perturb.hpp"
 #include "replay/scenario.hpp"
+#include "serve/lru_map.hpp"
 #include "serve/trace_cache.hpp"
+#include "support/file_identity.hpp"
 #include "trace/digest.hpp"
 
 namespace tir::serve {
@@ -68,8 +73,8 @@ struct SweepEntry {
   int mc = 0;               ///< Monte-Carlo replicas; 0 = deterministic row
   std::uint64_t seed = 1;   ///< replica streams derive from this
 
-  /// Canonical platform identity for memo keys: the topology spec string,
-  /// or the canonicalised absolute path of a platform file.
+  /// Platform identity for memo keys: the topology spec string, or the
+  /// file identity (device, inode, size, mtime) of a platform file.
   std::string platform_key;
 
   /// Content digest of spec.traces; zero when the resolver fell back to an
@@ -80,9 +85,20 @@ struct SweepEntry {
   double trace_decode_seconds = 0.0;
 };
 
-/// Shared immutable inputs behind canonical keys. Platforms and deployments
-/// are cached per resolver; traces go through the (typically longer-lived)
-/// TraceCache so a daemon keeps hot traces decoded across requests.
+/// Shared immutable inputs behind file identities. Platforms and
+/// deployments are cached per resolver; traces go through the (typically
+/// longer-lived) TraceCache so a daemon keeps hot traces decoded across
+/// requests.
+///
+/// Each input spelling (a traces= list, merged=FILE:N, a platform or
+/// deployment file) is resolved once into its files and their stat
+/// identities (FileIdentity), plus the identity of each directory it names.
+/// A later request re-validates the resolution with one stat per entry; a
+/// changed identity resolves the spelling again, drops the cache entries
+/// keyed by the old identities and loads the input afresh. Caches are keyed
+/// by identity, so every spelling of the same files shares one load. The
+/// resolutions and both caches hold a constant number of entries each, so
+/// a client cycling spellings cannot grow them.
 class InputResolver {
  public:
   /// `base`: directory relative paths resolve against. `cache` must
@@ -91,24 +107,58 @@ class InputResolver {
 
   std::filesystem::path resolve(const std::string& path) const;
 
-  std::shared_ptr<const plat::Platform> platform(const std::string& spec);
+  /// A platform and its memo identity (SweepEntry::platform_key). Topology
+  /// specs build through the registry; anything else is a platform file.
+  struct ResolvedPlatform {
+    std::shared_ptr<const plat::Platform> platform;
+    std::string key;
+  };
+  ResolvedPlatform platform(const std::string& spec);
 
-  /// Canonical identity of a platform spec (no construction).
-  std::string platform_key(const std::string& spec) const;
-
-  const plat::Deployment& deployment(const std::string& file);
+  std::shared_ptr<const plat::Deployment> deployment(const std::string& file);
 
   /// Resolves traces=/merged= through the TraceCache. On decode failure the
   /// error is swallowed and an uncached lazy TraceSet handle is returned
   /// (hit=false, zero digest) so the scenario fails at replay time with the
-  /// original per-row semantics.
+  /// original per-row semantics; so is a file that cannot be stat'ed.
   CachedTrace traces(const std::string& spec, bool merged);
 
  private:
+  /// One spelling resolved: every named directory and every input file
+  /// with the identity it had, and the cache key those identities make.
+  struct Resolution {
+    std::vector<std::pair<std::filesystem::path, FileIdentity>> watched;
+    std::string key;
+
+    /// The input files (the watched entries that are not directories).
+    std::vector<std::filesystem::path> files() const;
+  };
+
+  /// `path` alone, keyed `prefix` + its identity; nullopt when it cannot
+  /// be stat'ed.
+  static std::optional<Resolution> single_file(
+      const std::string& prefix, const std::filesystem::path& path);
+
+  /// A traces= list: each directory expanded to its process files, keyed
+  /// by their identities in pid order; nullopt when a file cannot be
+  /// stat'ed. Throws tir::IoError for a directory without traces.
+  static std::optional<Resolution> trace_files(
+      const std::vector<std::filesystem::path>& paths);
+
+  /// The resolution of `spelling`, re-validated with one stat per watched
+  /// entry and made afresh by `resolve` when missing or changed; null when
+  /// `resolve` finds a file it cannot stat.
+  template <class Resolve>
+  const Resolution* current(const std::string& spelling, Resolve&& resolve);
+
+  /// Drops every cache entry keyed by a stale resolution's key.
+  void forget(const std::string& key);
+
   std::filesystem::path base_;
   TraceCache& trace_cache_;
-  std::map<std::string, std::shared_ptr<const plat::Platform>> platforms_;
-  std::map<std::string, plat::Deployment> deployments_;
+  LruMap<Resolution> resolutions_;
+  LruMap<std::shared_ptr<const plat::Platform>> platforms_;
+  LruMap<std::shared_ptr<const plat::Deployment>> deployments_;
 };
 
 /// Builds one scenario from its parameters. `index` names anonymous rows

@@ -102,7 +102,7 @@ bool ReplayService::submit(Request request, Callback done) {
     ++stats_.shed;
     return false;
   }
-  queue_.push_back({std::move(request), std::move(done), Clock::now(), {}});
+  queue_.push_back({std::move(request), std::move(done), Clock::now(), 0.0, {}});
   ++outstanding_;
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, outstanding_);
   work_cv_.notify_one();
@@ -168,9 +168,10 @@ void ReplayService::dispatcher_loop() {
 }
 
 void ReplayService::dispatch(Pending& pending) {
+  const auto dequeued = Clock::now();
   Response& response = pending.response;
   response.id = std::move(pending.request.id);
-  response.queue_seconds = seconds_between(pending.enqueued, Clock::now());
+  response.queue_seconds = seconds_between(pending.enqueued, dequeued);
   replay::ScenarioSpec spec;
   std::string memo_key;  // empty: never memoised
   try {
@@ -200,11 +201,13 @@ void ReplayService::dispatch(Pending& pending) {
           scenario_memo_key(spec, entry.platform_key, entry.trace_digest);
     }
   } catch (const std::exception& e) {
+    pending.build_seconds = seconds_between(dequeued, Clock::now());
     response.status = Response::Status::badrequest;
     response.error = e.what();
     respond({&pending, 1});
     return;
   }
+  pending.build_seconds = seconds_between(dequeued, Clock::now());
 
   if (!memo_key.empty()) {
     // The flight table before the memo: a worker stores its report before
@@ -299,6 +302,7 @@ void ReplayService::respond(std::span<Pending> answered) {
         ++stats_.badrequests;
       if (response.memo_hit) ++stats_.memo_hits;
       stats_.queue_wait.record(response.queue_seconds);
+      stats_.build.record(p.build_seconds);
       if (response.decode_seconds > 0.0)
         stats_.decode.record(response.decode_seconds);
       if (response.solve_seconds > 0.0)
@@ -434,6 +438,7 @@ std::string render_stats(const ServiceStats& stats) {
   count("memo_evictions", stats.memo.evictions);
   out += ",\"queue_wait\":\"" + str::json_escape(stats.queue_wait.summary()) +
          "\"";
+  out += ",\"build\":\"" + str::json_escape(stats.build.summary()) + "\"";
   out += ",\"decode\":\"" + str::json_escape(stats.decode.summary()) + "\"";
   out += ",\"solve\":\"" + str::json_escape(stats.solve.summary()) + "\"";
   out += ",\"total\":\"" + str::json_escape(stats.total.summary()) + "\"";

@@ -26,7 +26,8 @@
 // Request parameters are exactly the sweep-list vocabulary (see
 // serve/scenario_build.hpp) plus `replica=R` to pick one Monte-Carlo
 // replica of a perturbed row. Per-request wall-clock telemetry (queue wait,
-// decode, solve) aggregates into obs::Histogram metrics.
+// the dispatcher's build, decode, solve) aggregates into obs::Histogram
+// metrics.
 #pragma once
 
 #include <chrono>
@@ -107,6 +108,7 @@ struct ServiceStats {
   std::uint64_t batches = 0;       ///< dispatcher passes over the queue
   std::size_t max_queue_depth = 0; ///< peak accepted-and-unanswered requests
   obs::Histogram queue_wait;
+  obs::Histogram build;            ///< dispatcher: dequeue -> memo lookup
   obs::Histogram decode;
   obs::Histogram solve;
   obs::Histogram total;            ///< submit -> response
@@ -152,6 +154,7 @@ class ReplayService {
     Request request;  ///< consumed by the dispatcher
     Callback done;
     std::chrono::steady_clock::time_point enqueued;
+    double build_seconds = 0.0;  ///< dispatcher time, dequeue -> memo lookup
     Response response;
   };
 

@@ -68,13 +68,32 @@ CachedTrace TraceCache::get(const std::string& source_key,
   lock.lock();
   ++stats_.misses;
   if (const auto twin = entries_.find(out.digest); twin != entries_.end()) {
-    // Same logical content already resident (a different encoding or
-    // spelling decoded first): drop our copy, share theirs.
-    touch_locked(twin->second);
-    out.traces = twin->second.traces;
-    out.bytes = twin->second.bytes;
+    // Same logical content already resident (a different encoding, or
+    // these files before a touch or a same-content rewrite).
+    Entry& entry = twin->second;
+    touch_locked(entry);
     out.deduplicated = true;
     ++stats_.dedups;
+    if (!entry.traces.streaming()) {
+      // Decoded actions serve any source: drop our copy, share theirs.
+      out.traces = entry.traces;
+      out.bytes = entry.bytes;
+    } else {
+      // A streamed set re-reads its files on every replay and fails once
+      // they differ from what it indexed, so ours, loaded just now,
+      // replaces it (replays in flight keep the old one alive). If ours
+      // streams too, it reads files only our alias validates: the other
+      // aliases go and load their own sources again.
+      if (out.traces.streaming())
+        for (auto a = aliases_.begin(); a != aliases_.end();)
+          a = a->second == out.digest && a->first != source_key
+                  ? aliases_.erase(a)
+                  : std::next(a);
+      stats_.resident_bytes = stats_.resident_bytes - entry.bytes + out.bytes;
+      entry.traces = out.traces;
+      entry.bytes = out.bytes;
+      evict_locked();
+    }
   } else {
     Entry entry;
     entry.traces = out.traces;
@@ -90,6 +109,12 @@ CachedTrace TraceCache::get(const std::string& source_key,
   stats_.entries = entries_.size();
   stats_.aliases = aliases_.size();
   return out;
+}
+
+void TraceCache::forget(const std::string& source_key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  aliases_.erase(source_key);
+  stats_.aliases = aliases_.size();
 }
 
 TraceCacheStats TraceCache::stats() const {

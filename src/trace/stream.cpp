@@ -1,34 +1,26 @@
 #include "trace/stream.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
 #include "trace/compact.hpp"
 #include "trace/trace_format.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define TIR_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace tir::trace {
 
 namespace {
-
-std::uint64_t file_size_or_zero(const std::filesystem::path& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(size);
-}
 
 StreamIndex fallback_index(const std::filesystem::path& path) {
   StreamIndex idx;
@@ -37,29 +29,135 @@ StreamIndex fallback_index(const std::filesystem::path& path) {
   return idx;
 }
 
-/// Opens a trace file once and reads its magic: binary and compact readers
-/// continue on `in`, positioned after it. A file too short for a magic, or
-/// unreadable, is text (the text pass reports an unreadable file).
-TraceFormat sniff(const std::filesystem::path& path, std::ifstream& in) {
-  in.open(path, std::ios::binary);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() == sizeof(magic)) {
+/// One open trace file: a descriptor read through a small buffer at a
+/// tracked byte offset, and the identity fstat gave that descriptor at
+/// open. The pass sniffs, indexes and decodes each file through one of
+/// these, and every cursor opens its own. A file that cannot be opened
+/// reads as empty with ok() false, and its identity comes from stat.
+class TraceFile {
+ public:
+  explicit TraceFile(const std::filesystem::path& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    const auto id = fd_ >= 0 ? fd_identity(fd_) : stat_identity(path);
+    if (id) identity_ = *id;
+  }
+
+  TraceFile(TraceFile&& other) noexcept
+      : fd_(std::exchange(other.fd_, -1)),
+        identity_(other.identity_),
+        buf_(std::move(other.buf_)),
+        buf_start_(other.buf_start_),
+        pos_(other.pos_),
+        len_(other.len_) {}
+
+  TraceFile(const TraceFile&) = delete;
+  TraceFile& operator=(const TraceFile&) = delete;
+  TraceFile& operator=(TraceFile&&) = delete;
+
+  ~TraceFile() { close(); }
+
+  bool ok() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
+  const FileIdentity& identity() const { return identity_; }
+
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+  /// Byte offset of the next byte get() returns.
+  std::uint64_t offset() const { return buf_start_ + pos_; }
+
+  /// Next byte, or EOF.
+  int get() {
+    if (pos_ == len_ && !fill()) return EOF;
+    return static_cast<unsigned char>(buf_[pos_++]);
+  }
+
+  /// Copies up to `n` bytes into `out`; returns how many there were.
+  std::uint64_t read(char* out, std::uint64_t n) {
+    std::uint64_t done = 0;
+    while (done < n && (pos_ < len_ || fill())) {
+      const auto take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(n - done, len_ - pos_));
+      std::memcpy(out + done, buf_.data() + pos_, take);
+      pos_ += take;
+      done += take;
+    }
+    return done;
+  }
+
+  /// Next line, newline stripped, into `out`; false at end of file.
+  bool read_line(std::string& out) {
+    out.clear();
+    bool any = false;
+    while (pos_ < len_ || fill()) {
+      any = true;
+      const char* start = buf_.data() + pos_;
+      const auto* nl =
+          static_cast<const char*>(std::memchr(start, '\n', len_ - pos_));
+      const std::size_t n =
+          nl ? static_cast<std::size_t>(nl - start) : len_ - pos_;
+      out.append(start, n);
+      pos_ += n;
+      if (nl) {
+        ++pos_;
+        return true;
+      }
+    }
+    return any;
+  }
+
+  /// Repositions at `offset`. A target inside the buffer moves no
+  /// descriptor, so the pass re-reads a sniffed text file from byte 0 even
+  /// when it cannot seek (a pipe).
+  void seek(std::uint64_t offset) {
+    if (offset >= buf_start_ && offset - buf_start_ <= len_) {
+      pos_ = static_cast<std::size_t>(offset - buf_start_);
+      return;
+    }
+    if (fd_ >= 0) ::lseek(fd_, static_cast<off_t>(offset), SEEK_SET);
+    buf_start_ = offset;
+    pos_ = len_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kBufferBytes = 8192;
+
+  bool fill() {
+    buf_start_ += len_;
+    pos_ = len_ = 0;
+    if (fd_ < 0) return false;
+    if (buf_.empty()) buf_.resize(kBufferBytes);
+    ssize_t got = 0;
+    do {
+      got = ::read(fd_, buf_.data(), buf_.size());
+    } while (got < 0 && errno == EINTR);
+    if (got <= 0) return false;  // end of file; a read error ends it too
+    len_ = static_cast<std::size_t>(got);
+    return true;
+  }
+
+  int fd_;
+  FileIdentity identity_;
+  std::vector<char> buf_;
+  std::uint64_t buf_start_ = 0;  ///< file offset of buf_[0]
+  std::size_t pos_ = 0;          ///< next byte in buf_
+  std::size_t len_ = 0;          ///< valid bytes in buf_
+};
+
+/// Reads a file's magic: binary and compact readers continue on `file`,
+/// positioned after it. A file too short for a magic, or unreadable, is
+/// text (the text pass reports an unreadable file).
+TraceFormat sniff(TraceFile& file) {
+  char magic[sizeof(kBinaryMagic)];
+  if (file.read(magic, sizeof(magic)) == sizeof(magic)) {
     if (std::memcmp(magic, kBinaryMagic, sizeof(magic)) == 0)
       return TraceFormat::binary;
     if (std::memcmp(magic, kCompactMagic, sizeof(magic)) == 0)
       return TraceFormat::compact;
   }
   return TraceFormat::text;
-}
-
-/// Reopens a file the pass already sniffed, positioned after its magic
-/// (cursors).
-std::ifstream reopen_after_magic(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open trace file '" + path.string() + "'");
-  in.seekg(sizeof(kBinaryMagic));
-  return in;
 }
 
 /// Records a lenient-mode decode error: the salvage keeps the clean prefix
@@ -151,60 +249,51 @@ class Distributor {
   bool overflow_ = false;
 };
 
-/// Line reader over one text file: mmap + memchr where available (no
-/// per-line copy), degrading to a getline ifstream. Bounded memory either
-/// way: the mapping is backed by the page cache, the fallback keeps one
-/// line resident. The index pass reads it front to back; a cursor seeks it
-/// to each of its segments.
+/// Line reader over one text file: mmap + memchr where the file maps (no
+/// per-line copy), degrading to buffered reads of the open file. Bounded
+/// memory either way: the mapping is backed by the page cache, the fallback
+/// keeps one line resident. The index pass reads it front to back; a cursor
+/// seeks it to each of its segments.
 class LineReader {
  public:
-  explicit LineReader(const std::filesystem::path& path) {
-#if TIR_HAVE_MMAP
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        if (p != MAP_FAILED) {
-          data_ = static_cast<const char*>(p);
-          size_ = static_cast<std::uint64_t>(st.st_size);
-        }
+  /// Reads `file` from its first byte, wherever it is positioned.
+  explicit LineReader(TraceFile file) : file_(std::move(file)) {
+    const std::uint64_t size = file_.identity().size;
+    if (file_.ok() && size > 0) {
+      void* p = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
+                       MAP_PRIVATE, file_.fd(), 0);
+      if (p != MAP_FAILED) {
+        data_ = static_cast<const char*>(p);
+        size_ = size;
+        file_.close();  // the mapping outlives the descriptor
+        return;
       }
-      ::close(fd);
-      if (data_ != nullptr) return;
     }
-#endif
-    in_.open(path, std::ios::binary);
+    file_.seek(0);
   }
 
   ~LineReader() {
-#if TIR_HAVE_MMAP
     if (data_ != nullptr)
       ::munmap(const_cast<char*>(data_), static_cast<std::size_t>(size_));
-#endif
   }
 
   LineReader(const LineReader&) = delete;
   LineReader& operator=(const LineReader&) = delete;
 
-  bool ok() const { return data_ != nullptr || in_.is_open(); }
+  bool ok() const { return data_ != nullptr || file_.ok(); }
 
   /// Repositions at a line start recorded by offset().
   void seek(std::uint64_t offset) {
-    if (data_ != nullptr) {
+    if (data_ != nullptr)
       pos_ = std::min(offset, size_);
-      return;
-    }
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(offset));
-    pos_ = offset;
+    else
+      file_.seek(offset);
   }
 
   /// Next line (newline stripped), or nullopt at EOF.
   std::optional<std::string_view> next() {
-    line_start_ = pos_;
     if (data_ != nullptr) {
+      line_start_ = pos_;
       if (pos_ >= size_) return std::nullopt;
       const char* start = data_ + pos_;
       const auto* nl = static_cast<const char*>(
@@ -214,8 +303,8 @@ class LineReader {
       pos_ += len + (nl ? 1 : 0);
       return std::string_view(start, static_cast<std::size_t>(len));
     }
-    if (!in_.is_open() || !std::getline(in_, line_)) return std::nullopt;
-    pos_ += line_.size() + 1;  // +1: the newline getline swallowed
+    line_start_ = file_.offset();
+    if (!file_.read_line(line_)) return std::nullopt;
     return std::string_view(line_);
   }
 
@@ -223,21 +312,20 @@ class LineReader {
   std::uint64_t offset() const { return line_start_; }
 
  private:
-  const char* data_ = nullptr;  ///< the mapping; null when reading in_
+  TraceFile file_;              ///< read when the file does not map
+  const char* data_ = nullptr;  ///< the mapping; null when reading file_
   std::uint64_t size_ = 0;
-  std::uint64_t pos_ = 0;  ///< byte offset of the next line
+  std::uint64_t pos_ = 0;  ///< byte offset of the next mapped line
   std::uint64_t line_start_ = 0;
-  std::ifstream in_;
   std::string line_;
 };
 
-/// Bytes of a binary or compact file, read from the stream the sniff opened
-/// and counting the offset as they go (tellg costs a system call per call).
+/// Bytes of a binary or compact file, read from the file the sniff opened.
 class ByteReader {
  protected:
   /// `in` is positioned after the magic.
-  ByteReader(const std::filesystem::path& path, std::ifstream in)
-      : path_(path), in_(std::move(in)), offset_(sizeof(kBinaryMagic)) {}
+  ByteReader(const std::filesystem::path& path, TraceFile in)
+      : path_(path), in_(std::move(in)) {}
 
   std::uint64_t varint() {
     std::uint64_t value = 0;
@@ -245,7 +333,6 @@ class ByteReader {
     for (;;) {
       const int byte = in_.get();
       if (byte == EOF) throw ParseError(path_.string() + ": truncated varint");
-      ++offset_;
       value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
       if ((byte & 0x80) == 0) return value;
       shift += 7;
@@ -254,32 +341,19 @@ class ByteReader {
   }
 
   /// Reads `n` bytes into `out`; false when the file ends first.
-  bool read(char* out, std::uint64_t n) {
-    in_.read(out, static_cast<std::streamsize>(n));
-    offset_ += static_cast<std::uint64_t>(in_.gcount());
-    return static_cast<std::uint64_t>(in_.gcount()) == n;
-  }
-
-  /// Repositions at an offset this reader reported; clears any EOF state.
-  void seek_to(std::uint64_t offset) {
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(offset));
-    offset_ = offset;
-  }
+  bool read(char* out, std::uint64_t n) { return in_.read(out, n) == n; }
 
   std::filesystem::path path_;
-  std::ifstream in_;
-  std::uint64_t offset_;  ///< bytes consumed from the start of the file
+  TraceFile in_;
 };
 
 /// Reader over a binary trace (layout in trace_format.hpp): the index pass
 /// and the binary cursor both decode through it.
 class BinaryReader : ByteReader {
  public:
-  BinaryReader(const std::filesystem::path& path, std::ifstream in)
+  BinaryReader(const std::filesystem::path& path, TraceFile in)
       : ByteReader(path, std::move(in)) {
     const int version = in_.get();
-    ++offset_;
     if (version != kBinaryVersion)
       throw ParseError(path.string() + ": unsupported binary trace version " +
                        std::to_string(version));
@@ -289,16 +363,15 @@ class BinaryReader : ByteReader {
 
   /// Offset of the next record (the pass snapshots it before each one to
   /// locate segments and the clean prefix).
-  std::uint64_t offset() const { return offset_; }
+  std::uint64_t offset() const { return in_.offset(); }
 
   /// Repositions at a record boundary offset() reported.
-  void seek(std::uint64_t offset) { seek_to(offset); }
+  void seek(std::uint64_t offset) { in_.seek(offset); }
 
   /// Next action, or nullopt at end of file.
   std::optional<Action> next() {
     const int tag_byte = in_.get();
     if (tag_byte == EOF) return std::nullopt;
-    ++offset_;
     const auto tag = static_cast<std::uint8_t>(tag_byte);
     const auto type_raw = static_cast<int>(tag & 0x0F);
     if (type_raw > static_cast<int>(ActionType::waitall))
@@ -358,9 +431,8 @@ class BinaryReader : ByteReader {
 /// pass, the block cursor and the expansion hint all decode through it.
 class TircReader : ByteReader {
  public:
-  TircReader(const std::filesystem::path& path, std::ifstream in)
-      : ByteReader(path, std::move(in)), size_(file_size_or_zero(path)) {
-    ++offset_;
+  TircReader(const std::filesystem::path& path, TraceFile in)
+      : ByteReader(path, std::move(in)), size_(in_.identity().size) {
     if (in_.get() != kCompactVersion)
       throw ParseError(path.string() + ": unsupported compact-trace version");
     varint();  // header pid (informational)
@@ -373,7 +445,7 @@ class TircReader : ByteReader {
   /// Reads the block header at the current position.
   StreamIndex::Block block() {
     StreamIndex::Block block;
-    block.offset = offset_;
+    block.offset = in_.offset();
     block.repeat = static_cast<std::uint32_t>(varint());  // LoopBlock::count
     block.body_actions = varint();
     return block;
@@ -386,7 +458,7 @@ class TircReader : ByteReader {
   void skip_entry() { entry_bytes(); }
 
   /// Repositions at a block header recorded by block().
-  void seek(std::uint64_t offset) { seek_to(offset); }
+  void seek(std::uint64_t offset) { in_.seek(offset); }
 
  private:
   std::string_view entry_bytes() {
@@ -421,14 +493,24 @@ std::uint64_t block_expansion(const StreamIndex::Block& block) {
   return block.repeat * block.body_actions;
 }
 
-StreamIndex build_text_index(const std::filesystem::path& path,
-                             DecodeMode mode, int merged_nprocs,
-                             std::vector<std::vector<Action>>* actions) {
+/// An empty index of `file`: its path and format, and the identity and
+/// size its open descriptor reported.
+StreamIndex new_index(const std::filesystem::path& path, TraceFormat format,
+                      const TraceFile& file) {
   StreamIndex idx;
+  idx.format = format;
   idx.path = path;
-  idx.salvage.bytes_total = file_size_or_zero(path);
+  idx.identity = file.identity();
+  idx.salvage.bytes_total = file.identity().size;
+  return idx;
+}
 
-  LineReader lines(path);
+StreamIndex build_text_index(const std::filesystem::path& path,
+                             TraceFile file, DecodeMode mode,
+                             int merged_nprocs,
+                             std::vector<std::vector<Action>>* actions) {
+  StreamIndex idx = new_index(path, TraceFormat::text, file);
+  LineReader lines(std::move(file));
   if (!lines.ok()) {
     std::string what = "cannot open trace file '" + path.string() + "'";
     if (mode == DecodeMode::strict) throw IoError(what);
@@ -462,17 +544,13 @@ StreamIndex build_text_index(const std::filesystem::path& path,
 }
 
 StreamIndex build_binary_index(const std::filesystem::path& path,
-                               std::ifstream in, DecodeMode mode,
+                               TraceFile file, DecodeMode mode,
                                int merged_nprocs,
                                std::vector<std::vector<Action>>* actions) {
-  StreamIndex idx;
-  idx.format = TraceFormat::binary;
-  idx.path = path;
-  idx.salvage.bytes_total = file_size_or_zero(path);
-
+  StreamIndex idx = new_index(path, TraceFormat::binary, file);
   std::optional<BinaryReader> reader;
   try {
-    reader.emplace(path, std::move(in));
+    reader.emplace(path, std::move(file));
   } catch (const Error& e) {  // bad version / truncated header
     if (mode == DecodeMode::strict) throw;
     record_error(idx.salvage, e.what(), 0);
@@ -513,23 +591,20 @@ void add_scaled(TraceStats& total, const TraceStats& body,
 }
 
 StreamIndex build_compact_index(const std::filesystem::path& path,
-                                std::ifstream in, DecodeMode mode,
+                                TraceFile file, DecodeMode mode,
                                 int merged_nprocs,
                                 std::vector<std::vector<Action>>* actions) {
   // A merged compact file interleaves pids inside loop bodies; per-pid
   // segments don't apply, so it can only materialise.
   if (merged_nprocs >= 0 && actions == nullptr) return fallback_index(path);
 
-  StreamIndex idx;
-  idx.format = TraceFormat::compact;
-  idx.path = path;
-  idx.salvage.bytes_total = file_size_or_zero(path);
+  StreamIndex idx = new_index(path, TraceFormat::compact, file);
   constexpr std::uint64_t kBudgetActions =
       kMaterialiseBudgetBytes / sizeof(Action);
   CompactProgram program;  // the loop bodies, kept when collecting
   bool over_budget = false;
   try {
-    TircReader tirc(path, std::move(in));
+    TircReader tirc(path, std::move(file));
     idx.blocks.reserve(std::min<std::uint64_t>(tirc.blocks(), 1 << 20));
     for (std::uint64_t b = 0; b < tirc.blocks(); ++b) {
       const StreamIndex::Block block = tirc.block();
@@ -586,21 +661,29 @@ StreamIndex build_compact_index(const std::filesystem::path& path,
 // ---------------------------------------------------------------------------
 // Cursors
 
+/// Positions a freshly opened binary or compact file after its magic, where
+/// the readers' headers start (cursors).
+TraceFile after_magic(TraceFile file) {
+  file.seek(sizeof(kBinaryMagic));
+  return file;
+}
+
 /// Text cursor: a LineReader seeked to each of the pid's segments in turn.
 class MmapTextSource final : public ActionSource {
  public:
   MmapTextSource(std::shared_ptr<const StreamIndex> index, int pid_filter,
-                 std::shared_ptr<void> owner)
+                 std::shared_ptr<void> owner, TraceFile file)
       : owner_(std::move(owner)),
         index_(std::move(index)),
-        pid_filter_(pid_filter) {}
+        pid_filter_(pid_filter),
+        lines_(std::move(file)) {}
 
   std::optional<Action> next() override {
     for (;;) {
       while (remaining_ == 0) {
         if (!enter_next_segment()) return std::nullopt;
       }
-      const auto line = lines_->next();
+      const auto line = lines_.next();
       if (!line) return std::nullopt;  // file shrank under us
       const auto trimmed = str::trim(*line);
       if (trimmed.empty() || trimmed[0] == '#') continue;
@@ -616,8 +699,7 @@ class MmapTextSource final : public ActionSource {
            !(pid_filter_ < 0 || segments[seg_].pid == pid_filter_))
       ++seg_;
     if (seg_ >= segments.size()) return false;
-    if (!lines_) lines_.emplace(index_->path);
-    lines_->seek(segments[seg_].offset);
+    lines_.seek(segments[seg_].offset);
     remaining_ = segments[seg_].count;
     ++seg_;
     return true;
@@ -628,7 +710,7 @@ class MmapTextSource final : public ActionSource {
   int pid_filter_;
   std::size_t seg_ = 0;
   std::uint64_t remaining_ = 0;
-  std::optional<LineReader> lines_;
+  LineReader lines_;
 };
 
 /// Binary cursor: one BinaryReader (the reader the index pass ran), seeked
@@ -636,10 +718,12 @@ class MmapTextSource final : public ActionSource {
 class BinarySegmentSource final : public ActionSource {
  public:
   BinarySegmentSource(std::shared_ptr<const StreamIndex> index,
-                      int pid_filter, std::shared_ptr<void> owner)
+                      int pid_filter, std::shared_ptr<void> owner,
+                      TraceFile file)
       : owner_(std::move(owner)),
         index_(std::move(index)),
-        pid_filter_(pid_filter) {}
+        pid_filter_(pid_filter),
+        reader_(index_->path, after_magic(std::move(file))) {}
 
   std::optional<Action> next() override {
     while (remaining_ == 0) {
@@ -648,21 +732,19 @@ class BinarySegmentSource final : public ActionSource {
              !(pid_filter_ < 0 || segments[seg_].pid == pid_filter_))
         ++seg_;
       if (seg_ >= segments.size()) return std::nullopt;
-      if (!reader_)
-        reader_.emplace(index_->path, reopen_after_magic(index_->path));
-      reader_->seek(segments[seg_].offset);
+      reader_.seek(segments[seg_].offset);
       remaining_ = segments[seg_].count;
       ++seg_;
     }
     --remaining_;
-    return reader_->next();
+    return reader_.next();
   }
 
  private:
   std::shared_ptr<void> owner_;
   std::shared_ptr<const StreamIndex> index_;
   int pid_filter_;
-  std::optional<BinaryReader> reader_;
+  BinaryReader reader_;
   std::size_t seg_ = 0;
   std::uint64_t remaining_ = 0;
 };
@@ -673,8 +755,10 @@ class BinarySegmentSource final : public ActionSource {
 class CompactBlockSource final : public ActionSource {
  public:
   CompactBlockSource(std::shared_ptr<const StreamIndex> index,
-                     std::shared_ptr<void> owner)
-      : owner_(std::move(owner)), index_(std::move(index)) {}
+                     std::shared_ptr<void> owner, TraceFile file)
+      : owner_(std::move(owner)),
+        index_(std::move(index)),
+        reader_(index_->path, after_magic(std::move(file))) {}
 
   std::optional<Action> next() override {
     for (;;) {
@@ -694,13 +778,11 @@ class CompactBlockSource final : public ActionSource {
     while (block_ < blocks.size()) {
       const StreamIndex::Block& blk = blocks[block_++];
       if (blk.repeat == 0 || blk.body_actions == 0) continue;
-      if (!reader_)
-        reader_.emplace(index_->path, reopen_after_magic(index_->path));
-      reader_->seek(blk.offset);
-      reader_->block();  // the index already holds the header
+      reader_.seek(blk.offset);
+      reader_.block();  // the index already holds the header
       body_.clear();
       for (std::uint64_t k = 0; k < blk.body_actions; ++k)
-        body_.push_back(reader_->entry());
+        body_.push_back(reader_.entry());
       repeats_left_ = blk.repeat;
       offset_ = 0;
       return true;
@@ -710,7 +792,7 @@ class CompactBlockSource final : public ActionSource {
 
   std::shared_ptr<void> owner_;
   std::shared_ptr<const StreamIndex> index_;
-  std::optional<TircReader> reader_;
+  TircReader reader_;
   std::size_t block_ = 0;
   std::vector<Action> body_;
   std::uint32_t repeats_left_ = 0;
@@ -738,26 +820,27 @@ StreamIndex build_stream_index(const std::filesystem::path& path,
                                std::vector<std::vector<Action>>* actions) {
   if (actions != nullptr)
     actions->assign(static_cast<std::size_t>(std::max(merged_nprocs, 1)), {});
-  std::ifstream in;
-  switch (sniff(path, in)) {
+  TraceFile file(path);
+  switch (sniff(file)) {
     case TraceFormat::binary:
-      return build_binary_index(path, std::move(in), mode, merged_nprocs,
+      return build_binary_index(path, std::move(file), mode, merged_nprocs,
                                 actions);
     case TraceFormat::compact:
-      return build_compact_index(path, std::move(in), mode, merged_nprocs,
+      return build_compact_index(path, std::move(file), mode, merged_nprocs,
                                  actions);
     case TraceFormat::text:
       break;
   }
-  return build_text_index(path, mode, merged_nprocs, actions);
+  return build_text_index(path, std::move(file), mode, merged_nprocs,
+                          actions);
 }
 
 std::uint64_t compact_expanded_hint(
     const std::filesystem::path& path) noexcept {
   try {
-    std::ifstream in;
-    if (sniff(path, in) != TraceFormat::compact) return 0;
-    TircReader tirc(path, std::move(in));
+    TraceFile file(path);
+    if (sniff(file) != TraceFormat::compact) return 0;
+    TircReader tirc(path, std::move(file));
     std::uint64_t total = 0;
     for (std::uint64_t b = 0; b < tirc.blocks(); ++b) {
       const StreamIndex::Block block = tirc.block();
@@ -777,19 +860,27 @@ std::unique_ptr<ActionSource> open_stream(
   if (index->fallback)
     throw Error("open_stream: file is not streamable: " +
                 index->path.string());
+  // The cursor reads the file through the index's offsets, so the file must
+  // still be the one the pass indexed; a rewrite fails the replay instead
+  // of feeding it the new bytes through the old offsets.
+  TraceFile file(index->path);
+  if (!file.ok())
+    throw IoError("cannot open trace file '" + index->path.string() + "'");
+  if (!(file.identity() == index->identity))
+    throw IoError("trace file '" + index->path.string() +
+                  "' changed since it was indexed");
   switch (index->format) {
     case TraceFormat::binary:
-      return std::make_unique<BinarySegmentSource>(std::move(index),
-                                                   pid_filter,
-                                                   std::move(owner));
+      return std::make_unique<BinarySegmentSource>(
+          std::move(index), pid_filter, std::move(owner), std::move(file));
     case TraceFormat::compact:
-      return std::make_unique<CompactBlockSource>(std::move(index),
-                                                  std::move(owner));
+      return std::make_unique<CompactBlockSource>(
+          std::move(index), std::move(owner), std::move(file));
     case TraceFormat::text:
       break;
   }
   return std::make_unique<MmapTextSource>(std::move(index), pid_filter,
-                                          std::move(owner));
+                                          std::move(owner), std::move(file));
 }
 
 }  // namespace tir::trace

@@ -26,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "support/file_identity.hpp"
 #include "trace/trace_format.hpp"
 #include "trace/trace_set.hpp"
 
@@ -52,6 +53,10 @@ struct StreamIndex {
   TraceFormat format = TraceFormat::text;  ///< what the sniff found
   bool fallback = false;  ///< not streamable: the caller must materialise
   std::filesystem::path path;
+  /// What the pass's own fstat saw of the file it read. A cursor opening a
+  /// file whose identity differs throws tir::IoError instead of reading new
+  /// bytes through these offsets.
+  FileIdentity identity;
 
   std::vector<Segment> segments;  ///< text / binary
   std::vector<Block> blocks;      ///< compact
@@ -101,8 +106,9 @@ constexpr std::size_t kMaxStreamSegments = 65536;
 /// expansion passes kMaterialiseBudgetBytes throws tir::Error in either
 /// mode. Without `actions`, merged compact files come back as fallback.
 ///
-/// The pass opens the file once and sniffs its format from the first bytes
-/// (trace_format.hpp); binary and compact decoding continue on that stream.
+/// The pass opens the file once, records its identity from fstat, and
+/// sniffs its format from the first bytes (trace_format.hpp); every format
+/// is then read through that one descriptor (text through a mapping of it).
 StreamIndex build_stream_index(const std::filesystem::path& path,
                                DecodeMode mode, int merged_nprocs,
                                std::vector<std::vector<Action>>* actions =
@@ -117,7 +123,9 @@ std::uint64_t compact_expanded_hint(const std::filesystem::path& path) noexcept;
 /// Opens a bounded-memory cursor over the indexed file. `pid_filter >= 0`
 /// walks only that pid's segments (merged layout); -1 walks everything
 /// (split layout). `owner` is pinned for the cursor's lifetime (the
-/// TraceSet storage). Precondition: !index->fallback.
+/// TraceSet storage). Precondition: !index->fallback. Throws tir::IoError
+/// naming the file when it cannot be opened or its fstat identity is no
+/// longer index->identity (rewritten or replaced since the pass).
 std::unique_ptr<ActionSource> open_stream(
     std::shared_ptr<const StreamIndex> index, int pid_filter,
     std::shared_ptr<void> owner);

@@ -46,9 +46,34 @@ TraceStats& TraceStats::operator+=(const TraceStats& other) {
   return *this;
 }
 
+namespace {
+
+/// Runs a callable once to completion: concurrent callers block until it
+/// finishes, and a call that throws leaves the flag unset, so the next call
+/// retries. (std::call_once promises that retry too, but under
+/// ThreadSanitizer a throwing call never releases the flag and the retry
+/// hangs.)
+class Once {
+ public:
+  template <class F>
+  void call(F&& f) {
+    if (done_.load(std::memory_order_acquire)) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (done_.load(std::memory_order_relaxed)) return;
+    f();
+    done_.store(true, std::memory_order_release);
+  }
+
+ private:
+  std::mutex mu_;
+  std::atomic<bool> done_{false};
+};
+
+}  // namespace
+
 // Shared, write-once trace storage. Decoding is keyed per file behind a
-// std::once_flag: concurrent sweep workers opening the same process block
-// until the single decode pass finishes, then read the immutable vectors.
+// Once: concurrent sweep workers opening the same process block until the
+// single decode pass finishes, then read the immutable vectors.
 struct TraceSet::Storage {
   enum class Layout { split, merged, memory } layout = Layout::memory;
   int nprocs = 0;
@@ -57,13 +82,13 @@ struct TraceSet::Storage {
   std::vector<std::filesystem::path> files;
   std::vector<std::vector<Action>> decoded;       // index = pid
   std::vector<SalvageInfo> salvage;               // index = file
-  std::unique_ptr<std::once_flag[]> decode_once;  // one per file
+  std::unique_ptr<Once[]> decode_once;  // one per file
   std::atomic<std::uint64_t> decodes{0};
 
   // Streaming state. The decision (and every index build) happens once, on
   // first consumption; strict-mode index errors propagate and the decision
   // is retried, matching materialised error timing.
-  std::once_flag policy_once;
+  Once policy_once;
   bool effective_stream = false;
   std::vector<std::shared_ptr<const StreamIndex>> index;  // one per file
   std::atomic<std::uint64_t> index_builds{0};
@@ -90,7 +115,7 @@ struct TraceSet::Storage {
   /// interleaved pids) makes the whole set fall back to materialising so
   /// the two paths never mix within one storage.
   void ensure_policy() {
-    std::call_once(policy_once, [&] {
+    policy_once.call([&] {
       if (!wants_stream()) return;
       const int merged_nprocs = layout == Layout::merged ? nprocs : -1;
       std::vector<std::shared_ptr<const StreamIndex>> built;
@@ -115,7 +140,7 @@ struct TraceSet::Storage {
     if (layout == Layout::memory) return decoded[static_cast<std::size_t>(pid)];
     const bool merged = layout == Layout::merged;
     const std::size_t file = merged ? 0 : static_cast<std::size_t>(pid);
-    std::call_once(decode_once[file], [&] {
+    decode_once[file].call([&] {
       std::vector<std::vector<Action>> actions;
       StreamIndex idx = build_stream_index(files[file], mode,
                                            merged ? nprocs : -1, &actions);
@@ -178,7 +203,7 @@ TraceSet TraceSet::per_process_files(std::vector<std::filesystem::path> files,
   set.storage_->decoded.resize(set.storage_->files.size());
   set.storage_->salvage.resize(set.storage_->files.size());
   set.storage_->decode_once =
-      std::make_unique<std::once_flag[]>(set.storage_->files.size());
+      std::make_unique<Once[]>(set.storage_->files.size());
   return set;
 }
 
@@ -194,7 +219,7 @@ TraceSet TraceSet::merged_file(std::filesystem::path file, int nprocs,
   set.storage_->files.push_back(std::move(file));
   set.storage_->decoded.resize(static_cast<std::size_t>(nprocs));
   set.storage_->salvage.resize(1);
-  set.storage_->decode_once = std::make_unique<std::once_flag[]>(1);
+  set.storage_->decode_once = std::make_unique<Once[]>(1);
   return set;
 }
 

@@ -9,16 +9,23 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "platform/cluster.hpp"
+#include "platform/deployment.hpp"
+#include "platform/platform_file.hpp"
+#include "platform/topology.hpp"
 #include "replay/scenario.hpp"
 #include "serve/json.hpp"
+#include "serve/lru_map.hpp"
 #include "serve/memo.hpp"
 #include "serve/scenario_build.hpp"
 #include "serve/service.hpp"
@@ -70,6 +77,14 @@ struct ScratchDir {
   }
   ~ScratchDir() { fs::remove_all(path); }
 };
+
+bool bit_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void write_text(const fs::path& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
 
 /// Writes `program` under dir/<sub> in `format`, one file per process,
 /// returning the file list.
@@ -356,6 +371,105 @@ TEST(TraceCacheTest, ChurnMixesStreamedAndMaterialisedEntries) {
   EXPECT_FALSE(cache.get("mat_a", [&] { return load_variant(1.0); }).hit);
 }
 
+namespace {
+
+/// Replays `traces` block-deployed on a cluster of one host per process.
+replay::ReplayReport replay_on_cluster(const trace::TraceSet& traces) {
+  replay::ScenarioSpec spec;
+  spec.name = "cached";
+  spec.platform = std::make_shared<const plat::Platform>(plat::make_platform(
+      "cluster:hosts=" + std::to_string(traces.nprocs())));
+  spec.process_hosts =
+      plat::resolve_deployment_spec("block", *spec.platform, traces.nprocs());
+  spec.traces = traces;
+  return replay::run_scenario_report(spec);
+}
+
+/// Moves `file`'s mtime 10 s on, leaving its bytes alone.
+void touch(const fs::path& file) {
+  fs::last_write_time(file,
+                      fs::last_write_time(file) + std::chrono::seconds(10));
+}
+
+}  // namespace
+
+TEST(TraceCacheTest, StreamedTwinOfATouchedTraceReplacesTheStaleIndex) {
+  // A touch (or a copy of the same bytes) gives the files a new identity,
+  // so the resolver loads them again under a new key and the load digests
+  // to the resident entry. The resident index holds the old identities and
+  // would fail every cursor: the fresh load must take its place.
+  ScratchDir scratch("stream_touch");
+  trace::SyntheticSpec cg;
+  cg.nprocs = 4;
+  cg.iterations = 20;
+  const auto files = trace::write_synthetic_traces(scratch.path, cg, "text");
+  const auto load = [&] {
+    return trace::TraceSet::per_process_files(
+        files, trace::DecodeMode::strict, trace::DecodePolicy::stream);
+  };
+
+  serve::TraceCache cache;
+  const auto before = cache.get("identity-before", load);
+  ASSERT_TRUE(before.traces.streaming());
+  touch(files[1]);
+  const auto after = cache.get("identity-after", load);
+  EXPECT_TRUE(after.deduplicated);
+  EXPECT_EQ(after.digest, before.digest);
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  const auto hit = cache.get("identity-after", [&]() -> trace::TraceSet {
+    throw Error("loader must not run");
+  });
+  ASSERT_TRUE(hit.hit);
+  const auto report = replay_on_cluster(hit.traces);
+  ASSERT_EQ(report.status, replay::ReplayStatus::ok) << report.error;
+  EXPECT_EQ(report.result.actions_replayed, trace::synthetic_actions(cg));
+  // The set handed out before the touch still names the old identity.
+  EXPECT_EQ(replay_on_cluster(before.traces).status,
+            replay::ReplayStatus::failed);
+}
+
+TEST(TraceCacheTest, StreamedSetOnlyServesItsOwnSourcesAlias) {
+  // Two encodings of one trace, both streamed, digest alike. Each alias
+  // must read its own files: once either copy is rewritten, the other
+  // copy's alias still replays.
+  const std::map<std::string, TraceFormat> formats = {
+      {"text", TraceFormat::text}, {"binary", TraceFormat::binary}};
+  for (const auto& [changed, changed_format] : formats) {
+    SCOPED_TRACE(changed + " rewritten");
+    const std::string kept = changed == "text" ? "binary" : "text";
+    ScratchDir scratch("stream_twins");
+    std::map<std::string, std::vector<fs::path>> files;
+    for (const auto& [name, format] : formats)
+      files[name] = write_encoded(scratch.path / name, format,
+                                  ring_actions(4, 2));
+    const auto stream = [&files](const std::string& name) {
+      return [&files, name] {
+        return trace::TraceSet::per_process_files(
+            files.at(name), trace::DecodeMode::strict,
+            trace::DecodePolicy::stream);
+      };
+    };
+
+    serve::TraceCache cache;
+    const auto first = cache.get("text", stream("text"));
+    const auto second = cache.get("binary", stream("binary"));
+    ASSERT_TRUE(second.traces.streaming());
+    EXPECT_TRUE(second.deduplicated);
+    EXPECT_EQ(second.digest, first.digest);
+
+    // One more round in one copy: a new identity and a new digest.
+    write_encoded(scratch.path / changed, changed_format, ring_actions(4, 3));
+    EXPECT_NE(cache.get(changed + "-rewritten", stream(changed)).digest,
+              first.digest);
+
+    const auto again = cache.get(kept, stream(kept));
+    EXPECT_EQ(again.digest, first.digest);
+    const auto report = replay_on_cluster(again.traces);
+    EXPECT_EQ(report.status, replay::ReplayStatus::ok) << report.error;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ResultMemo
 
@@ -566,20 +680,98 @@ TEST(InputResolverTest, PathSpellingsShareOneDecode) {
   ScratchDir scratch("resolver");
   const auto program = ring_actions(4, 2);
   write_encoded(scratch.path / "ti", TraceFormat::text, program);
+  fs::create_directory_symlink("ti", scratch.path / "link");
 
   serve::TraceCache cache;
   serve::InputResolver resolver(scratch.path, cache);
   const auto a = resolver.traces("ti", /*merged=*/false);
-  const auto b = resolver.traces("./ti", /*merged=*/false);
-  const auto c =
-      resolver.traces(fs::absolute(scratch.path / "ti").string(),
-                      /*merged=*/false);
   EXPECT_FALSE(a.hit);
-  EXPECT_TRUE(b.hit);
-  EXPECT_TRUE(c.hit);
+  for (const std::string& spelling : std::vector<std::string>{
+           "./ti", "ti/", fs::absolute(scratch.path / "ti").string(), "link",
+           "./link/",
+           "ti/SG_process0.trace,link/SG_process1.trace,"
+           "ti/SG_process2.trace,ti/SG_process3.trace"}) {
+    SCOPED_TRACE(spelling);
+    const auto b = resolver.traces(spelling, /*merged=*/false);
+    EXPECT_TRUE(b.hit);
+    EXPECT_EQ(&a.traces.actions(0), &b.traces.actions(0));
+  }
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(&a.traces.actions(0), &b.traces.actions(0));
-  EXPECT_EQ(&a.traces.actions(0), &c.traces.actions(0));
+  EXPECT_EQ(cache.stats().aliases, 1u);
+}
+
+TEST(InputResolverTest, RewrittenFileDropsItsAliasAndDecodesAgain) {
+  ScratchDir scratch("resolver_rewrite");
+  write_encoded(scratch.path / "ti", TraceFormat::text, ring_actions(4, 2));
+  serve::TraceCache cache;
+  serve::InputResolver resolver(scratch.path, cache);
+  const auto before = resolver.traces("ti", /*merged=*/false);
+  EXPECT_TRUE(resolver.traces("ti", /*merged=*/false).hit);
+
+  // One more round on every rank: each file grows.
+  write_encoded(scratch.path / "ti", TraceFormat::text, ring_actions(4, 3));
+  const auto after = resolver.traces("./ti", /*merged=*/false);
+  EXPECT_FALSE(after.hit);
+  EXPECT_NE(after.digest, before.digest);
+  EXPECT_EQ(after.traces.action_count(0), 9u);
+  EXPECT_TRUE(resolver.traces("ti", /*merged=*/false).hit);
+  // The old alias is gone; the old content waits for LRU eviction.
+  EXPECT_EQ(cache.stats().aliases, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(InputResolverTest, TouchedStreamedTraceStillReplays) {
+  // Two ranks of compute loops expand past kAutoStreamActions, so the
+  // resolver's automatic policy streams them from a few bytes on disk.
+  ScratchDir scratch("resolver_touch_stream");
+  const fs::path dir = scratch.path / "big";
+  fs::create_directories(dir);
+  const auto per_rank =
+      static_cast<std::uint32_t>(trace::kAutoStreamActions / 2 + 1);
+  for (int pid = 0; pid < 2; ++pid) {
+    const trace::CompactProgram program = {
+        {per_rank, {{pid, trace::ActionType::compute, -1, 1e3, 0, 0}}}};
+    trace::write_trace(dir / ("SG_process" + std::to_string(pid) + ".trace"),
+                       program, pid, TraceFormat::compact);
+  }
+  serve::TraceCache cache;
+  serve::InputResolver resolver(scratch.path, cache);
+  const auto before = resolver.traces("big", /*merged=*/false);
+  ASSERT_TRUE(before.traces.streaming());
+
+  touch(dir / "SG_process1.trace");
+  const auto after = resolver.traces("big", /*merged=*/false);
+  EXPECT_FALSE(after.hit);
+  EXPECT_EQ(after.digest, before.digest);
+  // Both spellings now read through an index of the files as they are.
+  for (const auto& set :
+       {after.traces, resolver.traces("./big/", /*merged=*/false).traces}) {
+    for (int pid = 0; pid < 2; ++pid) {
+      const auto source = set.open(pid);
+      const auto first = source->next();
+      ASSERT_TRUE(first.has_value());
+      EXPECT_EQ(first->type, trace::ActionType::compute);
+    }
+  }
+}
+
+TEST(LruMapTest, HoldsAtMostItsCapacity) {
+  serve::LruMap<int> map(2);
+  map.put("a", 1);
+  map.put("b", 2);
+  ASSERT_NE(map.find("a"), nullptr);  // "a" is now the most recent
+  map.put("c", 3);                    // evicts "b"
+  EXPECT_EQ(map.find("b"), nullptr);
+  ASSERT_NE(map.find("a"), nullptr);
+  EXPECT_EQ(*map.find("a"), 1);
+  map.put("a", 4);  // replaces in place
+  EXPECT_EQ(*map.find("a"), 4);
+  map.erase("a");
+  EXPECT_EQ(map.find("a"), nullptr);
+  // A client cycling spellings keeps the map at its cap.
+  for (int i = 0; i < 1000; ++i) map.put("spelling-" + std::to_string(i), i);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(*map.find("spelling-999"), 999);
 }
 
 TEST(InputResolverTest, EmptyTraceDirectoryIsAnIoErrorNamingIt) {
@@ -998,4 +1190,137 @@ TEST(ReplayServiceTest, DeadlockReportsMemoiseLikeSuccesses) {
                         sizeof first.sim_time),
             0);
   EXPECT_EQ(second.diagnostics, first.diagnostics);
+}
+
+TEST(ReplayServiceTest, RewrittenTracesMissTheMemoAndMatchAFreshReplay) {
+  ServiceFixture fixture;
+  trace::SyntheticSpec cg;
+  cg.nprocs = 8;
+  cg.iterations = 20;  // 808 actions
+  // Text: ten times the iterations changes every file's size, so the
+  // rewrite shows whatever the filesystem's mtime granularity.
+  trace::write_synthetic_traces(fixture.scratch.path / "tr", cg, "text");
+
+  serve::ReplayService service(fixture.options());
+  serve::Request same;
+  same.id = "same";
+  same.params = {{"platform", "cluster:hosts=8"},
+                 {"traces", "tr"},
+                 {"deployment", "block"}};
+  // Another spelling of the directory, under a memo key of its own.
+  serve::Request spelled = same;
+  spelled.id = "spelled";
+  spelled.params["traces"] = "./tr/";
+  spelled.params["efficiency"] = "0.5";
+
+  const auto before = service.run(same);
+  ASSERT_EQ(before.status, serve::Response::Status::ok) << before.error;
+  EXPECT_EQ(before.actions_replayed, trace::synthetic_actions(cg));
+  const auto before_spelled = service.run(spelled);
+  ASSERT_EQ(before_spelled.status, serve::Response::Status::ok);
+  EXPECT_TRUE(before_spelled.trace_hit);  // one decode for both spellings
+  EXPECT_TRUE(service.run(same).memo_hit);
+
+  cg.iterations = 200;  // 8008 actions
+  trace::write_synthetic_traces(fixture.scratch.path / "tr", cg, "text");
+
+  for (const serve::Request* request : {&same, &spelled}) {
+    SCOPED_TRACE(request->id);
+    const auto after = service.run(*request);
+    ASSERT_EQ(after.status, serve::Response::Status::ok) << after.error;
+    EXPECT_FALSE(after.memo_hit);
+    EXPECT_NE(after.trace_digest, before.trace_digest);
+    EXPECT_EQ(after.actions_replayed, trace::synthetic_actions(cg));
+    const auto reference = fixture.cold(request->params);
+    ASSERT_EQ(reference.status, replay::ReplayStatus::ok) << reference.error;
+    EXPECT_EQ(after.actions_replayed, reference.result.actions_replayed);
+    EXPECT_EQ(after.processes,
+              static_cast<int>(reference.result.process_finish_times.size()));
+    EXPECT_TRUE(bit_equal(after.sim_time, reference.sim_time));
+    EXPECT_TRUE(bit_equal(after.coverage, reference.coverage));
+  }
+  // The two spellings shared the new decode too.
+  EXPECT_EQ(service.stats().trace_cache.misses, 2u);
+}
+
+TEST(ReplayServiceTest, RewrittenPlatformAndDeploymentFilesMissTheMemo) {
+  ServiceFixture fixture;
+  trace::SyntheticSpec cg;
+  cg.nprocs = 8;
+  cg.iterations = 10;
+  trace::write_synthetic_traces(fixture.scratch.path / "tr", cg);
+  plat::ClusterSpec cluster = plat::bordereau_spec(8);
+  const fs::path platform = fixture.scratch.path / "p.xml";
+  write_text(platform, plat::cluster_to_xml(cluster, "AS_p"));
+  const fs::path deployment = fixture.scratch.path / "d.xml";
+  const auto write_deployment = [&](bool folded) {
+    plat::Deployment d;
+    for (int p = 0; p < cg.nprocs; ++p)
+      d.processes.push_back({"p" + std::to_string(p),
+                             cluster.prefix + std::to_string(folded ? 0 : p) +
+                                 cluster.suffix,
+                             {}});
+    write_text(deployment, d.to_xml());
+  };
+  write_deployment(false);
+
+  serve::ReplayService service(fixture.options());
+  serve::Request request;
+  request.id = "files";
+  request.params = {{"platform", "p.xml"},
+                    {"traces", "tr"},
+                    {"deployment", "d.xml"}};
+  const auto first = service.run(request);
+  ASSERT_EQ(first.status, serve::Response::Status::ok) << first.error;
+  EXPECT_TRUE(service.run(request).memo_hit);
+
+  // A rewrite that keeps the size is named by its mtime, set explicitly so
+  // the test does not lean on the filesystem's timestamp granularity.
+  const auto rewrite = [](const fs::path& path, const auto& write) {
+    const auto stamp = fs::last_write_time(path);
+    write();
+    fs::last_write_time(path, stamp + std::chrono::seconds(10));
+  };
+  const auto expect_fresh = [&](const serve::Response& r) {
+    ASSERT_EQ(r.status, serve::Response::Status::ok) << r.error;
+    EXPECT_FALSE(r.memo_hit);
+    const auto reference = fixture.cold(request.params);
+    ASSERT_EQ(reference.status, replay::ReplayStatus::ok) << reference.error;
+    EXPECT_TRUE(bit_equal(r.sim_time, reference.sim_time));
+    EXPECT_EQ(r.actions_replayed, reference.result.actions_replayed);
+  };
+
+  rewrite(platform, [&] {
+    cluster.backbone_bandwidth /= 10;  // eight ranks now share a slow switch
+    write_text(platform, plat::cluster_to_xml(cluster, "AS_p"));
+  });
+  const auto slow = service.run(request);
+  expect_fresh(slow);
+  EXPECT_GT(slow.sim_time, first.sim_time);
+
+  rewrite(deployment, [&] { write_deployment(true); });  // all on one host
+  const auto folded = service.run(request);
+  expect_fresh(folded);
+  EXPECT_NE(folded.sim_time, slow.sim_time);
+}
+
+TEST(ReplayServiceTest, StatsTimeTheDispatcherBuildOfEveryRequest) {
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+  serve::Request request;
+  request.id = "b";
+  request.params = fixture.base_params;
+  ASSERT_EQ(service.run(request).status, serve::Response::Status::ok);
+  EXPECT_TRUE(service.run(request).memo_hit);
+  request.params["collectives"] = "bogus";
+  EXPECT_EQ(service.run(request).status,
+            serve::Response::Status::badrequest);
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.build.count(), 3u);  // a miss, a hit and a bad request
+  EXPECT_GT(stats.build.max(), 0.0);
+  const auto rendered = serve::parse_json(serve::render_stats(stats));
+  const auto* build = rendered.find("stats")->find("build");
+  ASSERT_NE(build, nullptr);
+  EXPECT_NE(build->string.find("n=3"), std::string::npos) << build->string;
 }

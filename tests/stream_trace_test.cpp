@@ -647,3 +647,59 @@ TEST_F(StreamTraceTest, MergedWildPidRuleEveryFormatModeAndPolicy) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// A streamed set reads its files through the offsets of one indexing pass.
+// ---------------------------------------------------------------------------
+
+TEST_F(StreamTraceTest, RewrittenFileFailsTheStreamedReplay) {
+  for (const trace::TraceFormat codec : test::kTraceFormats) {
+    const std::string format(trace::format_name(codec));
+    SCOPED_TRACE(format);
+    const fs::path dir = dir_ / format;
+    trace::SyntheticSpec cg;
+    cg.nprocs = 4;
+    cg.iterations = 2000;
+    trace::write_synthetic_traces(dir, cg, format);
+    ScenarioSpec spec = cluster_spec(cg.nprocs);
+    spec.traces = trace::TraceSet::per_process_files(
+        trace::process_trace_files({dir}), trace::DecodeMode::strict,
+        DecodePolicy::stream);
+    ASSERT_TRUE(spec.traces.streaming());  // indexed
+
+    // Rewritten in place, every file smaller: the index's offsets and
+    // counts no longer describe these bytes.
+    cg.iterations = 20;
+    trace::write_synthetic_traces(dir, cg, format);
+    const ReplayReport report = run_scenario_report(spec);
+    EXPECT_EQ(report.status, ReplayStatus::failed);
+    EXPECT_NE(report.error.find((dir / "SG_process").string()),
+              std::string::npos)
+        << report.error;
+    EXPECT_NE(report.error.find("changed since it was indexed"),
+              std::string::npos)
+        << report.error;
+  }
+}
+
+TEST_F(StreamTraceTest, StrictDecodeErrorRepeatsOnEveryCall) {
+  // A decode that threw leaves its once-flag unset: a second call on the
+  // same set decodes again and throws again (it must not hang).
+  const fs::path bad = dir_ / "bad.trace";
+  {
+    std::ofstream out(bad);
+    out << "p0 compute 100\np0 warp 9\n";
+  }
+  const auto set = trace::TraceSet::per_process_files(
+      {bad}, trace::DecodeMode::strict, DecodePolicy::materialise);
+  EXPECT_THROW(set.actions(0), ParseError);
+  EXPECT_THROW(set.actions(0), ParseError);
+  EXPECT_EQ(set.decode_count(), 0u);
+
+  // The streaming decision retries the same way.
+  const auto streamed = trace::TraceSet::per_process_files(
+      {bad}, trace::DecodeMode::strict, DecodePolicy::stream);
+  EXPECT_THROW(streamed.streaming(), ParseError);
+  EXPECT_THROW(streamed.streaming(), ParseError);
+  EXPECT_EQ(streamed.index_count(), 0u);
+}

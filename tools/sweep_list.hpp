@@ -4,9 +4,10 @@
 // separated key=value pairs; a line starting with `default` sets defaults
 // for every later scenario. Relative paths resolve against the list file's
 // directory; platforms, deployments and trace sets are cached so a sweep
-// loads/decodes each input exactly once — trace sets through the
-// content-addressed serve::TraceCache, so `ti`, `./ti` and the absolute
-// spelling of the same directory share one decode.
+// loads/decodes each input exactly once — keyed by file identity, so `ti`,
+// `./ti`, the absolute spelling and a symlink of the same directory share
+// one decode, and trace sets through the content-addressed
+// serve::TraceCache.
 //
 // Keys:
 //   name=LABEL             row label (default scenario-<index>)
