@@ -20,7 +20,10 @@
 // Phase 3 — §6.5 acquisition. Paper numbers (full run): < 25 min to
 //   acquire; TI trace 32.5 GiB, 7.8x smaller than the 252.5 GiB TAU
 //   trace; 1.2 GiB gzip'd. The default run executes 2 of 300 iterations
-//   and extrapolates the sizes (linear in the iteration count).
+//   and extrapolates the sizes (linear in the iteration count). Asserted:
+//   the TAU / TI ratio stays in [6.5, 9.0] (7.14 here), and the binary TI
+//   trace, which stands in for the gzip'd one, is under half the text TI
+//   size (25.5 vs 136 MiB at the default fraction).
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -236,8 +239,8 @@ int main() {
               "GiB)\n",
               units::format_bytes(static_cast<double>(r.ti_bytes)).c_str(),
               units::format_bytes(r.ti_bytes * extrapolate).c_str());
-  std::printf("TAU / TI size ratio:      %.2f (paper: 7.8)\n",
-              static_cast<double>(r.tau_bytes) / r.ti_bytes);
+  const double tau_ti_ratio = static_cast<double>(r.tau_bytes) / r.ti_bytes;
+  std::printf("TAU / TI size ratio:      %.2f (paper: 7.8)\n", tau_ti_ratio);
 
   // The paper compresses the TI trace with gzip (1.2 GiB); our binary
   // trace format (the paper's "future work") plays the same role.
@@ -257,5 +260,14 @@ int main() {
               "1.2 GiB)\n",
               units::format_bytes(binary_total).c_str(),
               units::format_bytes(binary_total * extrapolate).c_str());
+
+  // The §6.5 shape: TI stays several times smaller than TAU, and the
+  // binary encoding at least halves the text TI trace. Every size scales
+  // linearly with the iteration count, so the full-run extrapolations keep
+  // these ratios.
+  if (tau_ti_ratio < 6.5 || tau_ti_ratio > 9.0)
+    return fail("TAU / TI size ratio left [6.5, 9.0] around the paper's 7.8");
+  if (binary_total >= 0.5 * static_cast<double>(r.ti_bytes))
+    return fail("binary TI trace is not under half the text TI size");
   return 0;
 }

@@ -2,8 +2,8 @@
 // bit-identical memoisation under a mixed request stream.
 //
 // The serving thesis: the sweep/Monte-Carlo workload asks the same handful
-// of questions thousands of times, so a persistent daemon with a
-// content-addressed trace cache and a result memo should answer repeats at
+// of questions thousands of times, so a persistent daemon with a trace
+// cache and a content-addressed result memo should answer repeats at
 // memory speed. This bench drives the in-process ReplayService (the same
 // object tir-serve wraps) through four phases:
 //

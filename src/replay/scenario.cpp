@@ -155,13 +155,12 @@ void run_scenario_into(const ScenarioSpec& spec, ReplayResult& result) {
   // engine and world: deadlocked rank frames close their open spans from
   // OpScope destructors during World teardown, so it must outlive both.
   std::shared_ptr<obs::Recorder> owned_recorder;
-  obs::Recorder* recorder = spec.config.recorder;
-  if (recorder == nullptr && spec.config.record_spans) {
+  if (spec.config.record_spans) {
     owned_recorder =
         std::make_shared<obs::Recorder>(spec.config.span_activity_detail);
-    recorder = owned_recorder.get();
     result.spans = owned_recorder;
   }
+  obs::Recorder* const recorder = owned_recorder.get();
 
   // Every mutable piece of the simulation lives below this line, scoped to
   // this call: the engine (event heaps, route cache, fluid state), the MPI

@@ -40,10 +40,6 @@ struct ReplayConfig {
   /// With record_spans: also record kernel activity detail (every Exec and
   /// Transfer) on per-host tracks. Voluminous; off by default.
   bool span_activity_detail = false;
-  /// External recorder; overrides record_spans allocation (spans stays
-  /// null). Must outlive the run. Lets a caller aggregate several replays
-  /// onto one timeline.
-  obs::Recorder* recorder = nullptr;
 };
 
 /// One row of the optional timed trace.
@@ -60,9 +56,9 @@ struct ReplayResult {
   std::uint64_t actions_replayed = 0;
   sim::EngineStats engine_stats;
   std::vector<TimedAction> timed_trace;     ///< when requested
-  /// Span timeline when ReplayConfig::record_spans was set; null otherwise
-  /// (or when an external ReplayConfig::recorder was supplied). Populated
-  /// even on deadlock/failure — a partial timeline up to the stop point.
+  /// Span timeline when ReplayConfig::record_spans was set; null otherwise.
+  /// Populated even on deadlock/failure — a partial timeline up to the stop
+  /// point.
   std::shared_ptr<const obs::Recorder> spans;
 };
 

@@ -6,12 +6,12 @@
 // build scenarios through exactly one code path. A KeyValues map (the
 // sweep-list vocabulary: platform=, traces=, fault=, perturb=, mc=, ...)
 // plus an InputResolver (shared immutable inputs keyed by file identity:
-// platforms and deployments in small caches, traces through the
-// content-addressed TraceCache — `dir`, `./dir`, the absolute spelling and a
-// symlink all decode once, and a rewritten file decodes again) yields a
-// SweepEntry: the deterministic ScenarioSpec, its optional stochastic
-// envelope, and the serving metadata (trace digest, platform identity) the
-// result memo fingerprints.
+// platforms and deployments in small caches, traces through the TraceCache
+// — `dir`, `./dir`, the absolute spelling and a symlink all decode once,
+// and a rewritten file decodes again) yields a SweepEntry: the
+// deterministic ScenarioSpec, its optional stochastic envelope, and the
+// serving metadata (trace content digest, platform identity) the result
+// memo fingerprints.
 //
 // Every parameter is validated here, at build time — a typo fails with the
 // scenario name attached instead of mid-sweep inside a worker thread.

@@ -430,7 +430,6 @@ std::string render_stats(const ServiceStats& stats) {
   count("max_queue_depth", stats.max_queue_depth);
   count("trace_hits", stats.trace_cache.hits);
   count("trace_misses", stats.trace_cache.misses);
-  count("trace_dedups", stats.trace_cache.dedups);
   count("trace_evictions", stats.trace_cache.evictions);
   count("trace_resident_bytes", stats.trace_cache.resident_bytes);
   count("trace_entries", stats.trace_cache.entries);

@@ -1,8 +1,8 @@
 // ReplayService: the persistent replay-as-a-service core behind tir-serve.
 //
-// One service owns the two caches (content-addressed TraceCache, keyed
-// ResultMemo), one dispatcher thread and a persistent pool of replay
-// workers:
+// One service owns the two caches (TraceCache keyed by file identity,
+// ResultMemo keyed by trace content and knobs), one dispatcher thread and
+// a persistent pool of replay workers:
 //
 //   submit() -> bounded queue -> dispatcher -> { bad request -> respond
 //                                              { memo hit    -> respond

@@ -5,121 +5,52 @@
 
 namespace tir::serve {
 
-namespace {
+TraceCache::TraceCache(TraceCacheOptions options)
+    : entries_(options.byte_budget) {}
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
-TraceCache::TraceCache(TraceCacheOptions options) : options_(options) {}
-
-void TraceCache::touch_locked(Entry& entry) {
-  lru_.splice(lru_.begin(), lru_, entry.lru);
-}
-
-void TraceCache::evict_locked() {
-  if (options_.byte_budget == 0) return;
-  // Keep at least one entry resident: the newest one may alone exceed the
-  // budget, and evicting what we are about to hand out helps nobody.
-  while (stats_.resident_bytes > options_.byte_budget && entries_.size() > 1) {
-    const trace::Digest victim = lru_.back();
-    lru_.pop_back();
-    const auto it = entries_.find(victim);
-    stats_.resident_bytes -= it->second.bytes;
-    entries_.erase(it);
-    ++stats_.evictions;
-    // Aliases for an evicted digest turn back into misses lazily.
-    for (auto a = aliases_.begin(); a != aliases_.end();)
-      a = a->second == victim ? aliases_.erase(a) : std::next(a);
+CachedTrace TraceCache::get(const std::string& key, const Loader& load) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (const CachedTrace* held = entries_.find(key)) {
+      ++hits_;
+      CachedTrace out = *held;
+      out.hit = true;
+      out.decode_seconds = 0.0;
+      return out;
+    }
   }
-  stats_.entries = entries_.size();
-  stats_.aliases = aliases_.size();
-}
-
-CachedTrace TraceCache::get(const std::string& source_key,
-                            const Loader& load) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (const auto alias = aliases_.find(source_key); alias != aliases_.end()) {
-    Entry& entry = entries_.at(alias->second);
-    touch_locked(entry);
-    ++stats_.hits;
-    CachedTrace out;
-    out.traces = entry.traces;
-    out.digest = entry.digest;
-    out.bytes = entry.bytes;
-    out.hit = true;
-    return out;
-  }
-  lock.unlock();
 
   CachedTrace out;
   const auto t0 = std::chrono::steady_clock::now();
-  trace::TraceSet loaded = load();
+  out.traces = load();
   // One full pass: materialising sets decode here; streaming sets are
   // index-scanned and hashed without ever holding the actions.
-  out.digest = trace::digest(loaded);
-  out.bytes = loaded.resident_bytes();
-  out.traces = std::move(loaded);
-  out.decode_seconds = seconds_since(t0);
+  out.digest = trace::digest(out.traces);
+  out.bytes = out.traces.resident_bytes();
+  out.decode_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
 
-  lock.lock();
-  ++stats_.misses;
-  if (const auto twin = entries_.find(out.digest); twin != entries_.end()) {
-    // Same logical content already resident (a different encoding, or
-    // these files before a touch or a same-content rewrite).
-    Entry& entry = twin->second;
-    touch_locked(entry);
-    out.deduplicated = true;
-    ++stats_.dedups;
-    if (!entry.traces.streaming()) {
-      // Decoded actions serve any source: drop our copy, share theirs.
-      out.traces = entry.traces;
-      out.bytes = entry.bytes;
-    } else {
-      // A streamed set re-reads its files on every replay and fails once
-      // they differ from what it indexed, so ours, loaded just now,
-      // replaces it (replays in flight keep the old one alive). If ours
-      // streams too, it reads files only our alias validates: the other
-      // aliases go and load their own sources again.
-      if (out.traces.streaming())
-        for (auto a = aliases_.begin(); a != aliases_.end();)
-          a = a->second == out.digest && a->first != source_key
-                  ? aliases_.erase(a)
-                  : std::next(a);
-      stats_.resident_bytes = stats_.resident_bytes - entry.bytes + out.bytes;
-      entry.traces = out.traces;
-      entry.bytes = out.bytes;
-      evict_locked();
-    }
-  } else {
-    Entry entry;
-    entry.traces = out.traces;
-    entry.digest = out.digest;
-    entry.bytes = out.bytes;
-    lru_.push_front(out.digest);
-    entry.lru = lru_.begin();
-    entries_.emplace(out.digest, std::move(entry));
-    stats_.resident_bytes += out.bytes;
-    evict_locked();
-  }
-  aliases_[source_key] = out.digest;
-  stats_.entries = entries_.size();
-  stats_.aliases = aliases_.size();
+  std::lock_guard<std::mutex> lock(mu_);
+  ++misses_;
+  entries_.put(key, out, out.bytes);
   return out;
 }
 
-void TraceCache::forget(const std::string& source_key) {
+void TraceCache::forget(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  aliases_.erase(source_key);
-  stats_.aliases = aliases_.size();
+  entries_.erase(key);
 }
 
 TraceCacheStats TraceCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  TraceCacheStats out;
+  out.hits = hits_;
+  out.misses = misses_;
+  out.evictions = entries_.evictions();
+  out.resident_bytes = entries_.weight();
+  out.entries = entries_.size();
+  return out;
 }
 
 }  // namespace tir::serve

@@ -1,28 +1,20 @@
-// Content-addressed TraceSet cache: decode a hot trace once, ever.
+// TraceSet cache: decode a hot trace once per file identity.
 //
 // The replay-as-a-service workload hits the same handful of traces with
 // thousands of scenario requests. Decoded TraceSets are immutable and
 // cheaply shareable (trace/trace_set.hpp), so the only thing standing
-// between "N requests" and "one decode" is a cache. This one is keyed two
-// ways:
+// between "N requests" and "one decode" is a cache. Its key is the
+// InputResolver's identity key (device, inode, size, mtime of every file),
+// so every spelling of the same files shares one entry, and a rewritten or
+// touched file is a new key: the resolver forgets the old entry and the
+// files decode again. A streamed set therefore only ever serves the files
+// it indexed.
 //
-//   source key  ->  Digest      (alias map: "where the bytes came from")
-//   Digest      ->  TraceSet    (content map: "what the bytes mean")
-//
-// The InputResolver's source keys are file identities (device, inode, size,
-// mtime), so every spelling of the same files shares one alias, and a
-// rewritten file is a new key: the resolver forgets the old alias and the
-// new bytes decode under a new digest.
-//
-// The digest indirection is what makes the cache *content*-addressed: a
-// trace served as text in one request and as its compact re-encoding in
-// another decodes twice at most (each encoding once) but is stored once —
-// the second decode discovers the same digest and is thrown away in favour
-// of the resident entry, so downstream result memoisation keys unify too.
-// A resident *streamed* set is the exception: it re-reads its files on
-// every replay, so the fresher load replaces it (after a touch its index
-// would name identities the files no longer have), and an alias only ever
-// points at a streamed set that reads that alias's own files.
+// Decodes are keyed by identity; results are addressed by content. Each
+// entry carries the digest of its actions, and the ResultMemo keys reports
+// by that digest (serve/memo.hpp), so a compact copy, a touched file or a
+// same-content rewrite decodes again but still hits the stored report.
+// Decoded storage is not shared between distinct files of equal content.
 //
 // Eviction is LRU over a byte budget of resident footprints — the decoded
 // actions for a materialised set, the stream index for an index-backed one
@@ -32,17 +24,16 @@
 // In the service only the dispatcher thread calls get(); tir-sweep and
 // tir-mc resolve their lists serially. The mutex is there because stats()
 // is read from other threads. A loader runs outside the lock, so two
-// callers racing on one cold key would both decode; the digest-twin dedup
-// above keeps one copy and both answers correct.
+// callers racing on one cold key would both decode; the later one replaces
+// the earlier entry, and both answers are correct.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <mutex>
 #include <string>
 
+#include "serve/lru_map.hpp"
 #include "trace/digest.hpp"
 #include "trace/trace_set.hpp"
 
@@ -62,19 +53,15 @@ struct CachedTrace {
   trace::Digest digest;
   std::uint64_t bytes = 0;       ///< resident footprint of the entry
   bool hit = false;              ///< served without running the loader
-  bool deduplicated = false;     ///< loader ran, content matched a resident
-                                 ///< entry (one copy kept; see get())
   double decode_seconds = 0.0;   ///< loader + digest wall time (miss only)
 };
 
 struct TraceCacheStats {
-  std::uint64_t hits = 0;            ///< alias or content served resident
+  std::uint64_t hits = 0;            ///< served resident
   std::uint64_t misses = 0;          ///< loader invocations
-  std::uint64_t dedups = 0;          ///< loads that matched a resident twin
   std::uint64_t evictions = 0;
   std::uint64_t resident_bytes = 0;
   std::size_t entries = 0;
-  std::size_t aliases = 0;
 };
 
 class TraceCache {
@@ -83,37 +70,23 @@ class TraceCache {
 
   explicit TraceCache(TraceCacheOptions options = {});
 
-  /// Returns the TraceSet for `source_key`, running `load` (then digesting,
-  /// outside the lock) only when the key is unknown. A load whose digest is
-  /// resident shares the resident set, unless that set streams: then the
-  /// loaded set replaces it. Loader exceptions propagate, and the key stays
-  /// uncached so a later request retries. Thread-safe.
-  CachedTrace get(const std::string& source_key, const Loader& load);
-
-  /// Drops the alias `source_key` (its source changed): the next get()
-  /// under it runs the loader. The content entry stays until evicted.
+  /// Returns the TraceSet for `key`, running `load` (then digesting,
+  /// outside the lock) only when the key is not resident. Loader exceptions
+  /// propagate, and the key stays uncached so a later request retries.
   /// Thread-safe.
-  void forget(const std::string& source_key);
+  CachedTrace get(const std::string& key, const Loader& load);
+
+  /// Drops the entry under `key` (its source changed): the next get()
+  /// under it runs the loader. Thread-safe.
+  void forget(const std::string& key);
 
   TraceCacheStats stats() const;
 
  private:
-  struct Entry {
-    trace::TraceSet traces;
-    trace::Digest digest;
-    std::uint64_t bytes = 0;
-    std::list<trace::Digest>::iterator lru;  ///< position in lru_
-  };
-
-  void touch_locked(Entry& entry);
-  void evict_locked();
-
-  TraceCacheOptions options_;
   mutable std::mutex mu_;
-  std::map<std::string, trace::Digest> aliases_;
-  std::map<trace::Digest, Entry> entries_;
-  std::list<trace::Digest> lru_;  ///< front = most recent
-  TraceCacheStats stats_;
+  LruMap<CachedTrace> entries_;  ///< weighed in resident bytes
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace tir::serve

@@ -192,7 +192,7 @@ class MaxMin {
     // solve() scratch:
     bool in_component = false;
     std::int32_t slot = -1;  // component-local index during a fill
-    std::vector<ResourceId> resources;       // deduplicated, sorted
+    std::vector<ResourceId> resources;       // unique, sorted
     std::vector<std::uint32_t> positions;    // index in each resource's vars
   };
   /// One connected component: slices of component_res_ / component_vars_.
@@ -251,7 +251,7 @@ class MaxMin {
   std::size_t active_count_ = 0;
   bool full_solve_ = false;
 
-  // Modified sets (deduplicated through the per-entry `modified` flags).
+  // Modified sets (each member once, via the per-entry `modified` flags).
   std::vector<ResourceId> modified_resources_;
   std::vector<VarId> modified_vars_;
 

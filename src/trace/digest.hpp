@@ -4,8 +4,8 @@
 // action streams after decoding, independent of how they sit on disk. The
 // same trace encoded as text, binary or compact — or split per process vs
 // merged into one file — hashes to the same 128 bits, which is what lets
-// the serving layer decode a hot trace exactly once and memoise replay
-// results across encodings (src/serve/trace_cache.hpp). The codec fuzz
+// the serving layer memoise replay results across encodings
+// (src/serve/memo.hpp). The codec fuzz
 // suite already guarantees the three formats round-trip actions exactly;
 // the digest rides on that invariant and the service tests lock it down.
 #pragma once

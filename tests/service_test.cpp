@@ -1,5 +1,5 @@
 // Service-layer suite: content-addressed trace digests, the TraceCache
-// (alias hits, content dedup across encodings, LRU eviction), the
+// (hits by identity key, LRU eviction over resident bytes), the
 // ResultMemo (bit-identical hits, LRU eviction), the JSON line
 // protocol, and the ReplayService end to end — dispatch (hits answered while
 // a replay runs, in-flight joins, admission, shutdown) and the differential
@@ -183,41 +183,6 @@ TEST(TraceCacheTest, AliasHitServesWithoutLoaderAndSharesStorage) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.aliases, 1u);
-}
-
-TEST(TraceCacheTest, ContentDedupAcrossEncodings) {
-  ScratchDir scratch("dedup");
-  const auto program = ring_actions(4, 2);
-  const auto text = write_encoded(scratch.path / "text",
-                                  TraceFormat::text, program);
-  const auto compact =
-      write_encoded(scratch.path / "comp", TraceFormat::compact, program);
-
-  serve::TraceCache cache;
-  const auto a = cache.get("text", [&] {
-    return trace::TraceSet::per_process_files(text);
-  });
-  const auto b = cache.get("compact", [&] {
-    return trace::TraceSet::per_process_files(compact);
-  });
-
-  // The second decode ran (different source key) but its content matched:
-  // the resident entry wins, so both answers share one decoded storage.
-  EXPECT_FALSE(b.hit);
-  EXPECT_TRUE(b.deduplicated);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(&a.traces.actions(0), &b.traces.actions(0));
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.dedups, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.aliases, 2u);
-
-  // Both aliases now answer resident.
-  EXPECT_TRUE(cache.get("compact", [&]() -> trace::TraceSet {
-                     throw Error("loader must not run");
-                   }).hit);
 }
 
 TEST(TraceCacheTest, LruEvictionRespectsByteBudget) {
@@ -307,17 +272,17 @@ TEST(TraceCacheTest, StreamedEntryAccountsIndexBytesAndDigestsIdentically) {
   EXPECT_LT(streamed.bytes, expanded / 10);
   EXPECT_EQ(cache.stats().resident_bytes, streamed.bytes);
 
-  // Same bytes materialised: full decode, same digest, content-deduped
-  // onto the resident streamed entry.
+  // Same bytes materialised under another key: full decode, same digest,
+  // an entry of its own.
   const auto materialised = cache.get("syn-materialised", [&] {
     return trace::TraceSet::per_process_files(
         files, trace::DecodeMode::strict, trace::DecodePolicy::materialise);
   });
   EXPECT_EQ(materialised.digest, streamed.digest);
-  EXPECT_TRUE(materialised.deduplicated);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_FALSE(materialised.traces.streaming());
+  EXPECT_EQ(cache.stats().entries, 2u);
 
-  // Both aliases now hit without running a loader.
+  // Both keys now hit without running a loader.
   EXPECT_TRUE(cache.get("syn-streamed", [&]() -> trace::TraceSet {
                      throw Error("loader must not run");
                    }).hit);
@@ -393,46 +358,10 @@ void touch(const fs::path& file) {
 
 }  // namespace
 
-TEST(TraceCacheTest, StreamedTwinOfATouchedTraceReplacesTheStaleIndex) {
-  // A touch (or a copy of the same bytes) gives the files a new identity,
-  // so the resolver loads them again under a new key and the load digests
-  // to the resident entry. The resident index holds the old identities and
-  // would fail every cursor: the fresh load must take its place.
-  ScratchDir scratch("stream_touch");
-  trace::SyntheticSpec cg;
-  cg.nprocs = 4;
-  cg.iterations = 20;
-  const auto files = trace::write_synthetic_traces(scratch.path, cg, "text");
-  const auto load = [&] {
-    return trace::TraceSet::per_process_files(
-        files, trace::DecodeMode::strict, trace::DecodePolicy::stream);
-  };
-
-  serve::TraceCache cache;
-  const auto before = cache.get("identity-before", load);
-  ASSERT_TRUE(before.traces.streaming());
-  touch(files[1]);
-  const auto after = cache.get("identity-after", load);
-  EXPECT_TRUE(after.deduplicated);
-  EXPECT_EQ(after.digest, before.digest);
-  EXPECT_EQ(cache.stats().entries, 1u);
-
-  const auto hit = cache.get("identity-after", [&]() -> trace::TraceSet {
-    throw Error("loader must not run");
-  });
-  ASSERT_TRUE(hit.hit);
-  const auto report = replay_on_cluster(hit.traces);
-  ASSERT_EQ(report.status, replay::ReplayStatus::ok) << report.error;
-  EXPECT_EQ(report.result.actions_replayed, trace::synthetic_actions(cg));
-  // The set handed out before the touch still names the old identity.
-  EXPECT_EQ(replay_on_cluster(before.traces).status,
-            replay::ReplayStatus::failed);
-}
-
 TEST(TraceCacheTest, StreamedSetOnlyServesItsOwnSourcesAlias) {
-  // Two encodings of one trace, both streamed, digest alike. Each alias
+  // Two encodings of one trace, both streamed, digest alike. Each key
   // must read its own files: once either copy is rewritten, the other
-  // copy's alias still replays.
+  // copy's key still replays.
   const std::map<std::string, TraceFormat> formats = {
       {"text", TraceFormat::text}, {"binary", TraceFormat::binary}};
   for (const auto& [changed, changed_format] : formats) {
@@ -455,7 +384,6 @@ TEST(TraceCacheTest, StreamedSetOnlyServesItsOwnSourcesAlias) {
     const auto first = cache.get("text", stream("text"));
     const auto second = cache.get("binary", stream("binary"));
     ASSERT_TRUE(second.traces.streaming());
-    EXPECT_TRUE(second.deduplicated);
     EXPECT_EQ(second.digest, first.digest);
 
     // One more round in one copy: a new identity and a new digest.
@@ -697,7 +625,7 @@ TEST(InputResolverTest, PathSpellingsShareOneDecode) {
     EXPECT_EQ(&a.traces.actions(0), &b.traces.actions(0));
   }
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().aliases, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(InputResolverTest, RewrittenFileDropsItsAliasAndDecodesAgain) {
@@ -715,9 +643,11 @@ TEST(InputResolverTest, RewrittenFileDropsItsAliasAndDecodesAgain) {
   EXPECT_NE(after.digest, before.digest);
   EXPECT_EQ(after.traces.action_count(0), 9u);
   EXPECT_TRUE(resolver.traces("ti", /*merged=*/false).hit);
-  // The old alias is gone; the old content waits for LRU eviction.
-  EXPECT_EQ(cache.stats().aliases, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  // The old entry went with its identity: only the new decode is resident.
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.resident_bytes, after.bytes);
+  EXPECT_EQ(stats.misses, 2u);
 }
 
 TEST(InputResolverTest, TouchedStreamedTraceStillReplays) {
@@ -772,6 +702,39 @@ TEST(LruMapTest, HoldsAtMostItsCapacity) {
   for (int i = 0; i < 1000; ++i) map.put("spelling-" + std::to_string(i), i);
   EXPECT_EQ(map.size(), 2u);
   EXPECT_EQ(*map.find("spelling-999"), 999);
+}
+
+TEST(LruMapTest, WeightsBoundTheTotal) {
+  serve::LruMap<int> map(10);
+  map.put("a", 1, 4);
+  map.put("b", 2, 4);
+  EXPECT_EQ(map.weight(), 8u);
+
+  // Heavier than the whole capacity: admitted alone, the rest evicted.
+  map.put("big", 3, 25);
+  EXPECT_EQ(map.size(), 1u);
+  ASSERT_NE(map.find("big"), nullptr);
+  EXPECT_EQ(map.weight(), 25u);
+  EXPECT_EQ(map.evictions(), 2u);
+  // ...and evicted once a newer entry lands.
+  map.put("c", 4, 3);
+  EXPECT_EQ(map.find("big"), nullptr);
+  EXPECT_EQ(map.weight(), 3u);
+
+  // Replacing a key re-weighs it: "c" grows from 3 to 6, "d" at 4 fills
+  // the capacity exactly, and re-weighing "d" to 5 pushes the total past
+  // it, so the colder "c" goes.
+  map.put("c", 5, 6);
+  EXPECT_EQ(map.weight(), 6u);
+  EXPECT_EQ(*map.find("c"), 5);
+  map.put("d", 6, 4);
+  EXPECT_EQ(map.weight(), 10u);
+  map.put("d", 7, 5);
+  EXPECT_EQ(map.find("c"), nullptr);
+  EXPECT_EQ(map.weight(), 5u);
+  map.erase("d");
+  EXPECT_EQ(map.weight(), 0u);
+  EXPECT_EQ(map.size(), 0u);
 }
 
 TEST(InputResolverTest, EmptyTraceDirectoryIsAnIoErrorNamingIt) {

@@ -6,8 +6,8 @@
 // directory; platforms, deployments and trace sets are cached so a sweep
 // loads/decodes each input exactly once — keyed by file identity, so `ti`,
 // `./ti`, the absolute spelling and a symlink of the same directory share
-// one decode, and trace sets through the content-addressed
-// serve::TraceCache.
+// one decode (trace sets through serve::TraceCache). Equal content in two
+// different files decodes once per file.
 //
 // Keys:
 //   name=LABEL             row label (default scenario-<index>)
@@ -81,7 +81,7 @@ inline KeyValues parse_tokens(const std::string& line,
 /// Throws IoError / ParseError / Error with file:line or scenario-name
 /// context. The entries own their TraceSets (shared storage), so the cache
 /// may be destroyed afterwards; passing one in lets callers inspect
-/// hit/dedup stats or keep it hot across lists.
+/// hit/miss stats or keep it hot across lists.
 inline std::vector<SweepEntry> load_sweep_list(const fs::path& list_file,
                                                serve::TraceCache& cache) {
   std::ifstream in(list_file);

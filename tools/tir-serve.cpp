@@ -30,10 +30,11 @@
 // Repeats of a scenario already answered hit the result memo and return
 // the stored report bit-for-bit without re-simulation; a repeat of a
 // scenario still replaying joins that replay; repeats of a trace directory
-// (under any spelling or encoding) share one decode through the
-// content-addressed trace cache. --workers sets the replay worker threads
-// (0 = one per core); --queue bounds the requests accepted and not yet
-// answered, queued or replaying, beyond which requests are answered
+// under any spelling share one decode through the trace cache, which keys
+// decodes by file identity (a re-encoded copy decodes again, then hits the
+// memo: reports are keyed by content). --workers sets the replay worker
+// threads (0 = one per core); --queue bounds the requests accepted and not
+// yet answered, queued or replaying, beyond which requests are answered
 // "overloaded".
 //
 // --stdin (default when no --socket) serves the stdin/stdout pipe and

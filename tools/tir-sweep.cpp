@@ -166,11 +166,10 @@ int main(int argc, char** argv) {
     const serve::TraceCacheStats tstats = trace_cache.stats();
     std::fprintf(stderr,
                  "tir-sweep: %zu scenario(s) on %d worker(s); traces: "
-                 "%llu decode(s), %llu cache hit(s), %llu content dedup(s)\n",
+                 "%llu decode(s), %llu cache hit(s)\n",
                  scenarios.size(), runner.effective_workers(scenarios.size()),
                  static_cast<unsigned long long>(tstats.misses),
-                 static_cast<unsigned long long>(tstats.hits),
-                 static_cast<unsigned long long>(tstats.dedups));
+                 static_cast<unsigned long long>(tstats.hits));
     const auto results = runner.run(scenarios);
 
     std::ostringstream os;
