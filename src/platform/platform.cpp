@@ -33,15 +33,15 @@ JunctionId Platform::add_junction(std::string name, JunctionId parent,
 }
 
 LinkId Platform::add_link(std::string name, double bandwidth, double latency) {
-  if (bandwidth <= 0) throw Error("add_link: bandwidth must be positive");
-  if (latency < 0) throw Error("add_link: latency must be non-negative");
+  if (!(bandwidth > 0)) throw Error("add_link: bandwidth must be positive");
+  if (!(latency >= 0)) throw Error("add_link: latency must be non-negative");
   links_.push_back(LinkDesc{std::move(name), bandwidth, latency});
   return static_cast<LinkId>(links_.size() - 1);
 }
 
 HostId Platform::add_host(std::string name, double power, JunctionId junction,
                           LinkId uplink) {
-  if (power <= 0) throw Error("add_host: power must be positive");
+  if (!(power > 0)) throw Error("add_host: power must be positive");
   if (junction < 0 || static_cast<std::size_t>(junction) >= junctions_.size())
     throw Error("add_host: unknown junction for host '" + name + "'");
   if (host_names_.count(name))

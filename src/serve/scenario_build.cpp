@@ -1,5 +1,6 @@
 #include "serve/scenario_build.hpp"
 
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -28,10 +29,10 @@ double parse_double(const std::string& what, const std::string& s) {
   try {
     std::size_t used = 0;
     const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
+    if (used != s.size() || !std::isfinite(v)) throw std::invalid_argument(s);
     return v;
   } catch (const std::exception&) {
-    throw ParseError(what + ": expected a number, got '" + s + "'");
+    throw ParseError(what + ": expected a finite number, got '" + s + "'");
   }
 }
 

@@ -365,7 +365,7 @@ std::shared_ptr<Exec> Engine::exec_async(int host, double flops,
                                          double efficiency) {
   if (host < 0 || static_cast<std::size_t>(host) >= platform_.host_count())
     throw SimError("exec_async: unknown host id " + std::to_string(host));
-  if (efficiency <= 0) throw SimError("exec_async: efficiency must be > 0");
+  if (!(efficiency > 0)) throw SimError("exec_async: efficiency must be > 0");
   auto exec = std::make_shared<Exec>();
   exec->host = host;
   exec->flops = flops;
@@ -410,7 +410,7 @@ const Engine::CachedRoute& Engine::cached_route(int src_host, int dst_host) {
 void Engine::set_host_factor(int host, double factor) {
   if (host < 0 || static_cast<std::size_t>(host) >= platform_.host_count())
     throw SimError("set_host_factor: unknown host id " + std::to_string(host));
-  if (factor <= 0) throw SimError("set_host_factor: factor must be > 0");
+  if (!(factor > 0)) throw SimError("set_host_factor: factor must be > 0");
   if (host_power_factor_[static_cast<std::size_t>(host)] == factor) return;
   host_power_factor_[static_cast<std::size_t>(host)] = factor;
   if (config_.recorder)
@@ -444,9 +444,9 @@ void Engine::set_link_factors(int link, double bandwidth_factor,
                               double latency_factor) {
   if (link < 0 || static_cast<std::size_t>(link) >= platform_.link_count())
     throw SimError("set_link_factors: unknown link id " + std::to_string(link));
-  if (bandwidth_factor <= 0)
+  if (!(bandwidth_factor > 0))
     throw SimError("set_link_factors: bandwidth factor must be > 0");
-  if (latency_factor < 0)
+  if (!(latency_factor >= 0))
     throw SimError("set_link_factors: latency factor must be >= 0");
   if (link_bandwidth_factor_[static_cast<std::size_t>(link)] ==
           bandwidth_factor &&
@@ -553,9 +553,17 @@ void Engine::start_flow(Transfer& transfer) {
   var_flows_[slot] =
       std::static_pointer_cast<Transfer>(transfer.shared_from_this());
   // Joining a hub group happens at once; the group's new rate follows at
-  // the next solve, still at this instant.
+  // the next solve, still at this instant. A lone flow was rated by the
+  // add, and no solve will report it; any other flow reads 0 until the
+  // solve at this instant.
+  stats_.lone_rates = net_lmm_.solve_stats().lone_rates;
   const GroupId g = net_lmm_.group_of(transfer.fluid.var);
-  if (g >= 0) group_join(transfer, g);
+  if (g >= 0) {
+    group_join(transfer, g);
+  } else if (const double rate = net_lmm_.rate(transfer.fluid.var); rate > 0) {
+    set_rate(var_flows_[slot], transfer.fluid, rate);
+    ++stats_.flows_rerated;
+  }
 }
 
 void Engine::complete(Activity& activity) {

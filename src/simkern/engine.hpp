@@ -18,7 +18,9 @@
 //   - Network flows go through the incremental max-min solver: a change
 //     re-solves only the connected component(s) of the constraint graph it
 //     touched, and only flows whose solved rate actually moved are re-rated
-//     (O(changed), not O(live flows)).
+//     (O(changed), not O(live flows)). A flow that starts alone on every
+//     link it crosses is rated on the spot and leaves without a solve
+//     (maxmin.hpp's lone variables): on graph fabrics most flows are.
 //   - Fluid progress is tracked lazily: each fluid stores its remaining
 //     work as of `last_update`, and its predicted finish sits in an indexed
 //     4-ary min-heap — one entry per running fluid, re-keyed in place when
@@ -110,6 +112,8 @@ struct EngineStats {
   std::uint64_t solver_vars_touched = 0;  ///< component vars re-solved (sum)
   std::uint64_t solver_component_size_max = 0;  ///< largest single re-solve
   std::uint64_t flows_rerated = 0;  ///< transfers whose rate was requeued
+  /// Flows rated when they started, alone on every link (no solve).
+  std::uint64_t lone_rates = 0;
   // Hub groups (see maxmin.hpp) and their engine-side share groups.
   std::uint64_t solver_hub_solves = 0;  ///< re-solves a hub group answered
   std::uint64_t solver_large_fills = 0;  ///< fills of >= kHubMinVars vars

@@ -9,10 +9,31 @@ namespace tir::sim {
 
 namespace {
 constexpr double kEps = 1e-12;
+
+/// Progressive filling's rule for one unsaturated variable in a round whose
+/// smallest per-weight resource share is `share` (kInf: no resource limits
+/// the variable any more). The bound binds first when it lies below
+/// share · weight by the 1e-9 tolerance, or when no resource limits the
+/// variable (an error for an unbounded one): the variable then sits at its
+/// bound. Otherwise a binding resource rates it at min(bound, share · weight).
+/// Shared by fill_component and the lone path of add_variable, so a lone
+/// variable's rate is bit-identical to a fill's.
+struct RoundRate {
+  double rate;
+  bool bound_first;
+};
+RoundRate round_rate(double share, double weight, double bound) {
+  if (bound < share * weight * (1.0 - 1e-9) || share == MaxMin::kInf) {
+    if (bound == MaxMin::kInf)
+      throw Error("MaxMin: unconstrained variable (no live resource)");
+    return {bound, true};
+  }
+  return {std::min(bound, share * weight), false};
 }
+}  // namespace
 
 ResourceId MaxMin::add_resource(double capacity) {
-  if (capacity < 0) throw Error("MaxMin: capacity must be non-negative");
+  if (!(capacity >= 0)) throw Error("MaxMin: capacity must be non-negative");
   resources_.push_back(Res{});
   resources_.back().capacity = capacity;
   return static_cast<ResourceId>(resources_.size() - 1);
@@ -30,7 +51,7 @@ void MaxMin::mark_resource_modified(ResourceId r) {
 }
 
 void MaxMin::set_capacity(ResourceId r, double capacity) {
-  if (capacity < 0) throw Error("MaxMin: capacity must be non-negative");
+  if (!(capacity >= 0)) throw Error("MaxMin: capacity must be non-negative");
   Res& res = resources_.at(static_cast<std::size_t>(r));
   if (res.capacity == capacity) return;
   if (res.hub >= 0) hub_exit(res.hub);
@@ -215,11 +236,21 @@ std::span<const VarId> MaxMin::group_members(GroupId g) const {
   return {h.vars.data(), h.vars.size()};
 }
 
+bool MaxMin::lone(const Var& v) const {
+  // Full-solve mode re-fills everything; a weight at most kEps leaves the
+  // fill without a resource share, so such a variable takes the fill too.
+  if (full_solve_ || v.weight <= kEps) return false;
+  for (const ResourceId r : v.resources) {
+    if (resources_[static_cast<std::size_t>(r)].vars.size() != 1) return false;
+  }
+  return true;
+}
+
 VarId MaxMin::add_variable(double weight,
                            const std::vector<ResourceId>& resources,
                            double bound) {
-  if (weight <= 0) throw Error("MaxMin: variable weight must be positive");
-  if (bound <= 0) throw Error("MaxMin: variable bound must be positive");
+  if (!(weight > 0)) throw Error("MaxMin: variable weight must be positive");
+  if (!(bound > 0)) throw Error("MaxMin: variable bound must be positive");
   if (resources.empty() && bound == kInf)
     throw Error("MaxMin: a variable needs a resource or a finite bound");
   for (const ResourceId r : resources) {
@@ -257,6 +288,22 @@ VarId MaxMin::add_variable(double weight,
   }
   ++active_count_;
   if (hubs_.size() > free_hubs_.size() && hub_admit(id)) return id;
+  if (lone(v)) {
+    // A component of its own: one fill round over its resources, each
+    // offering cap / weight (the fill's rem / wsum), rates it exactly.
+    double share = kInf;
+    for (const ResourceId r : v.resources)
+      share = std::min(
+          share, resources_[static_cast<std::size_t>(r)].capacity / v.weight);
+    try {
+      v.rate = round_rate(share, v.weight, v.bound).rate;
+    } catch (...) {
+      remove_variable(id);
+      throw;
+    }
+    ++stats_.lone_rates;
+    return id;
+  }
   for (const ResourceId r : v.resources) mark_resource_modified(r);
   if (v.resources.empty() && !v.modified) {
     v.modified = true;
@@ -285,7 +332,8 @@ void MaxMin::remove_variable(VarId id) {
       while (m.resources[k] != r) ++k;
       m.positions[k] = pos;
     }
-    if (v.group < 0) mark_resource_modified(r);
+    // An emptied resource's component is empty: nothing to re-solve.
+    if (v.group < 0 && !res.vars.empty()) mark_resource_modified(r);
   }
   if (v.group >= 0) {
     // A member leaving its hub group: O(degree · log R) share updates; the
@@ -452,17 +500,16 @@ void MaxMin::fill_component(std::size_t c) {
     for (std::size_t j = vb; j < ve; ++j) {
       const FillVar& fv = fill_var_[j];
       if (fv.done) continue;
-      if (fv.bound < best_share * fv.weight * (1.0 - 1e-9) ||
-          best_share == kInf) {
-        if (fv.bound == kInf)
-          throw Error("MaxMin: unconstrained variable (no live resource)");
-        saturate(j, component_vars_[j], fv.bound);
+      const RoundRate r = round_rate(best_share, fv.weight, fv.bound);
+      if (r.bound_first) {
+        saturate(j, component_vars_[j], r.rate);
         --unsat_count;
         any_bounded = true;
       }
     }
     if (!any_bounded) {
-      // Saturate every variable touching a binding resource.
+      // Saturate every variable touching a binding resource. No bound came
+      // first this round, so round_rate gives min(bound, share · weight).
       for (std::size_t i = rb; i < re; ++i) {
         if (fill_res_[i].wsum <= kEps) continue;
         if (fill_res_[i].rem / fill_res_[i].wsum <= best_share * (1.0 + 1e-9)) {
@@ -470,10 +517,9 @@ void MaxMin::fill_component(std::size_t c) {
                resources_[static_cast<std::size_t>(component_res_[i])].vars) {
             const auto j = static_cast<std::size_t>(
                 vars_[static_cast<std::size_t>(id)].slot);
-            if (fill_var_[j].done) continue;
-            saturate(j, id,
-                     std::min(fill_var_[j].bound,
-                              best_share * fill_var_[j].weight));
+            const FillVar& fv = fill_var_[j];
+            if (fv.done) continue;
+            saturate(j, id, round_rate(best_share, fv.weight, fv.bound).rate);
             --unsat_count;
           }
         }

@@ -19,6 +19,17 @@
 // every flow. set_full_solve(true) disables the component restriction (every
 // solve re-rates the whole system) for differential testing.
 //
+// Lone variables. A variable added alone on every resource it uses is a
+// component of its own, which one fill round would rate at the smallest
+// cap / weight over its resources, bound permitting. add_variable rates it
+// at once with the fill's own expressions (so bit for bit) and marks
+// nothing: no solve follows, and no solve reports it. A removal marks only
+// resources that still have members, since an emptied resource's component
+// is empty, so a lone variable also leaves without a solve. A later
+// mutation that couples a lone variable takes the ordinary path, whose
+// fill compares against the rate add_variable gave it. Full-solve mode and
+// weights at most the fill's 1e-12 epsilon never take the lone path.
+//
 // Components are kept separate all the way through progressive filling:
 // expand_components() records one [res, var) slice per connected component
 // and fill stops at component boundaries, so each component's fill is a
@@ -95,6 +106,8 @@ class MaxMin {
     std::uint64_t group_changes = 0;  ///< hub groups whose rate moved
     std::uint64_t hub_entries = 0;    ///< hub groups formed
     std::uint64_t hub_exits = 0;      ///< hub groups dissolved
+    /// Lone variables rated by add_variable, no solve involved.
+    std::uint64_t lone_rates = 0;
     std::size_t last_component_vars = 0;  ///< size of the last fill
     /// Largest coupled component so far: filled, or re-rated as a group.
     std::size_t max_component_vars = 0;
@@ -109,10 +122,20 @@ class MaxMin {
   /// Adds an active variable. `resources` may repeat ids (a flow crossing
   /// the same switch twice); repeated ids count once. An empty resource
   /// list requires a finite bound.
+  ///
+  /// On return, rate(v) holds the variable's rate when it is lone (see the
+  /// header comment): the system stays clean for it, and no solve reports
+  /// it until a later mutation moves it. Throws, leaving the system as it
+  /// was, when a lone variable is unbounded and no capacity limits it (the
+  /// fill's own error). A hub-group member reads its group's rate
+  /// (group_of); any other variable reads 0 until the next solve rates it
+  /// and reports it in solve_changed().
   VarId add_variable(double weight, const std::vector<ResourceId>& resources,
                      double bound = kInf);
 
   /// Deactivates a variable (O(degree) swap-removes). Its id is recycled.
+  /// Marks only the resources left with members: removing a lone variable
+  /// leaves dirty() as it was.
   void remove_variable(VarId v);
 
   /// True when the system changed since the last solve().
@@ -127,7 +150,10 @@ class MaxMin {
 
   /// solve(), then the variables whose rate changed in that solve, members
   /// of hub groups excepted (see changed_groups()). The span is valid until
-  /// the next mutation or solve. Empty when nothing changed.
+  /// the next mutation or solve. Empty when nothing changed. A variable is
+  /// listed iff its rate differs from what rate() read before the solve,
+  /// so lone variables, rated by add_variable, are listed only when a
+  /// coupling mutation moves them.
   std::span<const VarId> solve_changed();
 
   /// Outcome of the last solve() for hub groups; valid until the next
@@ -154,7 +180,9 @@ class MaxMin {
     return hubs_[static_cast<std::size_t>(g)].rate;
   }
 
-  /// Rate assigned by the last solve(). Requires an active variable.
+  /// Rate assigned by the last solve(), or by add_variable for a lone
+  /// variable (0 for one still awaiting its first solve). Requires an
+  /// active variable.
   double rate(VarId v) const;
 
   std::size_t active_variable_count() const { return active_count_; }
@@ -214,6 +242,9 @@ class MaxMin {
   };
 
   void mark_resource_modified(ResourceId r);
+  /// add_variable's lone test: `v` is alone on every resource it uses, its
+  /// weight exceeds the fill's epsilon, and full-solve mode is off.
+  bool lone(const Var& v) const;
   /// add_variable's hub check: joins `v` to the group whose hub it crosses
   /// when the component keeps its shape, and dissolves every group it
   /// touches otherwise. Returns true when `v` joined.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -82,6 +83,8 @@ double to_double(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size())
     throw ParseError("invalid number: '" + std::string(s) + "'");
+  if (!std::isfinite(value))
+    throw ParseError("non-finite number: '" + std::string(s) + "'");
   return value;
 }
 

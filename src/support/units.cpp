@@ -42,9 +42,15 @@ std::pair<double, std::size_t> parse_number_prefix(std::string_view s) {
   return {value, static_cast<std::size_t>(ptr - s.data())};
 }
 
-}  // namespace
+// Rejects NaN and the infinities, spelt out ("nan", "inf") or reached
+// through a scale ("1e308k").
+double finite(double value, std::string_view text) {
+  if (!std::isfinite(value))
+    throw ParseError("non-finite quantity: '" + std::string(text) + "'");
+  return value;
+}
 
-double parse_value(std::string_view text) {
+double scaled_value(std::string_view text) {
   const std::string_view s = str::trim(text);
   if (s.empty()) throw ParseError("empty quantity");
   auto [value, used] = parse_number_prefix(s);
@@ -64,7 +70,7 @@ double parse_value(std::string_view text) {
   return value;
 }
 
-double parse_duration(std::string_view text) {
+double seconds(std::string_view text) {
   const std::string_view s = str::trim(text);
   if (s.empty()) throw ParseError("empty duration");
   auto [value, used] = parse_number_prefix(s);
@@ -74,6 +80,16 @@ double parse_duration(std::string_view text) {
   if (rest == "us") return value * 1e-6;
   if (rest == "ns") return value * 1e-9;
   throw ParseError("invalid duration: '" + std::string(text) + "'");
+}
+
+}  // namespace
+
+double parse_value(std::string_view text) {
+  return finite(scaled_value(text), text);
+}
+
+double parse_duration(std::string_view text) {
+  return finite(seconds(text), text);
 }
 
 std::uint64_t parse_bytes(std::string_view text) {

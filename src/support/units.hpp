@@ -14,10 +14,12 @@ namespace tir::units {
 /// Accepted suffixes (case-insensitive, optional trailing unit letter
 /// ignored, e.g. "f" for flops or "Bps"): k/M/G/T/P (powers of 1000) and
 /// Ki/Mi/Gi/Ti/Pi (powers of 1024). A bare number is returned unchanged.
-/// Throws tir::ParseError on malformed input.
+/// Throws tir::ParseError on malformed input and on a value that is NaN or
+/// infinite, spelt out or after scaling.
 double parse_value(std::string_view text);
 
 /// Parses a duration: bare seconds, or suffixed "ns"/"us"/"ms"/"s".
+/// Throws tir::ParseError on malformed or non-finite input.
 double parse_duration(std::string_view text);
 
 /// Parses a byte count ("64KiB", "163840", "1.2MB") into bytes.

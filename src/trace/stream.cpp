@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -387,6 +388,8 @@ class BinaryReader : ByteReader {
         throw ParseError(path_.string() + ": truncated double");
       double value;
       std::memcpy(&value, raw, sizeof(double));
+      if (!std::isfinite(value))
+        throw ParseError(path_.string() + ": non-finite volume");
       return value;
     };
     const bool v_double = (tag & kVolumeIsDouble) != 0;

@@ -12,10 +12,15 @@
 #include <vector>
 
 #include "platform/cluster.hpp"
+#include "platform/deployment.hpp"
+#include "platform/topology.hpp"
 #include "replay/scenario.hpp"
 #include "simkern/engine.hpp"
 #include "simkern/maxmin.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
+#include "trace/compact.hpp"
+#include "trace/synthetic.hpp"
 
 using namespace tir;
 using tir::sim::MaxMin;
@@ -394,17 +399,21 @@ TEST(MaxMinHub, LargeFillFormsAGroupThatAnswersChurn) {
 TEST(MaxMinHub, JoiningThroughAFreshlyModifiedResourceStaysInTheGroup) {
   // A private resource emptied in the same epoch (so queued for the fill)
   // becomes a new member's private resource: the group answers, no fill
-  // reaches into it.
+  // reaches into it. Two variables leave it: the first removal queues it
+  // (the second still uses it), the second empties it.
   HubHarness h;
   const Backbone b = build_backbone(h, 80);
   const ResourceId spare = h.add_resource(400.0);
-  const VarId alone = h.add({spare});
+  const VarId first = h.add({spare});
+  const VarId second = h.add({spare});
   MaxMin& m = h.solver();
   h.solve_and_check();
   const GroupId g = m.entered_groups()[0];
   const auto touched = m.solve_stats().vars_touched;
 
-  h.remove(alone);
+  h.remove(first);
+  h.remove(second);
+  EXPECT_TRUE(m.dirty());
   const VarId joined = h.add({b.bb, spare});
   EXPECT_EQ(m.group_of(joined), g);
   h.solve_and_check();
@@ -599,6 +608,191 @@ TEST(MaxMinHub, RandomBackboneStreamsStayExact) {
 }
 
 // ---------------------------------------------------------------------------
+// Lone variables: a variable alone on every resource it uses is rated by
+// add_variable with the fill's own expressions. Its rate must equal the
+// full-solve twin's fill bit for bit, with nothing left to solve.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// An incremental solver and its full-solve twin over the same resources.
+class LoneTwin {
+ public:
+  LoneTwin() { full_.set_full_solve(true); }
+
+  ResourceId add_resource(double cap) {
+    full_.add_resource(cap);
+    return inc_.add_resource(cap);
+  }
+  /// Adds to both solvers and expects the incremental one to rate the
+  /// variable lone: no mark, no report, the twin's rate bit for bit.
+  VarId add_lone(const std::vector<ResourceId>& use, double weight = 1.0,
+                 double bound = MaxMin::kInf) {
+    const auto lone_before = inc_.solve_stats().lone_rates;
+    const auto solves_before = inc_.solve_stats().solves;
+    const VarId v = inc_.add_variable(weight, use, bound);
+    EXPECT_EQ(full_.add_variable(weight, use, bound), v);
+    EXPECT_EQ(inc_.solve_stats().lone_rates, lone_before + 1);
+    EXPECT_FALSE(inc_.dirty());
+    full_.solve();
+    EXPECT_EQ(inc_.rate(v), full_.rate(v));
+    EXPECT_TRUE(inc_.solve_changed().empty());
+    EXPECT_EQ(inc_.solve_stats().solves, solves_before);
+    return v;
+  }
+  /// Adds to both solvers without expectations.
+  VarId add(const std::vector<ResourceId>& use, double weight = 1.0,
+            double bound = MaxMin::kInf) {
+    const VarId v = inc_.add_variable(weight, use, bound);
+    EXPECT_EQ(full_.add_variable(weight, use, bound), v);
+    return v;
+  }
+  void remove(VarId v) {
+    inc_.remove_variable(v);
+    full_.remove_variable(v);
+  }
+  /// Solves both; returns the incremental solver's changed set, sorted.
+  std::vector<VarId> solve() {
+    const auto span = inc_.solve_changed();
+    std::vector<VarId> changed(span.begin(), span.end());
+    std::sort(changed.begin(), changed.end());
+    full_.solve();
+    return changed;
+  }
+  /// Expects `v`'s rate to equal the twin's bit for bit.
+  void expect_twin(VarId v) const { EXPECT_EQ(inc_.rate(v), full_.rate(v)); }
+
+  MaxMin& inc() { return inc_; }
+  MaxMin& full() { return full_; }
+
+ private:
+  MaxMin inc_, full_;
+};
+
+}  // namespace
+
+TEST(MaxMinLone, BindingAndNonBindingBounds) {
+  LoneTwin t;
+  const ResourceId r1 = t.add_resource(100.0);
+  const ResourceId r2 = t.add_resource(100.0);
+  const ResourceId r3 = t.add_resource(100.0);
+  EXPECT_EQ(t.inc().rate(t.add_lone({r1}, 1.0, 30.0)), 30.0);
+  EXPECT_EQ(t.inc().rate(t.add_lone({r2}, 1.0, 250.0)), 100.0);
+  // Inside the fill's 1e-9 binding tolerance the resource binds, and the
+  // bound, below the share, is the rate.
+  const double close = 100.0 * (1.0 - 1e-10);
+  EXPECT_EQ(t.inc().rate(t.add_lone({r3}, 1.0, close)), close);
+}
+
+TEST(MaxMinLone, NonUnitWeights) {
+  LoneTwin t;
+  const ResourceId r1 = t.add_resource(100.0);
+  const ResourceId r2 = t.add_resource(70.0);
+  const ResourceId r3 = t.add_resource(1.25e9);
+  // (cap / w) · w need not round back to cap: the twin must agree anyway.
+  t.add_lone({r1}, 3.0);
+  t.add_lone({r2, r3}, 0.7);
+  const ResourceId r4 = t.add_resource(1e9 / 3.0);
+  t.add_lone({r4}, 1.0 / 7.0, 2e9);
+}
+
+TEST(MaxMinLone, ZeroCapacity) {
+  LoneTwin t;
+  const ResourceId dead = t.add_resource(0.0);
+  const ResourceId live = t.add_resource(50.0);
+  EXPECT_EQ(t.inc().rate(t.add_lone({dead, live})), 0.0);
+  EXPECT_EQ(t.inc().rate(t.add_lone({t.add_resource(0.0)}, 2.0, 5.0)), 0.0);
+}
+
+TEST(MaxMinLone, InfiniteCapacity) {
+  {
+    LoneTwin t;
+    const ResourceId inf = t.add_resource(MaxMin::kInf);
+    const ResourceId fin = t.add_resource(80.0);
+    EXPECT_EQ(t.inc().rate(t.add_lone({inf}, 1.0, 12.5)), 12.5);
+    EXPECT_EQ(t.inc().rate(t.add_lone({t.add_resource(MaxMin::kInf), fin})),
+              80.0);
+  }
+  // Unbounded with nothing finite to limit it: the fill's own error, and
+  // the add is undone.
+  MaxMin inc;
+  MaxMin full;
+  full.set_full_solve(true);
+  const ResourceId r = inc.add_resource(MaxMin::kInf);
+  full.add_resource(MaxMin::kInf);
+  EXPECT_THROW(inc.add_variable(1.0, {r}), Error);
+  EXPECT_EQ(inc.active_variable_count(), 0u);
+  EXPECT_FALSE(inc.dirty());
+  full.add_variable(1.0, {r});
+  EXPECT_THROW(full.solve(), Error);
+  // The resource is free again for a bounded variable.
+  const VarId v = inc.add_variable(1.0, {r}, 9.0);
+  EXPECT_EQ(inc.rate(v), 9.0);
+  EXPECT_EQ(inc.solve_stats().lone_rates, 1u);
+}
+
+TEST(MaxMinLone, SecondVariableJoinsBeforeTheSolve) {
+  LoneTwin t;
+  const ResourceId r = t.add_resource(100.0);
+  const ResourceId s = t.add_resource(60.0);
+  const VarId a = t.add_lone({r}, 2.0);
+  const VarId b = t.add({r, s}, 1.0);
+  EXPECT_TRUE(t.inc().dirty());
+  EXPECT_EQ(t.solve(), (std::vector<VarId>{a, b}));
+  t.expect_twin(a);
+  t.expect_twin(b);
+  EXPECT_EQ(t.inc().solve_stats().lone_rates, 1u);
+}
+
+TEST(MaxMinLone, SecondVariableJoinsAfterTheSolve) {
+  LoneTwin t;
+  const ResourceId r = t.add_resource(100.0);
+  const VarId a = t.add_lone({r});
+  EXPECT_TRUE(t.solve().empty());
+  const VarId b = t.add({r}, 1.0, 20.0);
+  EXPECT_EQ(t.solve(), (std::vector<VarId>{a, b}));
+  t.expect_twin(a);
+  t.expect_twin(b);
+  EXPECT_EQ(t.inc().rate(a), 80.0);
+  // Once b leaves, a moves back to the rate it started lone with.
+  t.remove(b);
+  EXPECT_EQ(t.solve(), (std::vector<VarId>{a}));
+  EXPECT_EQ(t.inc().rate(a), 100.0);
+  t.expect_twin(a);
+}
+
+TEST(MaxMinLone, RemovingALoneVariableLeavesTheSystemClean) {
+  LoneTwin t;
+  const ResourceId r = t.add_resource(100.0);
+  const ResourceId s = t.add_resource(100.0);
+  const VarId a = t.add_lone({r, s});
+  const VarId other = t.add_lone({t.add_resource(10.0)});
+  const auto solves = t.inc().solve_stats().solves;
+  t.remove(a);
+  EXPECT_FALSE(t.inc().dirty());
+  EXPECT_TRUE(t.solve().empty());
+  EXPECT_EQ(t.inc().solve_stats().solves, solves);
+  t.expect_twin(other);
+  // The freed resources take a new lone variable.
+  t.add_lone({s});
+}
+
+TEST(MaxMinLone, TinyWeightsAndFullSolveTakeTheFill) {
+  LoneTwin t;
+  const ResourceId r = t.add_resource(100.0);
+  // A weight at most the fill's epsilon offers no resource share: the
+  // fill rates it at its bound.
+  const VarId v = t.add({r}, 1e-13, 7.0);
+  EXPECT_TRUE(t.inc().dirty());
+  EXPECT_EQ(t.solve(), (std::vector<VarId>{v}));
+  EXPECT_EQ(t.inc().rate(v), 7.0);
+  t.expect_twin(v);
+  EXPECT_EQ(t.inc().solve_stats().lone_rates, 0u);
+  EXPECT_EQ(t.full().solve_stats().lone_rates, 0u);
+  EXPECT_EQ(t.full().solve_stats().solves, 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Engine-level differential: full replays (including the fault-injection
 // degrade paths) must produce the same simulated time with the incremental
 // solver and with full_solve.
@@ -692,6 +886,43 @@ TEST(MaxMinIncremental, EngineDifferentialWithFaults) {
   ScenarioSpec healthy = spec;
   healthy.faults.clear();
   EXPECT_GT(incremental, simulate(healthy, false));
+}
+
+TEST(MaxMinIncremental, EngineLoneFlowsMatchFullSolveBitForBit) {
+  // The service's miss workload: a 16-rank CG on the four fabrics it
+  // serves. On the graph fabrics most flows start alone on their links and
+  // are rated without a solve; every finish time must still equal the
+  // full-solve reference exactly.
+  trace::SyntheticSpec cg;
+  cg.pattern = trace::SyntheticPattern::cg;
+  cg.nprocs = 16;
+  cg.iterations = 40;
+  std::vector<std::vector<Action>> actions;
+  for (int pid = 0; pid < cg.nprocs; ++pid)
+    actions.push_back(trace::expand(trace::synthetic_program(cg, pid)));
+  const auto traces = trace::TraceSet::in_memory(std::move(actions));
+  for (const char* topo : {"cluster:hosts=16", "dragonfly", "fattree:k=4",
+                           "torus:dims=4x4"}) {
+    SCOPED_TRACE(topo);
+    auto platform =
+        std::make_shared<plat::Platform>(plat::make_platform(topo));
+    ScenarioSpec spec;
+    spec.process_hosts =
+        plat::resolve_deployment_spec("block", *platform, cg.nprocs);
+    spec.platform = std::move(platform);
+    spec.traces = traces;
+    ScenarioSpec full = spec;
+    full.config.full_solve = true;
+    const auto inc_result = run_scenario(spec);
+    const auto full_result = run_scenario(full);
+    EXPECT_EQ(inc_result.simulated_time, full_result.simulated_time);
+    EXPECT_EQ(inc_result.process_finish_times,
+              full_result.process_finish_times);
+    EXPECT_GT(inc_result.engine_stats.lone_rates, 0u);
+    EXPECT_EQ(full_result.engine_stats.lone_rates, 0u);
+    EXPECT_LT(inc_result.engine_stats.solver_calls,
+              full_result.engine_stats.solver_calls);
+  }
 }
 
 TEST(MaxMinIncremental, DegradeLinkInvalidatesOnlyAffectedRoutes) {

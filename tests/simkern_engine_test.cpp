@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "platform/cluster.hpp"
@@ -343,15 +344,34 @@ TEST(Engine, DeterministicAcrossRuns) {
 
 TEST(Engine, StatsAreTracked) {
   const auto p = test_platform();
-  Engine engine(p);
-  engine.spawn("w", 0, [&](Process&) -> Task {
-    co_await engine.wait(engine.exec_async(0, 1e6));
-    co_await engine.wait(engine.transfer_async(0, 1, 1e6));
-  });
-  engine.run();
-  EXPECT_GE(engine.stats().activities, 2u);
-  EXPECT_GE(engine.stats().resumes, 1u);
-  EXPECT_GE(engine.stats().solver_calls, 1u);
+  {
+    // A transfer alone on its links is rated when it starts: one rate
+    // applied, no solve.
+    Engine engine(p);
+    engine.spawn("w", 0, [&](Process&) -> Task {
+      co_await engine.wait(engine.exec_async(0, 1e6));
+      co_await engine.wait(engine.transfer_async(0, 1, 1e6));
+    });
+    engine.run();
+    EXPECT_GE(engine.stats().activities, 2u);
+    EXPECT_GE(engine.stats().resumes, 1u);
+    EXPECT_EQ(engine.stats().lone_rates, 1u);
+    EXPECT_EQ(engine.stats().flows_rerated, 1u);
+    EXPECT_EQ(engine.stats().solver_calls, 0u);
+  }
+  {
+    // Two transfers sharing the links: the first starts lone, the second
+    // couples them, and the solver re-rates both.
+    Engine engine(p);
+    for (int i = 0; i < 2; ++i)
+      engine.spawn("w" + std::to_string(i), 0, [&](Process&) -> Task {
+        co_await engine.wait(engine.transfer_async(0, 1, 1e6));
+      });
+    engine.run();
+    EXPECT_EQ(engine.stats().lone_rates, 1u);
+    EXPECT_GE(engine.stats().solver_calls, 1u);
+    EXPECT_GE(engine.stats().flows_rerated, 3u);
+  }
 }
 
 TEST(Engine, InvalidSpawnHostThrows) {

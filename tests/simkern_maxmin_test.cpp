@@ -122,37 +122,68 @@ TEST(MaxMin, SetCapacityMarksDirty) {
 TEST(MaxMin, SolveChangedReportsNewAndMovedRates) {
   MaxMin m;
   const auto r = m.add_resource(100.0);
+  // A lone variable is rated by its add, exactly: nothing is left to solve
+  // or report.
   const auto a = m.add_variable(1.0, {r});
+  EXPECT_EQ(m.rate(a), 100.0);
+  EXPECT_FALSE(m.dirty());
   auto changed = m.solve_changed();
-  ASSERT_EQ(changed.size(), 1u);
-  EXPECT_EQ(changed[0], a);
+  EXPECT_TRUE(changed.empty());
+
+  // A second variable halves a's rate: both are reported, the new one and
+  // a, which moved from the rate its add gave it.
+  const auto b = m.add_variable(1.0, {r});
+  EXPECT_EQ(m.rate(b), 0.0);  // awaits the solve
+  changed = m.solve_changed();
+  ASSERT_EQ(changed.size(), 2u);
+  EXPECT_NE(std::find(changed.begin(), changed.end(), a), changed.end());
+  EXPECT_NE(std::find(changed.begin(), changed.end(), b), changed.end());
+  EXPECT_DOUBLE_EQ(m.rate(a), 50.0);
+  EXPECT_DOUBLE_EQ(m.rate(b), 50.0);
 
   // Clean system: nothing to report.
   changed = m.solve_changed();
   EXPECT_TRUE(changed.empty());
 
-  // A second variable halves a's rate: both are reported.
-  const auto b = m.add_variable(1.0, {r});
+  // b leaves: a, still on r, moves back and is the only one reported.
+  m.remove_variable(b);
   changed = m.solve_changed();
-  EXPECT_EQ(changed.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.rate(a), 50.0);
-  EXPECT_DOUBLE_EQ(m.rate(b), 50.0);
+  ASSERT_EQ(changed.size(), 1u);
+  EXPECT_EQ(changed[0], a);
+  EXPECT_EQ(m.rate(a), 100.0);
+
+  // a leaves r empty: nothing to re-solve.
+  m.remove_variable(a);
+  EXPECT_FALSE(m.dirty());
 }
 
 TEST(MaxMin, SolverStatsAccumulate) {
   MaxMin m;
   const auto r = m.add_resource(100.0);
-  const auto a = m.add_variable(1.0, {r});
+  const auto s = m.add_resource(100.0);
+  // Lone variables are counted apart: they cost no solve.
+  m.add_variable(1.0, {r});
+  m.solve();
+  EXPECT_EQ(m.solve_stats().lone_rates, 1u);
+  EXPECT_EQ(m.solve_stats().solves, 0u);
+  EXPECT_EQ(m.solve_stats().vars_touched, 0u);
+  EXPECT_EQ(m.solve_stats().max_component_vars, 0u);
+  const auto b = m.add_variable(1.0, {r});
   m.solve();
   EXPECT_EQ(m.solve_stats().solves, 1u);
-  EXPECT_EQ(m.solve_stats().vars_touched, 1u);
-  EXPECT_EQ(m.solve_stats().max_component_vars, 1u);
-  m.add_variable(1.0, {r});
+  EXPECT_EQ(m.solve_stats().vars_touched, 2u);
+  EXPECT_EQ(m.solve_stats().max_component_vars, 2u);
+  m.add_variable(1.0, {s});
+  m.solve();
+  EXPECT_EQ(m.solve_stats().lone_rates, 2u);
+  EXPECT_EQ(m.solve_stats().solves, 1u);
+  m.remove_variable(b);
   m.solve();
   EXPECT_EQ(m.solve_stats().solves, 2u);
   EXPECT_EQ(m.solve_stats().vars_touched, 3u);
+  EXPECT_EQ(m.solve_stats().last_component_vars, 1u);
   EXPECT_EQ(m.solve_stats().max_component_vars, 2u);
-  (void)a;
+  EXPECT_EQ(m.solve_stats().lone_rates, 2u);
 }
 
 TEST(MaxMin, RejectsInvalidArguments) {

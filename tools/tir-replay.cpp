@@ -19,8 +19,10 @@
 //   --stats                   print engine counters (solver work, events)
 //                             and the solver's shape: vars per solve,
 //                             re-rates per action, the largest coupled
-//                             component and the hub-group counters; warns
-//                             on stderr when re-rates per action pass 16
+//                             component, the flows rated without a solve
+//                             (lone rates) and the hub-group counters;
+//                             warns on stderr when re-rates per action
+//                             pass 16
 //   --full-solve              disable the incremental network solver
 //                             (reference path for differential testing)
 //   --timeline                record the span timeline and print its report:
@@ -43,6 +45,7 @@
 #include "obs/report.hpp"
 #include "replay/scenario.hpp"
 #include "replay/timed_trace.hpp"
+#include "serve/scenario_build.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
 
@@ -67,17 +70,6 @@ constexpr double kRerateWarning = 16.0;
                "  [--timeline] [--chrome FILE] [--paje FILE] [--detail]\n",
                argv0);
   std::exit(2);
-}
-
-double parse_double_flag(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing text");
-    return value;
-  } catch (const std::exception&) {
-    throw ParseError("invalid value '" + text + "' for " + flag);
-  }
 }
 
 int run(int argc, char** argv) {
@@ -116,7 +108,7 @@ int run(int argc, char** argv) {
       want_profile = true;
       config.record_timed_trace = true;
     } else if (arg == "--efficiency") {
-      config.compute_efficiency = parse_double_flag("--efficiency", next());
+      config.compute_efficiency = serve::parse_double("--efficiency", next());
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--full-solve") {
@@ -174,6 +166,7 @@ int run(int argc, char** argv) {
     std::printf("  max component size:     %llu\n",
                 u64(st.solver_component_size_max));
     std::printf("  flows re-rated:         %llu\n", u64(st.flows_rerated));
+    std::printf("  lone rates:             %llu\n", u64(st.lone_rates));
     std::printf("  hub solves:             %llu\n", u64(st.solver_hub_solves));
     std::printf("  large fills:            %llu\n",
                 u64(st.solver_large_fills));
