@@ -32,6 +32,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "acquisition/acquisition.hpp"
 #include "apps/lu.hpp"
@@ -99,7 +100,10 @@ int main() {
 
   bench::banner("Large traces — streaming replay (10^8-action target) and "
                 "the Section 6.5 acquisition",
-                "scale " + std::to_string(scale));
+                "scale " + std::to_string(scale) + "\nbuild " TIR_BUILD_TYPE
+                ", compiler " __VERSION__ ", " +
+                    std::to_string(std::thread::hardware_concurrency()) +
+                    " hardware thread(s)");
 
   const auto workdir = bench::fresh_workdir("large_trace");
   bench::WorkdirGuard guard(workdir);

@@ -99,13 +99,13 @@ int main() {
   bool identical = true;
   for (int i = 0; i < kScenarios; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    if (!serial[idx].ok || !parallel[idx].ok) {
+    if (!serial[idx].ok() || !parallel[idx].ok()) {
       std::printf("scenario %d FAILED: %s%s\n", i,
                   serial[idx].error.c_str(), parallel[idx].error.c_str());
       return 1;
     }
-    const double a = serial[idx].replay.simulated_time;
-    const double b = parallel[idx].replay.simulated_time;
+    const double a = serial[idx].result.simulated_time;
+    const double b = parallel[idx].result.simulated_time;
     if (std::memcmp(&a, &b, sizeof a) != 0) {
       identical = false;
       std::printf("scenario %d DIVERGES: serial %.17g parallel %.17g\n",

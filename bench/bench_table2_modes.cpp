@@ -135,7 +135,7 @@ int main() {
            << "default platform=table2_platform.xml"
            << " deployment=table2_deployment.xml\n";
       for (std::size_t i = 0; i < scenarios.size(); ++i)
-        list << "name=" << replays[i].name << " traces="
+        list << "name=" << scenarios[i].name << " traces="
              << acq::mode_label(kModes[i].mode, kModes[i].folding)
              << "/ti\n";
     }
@@ -145,7 +145,7 @@ int main() {
     const double regular_time = rows.front().exec_time;
     std::vector<double> replayed_times;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      const double replayed = replays[i].replay.simulated_time;
+      const double replayed = replays[i].result.simulated_time;
       replayed_times.push_back(replayed);
       std::printf("%-10s %6d | %14.2f %8.2f | %14.3f\n",
                   rows[i].mode.c_str(), rows[i].nodes,

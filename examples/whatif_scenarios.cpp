@@ -9,8 +9,8 @@
 //   - the ranks folded 2-per-node on half the machines.
 //
 // Each target is one immutable ScenarioSpec sharing the same decoded trace
-// set; SweepRunner replays them on a worker pool and returns the results
-// in scenario order (see src/replay/sweep.hpp).
+// set; SweepRunner replays them on a worker pool and returns each one's
+// ReplayReport in scenario order (see src/replay/sweep.hpp).
 //
 // Run:  ./whatif_scenarios [workdir]
 #include <filesystem>
@@ -93,12 +93,13 @@ int main(int argc, char** argv) {
 
   std::cout << "\nScenario                              predicted time  speedup\n"
             << "--------------------------------------------------------------\n";
-  const double baseline = results[0].replay.simulated_time;
-  for (const auto& r : results) {
-    std::cout << std::left << std::setw(38) << r.name << std::setw(15)
-              << units::format_duration(r.replay.simulated_time) << std::fixed
-              << std::setprecision(2)
-              << baseline / r.replay.simulated_time << "x\n";
+  const double baseline = results[0].result.simulated_time;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const double predicted = results[i].result.simulated_time;
+    std::cout << std::left << std::setw(38) << scenarios[i].name
+              << std::setw(15) << units::format_duration(predicted)
+              << std::fixed << std::setprecision(2) << baseline / predicted
+              << "x\n";
   }
   std::cout << "\nSame trace (decoded once: " << traces.decode_count()
             << " parse passes for " << results.size()

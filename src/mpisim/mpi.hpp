@@ -51,11 +51,6 @@ enum class CollectiveAlgo {
 struct Config {
   std::uint64_t eager_threshold = 64 * 1024;
   CollectiveAlgo collectives = CollectiveAlgo::binomial;
-  /// Observability sink, or null (recording disabled). When set, every rank
-  /// emits one span per outermost MPI operation and one edge per completed
-  /// receive. Must outlive the World; usually the same Recorder passed to
-  /// EngineConfig so kernel fault events land in the same timeline.
-  obs::Recorder* recorder = nullptr;
 };
 
 class World;
@@ -166,7 +161,7 @@ class Rank final : public MpiApi {
   World* world_ = nullptr;
   int rank_ = -1;
   int host_ = -1;
-  obs::Recorder* recorder_ = nullptr;  ///< cached from Config (may be null)
+  obs::Recorder* recorder_ = nullptr;  ///< the engine's (may be null)
 
   // Matching state.
   struct InMsg {

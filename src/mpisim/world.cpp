@@ -19,7 +19,7 @@ World::World(sim::Engine& engine, std::vector<int> rank_hosts, Config config)
     rank->world_ = this;
     rank->rank_ = static_cast<int>(r);
     rank->host_ = host;
-    rank->recorder_ = config_.recorder;
+    rank->recorder_ = engine.recorder();
     ranks_.push_back(std::move(rank));
   }
 }

@@ -1,10 +1,11 @@
 // Recorder: the collection point between the simulation and the exporters.
 //
-// A Recorder is attached to one replay (EngineConfig::recorder,
-// mpi::Config::recorder). Call sites hold a plain pointer and do nothing
-// when it is null — the disabled path costs one branch per outermost MPI
-// operation, which is what keeps the "recorder off" replay time within
-// noise of a build without the subsystem (see bench_obs_overhead).
+// A Recorder is attached to one replay through EngineConfig::recorder; the
+// MPI ranks take it from their engine. Call sites hold a plain pointer and
+// do nothing when it is null — the disabled path costs one branch per
+// outermost MPI operation, which is what keeps the "recorder off" replay
+// time within noise of a build without the subsystem (see
+// bench_obs_overhead).
 //
 // Emission contract:
 //   - op_begin/op_end bracket one *outermost* MPI operation on a rank

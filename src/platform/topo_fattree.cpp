@@ -21,7 +21,7 @@ class FatTreeRouting final : public GraphRouting {
   int core_id(int c) const { return k_ * k_ + c; }
 
  protected:
-  void switch_route(int src_sw, int dst_sw, HostId src, HostId dst,
+  void switch_route(int src_sw, int dst_sw, HostId /*src*/, HostId dst,
                     std::vector<LinkId>& out) const override {
     if (!dmodk_) {
       append_shortest(src_sw, dst_sw, out);

@@ -27,7 +27,7 @@ class TorusRouting final : public GraphRouting {
   }
 
  protected:
-  void switch_route(int src_sw, int dst_sw, HostId src, HostId dst,
+  void switch_route(int src_sw, int dst_sw, HostId /*src*/, HostId /*dst*/,
                     std::vector<LinkId>& out) const override {
     if (!dor_) {
       append_shortest(src_sw, dst_sw, out);

@@ -57,24 +57,9 @@ McSummary run_monte_carlo(const ScenarioSpec& base, const PerturbSpec& perturb,
   validate_perturbation(perturb, context);
   validate_faults(base);
 
-  const std::size_t replicas = static_cast<std::size_t>(opts.replicas);
-  std::vector<ScenarioSpec> specs;
-  specs.reserve(replicas + 1);
-  std::vector<PerturbDraw> draws(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    ScenarioSpec spec = base;
-    spec.name = base.name + "#r" + std::to_string(r);
-    auto faults =
-        expand_perturbation(perturb, *base.platform, opts.seed, r, &draws[r]);
-    spec.faults.insert(spec.faults.end(), faults.begin(), faults.end());
-    specs.push_back(std::move(spec));
-  }
-  if (opts.run_baseline) {
-    ScenarioSpec spec = base;
-    spec.name = base.name + "#baseline";
-    specs.push_back(std::move(spec));
-  }
-
+  std::vector<PerturbDraw> draws;
+  const std::vector<ScenarioSpec> specs =
+      monte_carlo_rows(base, perturb, opts.seed, opts.replicas, &draws);
   const auto results = run_sweep(specs, {.workers = opts.workers});
 
   McSummary summary;
@@ -82,21 +67,18 @@ McSummary run_monte_carlo(const ScenarioSpec& base, const PerturbSpec& perturb,
   summary.replicas = opts.replicas;
 
   RunningStats stats;
-  std::vector<double> makespans;          // successful replicas, in order
-  std::vector<std::size_t> ok_replicas;   // their indices, for the draws
+  std::vector<std::size_t> ok_replicas;  // replica of each sample
   std::string first_error;
-  for (std::size_t r = 0; r < replicas; ++r) {
-    const SweepResult& res = results[r];
-    if (!res.ok) {
+  for (std::size_t r = 0; r < draws.size(); ++r) {
+    const ReplayReport& res = results[r];
+    if (!res.ok()) {
       ++summary.failures;
-      if (first_error.empty()) first_error = res.name + ": " + res.error;
+      if (first_error.empty()) first_error = specs[r].name + ": " + res.error;
       continue;
     }
-    stats.add(res.replay.simulated_time);
-    makespans.push_back(res.replay.simulated_time);
+    stats.add(res.result.simulated_time);
+    summary.samples.push_back(res.result.simulated_time);
     ok_replicas.push_back(r);
-    if (opts.keep_samples)
-      summary.samples.push_back(res.replay.simulated_time);
   }
   if (stats.count() == 0)
     throw SimError(context + ": every replica failed (first: " + first_error +
@@ -108,21 +90,19 @@ McSummary run_monte_carlo(const ScenarioSpec& base, const PerturbSpec& perturb,
   summary.ci95 =
       1.96 * summary.stddev / std::sqrt(static_cast<double>(stats.count()));
 
-  if (opts.run_baseline) {
-    const SweepResult& res = results.back();
-    if (!res.ok)
-      throw SimError(context + ": baseline replay failed: " + res.error);
-    summary.baseline = res.replay.simulated_time;
-  }
+  const ReplayReport& baseline = results.back();
+  if (!baseline.ok())
+    throw SimError(context + ": baseline replay failed: " + baseline.error);
+  summary.baseline = baseline.result.simulated_time;
 
   // Sensitivity: regress makespan on each resource's drawn factor. Hosts
   // regress on the compute factor; links on the bandwidth factor when it
   // was perturbed, otherwise on the latency factor.
   const plat::Platform& platform = *base.platform;
-  std::vector<double> xs(makespans.size());
+  std::vector<double> xs(summary.samples.size());
   const auto add_entry = [&](FaultSpec::Kind kind, int id,
                              const std::string& name) {
-    const Regression reg = regress(xs, makespans);
+    const Regression reg = regress(xs, summary.samples);
     if (reg.degenerate) return;
     SensitivityEntry entry;
     entry.kind = kind;

@@ -5,9 +5,10 @@
 // "what is the makespan distribution when every host and link is a little
 // off nominal" (Cornebize & Legrand 2021). run_monte_carlo() expands one
 // PerturbSpec into N concrete replicas — each a fully deterministic fault
-// timeline keyed (seed, replica) — fans them through the SweepRunner worker
-// pool, and aggregates mean / stddev / 95% CI next to the unperturbed
-// baseline point.
+// timeline keyed (seed, replica), baked by perturbed_replica() exactly as
+// tir-sweep and tir-serve bake them — fans them through the SweepRunner
+// worker pool, and aggregates mean / stddev / 95% CI next to the
+// unperturbed baseline point.
 //
 // The sensitivity report regresses the replica makespans against each
 // resource's drawn factor: impact = |OLS slope| * stddev(factor) is the
@@ -36,10 +37,6 @@ struct McOptions {
   int replicas = 100;       ///< Monte-Carlo sample count (>= 1)
   std::uint64_t seed = 1;   ///< user-facing seed; replicas derive from it
   int workers = 0;          ///< SweepRunner workers; 0 = hardware
-  bool keep_samples = false;  ///< retain per-replica makespans in the summary
-  /// Also run the unperturbed scenario (the deterministic point estimate
-  /// the paper's single-calibration replay would report).
-  bool run_baseline = true;
 };
 
 /// One row of the sensitivity ranking.
@@ -57,14 +54,17 @@ struct McSummary {
   int replicas = 0;          ///< requested
   int failures = 0;          ///< replicas that did not finish ok
 
-  double baseline = 0.0;     ///< unperturbed makespan (when run_baseline)
+  /// Unperturbed makespan: the deterministic point estimate the paper's
+  /// single-calibration replay would report.
+  double baseline = 0.0;
   double mean = 0.0;
   double stddev = 0.0;
   double ci95 = 0.0;         ///< half-width of the 95% CI on the mean
   double min = 0.0;
   double max = 0.0;
 
-  std::vector<double> samples;  ///< per-replica makespans (keep_samples)
+  /// Makespans of the replicas that finished ok, in replica order.
+  std::vector<double> samples;
 
   /// Descending by impact; resources whose drawn factor never varied are
   /// omitted.
@@ -74,8 +74,9 @@ struct McSummary {
   std::string render(std::size_t max_rows = 10) const;
 };
 
-/// Runs `opts.replicas` perturbed replicas of `base` (its own faults are
-/// kept and the perturbation's timeline is appended) plus the baseline.
+/// Runs the monte_carlo_rows of `base`: `opts.replicas` perturbed replicas
+/// (its own faults are kept and the perturbation's timeline is appended)
+/// plus the baseline.
 /// Throws SimError when every replica fails; individual replica failures
 /// are counted and excluded from the statistics.
 McSummary run_monte_carlo(const ScenarioSpec& base, const PerturbSpec& perturb,

@@ -138,4 +138,30 @@ std::vector<FaultSpec> expand_perturbation(const PerturbSpec& spec,
   return faults;
 }
 
+ScenarioSpec perturbed_replica(const ScenarioSpec& base,
+                               const PerturbSpec& perturb, std::uint64_t seed,
+                               std::uint64_t replica, PerturbDraw* draw) {
+  ScenarioSpec spec = base;
+  spec.name = base.name + "#r" + std::to_string(replica);
+  const auto faults =
+      expand_perturbation(perturb, *base.platform, seed, replica, draw);
+  spec.faults.insert(spec.faults.end(), faults.begin(), faults.end());
+  return spec;
+}
+
+std::vector<ScenarioSpec> monte_carlo_rows(const ScenarioSpec& base,
+                                           const PerturbSpec& perturb,
+                                           std::uint64_t seed, int replicas,
+                                           std::vector<PerturbDraw>* draws) {
+  if (draws) draws->clear();
+  std::vector<ScenarioSpec> rows;
+  for (int r = 0; r < replicas; ++r)
+    rows.push_back(perturbed_replica(base, perturb, seed,
+                                     static_cast<std::uint64_t>(r),
+                                     draws ? &draws->emplace_back() : nullptr));
+  rows.push_back(base);
+  rows.back().name = base.name + "#baseline";
+  return rows;
+}
+
 }  // namespace tir::replay

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -83,5 +84,23 @@ std::vector<FaultSpec> expand_perturbation(const PerturbSpec& spec,
 /// this at parse time.
 void validate_perturbation(const PerturbSpec& spec,
                            const std::string& context);
+
+/// Monte-Carlo replica `replica` of `base`: base's own faults followed by
+/// the expansion of `perturb` for (seed, replica), named
+/// "<base.name>#r<replica>"; `draw` as in expand_perturbation.
+/// run_monte_carlo, a sweep list's row expansion and the service's
+/// replica= all bake replicas here, so replica r replays identically
+/// through each.
+ScenarioSpec perturbed_replica(const ScenarioSpec& base,
+                               const PerturbSpec& perturb, std::uint64_t seed,
+                               std::uint64_t replica,
+                               PerturbDraw* draw = nullptr);
+
+/// A Monte-Carlo row: replicas 0 .. replicas - 1 of `base`, then `base`
+/// itself named "<base.name>#baseline" (the unperturbed point estimate).
+/// When `draws` is non-null it receives one PerturbDraw per replica.
+std::vector<ScenarioSpec> monte_carlo_rows(
+    const ScenarioSpec& base, const PerturbSpec& perturb, std::uint64_t seed,
+    int replicas, std::vector<PerturbDraw>* draws = nullptr);
 
 }  // namespace tir::replay

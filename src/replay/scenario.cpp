@@ -160,17 +160,14 @@ void run_scenario_into(const ScenarioSpec& spec, ReplayResult& result) {
         std::make_shared<obs::Recorder>(spec.config.span_activity_detail);
     result.spans = owned_recorder;
   }
-  obs::Recorder* const recorder = owned_recorder.get();
 
   // Every mutable piece of the simulation lives below this line, scoped to
   // this call: the engine (event heaps, route cache, fluid state), the MPI
   // world (matching queues) and the per-process replay contexts.
   sim::Engine engine(*spec.platform,
                      sim::EngineConfig{.full_solve = spec.config.full_solve,
-                                       .recorder = recorder});
-  mpi::Config mpi_config = spec.config.mpi;
-  if (recorder != nullptr) mpi_config.recorder = recorder;
-  mpi::World world(engine, spec.process_hosts, mpi_config);
+                                       .recorder = owned_recorder.get()});
+  mpi::World world(engine, spec.process_hosts, spec.config.mpi);
 
   result.process_finish_times.assign(static_cast<std::size_t>(nprocs), 0.0);
 
@@ -279,29 +276,26 @@ ReplayReport run_scenario_report(const ScenarioSpec& spec) {
     report.error = e.what();
     return report;
   }
-  const auto coverage = [&](std::uint64_t replayed) {
-    return total_actions == 0
-               ? 0.0
-               : static_cast<double>(replayed) /
-                     static_cast<double>(total_actions);
-  };
 
   try {
     run_scenario_into(spec, report.result);
     report.status = ReplayStatus::ok;
     report.sim_time = report.result.simulated_time;
     report.coverage = 1.0;
+    return report;
   } catch (const DeadlockError& e) {
     report.status = ReplayStatus::deadlock;
     report.sim_time = e.sim_time();
-    report.coverage = coverage(report.result.actions_replayed);
     report.error = e.what();
     report.diagnostics = e.blocked();
   } catch (const std::exception& e) {
-    report.status = ReplayStatus::failed;
-    report.coverage = coverage(report.result.actions_replayed);
     report.error = e.what();
+  } catch (...) {
+    report.error = "unknown exception";
   }
+  if (total_actions > 0)
+    report.coverage = static_cast<double>(report.result.actions_replayed) /
+                      static_cast<double>(total_actions);
   return report;
 }
 

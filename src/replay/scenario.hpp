@@ -111,12 +111,12 @@ struct FaultSpec {
 
 /// The immutable description of one replay run.
 struct ScenarioSpec {
-  /// Label carried through sweep results and CLI tables.
+  /// Label carried through sweep rows and CLI tables.
   std::string name;
 
   /// Where the platform came from — a file path or a topology spec string
-  /// ("dragonfly:groups=9,..."). Purely informational: sweep results and
-  /// CLI tables print it so cross-topology rows stay attributable.
+  /// ("dragonfly:groups=9,..."). Purely informational: sweep rows and CLI
+  /// tables print it so cross-topology rows stay attributable.
   std::string platform_label;
 
   /// Target platform, shared across scenarios. Use share_platform() to wrap
@@ -187,11 +187,14 @@ struct ReplayReport {
   std::string error;       ///< exception text when status != ok
   std::vector<std::string> diagnostics;  ///< per-blocked-rank (deadlock)
   ReplayResult result;     ///< full result (partial unless status == ok)
+
+  bool ok() const { return status == ReplayStatus::ok; }
 };
 
-/// Replays one scenario, never throws on simulation failures: deadlocks and
-/// errors come back as a report. (Non-std exceptions from user registry
-/// hooks still propagate.)
+/// Replays one scenario and never throws: deadlocks and errors come back as
+/// a report, and so does any exception escaping the replay, std or not (a
+/// non-std one, say from a registry hook, reads "unknown exception"). This
+/// is the isolation every sweep row and every service replay gets.
 ReplayReport run_scenario_report(const ScenarioSpec& spec);
 
 }  // namespace tir::replay

@@ -36,6 +36,13 @@ double parse_double(const std::string& what, const std::string& s) {
   }
 }
 
+double parse_positive(const std::string& what, const std::string& s) {
+  const double v = parse_double(what, s);
+  if (!(v > 0))
+    throw ParseError(what + ": expected a number > 0, got '" + s + "'");
+  return v;
+}
+
 std::uint64_t parse_u64(const std::string& what, const std::string& s) {
   try {
     // stoull wraps a leading '-' around: "-1" would read as 2^64 - 1.
@@ -390,13 +397,12 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
   }
   if (const auto* eff = kv.find("efficiency"))
     spec.config.compute_efficiency =
-        parse_double("scenario '" + spec.name + "': efficiency", *eff);
+        parse_positive("scenario '" + spec.name + "': efficiency", *eff);
   if (const auto* fault = kv.find("fault"))
     for (const auto& token : str::split(*fault, ','))
       spec.faults.push_back(parse_fault(spec.name, std::string(token)));
   if (const auto* perturb = kv.find("perturb")) {
     entry.perturb = parse_perturb(spec.name, *perturb);
-    entry.has_perturb = true;
     replay::validate_perturbation(entry.perturb,
                                   "scenario '" + spec.name + "': perturb");
   }
@@ -415,21 +421,13 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
   return entry;
 }
 
-replay::ScenarioSpec bake_replica(const SweepEntry& entry, int replica) {
-  if (!entry.has_perturb || entry.perturb.empty()) {
-    if (replica != 0)
-      throw Error("scenario '" + entry.spec.name +
-                  "': replica " + std::to_string(replica) +
-                  " requested without a perturbation");
-    return entry.spec;
-  }
-  replay::ScenarioSpec spec = entry.spec;
-  spec.name = entry.spec.name + "#r" + std::to_string(replica);
-  auto faults = replay::expand_perturbation(
-      entry.perturb, *spec.platform, entry.seed,
-      static_cast<std::uint64_t>(replica));
-  spec.faults.insert(spec.faults.end(), faults.begin(), faults.end());
-  return spec;
+std::vector<replay::ScenarioSpec> sweep_rows(const SweepEntry& entry) {
+  if (entry.perturb.empty()) return {entry.spec};
+  if (entry.mc == 0)
+    return {replay::perturbed_replica(entry.spec, entry.perturb, entry.seed,
+                                      0)};
+  return replay::monte_carlo_rows(entry.spec, entry.perturb, entry.seed,
+                                  entry.mc);
 }
 
 }  // namespace tir::serve

@@ -39,6 +39,8 @@ namespace tir::serve {
 
 int parse_int(const std::string& what, const std::string& s);
 double parse_double(const std::string& what, const std::string& s);
+/// parse_double for a quantity that must be > 0 (a compute efficiency).
+double parse_positive(const std::string& what, const std::string& s);
 std::uint64_t parse_u64(const std::string& what, const std::string& s);
 
 struct KeyValues {
@@ -68,9 +70,8 @@ replay::PerturbSpec parse_perturb(const std::string& scenario,
 /// stochastic envelope and the serving metadata.
 struct SweepEntry {
   replay::ScenarioSpec spec;
-  replay::PerturbSpec perturb;
-  bool has_perturb = false;
-  int mc = 0;               ///< Monte-Carlo replicas; 0 = deterministic row
+  replay::PerturbSpec perturb;  ///< empty(): a deterministic row
+  int mc = 0;               ///< Monte-Carlo replicas; 0 = not given
   std::uint64_t seed = 1;   ///< replica streams derive from this
 
   /// Platform identity for memo keys: the topology spec string, or the
@@ -167,11 +168,10 @@ class InputResolver {
 SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
                           std::size_t index);
 
-/// Bakes one Monte-Carlo replica of a perturbed entry: appends the
-/// deterministically expanded fault timeline for (seed, replica) and tags
-/// the name "#r<replica>". Entries without a perturbation pass through
-/// (replica must be 0). Shared by tir-sweep's row expansion and the
-/// service's replica= parameter.
-replay::ScenarioSpec bake_replica(const SweepEntry& entry, int replica);
+/// The scenarios one list row replays, in tir-sweep's row order: the spec
+/// alone without a perturbation; replica 0 (name#r0) with perturb= but no
+/// mc=; with mc=N, replay::monte_carlo_rows — name#r0 .. name#r<N-1> and
+/// the unperturbed name#baseline.
+std::vector<replay::ScenarioSpec> sweep_rows(const SweepEntry& entry);
 
 }  // namespace tir::serve

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "replay/sweep.hpp"
+#include "replay/perturb.hpp"
 #include "serve/json.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -187,8 +187,16 @@ void ReplayService::dispatch(Pending& pending) {
       throw Error(
           "mc= aggregation is not servable per request; "
           "use replica=R for one replica or tir-mc for the summary");
-    const SweepEntry entry = build_scenario(kv, resolver_, seq_++);
-    spec = bake_replica(entry, replica);
+    SweepEntry entry = build_scenario(kv, resolver_, seq_++);
+    if (!entry.perturb.empty())
+      spec = replay::perturbed_replica(entry.spec, entry.perturb, entry.seed,
+                                       static_cast<std::uint64_t>(replica));
+    else if (replica != 0)
+      throw Error("scenario '" + entry.spec.name + "': replica " +
+                  std::to_string(replica) +
+                  " requested without a perturbation");
+    else
+      spec = std::move(entry.spec);
     response.name = spec.name;
     response.trace_hit = entry.trace_cache_hit;
     response.decode_seconds = entry.trace_decode_seconds;
@@ -262,19 +270,14 @@ void ReplayService::worker_loop() {
 }
 
 void ReplayService::run_flight(Flight& flight) {
-  replay::SweepResult r;
-  replay::run_one(flight.spec, r);
-  replay::ReplayReport report;
-  report.status = r.status;
-  report.sim_time = r.sim_time;
-  report.coverage = r.coverage;
-  report.error = std::move(r.error);
-  report.diagnostics = std::move(r.diagnostics);
-  report.result = std::move(r.replay);
+  const auto start = Clock::now();
+  const replay::ReplayReport report = replay::run_scenario_report(flight.spec);
+  const double solve_seconds = seconds_between(start, Clock::now());
   // ok and deadlock are deterministic functions of the scenario; a `failed`
   // outcome may be environmental (OOM, racing file edits), so it is
   // answered but never cached. The store precedes leaving the flight table.
-  if (!flight.memo_key.empty() && r.status != replay::ReplayStatus::failed)
+  if (!flight.memo_key.empty() &&
+      report.status != replay::ReplayStatus::failed)
     memo_.store(flight.memo_key, report);
 
   std::vector<Pending> answered;
@@ -286,7 +289,7 @@ void ReplayService::run_flight(Flight& flight) {
   }
   for (Pending& waiter : answered) {
     fill_from_report(waiter.response, report);
-    waiter.response.solve_seconds = r.wall_seconds;
+    waiter.response.solve_seconds = solve_seconds;
   }
   respond(answered);
 }

@@ -669,7 +669,7 @@ void Engine::run() {
     first_error_ = nullptr;
     std::rethrow_exception(error);
   }
-  if (live_processes_ > 0 && config_.deadlock_is_error) {
+  if (live_processes_ > 0) {
     // Build one diagnostic line per blocked process. The quiescent state is
     // deterministic (same trace + platform => same blocked set), so these
     // diagnostics are stable across runs and worker counts.

@@ -88,9 +88,6 @@ class Process {
 };
 
 struct EngineConfig {
-  /// When true (default), run() throws SimError if processes remain blocked
-  /// with no pending event (deadlock). When false, run() returns normally.
-  bool deadlock_is_error = true;
   /// When true, the network max-min solver re-solves the whole system on
   /// every change instead of only the modified connected components —
   /// the reference path for differential testing of the incremental solver.
@@ -98,8 +95,10 @@ struct EngineConfig {
   /// Observability sink, or null (the default: recording fully disabled,
   /// costing one pointer test per emission site). The engine records fault
   /// activations always, and per-activity spans on host tracks when the
-  /// recorder's activity_detail flag is set. The recorder must outlive the
-  /// engine and is only touched from the simulation thread.
+  /// recorder's activity_detail flag is set; the ranks of an mpi::World on
+  /// this engine record their operations and message edges into it too.
+  /// The recorder must outlive the engine and is only touched from the
+  /// simulation thread.
   obs::Recorder* recorder = nullptr;
 };
 
@@ -133,6 +132,7 @@ class Engine {
   const plat::Platform& platform() const { return platform_; }
   SimTime now() const { return now_; }
   const EngineStats& stats() const { return stats_; }
+  obs::Recorder* recorder() const { return config_.recorder; }
 
   using ProcessBody = std::function<Task(Process&)>;
 
@@ -140,7 +140,8 @@ class Engine {
   Process& spawn(std::string name, int host, ProcessBody body);
 
   /// Runs until no event remains. Throws the first exception escaping a
-  /// process body, or SimError on deadlock (see EngineConfig).
+  /// process body, or DeadlockError (a SimError) when processes remain
+  /// blocked with no pending event.
   void run();
 
   /// Destroys all remaining coroutine frames (reverse creation order) —

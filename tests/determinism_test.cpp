@@ -148,14 +148,14 @@ TEST(DeterminismTest, SpanStreamsIdenticalAcrossSweepWorkerCounts) {
   ASSERT_EQ(serial.size(), scenarios.size());
   ASSERT_EQ(parallel.size(), scenarios.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(serial[i].ok) << serial[i].error;
-    ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
-    EXPECT_TRUE(bit_equal(serial[i].replay.simulated_time,
-                          parallel[i].replay.simulated_time))
+    ASSERT_TRUE(serial[i].ok()) << serial[i].error;
+    ASSERT_TRUE(parallel[i].ok()) << parallel[i].error;
+    EXPECT_TRUE(bit_equal(serial[i].result.simulated_time,
+                          parallel[i].result.simulated_time))
         << "scenario " << i;
-    ASSERT_TRUE(serial[i].replay.spans && parallel[i].replay.spans);
+    ASSERT_TRUE(serial[i].result.spans && parallel[i].result.spans);
     EXPECT_TRUE(
-        serial[i].replay.spans->same_streams(*parallel[i].replay.spans))
+        serial[i].result.spans->same_streams(*parallel[i].result.spans))
         << "scenario " << i;
   }
 }

@@ -192,14 +192,13 @@ TEST(FaultTest, FaultedSweepIsDeterministicWithBothRows) {
   ASSERT_EQ(serial.size(), 2u);
   ASSERT_EQ(parallel.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(serial[i].ok) << serial[i].error;
+    ASSERT_TRUE(serial[i].ok()) << serial[i].error;
     EXPECT_EQ(serial[i].status, ReplayStatus::ok);
-    EXPECT_EQ(serial[i].name, scenarios[i].name);
-    const double a = serial[i].replay.simulated_time;
-    const double b = parallel[i].replay.simulated_time;
+    const double a = serial[i].result.simulated_time;
+    const double b = parallel[i].result.simulated_time;
     EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
         << "row " << i << ": serial " << a << " vs parallel " << b;
   }
-  EXPECT_GT(serial[1].replay.simulated_time,
-            serial[0].replay.simulated_time);
+  EXPECT_GT(serial[1].result.simulated_time,
+            serial[0].result.simulated_time);
 }

@@ -137,12 +137,14 @@ TEST(MaxMinIncremental, RandomOpStreamMatchesFullSolveAndRebuild) {
         const bool in_changed = static_cast<std::size_t>(id) <
                                     reported.size() &&
                                 reported[static_cast<std::size_t>(id)];
-        if (it != last_rates.end() && !in_changed)
+        if (it != last_rates.end() && !in_changed) {
           EXPECT_EQ(inc.rate(id), it->second)
               << "var " << id << " moved without being reported";
-        if (it != last_rates.end() && in_changed)
+        }
+        if (it != last_rates.end() && in_changed) {
           EXPECT_NE(inc.rate(id), it->second)
               << "var " << id << " reported changed but did not move";
+        }
         last_rates[id] = inc.rate(id);
       }
 

@@ -52,8 +52,7 @@ TEST(MonteCarloTest, SummaryIsBitIdenticalAcrossWorkerCounts) {
   perturb.host_noise = 0.1;
   perturb.link_bw_noise = 0.05;
 
-  McOptions serial{.replicas = 8, .seed = 42, .workers = 1,
-                   .keep_samples = true};
+  McOptions serial{.replicas = 8, .seed = 42, .workers = 1};
   McOptions parallel = serial;
   parallel.workers = 4;
   const McSummary a = run_monte_carlo(spec, perturb, serial);

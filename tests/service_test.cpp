@@ -23,7 +23,10 @@
 #include "platform/deployment.hpp"
 #include "platform/platform_file.hpp"
 #include "platform/topology.hpp"
+#include "replay/montecarlo.hpp"
+#include "replay/perturb.hpp"
 #include "replay/scenario.hpp"
+#include "replay/sweep.hpp"
 #include "serve/json.hpp"
 #include "serve/lru_map.hpp"
 #include "serve/memo.hpp"
@@ -791,17 +794,27 @@ struct ServiceFixture {
     return o;
   }
 
-  /// Cold reference: the same KeyValues through serve::build_scenario and a
-  /// direct run_scenario_report, bypassing every cache.
-  replay::ReplayReport cold(
-      const std::map<std::string, std::string>& params, int replica = 0) {
+  /// The same KeyValues (without replica=) through serve::build_scenario,
+  /// bypassing every cache.
+  serve::SweepEntry entry(const std::map<std::string, std::string>& params) {
     serve::TraceCache cache;
     serve::InputResolver resolver(scratch.path, cache);
     serve::KeyValues kv;
     kv.kv = params;
     kv.kv.erase("replica");
-    const auto entry = serve::build_scenario(kv, resolver, 0);
-    return replay::run_scenario_report(serve::bake_replica(entry, replica));
+    return serve::build_scenario(kv, resolver, 0);
+  }
+
+  /// Cold reference: entry(params), or its replica when it is perturbed,
+  /// through a direct run_scenario_report.
+  replay::ReplayReport cold(
+      const std::map<std::string, std::string>& params, int replica = 0) {
+    const serve::SweepEntry built = entry(params);
+    return replay::run_scenario_report(
+        built.perturb.empty()
+            ? built.spec
+            : replay::perturbed_replica(built.spec, built.perturb, built.seed,
+                                        static_cast<std::uint64_t>(replica)));
   }
 };
 
@@ -891,6 +904,96 @@ TEST(ReplayServiceTest, PerturbedReplicaMemoisesBitIdentically) {
   request.id = "p3";
   request.params["replica"] = "4";
   EXPECT_FALSE(service.run(request).memo_hit);
+}
+
+// One replica expansion behind every front end: replica 3 of a perturbed
+// row replays bit-identically as run_monte_carlo's samples[3], the sweep's
+// name#r3 row and the service's replica=3 answer.
+TEST(ReplayServiceTest, ReplicaReadsTheSameThroughEveryFrontEnd) {
+  ServiceFixture fixture;
+  auto params = fixture.base_params;
+  params["name"] = "row";
+  params["perturb"] = "hostnoise:0.05,bwnoise:0.02";
+  params["seed"] = "7";
+
+  auto mc_params = params;
+  mc_params["mc"] = "6";
+  const serve::SweepEntry entry = fixture.entry(mc_params);
+  const auto rows = serve::sweep_rows(entry);
+  ASSERT_EQ(rows.size(), 7u);
+  ASSERT_EQ(rows[3].name, "row#r3");
+  EXPECT_EQ(rows.back().name, "row#baseline");
+  const auto swept = replay::run_sweep(rows, {.workers = 2});
+  ASSERT_TRUE(swept[3].ok()) << swept[3].error;
+
+  const replay::McSummary summary = replay::run_monte_carlo(
+      entry.spec, entry.perturb,
+      {.replicas = 6, .seed = entry.seed, .workers = 2});
+  ASSERT_EQ(summary.failures, 0);
+  ASSERT_EQ(summary.samples.size(), 6u);
+
+  serve::ReplayService service(fixture.options());
+  serve::Request request;
+  request.id = "r3";
+  request.params = params;
+  request.params["replica"] = "3";
+  const auto served = service.run(request);
+  ASSERT_EQ(served.status, serve::Response::Status::ok) << served.error;
+  EXPECT_EQ(served.name, "row#r3");
+
+  const double sweep_time = swept[3].result.simulated_time;
+  EXPECT_EQ(std::memcmp(&summary.samples[3], &sweep_time, sizeof sweep_time),
+            0);
+  EXPECT_EQ(std::memcmp(&served.sim_time, &sweep_time, sizeof sweep_time), 0);
+  // The replicas differ from each other and from the unperturbed baseline.
+  EXPECT_NE(summary.samples[3], summary.samples[2]);
+  EXPECT_NE(sweep_time, swept.back().result.simulated_time);
+  EXPECT_EQ(summary.baseline, swept.back().result.simulated_time);
+}
+
+TEST(ReplayServiceTest, ReplicaWithoutPerturbationIsABadRequest) {
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+
+  serve::Request request;
+  request.id = "r1";
+  request.params = fixture.base_params;
+  request.params["replica"] = "1";
+  const auto response = service.run(request);
+  EXPECT_EQ(response.status, serve::Response::Status::badrequest);
+  EXPECT_NE(response.error.find("without a perturbation"), std::string::npos)
+      << response.error;
+
+  // Replica 0 of a deterministic row is the row itself.
+  request.id = "r0";
+  request.params["replica"] = "0";
+  const auto plain = service.run(request);
+  ASSERT_EQ(plain.status, serve::Response::Status::ok) << plain.error;
+  const auto reference = fixture.cold(request.params);
+  EXPECT_EQ(std::memcmp(&plain.sim_time, &reference.sim_time,
+                        sizeof reference.sim_time),
+            0);
+}
+
+// A non-positive efficiency is refused when the request is built, not
+// mid-replay: a `failed` answer is never memoised, so each repeat would
+// decode the trace and build an engine again.
+TEST(ReplayServiceTest, NonPositiveEfficiencyIsABadRequest) {
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+
+  for (const char* efficiency : {"0", "-1"}) {
+    serve::Request request;
+    request.id = efficiency;
+    request.params = fixture.base_params;
+    request.params["efficiency"] = efficiency;
+    const auto response = service.run(request);
+    EXPECT_EQ(response.status, serve::Response::Status::badrequest)
+        << efficiency;
+    EXPECT_NE(response.error.find("efficiency"), std::string::npos)
+        << response.error;
+  }
+  EXPECT_EQ(service.stats().replays, 0u);
 }
 
 TEST(ReplayServiceTest, CrossEncodingRequestsHitOneMemoEntry) {

@@ -258,14 +258,6 @@ TEST(Engine, DeadlockIsDetected) {
   EXPECT_THROW(engine.run(), SimError);
 }
 
-TEST(Engine, DeadlockToleratedWhenConfigured) {
-  const auto p = test_platform();
-  Engine engine(p, EngineConfig{.deadlock_is_error = false});
-  auto gate = engine.make_gate();
-  engine.spawn("stuck", 0, [&](Process&) -> Task { co_await engine.wait(gate); });
-  EXPECT_NO_THROW(engine.run());
-}
-
 TEST(Engine, ProcessExceptionPropagates) {
   const auto p = test_platform();
   Engine engine(p);
@@ -388,11 +380,11 @@ TEST(Engine, UnfinishedCoroutinesAreReclaimed) {
   const auto p = test_platform();
   auto gate = GatePtr{};
   {
-    Engine engine(p, EngineConfig{.deadlock_is_error = false});
+    Engine engine(p);
     gate = engine.make_gate();
     engine.spawn("stuck", 0,
                  [&](Process&) -> Task { co_await engine.wait(gate); });
-    engine.run();
+    EXPECT_THROW(engine.run(), DeadlockError);
   }
   SUCCEED();
 }

@@ -71,22 +71,20 @@ TEST(SweepTest, SerialAndParallelSweepsAreBitIdentical) {
   ASSERT_EQ(serial.size(), 64u);
   ASSERT_EQ(parallel.size(), 64u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(serial[i].ok) << serial[i].error;
-    ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
-    EXPECT_EQ(serial[i].name, scenarios[i].name);
-    EXPECT_EQ(parallel[i].name, scenarios[i].name);
+    ASSERT_TRUE(serial[i].ok()) << serial[i].error;
+    ASSERT_TRUE(parallel[i].ok()) << parallel[i].error;
     // Bit-identical, not merely approximately equal.
-    const double a = serial[i].replay.simulated_time;
-    const double b = parallel[i].replay.simulated_time;
+    const double a = serial[i].result.simulated_time;
+    const double b = parallel[i].result.simulated_time;
     EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
         << "scenario " << i << ": serial " << a << " vs parallel " << b;
-    EXPECT_EQ(serial[i].replay.actions_replayed,
-              parallel[i].replay.actions_replayed);
+    EXPECT_EQ(serial[i].result.actions_replayed,
+              parallel[i].result.actions_replayed);
   }
   // Different efficiencies must yield different predictions (the sweep is
   // not accidentally replaying one scenario 64 times).
-  EXPECT_NE(serial.front().replay.simulated_time,
-            serial.back().replay.simulated_time);
+  EXPECT_NE(serial.front().result.simulated_time,
+            serial.back().result.simulated_time);
 }
 
 TEST(SweepTest, TraceFilesAreDecodedOncePerSweep) {
@@ -103,7 +101,7 @@ TEST(SweepTest, TraceFilesAreDecodedOncePerSweep) {
 
   const auto scenarios = make_scenarios(platform, hosts, traces, 64);
   const auto results = run_sweep(scenarios, {.workers = 8});
-  for (const auto& r : results) ASSERT_TRUE(r.ok) << r.error;
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.error;
 
   // 64 concurrent scenarios, 4 files, exactly 4 decode passes.
   EXPECT_EQ(traces.decode_count(), files.size());
@@ -111,8 +109,8 @@ TEST(SweepTest, TraceFilesAreDecodedOncePerSweep) {
   // Further sweeps decode nothing new.
   const auto again = run_sweep(scenarios, {.workers = 2});
   EXPECT_EQ(traces.decode_count(), files.size());
-  EXPECT_EQ(again[0].replay.simulated_time,
-            results[0].replay.simulated_time);
+  EXPECT_EQ(again[0].result.simulated_time,
+            results[0].result.simulated_time);
   fs::remove_all(dir);
 }
 
@@ -125,10 +123,10 @@ TEST(SweepTest, FailingScenarioIsRecordedWithoutPoisoningOthers) {
 
   const auto results = run_sweep(scenarios, {.workers = 4});
   ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok);
-  EXPECT_FALSE(results[1].ok);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_FALSE(results[1].ok());
   EXPECT_NE(results[1].error.find("deployment"), std::string::npos);
-  EXPECT_TRUE(results[2].ok);
+  EXPECT_TRUE(results[2].ok());
 
   EXPECT_THROW(run_sweep(scenarios, {.workers = 4, .rethrow_errors = true}),
                SimError);
@@ -151,18 +149,17 @@ TEST(SweepTest, PoisonedScenariosDeterministicAcrossWorkerCounts) {
   ASSERT_EQ(parallel.size(), 16u);
   for (std::size_t i = 0; i < 16; ++i) {
     const bool poisoned = i == 3 || i == 11;
-    EXPECT_EQ(serial[i].ok, !poisoned) << "scenario " << i;
+    EXPECT_EQ(serial[i].ok(), !poisoned) << "scenario " << i;
     // Every field of every row is identical whatever the worker count:
     // failures are isolated, recorded in place, and never reordered.
-    EXPECT_EQ(serial[i].name, parallel[i].name);
-    EXPECT_EQ(serial[i].ok, parallel[i].ok);
+    EXPECT_EQ(serial[i].ok(), parallel[i].ok());
     EXPECT_EQ(serial[i].status, parallel[i].status);
     EXPECT_EQ(serial[i].error, parallel[i].error);
     const double a = serial[i].coverage;
     const double b = parallel[i].coverage;
     EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "scenario " << i;
-    const double s = serial[i].replay.simulated_time;
-    const double p = parallel[i].replay.simulated_time;
+    const double s = serial[i].result.simulated_time;
+    const double p = parallel[i].result.simulated_time;
     EXPECT_EQ(std::memcmp(&s, &p, sizeof s), 0) << "scenario " << i;
   }
   EXPECT_EQ(serial[3].status, ReplayStatus::failed);
@@ -170,7 +167,7 @@ TEST(SweepTest, PoisonedScenariosDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(serial[11].status, ReplayStatus::failed);
   EXPECT_EQ(serial[11].error, "unknown exception");
   // The healthy 14 still completed.
-  EXPECT_TRUE(serial[15].ok);
+  EXPECT_TRUE(serial[15].ok());
   EXPECT_DOUBLE_EQ(serial[15].coverage, 1.0);
 }
 
@@ -195,7 +192,7 @@ TEST(SweepTest, CustomRegistryHookAppliesPerScenario) {
   };
 
   const auto results = run_sweep({normal, free_compute}, {.workers = 2});
-  ASSERT_TRUE(results[0].ok && results[1].ok);
-  EXPECT_LT(results[1].replay.simulated_time,
-            results[0].replay.simulated_time);
+  ASSERT_TRUE(results[0].ok() && results[1].ok());
+  EXPECT_LT(results[1].result.simulated_time,
+            results[0].result.simulated_time);
 }

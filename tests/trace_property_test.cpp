@@ -1,5 +1,6 @@
-// Property tests on the trace formats: randomly generated action streams
-// survive text and binary round trips, and the two encodings agree.
+// Property tests on the trace formats: randomly generated action streams,
+// drawn over every action type, survive text and binary round trips, and
+// text, binary and compact agree through conversion.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,8 +21,7 @@ namespace {
 Action random_action(Rng& rng, int pid, int nprocs) {
   Action a;
   a.pid = pid;
-  const int kind = static_cast<int>(rng.next_below(11));
-  a.type = static_cast<ActionType>(kind);
+  a.type = static_cast<ActionType>(rng.next_below(trace::kActionTypes));
   const auto volume = [&]() -> double {
     switch (rng.next_below(3)) {
       case 0: return static_cast<double>(rng.next_below(1u << 20));
@@ -32,6 +32,9 @@ Action random_action(Rng& rng, int pid, int nprocs) {
   switch (a.type) {
     case ActionType::compute:
     case ActionType::bcast:
+    case ActionType::gather:
+    case ActionType::allgather:
+    case ActionType::alltoall:
       a.volume = volume();
       break;
     case ActionType::send:
@@ -52,6 +55,7 @@ Action random_action(Rng& rng, int pid, int nprocs) {
       break;
     case ActionType::barrier:
     case ActionType::wait:
+    case ActionType::waitall:
       break;
   }
   return a;
@@ -110,11 +114,14 @@ TEST_P(TraceProperty, FormatsAgreeThroughConversion) {
   const auto actions = random_stream(GetParam(), 300);
   const auto text = dir_ / "a.trace";
   const auto binary = dir_ / "a.btrace";
+  const auto compact = dir_ / "a.ctrace";
   const auto text2 = dir_ / "b.trace";
   trace::write_trace(text, actions, -1, TraceFormat::text);
   trace::convert_trace(trace::TraceSet::per_process_files({text}), 0, binary,
                        TraceFormat::binary);
-  trace::convert_trace(trace::TraceSet::per_process_files({binary}), 0, text2,
+  trace::convert_trace(trace::TraceSet::per_process_files({binary}), 0,
+                       compact, TraceFormat::compact);
+  trace::convert_trace(trace::TraceSet::per_process_files({compact}), 0, text2,
                        TraceFormat::text);
   EXPECT_EQ(read_trace(text2), read_trace(text));
 }

@@ -17,7 +17,7 @@
 //   merged=FILE:N          one merged trace file carrying N processes
 //   eager=BYTES            eager/rendezvous switch
 //   collectives=flat|binomial
-//   efficiency=X           compute-rate scale
+//   efficiency=X           compute-rate scale (> 0)
 //   fault=SPEC,...         fault timeline events (see serve::parse_fault):
 //                          host:NAME:FACTOR@TIMES or
 //                          link:NAME:BW[:LAT]@TIMES, where TIMES is

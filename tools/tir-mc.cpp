@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
 
     bool any_failure = false;
     for (const tools::SweepEntry& entry : entries) {
-      if (!entry.has_perturb || entry.perturb.empty())
+      if (entry.perturb.empty())
         throw Error("scenario '" + entry.spec.name +
                     "': tir-mc needs a perturb= model on every row");
       replay::McOptions opts;

@@ -15,7 +15,7 @@
 //   --collectives flat|binomial
 //   --timed-trace FILE        also write the timed trace
 //   --profile                 print a per-action profile
-//   --efficiency X            compute-rate scale (default 1.0)
+//   --efficiency X            compute-rate scale, > 0 (default 1.0)
 //   --stats                   print engine counters (solver work, events)
 //                             and the solver's shape: vars per solve,
 //                             re-rates per action, the largest coupled
@@ -108,7 +108,8 @@ int run(int argc, char** argv) {
       want_profile = true;
       config.record_timed_trace = true;
     } else if (arg == "--efficiency") {
-      config.compute_efficiency = serve::parse_double("--efficiency", next());
+      config.compute_efficiency =
+          serve::parse_positive("--efficiency", next());
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--full-solve") {

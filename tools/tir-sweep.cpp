@@ -19,8 +19,10 @@
 // replaying a concrete fault timeline derived deterministically from
 // (seed, replica) — plus the unperturbed name#baseline row. A row with
 // perturb= but no mc= replays replica 0 only (one deterministic perturbed
-// row). For aggregated mean/CI/sensitivity over the replicas, use tir-mc
-// over the same list.
+// row). serve::sweep_rows does the expansion, and replica r is the same
+// scenario tir-mc aggregates and tir-serve answers for replica=r. For
+// aggregated mean/CI/sensitivity over the replicas, use tir-mc over the
+// same list.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "obs/report.hpp"
-#include "replay/perturb.hpp"
 #include "replay/sweep.hpp"
 #include "serve/scenario_build.hpp"
 #include "serve/trace_cache.hpp"
@@ -49,30 +50,6 @@ namespace {
                "see the header of tools/sweep_list.hpp for the list format\n",
                argv0);
   std::exit(2);
-}
-
-/// Expands the parsed entries into the flat scenario vector the runner
-/// consumes: deterministic rows pass through; perturbed rows bake their
-/// replica fault timelines through the same serve::bake_replica the daemon
-/// uses for replica= requests.
-std::vector<replay::ScenarioSpec> expand_entries(
-    const std::vector<tools::SweepEntry>& entries) {
-  std::vector<replay::ScenarioSpec> scenarios;
-  for (const tools::SweepEntry& entry : entries) {
-    if (!entry.has_perturb || entry.perturb.empty()) {
-      scenarios.push_back(entry.spec);
-      continue;
-    }
-    const int replicas = entry.mc > 0 ? entry.mc : 1;
-    for (int r = 0; r < replicas; ++r)
-      scenarios.push_back(serve::bake_replica(entry, r));
-    if (entry.mc > 0) {
-      replay::ScenarioSpec spec = entry.spec;
-      spec.name = entry.spec.name + "#baseline";
-      scenarios.push_back(std::move(spec));
-    }
-  }
-  return scenarios;
 }
 
 /// Per-rank averages over the recorded span totals (the --obs columns).
@@ -157,10 +134,12 @@ int main(int argc, char** argv) {
   try {
     const fs::path list_file(list_arg);
     serve::TraceCache trace_cache;
-    std::vector<replay::ScenarioSpec> scenarios =
-        expand_entries(tools::load_sweep_list(list_file, trace_cache));
-    if (want_obs)
-      for (auto& spec : scenarios) spec.config.record_spans = true;
+    std::vector<replay::ScenarioSpec> scenarios;
+    for (const auto& entry : tools::load_sweep_list(list_file, trace_cache))
+      for (auto& spec : serve::sweep_rows(entry)) {
+        if (want_obs) spec.config.record_spans = true;
+        scenarios.push_back(std::move(spec));
+      }
 
     const replay::SweepRunner runner(options);
     const serve::TraceCacheStats tstats = trace_cache.stats();
@@ -178,19 +157,21 @@ int main(int argc, char** argv) {
             "coverage,error";
       if (want_obs) os << ",avg_compute,avg_p2p,avg_wait,avg_collective";
       os << '\n';
-      for (const auto& r : results) {
-        os << csv_cell(r.name) << ',' << csv_cell(r.platform) << ','
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto& r = results[i];
+        os << csv_cell(scenarios[i].name) << ','
+           << csv_cell(scenarios[i].platform_label) << ','
            << replay::to_string(r.status) << ','
-           << r.replay.process_finish_times.size() << ','
-           << r.replay.actions_replayed << ',';
+           << r.result.process_finish_times.size() << ','
+           << r.result.actions_replayed << ',';
         char buf[32];
-        std::snprintf(buf, sizeof buf, "%.9f", r.replay.simulated_time);
-        os << (r.ok ? buf : "") << ',';
+        std::snprintf(buf, sizeof buf, "%.9f", r.result.simulated_time);
+        os << (r.ok() ? buf : "") << ',';
         std::snprintf(buf, sizeof buf, "%.6f", r.coverage);
-        os << buf << ',' << (r.ok ? "" : csv_cell(r.error));
+        os << buf << ',' << (r.ok() ? "" : csv_cell(r.error));
         if (want_obs) {
-          if (r.replay.spans) {
-            const ObsAverages avg = obs_averages(*r.replay.spans);
+          if (r.result.spans) {
+            const ObsAverages avg = obs_averages(*r.result.spans);
             for (const double v :
                  {avg.compute, avg.p2p, avg.wait, avg.collective}) {
               std::snprintf(buf, sizeof buf, "%.9f", v);
@@ -208,17 +189,18 @@ int main(int argc, char** argv) {
         const auto& r = results[i];
         char buf[32];
         std::snprintf(buf, sizeof buf, "%.6f", r.coverage);
-        os << "  {\"name\": \"" << json_escape(r.name) << "\", \"platform\": \""
-           << json_escape(r.platform) << "\", \"ok\": "
-           << (r.ok ? "true" : "false") << ", \"status\": \""
+        os << "  {\"name\": \"" << json_escape(scenarios[i].name)
+           << "\", \"platform\": \""
+           << json_escape(scenarios[i].platform_label) << "\", \"ok\": "
+           << (r.ok() ? "true" : "false") << ", \"status\": \""
            << replay::to_string(r.status) << "\", \"coverage\": " << buf;
-        if (r.ok) {
-          std::snprintf(buf, sizeof buf, "%.9f", r.replay.simulated_time);
-          os << ", \"processes\": " << r.replay.process_finish_times.size()
-             << ", \"actions_replayed\": " << r.replay.actions_replayed
+        if (r.ok()) {
+          std::snprintf(buf, sizeof buf, "%.9f", r.result.simulated_time);
+          os << ", \"processes\": " << r.result.process_finish_times.size()
+             << ", \"actions_replayed\": " << r.result.actions_replayed
              << ", \"simulated_time\": " << buf;
-          if (want_obs && r.replay.spans) {
-            const ObsAverages avg = obs_averages(*r.replay.spans);
+          if (want_obs && r.result.spans) {
+            const ObsAverages avg = obs_averages(*r.result.spans);
             const auto field = [&](const char* key, double v) {
               std::snprintf(buf, sizeof buf, "%.9f", v);
               os << ", \"" << key << "\": " << buf;
@@ -255,7 +237,7 @@ int main(int argc, char** argv) {
     // exit 0 just because the remaining rows came out fine.
     std::size_t failed = 0;
     for (const auto& r : results)
-      if (!r.ok) ++failed;
+      if (!r.ok()) ++failed;
     if (failed > 0) {
       std::fprintf(stderr, "error: %zu of %zu scenario(s) failed\n", failed,
                    results.size());
