@@ -2,7 +2,7 @@
 
 #include <initializer_list>
 #include <limits>
-#include <mutex>
+#include <string_view>
 #include <utility>
 
 #include "platform/cluster.hpp"
@@ -138,11 +138,6 @@ std::vector<std::string> TopoParams::unread_keys() const {
 
 namespace {
 
-struct RegisteredTopology {
-  TopologyBuilder builder;
-  std::string summary;
-};
-
 // Largest host, switch or cable count a registry spec may ask for. The
 // largest registry platform any list, test or bench builds has 544 hosts;
 // a count past this is a typo, and it must fail here, before the builder
@@ -273,81 +268,64 @@ std::vector<HostId> build_torus_topo(Platform& platform,
   return build_torus(platform, spec);
 }
 
-std::mutex& registry_mutex() {
-  static std::mutex mutex;
-  return mutex;
+struct Topology {
+  std::string_view name;
+  std::vector<HostId> (*build)(Platform&, const TopoParams&);
+  std::string_view summary;
+};
+
+// The builtins, sorted by name.
+constexpr Topology kTopologies[] = {
+    {"bordereau", build_bordereau_topo,
+     "Grid'5000 bordereau, one 10-GbE switch (nodes)"},
+    {"cluster", build_cluster_topo,
+     "flat switched cluster (hosts, bw, lat, bb_bw, bb_lat)"},
+    {"dragonfly", build_dragonfly_topo,
+     "Kim-et-al dragonfly (groups, routers, hosts, globals, "
+     "routing=minimal|valiant)"},
+    {"fattree", build_fattree_topo,
+     "3-level k-ary fat-tree (k, routing=dmodk|shortest)"},
+    {"gdx", build_gdx_topo,
+     "Grid'5000 gdx with cabinet hierarchy (nodes, cabinets)"},
+    {"torus", build_torus_topo,
+     "k-ary n-cube torus (dims=4x4x4, hosts, routing=dor|shortest)"},
+};
+
+const Topology* find_topology(std::string_view topo_name) {
+  for (const Topology& t : kTopologies)
+    if (t.name == topo_name) return &t;
+  return nullptr;
 }
-
-std::map<std::string, RegisteredTopology>& registry() {
-  static std::map<std::string, RegisteredTopology> topologies = [] {
-    std::map<std::string, RegisteredTopology> t;
-    t["cluster"] = {build_cluster_topo,
-                    "flat switched cluster (hosts, bw, lat, bb_bw, bb_lat)"};
-    t["bordereau"] = {build_bordereau_topo,
-                      "Grid'5000 bordereau, one 10-GbE switch (nodes)"};
-    t["gdx"] = {build_gdx_topo,
-                "Grid'5000 gdx with cabinet hierarchy (nodes, cabinets)"};
-    t["dragonfly"] = {build_dragonfly_topo,
-                      "Kim-et-al dragonfly (groups, routers, hosts, globals, "
-                      "routing=minimal|valiant)"};
-    t["fattree"] = {build_fattree_topo,
-                    "3-level k-ary fat-tree (k, routing=dmodk|shortest)"};
-    t["torus"] = {build_torus_topo,
-                  "k-ary n-cube torus (dims=4x4x4, hosts, "
-                  "routing=dor|shortest)"};
-    return t;
-  }();
-  return topologies;
-}
-
-}  // namespace
-
-void register_topology(const std::string& topo_name, TopologyBuilder builder,
-                       const std::string& summary) {
-  if (topo_name.empty() || !builder)
-    throw Error("register_topology: name and builder are required");
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  registry()[topo_name] = {std::move(builder), summary};
-}
-
-bool is_topology(const std::string& topo_name) {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  return registry().count(topo_name) > 0;
-}
-
-std::vector<std::pair<std::string, std::string>> topology_list() {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& [topo_name, entry] : registry())
-    out.emplace_back(topo_name, entry.summary);
-  return out;
-}
-
-namespace {
 
 std::string known_topologies() {
   std::string out;
-  for (const auto& [topo_name, _] : topology_list()) {
+  for (const Topology& t : kTopologies) {
     if (!out.empty()) out += ", ";
-    out += topo_name;
+    out += t.name;
   }
   return out;
 }
 
 }  // namespace
 
+bool is_topology(const std::string& topo_name) {
+  return find_topology(topo_name) != nullptr;
+}
+
+std::vector<std::pair<std::string, std::string>> topology_list() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const Topology& t : kTopologies)
+    out.emplace_back(t.name, t.summary);
+  return out;
+}
+
 std::vector<HostId> make(Platform& platform, const std::string& topo_name,
                          const TopoParams& params) {
-  TopologyBuilder builder;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex());
-    const auto it = registry().find(topo_name);
-    if (it != registry().end()) builder = it->second.builder;
-  }
-  if (!builder)
+  const Topology* topology = find_topology(topo_name);
+  if (topology == nullptr)
     throw ParseError("unknown topology '" + topo_name + "' (known: " +
                      known_topologies() + ")");
-  std::vector<HostId> hosts = builder(platform, params);
+  std::vector<HostId> hosts = topology->build(platform, params);
   const auto unread = params.unread_keys();
   if (!unread.empty()) {
     std::string keys;

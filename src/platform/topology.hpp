@@ -9,14 +9,12 @@
 // "10Gbps", "50us" and "1.17E9" all work. Unknown names and unknown keys
 // are hard errors — a typo must not silently fall back to a default.
 //
-// Builders register themselves in a process-wide table; the builtins
-// (cluster, bordereau, gdx, dragonfly, fattree, torus) are always present.
-// CLI tools resolve `--platform <arg>` through load_platform_spec(), which
-// treats a registered topology name as a spec and anything else as a
-// platform-file path.
+// The registry is a constant table of the builtins (bordereau, cluster,
+// dragonfly, fattree, gdx, torus). CLI tools resolve `--platform <arg>`
+// through load_platform_spec(), which treats a registered topology name as
+// a spec and anything else as a platform-file path.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -61,22 +59,14 @@ class TopoParams {
   mutable std::map<std::string, bool> read_;
 };
 
-/// A topology builder: populates `platform` from `params` and returns the
-/// host ids in deployment order.
-using TopologyBuilder =
-    std::function<std::vector<HostId>(Platform&, const TopoParams&)>;
-
-/// Registers (or replaces) a named builder. Names are matched verbatim.
-void register_topology(const std::string& topo_name, TopologyBuilder builder,
-                       const std::string& summary);
-
-/// True when `topo_name` is a registered topology.
+/// True when `topo_name` is a registered topology; names match verbatim.
 bool is_topology(const std::string& topo_name);
 
 /// Registered names with their one-line summaries, sorted by name.
 std::vector<std::pair<std::string, std::string>> topology_list();
 
-/// Runs the named builder. Throws ParseError on unknown names or when the
+/// Runs the named builder, which populates `platform` and returns the host
+/// ids in deployment order. Throws ParseError on unknown names or when the
 /// spec carries keys the builder does not understand.
 std::vector<HostId> make(Platform& platform, const std::string& topo_name,
                          const TopoParams& params);

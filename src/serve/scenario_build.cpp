@@ -1,7 +1,9 @@
 #include "serve/scenario_build.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "platform/platform_file.hpp"
@@ -149,6 +151,15 @@ replay::PerturbSpec parse_perturb(const std::string& scenario,
 }
 
 namespace {
+
+// The sweep-list vocabulary, then the retired engine knobs (fastpath=,
+// shards=) and trace decode path (decode=), which old lists may still carry
+// and which build_scenario ignores. Any other key is a typo, refused
+// instead of replayed as the baseline.
+constexpr std::string_view kKeys[] = {
+    "name",  "platform",    "traces",     "merged", "deployment",
+    "eager", "collectives", "efficiency", "fault",  "perturb",
+    "mc",    "seed",        "fastpath",   "shards", "decode"};
 
 // Resolutions outnumber inputs (every spelling of a directory has one);
 // platforms and deployments are few and heavy.
@@ -351,6 +362,10 @@ SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
     spec.name = *name;
   else
     spec.name = "scenario-" + std::to_string(index);
+  for (const auto& [key, value] : kv.kv)
+    if (std::ranges::find(kKeys, key) == std::end(kKeys))
+      throw ParseError("scenario '" + spec.name + "': unknown key '" + key +
+                       "'");
 
   const auto* platform = kv.find("platform");
   if (platform == nullptr)

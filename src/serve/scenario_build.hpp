@@ -14,7 +14,8 @@
 // memo fingerprints.
 //
 // Every parameter is validated here, at build time — a typo fails with the
-// scenario name attached instead of mid-sweep inside a worker thread.
+// scenario name attached instead of mid-sweep inside a worker thread, and
+// so does a key outside the vocabulary instead of replaying the baseline.
 #pragma once
 
 #include <cstdint>
@@ -165,6 +166,10 @@ class InputResolver {
 /// Builds one scenario from its parameters. `index` names anonymous rows
 /// ("scenario-<index>"). Throws tir::Error/ParseError with the scenario
 /// name in the message; fault targets are validated against the platform.
+/// The keys are name, platform, traces, merged, deployment, eager,
+/// collectives, efficiency, fault, perturb, mc and seed; any other is a
+/// ParseError naming it, except the retired fastpath, shards and decode,
+/// which are ignored.
 SweepEntry build_scenario(const KeyValues& kv, InputResolver& resolver,
                           std::size_t index);
 

@@ -67,46 +67,134 @@ ReplayService::ReplayService(ServiceOptions options)
     workers_.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w)
       workers_.emplace_back([this] { worker_loop(); });
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
   } catch (...) {
     stop_workers();
     throw;
   }
 }
 
-ReplayService::~ReplayService() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  // The dispatcher exits only once the queue is empty, so every accepted
-  // request is answered or waits in a flight the workers still run.
-  dispatcher_.join();
-  stop_workers();
-}
+// An accepted request is answered before its submit() returns or waits in
+// a flight, and the workers finish every flight before they exit.
+ReplayService::~ReplayService() { stop_workers(); }
 
 void ReplayService::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    workers_stopping_ = true;
+    stopping_ = true;
   }
   run_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
 bool ReplayService::submit(Request request, Callback done) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.received;
-  if (stopping_ || outstanding_ >= options_.queue_limit) {
-    ++stats_.shed;
+  Pending pending{std::move(done), Clock::now(), 0.0, {}};
+  Response& response = pending.response;
+  response.id = std::move(request.id);
+  bool shed = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.received;
+    shed = stopping_ || outstanding_ >= options_.queue_limit;
+    if (shed)
+      ++stats_.shed;
+    else
+      stats_.max_queue_depth = std::max(stats_.max_queue_depth, ++outstanding_);
+  }
+  if (shed) {
+    response.status = Response::Status::overloaded;
+    response.error = "queue full (limit " +
+                     std::to_string(options_.queue_limit) + "): request shed";
+    if (pending.done) pending.done(std::move(response));
     return false;
   }
-  queue_.push_back({std::move(request), std::move(done), Clock::now(), 0.0, {}});
-  ++outstanding_;
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, outstanding_);
-  work_cv_.notify_one();
+
+  const auto admitted = Clock::now();
+  replay::ScenarioSpec spec;
+  std::string memo_key;  // empty: never memoised
+  bool answered = false;
+  try {
+    memo_key = build(std::move(request.params), pending, spec);
+  } catch (const std::exception& e) {
+    response.status = Response::Status::badrequest;
+    response.error = e.what();
+    answered = true;
+  }
+  pending.build_seconds = seconds_between(admitted, Clock::now());
+
+  if (!answered) {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A worker stores its report in the memo before it leaves the flight
+    // table, so under mu_ an identical request finds either its flight or
+    // its memo entry and never starts a second replay.
+    if (!memo_key.empty()) {
+      if (const auto it = in_flight_.find(memo_key); it != in_flight_.end()) {
+        ++stats_.batch_dedups;
+        it->second->waiters.push_back(std::move(pending));
+        return true;
+      }
+      if (auto report = memo_.lookup(memo_key)) {
+        fill_from_report(response, *report);
+        response.memo_hit = true;
+        answered = true;
+      }
+    }
+    if (!answered) {
+      auto flight = std::make_unique<Flight>();
+      flight->spec = std::move(spec);
+      flight->memo_key = memo_key;
+      flight->waiters.push_back(std::move(pending));
+      if (!memo_key.empty()) in_flight_.emplace(memo_key, flight.get());
+      runnable_.push_back(std::move(flight));
+    }
+  }
+  if (answered)
+    respond({&pending, 1});
+  else
+    run_cv_.notify_one();
   return true;
+}
+
+std::string ReplayService::build(std::map<std::string, std::string> params,
+                                 Pending& pending,
+                                 replay::ScenarioSpec& spec) {
+  Response& response = pending.response;
+  KeyValues kv;
+  kv.kv = std::move(params);
+  int replica = 0;
+  if (const auto it = kv.kv.find("replica"); it != kv.kv.end()) {
+    replica = parse_int("replica", it->second);
+    if (replica < 0) throw Error("replica must be >= 0");
+    kv.kv.erase(it);
+  }
+  if (kv.kv.count("mc") != 0)
+    throw Error(
+        "mc= aggregation is not servable per request; "
+        "use replica=R for one replica or tir-mc for the summary");
+  SweepEntry entry;
+  {
+    std::lock_guard<std::mutex> lock(build_mu_);
+    response.queue_seconds = seconds_between(pending.enqueued, Clock::now());
+    entry = build_scenario(kv, resolver_, seq_++);
+  }
+  response.trace_hit = entry.trace_cache_hit;
+  response.decode_seconds = entry.trace_decode_seconds;
+  // A zero digest means the resolver fell back to an uncached lazy
+  // TraceSet (unreadable input): never memoise under an ambiguous key —
+  // run it and let the replay report the error.
+  const bool keyed = !(entry.trace_digest == trace::Digest{});
+  if (keyed) response.trace_digest = entry.trace_digest.hex();
+
+  if (!entry.perturb.empty())
+    spec = replay::perturbed_replica(entry.spec, entry.perturb, entry.seed,
+                                     static_cast<std::uint64_t>(replica));
+  else if (replica != 0)
+    throw Error("scenario '" + entry.spec.name + "': replica " +
+                std::to_string(replica) + " requested without a perturbation");
+  else
+    spec = std::move(entry.spec);
+  response.name = spec.name;
+  return keyed ? scenario_memo_key(spec, entry.platform_key, entry.trace_digest)
+               : std::string();
 }
 
 Response ReplayService::run(Request request) {
@@ -114,15 +202,12 @@ Response ReplayService::run(Request request) {
   std::condition_variable done_cv;
   bool done = false;
   Response out;
-  const Request copy = request;
-  const bool accepted =
-      submit(std::move(request), [&](Response response) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        out = std::move(response);
-        done = true;
-        done_cv.notify_one();
-      });
-  if (!accepted) return make_overloaded(copy);
+  submit(std::move(request), [&](Response response) {
+    std::lock_guard<std::mutex> lock(done_mu);
+    out = std::move(response);
+    done = true;
+    done_cv.notify_one();
+  });
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return done; });
   return out;
@@ -131,15 +216,6 @@ Response ReplayService::run(Request request) {
 void ReplayService::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   drain_cv_.wait(lock, [&] { return outstanding_ == 0; });
-}
-
-Response ReplayService::make_overloaded(const Request& request) const {
-  Response response;
-  response.id = request.id;
-  response.status = Response::Status::overloaded;
-  response.error = "queue full (limit " +
-                   std::to_string(options_.queue_limit) + "): request shed";
-  return response;
 }
 
 ServiceStats ReplayService::stats() const {
@@ -153,113 +229,17 @@ ServiceStats ReplayService::stats() const {
   return out;
 }
 
-void ReplayService::dispatcher_loop() {
-  for (;;) {
-    std::deque<Pending> pass;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, and nothing left to dispatch
-      pass.swap(queue_);
-      ++stats_.batches;
-    }
-    for (Pending& pending : pass) dispatch(pending);
-  }
-}
-
-void ReplayService::dispatch(Pending& pending) {
-  const auto dequeued = Clock::now();
-  Response& response = pending.response;
-  response.id = std::move(pending.request.id);
-  response.queue_seconds = seconds_between(pending.enqueued, dequeued);
-  replay::ScenarioSpec spec;
-  std::string memo_key;  // empty: never memoised
-  try {
-    KeyValues kv;
-    kv.kv = std::move(pending.request.params);
-    int replica = 0;
-    if (const auto it = kv.kv.find("replica"); it != kv.kv.end()) {
-      replica = parse_int("replica", it->second);
-      if (replica < 0) throw Error("replica must be >= 0");
-      kv.kv.erase(it);
-    }
-    if (kv.kv.count("mc") != 0)
-      throw Error(
-          "mc= aggregation is not servable per request; "
-          "use replica=R for one replica or tir-mc for the summary");
-    SweepEntry entry = build_scenario(kv, resolver_, seq_++);
-    if (!entry.perturb.empty())
-      spec = replay::perturbed_replica(entry.spec, entry.perturb, entry.seed,
-                                       static_cast<std::uint64_t>(replica));
-    else if (replica != 0)
-      throw Error("scenario '" + entry.spec.name + "': replica " +
-                  std::to_string(replica) +
-                  " requested without a perturbation");
-    else
-      spec = std::move(entry.spec);
-    response.name = spec.name;
-    response.trace_hit = entry.trace_cache_hit;
-    response.decode_seconds = entry.trace_decode_seconds;
-    // A zero digest means the resolver fell back to an uncached lazy
-    // TraceSet (unreadable input): never memoise under an ambiguous key —
-    // run it and let the replay report the error.
-    if (!(entry.trace_digest == trace::Digest{})) {
-      response.trace_digest = entry.trace_digest.hex();
-      memo_key =
-          scenario_memo_key(spec, entry.platform_key, entry.trace_digest);
-    }
-  } catch (const std::exception& e) {
-    pending.build_seconds = seconds_between(dequeued, Clock::now());
-    response.status = Response::Status::badrequest;
-    response.error = e.what();
-    respond({&pending, 1});
-    return;
-  }
-  pending.build_seconds = seconds_between(dequeued, Clock::now());
-
-  if (!memo_key.empty()) {
-    // The flight table before the memo: a worker stores its report before
-    // it leaves the table, so a key absent from the table is either
-    // memoised already or not running at all.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (const auto it = in_flight_.find(memo_key); it != in_flight_.end()) {
-        ++stats_.batch_dedups;
-        it->second->waiters.push_back(std::move(pending));
-        return;
-      }
-    }
-    if (auto report = memo_.lookup(memo_key)) {
-      fill_from_report(response, *report);
-      response.memo_hit = true;
-      respond({&pending, 1});
-      return;
-    }
-  }
-
-  auto flight = std::make_unique<Flight>();
-  flight->spec = std::move(spec);
-  flight->memo_key = memo_key;
-  flight->waiters.push_back(std::move(pending));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!memo_key.empty()) in_flight_.emplace(memo_key, flight.get());
-    runnable_.push_back(std::move(flight));
-  }
-  run_cv_.notify_one();
-}
-
 void ReplayService::worker_loop() {
   for (;;) {
     std::unique_ptr<Flight> flight;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      run_cv_.wait(lock, [&] { return workers_stopping_ || !runnable_.empty(); });
+      run_cv_.wait(lock, [&] { return stopping_ || !runnable_.empty(); });
       if (runnable_.empty()) return;  // stopping, and no flight is left
       flight = std::move(runnable_.front());
       runnable_.pop_front();
       // A miss's queue wait runs until its replay starts; a request that
-      // joins the flight later keeps the wait it had at dispatch.
+      // joins the flight later keeps its wait for the build lock.
       const auto start = Clock::now();
       for (Pending& waiter : flight->waiters)
         waiter.response.queue_seconds =
@@ -429,7 +409,6 @@ std::string render_stats(const ServiceStats& stats) {
   count("memo_hits", stats.memo_hits);
   count("replays", stats.replays);
   count("batch_dedups", stats.batch_dedups);
-  count("batches", stats.batches);
   count("max_queue_depth", stats.max_queue_depth);
   count("trace_hits", stats.trace_cache.hits);
   count("trace_misses", stats.trace_cache.misses);

@@ -1,33 +1,33 @@
 // ReplayService: the persistent replay-as-a-service core behind tir-serve.
 //
 // One service owns the two caches (TraceCache keyed by file identity,
-// ResultMemo keyed by trace content and knobs), one dispatcher thread and
-// a persistent pool of replay workers:
+// ResultMemo keyed by trace content and knobs) and a persistent pool of
+// replay workers. submit() does everything but the replay on the caller's
+// thread:
 //
-//   submit() -> bounded queue -> dispatcher -> { bad request -> respond
-//                                              { memo hit    -> respond
-//                                              { in flight   -> join it
-//                                              { miss -> worker replays
-//                                                  -> memoise -> respond
+//   submit() -> admission -> build (build lock) -> { bad request -> respond
+//                                                  { memo hit    -> respond
+//                                                  { in flight   -> join it
+//                                                  { miss -> worker replays
+//                                                      -> memoise -> respond
 //
-// The dispatcher builds every scenario (it is the only thread that touches
-// the InputResolver) and never replays, so a memo hit is answered on
-// arrival instead of waiting behind the replay in flight. Callbacks run on
-// the dispatcher for hits and bad requests and on a worker for replays, so
-// responses leave in completion order. Admission control
-// is load-shedding, not blocking: submit() refuses while queue_limit
-// requests are accepted and unanswered, and the caller answers
-// `overloaded` — a saturated daemon stays responsive instead of growing an
-// unbounded backlog. A request identical to one already replaying joins
-// that replay; repeats across the daemon's lifetime hit the memo and
-// return the stored report bit-for-bit (the differential tests memcmp the
-// doubles against cold runs).
+// The build lock guards the InputResolver, which is unsynchronised, so
+// client threads build one at a time; none of them ever replays, so a memo
+// hit is answered inside submit() instead of waiting behind a replay in
+// flight. Callbacks run on the caller's thread for hits, bad requests and
+// shed requests, and on a worker for replays, so responses leave in
+// completion order. Admission control is load-shedding, not blocking:
+// while queue_limit requests are accepted and unanswered, submit() answers
+// `overloaded` and returns false — a saturated daemon stays responsive
+// instead of growing an unbounded backlog. A request identical to one
+// already replaying joins that replay; repeats across the daemon's
+// lifetime hit the memo and return the stored report bit-for-bit (the
+// differential tests memcmp the doubles against cold runs).
 //
 // Request parameters are exactly the sweep-list vocabulary (see
 // serve/scenario_build.hpp) plus `replica=R` to pick one Monte-Carlo
 // replica of a perturbed row. Per-request wall-clock telemetry (queue wait,
-// the dispatcher's build, decode, solve) aggregates into obs::Histogram
-// metrics.
+// build, decode, solve) aggregates into obs::Histogram metrics.
 #pragma once
 
 #include <chrono>
@@ -53,7 +53,7 @@ namespace tir::serve {
 struct ServiceOptions {
   int workers = 0;                ///< replay worker threads; 0 = hardware
   /// Admission bound on requests accepted and not yet answered, whether
-  /// queued for the dispatcher or waiting on a replay; beyond it, shed.
+  /// being built or waiting on a replay; beyond it, shed.
   std::size_t queue_limit = 256;
   TraceCacheOptions trace_cache;
   MemoOptions memo;
@@ -105,10 +105,12 @@ struct ServiceStats {
   std::uint64_t memo_hits = 0;
   std::uint64_t replays = 0;       ///< scenarios actually simulated
   std::uint64_t batch_dedups = 0;  ///< requests that joined a replay in flight
-  std::uint64_t batches = 0;       ///< dispatcher passes over the queue
+  /// Always 0: requests are no longer batched. Kept because perfbench
+  /// reads it for serve.batches_per_round; drop both together.
+  std::uint64_t batches = 0;
   std::size_t max_queue_depth = 0; ///< peak accepted-and-unanswered requests
   obs::Histogram queue_wait;
-  obs::Histogram build;            ///< dispatcher: dequeue -> memo lookup
+  obs::Histogram build;            ///< submit(): admission -> memo decision
   obs::Histogram decode;
   obs::Histogram solve;
   obs::Histogram total;            ///< submit -> response
@@ -121,40 +123,38 @@ class ReplayService {
   using Callback = std::function<void(Response)>;
 
   explicit ReplayService(ServiceOptions options = {});
-  /// Answers every accepted request, then stops the dispatcher and workers.
+  /// Answers every accepted request, then stops the workers.
   ~ReplayService();
 
   ReplayService(const ReplayService&) = delete;
   ReplayService& operator=(const ReplayService&) = delete;
 
-  /// Enqueues one request. `done` runs once with the response: on the
-  /// dispatcher thread for a memo hit or a bad request, on a worker thread
-  /// for a request answered by a replay. Responses therefore leave in
-  /// completion order, not submission order. Every ServiceStats counter is
-  /// updated before `done` runs. Returns false — without enqueueing or
-  /// calling `done` — when queue_limit requests are already accepted and
-  /// unanswered: the caller answers `overloaded` (make_overloaded helps).
+  /// Builds one request on the calling thread. `done` runs exactly once
+  /// with the response: before submit() returns for a memo hit, a bad
+  /// request or a shed one, and on a worker thread for a request answered
+  /// by a replay. Responses therefore leave in completion order, not
+  /// submission order. Every ServiceStats counter is updated before `done`
+  /// runs, and no service lock is held while it runs; `done` must not
+  /// throw. Returns false when the request was shed because queue_limit
+  /// requests are already accepted and unanswered; `done` then got an
+  /// `overloaded` response.
   bool submit(Request request, Callback done);
 
-  /// Synchronous convenience: submit + wait. A shed request comes back as
-  /// an overloaded response.
+  /// Synchronous convenience: submit + wait for the response.
   Response run(Request request);
 
   /// Blocks until every accepted request has been answered and its
   /// callback has returned.
   void drain();
 
-  Response make_overloaded(const Request& request) const;
-
   ServiceStats stats() const;
 
  private:
   /// One accepted request on its way to an answer.
   struct Pending {
-    Request request;  ///< consumed by the dispatcher
     Callback done;
     std::chrono::steady_clock::time_point enqueued;
-    double build_seconds = 0.0;  ///< dispatcher time, dequeue -> memo lookup
+    double build_seconds = 0.0;  ///< admission -> memo decision
     Response response;
   };
 
@@ -162,11 +162,14 @@ class ReplayService {
   struct Flight {
     replay::ScenarioSpec spec;
     std::string memo_key;          ///< empty: never memoised
-    std::vector<Pending> waiters;  ///< the first one dispatched it
+    std::vector<Pending> waiters;  ///< the first one queued it
   };
 
-  void dispatcher_loop();
-  void dispatch(Pending& pending);
+  /// Builds `params` into `spec` and the response's name, trace fields and
+  /// queue wait; returns the memo key, empty when the report must not be
+  /// memoised. Throws on a bad request. Takes build_mu_ for the resolver.
+  std::string build(std::map<std::string, std::string> params,
+                    Pending& pending, replay::ScenarioSpec& spec);
   void worker_loop();
   void run_flight(Flight& flight);
   /// Records `answered` in stats_, runs their callbacks outside the lock,
@@ -177,25 +180,22 @@ class ReplayService {
   ServiceOptions options_;
   TraceCache trace_cache_;
   ResultMemo memo_;
-  InputResolver resolver_;   ///< dispatcher thread only
-  std::size_t seq_ = 0;      ///< names anonymous requests; dispatcher only
+  std::mutex build_mu_;      ///< guards resolver_ and seq_
+  InputResolver resolver_;
+  std::size_t seq_ = 0;      ///< names anonymous requests
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   ///< queue non-empty / stopping
   std::condition_variable run_cv_;    ///< a flight is runnable / stopping
   std::condition_variable drain_cv_;  ///< outstanding_ reached zero
-  std::deque<Pending> queue_;         ///< awaiting the dispatcher
   std::deque<std::unique_ptr<Flight>> runnable_;  ///< awaiting a worker
-  /// Memoisable flights by memo key, from dispatch until their worker has
-  /// stored the report: a request for the same key joins instead of
+  /// Memoisable flights by memo key, from their queueing until their worker
+  /// has stored the report: a request for the same key joins instead of
   /// replaying again. The worker running a flight owns it.
   std::map<std::string, Flight*> in_flight_;
   std::size_t outstanding_ = 0;  ///< accepted, callback not yet returned
-  bool stopping_ = false;  ///< refuse submits; the dispatcher drains, exits
-  bool workers_stopping_ = false;  ///< workers drain runnable_, then exit
+  bool stopping_ = false;  ///< shed submits; workers drain runnable_, exit
   ServiceStats stats_;
 
-  std::thread dispatcher_;
   std::vector<std::thread> workers_;
 };
 

@@ -21,9 +21,9 @@
 // (which is why a daemon can keep a 10^8-action trace "cached" in a few
 // kilobytes).
 //
-// In the service only the dispatcher thread calls get(); tir-sweep and
-// tir-mc resolve their lists serially. The mutex is there because stats()
-// is read from other threads. A loader runs outside the lock, so two
+// In the service get() runs under the service's build lock, and tir-sweep
+// and tir-mc resolve their lists serially. The mutex is there because
+// stats() is read from other threads. A loader runs outside the lock, so two
 // callers racing on one cold key would both decode; the later one replaces
 // the earlier entry, and both answers are correct.
 #pragma once

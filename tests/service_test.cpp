@@ -1,10 +1,11 @@
 // Service-layer suite: content-addressed trace digests, the TraceCache
 // (hits by identity key, LRU eviction over resident bytes), the
 // ResultMemo (bit-identical hits, LRU eviction), the JSON line
-// protocol, and the ReplayService end to end — dispatch (hits answered while
-// a replay runs, in-flight joins, admission, shutdown) and the differential
-// guarantee the whole layer hangs on: a memoised response is bit-for-bit the
-// report a cold replay computes.
+// protocol, and the ReplayService end to end — request handling (hits
+// answered inside submit() while a replay runs, in-flight joins, concurrent
+// submitters, admission, shutdown) and the differential guarantee the whole
+// layer hangs on: a memoised response is bit-for-bit the report a cold
+// replay computes.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,7 +16,9 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -477,6 +480,44 @@ TEST(ScenarioBuildTest, U64FieldsRejectNegativeNumbers) {
   EXPECT_EQ(serve::parse_u64("seed", "18446744073709551615"),
             std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(serve::parse_u64("--cache-bytes", "4294967296"), 1ull << 32);
+}
+
+// A key outside the sweep-list vocabulary is refused before any input is
+// resolved, naming the key and the scenario: a typo must not replay as the
+// baseline. replica= belongs to tir-serve, which strips it before the build.
+TEST(ScenarioBuildTest, UnknownKeyIsAParseErrorNamingIt) {
+  ScratchDir scratch("unknown_key");
+  write_encoded(scratch.path / "ti", TraceFormat::text, ring_actions(4, 2));
+  serve::TraceCache cache;
+  serve::InputResolver resolver(scratch.path, cache);
+  serve::KeyValues kv;
+  kv.kv = {{"name", "typo"},
+           {"platform", "cluster:hosts=4"},
+           {"traces", "ti"},
+           {"deployment", "block"}};
+
+  // The retired engine knobs are still accepted, and ignored.
+  serve::KeyValues retired = kv;
+  retired.kv["fastpath"] = "on";
+  retired.kv["shards"] = "4";
+  retired.kv["decode"] = "stream";
+  EXPECT_NO_THROW(serve::build_scenario(retired, resolver, 0));
+
+  for (const std::string key : {"efficency", "replica"}) {
+    SCOPED_TRACE(key);
+    serve::KeyValues bad = kv;
+    bad.kv[key] = "1";
+    try {
+      serve::build_scenario(bad, resolver, 0);
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("scenario 'typo'"), std::string::npos) << what;
+      EXPECT_NE(what.find("unknown key '" + key + "'"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);  // refused before the traces resolved
 }
 
 // ---------------------------------------------------------------------------
@@ -955,17 +996,10 @@ TEST(ReplayServiceTest, ReplicaWithoutPerturbationIsABadRequest) {
   ServiceFixture fixture;
   serve::ReplayService service(fixture.options());
 
-  serve::Request request;
-  request.id = "r1";
-  request.params = fixture.base_params;
-  request.params["replica"] = "1";
-  const auto response = service.run(request);
-  EXPECT_EQ(response.status, serve::Response::Status::badrequest);
-  EXPECT_NE(response.error.find("without a perturbation"), std::string::npos)
-      << response.error;
-
   // Replica 0 of a deterministic row is the row itself.
+  serve::Request request;
   request.id = "r0";
+  request.params = fixture.base_params;
   request.params["replica"] = "0";
   const auto plain = service.run(request);
   ASSERT_EQ(plain.status, serve::Response::Status::ok) << plain.error;
@@ -973,6 +1007,19 @@ TEST(ReplayServiceTest, ReplicaWithoutPerturbationIsABadRequest) {
   EXPECT_EQ(std::memcmp(&plain.sim_time, &reference.sim_time,
                         sizeof reference.sim_time),
             0);
+
+  // Refused after its build: the answer still reports the trace lookup
+  // that stats() counts.
+  request.id = "r1";
+  request.params["replica"] = "1";
+  const auto response = service.run(request);
+  EXPECT_EQ(response.status, serve::Response::Status::badrequest);
+  EXPECT_NE(response.error.find("without a perturbation"), std::string::npos)
+      << response.error;
+  EXPECT_TRUE(response.trace_hit);
+  EXPECT_EQ(response.trace_digest, plain.trace_digest);
+  EXPECT_FALSE(response.trace_digest.empty());
+  EXPECT_EQ(service.stats().trace_cache.hits, 1u);
 }
 
 // A non-positive efficiency is refused when the request is built, not
@@ -1126,37 +1173,137 @@ TEST(ReplayServiceTest, OverloadShedsWithDistinctStatus) {
   serve::ReplayService service(options);
 
   constexpr int kRequests = 64;
-  std::atomic<int> answered{0};
-  int accepted = 0, shed = 0;
+  std::array<std::atomic<int>, kRequests> calls{};
+  std::array<serve::Response, kRequests> answers;
+  std::array<bool, kRequests> accepted{};
   for (int i = 0; i < kRequests; ++i) {
     serve::Request request;
     request.id = std::to_string(i);
     request.params = fixture.base_params;
     // Distinct scenarios (no memo shortcut): each must actually replay.
     request.params["efficiency"] = std::to_string(0.5 + 0.001 * i);
-    if (service.submit(std::move(request),
-                       [&](serve::Response) { answered.fetch_add(1); }))
-      ++accepted;
-    else
-      ++shed;
+    const auto k = static_cast<std::size_t>(i);
+    accepted[k] = service.submit(
+        std::move(request), [&calls, &answers, k](serve::Response response) {
+          answers[k] = std::move(response);
+          calls[k].fetch_add(1);
+        });
   }
   service.drain();
 
   // Admission control kept the backlog bounded: with 2 slots and
-  // millisecond replays, a tight 64-request loop must shed.
+  // millisecond replays, a tight 64-request loop must shed. A shed request
+  // is answered `overloaded` through its callback before submit() returns.
+  int shed = 0;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(calls[k].load(), 1);
+    if (accepted[k]) {
+      EXPECT_EQ(answers[k].status, serve::Response::Status::ok)
+          << answers[k].error;
+      continue;
+    }
+    ++shed;
+    EXPECT_EQ(answers[k].status, serve::Response::Status::overloaded);
+    EXPECT_EQ(answers[k].id, std::to_string(k));
+    EXPECT_NE(answers[k].error.find("limit 2"), std::string::npos)
+        << answers[k].error;
+  }
   EXPECT_GT(shed, 0);
-  EXPECT_EQ(answered.load(), accepted);
   const auto stats = service.stats();
   EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(accepted));
+  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests - shed));
   EXPECT_LE(stats.max_queue_depth, 2u);
+  EXPECT_EQ(serve::to_string(serve::Response::Status::overloaded),
+            "overloaded");
+}
 
-  // The canned overloaded response names the condition.
-  serve::Request probe;
-  probe.id = "probe";
-  const auto response = service.make_overloaded(probe);
-  EXPECT_EQ(response.status, serve::Response::Status::overloaded);
-  EXPECT_EQ(serve::to_string(response.status), "overloaded");
+// A memo hit is answered on the submitting thread, before submit()
+// returns: no hand-off to another thread.
+TEST(ReplayServiceTest, HitIsAnsweredInsideSubmit) {
+  ServiceFixture fixture;
+  serve::ReplayService service(fixture.options());
+  serve::Request request;
+  request.id = "warm";
+  request.params = fixture.base_params;
+  ASSERT_EQ(service.run(request).status, serve::Response::Status::ok);
+
+  request.id = "hit";
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> answered{false};
+  std::atomic<bool> on_caller{false};
+  std::atomic<bool> memo_hit{false};
+  ASSERT_TRUE(service.submit(request, [&](serve::Response response) {
+    on_caller = std::this_thread::get_id() == caller;
+    memo_hit = response.memo_hit;
+    answered = true;
+  }));
+  EXPECT_TRUE(answered.load());
+  EXPECT_TRUE(on_caller.load());
+  EXPECT_TRUE(memo_hit.load());
+  service.drain();
+}
+
+// Client threads build concurrently under the service's build lock: every
+// spelling of one directory shares a decode, every scenario replays once,
+// and every answer is the cold replay bit-for-bit.
+TEST(ReplayServiceTest, ConcurrentSubmittersReplayEachScenarioOnce) {
+  ServiceFixture fixture;
+  const std::vector<std::string> efficiencies = {"0.5", "0.6", "0.7", "0.8",
+                                                 "0.9"};
+  const std::vector<std::string> spellings = {
+      "ti", "./ti/",
+      "ti/SG_process0.trace,ti/SG_process1.trace,ti/SG_process2.trace,"
+      "ti/SG_process3.trace"};
+  std::vector<double> cold;
+  for (const std::string& efficiency : efficiencies) {
+    auto params = fixture.base_params;
+    params["efficiency"] = efficiency;
+    const auto reference = fixture.cold(params);
+    ASSERT_EQ(reference.status, replay::ReplayStatus::ok) << reference.error;
+    cold.push_back(reference.sim_time);
+  }
+
+  serve::ReplayService service(fixture.options());
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 25;
+  std::mutex mu;
+  std::map<std::string, serve::Response> answers;
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t)
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int n = t * kPerThread + i;
+        serve::Request request;
+        request.id = std::to_string(n);
+        request.params = fixture.base_params;
+        request.params["efficiency"] = efficiencies[n % efficiencies.size()];
+        request.params["traces"] =
+            spellings[(n / efficiencies.size()) % spellings.size()];
+        EXPECT_TRUE(service.submit(
+            std::move(request), [&](serve::Response response) {
+              std::lock_guard<std::mutex> lock(mu);
+              const std::string id = response.id;
+              EXPECT_TRUE(answers.emplace(id, std::move(response)).second);
+            }));
+      }
+    });
+  for (std::thread& client : clients) client.join();
+  service.drain();
+
+  ASSERT_EQ(answers.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (const auto& [id, response] : answers) {
+    SCOPED_TRACE(id);
+    ASSERT_EQ(response.status, serve::Response::Status::ok) << response.error;
+    EXPECT_TRUE(bit_equal(response.sim_time,
+                          cold[std::stoul(id) % efficiencies.size()]));
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.replays, efficiencies.size());
+  EXPECT_EQ(stats.trace_cache.misses, 1u);
+  EXPECT_EQ(stats.memo_hits + stats.batch_dedups,
+            static_cast<std::uint64_t>(kThreads * kPerThread) -
+                efficiencies.size());
 }
 
 TEST(ReplayServiceTest, HitIsNotQueuedBehindARunningMiss) {
@@ -1186,8 +1333,8 @@ TEST(ReplayServiceTest, HitIsNotQueuedBehindARunningMiss) {
     miss_answered = true;
   }));
 
-  // The only worker is busy with the heavy replay; the dispatcher still
-  // answers the memoised request on arrival.
+  // The only worker is busy with the heavy replay; the memoised request is
+  // still answered on arrival, inside its own submit().
   light.id = "light-again";
   const auto hit = service.run(light);
   EXPECT_TRUE(hit.memo_hit);

@@ -140,22 +140,6 @@ TEST(TopologyRegistry, TorusSizeIsCappedAsAParseError) {
   EXPECT_EQ(make_platform("torus:dims=4x4x4,hosts=2").host_count(), 128u);
 }
 
-TEST(TopologyRegistry, CustomRegistrationRoundTrips) {
-  register_topology(
-      "pair",
-      [](Platform& p, const TopoParams& params) {
-        ClusterSpec spec;
-        spec.count = 2;
-        spec.prefix = params.get("prefix", "pair-");
-        return build_cluster(p, spec);
-      },
-      "two hosts for tests");
-  EXPECT_TRUE(is_topology("pair"));
-  const Platform p = make_platform("pair:prefix=x-");
-  ASSERT_EQ(p.host_count(), 2u);
-  EXPECT_EQ(p.host(0).name, "x-0");
-}
-
 TEST(TopologyRegistry, LoadPlatformSpecFallsBackToFiles) {
   namespace fs = std::filesystem;
   const fs::path file =

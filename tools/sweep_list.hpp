@@ -31,6 +31,10 @@
 //   mc=N                   Monte-Carlo replica count for this row
 //   seed=S                 sweep seed (default 1); replicas derive from it
 //
+// Any other key (replica= too) fails the list with the scenario named and
+// tir-sweep and tir-mc exit 2; the retired fastpath=, shards= and decode=
+// are accepted and ignored.
+//
 // The parsing/building machinery lives in src/serve/scenario_build.* so a
 // daemon request and a sweep-list row construct scenarios through exactly
 // one code path; this header keeps the list-file reader and re-exports the

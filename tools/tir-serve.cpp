@@ -9,9 +9,10 @@
 // still running, so match responses to requests by id.
 // A request is a JSON object whose "id" is echoed back and whose remaining
 // string/number/boolean fields are exactly the sweep-list vocabulary
-// (platform=, traces= or merged=, deployment=, eager=, collectives=,
-// efficiency=, fault=, perturb=, seed=) plus replica=R to pick one
-// Monte-Carlo replica of a perturbed scenario:
+// (name=, platform=, traces= or merged=, deployment=, eager=,
+// collectives=, efficiency=, fault=, perturb=, seed=; mc= is refused)
+// plus replica=R to pick one Monte-Carlo replica of a perturbed scenario.
+// Any other field answers badrequest naming it:
 //
 //   {"id":"r1","platform":"cluster:hosts=8","traces":"ti","deployment":"block"}
 //   {"id":"r2","platform":"cluster:hosts=8","traces":"ti","deployment":"block",
@@ -34,8 +35,10 @@
 // decodes by file identity (a re-encoded copy decodes again, then hits the
 // memo: reports are keyed by content). --workers sets the replay worker
 // threads (0 = one per core); --queue bounds the requests accepted and not
-// yet answered, queued or replaying, beyond which requests are answered
-// "overloaded".
+// yet answered, being built or replaying, beyond which requests are
+// answered "overloaded". Memo hits, bad and shed requests are answered on
+// the thread that reads the request line, before it reads the next one; a
+// replay, and every request that joins it, is answered by a worker.
 //
 // --stdin (default when no --socket) serves the stdin/stdout pipe and
 // exits at EOF. --socket PATH listens on a unix stream socket and serves
@@ -79,9 +82,9 @@ namespace {
 }
 
 /// Serves one request line; returns false when the line asks to quit.
-/// Output lines are serialised by `out_mu` because responses surface from
-/// the service's dispatcher and worker threads while shed and unparseable
-/// requests are answered inline.
+/// Output lines are serialised by `out_mu` because a replayed request is
+/// answered on a service worker thread, while every other response (memo
+/// hits, bad, shed and unparseable requests) is written on this thread.
 bool serve_line(serve::ReplayService& service, const std::string& line,
                 std::FILE* out, std::mutex& out_mu) {
   const auto emit = [out, &out_mu](const std::string& rendered) {
@@ -115,12 +118,9 @@ bool serve_line(serve::ReplayService& service, const std::string& line,
     return true;
   }
 
-  const serve::Request copy = request;
-  const bool accepted =
-      service.submit(std::move(request), [emit](serve::Response response) {
-        emit(serve::render_response(response));
-      });
-  if (!accepted) emit(serve::render_response(service.make_overloaded(copy)));
+  service.submit(std::move(request), [emit](serve::Response response) {
+    emit(serve::render_response(response));
+  });
   return true;
 }
 
