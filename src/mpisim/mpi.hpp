@@ -19,6 +19,10 @@
 // Matching is FIFO per MPI rules, with MPI_ANY_SOURCE / MPI_ANY_TAG
 // wildcards. Collectives are implemented as trees of point-to-point
 // messages (binomial by default), rooted at rank 0 as the paper specifies.
+//
+// Like the engine's activities (activity.hpp), a World's ranks, requests
+// and operation frames are touched only by the thread running its engine:
+// a Request's count is a plain integer.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +66,7 @@ struct RequestState;
 
 /// Handle for a pending non-blocking operation. Copyable; completion is
 /// observed through Rank::wait / Rank::waitall.
-using Request = std::shared_ptr<detail::RequestState>;
+using Request = sim::Ref<detail::RequestState>;
 
 /// The MPI surface exposed to applications. Rank implements it directly;
 /// the acquisition layer wraps it with a TAU-instrumented decorator, so an
@@ -226,7 +230,8 @@ class World {
 
 namespace detail {
 
-struct RequestState {
+/// Reference-counted through Request, allocated from the block cache.
+struct RequestState final : sim::RefCounted {
   enum class Kind { send_eager, send_rendezvous, recv };
   Kind kind = Kind::recv;
 

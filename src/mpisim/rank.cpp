@@ -146,7 +146,7 @@ void Rank::deliver(InMsg message) {
 Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
   if (dst < 0 || dst >= size())
     throw SimError("isend: invalid destination rank " + std::to_string(dst));
-  auto state = std::make_shared<RequestState>();
+  auto state = sim::make_ref<RequestState>();
   state->bytes = bytes;
   state->tag = tag;
   state->peer = dst;
@@ -177,7 +177,7 @@ Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
 Request Rank::irecv(int src, std::uint64_t bytes, int tag) {
   if (src != kAnySource && (src < 0 || src >= size()))
     throw SimError("irecv: invalid source rank " + std::to_string(src));
-  auto state = std::make_shared<RequestState>();
+  auto state = sim::make_ref<RequestState>();
   state->kind = RequestState::Kind::recv;
   state->bytes = bytes;
   state->src = src;

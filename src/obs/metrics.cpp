@@ -8,18 +8,30 @@ namespace tir::obs {
 
 namespace {
 
-std::size_t bucket_for(double seconds) {
-  if (seconds < 1e-6) return 0;
-  const int exp = static_cast<int>(std::ceil(std::log2(seconds / 1e-6)));
-  return std::min<std::size_t>(static_cast<std::size_t>(std::max(exp, 0)),
-                               47);
-}
-
-double bucket_upper(std::size_t i) {
-  return 1e-6 * std::pow(2.0, static_cast<double>(i));
-}
+constexpr double kBase = 1e-6;  // 1 us
 
 }  // namespace
+
+std::size_t Histogram::bucket_for(double seconds) {
+  if (seconds < kBase) return 0;
+  // seconds / kBase = m * 2^e with m in [0.5, 1): octave e, part
+  // floor((2m - 1) * kSubBuckets).
+  int e = 0;
+  const double m = std::frexp(seconds / kBase, &e);
+  if (static_cast<std::size_t>(e) > kOctaves) return kBuckets - 1;
+  const auto part = std::min(
+      static_cast<std::size_t>((2.0 * m - 1.0) * kSubBuckets),
+      kSubBuckets - 1);
+  return 1 + static_cast<std::size_t>(e - 1) * kSubBuckets + part;
+}
+
+double Histogram::bucket_upper(std::size_t i) {
+  if (i == 0) return kBase;
+  const std::size_t octave = (i - 1) / kSubBuckets;  // j - 1
+  const std::size_t part = (i - 1) % kSubBuckets;
+  return std::ldexp(kBase, static_cast<int>(octave)) *
+         (1.0 + static_cast<double>(part + 1) / kSubBuckets);
+}
 
 void Histogram::record(double seconds) {
   if (seconds < 0.0 || !std::isfinite(seconds)) seconds = 0.0;

@@ -2,12 +2,14 @@
 // or re-weighing a key past the cap drops the least recently used ones.
 // Each entry weighs 1 unless put() says otherwise, so a plain capacity is
 // an entry count; the TraceCache weighs its entries in resident bytes.
+// A key is stored once, in its list node; the index keys on a view of it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -21,7 +23,7 @@ class LruMap {
 
   /// The value under `key`, now the most recently used; null when absent.
   /// The pointer stays valid until that key is erased or evicted.
-  V* find(const std::string& key) {
+  V* find(std::string_view key) {
     const auto it = index_.find(key);
     if (it == index_.end()) return nullptr;
     order_.splice(order_.begin(), order_, it->second);
@@ -42,7 +44,7 @@ class LruMap {
       held.weight = weight;
     } else {
       order_.push_front(Node{key, std::move(value), weight});
-      index_.emplace(key, order_.begin());
+      index_.emplace(order_.front().key, order_.begin());
     }
     weight_ += weight;
     while (capacity_ > 0 && weight_ > capacity_ && order_.size() > 1) {
@@ -54,12 +56,13 @@ class LruMap {
     return order_.front().value;
   }
 
-  void erase(const std::string& key) {
+  void erase(std::string_view key) {
     const auto it = index_.find(key);
     if (it == index_.end()) return;
-    weight_ -= it->second->weight;
-    order_.erase(it->second);
-    index_.erase(it);
+    const auto node = it->second;
+    weight_ -= node->weight;
+    index_.erase(it);  // before the node its key views
+    order_.erase(node);
   }
 
   std::size_t size() const { return index_.size(); }
@@ -81,7 +84,8 @@ class LruMap {
   std::uint64_t weight_ = 0;
   std::uint64_t evictions_ = 0;
   Order order_;  ///< front = most recently used
-  std::unordered_map<std::string, typename Order::iterator> index_;
+  /// Keys view the nodes' keys (list nodes never move).
+  std::unordered_map<std::string_view, typename Order::iterator> index_;
 };
 
 }  // namespace tir::serve

@@ -61,22 +61,31 @@ std::string scenario_memo_key(const replay::ScenarioSpec& spec,
   return key;
 }
 
+MemoAnswer::MemoAnswer(const replay::ReplayReport& report)
+    : status(report.status),
+      sim_time(report.sim_time),
+      coverage(report.coverage),
+      error(report.error),
+      diagnostics(report.diagnostics),
+      actions_replayed(report.result.actions_replayed),
+      processes(static_cast<int>(report.result.process_finish_times.size())) {}
+
 ResultMemo::ResultMemo(MemoOptions options) : entries_(options.capacity) {}
 
-std::optional<replay::ReplayReport> ResultMemo::lookup(const std::string& key) {
+std::optional<MemoAnswer> ResultMemo::lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  const replay::ReplayReport* report = entries_.find(key);
-  if (report == nullptr) {
+  const MemoAnswer* answer = entries_.find(key);
+  if (answer == nullptr) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  return *report;
+  return *answer;
 }
 
-void ResultMemo::store(const std::string& key, replay::ReplayReport report) {
+void ResultMemo::store(const std::string& key, MemoAnswer answer) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.put(key, std::move(report));
+  entries_.put(key, std::move(answer));
   stats_.entries = entries_.size();
   stats_.evictions = entries_.evictions();
 }

@@ -5,18 +5,22 @@
 // fault timeline) is named by the spec. The memo exploits that: results are
 // keyed by a canonical fingerprint built over the *content digest* of the
 // trace plus every semantically relevant knob (scenario_memo_key), so a
-// repeat request returns the stored ReplayReport bit-for-bit — the
-// differential tests compare the doubles with memcmp.
+// repeat request returns the stored answer bit-for-bit — the differential
+// tests compare the doubles with memcmp.
 //
-// Entry-count LRU (reports are small: a few vectors of doubles/strings).
-// Concurrent identical misses are the caller's to collapse: ReplayService
-// keeps one replay in flight per key and stores its report here.
+// Entry-count LRU. An entry keeps only the answer a service response reads
+// (MemoAnswer), not the whole ReplayReport with its per-process finish
+// times, engine counters and timelines: a long-running service adds one
+// entry per new scenario. Concurrent identical misses are the caller's to
+// collapse: ReplayService keeps one replay in flight per key and stores its
+// answer here.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "replay/scenario.hpp"
 #include "serve/lru_map.hpp"
@@ -49,19 +53,34 @@ std::string scenario_memo_key(const replay::ScenarioSpec& spec,
                               const std::string& platform_key,
                               const trace::Digest& digest);
 
+/// The part of a ReplayReport a service response reads.
+struct MemoAnswer {
+  replay::ReplayStatus status = replay::ReplayStatus::failed;
+  double sim_time = 0.0;
+  double coverage = 0.0;
+  std::string error;
+  std::vector<std::string> diagnostics;
+  std::uint64_t actions_replayed = 0;
+  int processes = 0;  ///< the replay's process count
+
+  MemoAnswer() = default;
+  /// Implicit, so a report can be stored as it is.
+  MemoAnswer(const replay::ReplayReport& report);
+};
+
 class ResultMemo {
  public:
   explicit ResultMemo(MemoOptions options = {});
 
   /// Probe and insert. Thread-safe.
-  std::optional<replay::ReplayReport> lookup(const std::string& key);
-  void store(const std::string& key, replay::ReplayReport report);
+  std::optional<MemoAnswer> lookup(const std::string& key);
+  void store(const std::string& key, MemoAnswer answer);
 
   MemoStats stats() const;
 
  private:
   mutable std::mutex mu_;
-  LruMap<replay::ReplayReport> entries_;
+  LruMap<MemoAnswer> entries_;
   MemoStats stats_;
 };
 

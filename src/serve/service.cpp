@@ -29,15 +29,14 @@ Response::Status from_replay(replay::ReplayStatus status) {
   return Response::Status::failed;
 }
 
-void fill_from_report(Response& response, const replay::ReplayReport& report) {
-  response.status = from_replay(report.status);
-  response.sim_time = report.sim_time;
-  response.coverage = report.coverage;
-  response.error = report.error;
-  response.diagnostics = report.diagnostics;
-  response.actions_replayed = report.result.actions_replayed;
-  response.processes =
-      static_cast<int>(report.result.process_finish_times.size());
+void fill_from_answer(Response& response, const MemoAnswer& answer) {
+  response.status = from_replay(answer.status);
+  response.sim_time = answer.sim_time;
+  response.coverage = answer.coverage;
+  response.error = answer.error;
+  response.diagnostics = answer.diagnostics;
+  response.actions_replayed = answer.actions_replayed;
+  response.processes = answer.processes;
 }
 
 }  // namespace
@@ -132,8 +131,8 @@ bool ReplayService::submit(Request request, Callback done) {
         it->second->waiters.push_back(std::move(pending));
         return true;
       }
-      if (auto report = memo_.lookup(memo_key)) {
-        fill_from_report(response, *report);
+      if (auto answer = memo_.lookup(memo_key)) {
+        fill_from_answer(response, *answer);
         response.memo_hit = true;
         answered = true;
       }
@@ -251,14 +250,14 @@ void ReplayService::worker_loop() {
 
 void ReplayService::run_flight(Flight& flight) {
   const auto start = Clock::now();
-  const replay::ReplayReport report = replay::run_scenario_report(flight.spec);
+  const MemoAnswer answer(replay::run_scenario_report(flight.spec));
   const double solve_seconds = seconds_between(start, Clock::now());
   // ok and deadlock are deterministic functions of the scenario; a `failed`
   // outcome may be environmental (OOM, racing file edits), so it is
   // answered but never cached. The store precedes leaving the flight table.
   if (!flight.memo_key.empty() &&
-      report.status != replay::ReplayStatus::failed)
-    memo_.store(flight.memo_key, report);
+      answer.status != replay::ReplayStatus::failed)
+    memo_.store(flight.memo_key, answer);
 
   std::vector<Pending> answered;
   {
@@ -268,7 +267,7 @@ void ReplayService::run_flight(Flight& flight) {
     ++stats_.replays;
   }
   for (Pending& waiter : answered) {
-    fill_from_report(waiter.response, report);
+    fill_from_answer(waiter.response, answer);
     waiter.response.solve_seconds = solve_seconds;
   }
   respond(answered);

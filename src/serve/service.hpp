@@ -21,7 +21,7 @@
 // `overloaded` and returns false — a saturated daemon stays responsive
 // instead of growing an unbounded backlog. A request identical to one
 // already replaying joins that replay; repeats across the daemon's
-// lifetime hit the memo and return the stored report bit-for-bit (the
+// lifetime hit the memo and return the stored answer bit-for-bit (the
 // differential tests memcmp the doubles against cold runs).
 //
 // Request parameters are exactly the sweep-list vocabulary (see

@@ -7,16 +7,23 @@
 //   Gate     — completes when some other process (or the kernel) opens it;
 //              the building block for message matching in mpisim.
 //
-// Activities are shared-ownership objects: the engine keeps them alive
-// while they run, and any process may hold a reference to await them later.
+// Activities are reference-counted (Ref<T>, ref.hpp): the engine keeps
+// them alive while they run, and any process may hold a reference to await
+// them later. They come from the per-thread block cache, and the count is
+// a plain integer.
+//
+// Thread contract: an engine's activities, the MPI requests built on them
+// and its coroutine frames are touched only by the thread running that
+// engine. Every replay runs a whole scenario on one thread (sweep, Monte
+// Carlo and service workers included), so nothing here is shared.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "simkern/maxmin.hpp"
+#include "simkern/ref.hpp"
 
 namespace tir::sim {
 
@@ -24,7 +31,7 @@ using SimTime = double;
 
 class Engine;
 
-class Activity : public std::enable_shared_from_this<Activity> {
+class Activity : public RefCounted {
  public:
   enum class Kind { exec, transfer, timer, gate };
 
@@ -42,14 +49,24 @@ class Activity : public std::enable_shared_from_this<Activity> {
 
  private:
   friend class Engine;
+  /// Queues `waiter` to resume on completion. Most activities have exactly
+  /// one waiter, so the first lives inline; waiters resume in call order.
+  void add_waiter(std::coroutine_handle<> waiter) {
+    if (!first_waiter_)
+      first_waiter_ = waiter;
+    else
+      more_waiters_.push_back(waiter);
+  }
+
   Kind kind_;
   bool done_ = false;
   SimTime start_time_ = 0.0;
   SimTime finish_time_ = -1.0;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_waiter_;
+  std::vector<std::coroutine_handle<>> more_waiters_;
 };
 
-using ActivityPtr = std::shared_ptr<Activity>;
+using ActivityPtr = Ref<Activity>;
 
 /// State shared by the fluid (rate-controlled) phase of Exec and Transfer.
 /// Progress is tracked lazily: `remaining` is exact as of `last_update`,
@@ -89,7 +106,9 @@ class Transfer final : public Activity {
   double bytes = 0.0;      ///< payload size
   double amount = 0.0;     ///< model amount (bytes / bandwidth_factor)
   double latency = 0.0;    ///< effective route latency
-  std::vector<ResourceId> link_resources;
+  /// The engine's cached route (its links' network resources); it stays
+  /// valid for the engine's lifetime.
+  const std::vector<ResourceId>* route = nullptr;
   FluidState fluid;
 };
 
@@ -111,6 +130,6 @@ class Gate final : public Activity {
   Engine* engine_ = nullptr;
 };
 
-using GatePtr = std::shared_ptr<Gate>;
+using GatePtr = Ref<Gate>;
 
 }  // namespace tir::sim

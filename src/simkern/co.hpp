@@ -8,13 +8,18 @@
 //     transfer. Simulated MPI operations and collectives are Co<...>s.
 //
 // Both are strictly single-threaded: the Engine resumes exactly one
-// coroutine at a time, so no synchronization is needed.
+// coroutine at a time, so no synchronization is needed. Their frames come
+// from the per-thread block cache (block_cache.hpp): a replayed action
+// creates several (its handler, then Rank::send, wait, ...), and recycling
+// them keeps the heap out of the steady state.
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <optional>
 #include <utility>
+
+#include "simkern/block_cache.hpp"
 
 namespace tir::sim {
 
@@ -37,7 +42,7 @@ struct SymmetricFinalAwaiter {
   void await_resume() noexcept {}
 };
 
-struct CoPromiseBase {
+struct CoPromiseBase : block_cache::Cached {
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
 };
@@ -153,7 +158,7 @@ class Process;
 /// the Engine keeps the handle inside the owning Process.
 class Task {
  public:
-  struct promise_type {
+  struct promise_type : block_cache::Cached {
     Process* process = nullptr;  ///< set by Engine::spawn before first resume
     std::exception_ptr error;
 

@@ -30,10 +30,10 @@ void Gate::open() {
 Engine::Engine(const plat::Platform& platform, EngineConfig config)
     : platform_(platform), config_(config) {
   net_lmm_.set_full_solve(config.full_solve);
-  link_res_.reserve(platform.link_count());
+  // One network resource per link, added in link order: link l is
+  // resource l, so a route's links are its resources.
   for (std::size_t l = 0; l < platform.link_count(); ++l)
-    link_res_.push_back(
-        net_lmm_.add_resource(platform.link(static_cast<int>(l)).bandwidth));
+    net_lmm_.add_resource(platform.link(static_cast<int>(l)).bandwidth);
   host_execs_.resize(platform.host_count());
   host_power_factor_.assign(platform.host_count(), 1.0);
   link_bandwidth_factor_.assign(platform.link_count(), 1.0);
@@ -141,11 +141,12 @@ std::size_t Engine::finish_sift_down(std::size_t i) {
   return i;
 }
 
-void Engine::finish_update(const ActivityPtr& activity, FluidState& fluid,
+void Engine::finish_update(Activity& activity, FluidState& fluid,
                            SimTime time) {
   if (fluid.heap_pos < 0) {
     const std::size_t i = finish_heap_.size();
-    finish_heap_.push_back(FinishItem{time, seq_++, activity, &fluid});
+    finish_heap_.push_back(
+        FinishItem{time, seq_++, ActivityPtr(&activity), &fluid});
     fluid.heap_pos = static_cast<std::int32_t>(i);
     finish_sift_up(i);
   } else {
@@ -180,8 +181,7 @@ void Engine::finish_pop() {
   }
 }
 
-void Engine::set_rate(const ActivityPtr& activity, FluidState& fluid,
-                      double rate) {
+void Engine::set_rate(Activity& activity, FluidState& fluid, double rate) {
   catch_up(fluid);
   fluid.rate = rate;
   if (rate > 0) {
@@ -243,8 +243,7 @@ void Engine::group_requeue(ShareGroup& group) {
   if (head == nullptr) return;
   FluidState& fluid = head->fluid;
   fluid.finish_est = member_finish(group, group.members[0].key);
-  finish_update(var_flows_[static_cast<std::size_t>(fluid.var)], fluid,
-                fluid.finish_est);
+  finish_update(*head, fluid, fluid.finish_est);
 }
 
 void Engine::group_join(Transfer& flow, GroupId g) {
@@ -304,8 +303,7 @@ void Engine::group_dissolve(GroupId g) {
     fluid.group = -1;
     fluid.group_pos = -1;
     fluid.finish_est = now_ + fluid.remaining / fluid.rate;
-    finish_update(var_flows_[static_cast<std::size_t>(fluid.var)], fluid,
-                  fluid.finish_est);
+    finish_update(*m.flow, fluid, fluid.finish_est);
   }
   group.members.clear();
   group.queued = nullptr;
@@ -318,7 +316,7 @@ void Engine::reschedule_host(int host) {
                       host_power_factor_[static_cast<std::size_t>(host)] /
                       static_cast<double>(execs.size());
   for (const auto& exec : execs) {
-    if (exec->fluid.rate != rate) set_rate(exec, exec->fluid, rate);
+    if (exec->fluid.rate != rate) set_rate(*exec, exec->fluid, rate);
   }
 }
 
@@ -347,7 +345,7 @@ void Engine::resolve_network() {
     // Requeue only on a meaningful change to keep the heap lean.
     if (rate != old &&
         (old <= 0 || std::abs(rate - old) > 1e-12 * std::max(rate, old))) {
-      set_rate(transfer, transfer->fluid, rate);
+      set_rate(*transfer, transfer->fluid, rate);
       ++stats_.flows_rerated;
     }
   }
@@ -361,12 +359,11 @@ void Engine::resolve_network() {
   }
 }
 
-std::shared_ptr<Exec> Engine::exec_async(int host, double flops,
-                                         double efficiency) {
+Ref<Exec> Engine::exec_async(int host, double flops, double efficiency) {
   if (host < 0 || static_cast<std::size_t>(host) >= platform_.host_count())
     throw SimError("exec_async: unknown host id " + std::to_string(host));
   if (!(efficiency > 0)) throw SimError("exec_async: efficiency must be > 0");
-  auto exec = std::make_shared<Exec>();
+  auto exec = make_ref<Exec>();
   exec->host = host;
   exec->flops = flops;
   exec->start_time_ = now_;
@@ -391,20 +388,22 @@ const Engine::CachedRoute& Engine::cached_route(int src_host, int dst_host) {
       static_cast<std::uint32_t>(dst_host);
   auto it = route_cache_.find(key);
   if (it == route_cache_.end()) {
-    const plat::Route route = platform_.route(src_host, dst_host);
     CachedRoute cached;
-    // Sum per-link latencies ourselves so link degradation factors apply
-    // (equals route.latency when every factor is 1.0).
-    cached.latency = 0.0;
-    cached.resources.reserve(route.links.size());
-    for (const auto link : route.links) {
-      cached.latency += platform_.link(link).latency *
-                        link_latency_factor_[static_cast<std::size_t>(link)];
-      cached.resources.push_back(link_res_[static_cast<std::size_t>(link)]);
-    }
+    cached.resources = platform_.route(src_host, dst_host).links;
+    cached.latency = route_latency_sum(cached.resources);
     it = route_cache_.emplace(key, std::move(cached)).first;
   }
   return it->second;
+}
+
+double Engine::route_latency_sum(const std::vector<ResourceId>& links) const {
+  // Sum per-link latencies here rather than take route.latency, so link
+  // degradation factors apply (the two agree when every factor is 1.0).
+  double latency = 0.0;
+  for (const plat::LinkId link : links)
+    latency += platform_.link(link).latency *
+               link_latency_factor_[static_cast<std::size_t>(link)];
+  return latency;
 }
 
 void Engine::set_host_factor(int host, double factor) {
@@ -452,31 +451,31 @@ void Engine::set_link_factors(int link, double bandwidth_factor,
           bandwidth_factor &&
       link_latency_factor_[static_cast<std::size_t>(link)] == latency_factor)
     return;
-  const ResourceId res = link_res_[static_cast<std::size_t>(link)];
-  net_lmm_.set_capacity(res,
+  net_lmm_.set_capacity(link,
                         platform_.link(link).bandwidth * bandwidth_factor);
   link_bandwidth_factor_[static_cast<std::size_t>(link)] = bandwidth_factor;
   link_latency_factor_[static_cast<std::size_t>(link)] = latency_factor;
   if (config_.recorder)
     config_.recorder->fault(now_, obs::FaultEvent::Kind::link, link,
                             bandwidth_factor, latency_factor);
-  // Cached route latencies embed the old factor. Only routes crossing the
-  // degraded link are stale; keep the rest so sweeps with faults don't pay
-  // a full route recomputation.
-  std::erase_if(route_cache_, [res](const auto& entry) {
-    const auto& resources = entry.second.resources;
-    return std::find(resources.begin(), resources.end(), res) !=
-           resources.end();
-  });
+  // Cached route latencies embed the old factor: re-sum the routes that
+  // cross the link, in place (transfers in their latency phase point at
+  // them). The sum is the one cached_route makes, so it is bit-identical
+  // to a fresh computation.
+  for (auto& [key, cached] : route_cache_) {
+    const auto& links = cached.resources;
+    if (std::find(links.begin(), links.end(), link) != links.end())
+      cached.latency = route_latency_sum(links);
+  }
 }
 
 double Engine::route_latency(int src_host, int dst_host) {
   return cached_route(src_host, dst_host).latency;
 }
 
-std::shared_ptr<Transfer> Engine::transfer_async(int src_host, int dst_host,
-                                                 double bytes) {
-  auto transfer = std::make_shared<Transfer>();
+Ref<Transfer> Engine::transfer_async(int src_host, int dst_host,
+                                     double bytes) {
+  auto transfer = make_ref<Transfer>();
   transfer->src_host = src_host;
   transfer->dst_host = dst_host;
   transfer->bytes = bytes;
@@ -488,7 +487,7 @@ std::shared_ptr<Transfer> Engine::transfer_async(int src_host, int dst_host,
       static_cast<std::uint64_t>(std::max(0.0, bytes)));
   transfer->latency = segment.latency_factor * route.latency;
   transfer->amount = bytes > 0 ? bytes / segment.bandwidth_factor : 0.0;
-  transfer->link_resources = route.resources;
+  transfer->route = &route.resources;
 
   if (transfer->latency <= 0) {
     start_flow(*transfer);
@@ -499,25 +498,24 @@ std::shared_ptr<Transfer> Engine::transfer_async(int src_host, int dst_host,
   return transfer;
 }
 
-std::shared_ptr<Transfer> Engine::injection_async(int host, double bytes) {
-  auto transfer = std::make_shared<Transfer>();
+Ref<Transfer> Engine::injection_async(int host, double bytes) {
+  auto transfer = make_ref<Transfer>();
   transfer->src_host = host;
   transfer->dst_host = host;
   transfer->bytes = bytes;
   transfer->amount = bytes;
   transfer->start_time_ = now_;
   ++stats_.activities;
-  const plat::LinkId loopback = platform_.host(host).loopback;
-  if (loopback != plat::kNone)
-    transfer->link_resources.push_back(
-        link_res_[static_cast<std::size_t>(loopback)]);
+  // A host's route to itself is its loopback link (empty without one),
+  // built once in the route cache.
+  transfer->route = &cached_route(host, host).resources;
   start_flow(*transfer);
   return transfer;
 }
 
-std::shared_ptr<Timer> Engine::timer_async(SimTime duration) {
+Ref<Timer> Engine::timer_async(SimTime duration) {
   if (duration < 0) throw SimError("timer_async: negative duration");
-  auto timer = std::make_shared<Timer>();
+  auto timer = make_ref<Timer>();
   timer->fire_at = now_ + duration;
   timer->start_time_ = now_;
   ++stats_.activities;
@@ -531,7 +529,7 @@ std::shared_ptr<Timer> Engine::timer_async(SimTime duration) {
 }
 
 GatePtr Engine::make_gate() {
-  auto gate = std::make_shared<Gate>();
+  auto gate = make_ref<Gate>();
   gate->engine_ = this;
   gate->start_time_ = now_;
   ++stats_.activities;
@@ -540,18 +538,17 @@ GatePtr Engine::make_gate() {
 
 void Engine::start_flow(Transfer& transfer) {
   if (transfer.done()) return;
-  if (transfer.amount <= 0 || transfer.link_resources.empty()) {
+  if (transfer.amount <= 0 || transfer.route->empty()) {
     // Nothing to stream (zero payload) or an unconstrained local copy.
     complete(transfer);
     return;
   }
   transfer.fluid.remaining = transfer.amount;
   transfer.fluid.last_update = now_;
-  transfer.fluid.var = net_lmm_.add_variable(1.0, transfer.link_resources);
+  transfer.fluid.var = net_lmm_.add_variable(1.0, *transfer.route);
   const auto slot = static_cast<std::size_t>(transfer.fluid.var);
   if (slot >= var_flows_.size()) var_flows_.resize(slot + 1);
-  var_flows_[slot] =
-      std::static_pointer_cast<Transfer>(transfer.shared_from_this());
+  var_flows_[slot] = Ref<Transfer>(&transfer);
   // Joining a hub group happens at once; the group's new rate follows at
   // the next solve, still at this instant. A lone flow was rated by the
   // add, and no solve will report it; any other flow reads 0 until the
@@ -561,7 +558,7 @@ void Engine::start_flow(Transfer& transfer) {
   if (g >= 0) {
     group_join(transfer, g);
   } else if (const double rate = net_lmm_.rate(transfer.fluid.var); rate > 0) {
-    set_rate(var_flows_[slot], transfer.fluid, rate);
+    set_rate(transfer, transfer.fluid, rate);
     ++stats_.flows_rerated;
   }
 }
@@ -611,8 +608,11 @@ void Engine::complete(Activity& activity) {
     default:
       break;
   }
-  for (const auto waiter : activity.waiters_) ready_.push_back(waiter);
-  activity.waiters_.clear();
+  if (activity.first_waiter_) {
+    ready_.push_back(std::exchange(activity.first_waiter_, {}));
+    for (const auto waiter : activity.more_waiters_) ready_.push_back(waiter);
+    activity.more_waiters_.clear();
+  }
 }
 
 void Engine::drain_ready() {

@@ -26,6 +26,10 @@
 //     4-ary min-heap — one entry per running fluid, re-keyed in place when
 //     its rate changes. Advancing simulated time is O(1) instead of
 //     O(active fluids).
+//   - An action's fixed costs stay off the heap and out of atomics:
+//     coroutine frames, activities and MPI requests come from a per-thread
+//     block cache (block_cache.hpp) and carry plain counts (ref.hpp), and a
+//     transfer points at its cached route instead of copying it.
 //   - Share groups: the flows of one solver hub group (a saturated
 //     backbone every member crosses, all at one rate; see maxmin.hpp) share
 //     a virtual clock V, the work each member has done since the group
@@ -156,21 +160,19 @@ class Engine {
 
   /// Computation of `flops` on `host` at `efficiency` * nominal speed.
   /// The CPU is shared equally among concurrent Execs on the host.
-  std::shared_ptr<Exec> exec_async(int host, double flops,
-                                   double efficiency = 1.0);
+  Ref<Exec> exec_async(int host, double flops, double efficiency = 1.0);
 
   /// Message of `bytes` from src to dst, subject to the platform's
   /// piece-wise-linear MPI model and link contention.
-  std::shared_ptr<Transfer> transfer_async(int src_host, int dst_host,
-                                           double bytes);
+  Ref<Transfer> transfer_async(int src_host, int dst_host, double bytes);
 
   /// Local buffer copy of `bytes` on `host` (an eager send handing its
   /// payload to the MPI runtime): a zero-latency fluid over the host's
   /// loopback (memory) capacity. Completes instantly when the host has no
   /// loopback link configured.
-  std::shared_ptr<Transfer> injection_async(int host, double bytes);
+  Ref<Transfer> injection_async(int host, double bytes);
 
-  std::shared_ptr<Timer> timer_async(SimTime duration);
+  Ref<Timer> timer_async(SimTime duration);
 
   /// Nominal one-way route latency between two hosts (cached).
   double route_latency(int src_host, int dst_host);
@@ -196,7 +198,9 @@ class Engine {
   /// Sets a link's bandwidth to `bandwidth_factor` (> 0) and its latency to
   /// `latency_factor` (>= 0) times their nominal values from the current
   /// simulated time onwards. Flowing transfers are re-solved; latency
-  /// applies to transfers started after the call.
+  /// applies to transfers started after the call (cached routes crossing
+  /// the link are re-summed in place, so routes held by transfers in their
+  /// latency phase stay valid).
   void set_link_factors(int link, double bandwidth_factor,
                         double latency_factor);
 
@@ -213,9 +217,7 @@ class Engine {
   struct Awaiter {
     Activity* activity;
     bool await_ready() const noexcept { return activity->done(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      activity->waiters_.push_back(h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { activity->add_waiter(h); }
     void await_resume() const noexcept {}
   };
 
@@ -226,14 +228,15 @@ class Engine {
   struct OwningAwaiter {
     ActivityPtr activity;
     bool await_ready() const noexcept { return activity->done(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      activity->waiters_.push_back(h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { activity->add_waiter(h); }
     void await_resume() const noexcept {}
   };
 
   /// co_await engine.wait(act) — suspends until the activity completes.
-  Awaiter wait(const ActivityPtr& activity) { return Awaiter{activity.get()}; }
+  template <class T>
+  Awaiter wait(const Ref<T>& activity) {
+    return Awaiter{activity.get()};
+  }
   Awaiter wait(Activity& activity) { return Awaiter{&activity}; }
 
   /// Convenience: one-shot sleep.
@@ -245,6 +248,9 @@ class Engine {
   friend class Gate;
   friend struct Task::promise_type::FinalAwaiter;
 
+  // A route_cache_ entry: the route's links, which are also its network
+  // resources. Entries are never erased, so a transfer may point at
+  // `resources` for its whole life.
   struct CachedRoute {
     std::vector<ResourceId> resources;
     double latency = 0.0;
@@ -273,6 +279,9 @@ class Engine {
   };
 
   const CachedRoute& cached_route(int src_host, int dst_host);
+  /// Sum of the route's link latencies under the current factors, in route
+  /// order.
+  double route_latency_sum(const std::vector<ResourceId>& links) const;
   void complete(Activity& activity);
   void start_flow(Transfer& transfer);
 
@@ -283,8 +292,7 @@ class Engine {
   std::size_t finish_sift_up(std::size_t i);
   std::size_t finish_sift_down(std::size_t i);
   /// Inserts `fluid`'s entry or re-keys it in place to (time, fresh seq).
-  void finish_update(const ActivityPtr& activity, FluidState& fluid,
-                     SimTime time);
+  void finish_update(Activity& activity, FluidState& fluid, SimTime time);
   /// Drops `fluid`'s entry if queued (starvation, completion).
   void finish_remove(FluidState& fluid);
   /// Removes the earliest entry.
@@ -293,7 +301,7 @@ class Engine {
   /// Brings `fluid.remaining` up to date at the current time.
   void catch_up(FluidState& fluid);
   /// Sets a fluid's rate (catching it up first) and requeues its finish.
-  void set_rate(const ActivityPtr& activity, FluidState& fluid, double rate);
+  void set_rate(Activity& activity, FluidState& fluid, double rate);
 
   // Share groups (see the header comment). Members sit in a binary min-heap
   // on (key, seq); the head alone holds a finish-heap entry.
@@ -341,13 +349,12 @@ class Engine {
   // var_flows_, a VarId-indexed side table (dense: the solver recycles ids)
   // that lets resolve_network() re-rate exactly the flows the incremental
   // solver reports as changed instead of rescanning every live flow.
-  MaxMin net_lmm_;
-  std::vector<ResourceId> link_res_;   // link id -> network resource
-  std::vector<std::shared_ptr<Transfer>> var_flows_;  // VarId -> flow
+  MaxMin net_lmm_;  // resource l is platform link l
+  std::vector<Ref<Transfer>> var_flows_;  // VarId -> flow
   std::vector<ShareGroup> groups_;  // GroupId -> share group
 
   // CPU scheduling state; active execs per host, kept alive by the engine.
-  std::vector<std::vector<std::shared_ptr<Exec>>> host_execs_;
+  std::vector<std::vector<Ref<Exec>>> host_execs_;
 
   // Fault-injection state: current factors over the platform's nominal host
   // powers and link bandwidths/latencies (1.0 = healthy). Absolute, not

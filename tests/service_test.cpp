@@ -645,6 +645,26 @@ TEST(MetricsTest, HistogramPercentilesAndSummary)
   EXPECT_EQ(empty.percentile(0.99), 0.0);
 }
 
+// Two hit paths whose latencies sit in one octave (9.6 and 15.4 us: both
+// read p50 = 16 us from power-of-two buckets) must report apart, each p50
+// at most 12.5% above the truth. One slow sample per histogram is the tail
+// a real latency histogram has; it keeps max() from clamping the answer.
+TEST(MetricsTest, HistogramSeparatesLatenciesWithinAnOctave) {
+  const auto p50_of = [](double seconds) {
+    obs::Histogram h;
+    for (int i = 0; i < 3000; ++i) h.record(seconds);
+    h.record(2e-3);
+    return h.percentile(0.5);
+  };
+  const double fast = p50_of(9.6e-6);
+  const double slow = p50_of(15.4e-6);
+  EXPECT_NE(fast, slow);
+  EXPECT_GE(fast, 9.6e-6);
+  EXPECT_LE(fast, 1.125 * 9.6e-6);
+  EXPECT_GE(slow, 15.4e-6);
+  EXPECT_LE(slow, 1.125 * 15.4e-6);
+}
+
 // ---------------------------------------------------------------------------
 // InputResolver
 
