@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,6 +33,7 @@
 
 #include "obs/span.hpp"
 #include "simkern/engine.hpp"
+#include "support/fifo.hpp"
 
 namespace tir::obs {
 class Recorder;
@@ -177,8 +177,8 @@ class Rank final : public MpiApi {
     sim::GatePtr sender_gate;   ///< opened when a rendezvous completes
     double sent_at = 0.0;       ///< simulated time the send was issued
   };
-  std::deque<InMsg> unexpected_;
-  std::deque<Request> posted_;
+  Fifo<InMsg> unexpected_;
+  Fifo<Request> posted_;
 
   // Diagnostics state (see OpScope / describe_state). Rendering is lazy:
   // the hot path stores a label pointer and a request handle, and only a

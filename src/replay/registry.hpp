@@ -7,11 +7,11 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "mpisim/mpi.hpp"
+#include "support/fifo.hpp"
 #include "trace/action.hpp"
 
 namespace tir::replay {
@@ -37,7 +37,7 @@ class ReplayCtx {
  private:
   mpi::Rank& rank_;
   double compute_efficiency_;
-  std::deque<mpi::Request> pending_;
+  Fifo<mpi::Request> pending_;
 };
 
 using ActionHandler =

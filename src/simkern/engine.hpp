@@ -21,6 +21,11 @@
 //     (O(changed), not O(live flows)). A flow that starts alone on every
 //     link it crosses is rated on the spot and leaves without a solve
 //     (maxmin.hpp's lone variables): on graph fabrics most flows are.
+//   - A link that cannot saturate — its flows' ceilings (bound or
+//     narrowest capacity) sum below its capacity, as on a cluster backbone
+//     crossed by fewer flows than it is NICs wide — couples nobody
+//     (maxmin.hpp's slack resources): components and the lone test look
+//     through it, so the backbone stops joining every flow in flight.
 //   - Fluid progress is tracked lazily: each fluid stores its remaining
 //     work as of `last_update`, and its predicted finish sits in an indexed
 //     4-ary min-heap — one entry per running fluid, re-keyed in place when
@@ -43,7 +48,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -55,6 +59,7 @@
 #include "simkern/activity.hpp"
 #include "simkern/co.hpp"
 #include "simkern/maxmin.hpp"
+#include "support/fifo.hpp"
 
 namespace tir::obs {
 class Recorder;
@@ -369,7 +374,7 @@ class Engine {
   std::uint64_t seq_ = 0;
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
   std::vector<FinishItem> finish_heap_;  // indexed min-heap, one per fluid
-  std::deque<std::coroutine_handle<>> ready_;
+  Fifo<std::coroutine_handle<>> ready_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_processes_ = 0;
   std::exception_ptr first_error_;

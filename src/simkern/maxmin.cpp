@@ -50,12 +50,78 @@ void MaxMin::mark_resource_modified(ResourceId r) {
   modified_resources_.push_back(r);
 }
 
+// -- slack resources ----------------------------------------------------------
+
+double MaxMin::ceiling_of(const Var& v) const {
+  // A weight at most kEps offers the fill no resource share, so only the
+  // bound limits such a variable.
+  if (v.weight <= kEps) return v.bound;
+  double ceiling = v.bound;
+  for (const ResourceId r : v.resources)
+    ceiling = std::min(ceiling, resources_[static_cast<std::size_t>(r)].capacity);
+  return ceiling;
+}
+
+bool MaxMin::refresh_slack(Res& res) {
+  // An infinite ceiling makes the sum infinite (later NaN): never slack.
+  const bool slack =
+      !full_solve_ && res.ceiling_sum < res.capacity * (1.0 - kSlackMargin);
+  const bool flipped = slack != res.slack;
+  res.slack = slack;
+  return flipped;
+}
+
+void MaxMin::dissolve_member_groups(const Res& res) {
+  for (const VarId id : res.vars) {
+    const GroupId g = vars_[static_cast<std::size_t>(id)].group;
+    if (g >= 0) hub_exit(g);
+  }
+}
+
 void MaxMin::set_capacity(ResourceId r, double capacity) {
   if (!(capacity >= 0)) throw Error("MaxMin: capacity must be non-negative");
   Res& res = resources_.at(static_cast<std::size_t>(r));
   if (res.capacity == capacity) return;
   if (res.hub >= 0) hub_exit(res.hub);
   res.capacity = capacity;
+  // An emptied resource's component is empty; its next member refreshes
+  // its slack flag.
+  if (res.vars.empty()) return;
+  const bool was_slack = res.slack;
+
+  // The members' ceilings follow the capacity. Every resource they cross
+  // re-sums its ceilings exactly, once (`in_component` is free outside
+  // solve()), and one whose slack state flipped is marked. A flip to
+  // coupling first dissolves the groups it now joins; a group resource
+  // (never slack) turning slack dissolves its group.
+  for (const VarId id : res.vars) {
+    Var& v = vars_[static_cast<std::size_t>(id)];
+    v.ceiling = ceiling_of(v);
+  }
+  for (const VarId id : res.vars) {
+    for (const ResourceId t : vars_[static_cast<std::size_t>(id)].resources) {
+      Res& other = resources_[static_cast<std::size_t>(t)];
+      if (other.in_component) continue;
+      other.in_component = true;
+      other.ceiling_sum = 0.0;
+      for (const VarId m : other.vars)
+        other.ceiling_sum += vars_[static_cast<std::size_t>(m)].ceiling;
+      if (!refresh_slack(other) || t == r) continue;
+      if (other.hub >= 0) {
+        hub_exit(other.hub);
+      } else {
+        dissolve_member_groups(other);
+      }
+      mark_resource_modified(t);
+    }
+  }
+  for (const VarId id : res.vars) {
+    for (const ResourceId t : vars_[static_cast<std::size_t>(id)].resources)
+      resources_[static_cast<std::size_t>(t)].in_component = false;
+  }
+  // Marked unless it stayed slack: nothing couples through it then.
+  if (was_slack && res.slack) return;
+  if (was_slack) dissolve_member_groups(res);
   mark_resource_modified(r);
 }
 
@@ -91,7 +157,7 @@ void MaxMin::share_sift(Hub& hub, std::size_t i) {
 void MaxMin::hub_update_share(ResourceId r) {
   Res& res = resources_[static_cast<std::size_t>(r)];
   Hub& hub = hubs_[static_cast<std::size_t>(res.hub)];
-  if (res.vars.empty()) {  // its last member left: r leaves the component
+  if (res.vars.empty() || res.slack) {  // r leaves the component
     const auto i = static_cast<std::size_t>(res.share_pos);
     const Share last = hub.shares.back();
     hub.shares.pop_back();
@@ -131,12 +197,14 @@ bool MaxMin::hub_admit(VarId id) {
     if (join < 0 && hubs_[static_cast<std::size_t>(g)].res == r) join = g;
   }
   if (!touches) return false;
-  // Every other resource must be the group's or new to the system (`v` is
-  // already listed, so a second member means another component).
+  // Every other resource must be the group's, slack, or new to the system
+  // (`v` is already listed, so a second member means another component).
   bool fits = join >= 0 && v.weight == 1.0 && v.bound == kInf;
   for (const ResourceId r : v.resources) {
     const Res& res = resources_[static_cast<std::size_t>(r)];
-    if (res.hub != join && (res.hub >= 0 || res.vars.size() > 1)) fits = false;
+    if (res.hub != join &&
+        (res.hub >= 0 || (!res.slack && res.vars.size() > 1)))
+      fits = false;
   }
   if (!fits) {
     for (const ResourceId r : v.resources) {
@@ -148,8 +216,9 @@ bool MaxMin::hub_admit(VarId id) {
   const ResourceId hub_res = hubs_[static_cast<std::size_t>(join)].res;
   v.group = join;
   for (const ResourceId r : v.resources) {
-    if (r == hub_res) continue;
-    resources_[static_cast<std::size_t>(r)].hub = join;
+    Res& res = resources_[static_cast<std::size_t>(r)];
+    if (r == hub_res || res.slack) continue;  // slack ones stay outside
+    res.hub = join;
     hub_update_share(r);
   }
   hub_queue(join);
@@ -241,7 +310,8 @@ bool MaxMin::lone(const Var& v) const {
   // fill without a resource share, so such a variable takes the fill too.
   if (full_solve_ || v.weight <= kEps) return false;
   for (const ResourceId r : v.resources) {
-    if (resources_[static_cast<std::size_t>(r)].vars.size() != 1) return false;
+    const Res& res = resources_[static_cast<std::size_t>(r)];
+    if (res.vars.size() != 1 && !res.slack) return false;
   }
   return true;
 }
@@ -281,20 +351,26 @@ VarId MaxMin::add_variable(double weight,
   v.positions.clear();
   v.positions.reserve(v.resources.size());
   v.group = -1;
+  v.ceiling = ceiling_of(v);
   for (const ResourceId r : v.resources) {
     Res& res = resources_[static_cast<std::size_t>(r)];
     v.positions.push_back(static_cast<std::uint32_t>(res.vars.size()));
     res.vars.push_back(id);
+    res.ceiling_sum += v.ceiling;
+    // Turning coupling joins the members' components: groups among them
+    // no longer have their shape. The mark below lets the BFS cross it.
+    if (refresh_slack(res) && res.vars.size() > 1) dissolve_member_groups(res);
   }
   ++active_count_;
   if (hubs_.size() > free_hubs_.size() && hub_admit(id)) return id;
   if (lone(v)) {
-    // A component of its own: one fill round over its resources, each
-    // offering cap / weight (the fill's rem / wsum), rates it exactly.
+    // A component of its own: one fill round over its coupling resources,
+    // each offering cap / weight (the fill's rem / wsum), rates it exactly.
     double share = kInf;
-    for (const ResourceId r : v.resources)
-      share = std::min(
-          share, resources_[static_cast<std::size_t>(r)].capacity / v.weight);
+    for (const ResourceId r : v.resources) {
+      const Res& res = resources_[static_cast<std::size_t>(r)];
+      if (!res.slack) share = std::min(share, res.capacity / v.weight);
+    }
     try {
       v.rate = round_rate(share, v.weight, v.bound).rate;
     } catch (...) {
@@ -304,8 +380,13 @@ VarId MaxMin::add_variable(double weight,
     ++stats_.lone_rates;
     return id;
   }
-  for (const ResourceId r : v.resources) mark_resource_modified(r);
-  if (v.resources.empty() && !v.modified) {
+  bool marked = false;
+  for (const ResourceId r : v.resources) {
+    if (resources_[static_cast<std::size_t>(r)].slack) continue;
+    mark_resource_modified(r);
+    marked = true;
+  }
+  if (!marked && !v.modified) {  // no resource, or only slack ones
     v.modified = true;
     modified_vars_.push_back(id);
   }
@@ -332,15 +413,23 @@ void MaxMin::remove_variable(VarId id) {
       while (m.resources[k] != r) ++k;
       m.positions[k] = pos;
     }
-    // An emptied resource's component is empty: nothing to re-solve.
-    if (v.group < 0 && !res.vars.empty()) mark_resource_modified(r);
+    const bool was_slack = res.slack;
+    res.ceiling_sum = res.vars.empty() ? 0.0 : res.ceiling_sum - v.ceiling;
+    refresh_slack(res);
+    // An emptied resource's component is empty, and a slack one coupled
+    // nobody: nothing to re-solve. One that turned slack is marked; the
+    // solve re-grows its members' components.
+    if (v.group < 0 && !res.vars.empty() && !was_slack)
+      mark_resource_modified(r);
   }
   if (v.group >= 0) {
     // A member leaving its hub group: O(degree · log R) share updates; the
     // group's rate and binding condition are settled by the next solve.
+    // Slack resources the member crossed are not the group's.
     const ResourceId hub_res = hubs_[static_cast<std::size_t>(v.group)].res;
     for (const ResourceId r : v.resources) {
-      if (r != hub_res) hub_update_share(r);
+      if (r != hub_res && resources_[static_cast<std::size_t>(r)].hub == v.group)
+        hub_update_share(r);
     }
     if (resources_[static_cast<std::size_t>(hub_res)].vars.empty()) {
       hub_exit(v.group);
@@ -418,31 +507,39 @@ void MaxMin::expand_components() {
         const Var& var = vars_[static_cast<std::size_t>(
             component_vars_[vi++])];
         for (const ResourceId r : var.resources) {
+          const Res& res = resources_[static_cast<std::size_t>(r)];
+          if (res.slack) continue;  // couples nobody
           push_res(r);
-          fill_res_[static_cast<std::size_t>(
-              resources_[static_cast<std::size_t>(r)].slot)].wsum +=
-              var.weight;
+          fill_res_[static_cast<std::size_t>(res.slot)].wsum += var.weight;
         }
       }
     }
     components_.push_back(Component{res_begin, component_res_.size(),
                                     var_begin, component_vars_.size()});
   };
-  const auto grow_from_res = [&](ResourceId r) {
-    // A resource marked before a hub group absorbed it is the group's to
-    // answer; nothing outside a group reaches into it.
-    const Res& res = resources_[static_cast<std::size_t>(r)];
-    if (res.in_component || res.hub >= 0) return;
-    const std::size_t rb = component_res_.size();
-    const std::size_t vb = component_vars_.size();
-    push_res(r);
-    grow(rb, vb);
-  };
   const auto grow_from_var = [&](VarId v) {
     if (vars_[static_cast<std::size_t>(v)].in_component) return;
     const std::size_t rb = component_res_.size();
     const std::size_t vb = component_vars_.size();
     push_var(v);
+    grow(rb, vb);
+  };
+  const auto grow_from_res = [&](ResourceId r) {
+    // A resource marked before a hub group absorbed it is the group's to
+    // answer; nothing outside a group reaches into it.
+    const Res& res = resources_[static_cast<std::size_t>(r)];
+    if (res.in_component || res.hub >= 0) return;
+    if (res.slack) {
+      // It turned slack (or changed while slack): each member's component
+      // stands on its own now. Hub groups answer for their members.
+      for (const VarId v : res.vars) {
+        if (vars_[static_cast<std::size_t>(v)].group < 0) grow_from_var(v);
+      }
+      return;
+    }
+    const std::size_t rb = component_res_.size();
+    const std::size_t vb = component_vars_.size();
+    push_res(r);
     grow(rb, vb);
   };
 
@@ -475,8 +572,9 @@ void MaxMin::fill_component(std::size_t c) {
     fv.done = true;
     const Var& v = vars_[static_cast<std::size_t>(id)];
     for (const ResourceId r : v.resources) {
-      FillRes& fr = fill_res_[static_cast<std::size_t>(
-          resources_[static_cast<std::size_t>(r)].slot)];
+      const Res& res = resources_[static_cast<std::size_t>(r)];
+      if (res.slack) continue;  // not in the component
+      FillRes& fr = fill_res_[static_cast<std::size_t>(res.slot)];
       fr.rem = std::max(0.0, fr.rem - rate);
       fr.wsum -= fv.weight;
     }

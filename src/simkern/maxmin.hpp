@@ -30,6 +30,23 @@
 // fill compares against the rate add_variable gave it. Full-solve mode and
 // weights at most the fill's 1e-12 epsilon never take the lone path.
 //
+// Slack resources. A variable's *ceiling* is its bound or the smallest
+// capacity it crosses, whichever is lower (just its bound when its weight
+// is at most the fill's epsilon): no fill rates it above that. A resource
+// whose members' ceilings sum below capacity · (1 − kSlackMargin) is
+// *slack*: in any round of progressive filling with best share s, each
+// unsaturated member offers s · w at most its ceiling and each saturated
+// one holds at most its ceiling, so the resource's remaining capacity
+// stays above s times its weight sum by far more than the 1e-9 binding
+// tolerance. It never binds and couples nobody: the component BFS does not
+// cross it, the fill leaves it out, the lone test ignores it, and a member
+// leaving it marks nothing. A mutation that flips a resource between slack
+// and coupling marks it; solve() seeds each member's own component from a
+// marked slack resource. In exact arithmetic the allocation is unchanged;
+// the pruned fill differs from the joint one only when two sub-components
+// bind at shares within the 1e-9 tolerance without being equal (the joint
+// fill binds both at the lower). Full-solve mode has no slack resources.
+//
 // Components are kept separate all the way through progressive filling:
 // expand_components() records one [res, var) slice per connected component
 // and fill stops at component boundaries, so each component's fill is a
@@ -58,7 +75,9 @@
 // component, on a variable that skips the hub, bridges into another
 // component or carries a non-unit weight or finite bound, and on a removal
 // that lets another resource reach the hub share. Full-solve mode never
-// forms groups.
+// forms groups. Members may cross slack resources, which stay outside the
+// group; one that stops being slack dissolves its members' groups before
+// it is marked.
 //
 // Optimality conditions (checked by the property tests):
 //   1. No resource exceeds its capacity.
@@ -91,6 +110,11 @@ class MaxMin {
   /// components of at most 62 variables — entirely on the fill path, bit
   /// for bit, while B/256 couples ~280 flows on its backbone.
   static constexpr std::size_t kHubMinVars = 64;
+
+  /// A resource whose members' ceilings sum below capacity times
+  /// (1 − kSlackMargin) is slack (see the header comment). Large against
+  /// the rounding of the running sums and the fill's 1e-9 tolerance.
+  static constexpr double kSlackMargin = 1e-6;
 
   /// Cumulative solver-work counters (observable via EngineStats).
   struct SolveStats {
@@ -134,8 +158,8 @@ class MaxMin {
                      double bound = kInf);
 
   /// Deactivates a variable (O(degree) swap-removes). Its id is recycled.
-  /// Marks only the resources left with members: removing a lone variable
-  /// leaves dirty() as it was.
+  /// Marks only the resources left with members that were not slack:
+  /// removing a lone variable leaves dirty() as it was.
   void remove_variable(VarId v);
 
   /// True when the system changed since the last solve().
@@ -192,17 +216,25 @@ class MaxMin {
   double resource_load(ResourceId r) const;
 
   /// When on, every solve() re-solves the whole system (differential
-  /// testing of the incremental path) and no hub group forms. Changed-
-  /// variable reporting still works. Set it before adding variables.
+  /// testing of the incremental path), no resource is slack and no hub
+  /// group forms. Changed-variable reporting still works. Set it before
+  /// adding variables.
   void set_full_solve(bool on) { full_solve_ = on; }
   bool full_solve() const { return full_solve_; }
+
+  /// True when `r` is slack: it cannot bind, so it couples no variables.
+  bool slack(ResourceId r) const {
+    return resources_[static_cast<std::size_t>(r)].slack;
+  }
 
   const SolveStats& solve_stats() const { return stats_; }
 
  private:
   struct Res {
     double capacity = 0.0;
+    double ceiling_sum = 0.0;  // members' ceilings; 0 when empty
     std::vector<VarId> vars;  // active members (positions mirrored in Var)
+    bool slack = false;       // see slack(); kept by refresh_slack
     bool modified = false;    // queued in modified_resources_
     GroupId hub = -1;         // hub group whose component holds it
     std::int32_t share_pos = -1;  // slot in that group's share heap
@@ -213,6 +245,7 @@ class MaxMin {
   struct Var {
     double weight = 1.0;
     double bound = kInf;
+    double ceiling = kInf;  // see the header comment
     double rate = 0.0;  // members of a hub group: see Hub::rate
     bool active = false;
     bool modified = false;  // queued in modified_vars_ (resource-less vars)
@@ -242,8 +275,15 @@ class MaxMin {
   };
 
   void mark_resource_modified(ResourceId r);
-  /// add_variable's lone test: `v` is alone on every resource it uses, its
-  /// weight exceeds the fill's epsilon, and full-solve mode is off.
+  /// `v`'s ceiling under the current capacities.
+  double ceiling_of(const Var& v) const;
+  /// Recomputes `res.slack` from its ceiling sum; true when it flipped.
+  bool refresh_slack(Res& res);
+  /// A slack resource turned coupling: dissolves its members' hub groups.
+  void dissolve_member_groups(const Res& res);
+  /// add_variable's lone test: every resource `v` uses carries it alone or
+  /// is slack, its weight exceeds the fill's epsilon, and full-solve mode
+  /// is off.
   bool lone(const Var& v) const;
   /// add_variable's hub check: joins `v` to the group whose hub it crosses
   /// when the component keeps its shape, and dissolves every group it

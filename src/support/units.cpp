@@ -137,17 +137,25 @@ std::string format_duration(double seconds) {
   return format3(seconds * 1e9, "ns");
 }
 
-std::string format_volume(double v) {
+void append_volume(std::string& out, double v) {
   // Integers up to 2^53 print exactly; anything else keeps 17 digits so the
-  // value round-trips through the text trace format.
-  if (v >= 0 && v < 9.007199254740992e15 && v == std::floor(v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
+  // value round-trips through the text trace format. Given a precision,
+  // to_chars prints what printf's "%.0f" and "%.17g" print.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  const bool integral =
+      v >= 0 && v < 9.007199254740992e15 && v == std::floor(v);
+  const auto end =
+      integral ? std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 17);
+  out.append(buf, end.ptr);
+}
+
+std::string format_volume(double v) {
+  std::string out;
+  append_volume(out, v);
+  return out;
 }
 
 }  // namespace tir::units

@@ -38,4 +38,7 @@ std::string format_duration(double seconds);
 /// without exponent, large values keep full precision (round-trip safe).
 std::string format_volume(double v);
 
+/// Appends format_volume(v) to `out` without a temporary.
+void append_volume(std::string& out, double v);
+
 }  // namespace tir::units

@@ -1,6 +1,7 @@
 #include "trace/action.hpp"
 
 #include <array>
+#include <charconv>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -78,40 +79,58 @@ ActionType action_type_from_keyword(std::string_view keyword) {
                    "'");
 }
 
-std::string to_line(const Action& a) {
-  std::string line = "p" + std::to_string(a.pid) + " ";
-  line += action_keyword(a.type);
+void append_line(std::string& out, const Action& a) {
+  const auto put_int = [&out](int v) {
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  const auto put_volume = [&out](double v) {
+    out += ' ';
+    units::append_volume(out, v);
+  };
+  out += 'p';
+  put_int(a.pid);
+  out += ' ';
+  out += action_keyword(a.type);
   switch (a.type) {
     case ActionType::compute:
     case ActionType::bcast:
     case ActionType::gather:
     case ActionType::allgather:
     case ActionType::alltoall:
-      line += " " + units::format_volume(a.volume);
+      put_volume(a.volume);
       break;
     case ActionType::send:
     case ActionType::isend:
-      line += " p" + std::to_string(a.partner) + " " +
-              units::format_volume(a.volume);
+      out += " p";
+      put_int(a.partner);
+      put_volume(a.volume);
       break;
     case ActionType::recv:
     case ActionType::irecv:
-      line += " p" + std::to_string(a.partner);
-      if (a.volume > 0) line += " " + units::format_volume(a.volume);
+      out += " p";
+      put_int(a.partner);
+      if (a.volume > 0) put_volume(a.volume);
       break;
     case ActionType::reduce:
     case ActionType::allreduce:
-      line += " " + units::format_volume(a.volume) + " " +
-              units::format_volume(a.volume2);
+      put_volume(a.volume);
+      put_volume(a.volume2);
       break;
     case ActionType::comm_size:
-      line += " " + std::to_string(a.comm_size);
+      out += ' ';
+      put_int(a.comm_size);
       break;
     case ActionType::barrier:
     case ActionType::wait:
     case ActionType::waitall:
       break;
   }
+}
+
+std::string to_line(const Action& a) {
+  std::string line;
+  append_line(line, a);
   return line;
 }
 

@@ -63,6 +63,9 @@ struct Action {
   bool operator==(const Action&) const = default;
 };
 
+/// Appends the canonical trace line (no trailing newline) to `out`.
+void append_line(std::string& out, const Action& action);
+
 /// Renders the canonical trace line (no trailing newline).
 std::string to_line(const Action& action);
 

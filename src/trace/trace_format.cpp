@@ -52,7 +52,7 @@ class RecordWriter {
     if (binary_) {
       put_record(a);
     } else {
-      buffer_ += to_line(a);
+      append_line(buffer_, a);
       buffer_ += '\n';
     }
     if (buffer_.size() >= kFlushThreshold) flush();
@@ -139,13 +139,15 @@ std::uint64_t write_compact(const std::filesystem::path& path,
   buffer.push_back(static_cast<char>(kCompactVersion));
   put_varint(buffer, static_cast<std::uint64_t>(pid));
   put_varint(buffer, program.size());
+  std::string line;
   for (const LoopBlock& block : program) {
     put_varint(buffer, block.count);
     put_varint(buffer, block.body.size());
     // Reuse the textual action encoding per entry: simple and debuggable
     // (the count dominates the savings anyway).
     for (const Action& a : block.body) {
-      const std::string line = to_line(a);
+      line.clear();
+      append_line(line, a);
       put_varint(buffer, line.size());
       buffer += line;
     }

@@ -162,7 +162,7 @@ TEST(AllocTest, SteadyStateReplayStaysOffTheHeap) {
   std::printf("%llu allocations over %.0f actions: %.3f per action\n",
               static_cast<unsigned long long>(allocations), actions_replayed,
               per_action);
-  EXPECT_LE(per_action, 0.25);
+  EXPECT_LE(per_action, 0.1);
 }
 
 }  // namespace

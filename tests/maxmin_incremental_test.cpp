@@ -795,6 +795,299 @@ TEST(MaxMinLone, TinyWeightsAndFullSolveTakeTheFill) {
 }
 
 // ---------------------------------------------------------------------------
+// Slack resources: a resource whose members' ceilings (bound or narrowest
+// capacity) sum below its capacity by kSlackMargin cannot bind, so it
+// couples nobody. Rates must match a fresh rebuild and the full-solve twin
+// (which has no slack resources), and a rate is reported iff it moved.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A backbone of capacity 10 over `nics` NICs of capacity 1: each flow
+/// crosses the backbone and its own NIC, so its ceiling is 1 and the
+/// backbone turns coupling at the tenth flow.
+struct Star {
+  ResourceId bb;
+  std::vector<ResourceId> nics;
+};
+
+Star build_star(HubHarness& h, int nics) {
+  Star s;
+  s.bb = h.add_resource(10.0);
+  for (int i = 0; i < nics; ++i) s.nics.push_back(h.add_resource(1.0));
+  return s;
+}
+
+}  // namespace
+
+TEST(MaxMinSlack, BackboneCouplesAtTheTenthFlowAndLetsGoAtTheNinth) {
+  HubHarness h;
+  const Star s = build_star(h, 12);
+  MaxMin& m = h.solver();
+  std::vector<VarId> flows;
+  for (std::size_t i = 0; i < 9; ++i) {
+    flows.push_back(h.add({s.bb, s.nics[i]}));
+    EXPECT_TRUE(m.slack(s.bb));
+    EXPECT_FALSE(m.dirty()) << "flow " << i << " should be lone";
+    EXPECT_EQ(m.rate(flows.back()), 1.0);
+  }
+  h.solve_and_check();
+  EXPECT_EQ(m.solve_stats().solves, 0u);
+  EXPECT_EQ(m.solve_stats().lone_rates, 9u);
+
+  // The tenth flow's ceilings sum to the capacity: the backbone couples,
+  // and one solve covers all ten. Only the new flow's rate moves.
+  flows.push_back(h.add({s.bb, s.nics[9]}));
+  EXPECT_FALSE(m.slack(s.bb));
+  EXPECT_TRUE(m.dirty());
+  EXPECT_EQ(h.solve_and_check(), (std::vector<VarId>{flows.back()}));
+  EXPECT_EQ(m.solve_stats().solves, 1u);
+  EXPECT_EQ(m.solve_stats().last_component_vars, 10u);
+  for (const VarId v : flows) EXPECT_EQ(m.rate(v), 1.0);
+
+  // An eleventh flow squeezes everyone to 10 / 11.
+  const VarId extra = h.add({s.bb, s.nics[10]});
+  EXPECT_EQ(h.solve_and_check().size(), 11u);
+  EXPECT_EQ(m.rate(extra), 10.0 / 11.0);
+
+  // Back to ten: coupled still, everyone back at 1.
+  h.remove(extra);
+  EXPECT_FALSE(m.slack(s.bb));
+  EXPECT_EQ(h.solve_and_check().size(), 10u);
+
+  // Nine: the backbone turns slack. The solve re-grows each member's own
+  // component (nine of one flow each); no rate moves.
+  const auto touched = m.solve_stats().vars_touched;
+  h.remove(flows.back());
+  flows.pop_back();
+  EXPECT_TRUE(m.slack(s.bb));
+  EXPECT_TRUE(m.dirty());
+  EXPECT_TRUE(h.solve_and_check().empty());
+  EXPECT_EQ(m.solve_stats().vars_touched - touched, 9u);
+
+  // While slack, removals mark nothing and adds are lone again.
+  h.remove(flows.back());
+  flows.pop_back();
+  EXPECT_FALSE(m.dirty());
+  const auto lone = m.solve_stats().lone_rates;
+  h.add({s.bb, s.nics[11]});
+  EXPECT_FALSE(m.dirty());
+  EXPECT_EQ(m.solve_stats().lone_rates, lone + 1);
+  h.solve_and_check();
+}
+
+TEST(MaxMinSlack, ASumAtCapacityIsNotSlack) {
+  // Exactly at capacity, and just inside the margin, the backbone couples.
+  for (const double nic : {1.0, 1.0 - 1e-7}) {
+    SCOPED_TRACE(nic);
+    HubHarness h;
+    const ResourceId bb = h.add_resource(10.0);
+    std::vector<ResourceId> nics;
+    for (int i = 0; i < 10; ++i) nics.push_back(h.add_resource(nic));
+    for (int i = 0; i < 10; ++i) h.add({bb, nics[static_cast<std::size_t>(i)]});
+    EXPECT_FALSE(h.solver().slack(bb));
+    h.solve_and_check();
+  }
+  // Below the margin it does not: nine flows of ceiling 1, and ten whose
+  // bounds sum to 9.99.
+  HubHarness h;
+  const ResourceId bb = h.add_resource(10.0);
+  std::vector<ResourceId> nics;
+  for (int i = 0; i < 10; ++i) nics.push_back(h.add_resource(1.0));
+  for (int i = 0; i < 9; ++i) h.add({bb, nics[static_cast<std::size_t>(i)]});
+  EXPECT_TRUE(h.solver().slack(bb));
+  h.add({bb, nics[9]}, 1.0, 0.99);
+  EXPECT_TRUE(h.solver().slack(bb));
+  EXPECT_FALSE(h.solver().dirty());
+  h.solve_and_check();
+}
+
+TEST(MaxMinSlack, SetCapacityMakesALinkCoupleThenRestoresIt) {
+  HubHarness h;
+  const Star s = build_star(h, 9);
+  MaxMin& m = h.solver();
+  std::vector<VarId> flows;
+  for (std::size_t i = 0; i < 9; ++i) flows.push_back(h.add({s.bb, s.nics[i]}));
+  h.solve_and_check();
+
+  // The backbone's own capacity: below the ceilings' sum it binds.
+  h.set_capacity(s.bb, 4.5);
+  EXPECT_FALSE(m.slack(s.bb));
+  EXPECT_EQ(h.solve_and_check().size(), 9u);
+  EXPECT_EQ(m.rate(flows[0]), 0.5);
+  h.set_capacity(s.bb, 10.0);
+  EXPECT_TRUE(m.slack(s.bb));
+  EXPECT_EQ(h.solve_and_check().size(), 9u);
+  EXPECT_EQ(m.rate(flows[0]), 1.0);
+
+  // A member's NIC: its wider capacity raises the member's ceiling, and
+  // the backbone's sum reaches its capacity.
+  h.set_capacity(s.nics[0], 2.0);
+  EXPECT_FALSE(m.slack(s.bb));
+  EXPECT_EQ(h.solve_and_check(), (std::vector<VarId>{flows[0]}));
+  EXPECT_EQ(m.rate(flows[0]), 2.0);
+  h.set_capacity(s.nics[1], 3.0);  // the backbone now binds flows 0 and 1
+  h.solve_and_check();
+  h.set_capacity(s.nics[1], 1.0);
+  h.set_capacity(s.nics[0], 1.0);
+  EXPECT_TRUE(m.slack(s.bb));
+  h.solve_and_check();
+  EXPECT_EQ(m.rate(flows[0]), 1.0);
+
+  // A capacity change on a link that stays slack marks nothing.
+  h.set_capacity(s.bb, 20.0);
+  EXPECT_FALSE(m.dirty());
+}
+
+TEST(MaxMinSlack, NarrowingMembersNicsLetsTheBackboneGo) {
+  // Six flows over NICs of capacity 2 hold ceilings of 12 on a backbone of
+  // 10, which binds them at 10 / 6. Narrowing two NICs to 0.5 drops the
+  // sum to 9: the backbone turns slack through set_capacity on another
+  // link, and the flows it held back rise to their own NICs.
+  HubHarness h;
+  const ResourceId bb = h.add_resource(10.0);
+  std::vector<ResourceId> nics;
+  std::vector<VarId> flows;
+  for (int i = 0; i < 6; ++i) {
+    nics.push_back(h.add_resource(2.0));
+    flows.push_back(h.add({bb, nics.back()}));
+  }
+  MaxMin& m = h.solver();
+  h.solve_and_check();
+  EXPECT_EQ(m.rate(flows[5]), 10.0 / 6.0);
+  h.set_capacity(nics[0], 0.5);
+  h.solve_and_check();
+  EXPECT_FALSE(m.slack(bb));
+  h.set_capacity(nics[1], 0.5);
+  EXPECT_TRUE(m.slack(bb));
+  EXPECT_EQ(h.solve_and_check().size(), 5u);
+  EXPECT_EQ(m.rate(flows[5]), 2.0);
+  EXPECT_EQ(m.rate(flows[1]), 0.5);
+}
+
+TEST(MaxMinSlack, HubGroupMembersCrossASlackLinkThatLaterCouples) {
+  // Five members also cross a wide side link: its ceilings sum to at most
+  // 2000 against 5000, so it stays outside the group.
+  HubHarness h;
+  const Backbone b = build_backbone(h, 75);
+  const ResourceId side = h.add_resource(5000.0);
+  std::vector<VarId> crossing;
+  for (int i = 0; i < 5; ++i)
+    crossing.push_back(h.add({b.bb, b.nics[static_cast<std::size_t>(i)],
+                              b.nics[static_cast<std::size_t>(i + 20)], side}));
+  MaxMin& m = h.solver();
+  h.solve_and_check();
+  EXPECT_TRUE(m.slack(side));
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+  const GroupId g = m.entered_groups()[0];
+  EXPECT_EQ(m.group_of(crossing[0]), g);
+  EXPECT_EQ(m.group_members(g).size(), 80u);
+
+  // A new member crossing the slack link joins the group; a member crossing
+  // it leaves the group without touching the link.
+  const VarId joined = h.add({b.bb, b.nics[3], side});
+  EXPECT_EQ(m.group_of(joined), g);
+  h.solve_and_check();
+  // A bounded flow on the side link alone keeps it slack: lone, and the
+  // group does not see it.
+  const VarId guest = h.add({side}, 1.0, 10.0);
+  EXPECT_TRUE(m.slack(side));
+  EXPECT_FALSE(m.dirty());
+  EXPECT_EQ(m.rate(guest), 10.0);
+  EXPECT_EQ(m.group_of(joined), g);
+  h.remove(guest);
+  EXPECT_FALSE(m.dirty());
+  h.remove(crossing.back());
+  crossing.pop_back();
+  h.solve_and_check();
+  EXPECT_EQ(m.group_of(joined), g);
+  EXPECT_TRUE(m.exited_groups().empty());
+
+  // A flow alone on the side link raises its sum past the capacity: the
+  // link couples, the group dissolves, and the fill covers everyone.
+  const VarId hog = h.add({side});
+  EXPECT_FALSE(m.slack(side));
+  EXPECT_EQ(m.group_of(crossing[0]), -1);
+  h.solve_and_check();
+  EXPECT_EQ(m.exited_groups().size(), 1u);
+  EXPECT_TRUE(m.entered_groups().empty());
+
+  // It leaves: the link turns slack, and the refill finds the hub again.
+  h.remove(hog);
+  EXPECT_TRUE(m.slack(side));
+  h.solve_and_check();
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+  EXPECT_GE(m.group_of(joined), 0);
+
+  // Its capacity drops below the crossing members' ceilings: it couples
+  // through set_capacity, which dissolves the group the same way.
+  h.set_capacity(side, 500.0);
+  EXPECT_FALSE(m.slack(side));
+  EXPECT_EQ(m.group_of(joined), -1);
+  h.solve_and_check();
+  h.set_capacity(side, 5000.0);
+  h.solve_and_check();
+}
+
+TEST(MaxMinSlack, RandomStreamsCrossTheThresholdBothWays) {
+  for (const std::uint64_t seed : {5ull, 61ull, 777ull}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    HubHarness h;
+    // A backbone that couples around a dozen flows, NICs of mixed widths,
+    // and a second wide link some flows also cross.
+    const ResourceId bb = h.add_resource(1000.0);
+    const ResourceId wide = h.add_resource(3000.0);
+    std::vector<ResourceId> nics;
+    for (int i = 0; i < 24; ++i)
+      nics.push_back(h.add_resource(rng.uniform(40.0, 160.0)));
+    const auto nic = [&] { return nics[rng.next_below(nics.size())]; };
+    MaxMin& m = h.solver();
+    int to_coupling = 0, to_slack = 0;
+    bool was_slack = true;
+
+    for (int step = 0; step < 800; ++step) {
+      // The live count swings between about 6 and 20 flows, across the
+      // backbone's threshold; capacity changes move the threshold.
+      const std::size_t target = (step / 25) % 2 == 0 ? 6 : 20;
+      const auto ops = 1 + rng.next_below(3);
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        const double dice = rng.next_double();
+        if (dice < 0.08) {
+          h.set_capacity(bb, rng.uniform(600.0, 1600.0));
+        } else if (dice < 0.14) {
+          h.set_capacity(rng.next_double() < 0.2 ? wide : nic(),
+                         rng.uniform(40.0, 400.0));
+        } else if (h.live() < target) {
+          std::vector<ResourceId> use{bb, nic()};
+          if (rng.next_double() < 0.5) use.push_back(nic());
+          if (rng.next_double() < 0.2) use.push_back(wide);
+          const double shape = rng.next_double();
+          if (shape < 0.15) {
+            h.add(use, rng.uniform(0.5, 3.0));
+          } else if (shape < 0.3) {
+            h.add(use, 1.0, rng.uniform(10.0, 200.0));
+          } else if (shape < 0.35) {
+            h.add({nic()});
+          } else {
+            h.add(use);
+          }
+        } else {
+          h.remove(h.nth_live(rng.next_below(h.live())));
+        }
+      }
+      h.solve_and_check();
+      if (m.slack(bb) != was_slack) {
+        ++(was_slack ? to_coupling : to_slack);
+        was_slack = m.slack(bb);
+      }
+    }
+    EXPECT_GT(to_coupling, 10);
+    EXPECT_GT(to_slack, 10);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Engine-level differential: full replays (including the fault-injection
 // degrade paths) must produce the same simulated time with the incremental
 // solver and with full_solve.
@@ -949,8 +1242,12 @@ TEST(MaxMinIncremental, DegradeLinkInvalidatesOnlyAffectedRoutes) {
 }
 
 TEST(MaxMinIncremental, EngineStatsExposeSolverWork) {
+  // On bordereau's 10x backbone this ring's flows are all lone; a backbone
+  // no wider than one NIC couples them, so the solver has work to do.
+  plat::ClusterSpec narrow = plat::bordereau_spec(4);
+  narrow.backbone_bandwidth = narrow.bandwidth;
   const auto platform = std::make_shared<plat::Platform>();
-  const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(4));
+  const auto hosts = plat::build_cluster(*platform, narrow);
   ScenarioSpec spec;
   spec.platform = platform;
   spec.process_hosts = hosts;

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "trace/action.hpp"
 
 using namespace tir::trace;
@@ -77,4 +85,84 @@ TEST(Action, RejectsMalformedLines) {
 TEST(Action, VeryLargeIntegralVolumesSurvive) {
   const Action a = parse_line("p0 compute 123456789012345");
   EXPECT_EQ(to_line(a), "p0 compute 123456789012345");
+}
+
+namespace {
+
+/// A volume as printf renders it: "%.0f" for integers in [0, 2^53), "%.17g"
+/// for anything else (the writer's format before it moved to to_chars).
+std::string printf_volume(double v) {
+  char buf[64];
+  if (v >= 0 && v < 9007199254740992.0 && v == std::floor(v)) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+}  // namespace
+
+TEST(Action, AppendLineWritesWhatPrintfWrote) {
+  const double two53 = 9007199254740992.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> volumes{
+      0.0,
+      1.0,
+      163840.0,
+      1e6,
+      two53,
+      std::nextafter(two53, 0.0),
+      std::nextafter(two53, inf),
+      two53 * 2,
+      std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::min(),
+      1e300,
+      std::numeric_limits<double>::max(),
+      0.1,
+      1.0 / 3.0,
+      2.5,
+      12345678901234567.0,
+      0.12345678901234568,
+      9.8765432109876543e-5,
+      1e22,
+      1e-300};
+  // Random bit patterns: every finite non-negative double is fair game.
+  tir::Rng rng(2026);
+  while (volumes.size() < 20000) {
+    const std::uint64_t bits = rng.next_u64() & ~(std::uint64_t{1} << 63);
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) volumes.push_back(v);
+    // Integers and short decimals, as traces mostly carry.
+    volumes.push_back(std::floor(rng.uniform(0.0, 1e12)));
+    volumes.push_back(std::round(rng.uniform(0.0, 1e6)) / 100.0);
+  }
+
+  std::string out = "kept|";
+  for (const double v : volumes) {
+    const std::string text = printf_volume(v);
+    const std::vector<std::pair<Action, std::string>> cases{
+        {Action{3, ActionType::compute, -1, v, 0, 0}, "p3 compute " + text},
+        {Action{12, ActionType::send, 7, v, 0, 0}, "p12 send p7 " + text},
+        {Action{0, ActionType::irecv, 41, v, 0, 0},
+         v > 0 ? "p0 Irecv p41 " + text : "p0 Irecv p41"},
+        {Action{5, ActionType::allreduce, -1, v, 2.5, 0},
+         "p5 allReduce " + text + " 2.5"},
+    };
+    for (const auto& [action, line] : cases) {
+      out.resize(5);
+      append_line(out, action);
+      ASSERT_EQ(out.substr(5), line);
+      ASSERT_EQ(to_line(action), line);
+      ASSERT_EQ(parse_line(line), action) << line;
+    }
+  }
+  EXPECT_EQ(out.substr(0, 5), "kept|");
+
+  Action size{1, ActionType::comm_size, -1, 0, 0, 2147483647};
+  EXPECT_EQ(to_line(size), "p1 comm_size 2147483647");
+  EXPECT_EQ(to_line(Action{2147483647, ActionType::barrier, -1, 0, 0, 0}),
+            "p2147483647 barrier");
 }
