@@ -23,7 +23,9 @@
 //   and extrapolates the sizes (linear in the iteration count). Asserted:
 //   the TAU / TI ratio stays in [6.5, 9.0] (7.14 here), and the binary TI
 //   trace, which stands in for the gzip'd one, is under half the text TI
-//   size (25.5 vs 136 MiB at the default fraction).
+//   size (25.5 vs 136 MiB at the default fraction). Printed beside the
+//   simulated and modeled times: the wall seconds of the instrumented
+//   execution and of the extraction, where this phase spends its time.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -228,11 +230,14 @@ int main() {
       static_cast<double>(apps::lu_iterations(cfg.cls)) / cfg.iterations();
   std::printf("nodes used:               %d (folding factor 8)\n",
               r.nodes_used);
-  std::printf("instrumented execution:   %s (simulated)\n",
-              units::format_duration(r.instrumented_time).c_str());
-  std::printf("extraction + gathering:   %s + %s\n",
+  std::printf("instrumented execution:   %s simulated, %.2f s wall\n",
+              units::format_duration(r.instrumented_time).c_str(),
+              r.instrumented_wall);
+  std::printf("extraction + gathering:   %s + %s modeled; extraction %.2f s "
+              "wall\n",
               units::format_duration(r.extraction_time).c_str(),
-              units::format_duration(r.gather_time).c_str());
+              units::format_duration(r.gather_time).c_str(),
+              r.extraction_wall);
   std::printf("actions:                  %.1fM (full run: %.0fM)\n",
               r.actions / 1e6, r.actions / 1e6 * extrapolate);
   std::printf("TAU trace:                %s (full run: %s; paper: 252.5 "

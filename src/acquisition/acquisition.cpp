@@ -1,6 +1,7 @@
 #include "acquisition/acquisition.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 
 #include "acquisition/gather.hpp"
@@ -94,6 +95,7 @@ AcquisitionReport run_acquisition(const AcquisitionSpec& spec) {
   // ---- instrumented execution: produces real TAU files on disk.
   const auto tau_dir = spec.workdir / "tau";
   std::filesystem::create_directories(tau_dir);
+  const auto instrumented_start = std::chrono::steady_clock::now();
   {
     sim::Engine engine(ap.platform);
     mpi::World world(engine, ap.rank_hosts);
@@ -119,8 +121,11 @@ AcquisitionReport run_acquisition(const AcquisitionSpec& spec) {
     report.instrumented_time = engine.now();
     for (auto& writer : writers) writer->close();
   }
-  report.tracing_overhead =
-      std::max(0.0, report.instrumented_time - report.app_time);
+  report.instrumented_wall = std::chrono::duration<double>(
+      std::chrono::steady_clock::now() - instrumented_start).count();
+  if (spec.run_uninstrumented_baseline)
+    report.tracing_overhead =
+        std::max(0.0, report.instrumented_time - report.app_time);
 
   // ---- extraction (tau2ti), timed for real on this machine.
   const auto ti_dir = spec.workdir / "ti";

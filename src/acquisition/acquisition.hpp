@@ -44,7 +44,7 @@ struct AcquisitionSpec {
   /// 0 to report raw wall-clock / nodes instead.
   double extraction_node_throughput = 5e6;
   /// Also run the uninstrumented application to split "Application" from
-  /// "Tracing overhead" in the Figure 7 breakdown.
+  /// "Tracing overhead" in the Figure 7 breakdown; without it both read 0.
   bool run_uninstrumented_baseline = true;
 };
 
@@ -56,7 +56,9 @@ struct AcquisitionReport {
   // Figure 7 components (seconds).
   double app_time = 0.0;           ///< uninstrumented execution (simulated)
   double instrumented_time = 0.0;  ///< instrumented execution (simulated)
-  double tracing_overhead = 0.0;   ///< instrumented - app
+  /// instrumented - app; 0 when the uninstrumented baseline did not run.
+  double tracing_overhead = 0.0;
+  double instrumented_wall = 0.0;  ///< real time of the instrumented run
   double extraction_wall = 0.0;    ///< real single-machine tau2ti time
   double extraction_time = 0.0;    ///< normalised to one file per node
   double gather_time = 0.0;        ///< simulated K-nomial gather

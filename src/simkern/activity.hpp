@@ -70,24 +70,27 @@ using ActivityPtr = Ref<Activity>;
 
 /// State shared by the fluid (rate-controlled) phase of Exec and Transfer.
 /// Progress is tracked lazily: `remaining` is exact as of `last_update`,
-/// and the engine keeps the predicted finish in its indexed finish queue —
-/// one entry per running fluid, re-keyed in place when the rate changes,
-/// located through `heap_pos`. A flow in a share group instead progresses
-/// on its group's virtual clock (see engine.hpp): `remaining`, `rate` and
-/// `last_update` are stale while `group` is set, and only the group head
-/// holds a finish-queue entry.
+/// and the engine keeps the predicted finish in its indexed finish queue,
+/// re-keyed in place when the rate changes and located through `heap_pos`:
+/// one entry per running flow, and one per host with running execs, held
+/// by the exec with the smallest (finish_est, seq), whose `seq` keys it. A
+/// flow in a share group instead progresses on its group's virtual clock
+/// (see engine.hpp): `remaining`, `rate` and `last_update` are stale while
+/// `group` is set, and only the group head holds a finish-queue entry.
 struct FluidState {
-  VarId var = -1;            ///< network-solver variable (flows only)
+  VarId var = -1;              ///< network-solver variable (flows only)
+  std::int32_t heap_pos = -1;  ///< slot in the finish queue (-1: not queued)
   double remaining = 0.0;    ///< work left as of last_update
   double rate = 0.0;         ///< current rate
   SimTime last_update = 0.0;
   SimTime finish_est = 0.0;  ///< predicted completion (inf when starved)
-  std::int32_t heap_pos = -1;  ///< slot in the finish queue (-1: not queued)
   std::int32_t group = -1;      ///< share group (flows only; -1: none)
   std::int32_t group_pos = -1;  ///< slot in the group's member heap
   std::size_t index = 0;     ///< Execs: slot in the engine's per-host list.
                              ///< Transfers are tracked by `var` instead
                              ///< (the engine's VarId-indexed flow table).
+  std::uint64_t seq = 0;     ///< Execs: seq taken at the last re-rate; it
+                             ///< breaks finish_est ties within the host
 };
 
 class Exec final : public Activity {

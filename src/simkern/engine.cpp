@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "obs/recorder.hpp"
 #include "support/error.hpp"
@@ -91,8 +92,10 @@ void Engine::catch_up(FluidState& fluid) {
 
 // Finish queue: indexed 4-ary min-heap over the running fluids.
 //
-// Every fluid with a positive rate has exactly one entry, re-keyed in place
-// when a solve changes its rate (FluidState::heap_pos tracks the slot). The
+// Every flow with a positive rate has exactly one entry, re-keyed in place
+// when a solve changes its rate (FluidState::heap_pos tracks the slot);
+// every host with running execs has one, held by its head exec (see
+// reschedule_host), and a share group one, held by its head flow. The
 // lazy alternative — push a fresh entry per re-rate, drop stale ones as
 // they surface at the top — floods the queue at scale: on a shared
 // backbone every solve re-rates O(coupled flows), so stale entries come to
@@ -142,17 +145,17 @@ std::size_t Engine::finish_sift_down(std::size_t i) {
 }
 
 void Engine::finish_update(Activity& activity, FluidState& fluid,
-                           SimTime time) {
+                           SimTime time, std::uint64_t seq) {
   if (fluid.heap_pos < 0) {
     const std::size_t i = finish_heap_.size();
     finish_heap_.push_back(
-        FinishItem{time, seq_++, ActivityPtr(&activity), &fluid});
+        FinishItem{time, seq, ActivityPtr(&activity), &fluid});
     fluid.heap_pos = static_cast<std::int32_t>(i);
     finish_sift_up(i);
   } else {
     const auto i = static_cast<std::size_t>(fluid.heap_pos);
     finish_heap_[i].time = time;
-    finish_heap_[i].seq = seq_++;
+    finish_heap_[i].seq = seq;
     finish_sift_down(finish_sift_up(i));
   }
 }
@@ -186,7 +189,7 @@ void Engine::set_rate(Activity& activity, FluidState& fluid, double rate) {
   fluid.rate = rate;
   if (rate > 0) {
     fluid.finish_est = now_ + fluid.remaining / rate;
-    finish_update(activity, fluid, fluid.finish_est);
+    finish_update(activity, fluid, fluid.finish_est, seq_++);
   } else {
     fluid.finish_est = kInf;  // starved: no completion until a rate change
     finish_remove(fluid);
@@ -243,7 +246,7 @@ void Engine::group_requeue(ShareGroup& group) {
   if (head == nullptr) return;
   FluidState& fluid = head->fluid;
   fluid.finish_est = member_finish(group, group.members[0].key);
-  finish_update(*head, fluid, fluid.finish_est);
+  finish_update(*head, fluid, fluid.finish_est, seq_++);
 }
 
 void Engine::group_join(Transfer& flow, GroupId g) {
@@ -303,21 +306,56 @@ void Engine::group_dissolve(GroupId g) {
     fluid.group = -1;
     fluid.group_pos = -1;
     fluid.finish_est = now_ + fluid.remaining / fluid.rate;
-    finish_update(*m.flow, fluid, fluid.finish_est);
+    finish_update(*m.flow, fluid, fluid.finish_est, seq_++);
   }
   group.members.clear();
   group.queued = nullptr;
 }
 
+// A host's execs share its power equally, and the host has one finish-queue
+// entry, keyed with its head's own (finish_est, seq): the head is the exec
+// with the smallest key. Each exec whose share moved is caught up at its old
+// rate, re-rated and re-estimated, and takes one seq, in host-list order.
+// The queue pops in strict (time, seq) order and each host entry carries
+// exactly its minimum member's key, so every pop takes the exec that one
+// entry per exec would have popped. A fresh seq for the entry would not:
+// after a reschedule that re-rates nothing it would reorder ties across
+// hosts.
 void Engine::reschedule_host(int host) {
   auto& execs = host_execs_[static_cast<std::size_t>(host)];
   if (execs.empty()) return;
   const double rate = platform_.host(host).power *
                       host_power_factor_[static_cast<std::size_t>(host)] /
                       static_cast<double>(execs.size());
-  for (const auto& exec : execs) {
-    if (exec->fluid.rate != rate) set_rate(*exec, exec->fluid, rate);
+  if (!(rate > 0)) {  // a share that underflows: the execs starve
+    for (const auto& exec : execs) set_rate(*exec, exec->fluid, 0.0);
+    return;
   }
+  Exec* head = nullptr;
+  Exec* holder = nullptr;  // the exec holding the host's entry, if queued
+  for (const auto& exec : execs) {
+    FluidState& fluid = exec->fluid;
+    if (fluid.heap_pos >= 0) holder = exec.get();
+    if (fluid.rate != rate) {
+      catch_up(fluid);
+      fluid.rate = rate;
+      fluid.finish_est = now_ + fluid.remaining / rate;
+      fluid.seq = seq_++;
+    }
+    if (head == nullptr || fluid.finish_est < head->fluid.finish_est ||
+        (fluid.finish_est == head->fluid.finish_est &&
+         fluid.seq < head->fluid.seq))
+      head = exec.get();
+  }
+  if (holder != nullptr && holder != head) {
+    // The head changed: it takes over the entry's slot in place.
+    FinishItem& item =
+        finish_heap_[static_cast<std::size_t>(holder->fluid.heap_pos)];
+    item.activity = ActivityPtr(head);
+    item.fluid = &head->fluid;
+    head->fluid.heap_pos = std::exchange(holder->fluid.heap_pos, -1);
+  }
+  finish_update(*head, head->fluid, head->fluid.finish_est, head->fluid.seq);
 }
 
 void Engine::resolve_network() {

@@ -13,8 +13,10 @@
 // Scalability design (this is what keeps 1,024-rank replays tractable):
 //   - CPUs are scheduled separately from the network: concurrent Execs on
 //     a host share its power equally, so only that host's Execs are
-//     touched when one starts or finishes (O(execs-on-host), not
-//     O(all-activities)).
+//     touched when one starts or finishes: O(execs-on-host) arithmetic and
+//     one finish-queue operation, not O(all-activities). A host has one
+//     finish entry, held by its head exec (smallest finish, then seq), so a
+//     folded (F-x) host of eight ranks no longer re-keys eight entries.
 //   - Network flows go through the incremental max-min solver: a change
 //     re-solves only the connected component(s) of the constraint graph it
 //     touched, and only flows whose solved rate actually moved are re-rated
@@ -28,9 +30,9 @@
 //     through it, so the backbone stops joining every flow in flight.
 //   - Fluid progress is tracked lazily: each fluid stores its remaining
 //     work as of `last_update`, and its predicted finish sits in an indexed
-//     4-ary min-heap — one entry per running fluid, re-keyed in place when
-//     its rate changes. Advancing simulated time is O(1) instead of
-//     O(active fluids).
+//     4-ary min-heap — one entry per running flow and per busy host,
+//     re-keyed in place when a rate changes. Advancing simulated time is
+//     O(1) instead of O(active fluids).
 //   - An action's fixed costs stay off the heap and out of atomics:
 //     coroutine frames, activities and MPI requests come from a per-thread
 //     block cache (block_cache.hpp) and carry plain counts (ref.hpp), and a
@@ -272,10 +274,12 @@ class Engine {
     }
   };
 
-  // Finish-time queue entry for fluids. Every running fluid (rate > 0,
-  // activity not done) has exactly one entry, re-keyed in place on rate
-  // changes through FluidState::heap_pos. The entry holds a strong
-  // reference so a scheduled activity outlives its owner dropping it.
+  // Finish-time queue entry for fluids. Every running flow (rate > 0,
+  // activity not done) has exactly one entry, and so has every host with
+  // running Execs (held by its head exec) and every share group (held by
+  // its head flow); entries are re-keyed in place through
+  // FluidState::heap_pos. The entry holds a strong reference so a
+  // scheduled activity outlives its owner dropping it.
   struct FinishItem {
     SimTime time;
     std::uint64_t seq;
@@ -296,8 +300,9 @@ class Engine {
   void finish_place(FinishItem item, std::size_t i);
   std::size_t finish_sift_up(std::size_t i);
   std::size_t finish_sift_down(std::size_t i);
-  /// Inserts `fluid`'s entry or re-keys it in place to (time, fresh seq).
-  void finish_update(Activity& activity, FluidState& fluid, SimTime time);
+  /// Inserts `fluid`'s entry or re-keys it in place to (time, seq).
+  void finish_update(Activity& activity, FluidState& fluid, SimTime time,
+                     std::uint64_t seq);
   /// Drops `fluid`'s entry if queued (starvation, completion).
   void finish_remove(FluidState& fluid);
   /// Removes the earliest entry.
@@ -338,7 +343,8 @@ class Engine {
   /// Solver group `g` dissolved: members return to per-flow state.
   void group_dissolve(GroupId g);
 
-  /// Equal-share rescheduling of one host's Execs.
+  /// Equal-share rescheduling of one host's Execs; re-keys the host's one
+  /// finish entry to its head exec.
   void reschedule_host(int host);
   /// Incremental network max-min resolve; re-rates only the flows whose
   /// solved rate changed (the solver's changed-variable set).

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <string>
 
 #include "acquisition/acquisition.hpp"
 #include "acquisition/gather.hpp"
@@ -11,6 +13,7 @@
 #include "apps/stencil.hpp"
 #include "platform/cluster.hpp"
 #include "support/error.hpp"
+#include "trace/digest.hpp"
 #include "trace_formats.hpp"
 
 using namespace tir;
@@ -128,8 +131,60 @@ TEST_F(AcquisitionTest, TracingOverheadIsPositiveButSmall) {
   const AcquisitionReport report = run_acquisition(spec);
   EXPECT_GT(report.instrumented_time, report.app_time);
   EXPECT_LT(report.tracing_overhead, report.app_time);  // not dominating
+  EXPECT_GT(report.instrumented_wall, 0.0);
   EXPECT_GT(report.extraction_wall, 0.0);
   EXPECT_GT(report.gather_time, 0.0);
+}
+
+TEST_F(AcquisitionTest, NoBaselineLeavesTracingOverheadAtZero) {
+  // Without the uninstrumented run there is no application time to
+  // subtract, so the overhead is unknown and reads 0 rather than the whole
+  // instrumented run.
+  AcquisitionSpec spec;
+  spec.app = apps::make_ring_app(apps::RingConfig{});
+  spec.workdir = dir_;
+  spec.run_uninstrumented_baseline = false;
+  const AcquisitionReport report = run_acquisition(spec);
+  EXPECT_GT(report.instrumented_time, 0.0);
+  EXPECT_EQ(report.app_time, 0.0);
+  EXPECT_EQ(report.tracing_overhead, 0.0);
+}
+
+TEST_F(AcquisitionTest, FoldedAcquisitionRepeatsTheParent) {
+  // LU class S on 16 ranks folded 8 per node: every exec shares its node's
+  // CPU with up to seven others, so the finish queue's order among
+  // co-located execs shapes the run. The simulated time, the TAU records
+  // (whose microsecond timestamps show any exec finishing at another
+  // instant) and the extracted TI set are pinned to the values recorded
+  // with one finish-queue entry per exec.
+  apps::LuConfig cfg;
+  cfg.cls = apps::NpbClass::S;
+  cfg.nprocs = 16;
+  cfg.iteration_scale = 0.2;
+  AcquisitionSpec spec;
+  spec.app = apps::make_lu_app(cfg);
+  spec.mode = Mode::folding;
+  spec.folding = 8;
+  spec.workdir = dir_;
+  spec.run_uninstrumented_baseline = false;
+  const AcquisitionReport report = run_acquisition(spec);
+  EXPECT_EQ(report.nodes_used, 2);
+  EXPECT_EQ(report.instrumented_time, 0x1.80cc920762d5cp-4);  // 0.0939451 s
+
+  std::uint64_t tau = 14695981039346656037ull;  // FNV-1a over every .trc
+  for (int r = 0; r < cfg.nprocs; ++r) {
+    const std::string bytes = test::read_bytes(
+        dir_ / "tau" / ("tautrace." + std::to_string(r) + ".0.0.trc"));
+    ASSERT_FALSE(bytes.empty()) << "rank " << r;
+    for (const char c : bytes) {
+      tau ^= static_cast<unsigned char>(c);
+      tau *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(tau, 0xff733f254370ba71ull);
+  EXPECT_EQ(trace::digest(trace::TraceSet::per_process_files(report.ti_files))
+                .hex(),
+            "373f4cf8b0d631425c28602a1ba260d1");
 }
 
 TEST_F(AcquisitionTest, TiTracesAreMuchSmallerThanTau) {

@@ -3,6 +3,9 @@
 // many times, starved fluids, and the injection (buffer-copy) activity.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "platform/cluster.hpp"
@@ -200,4 +203,163 @@ TEST(Scheduler, GateCompletionDiscardsPendingFlow) {
   });
   engine.run();
   EXPECT_NEAR(done, 1.0 + 3e-5, 1e-6);
+}
+
+TEST(Scheduler, UnderflowedShareStarvesExecsUntilRestored) {
+  // 0.5 flop/s times the smallest positive factor rounds to a zero share:
+  // the exec starves, holds no finish entry, and resumes with its work
+  // intact when the factor returns.
+  plat::Platform p;
+  const auto sw = p.add_junction("sw");
+  p.add_host("slow", 0.5, sw, p.add_link("nic", 1e8, 0.0));
+  Engine engine(p);
+  double done = -1;
+  engine.spawn("w", 0, [&](Process&) -> Task {
+    co_await engine.wait(engine.exec_async(0, 1.0));  // 2 s alone
+    done = engine.now();
+  });
+  engine.spawn("f", 0, [&](Process&) -> Task {
+    co_await engine.wait_for(0.5);
+    engine.set_host_factor(0, std::numeric_limits<double>::denorm_min());
+    co_await engine.wait_for(1.0);
+    engine.set_host_factor(0, 1.0);
+  });
+  engine.run();
+  EXPECT_DOUBLE_EQ(done, 3.0);
+}
+
+namespace {
+
+// Hosts of unequal power. Host 1 has exactly twice host 0's power and runs
+// host 0's program with doubled flops, so their execs finish at bit-equal
+// instants and only sequence numbers order them; host 2 runs a program of
+// its own. Zero-latency NICs start every transfer's flow at once.
+constexpr double kPower[3] = {1.5e9, 3e9, 1e9};
+constexpr double kNicBandwidth = 1.5e9;
+
+plat::Platform three_host_platform() {
+  plat::Platform p;
+  const auto sw = p.add_junction("sw");
+  for (int h = 0; h < 3; ++h) {
+    const auto nic =
+        p.add_link("nic" + std::to_string(h), kNicBandwidth, 0.0);
+    p.add_host("h" + std::to_string(h), kPower[h], sw, nic);
+  }
+  p.set_net_model(plat::PiecewiseNetModel::affine_model());
+  return p;
+}
+
+// FNV-1a over every completion, in the order the engine completed them.
+class CompletionDigest {
+ public:
+  void add(std::uint64_t id, Activity::Kind kind, int host, double finish) {
+    std::uint64_t finish_bits = 0;
+    std::memcpy(&finish_bits, &finish, sizeof finish_bits);
+    fold(count_++);
+    fold(id);
+    fold(static_cast<std::uint64_t>(kind));
+    fold(static_cast<std::uint64_t>(host));
+    fold(finish_bits);
+  }
+  std::uint64_t value() const { return hash_; }
+  std::uint64_t count() const { return count_; }
+
+ private:
+  void fold(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t hash_ = 14695981039346656037ull;
+  std::uint64_t count_ = 0;
+};
+
+// Spawns a process that waits for `activity` alone. The engine resumes
+// waiters in the order it completes their activities, so the digest sees
+// that order.
+void watch(Engine& engine, CompletionDigest& digest, ActivityPtr activity,
+           std::uint64_t id, int host) {
+  engine.spawn("watch", host,
+               [&engine, &digest, activity, id, host](Process&) -> Task {
+                 co_await engine.wait(activity);
+                 digest.add(id, activity->kind(), host,
+                            activity->finish_time());
+               });
+}
+
+}  // namespace
+
+TEST(Scheduler, CoLocatedExecsRepeatTheParentBitForBit) {
+  // Bursts of 2-12 equal-flop execs started in one instant tie on their
+  // finish, so the sequence numbers taken when the host was last re-rated
+  // decide which completes first; bursts overlap at staggered starts,
+  // zero-flop execs complete at once, and transfers are sized to finish with
+  // their burst. Every few milliseconds hosts 0 and 1 drop to 0.8 of their
+  // power and back, and host 2 to half; in between host 0 steps to the
+  // factor one ulp below 0.8, where 1.5e9 * f rounds to the same product, so
+  // that reschedule re-rates nothing and must leave every key alone. The
+  // digest and the count were recorded with one finish-queue entry per exec.
+  const auto p = three_host_platform();
+  Engine engine(p);
+  CompletionDigest digest;
+  std::uint64_t next_id = 0;
+
+  // Hosts 0 and 1 share a seed; host 2 has its own.
+  for (int h = 0; h < 3; ++h) {
+    engine.spawn("bursts" + std::to_string(h), h,
+                 [&, h](Process&) -> Task {
+                   Rng rng(h == 2 ? 77 : 41);
+                   const int peer = (h + 1) % 3;
+                   for (int round = 0; round < 60; ++round) {
+                     const auto k = static_cast<int>(2 + rng.next_below(11));
+                     const double work = rng.uniform(1e-4, 2e-3);
+                     const double flops = kPower[h] * work;
+                     Ref<Exec> first;
+                     for (int i = 0; i < k; ++i) {
+                       auto exec = engine.exec_async(h, flops);
+                       if (i == 0) first = exec;
+                       watch(engine, digest, exec, next_id++, h);
+                     }
+                     if (rng.next_below(4) == 0)
+                       watch(engine, digest, engine.exec_async(h, 0.0),
+                             next_id++, h);
+                     if (rng.next_below(3) == 0) {
+                       const double bytes = kNicBandwidth * k * work;
+                       watch(engine, digest,
+                             engine.transfer_async(h, peer, bytes),
+                             next_id++, h);
+                     }
+                     switch (rng.next_below(4)) {
+                       case 0:  // the next burst starts in this instant
+                         break;
+                       case 1:  // ... at this burst's first completion
+                         co_await engine.wait(first);
+                         break;
+                       default:  // ... part way through this one
+                         co_await engine.wait_for(k * work *
+                                                  rng.uniform(0.1, 0.9));
+                     }
+                   }
+                 });
+  }
+  engine.spawn("factors", 0, [&](Process&) -> Task {
+    const double just_below = std::nextafter(0.8, 0.0);
+    for (int cycle = 0; cycle < 40; ++cycle) {
+      co_await engine.wait_for(1.7e-3);
+      engine.set_host_factor(0, 0.8);
+      engine.set_host_factor(1, 0.8);
+      engine.set_host_factor(2, 0.5);
+      co_await engine.wait_for(0.6e-3);
+      engine.set_host_factor(0, just_below);
+      co_await engine.wait_for(0.6e-3);
+      engine.set_host_factor(0, 1.0);
+      engine.set_host_factor(1, 1.0);
+      engine.set_host_factor(2, 1.0);
+    }
+  });
+  engine.run();
+
+  EXPECT_EQ(digest.count(), 1287u);
+  EXPECT_EQ(digest.value(), 0xb2409e28b0f297cdull);
 }
