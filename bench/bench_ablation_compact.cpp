@@ -44,7 +44,9 @@ int main() {
     binary_bytes +=
         trace::convert_trace(text_set, p, bin, trace::TraceFormat::binary);
     binary_files.push_back(bin);
-    const auto program = trace::compact_actions(text_set.actions(p));
+    const auto view = text_set.actions(p);
+    const auto program =
+        trace::compact_actions({view.begin(), view.end()});
     compact_blocks += program.size();
     const auto cmp = workdir / ("SG_process" + std::to_string(p) + ".ctrace");
     compact_bytes +=

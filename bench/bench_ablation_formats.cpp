@@ -87,12 +87,12 @@ int main() {
     if (format == TraceFormat::text) text_bytes = bytes;
     if (format == TraceFormat::binary) binary_bytes = bytes;
 
-    std::vector<Action> materialised;
+    trace::TraceSet materialised;
     const double materialise_s = bench::best_of(kRuns, [&] {
       materialised = trace::TraceSet::per_process_files(
-                         {file}, trace::DecodeMode::strict,
-                         trace::DecodePolicy::materialise)
-                         .actions(0);
+          {file}, trace::DecodeMode::strict,
+          trace::DecodePolicy::materialise);
+      (void)materialised.actions(0);
     });
     const auto streamed_set = trace::TraceSet::per_process_files(
         {file}, trace::DecodeMode::strict, trace::DecodePolicy::stream);
@@ -100,7 +100,7 @@ int main() {
     std::vector<Action> streamed;
     const double cursor_s =
         bench::best_of(kRuns, [&] { streamed = drain(streamed_set); });
-    same_actions = same_actions && materialised == actions &&
+    same_actions = same_actions && materialised.actions(0) == actions &&
                    streamed == actions;
 
     std::printf("%-8s | %11llu | %6.2fx | %22.1f | %18.1f\n",

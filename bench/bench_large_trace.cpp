@@ -140,7 +140,7 @@ int main() {
               units::format_bytes(static_cast<double>(disk_bytes)).c_str());
   std::printf("materialised would be:    %s\n",
               units::format_bytes(static_cast<double>(actions) *
-                                  sizeof(trace::Action)).c_str());
+                                  sizeof(trace::PackedAction)).c_str());
   std::printf("index resident bytes:     %s\n",
               units::format_bytes(
                   static_cast<double>(streamed_set.resident_bytes()))

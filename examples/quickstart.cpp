@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
   const auto trace_files = trace::write_split_traces(workdir, ring);
   std::cout << "Wrote the Figure 1 trace:\n";
   const auto p0 = trace::TraceSet::per_process_files({trace_files[0]});
-  for (const auto& line : p0.actions(0))
-    std::cout << "  " << trace::to_line(line) << '\n';
+  for (const Action action : p0.actions(0))
+    std::cout << "  " << trace::to_line(action) << '\n';
 
   // --- 2. Platform (Fig 5) and deployment (Fig 6) -------------------------
   plat::ClusterSpec spec;

@@ -38,22 +38,6 @@ std::vector<std::string_view> split_ws(std::string_view s) {
   return out;
 }
 
-std::size_t split_ws(std::string_view s, std::string_view* out,
-                     std::size_t max) {
-  std::size_t n = 0;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && is_blank(s[i])) ++i;
-    const std::size_t start = i;
-    while (i < s.size() && !is_blank(s[i])) ++i;
-    if (i > start) {
-      if (n == max) return max + 1;
-      out[n++] = s.substr(start, i - start);
-    }
-  }
-  return n;
-}
-
 std::vector<std::string_view> split(std::string_view s, char sep) {
   std::vector<std::string_view> out;
   std::size_t start = 0;

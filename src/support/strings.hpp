@@ -14,13 +14,6 @@ std::string_view trim(std::string_view s);
 /// Empty fields are never produced.
 std::vector<std::string_view> split_ws(std::string_view s);
 
-/// Allocation-free variant for hot parse loops: fills `out` (capacity `max`)
-/// and returns the token count, or `max + 1` when the input has more tokens
-/// than fit (the overflow tokens are dropped, the count still over-reports
-/// so exact-arity checks fail as they would with the vector variant).
-std::size_t split_ws(std::string_view s, std::string_view* out,
-                     std::size_t max);
-
 /// Splits on a single separator character; empty fields are kept.
 std::vector<std::string_view> split(std::string_view s, char sep);
 

@@ -175,11 +175,11 @@ void record_error(SalvageInfo& salvage, std::string what,
 /// the end of a clean parse, so a parse error anywhere in the file outranks
 /// an earlier wild pid; lenient mode keeps what came before it. Accepted
 /// actions grow the index's per-pid segments or, when the pass
-/// materialises, the per-pid action vectors.
+/// materialises, the per-pid packed stores.
 class Distributor {
  public:
   Distributor(StreamIndex& idx, int merged_nprocs,
-              std::vector<std::vector<Action>>* actions)
+              std::vector<PackedActions>* actions)
       : idx_(idx), merged_nprocs_(merged_nprocs), actions_(actions) {}
 
   /// Range check and collection; false when `a` is not distributed (a wild
@@ -244,7 +244,7 @@ class Distributor {
 
   StreamIndex& idx_;
   int merged_nprocs_;
-  std::vector<std::vector<Action>>* actions_;
+  std::vector<PackedActions>* actions_;
   std::string wild_error_;
   std::uint64_t wild_offset_ = 0;
   bool overflow_ = false;
@@ -252,9 +252,12 @@ class Distributor {
 
 /// Line reader over one text file: mmap + memchr where the file maps (no
 /// per-line copy), degrading to buffered reads of the open file. Bounded
-/// memory either way: the mapping is backed by the page cache, the fallback
-/// keeps one line resident. The index pass reads it front to back; a cursor
-/// seeks it to each of its segments.
+/// memory either way: the fallback keeps one line resident, and the mapping
+/// keeps a window. Once kWindowBytes have been read past the last drop, the
+/// mapped pages behind the current line's page are dropped
+/// (MADV_DONTNEED); the mapping is read-only, so reading them again after a
+/// backward seek re-faults them from the page cache. The index pass reads
+/// it front to back; a cursor seeks it to each of its segments.
 class LineReader {
  public:
   /// Reads `file` from its first byte, wherever it is positioned.
@@ -285,10 +288,12 @@ class LineReader {
 
   /// Repositions at a line start recorded by offset().
   void seek(std::uint64_t offset) {
-    if (data_ != nullptr)
+    if (data_ != nullptr) {
       pos_ = std::min(offset, size_);
-    else
+      kept_ = std::min(kept_, page_floor(pos_));
+    } else {
       file_.seek(offset);
+    }
   }
 
   /// Next line (newline stripped), or nullopt at EOF.
@@ -296,6 +301,7 @@ class LineReader {
     if (data_ != nullptr) {
       line_start_ = pos_;
       if (pos_ >= size_) return std::nullopt;
+      if (pos_ - kept_ >= kWindowBytes) drop_behind(pos_);
       const char* start = data_ + pos_;
       const auto* nl = static_cast<const char*>(
           std::memchr(start, '\n', static_cast<std::size_t>(size_ - pos_)));
@@ -313,10 +319,30 @@ class LineReader {
   std::uint64_t offset() const { return line_start_; }
 
  private:
+  /// Mapped bytes read past the last drop before the pages behind the
+  /// current line are dropped.
+  static constexpr std::uint64_t kWindowBytes = 256 << 10;
+
+  static std::uint64_t page_floor(std::uint64_t offset) {
+    static const auto page =
+        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    return offset - offset % page;
+  }
+
+  /// Drops the mapped pages in [kept_, the page holding `offset`).
+  void drop_behind(std::uint64_t offset) {
+    const std::uint64_t end = page_floor(offset);
+    if (end <= kept_) return;
+    ::madvise(const_cast<char*>(data_) + kept_,
+              static_cast<std::size_t>(end - kept_), MADV_DONTNEED);
+    kept_ = end;
+  }
+
   TraceFile file_;              ///< read when the file does not map
   const char* data_ = nullptr;  ///< the mapping; null when reading file_
   std::uint64_t size_ = 0;
   std::uint64_t pos_ = 0;  ///< byte offset of the next mapped line
+  std::uint64_t kept_ = 0;  ///< page-aligned start of the resident window
   std::uint64_t line_start_ = 0;
   std::string line_;
 };
@@ -511,7 +537,7 @@ StreamIndex new_index(const std::filesystem::path& path, TraceFormat format,
 StreamIndex build_text_index(const std::filesystem::path& path,
                              TraceFile file, DecodeMode mode,
                              int merged_nprocs,
-                             std::vector<std::vector<Action>>* actions) {
+                             std::vector<PackedActions>* actions) {
   StreamIndex idx = new_index(path, TraceFormat::text, file);
   LineReader lines(std::move(file));
   if (!lines.ok()) {
@@ -549,7 +575,7 @@ StreamIndex build_text_index(const std::filesystem::path& path,
 StreamIndex build_binary_index(const std::filesystem::path& path,
                                TraceFile file, DecodeMode mode,
                                int merged_nprocs,
-                               std::vector<std::vector<Action>>* actions) {
+                               std::vector<PackedActions>* actions) {
   StreamIndex idx = new_index(path, TraceFormat::binary, file);
   std::optional<BinaryReader> reader;
   try {
@@ -596,7 +622,7 @@ void add_scaled(TraceStats& total, const TraceStats& body,
 StreamIndex build_compact_index(const std::filesystem::path& path,
                                 TraceFile file, DecodeMode mode,
                                 int merged_nprocs,
-                                std::vector<std::vector<Action>>* actions) {
+                                std::vector<PackedActions>* actions) {
   // A merged compact file interleaves pids inside loop bodies; per-pid
   // segments don't apply, so it can only materialise.
   if (merged_nprocs >= 0 && actions == nullptr) return fallback_index(path);
@@ -647,9 +673,16 @@ StreamIndex build_compact_index(const std::filesystem::path& path,
   }
 
   if (actions == nullptr) return idx;
-  // Expand only what parsed cleanly and fits the budget.
+  // Expand only what parsed cleanly and fits the budget. A split file packs
+  // each body once and repeats its records.
   if (merged_nprocs < 0) {
-    actions->front() = expand(program);
+    PackedActions& stream = actions->front();
+    stream.reserve(static_cast<std::size_t>(idx.total_actions));
+    for (const LoopBlock& block : program) {
+      if (block.count == 0) continue;
+      for (const Action& a : block.body) stream.push_back(a);
+      stream.repeat_tail(block.body.size(), block.count - 1);
+    }
     return idx;
   }
   Distributor dist(idx, merged_nprocs, actions);
@@ -820,9 +853,7 @@ std::uint64_t StreamIndex::resident_bytes() const {
 
 StreamIndex build_stream_index(const std::filesystem::path& path,
                                DecodeMode mode, int merged_nprocs,
-                               std::vector<std::vector<Action>>* actions) {
-  if (actions != nullptr)
-    actions->assign(static_cast<std::size_t>(std::max(merged_nprocs, 1)), {});
+                               std::vector<PackedActions>* actions) {
   TraceFile file(path);
   switch (sniff(file)) {
     case TraceFormat::binary:

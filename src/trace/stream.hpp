@@ -6,14 +6,15 @@
 // per-block offsets for compact ("TIRC") files, plus the action counts
 // and aggregate statistics every consumer (digest, stats, coverage) needs
 // up front — and replay then pulls actions through cursors that re-read the
-// file from those offsets instead of materialised vectors. Peak memory is
-// the index plus one cursor's working set (a text line, a binary record, or
+// file from those offsets instead of materialised records. Peak memory is
+// the index plus one cursor's working set (a window of about 256 KiB of a
+// mapped text file, whose pages behind it are dropped; a binary record; or
 // one compact block body), independent of trace length.
 //
 // Fidelity contract: this pass is the only trace reader — TraceSet, and
 // through it every tool, bench and example, decodes files here. A
-// materialising set runs the same pass and collects each distributed
-// action as it goes, so both memory shapes share their errors (types and
+// materialising set runs the same pass and packs each distributed action
+// (packed.hpp) as it goes, so both memory shapes share their errors (types and
 // messages), lenient salvage points and merged wild-pid rule by
 // construction. What the cursors must add is an action sequence
 // element-identical to TraceSet::actions(pid); the stream and CodecFuzz
@@ -98,21 +99,22 @@ constexpr std::size_t kMaxStreamSegments = 65536;
 /// anywhere outranks it), lenient mode keeps the actions before it and
 /// caps bytes_consumed at its record (for compact files, at its block).
 ///
-/// With `actions` non-null the pass materialises instead: it resizes
-/// `*actions` to one vector per pid (one in split layout) and appends every
-/// distributed action, ignoring kMaxStreamSegments; merged compact files,
-/// which cannot stream, expand here. The returned index then carries the
-/// salvage outcome and counts but no segments. A compact file whose
-/// expansion passes kMaterialiseBudgetBytes throws tir::Error in either
-/// mode. Without `actions`, merged compact files come back as fallback.
+/// With `actions` non-null the pass materialises instead. `*actions` holds
+/// one empty packed store per pid (merged layout: store p owned by pid p)
+/// or one in split layout (owned by the file's process), and the pass packs
+/// every distributed action into its store as it parses, ignoring
+/// kMaxStreamSegments; merged compact files, which cannot stream, expand
+/// here. The returned index then carries the salvage outcome and counts but
+/// no segments. A compact file whose expansion passes
+/// kMaterialiseBudgetBytes throws tir::Error in either mode. Without
+/// `actions`, merged compact files come back as fallback.
 ///
 /// The pass opens the file once, records its identity from fstat, and
 /// sniffs its format from the first bytes (trace_format.hpp); every format
 /// is then read through that one descriptor (text through a mapping of it).
 StreamIndex build_stream_index(const std::filesystem::path& path,
                                DecodeMode mode, int merged_nprocs,
-                               std::vector<std::vector<Action>>* actions =
-                                   nullptr);
+                               std::vector<PackedActions>* actions = nullptr);
 
 /// Expanded action count of a compact file, read from its block headers
 /// alone (body entries are skipped, not parsed). The automatic decode

@@ -200,7 +200,8 @@ std::uint64_t convert_trace(const TraceSet& set, int pid,
                             const std::filesystem::path& path,
                             TraceFormat format) {
   if (format == TraceFormat::compact) {
-    const std::vector<Action>& actions = set.actions(pid);
+    const ActionView view = set.actions(pid);
+    const std::vector<Action> actions(view.begin(), view.end());
     return write_trace(path, actions,
                        actions.empty() ? 0 : actions.front().pid, format);
   }

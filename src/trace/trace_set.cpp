@@ -73,14 +73,14 @@ class Once {
 
 // Shared, write-once trace storage. Decoding is keyed per file behind a
 // Once: concurrent sweep workers opening the same process block until the
-// single decode pass finishes, then read the immutable vectors.
+// single decode pass finishes, then read the immutable packed records.
 struct TraceSet::Storage {
   enum class Layout { split, merged, memory } layout = Layout::memory;
   int nprocs = 0;
   DecodeMode mode = DecodeMode::strict;
   DecodePolicy policy = DecodePolicy::automatic;
   std::vector<std::filesystem::path> files;
-  std::vector<std::vector<Action>> decoded;       // index = pid
+  std::vector<PackedActions> decoded;             // index = pid
   std::vector<SalvageInfo> salvage;               // index = file
   std::unique_ptr<Once[]> decode_once;  // one per file
   std::atomic<std::uint64_t> decodes{0};
@@ -133,17 +133,23 @@ struct TraceSet::Storage {
   }
 
   /// Ensures process `pid`'s actions are decoded; returns them. A file is
-  /// materialised by the stream index pass collecting its actions: strict
+  /// materialised by the stream index pass packing its actions: strict
   /// mode throws on corrupt input, lenient keeps the clean prefix and
   /// records the outcome in `salvage`.
-  const std::vector<Action>& process_actions(int pid) {
+  const PackedActions& process_actions(int pid) {
     if (layout == Layout::memory) return decoded[static_cast<std::size_t>(pid)];
     const bool merged = layout == Layout::merged;
     const std::size_t file = merged ? 0 : static_cast<std::size_t>(pid);
     decode_once[file].call([&] {
-      std::vector<std::vector<Action>> actions;
+      std::vector<PackedActions> actions;
+      if (merged) {
+        for (int p = 0; p < nprocs; ++p) actions.emplace_back(p);
+      } else {
+        actions.emplace_back(pid);
+      }
       StreamIndex idx = build_stream_index(files[file], mode,
                                            merged ? nprocs : -1, &actions);
+      for (PackedActions& stream : actions) stream.shrink_to_fit();
       salvage[file] = std::move(idx.salvage);
       if (merged)
         decoded = std::move(actions);
@@ -166,22 +172,26 @@ struct TraceSet::Storage {
 
 namespace {
 
-/// Cursor over decoded actions; pins the storage (via a type-erased owner
-/// handle) so the view outlives any TraceSet handle the caller may drop.
+/// Cursor over decoded actions, unpacking one record per call; pins the
+/// storage (via a type-erased owner handle) so the records outlive any
+/// TraceSet handle the caller may drop.
 class DecodedSource final : public ActionSource {
  public:
-  DecodedSource(std::shared_ptr<void> storage,
-                const std::vector<Action>* actions)
-      : storage_(std::move(storage)), actions_(actions) {}
+  DecodedSource(std::shared_ptr<void> storage, const PackedActions& actions)
+      : storage_(std::move(storage)),
+        actions_(actions),
+        next_(actions.data()),
+        end_(actions.data() + actions.size()) {}
   std::optional<Action> next() override {
-    if (index_ >= actions_->size()) return std::nullopt;
-    return (*actions_)[index_++];
+    if (next_ == end_) return std::nullopt;
+    return actions_.unpack(*next_++);
   }
 
  private:
   std::shared_ptr<void> storage_;
-  const std::vector<Action>* actions_;
-  std::size_t index_ = 0;
+  const PackedActions& actions_;
+  const PackedAction* next_;
+  const PackedAction* end_;
 };
 
 }  // namespace
@@ -229,16 +239,23 @@ TraceSet TraceSet::in_memory(std::vector<std::vector<Action>> actions) {
   set.storage_ = std::make_shared<Storage>();
   set.storage_->layout = Storage::Layout::memory;
   set.storage_->nprocs = static_cast<int>(actions.size());
-  set.storage_->decoded = std::move(actions);
+  auto& decoded = set.storage_->decoded;
+  decoded.reserve(actions.size());
+  for (std::size_t p = 0; p < actions.size(); ++p) {
+    PackedActions& stream = decoded.emplace_back(static_cast<int>(p));
+    stream.reserve(actions[p].size());
+    for (const Action& a : actions[p]) stream.push_back(a);
+    stream.shrink_to_fit();
+  }
   return set;
 }
 
 int TraceSet::nprocs() const { return storage_->nprocs; }
 
-const std::vector<Action>& TraceSet::actions(int pid) const {
+ActionView TraceSet::actions(int pid) const {
   if (pid < 0 || pid >= storage_->nprocs)
     throw Error("TraceSet: invalid process id " + std::to_string(pid));
-  return storage_->process_actions(pid);
+  return ActionView(storage_->process_actions(pid));
 }
 
 std::unique_ptr<ActionSource> TraceSet::open(int pid) const {
@@ -253,7 +270,8 @@ std::unique_ptr<ActionSource> TraceSet::open(int pid) const {
     const int filter = s.layout == Storage::Layout::merged ? pid : -1;
     return open_stream(s.index[file], filter, storage_);
   }
-  return std::make_unique<DecodedSource>(storage_, &actions(pid));
+  return std::make_unique<DecodedSource>(storage_,
+                                         s.process_actions(pid));
 }
 
 TraceStats TraceSet::stats() const {
@@ -321,8 +339,7 @@ std::uint64_t TraceSet::resident_bytes() const {
     return bytes;
   }
   for (int p = 0; p < s.nprocs; ++p)
-    bytes += actions(p).size() * sizeof(Action) +
-             sizeof(std::vector<Action>);
+    bytes += s.process_actions(p).resident_bytes();
   return bytes;
 }
 

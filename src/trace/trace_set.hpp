@@ -6,6 +6,9 @@
 //   - one merged file holding every process's actions,
 //   - in-memory vectors (tests, programmatic workloads).
 //
+// Decoded actions are held packed, 16 bytes each (packed.hpp), and come
+// back out as Action values through cursors and actions() views.
+//
 // Immutability contract: a TraceSet is a cheap handle onto shared, decoded
 // trace storage. Copying shares the storage; every file is decoded at most
 // once per storage, no matter how many scenarios, copies or threads replay
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "trace/action.hpp"
+#include "trace/packed.hpp"
 
 namespace tir::trace {
 
@@ -76,8 +80,9 @@ constexpr std::uint64_t kAutoStreamBytes = 64ull << 20;   // 64 MiB on disk
 constexpr std::uint64_t kAutoStreamActions = 4'000'000;   // expanded actions
 
 /// Largest compact expansion a materialising pass accepts, in bytes of
-/// decoded Actions: a 38-byte file can declare billions of actions, so the
-/// pass checks the running expanded count block by block and throws
+/// decoded Actions (sizeof(Action) each, 26,843,545 actions; packed, they
+/// take about 410 MiB): a 38-byte file can declare billions of actions, so
+/// the pass checks the running expanded count block by block and throws
 /// tir::Error before expanding past this, in strict and lenient mode alike.
 constexpr std::uint64_t kMaterialiseBudgetBytes = 1ull << 30;  // 1 GiB
 
@@ -120,20 +125,20 @@ class TraceSet {
   int nprocs() const;
 
   /// Opens a cursor over process `pid`'s actions, starting from the
-  /// beginning. Under the materialise policy the cursor walks the cached
-  /// decoded vector (cheap after the first call per file); when the set
+  /// beginning. Under the materialise policy the cursor unpacks the cached
+  /// decoded records (cheap after the first call per file); when the set
   /// streams, it re-reads the file from the offset index in bounded memory.
   /// Either way the yielded sequence is element-identical. Thread-safe.
   std::unique_ptr<ActionSource> open(int pid) const;
 
-  /// Direct view of process `pid`'s decoded actions (decodes on first use).
-  /// The reference stays valid for the storage's lifetime. Thread-safe.
-  /// NOTE: this *materialises* the stream even when the set's policy is
-  /// streaming — random-access consumers (truncate_consistent, compaction)
-  /// need the vector, and a compact file expanding past
+  /// Random-access view of process `pid`'s decoded actions (decodes on
+  /// first use). The view stays valid for the storage's lifetime.
+  /// Thread-safe. NOTE: this *materialises* the stream even when the set's
+  /// policy is streaming — random-access consumers (truncate_consistent,
+  /// compaction) need the records, and a compact file expanding past
   /// kMaterialiseBudgetBytes throws tir::Error here. Bounded-memory
   /// consumers must use open()/stats()/action_count() instead.
-  const std::vector<Action>& actions(int pid) const;
+  ActionView actions(int pid) const;
 
   /// Statistics over every stream. Streaming sets answer from the offset
   /// indexes (no action is revisited, O(files) after the index is built);
@@ -169,9 +174,10 @@ class TraceSet {
   /// decode_count; bounded by the file count).
   std::uint64_t index_count() const;
 
-  /// Resident heap footprint: offset indexes for a streaming set, decoded
-  /// action vectors for a materialised one (forces the decode in that
-  /// case). What a cache entry holding this set keeps alive.
+  /// Resident heap footprint: offset indexes for a streaming set; for a
+  /// materialised one, its packed records (16 bytes each) plus their side
+  /// tables (forces the decode). What a cache entry holding this set keeps
+  /// alive.
   std::uint64_t resident_bytes() const;
 
   // -- salvage reporting (lenient mode) ------------------------------------

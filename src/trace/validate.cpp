@@ -287,7 +287,7 @@ namespace {
 
 /// Indices of actions satisfying `pred` within the first `limit` entries.
 template <typename Pred>
-std::vector<std::size_t> indices_if(const std::vector<Action>& stream,
+std::vector<std::size_t> indices_if(const ActionView& stream,
                                     std::size_t limit, Pred pred) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < limit && i < stream.size(); ++i)

@@ -182,9 +182,8 @@ TEST(CompactTrace, RejectsCorruptFiles) {
   std::ofstream(file, std::ios::binary) << "TIRC" << '\x01' << '\x00'
                                         << '\xFF';
   const auto decode = [](const fs::path& path) {
-    return trace::TraceSet::per_process_files(
-               {path}, trace::DecodeMode::strict,
-               trace::DecodePolicy::materialise)
+    (void)trace::TraceSet::per_process_files(
+        {path}, trace::DecodeMode::strict, trace::DecodePolicy::materialise)
         .actions(0);
   };
   EXPECT_THROW(decode(file), tir::ParseError);

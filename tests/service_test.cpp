@@ -183,7 +183,7 @@ TEST(TraceCacheTest, AliasHitServesWithoutLoaderAndSharesStorage) {
   const auto second = cache.get("k", load);
   EXPECT_TRUE(second.hit);
   EXPECT_EQ(loads, 1);
-  EXPECT_EQ(&second.traces.actions(0), &first.traces.actions(0));
+  EXPECT_EQ(second.traces.actions(0).data(), first.traces.actions(0).data());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -686,7 +686,7 @@ TEST(InputResolverTest, PathSpellingsShareOneDecode) {
     SCOPED_TRACE(spelling);
     const auto b = resolver.traces(spelling, /*merged=*/false);
     EXPECT_TRUE(b.hit);
-    EXPECT_EQ(&a.traces.actions(0), &b.traces.actions(0));
+    EXPECT_EQ(a.traces.actions(0).data(), b.traces.actions(0).data());
   }
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().entries, 1u);

@@ -10,6 +10,7 @@
 // their label filters (.github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -444,6 +445,52 @@ TEST_F(StreamTraceTest, SegmentCapFallsBackToMaterialise) {
     EXPECT_EQ(drain(str, p), drain(mat, p));
   }
   EXPECT_EQ(str.decode_count(), 1u);
+}
+
+namespace {
+
+/// The process's resident file-backed pages (RssFile in /proc/self/status),
+/// in bytes; -1 where the kernel does not report it.
+long long rss_file_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("RssFile:", 0) == 0)
+      return std::stoll(line.substr(8)) * 1024;  // "RssFile:  1234 kB"
+  return -1;
+}
+
+}  // namespace
+
+TEST_F(StreamTraceTest, StreamedTextHoldsABoundedWindow) {
+  // A 33 MiB text file, just written, so its pages sit in the page cache:
+  // a cursor that kept its whole mapping resident would grow RssFile by
+  // about the file's size.
+  const fs::path file = dir_ / "big.trace";
+  {
+    std::string chunk;
+    while (chunk.size() < (1u << 20)) chunk += "p0 compute 1234567\n";
+    std::ofstream out(file, std::ios::binary);
+    for (int i = 0; i < 33; ++i) out << chunk;
+  }
+  ASSERT_GE(fs::file_size(file), 32ull << 20);
+  const auto set = trace::TraceSet::per_process_files(
+      {file}, trace::DecodeMode::strict, DecodePolicy::stream);
+  ASSERT_TRUE(set.streaming());
+  const long long before = rss_file_bytes();
+  if (before < 0) GTEST_SKIP() << "no RssFile in /proc/self/status";
+
+  long long peak = before;
+  std::uint64_t n = 0;
+  const auto source = set.open(0);
+  while (const auto a = source->next()) {
+    ASSERT_EQ(a->volume, 1234567.0);
+    if (++n % 65536 == 0) peak = std::max(peak, rss_file_bytes());
+  }
+  peak = std::max(peak, rss_file_bytes());
+  EXPECT_EQ(n, set.action_count(0));
+  EXPECT_LT(peak - before, 8ll << 20)
+      << "RssFile grew from " << before << " to " << peak << " bytes";
 }
 
 // ---------------------------------------------------------------------------

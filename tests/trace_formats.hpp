@@ -44,10 +44,10 @@ inline std::string read_bytes(const std::filesystem::path& path) {
 /// Every action in the file, in file order (record pids kept verbatim).
 inline std::vector<trace::Action> read_trace(
     const std::filesystem::path& path) {
-  return trace::TraceSet::per_process_files(
-             {path}, trace::DecodeMode::strict,
-             trace::DecodePolicy::materialise)
-      .actions(0);
+  const auto set = trace::TraceSet::per_process_files(
+      {path}, trace::DecodeMode::strict, trace::DecodePolicy::materialise);
+  const auto actions = set.actions(0);
+  return {actions.begin(), actions.end()};
 }
 
 }  // namespace tir::test
