@@ -14,7 +14,16 @@ namespace tir::sim {
 
 namespace {
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
-}
+
+// The queues' hooks: each records an entry's new slot in its owner.
+constexpr auto place_fluid = [](const auto& entry, std::size_t i) {
+  entry.fluid->heap_pos = static_cast<std::int32_t>(i);
+};
+constexpr auto place_member = [](Transfer* flow, std::size_t i) {
+  flow->fluid.group_pos = static_cast<std::int32_t>(i);
+};
+constexpr auto no_slot = [](const auto&, std::size_t) {};
+}  // namespace
 
 void Task::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<Task::promise_type> h) noexcept {
@@ -90,98 +99,25 @@ void Engine::catch_up(FluidState& fluid) {
   fluid.last_update = now_;
 }
 
-// Finish queue: indexed 4-ary min-heap over the running fluids.
-//
-// Every flow with a positive rate has exactly one entry, re-keyed in place
-// when a solve changes its rate (FluidState::heap_pos tracks the slot);
-// every host with running execs has one, held by its head exec (see
-// reschedule_host), and a share group one, held by its head flow. The
-// lazy alternative — push a fresh entry per re-rate, drop stale ones as
-// they surface at the top — floods the queue at scale: on a shared
-// backbone every solve re-rates O(coupled flows), so stale entries come to
-// dominate the heap, deepening every sift and burning a pop each. Re-keying
-// keeps the heap at live size, and a rate change that barely moves the
-// finish estimate barely moves the entry. Pop order is the same strict
-// (time, seq) total order either way — stale entries never complete
-// anything — so simulated times are bit-identical.
-bool Engine::finish_before(const FinishItem& a, const FinishItem& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
-
-void Engine::finish_place(FinishItem item, std::size_t i) {
-  item.fluid->heap_pos = static_cast<std::int32_t>(i);
-  finish_heap_[i] = std::move(item);
-}
-
-std::size_t Engine::finish_sift_up(std::size_t i) {
-  FinishItem item = std::move(finish_heap_[i]);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!finish_before(item, finish_heap_[parent])) break;
-    finish_place(std::move(finish_heap_[parent]), i);
-    i = parent;
-  }
-  finish_place(std::move(item), i);
-  return i;
-}
-
-std::size_t Engine::finish_sift_down(std::size_t i) {
-  FinishItem item = std::move(finish_heap_[i]);
-  const std::size_t n = finish_heap_.size();
-  for (;;) {
-    std::size_t best = 4 * i + 1;
-    if (best >= n) break;
-    const std::size_t last = std::min(best + 4, n);
-    for (std::size_t c = best + 1; c < last; ++c) {
-      if (finish_before(finish_heap_[c], finish_heap_[best])) best = c;
-    }
-    if (!finish_before(finish_heap_[best], item)) break;
-    finish_place(std::move(finish_heap_[best]), i);
-    i = best;
-  }
-  finish_place(std::move(item), i);
-  return i;
-}
-
+// Finish queue: one entry per running flow, per busy host (held by its
+// head exec, see reschedule_host) and per share group (held by its head
+// flow), re-keyed in place through FluidState::heap_pos; DESIGN key
+// decision 2 says why the lazy stale-entry queue went. Pops follow the
+// strict (time, seq) order and nothing reads the array order.
 void Engine::finish_update(Activity& activity, FluidState& fluid,
                            SimTime time, std::uint64_t seq) {
   if (fluid.heap_pos < 0) {
-    const std::size_t i = finish_heap_.size();
-    finish_heap_.push_back(
-        FinishItem{time, seq, ActivityPtr(&activity), &fluid});
-    fluid.heap_pos = static_cast<std::int32_t>(i);
-    finish_sift_up(i);
+    finish_.push({time, seq}, QueuedFluid{&activity, &fluid}, place_fluid);
   } else {
-    const auto i = static_cast<std::size_t>(fluid.heap_pos);
-    finish_heap_[i].time = time;
-    finish_heap_[i].seq = seq;
-    finish_sift_down(finish_sift_up(i));
+    finish_.update(static_cast<std::size_t>(fluid.heap_pos), {time, seq},
+                   place_fluid);
   }
 }
 
 void Engine::finish_remove(FluidState& fluid) {
   if (fluid.heap_pos < 0) return;
-  const auto i = static_cast<std::size_t>(fluid.heap_pos);
+  finish_.erase(static_cast<std::size_t>(fluid.heap_pos), place_fluid);
   fluid.heap_pos = -1;
-  if (i + 1 != finish_heap_.size()) {
-    finish_place(std::move(finish_heap_.back()), i);
-    finish_heap_.pop_back();
-    finish_sift_down(finish_sift_up(i));
-  } else {
-    finish_heap_.pop_back();
-  }
-}
-
-void Engine::finish_pop() {
-  finish_heap_.front().fluid->heap_pos = -1;
-  if (finish_heap_.size() > 1) {
-    finish_place(std::move(finish_heap_.back()), 0);
-    finish_heap_.pop_back();
-    finish_sift_down(0);
-  } else {
-    finish_heap_.pop_back();
-  }
 }
 
 void Engine::set_rate(Activity& activity, FluidState& fluid, double rate) {
@@ -202,36 +138,6 @@ void Engine::set_rate(Activity& activity, FluidState& fluid, double rate) {
 // the stored clock; a leave leaves the clock alone and requeues the next
 // head at its finish under that same clock.
 
-void Engine::member_place(ShareGroup& group, Member m, std::size_t i) {
-  m.flow->fluid.group_pos = static_cast<std::int32_t>(i);
-  group.members[i] = m;
-}
-
-void Engine::member_sift(ShareGroup& group, std::size_t i) {
-  const auto before = [](const Member& a, const Member& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq < b.seq;
-  };
-  const Member m = group.members[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!before(m, group.members[parent])) break;
-    member_place(group, group.members[parent], i);
-    i = parent;
-  }
-  const std::size_t n = group.members.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && before(group.members[child + 1], group.members[child]))
-      ++child;
-    if (!before(group.members[child], m)) break;
-    member_place(group, group.members[child], i);
-    i = child;
-  }
-  member_place(group, m, i);
-}
-
 void Engine::group_catch_up(ShareGroup& group) {
   if (now_ > group.last_update)
     group.clock += group.rate * (now_ - group.last_update);
@@ -239,13 +145,13 @@ void Engine::group_catch_up(ShareGroup& group) {
 }
 
 void Engine::group_requeue(ShareGroup& group) {
-  Transfer* head = group.members.empty() ? nullptr : group.members[0].flow;
+  Transfer* head = group.members.empty() ? nullptr : group.members.front();
   if (group.queued != nullptr && group.queued != head)
     finish_remove(group.queued->fluid);
   group.queued = head;
   if (head == nullptr) return;
   FluidState& fluid = head->fluid;
-  fluid.finish_est = member_finish(group, group.members[0].key);
+  fluid.finish_est = member_finish(group, group.members.front_key().first);
   finish_update(*head, fluid, fluid.finish_est, seq_++);
 }
 
@@ -253,21 +159,15 @@ void Engine::group_join(Transfer& flow, GroupId g) {
   ShareGroup& group = groups_[static_cast<std::size_t>(g)];
   group_catch_up(group);
   flow.fluid.group = g;
-  group.members.push_back(
-      Member{group.clock + flow.fluid.remaining, seq_++, &flow});
-  member_sift(group, group.members.size() - 1);
+  group.members.push({group.clock + flow.fluid.remaining, seq_++}, &flow,
+                     place_member);
   if (flow.fluid.group_pos == 0) group_requeue(group);
 }
 
 void Engine::group_leave(Transfer& flow) {
   ShareGroup& group = groups_[static_cast<std::size_t>(flow.fluid.group)];
-  const auto i = static_cast<std::size_t>(flow.fluid.group_pos);
-  const Member last = group.members.back();
-  group.members.pop_back();
-  if (i < group.members.size()) {
-    group.members[i] = last;
-    member_sift(group, i);
-  }
+  group.members.erase(static_cast<std::size_t>(flow.fluid.group_pos),
+                      place_member);
   flow.fluid.group = -1;
   flow.fluid.group_pos = -1;
   if (group.queued == &flow) {
@@ -289,8 +189,7 @@ void Engine::group_form(GroupId g) {
     catch_up(flow.fluid);
     finish_remove(flow.fluid);
     flow.fluid.group = g;
-    group.members.push_back(Member{flow.fluid.remaining, seq_++, &flow});
-    member_sift(group, group.members.size() - 1);
+    group.members.push({flow.fluid.remaining, seq_++}, &flow, place_member);
   }
   group_requeue(group);
 }
@@ -298,15 +197,16 @@ void Engine::group_form(GroupId g) {
 void Engine::group_dissolve(GroupId g) {
   ShareGroup& group = groups_[static_cast<std::size_t>(g)];
   group_catch_up(group);
-  for (const Member& m : group.members) {
-    FluidState& fluid = m.flow->fluid;
-    fluid.remaining = std::max(0.0, m.key - group.clock);
+  for (std::size_t i = 0; i < group.members.size(); ++i) {
+    Transfer& flow = *group.members[i];
+    FluidState& fluid = flow.fluid;
+    fluid.remaining = std::max(0.0, group.members.key(i).first - group.clock);
     fluid.rate = group.rate;
     fluid.last_update = now_;
     fluid.group = -1;
     fluid.group_pos = -1;
     fluid.finish_est = now_ + fluid.remaining / fluid.rate;
-    finish_update(*m.flow, fluid, fluid.finish_est, seq_++);
+    finish_update(flow, fluid, fluid.finish_est, seq_++);
   }
   group.members.clear();
   group.queued = nullptr;
@@ -349,10 +249,8 @@ void Engine::reschedule_host(int host) {
   }
   if (holder != nullptr && holder != head) {
     // The head changed: it takes over the entry's slot in place.
-    FinishItem& item =
-        finish_heap_[static_cast<std::size_t>(holder->fluid.heap_pos)];
-    item.activity = ActivityPtr(head);
-    item.fluid = &head->fluid;
+    finish_[static_cast<std::size_t>(holder->fluid.heap_pos)] =
+        QueuedFluid{head, &head->fluid};
     head->fluid.heap_pos = std::exchange(holder->fluid.heap_pos, -1);
   }
   finish_update(*head, head->fluid, head->fluid.finish_est, head->fluid.seq);
@@ -530,8 +428,9 @@ Ref<Transfer> Engine::transfer_async(int src_host, int dst_host,
   if (transfer->latency <= 0) {
     start_flow(*transfer);
   } else {
-    heap_.push(HeapItem{now_ + transfer->latency, seq_++,
-                        HeapItem::What::latency_done, transfer});
+    timers_.push({now_ + transfer->latency, seq_++},
+                 TimedEvent{TimedEvent::What::latency_done, transfer},
+                 no_slot);
   }
   return transfer;
 }
@@ -560,8 +459,9 @@ Ref<Timer> Engine::timer_async(SimTime duration) {
   if (duration == 0) {
     complete(*timer);
   } else {
-    heap_.push(
-        HeapItem{timer->fire_at, seq_++, HeapItem::What::timer_fire, timer});
+    timers_.push({timer->fire_at, seq_++},
+                 TimedEvent{TimedEvent::What::timer_fire, timer},
+                 no_slot);
   }
   return timer;
 }
@@ -668,34 +568,33 @@ void Engine::run() {
   while (!first_error_) {
     resolve_network();
 
-    const SimTime t_fluid =
-        finish_heap_.empty() ? kInf : finish_heap_.front().time;
-    const SimTime t_heap = heap_.empty() ? kInf : heap_.top().time;
-    const SimTime t_next = std::min(t_fluid, t_heap);
+    const SimTime t_fluid = finish_.empty() ? kInf : finish_.front_key().first;
+    const SimTime t_timer = timers_.empty() ? kInf : timers_.front_key().first;
+    const SimTime t_next = std::min(t_fluid, t_timer);
     if (t_next == kInf) break;
     now_ = t_next;
 
     // Complete every fluid due at this instant. Completions can reschedule
     // siblings to earlier finishes (a host freeing up), so keep examining
-    // the heap top rather than iterating a snapshot.
+    // the queue front rather than iterating a snapshot.
     const double time_eps = 1e-9 * (1.0 + std::abs(now_));
     for (;;) {
-      if (finish_heap_.empty()) break;
-      if (finish_heap_.front().time > now_ + time_eps) break;
-      const ActivityPtr activity = std::move(finish_heap_.front().activity);
-      finish_pop();
+      if (finish_.empty() || finish_.front_key().first > now_ + time_eps) break;
+      const QueuedFluid entry = finish_.pop(place_fluid);
+      entry.fluid->heap_pos = -1;
+      // complete() lets go of the engine's own reference.
+      const ActivityPtr activity(entry.activity);
       complete(*activity);
     }
 
-    while (!heap_.empty() && heap_.top().time <= now_ + time_eps) {
-      HeapItem item = heap_.top();
-      heap_.pop();
+    while (!timers_.empty() && timers_.front_key().first <= now_ + time_eps) {
+      const TimedEvent event = timers_.pop(no_slot);
       ++stats_.heap_events;
-      if (item.activity->done()) continue;
-      if (item.what == HeapItem::What::timer_fire) {
-        complete(*item.activity);
+      if (event.activity->done()) continue;
+      if (event.what == TimedEvent::What::timer_fire) {
+        complete(*event.activity);
       } else {
-        start_flow(static_cast<Transfer&>(*item.activity));
+        start_flow(static_cast<Transfer&>(*event.activity));
       }
     }
 

@@ -32,7 +32,9 @@
 //     work as of `last_update`, and its predicted finish sits in an indexed
 //     4-ary min-heap — one entry per running flow and per busy host,
 //     re-keyed in place when a rate changes. Advancing simulated time is
-//     O(1) instead of O(active fluids).
+//     O(1) instead of O(active fluids). Every queue here is a tir::Heap
+//     (support/heap.hpp); the timer queue stays apart, as run() completes
+//     every fluid due in a time window before its timed events.
 //   - An action's fixed costs stay off the heap and out of atomics:
 //     coroutine frames, activities and MPI requests come from a per-thread
 //     block cache (block_cache.hpp) and carry plain counts (ref.hpp), and a
@@ -43,16 +45,16 @@
 //     formed. A member's key is V at its join plus its remaining work, so
 //     its remaining is key − V; only the group head (smallest key) sits in
 //     the finish heap. A group re-rate is O(log) instead of O(members), a
-//     join or leave O(log members). Exact in real arithmetic; in floating
-//     point the finish times stay within 1e-9 relative of the per-flow
-//     reference (full_solve, which never forms groups).
+//     join or leave O(log members). The member heap stays binary, as a
+//     dissolve hands out seqs in its array order. Exact in real arithmetic;
+//     in floating point the finish times stay within 1e-9 relative of the
+//     per-flow reference (full_solve, which never forms groups).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,6 +64,7 @@
 #include "simkern/co.hpp"
 #include "simkern/maxmin.hpp"
 #include "support/fifo.hpp"
+#include "support/heap.hpp"
 
 namespace tir::obs {
 class Recorder;
@@ -263,28 +266,18 @@ class Engine {
     double latency = 0.0;
   };
 
-  struct HeapItem {
-    SimTime time;
-    std::uint64_t seq;
-    enum class What { timer_fire, latency_done } what;
+  // A timer firing or a transfer's latency expiring, keyed (time, seq); it
+  // may hold the last reference to its activity.
+  struct TimedEvent {
+    enum class What { timer_fire, latency_done } what = What::timer_fire;
     ActivityPtr activity;
-    bool operator>(const HeapItem& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
   };
 
-  // Finish-time queue entry for fluids. Every running flow (rate > 0,
-  // activity not done) has exactly one entry, and so has every host with
-  // running Execs (held by its head exec) and every share group (held by
-  // its head flow); entries are re-keyed in place through
-  // FluidState::heap_pos. The entry holds a strong reference so a
-  // scheduled activity outlives its owner dropping it.
-  struct FinishItem {
-    SimTime time;
-    std::uint64_t seq;
-    ActivityPtr activity;
-    FluidState* fluid;  // points into *activity
+  // A finish-queue entry (see engine.cpp), keyed (time, seq). Its activity
+  // is kept alive by var_flows_ or host_execs_ until complete() drops it.
+  struct QueuedFluid {
+    Activity* activity = nullptr;
+    FluidState* fluid = nullptr;  // points into *activity
   };
 
   const CachedRoute& cached_route(int src_host, int dst_host);
@@ -294,19 +287,11 @@ class Engine {
   void complete(Activity& activity);
   void start_flow(Transfer& transfer);
 
-  // Indexed 4-ary min-heap over the running fluids (see the comment block
-  // in engine.cpp). Pop order is the strict (time, seq) total order.
-  static bool finish_before(const FinishItem& a, const FinishItem& b);
-  void finish_place(FinishItem item, std::size_t i);
-  std::size_t finish_sift_up(std::size_t i);
-  std::size_t finish_sift_down(std::size_t i);
   /// Inserts `fluid`'s entry or re-keys it in place to (time, seq).
   void finish_update(Activity& activity, FluidState& fluid, SimTime time,
                      std::uint64_t seq);
   /// Drops `fluid`'s entry if queued (starvation, completion).
   void finish_remove(FluidState& fluid);
-  /// Removes the earliest entry.
-  void finish_pop();
 
   /// Brings `fluid.remaining` up to date at the current time.
   void catch_up(FluidState& fluid);
@@ -314,25 +299,19 @@ class Engine {
   void set_rate(Activity& activity, FluidState& fluid, double rate);
 
   // Share groups (see the header comment). Members sit in a binary min-heap
-  // on (key, seq); the head alone holds a finish-heap entry.
-  struct Member {
-    double key;  // V at the join + remaining work then
-    std::uint64_t seq;
-    Transfer* flow;  // kept alive by var_flows_
-  };
+  // keyed (V at the join + remaining work then, seq), each flow kept alive
+  // by var_flows_; the head alone holds a finish-queue entry.
   struct ShareGroup {
     double rate = 0.0;   // every member's rate
     double clock = 0.0;  // V as of last_update
     SimTime last_update = 0.0;
-    std::vector<Member> members;
+    Heap<Transfer*, 2> members;
     Transfer* queued = nullptr;  // the member holding the finish entry
   };
   /// Finish time of a member with `key` at the group's stored clock.
   static SimTime member_finish(const ShareGroup& group, double key) {
     return group.last_update + std::max(0.0, key - group.clock) / group.rate;
   }
-  void member_place(ShareGroup& group, Member m, std::size_t i);
-  void member_sift(ShareGroup& group, std::size_t i);
   void group_catch_up(ShareGroup& group);
   /// Gives the finish-heap entry to the current head, keyed at its finish.
   void group_requeue(ShareGroup& group);
@@ -378,8 +357,8 @@ class Engine {
 
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
-  std::vector<FinishItem> finish_heap_;  // indexed min-heap, one per fluid
+  Heap<TimedEvent> timers_;    // timer firings and latency expiries
+  Heap<QueuedFluid> finish_;   // the finish queue, one entry per fluid
   Fifo<std::coroutine_handle<>> ready_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_processes_ = 0;

@@ -22,15 +22,22 @@ struct RoundRate {
   double rate;
   bool bound_first;
 };
+[[noreturn, gnu::cold, gnu::noinline]] void throw_unconstrained() {
+  throw Error("MaxMin: unconstrained variable (no live resource)");
+}
 RoundRate round_rate(double share, double weight, double bound) {
   if (bound < share * weight * (1.0 - 1e-9) || share == MaxMin::kInf) {
-    if (bound == MaxMin::kInf)
-      throw Error("MaxMin: unconstrained variable (no live resource)");
+    if (bound == MaxMin::kInf) throw_unconstrained();
     return {bound, true};
   }
   return {std::min(bound, share * weight), false};
 }
 }  // namespace
+
+void MaxMin::throw_inactive(VarId id) const {
+  (void)vars_.at(static_cast<std::size_t>(id));  // an unknown id: out_of_range
+  throw Error("MaxMin: rate() on an inactive variable");
+}
 
 ResourceId MaxMin::add_resource(double capacity) {
   if (!(capacity >= 0)) throw Error("MaxMin: capacity must be non-negative");
@@ -127,55 +134,22 @@ void MaxMin::set_capacity(ResourceId r, double capacity) {
 
 // -- hub groups ---------------------------------------------------------------
 
-void MaxMin::share_place(Hub& hub, Share s, std::size_t i) {
-  resources_[static_cast<std::size_t>(s.r)].share_pos =
-      static_cast<std::int32_t>(i);
-  hub.shares[i] = s;
-}
-
-void MaxMin::share_sift(Hub& hub, std::size_t i) {
-  const Share s = hub.shares[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!(s.share < hub.shares[parent].share)) break;
-    share_place(hub, hub.shares[parent], i);
-    i = parent;
-  }
-  const std::size_t n = hub.shares.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && hub.shares[child + 1].share < hub.shares[child].share)
-      ++child;
-    if (!(hub.shares[child].share < s.share)) break;
-    share_place(hub, hub.shares[child], i);
-    i = child;
-  }
-  share_place(hub, s, i);
-}
-
 void MaxMin::hub_update_share(ResourceId r) {
   Res& res = resources_[static_cast<std::size_t>(r)];
   Hub& hub = hubs_[static_cast<std::size_t>(res.hub)];
   if (res.vars.empty() || res.slack) {  // r leaves the component
-    const auto i = static_cast<std::size_t>(res.share_pos);
-    const Share last = hub.shares.back();
-    hub.shares.pop_back();
-    if (i < hub.shares.size()) {
-      hub.shares[i] = last;
-      share_sift(hub, i);
-    }
+    hub.shares.erase(static_cast<std::size_t>(res.share_pos), place_share());
     res.hub = -1;
     res.share_pos = -1;
     return;
   }
-  const Share s{res.capacity / static_cast<double>(res.vars.size()), r};
+  const HeapKey key{res.capacity / static_cast<double>(res.vars.size()),
+                    static_cast<std::uint64_t>(r)};
   if (res.share_pos < 0) {
-    hub.shares.push_back(s);
-    share_sift(hub, hub.shares.size() - 1);
+    hub.shares.push(key, r, place_share());
   } else {
-    hub.shares[static_cast<std::size_t>(res.share_pos)] = s;
-    share_sift(hub, static_cast<std::size_t>(res.share_pos));
+    hub.shares.update(static_cast<std::size_t>(res.share_pos), key,
+                      place_share());
   }
 }
 
@@ -233,8 +207,8 @@ void MaxMin::hub_exit(GroupId g) {
     v.group = -1;
     v.rate = hub.rate;
   }
-  for (const Share& s : hub.shares) {
-    Res& res = resources_[static_cast<std::size_t>(s.r)];
+  for (std::size_t i = 0; i < hub.shares.size(); ++i) {
+    Res& res = resources_[static_cast<std::size_t>(hub.shares[i])];
     res.hub = -1;
     res.share_pos = -1;
   }
@@ -289,9 +263,10 @@ void MaxMin::hub_try_enter(std::size_t c) {
   resources_[static_cast<std::size_t>(hub_res)].hub = g;
   for (std::size_t i = comp.res_begin; i < comp.res_end; ++i) {
     if (i == hub_i) continue;
-    resources_[static_cast<std::size_t>(component_res_[i])].hub = g;
-    hub.shares.push_back(Share{share(i), component_res_[i]});
-    share_sift(hub, hub.shares.size() - 1);
+    const ResourceId r = component_res_[i];
+    resources_[static_cast<std::size_t>(r)].hub = g;
+    hub.shares.push({share(i), static_cast<std::uint64_t>(r)}, r,
+                    place_share());
   }
   for (std::size_t j = comp.var_begin; j < comp.var_end; ++j)
     vars_[static_cast<std::size_t>(component_vars_[j])].group = g;
@@ -444,13 +419,6 @@ void MaxMin::remove_variable(VarId id) {
   v.positions.clear();
   --active_count_;
   free_ids_.push_back(id);
-}
-
-double MaxMin::rate(VarId id) const {
-  const Var& v = vars_.at(static_cast<std::size_t>(id));
-  if (!v.active) throw Error("MaxMin: rate() on an inactive variable");
-  return v.group >= 0 ? hubs_[static_cast<std::size_t>(v.group)].rate
-                      : v.rate;
 }
 
 double MaxMin::resource_load(ResourceId r) const {
@@ -652,7 +620,7 @@ void MaxMin::solve() {
     const Res& h = resources_[static_cast<std::size_t>(hub.res)];
     const double rate = h.capacity / static_cast<double>(h.vars.size());
     if (!hub.shares.empty() &&
-        hub.shares.front().share <= rate * (1.0 + 1e-9)) {
+        hub.shares.front_key().first <= rate * (1.0 + 1e-9)) {
       hub_exit(g);
       continue;
     }

@@ -93,6 +93,8 @@
 #include <span>
 #include <vector>
 
+#include "support/heap.hpp"
+
 namespace tir::sim {
 
 using ResourceId = int;
@@ -207,7 +209,14 @@ class MaxMin {
   /// Rate assigned by the last solve(), or by add_variable for a lone
   /// variable (0 for one still awaiting its first solve). Requires an
   /// active variable.
-  double rate(VarId v) const;
+  double rate(VarId v) const {
+    const auto i = static_cast<std::size_t>(v);
+    if (i >= vars_.size() || !vars_[i].active) [[unlikely]]
+      throw_inactive(v);
+    const Var& var = vars_[i];
+    return var.group >= 0 ? hubs_[static_cast<std::size_t>(var.group)].rate
+                          : var.rate;
+  }
 
   std::size_t active_variable_count() const { return active_count_; }
   std::size_t resource_count() const { return resources_.size(); }
@@ -261,19 +270,18 @@ class MaxMin {
     std::size_t res_begin = 0, res_end = 0;
     std::size_t var_begin = 0, var_end = 0;
   };
-  /// A non-hub resource of a hub group and the rate it would offer.
-  struct Share {
-    double share;  // cap_r / n_r
-    ResourceId r;
-  };
   /// A hub component kept out of the fill (see the header comment).
   struct Hub {
     ResourceId res = -1;  // the hub resource; -1 = free slot
     double rate = 0.0;    // cap / n as of the last solve: every member's rate
     bool pending = false;  // membership changed; queued in pending_hubs_
-    std::vector<Share> shares;  // binary min-heap: the other resources
+    // The other resources, keyed (cap_r / n_r, r): the id only breaks ties,
+    // as the solve reads nothing but the front's share.
+    Heap<ResourceId> shares;
   };
 
+  /// rate()'s cold path: out_of_range (unknown id) or tir::Error.
+  [[noreturn, gnu::cold, gnu::noinline]] void throw_inactive(VarId v) const;
   void mark_resource_modified(ResourceId r);
   /// `v`'s ceiling under the current capacities.
   double ceiling_of(const Var& v) const;
@@ -299,8 +307,13 @@ class MaxMin {
   /// Re-keys (or adds / drops) resource `r` in its group's share heap after
   /// its member count changed.
   void hub_update_share(ResourceId r);
-  void share_place(Hub& hub, Share s, std::size_t i);
-  void share_sift(Hub& hub, std::size_t i);
+  /// The share heaps' hook: records a resource's slot in its group's heap.
+  auto place_share() {
+    return [this](ResourceId r, std::size_t i) {
+      resources_[static_cast<std::size_t>(r)].share_pos =
+          static_cast<std::int32_t>(i);
+    };
+  }
   void hub_queue(GroupId g);
   /// Collects the connected components reachable from the modified sets
   /// (or every active variable when full_solve_ is on) into

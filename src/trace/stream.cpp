@@ -34,17 +34,19 @@ StreamIndex fallback_index(const std::filesystem::path& path) {
 /// tracked byte offset, and the identity fstat gave that descriptor at
 /// open. The pass sniffs, indexes and decodes each file through one of
 /// these, and every cursor opens its own. A file that cannot be opened
-/// reads as empty with ok() false, and its identity comes from stat.
+/// reads as empty with ok() false, and its identity comes from stat; a
+/// read that fails (a directory opens but reads EISDIR) throws IoError.
 class TraceFile {
  public:
   explicit TraceFile(const std::filesystem::path& path)
-      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)), path_(path) {
     const auto id = fd_ >= 0 ? fd_identity(fd_) : stat_identity(path);
     if (id) identity_ = *id;
   }
 
   TraceFile(TraceFile&& other) noexcept
       : fd_(std::exchange(other.fd_, -1)),
+        path_(std::move(other.path_)),
         identity_(other.identity_),
         buf_(std::move(other.buf_)),
         buf_start_(other.buf_start_),
@@ -134,12 +136,16 @@ class TraceFile {
     do {
       got = ::read(fd_, buf_.data(), buf_.size());
     } while (got < 0 && errno == EINTR);
-    if (got <= 0) return false;  // end of file; a read error ends it too
+    if (got < 0)
+      throw IoError("cannot read trace file '" + path_.string() +
+                    "': " + std::strerror(errno));
+    if (got == 0) return false;
     len_ = static_cast<std::size_t>(got);
     return true;
   }
 
   int fd_;
+  std::filesystem::path path_;
   FileIdentity identity_;
   std::vector<char> buf_;
   std::uint64_t buf_start_ = 0;  ///< file offset of buf_[0]
@@ -148,8 +154,8 @@ class TraceFile {
 };
 
 /// Reads a file's magic: binary and compact readers continue on `file`,
-/// positioned after it. A file too short for a magic, or unreadable, is
-/// text (the text pass reports an unreadable file).
+/// positioned after it. A file too short for a magic, or one that cannot
+/// be opened, is text (the text pass reports it).
 TraceFormat sniff(TraceFile& file) {
   char magic[sizeof(kBinaryMagic)];
   if (file.read(magic, sizeof(magic)) == sizeof(magic)) {
@@ -855,7 +861,16 @@ StreamIndex build_stream_index(const std::filesystem::path& path,
                                DecodeMode mode, int merged_nprocs,
                                std::vector<PackedActions>* actions) {
   TraceFile file(path);
-  switch (sniff(file)) {
+  TraceFormat format = TraceFormat::text;
+  try {
+    format = sniff(file);
+  } catch (const IoError& e) {  // opened but unreadable, e.g. a directory
+    if (mode == DecodeMode::strict) throw;
+    StreamIndex idx = new_index(path, TraceFormat::text, file);
+    record_error(idx.salvage, e.what(), 0);
+    return idx;
+  }
+  switch (format) {
     case TraceFormat::binary:
       return build_binary_index(path, std::move(file), mode, merged_nprocs,
                                 actions);

@@ -363,3 +363,52 @@ TEST(Scheduler, CoLocatedExecsRepeatTheParentBitForBit) {
   EXPECT_EQ(digest.count(), 1287u);
   EXPECT_EQ(digest.value(), 0xb2409e28b0f297cdull);
 }
+
+TEST(Scheduler, DissolvedShareGroupsRepeatTheParentBitForBit) {
+  // Eighty hosts on one cluster each send a run of messages to rotating
+  // partners, so about eighty flows cross the backbone at once: a hub
+  // group forms and its members progress on its virtual clock, joining
+  // and leaving through the member heap, the head holding the finish
+  // entry. Messages come in three sizes and start in the same instants,
+  // so members tie on their keys. Every few milliseconds host 0's NIC
+  // drops to a fifth, which binds it and dissolves the group, and comes
+  // back, which lets it form again. The digest and the count were
+  // recorded with the member heap, finish queue and timer queue the
+  // engine had before its queues shared one implementation.
+  plat::Platform p;
+  plat::ClusterSpec spec;
+  spec.count = 80;
+  const auto hosts = plat::build_cluster(p, spec);
+  Engine engine(p);
+  CompletionDigest digest;
+  std::uint64_t next_id = 0;
+  for (int h = 0; h < spec.count; ++h) {
+    engine.spawn("sender" + std::to_string(h), hosts[h],
+                 [&, h](Process&) -> Task {
+                   Rng rng(static_cast<std::uint64_t>(h % 3) + 5);
+                   for (int round = 0; round < 25; ++round) {
+                     const double bytes =
+                         4e4 * static_cast<double>(1 + rng.next_below(3));
+                     const int peer = (h + 1 + round % 7) % spec.count;
+                     auto flow = engine.transfer_async(hosts[h], hosts[peer],
+                                                       bytes);
+                     watch(engine, digest, flow, next_id++, h);
+                     co_await engine.wait(flow);
+                   }
+                 });
+  }
+  engine.spawn("nic-steps", hosts[0], [&](Process&) -> Task {
+    for (int cycle = 0; cycle < 12; ++cycle) {
+      co_await engine.wait_for(1.3e-3);
+      engine.set_link_factors(1, 0.2, 1.0);
+      co_await engine.wait_for(0.7e-3);
+      engine.set_link_factors(1, 1.0, 1.0);
+    }
+  });
+  engine.run();
+
+  EXPECT_GT(engine.stats().hub_entries, 10u);
+  EXPECT_GT(engine.stats().hub_exits, 10u);
+  EXPECT_EQ(digest.count(), 2000u);
+  EXPECT_EQ(digest.value(), 0x6401fdc6245b2b2eull);
+}

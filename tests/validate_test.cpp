@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+
+#include "support/error.hpp"
+#include "trace/trace_format.hpp"
+#include "trace/trace_set.hpp"
 #include "trace/validate.hpp"
 
 using namespace tir;
@@ -190,4 +197,44 @@ TEST(TruncateConsistentTest, WaitWithoutPendingIsCut) {
   const auto cut =
       trace::truncate_consistent(trace::TraceSet::in_memory(streams));
   EXPECT_EQ(cut.kept[0], 1u);  // cut at the stray wait
+}
+
+TEST(TraceDirectoryTest, ADirectoryReadAsATraceFileIsAnErrorNotAnEmptyTrace) {
+  // A directory opens read-only but every read fails (EISDIR): the trace
+  // pass must say so instead of decoding an empty stream.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tir_dir_as_file_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const auto pair = clean_pair();
+  for (int p = 0; p < 2; ++p)
+    trace::write_trace(dir / ("SG_process" + std::to_string(p) + ".trace"),
+                       pair[static_cast<std::size_t>(p)], p,
+                       trace::TraceFormat::text);
+
+  const auto strict = trace::TraceSet::per_process_files({dir});
+  try {
+    (void)strict.stats();
+    ADD_FAILURE() << "a directory decoded as a trace file";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir.string()), std::string::npos)
+        << e.what();
+  }
+
+  // Lenient decode records it as it records a file that cannot be opened.
+  const auto lenient =
+      trace::TraceSet::per_process_files({dir}, trace::DecodeMode::lenient);
+  EXPECT_EQ(lenient.stats().actions, 0u);
+  const auto salvage = lenient.salvage_report();
+  ASSERT_EQ(salvage.size(), 1u);
+  EXPECT_FALSE(salvage[0].complete);
+  EXPECT_NE(salvage[0].error.find(dir.string()), std::string::npos);
+
+  // Expanded to its process files, the directory is the trace.
+  const auto expanded =
+      trace::TraceSet::per_process_files(trace::process_trace_files({dir}));
+  EXPECT_EQ(expanded.nprocs(), 2);
+  EXPECT_EQ(expanded.stats().actions, 6u);
+  EXPECT_TRUE(trace::validate(expanded).ok);
+  fs::remove_all(dir);
 }

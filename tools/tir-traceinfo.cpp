@@ -1,7 +1,9 @@
 // tir-traceinfo — inspect / convert time-independent traces.
 //
 // Usage:
-//   tir-traceinfo TRACE...                  print aggregate statistics
+//   tir-traceinfo TRACE...                  print aggregate statistics (a
+//                                           directory stands for its
+//                                           SG_process<i>.trace files)
 //   tir-traceinfo --to-text IN OUT          convert IN to text
 //   tir-traceinfo --to-binary IN OUT        convert IN to binary
 //   tir-traceinfo --to-compact IN OUT       convert IN to loop-compressed
@@ -59,7 +61,8 @@ int run(int argc, char** argv) {
       }
       files.emplace_back(argv[i]);
     }
-    const auto set = trace::TraceSet::per_process_files(files);
+    const auto set =
+        trace::TraceSet::per_process_files(trace::process_trace_files(files));
     const auto stats = set.stats();
     std::printf("processes:      %d\n", set.nprocs());
     std::printf("on disk:        %s\n",

@@ -1,7 +1,9 @@
 // tir-validate — check time-independent traces before replaying them.
 //
 // Usage:
-//   tir-validate TRACE...                 one file per process
+//   tir-validate TRACE...                 one file per process (a
+//                                         directory stands for its
+//                                         SG_process<i>.trace files)
 //   tir-validate --merged N TRACE         one merged file, N processes
 //   tir-validate --lenient TRACE...       salvage corrupt files (keep each
 //                                         file's clean prefix) and report
@@ -76,7 +78,8 @@ int run(int argc, char** argv) {
   const trace::TraceSet traces =
       merged_nprocs > 0
           ? trace::TraceSet::merged_file(files.front(), merged_nprocs, mode)
-          : trace::TraceSet::per_process_files(files, mode);
+          : trace::TraceSet::per_process_files(
+                trace::process_trace_files(files), mode);
 
   const trace::ValidateReport report = trace::validate(traces);
   const double decode_coverage = traces.coverage();
