@@ -103,12 +103,6 @@ void Recorder::activity_span(int host, int peer, SpanKind kind, double start,
   host_spans_[h].push_back(Span{kind, peer, start, end, volume});
 }
 
-void Recorder::close_open(double now) {
-  for (std::size_t t = 0; t < open_.size(); ++t) {
-    if (open_[t].active) op_end(static_cast<int>(t), now);
-  }
-}
-
 std::uint64_t Recorder::total_spans() const {
   std::uint64_t n = 0;
   for (const auto& spans : rank_spans_) n += spans.size();

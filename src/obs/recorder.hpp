@@ -57,11 +57,6 @@ class Recorder {
   void activity_span(int host, int peer, SpanKind kind, double start,
                      double end, double volume);
 
-  /// Closes every still-open span at `now` — called after a replay ends
-  /// with blocked ranks (deadlock) so their in-progress operations appear
-  /// in the timeline up to the instant progress stopped.
-  void close_open(double now);
-
   // -- views ---------------------------------------------------------------
 
   int tracks() const { return static_cast<int>(rank_spans_.size()); }
@@ -94,10 +89,6 @@ class Recorder {
     double start = 0.0;
     double volume = 0.0;
   };
-
-  std::vector<std::vector<Span>>& lane(bool host_lane) {
-    return host_lane ? host_spans_ : rank_spans_;
-  }
 
   bool activity_detail_ = false;
   std::vector<std::vector<Span>> rank_spans_;

@@ -7,6 +7,7 @@
 #include "platform/deployment.hpp"
 #include "platform/topology.hpp"
 #include "support/error.hpp"
+#include "support/fifo.hpp"
 #include "support/log.hpp"
 
 namespace tir::replay {
@@ -135,6 +136,98 @@ sim::Task fault_injector(sim::Engine& engine, ResolvedFault fault) {
   }
 }
 
+std::uint64_t as_bytes(double volume) {
+  return volume < 0 ? 0 : static_cast<std::uint64_t>(volume);
+}
+
+/// The oldest pending Isend/Irecv: the trace's `wait` action carries no
+/// parameters, so it completes requests in the order they were posted.
+mpi::Request pop_request(Fifo<mpi::Request>& pending, int pid) {
+  if (pending.empty())
+    throw SimError("replay: process " + std::to_string(pid) +
+                   " executes `wait` with no pending request");
+  mpi::Request request = std::move(pending.front());
+  pending.pop_front();
+  return request;
+}
+
+/// The replay actor of process p (paper §5): reads p's actions in order and
+/// performs each on its rank. Collectives are rooted on process 0 (§3).
+sim::Co<void> replay_process(const ScenarioSpec& spec, int p, mpi::Rank& rank,
+                             ReplayResult& result) {
+  using trace::ActionType;
+  const sim::Engine& engine = rank.engine();
+  const double efficiency = spec.config.compute_efficiency;
+  Fifo<mpi::Request> pending;
+  auto source = spec.traces.open(p);
+  while (auto action = source->next()) {
+    const trace::Action& a = *action;
+    if (a.pid != p)
+      throw SimError("replay: process " + std::to_string(p) +
+                     " read an action belonging to process " +
+                     std::to_string(a.pid));
+    const double start = engine.now();
+    switch (a.type) {
+      case ActionType::compute:
+        co_await rank.compute(a.volume, efficiency);
+        break;
+      case ActionType::send:
+        co_await rank.send(a.partner, as_bytes(a.volume), 0);
+        break;
+      case ActionType::isend:
+        pending.push_back(rank.isend(a.partner, as_bytes(a.volume), 0));
+        break;
+      case ActionType::recv:
+        co_await rank.recv(a.partner, as_bytes(a.volume), 0);
+        break;
+      case ActionType::irecv:
+        pending.push_back(rank.irecv(a.partner, as_bytes(a.volume), 0));
+        break;
+      case ActionType::wait:
+        co_await rank.wait(pop_request(pending, p));
+        break;
+      case ActionType::waitall:
+        while (!pending.empty()) co_await rank.wait(pop_request(pending, p));
+        break;
+      case ActionType::barrier:
+        co_await rank.barrier();
+        break;
+      case ActionType::bcast:
+        co_await rank.bcast(as_bytes(a.volume), 0);
+        break;
+      case ActionType::reduce:
+        co_await rank.reduce(as_bytes(a.volume), a.volume2, 0);
+        break;
+      case ActionType::allreduce:
+        co_await rank.allreduce(as_bytes(a.volume), a.volume2);
+        break;
+      case ActionType::gather:
+        co_await rank.gather(as_bytes(a.volume), 0);
+        break;
+      case ActionType::allgather:
+        co_await rank.allgather(as_bytes(a.volume));
+        break;
+      case ActionType::alltoall:
+        co_await rank.alltoall(as_bytes(a.volume));
+        break;
+      case ActionType::comm_size:
+        if (a.comm_size != rank.size())
+          throw SimError("replay: trace declares comm_size " +
+                         std::to_string(a.comm_size) +
+                         " but the deployment has " +
+                         std::to_string(rank.size()) + " processes");
+        break;
+    }
+    ++result.actions_replayed;
+    if (spec.config.record_timed_trace)
+      result.timed_trace.push_back(TimedAction{p, a, start, engine.now()});
+  }
+  if (!pending.empty())
+    log::warn("replay: process ", p, " finished with ", pending.size(),
+              " pending request(s)");
+  result.process_finish_times[static_cast<std::size_t>(p)] = engine.now();
+}
+
 // Body of a replay; writes into `result` as it goes so a caller catching a
 // SimError (deadlock, mismatch) still sees the partial progress — how many
 // actions replayed, which processes finished — at the instant it stopped.
@@ -148,8 +241,6 @@ void run_scenario_into(const ScenarioSpec& spec, ReplayResult& result) {
                    " processes but the trace set has " +
                    std::to_string(nprocs));
   const std::vector<ResolvedFault> faults = resolve_faults(spec);
-  ActionRegistry registry = ActionRegistry::with_defaults();
-  if (spec.customize_registry) spec.customize_registry(registry);
 
   // The recorder is constructed (and stored into the result) before the
   // engine and world: deadlocked rank frames close their open spans from
@@ -162,8 +253,9 @@ void run_scenario_into(const ScenarioSpec& spec, ReplayResult& result) {
   }
 
   // Every mutable piece of the simulation lives below this line, scoped to
-  // this call: the engine (event heaps, route cache, fluid state), the MPI
-  // world (matching queues) and the per-process replay contexts.
+  // this call: the engine (event heaps, route cache, fluid state) and the
+  // MPI world (matching queues); each replay actor's pending requests live
+  // in its own frame.
   sim::Engine engine(*spec.platform,
                      sim::EngineConfig{.full_solve = spec.config.full_solve,
                                        .recorder = owned_recorder.get()});
@@ -171,36 +263,10 @@ void run_scenario_into(const ScenarioSpec& spec, ReplayResult& result) {
 
   result.process_finish_times.assign(static_cast<std::size_t>(nprocs), 0.0);
 
-  std::vector<std::unique_ptr<ReplayCtx>> contexts;
-  contexts.reserve(static_cast<std::size_t>(nprocs));
   for (int p = 0; p < nprocs; ++p)
-    contexts.push_back(std::make_unique<ReplayCtx>(
-        world.rank(p), spec.config.compute_efficiency));
-
-  for (int p = 0; p < nprocs; ++p) {
-    ReplayCtx* ctx = contexts[static_cast<std::size_t>(p)].get();
-    world.launch_rank(p, [&spec, &registry, ctx, p, &engine,
-                          &result](mpi::Rank&) -> sim::Co<void> {
-      auto source = spec.traces.open(p);
-      while (auto action = source->next()) {
-        if (action->pid != p)
-          throw SimError("replay: process " + std::to_string(p) +
-                         " read an action belonging to process " +
-                         std::to_string(action->pid));
-        const ActionHandler& handler = registry.handler(action->type);
-        const double start = engine.now();
-        co_await handler(*ctx, *action);
-        ++result.actions_replayed;
-        if (spec.config.record_timed_trace)
-          result.timed_trace.push_back(
-              TimedAction{p, *action, start, engine.now()});
-      }
-      if (ctx->pending_requests() > 0)
-        log::warn("replay: process ", p, " finished with ",
-                  ctx->pending_requests(), " pending request(s)");
-      result.process_finish_times[static_cast<std::size_t>(p)] = engine.now();
+    world.launch_rank(p, [&spec, p, &result](mpi::Rank& rank) {
+      return replay_process(spec, p, rank, result);
     });
-  }
 
   // One injector process per fault: sleep until the activation time, set
   // the factors, and (for faults with recovery / flap trains) keep cycling
@@ -217,8 +283,8 @@ void run_scenario_into(const ScenarioSpec& spec, ReplayResult& result) {
   try {
     engine.run();
   } catch (...) {
-    // Suspended rank bodies hold guards into `world` and `contexts`, both
-    // of which unwind before `engine`. Drop the frames while they live.
+    // Suspended rank bodies hold guards into `world`, which unwinds before
+    // `engine`. Drop the frames while it lives.
     engine.drop_frames();
     throw;
   }

@@ -7,20 +7,20 @@
 // replay; everything it references is shared and immutable (Platform via
 // shared_ptr, TraceSet handles shared decoded storage), while every piece
 // of mutable simulation state — engine heaps, route cache, MPI matching
-// queues, the action registry — lives inside run_scenario's frame. That is
-// what makes scenarios embarrassingly parallel: see sweep.hpp.
+// queues, each process's pending requests — lives inside run_scenario's
+// frame. That is what makes scenarios embarrassingly parallel: see
+// sweep.hpp.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "mpisim/mpi.hpp"
 #include "obs/recorder.hpp"
 #include "platform/platform.hpp"
-#include "replay/registry.hpp"
 #include "trace/trace_set.hpp"
 
 namespace tir::replay {
@@ -133,10 +133,6 @@ struct ScenarioSpec {
 
   /// Faults injected into this scenario's platform during replay.
   std::vector<FaultSpec> faults;
-
-  /// Optional hook to override Table 1 action semantics for this scenario;
-  /// it receives a registry pre-loaded with the defaults.
-  std::function<void(ActionRegistry&)> customize_registry;
 };
 
 /// Non-owning shared_ptr view of a caller-owned platform (aliasing
@@ -152,9 +148,9 @@ std::shared_ptr<const plat::Platform> share_platform(
 /// line-attributable message instead of mid-sweep inside a worker.
 void validate_faults(const ScenarioSpec& spec);
 
-/// Replays one scenario. Stateless: builds a fresh engine, MPI world and
-/// action registry per call, so concurrent calls over shared specs are
-/// safe. Throws tir::SimError on inconsistent inputs.
+/// Replays one scenario. Stateless: builds a fresh engine and MPI world per
+/// call, so concurrent calls over shared specs are safe. Throws
+/// tir::SimError on inconsistent inputs.
 ReplayResult run_scenario(const ScenarioSpec& spec);
 
 /// The Figure 4 workflow from files: loads the platform (a platform file or
@@ -193,8 +189,8 @@ struct ReplayReport {
 
 /// Replays one scenario and never throws: deadlocks and errors come back as
 /// a report, and so does any exception escaping the replay, std or not (a
-/// non-std one, say from a registry hook, reads "unknown exception"). This
-/// is the isolation every sweep row and every service replay gets.
+/// non-std one reads "unknown exception"). This is the isolation every
+/// sweep row and every service replay gets.
 ReplayReport run_scenario_report(const ScenarioSpec& spec);
 
 }  // namespace tir::replay

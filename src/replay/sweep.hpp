@@ -7,7 +7,7 @@
 // state — so scenarios parallelise without locks around simulation state.
 // A sweep returns each scenario's ReplayReport in a pre-sized slot, in
 // scenario order: a failing scenario (bad spec, corrupt trace, deadlocked
-// replay, even a non-std exception from a registry hook) is isolated to its
+// replay, a trace that waits with no pending request) is isolated to its
 // own report, and the output order and every simulated time are
 // bit-identical whatever the worker count or interleaving. A row's name and
 // platform label are those of its ScenarioSpec.

@@ -44,9 +44,6 @@ std::string scenario_memo_key(const replay::ScenarioSpec& spec,
   append_int(key, "coll", static_cast<long long>(spec.config.mpi.collectives));
   append_num(key, "eff", spec.config.compute_efficiency);
   append_int(key, "full", spec.config.full_solve ? 1 : 0);
-  append_int(key, "timed", spec.config.record_timed_trace ? 1 : 0);
-  append_int(key, "spans", spec.config.record_spans ? 1 : 0);
-  append_int(key, "detail", spec.config.span_activity_detail ? 1 : 0);
   for (const replay::FaultSpec& f : spec.faults) {
     key += "fault=";
     key += f.kind == replay::FaultSpec::Kind::host ? 'h' : 'l';

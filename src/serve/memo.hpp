@@ -41,14 +41,15 @@ struct MemoStats {
 };
 
 /// Canonical memo fingerprint of one scenario. Everything that can change
-/// the report goes in: trace content digest, platform identity (file
+/// the answer goes in: trace content digest, platform identity (file
 /// identity or topology spec — `platform_key`), the resolved process ->
-/// host mapping, MPI and engine knobs, recording flags, and the full fault
-/// timeline. Scenario *names* stay out: renaming a row must still hit.
-/// The trace decode path stays out too — streamed and materialised decode
-/// of the same bytes are bit-identical by construction.
-/// Specs carrying a customize_registry hook are not fingerprintable —
-/// callers must bypass the memo for those (the service does).
+/// host mapping, MPI and engine knobs (`full_solve` included), and the full
+/// fault timeline. Scenario *names* stay out: renaming a row must still
+/// hit. The recording flags (timed trace, spans, activity detail) stay
+/// out: recording is bit-identical by contract and a MemoAnswer keeps
+/// nothing they select. The trace decode path stays out too — streamed and
+/// materialised decode of the same bytes are bit-identical by
+/// construction.
 std::string scenario_memo_key(const replay::ScenarioSpec& spec,
                               const std::string& platform_key,
                               const trace::Digest& digest);

@@ -10,8 +10,9 @@
 // Both are strictly single-threaded: the Engine resumes exactly one
 // coroutine at a time, so no synchronization is needed. Their frames come
 // from the per-thread block cache (block_cache.hpp): a replayed action
-// creates several (its handler, then Rank::send, wait, ...), and recycling
-// them keeps the heap out of the steady state.
+// creates a few (Rank::send, Rank::wait, a collective and the sends and
+// receives inside it; an Isend or Irecv none), and recycling them keeps
+// the heap out of the steady state.
 #pragma once
 
 #include <coroutine>

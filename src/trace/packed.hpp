@@ -1,10 +1,10 @@
 // Packed action storage: what a materialised TraceSet holds per process.
 //
-// An Action is the value type cursors, handlers and writers pass around:
-// 40 bytes, about 2.5x the text line it was parsed from. A materialised
-// trace stores each action as a 16-byte PackedAction instead: its volume, a
-// 32-bit aux field and its type. The stream's owner supplies the pid, and
-// aux holds whatever else the type carries:
+// An Action is the value type cursors, the replay actor and writers pass
+// around: 40 bytes, about 2.5x the text line it was parsed from. A
+// materialised trace stores each action as a 16-byte PackedAction instead:
+// its volume, a 32-bit aux field and its type. The stream's owner supplies
+// the pid, and aux holds whatever else the type carries:
 //
 //   send, isend, recv, irecv   the partner
 //   comm_size                  the communicator size

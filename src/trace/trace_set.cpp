@@ -317,8 +317,6 @@ std::uint64_t TraceSet::decode_count() const {
   return storage_->decodes.load(std::memory_order_relaxed);
 }
 
-DecodeMode TraceSet::decode_mode() const { return storage_->mode; }
-
 DecodePolicy TraceSet::decode_policy() const { return storage_->policy; }
 
 bool TraceSet::streaming() const {

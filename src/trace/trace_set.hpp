@@ -182,8 +182,6 @@ class TraceSet {
 
   // -- salvage reporting (lenient mode) ------------------------------------
 
-  DecodeMode decode_mode() const;
-
   /// Fraction of on-disk trace bytes that decoded cleanly, in [0, 1].
   /// Forces a decode of every file. 1.0 for strict and in-memory sets.
   double coverage() const;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "acquisition/acquisition.hpp"
 #include "apps/lu.hpp"
@@ -176,30 +179,144 @@ TEST_F(ReplayTest, TimedTraceIsRecordedInOrder) {
   EXPECT_DOUBLE_EQ(max_end, result.simulated_time);
 }
 
-TEST_F(ReplayTest, CustomActionHandlerOverridesDefault) {
-  plat::Platform platform;
-  const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
-  ScenarioSpec spec = spec_for(platform, hosts, figure1_traces());
-  const double t_normal = run_scenario(spec).simulated_time;
+namespace {
 
-  spec.customize_registry = [](ActionRegistry& registry) {
-    registry.register_action(
-        "compute", [](ReplayCtx&, const trace::Action&) -> sim::Co<void> {
-          co_return;  // free compute
-        });
+// FNV-1a over 64-bit words, a double by its bits.
+class ReplayDigest {
+ public:
+  void fold(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void fold_double(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    fold(bits);
+  }
+  void fold_int(long long v) { fold(static_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+// Every ActionType on four ranks: eager (<= 64 KiB) and rendezvous sends,
+// Isend/Irecv pairs drained by `wait` (ranks 0 and 2) and by `waitAll`
+// (ranks 1 and 3), a `waitAll` with nothing pending, every collective and
+// `comm_size`.
+std::vector<std::vector<trace::Action>> every_action_type() {
+  using trace::ActionType;
+  std::vector<std::vector<trace::Action>> per(4);
+  const auto add = [&per](int p, ActionType type, int partner = -1,
+                          double volume = 0, double volume2 = 0,
+                          int comm_size = 0) {
+    per[static_cast<std::size_t>(p)].push_back(
+        {p, type, partner, volume, volume2, comm_size});
   };
-  const double t_free = run_scenario(spec).simulated_time;
-  EXPECT_LT(t_free, t_normal);
+  for (int p = 0; p < 4; ++p) {
+    add(p, ActionType::comm_size, -1, 0, 0, 4);
+    add(p, ActionType::compute, -1, 1e6 * (p + 1));
+  }
+  add(0, ActionType::send, 1, 1e3);  // eager
+  add(1, ActionType::recv, 0, 1e3);
+  add(1, ActionType::send, 0, 1e6);  // rendezvous
+  add(0, ActionType::recv, 1, 1e6);
+  add(2, ActionType::send, 3, 2e5);  // rendezvous
+  add(3, ActionType::recv, 2);
+  add(3, ActionType::send, 2, 5e2);  // eager
+  add(2, ActionType::recv, 3, 5e2);
+
+  add(0, ActionType::isend, 2, 5e5);
+  add(0, ActionType::irecv, 2, 1e3);
+  add(0, ActionType::wait);
+  add(0, ActionType::wait);
+  add(2, ActionType::irecv, 0, 5e5);
+  add(2, ActionType::isend, 0, 1e3);
+  add(2, ActionType::wait);
+  add(2, ActionType::wait);
+  add(1, ActionType::isend, 3, 2e3);
+  add(1, ActionType::irecv, 3, 3e5);
+  add(1, ActionType::waitall);
+  add(3, ActionType::irecv, 1, 2e3);
+  add(3, ActionType::isend, 1, 3e5);
+  add(3, ActionType::compute, -1, 5e5);
+  add(3, ActionType::waitall);
+
+  for (int p = 0; p < 4; ++p) {
+    add(p, ActionType::waitall);  // nothing pending
+    add(p, ActionType::barrier);
+    add(p, ActionType::bcast, -1, 1e5);
+    add(p, ActionType::reduce, -1, 1e5, 1e6);
+    add(p, ActionType::allreduce, -1, 1e4, 1e5);
+    add(p, ActionType::gather, -1, 2e4);
+    add(p, ActionType::allgather, -1, 3e4);
+    add(p, ActionType::alltoall, -1, 5e4);
+    add(p, ActionType::compute, -1, 2e5 * (4 - p));
+  }
+  return per;
 }
 
-TEST_F(ReplayTest, RegistryRejectsUnknownKeyword) {
-  ActionRegistry registry = ActionRegistry::with_defaults();
-  EXPECT_THROW(registry.register_action(
-                   "teleport",
-                   [](ReplayCtx&, const trace::Action&) -> sim::Co<void> {
-                     co_return;
-                   }),
-               tir::ParseError);
+}  // namespace
+
+TEST_F(ReplayTest, EveryActionTypeRepeatsTheParentBitForBit) {
+  // Pins what a replay of every action type reports, bit for bit: the
+  // makespan, each process's finish time, every timed-trace row, every rank
+  // span and the engine's resume, activity and event counts. The digest was
+  // recorded before the replay actor dispatched on ActionType itself, when
+  // each action went through a per-keyword handler table.
+  const auto actions = every_action_type();
+  std::set<trace::ActionType> types;
+  std::size_t total = 0;
+  for (const auto& mine : actions) {
+    total += mine.size();
+    for (const trace::Action& a : mine) types.insert(a.type);
+  }
+  ASSERT_EQ(types.size(), trace::kActionTypes);
+
+  plat::Platform platform;
+  const auto hosts = plat::build_cluster(platform, plat::bordereau_spec(4));
+  ScenarioSpec spec = spec_for(platform, hosts,
+                               trace::TraceSet::in_memory(actions));
+  spec.config.compute_efficiency = 0.8;
+  spec.config.record_timed_trace = true;
+  spec.config.record_spans = true;
+  const ReplayResult result = run_scenario(spec);
+  ASSERT_EQ(result.actions_replayed, total);
+  ASSERT_EQ(result.timed_trace.size(), total);
+  ASSERT_TRUE(result.spans);
+  ASSERT_EQ(result.spans->tracks(), 4);
+
+  ReplayDigest digest;
+  digest.fold_double(result.simulated_time);
+  for (const double t : result.process_finish_times) digest.fold_double(t);
+  for (const TimedAction& row : result.timed_trace) {
+    digest.fold_int(row.pid);
+    digest.fold_int(static_cast<int>(row.action.type));
+    digest.fold_int(row.action.partner);
+    digest.fold_double(row.action.volume);
+    digest.fold_double(row.action.volume2);
+    digest.fold_int(row.action.comm_size);
+    digest.fold_double(row.start);
+    digest.fold_double(row.end);
+  }
+  for (int track = 0; track < result.spans->tracks(); ++track) {
+    const auto& spans = result.spans->track_spans(track);
+    EXPECT_FALSE(spans.empty()) << "rank " << track;
+    digest.fold(spans.size());
+    for (const obs::Span& s : spans) {
+      digest.fold_int(static_cast<int>(s.kind));
+      digest.fold_int(s.peer);
+      digest.fold_double(s.start);
+      digest.fold_double(s.end);
+      digest.fold_double(s.volume);
+    }
+  }
+  digest.fold(result.engine_stats.resumes);
+  digest.fold(result.engine_stats.activities);
+  digest.fold(result.engine_stats.heap_events);
+  EXPECT_EQ(digest.value(), 0x048b47a6014b7a26ull);
 }
 
 TEST_F(ReplayTest, CommSizeMismatchThrows) {

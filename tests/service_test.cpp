@@ -452,6 +452,26 @@ TEST(ResultMemoTest, MemoKeyIgnoresNameButNotKnobs) {
   EXPECT_EQ(serve::scenario_memo_key(a, platform_key, digest),
             serve::scenario_memo_key(b, platform_key, digest));
 
+  // Recording is bit-identical by contract and a MemoAnswer keeps nothing
+  // it selects, so the recording flags are not key material.
+  replay::ScenarioSpec recorded = a;
+  recorded.config.record_timed_trace = true;
+  EXPECT_EQ(serve::scenario_memo_key(a, platform_key, digest),
+            serve::scenario_memo_key(recorded, platform_key, digest));
+  recorded.config.record_spans = true;
+  EXPECT_EQ(serve::scenario_memo_key(a, platform_key, digest),
+            serve::scenario_memo_key(recorded, platform_key, digest));
+  recorded.config.span_activity_detail = true;
+  EXPECT_EQ(serve::scenario_memo_key(a, platform_key, digest),
+            serve::scenario_memo_key(recorded, platform_key, digest));
+
+  // full_solve selects the reference solver, whose finish times may differ
+  // from the incremental one's in the last digits: it stays in the key.
+  replay::ScenarioSpec full = a;
+  full.config.full_solve = true;
+  EXPECT_NE(serve::scenario_memo_key(a, platform_key, digest),
+            serve::scenario_memo_key(full, platform_key, digest));
+
   replay::ScenarioSpec c = a;
   c.config.compute_efficiency = 0.5;
   EXPECT_NE(serve::scenario_memo_key(a, platform_key, digest),

@@ -137,10 +137,13 @@ TEST(SweepTest, PoisonedScenariosDeterministicAcrossWorkerCounts) {
   const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(4));
   const auto traces = trace::TraceSet::in_memory(ring_actions(4, 2));
   auto scenarios = make_scenarios(platform, hosts, traces, 16);
-  // Poison two of them: one bad deployment, one registry hook that throws
-  // something that is not even a std::exception.
+  // Poison two of them: one bad deployment, and one trace in which process
+  // 2 waits, after its first round, with no request pending.
   scenarios[3].process_hosts.pop_back();
-  scenarios[11].customize_registry = [](ActionRegistry&) { throw 42; };
+  auto waits_early = ring_actions(4, 2);
+  waits_early[2].insert(waits_early[2].begin() + 3,
+                        {2, trace::ActionType::wait, -1, 0, 0, 0});
+  scenarios[11].traces = trace::TraceSet::in_memory(std::move(waits_early));
 
   const auto serial = run_sweep(scenarios, {.workers = 1});
   const auto parallel = run_sweep(scenarios, {.workers = 8});
@@ -165,34 +168,11 @@ TEST(SweepTest, PoisonedScenariosDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(serial[3].status, ReplayStatus::failed);
   EXPECT_NE(serial[3].error.find("deployment"), std::string::npos);
   EXPECT_EQ(serial[11].status, ReplayStatus::failed);
-  EXPECT_EQ(serial[11].error, "unknown exception");
+  EXPECT_EQ(serial[11].error,
+            "replay: process 2 executes `wait` with no pending request");
+  EXPECT_GT(serial[11].coverage, 0.0);
+  EXPECT_LT(serial[11].coverage, 1.0);
   // The healthy 14 still completed.
   EXPECT_TRUE(serial[15].ok());
   EXPECT_DOUBLE_EQ(serial[15].coverage, 1.0);
-}
-
-TEST(SweepTest, CustomRegistryHookAppliesPerScenario) {
-  const auto platform = std::make_shared<plat::Platform>();
-  const auto hosts = plat::build_cluster(*platform, plat::bordereau_spec(4));
-  const auto traces = trace::TraceSet::in_memory(ring_actions(4, 2));
-
-  ScenarioSpec normal;
-  normal.name = "normal";
-  normal.platform = platform;
-  normal.process_hosts = hosts;
-  normal.traces = traces;
-
-  ScenarioSpec free_compute = normal;
-  free_compute.name = "free-compute";
-  free_compute.customize_registry = [](ActionRegistry& registry) {
-    registry.register_action(
-        "compute", [](ReplayCtx&, const trace::Action&) -> sim::Co<void> {
-          co_return;
-        });
-  };
-
-  const auto results = run_sweep({normal, free_compute}, {.workers = 2});
-  ASSERT_TRUE(results[0].ok() && results[1].ok());
-  EXPECT_LT(results[1].result.simulated_time,
-            results[0].result.simulated_time);
 }

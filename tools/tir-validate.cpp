@@ -11,7 +11,8 @@
 //   tir-validate --json ...               machine-readable report
 //
 // Exit status: 0 = trace is well-formed (warnings allowed), 1 = validation
-// errors found, 2 = usage or I/O problem.
+// errors found, 2 = usage or I/O problem (under --lenient too when no
+// action decodes from a set with a file that failed).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -85,6 +86,15 @@ int run(int argc, char** argv) {
   const double decode_coverage = traces.coverage();
 
   if (lenient) {
+    // Salvage keeps what decodes; when nothing does and a file failed, there
+    // is no trace to pass: fail as strict mode does, on the first error.
+    const std::vector<trace::SalvageInfo> salvage = traces.salvage_report();
+    if (report.actions == 0)
+      for (const auto& s : salvage)
+        if (!s.complete) {
+          std::fprintf(stderr, "error: %s\n", s.error.c_str());
+          return 2;
+        }
     const trace::ConsistentCut cut = trace::truncate_consistent(traces);
     if (json) {
       std::printf("{\"validate\": %s, \"decode_coverage\": %.6f, "
@@ -104,7 +114,7 @@ int run(int argc, char** argv) {
                   static_cast<unsigned long long>(cut.total - cut.dropped),
                   static_cast<unsigned long long>(cut.total),
                   100.0 * cut.coverage);
-      for (const auto& s : traces.salvage_report())
+      for (const auto& s : salvage)
         if (!s.complete)
           std::printf("salvaged:         %s\n", s.error.c_str());
     }
