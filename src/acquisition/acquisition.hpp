@@ -35,14 +35,6 @@ struct AcquisitionSpec {
   std::filesystem::path workdir;
   InstrumentOptions instrument;
   ExtractOptions extract;
-  int gather_arity = 4;  ///< the paper's experiments use a 4-nomial tree
-
-  /// Per-node extraction throughput (TAU bytes/s) used to normalise the
-  /// measured extraction time to the modeled cluster: the paper's parallel
-  /// tau2simgrid processed each node's traces locally on 2007-era Opterons
-  /// at a few MB/s, whereas this machine's extractor is far faster. Set to
-  /// 0 to report raw wall-clock / nodes instead.
-  double extraction_node_throughput = 5e6;
   /// Also run the uninstrumented application to split "Application" from
   /// "Tracing overhead" in the Figure 7 breakdown; without it both read 0.
   bool run_uninstrumented_baseline = true;

@@ -4,6 +4,11 @@
 
 namespace tir::acq {
 
+namespace {
+/// CPU seconds consumed per TAU record written (at nominal host speed).
+constexpr double kPerRecordOverhead = 1.5e-6;
+}  // namespace
+
 InstrumentedMpi::InstrumentedMpi(mpi::Rank& rank, tau::TauTraceWriter& writer,
                                  InstrumentOptions options)
     : rank_(rank),
@@ -52,11 +57,10 @@ void InstrumentedMpi::count_flops(double flops) {
 }
 
 sim::Co<void> InstrumentedMpi::overhead(int records) {
-  if (options_.per_record_overhead <= 0 || records <= 0) co_return;
+  if (records <= 0) co_return;
   // Instrumentation burns CPU: under folding it contends for the core like
   // any other computation.
-  co_await rank_.compute(records * options_.per_record_overhead * host_power_,
-                         1.0);
+  co_await rank_.compute(records * kPerRecordOverhead * host_power_, 1.0);
 }
 
 sim::Co<void> InstrumentedMpi::compute(double flops, double efficiency) {

@@ -20,8 +20,6 @@
 namespace tir::acq {
 
 struct InstrumentOptions {
-  /// CPU seconds consumed per TAU record written (at nominal host speed).
-  double per_record_overhead = 1.5e-6;
   /// Relative jitter applied to each counter read (0 = exact).
   double counter_jitter = 0.0;
   unsigned seed = 42;

@@ -18,6 +18,9 @@ namespace {
 using trace::Action;
 using trace::ActionType;
 
+/// Compute bursts below this many flops are dropped.
+constexpr double kMinComputeFlops = 0.5;
+
 enum class MpiFn {
   none,
   send,
@@ -150,7 +153,7 @@ class Extractor {
       // The entry FP_OPS trigger is written immediately after EnterState,
       // before any message record, so the burst that preceded this MPI call
       // can simply be appended here.
-      if (burst >= options_.min_compute_flops)
+      if (burst >= kMinComputeFlops)
         actions_.push_back(
             Action{pid_, ActionType::compute, -1, burst, 0, 0});
     } else {

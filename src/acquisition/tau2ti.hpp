@@ -27,7 +27,6 @@ namespace tir::acq {
 
 struct ExtractOptions {
   bool binary_output = false;   ///< write the binary TI format instead of text
-  double min_compute_flops = 0.5;  ///< bursts below this are dropped
   /// When false (default, the paper's Figure 1 style) blocking recv lines
   /// omit the payload volume — the matched send carries it. Irecv lines
   /// always keep the size declared at post time.

@@ -228,8 +228,7 @@ AppDesc make_lu_app(const LuConfig& config) {
 
     const auto eff = [&](double base, int k) {
       if (config.flat_efficiency) return config.flat_rate_fraction;
-      return base * cache * config.efficiency_scale *
-             plane_wiggle(k, d.nz, mpi.rank());
+      return base * cache * plane_wiggle(k, d.nz, mpi.rank());
     };
 
     const double points_per_plane = static_cast<double>(d.nx) * d.ny;

@@ -49,10 +49,6 @@ struct LuConfig {
   bool flat_efficiency = false;
   double flat_rate_fraction = 0.225;
 
-  /// Global scale on all efficiencies (models machines with a different
-  /// achieved-to-peak ratio).
-  double efficiency_scale = 1.0;
-
   int iterations() const;  ///< after scaling, >= 1
 };
 

@@ -106,10 +106,7 @@ class Platform {
   /// links are folded into latency / min-bandwidth sums in provider order.
   Route route(HostId src, HostId dst) const;
 
-  const RouteProvider& route_provider() const { return *route_provider_; }
-
   // -- structure queries (for RouteProviders) ------------------------------
-  std::size_t junction_count() const { return junctions_.size(); }
   const JunctionDesc& junction(JunctionId id) const;
   bool has_explicit_routes() const { return !explicit_routes_.empty(); }
   /// The registered explicit route for (src, dst), or nullptr.

@@ -39,8 +39,6 @@ class Activity : public RefCounted {
 
   Kind kind() const { return kind_; }
   bool done() const { return done_; }
-  /// Simulated time at which the activity was created.
-  SimTime start_time() const { return start_time_; }
   /// Simulated time at which the activity completed (-1 while running).
   SimTime finish_time() const { return finish_time_; }
 
@@ -60,7 +58,7 @@ class Activity : public RefCounted {
 
   Kind kind_;
   bool done_ = false;
-  SimTime start_time_ = 0.0;
+  SimTime start_time_ = 0.0;  // creation time, for recorded spans
   SimTime finish_time_ = -1.0;
   std::coroutine_handle<> first_waiter_;
   std::vector<std::coroutine_handle<>> more_waiters_;

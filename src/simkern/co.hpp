@@ -3,9 +3,10 @@
 // Two coroutine types exist:
 //   - Task: the root coroutine of a simulated process. It is started and
 //     owned by the Engine (via Process) and nobody awaits it.
-//   - Co<T>: a nested coroutine that is itself awaitable; awaiting it starts
-//     it (lazy) and resumes the awaiter upon completion via symmetric
-//     transfer. Simulated MPI operations and collectives are Co<...>s.
+//   - Co<void>: a nested coroutine that is itself awaitable; awaiting it
+//     starts it (lazy) and resumes the awaiter upon completion via
+//     symmetric transfer. Simulated MPI operations and collectives are
+//     Co<void>s; none returns a value, so only that specialisation exists.
 //
 // Both are strictly single-threaded: the Engine resumes exactly one
 // coroutine at a time, so no synchronization is needed. Their frames come
@@ -17,7 +18,6 @@
 
 #include <coroutine>
 #include <exception>
-#include <optional>
 #include <utility>
 
 #include "simkern/block_cache.hpp"
@@ -25,7 +25,7 @@
 namespace tir::sim {
 
 template <typename T = void>
-class Co;
+class Co;  // only Co<void> is defined
 
 namespace detail {
 
@@ -50,60 +50,7 @@ struct CoPromiseBase : block_cache::Cached {
 
 }  // namespace detail
 
-/// A lazily-started awaitable coroutine returning T.
-template <typename T>
-class Co {
- public:
-  struct promise_type : detail::CoPromiseBase {
-    std::optional<T> value;
-
-    Co get_return_object() {
-      return Co(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    detail::SymmetricFinalAwaiter<promise_type> final_suspend() noexcept {
-      return {};
-    }
-    void return_value(T v) { value = std::move(v); }
-    void unhandled_exception() { this->error = std::current_exception(); }
-  };
-
-  Co() = default;
-  explicit Co(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  Co(Co&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Co& operator=(Co&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Co(const Co&) = delete;
-  Co& operator=(const Co&) = delete;
-  ~Co() { destroy(); }
-
-  // Awaitable interface.
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
-    handle_.promise().continuation = awaiter;
-    return handle_;  // start the child coroutine now
-  }
-  T await_resume() {
-    auto& p = handle_.promise();
-    if (p.error) std::rethrow_exception(p.error);
-    return std::move(*p.value);
-  }
-
- private:
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-  std::coroutine_handle<promise_type> handle_;
-};
-
+/// A lazily-started awaitable coroutine.
 template <>
 class Co<void> {
  public:

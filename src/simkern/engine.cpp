@@ -52,6 +52,19 @@ Engine::Engine(const plat::Platform& platform, EngineConfig config)
 
 Engine::~Engine() { drop_frames(); }
 
+EngineStats Engine::stats() const {
+  EngineStats stats = stats_;
+  const auto& solver = net_lmm_.solve_stats();
+  stats.solver_vars_touched = solver.vars_touched;
+  stats.solver_component_size_max = solver.max_component_vars;
+  stats.lone_rates = solver.lone_rates;
+  stats.solver_hub_solves = solver.hub_solves;
+  stats.solver_large_fills = solver.large_fills;
+  stats.hub_entries = solver.hub_entries;
+  stats.hub_exits = solver.hub_exits;
+  return stats;
+}
+
 void Engine::drop_frames() {
   for (auto it = processes_.rbegin(); it != processes_.rend(); ++it) {
     if ((*it)->coro_) {
@@ -260,15 +273,6 @@ void Engine::resolve_network() {
   if (!net_lmm_.dirty()) return;
   const auto changed = net_lmm_.solve_changed();
   ++stats_.solver_calls;
-  const auto& solver = net_lmm_.solve_stats();
-  stats_.solver_vars_touched = solver.vars_touched;
-  stats_.solver_component_size_max =
-      std::max<std::uint64_t>(stats_.solver_component_size_max,
-                              solver.max_component_vars);
-  stats_.solver_hub_solves = solver.hub_solves;
-  stats_.solver_large_fills = solver.large_fills;
-  stats_.hub_entries = solver.hub_entries;
-  stats_.hub_exits = solver.hub_exits;
   // Dissolved groups first: their flows must be per-flow again before the
   // fill's changes re-rate them. Formed groups last: the fill just rated
   // their members.
@@ -491,7 +495,6 @@ void Engine::start_flow(Transfer& transfer) {
   // the next solve, still at this instant. A lone flow was rated by the
   // add, and no solve will report it; any other flow reads 0 until the
   // solve at this instant.
-  stats_.lone_rates = net_lmm_.solve_stats().lone_rates;
   const GroupId g = net_lmm_.group_of(transfer.fluid.var);
   if (g >= 0) {
     group_join(transfer, g);
@@ -631,10 +634,6 @@ void Engine::run() {
     }
     throw DeadlockError(os.str(), now_, std::move(blocked));
   }
-}
-
-Co<void> wait_all(Engine& engine, std::vector<ActivityPtr> activities) {
-  for (const auto& activity : activities) co_await engine.wait(activity);
 }
 
 }  // namespace tir::sim

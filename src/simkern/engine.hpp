@@ -23,7 +23,7 @@
 //     (O(changed), not O(live flows)). A flow that starts alone on every
 //     link it crosses is rated on the spot and leaves without a solve
 //     (maxmin.hpp's lone variables): on graph fabrics most flows are.
-//   - A link that cannot saturate — its flows' ceilings (bound or
+//   - A link that cannot saturate — its flows' ceilings (each flow's
 //     narrowest capacity) sum below its capacity, as on a cluster backbone
 //     crossed by fewer flows than it is NICs wide — couples nobody
 //     (maxmin.hpp's slack resources): components and the lone test look
@@ -145,7 +145,10 @@ class Engine {
 
   const plat::Platform& platform() const { return platform_; }
   SimTime now() const { return now_; }
-  const EngineStats& stats() const { return stats_; }
+  /// A snapshot of the counters: the engine's own, and the solver's
+  /// (vars touched, largest component, lone rates, hub solves, large fills,
+  /// hub entries and exits) read from MaxMin::solve_stats() at the call.
+  EngineStats stats() const;
   obs::Recorder* recorder() const { return config_.recorder; }
 
   using ProcessBody = std::function<Task(Process&)>;
@@ -363,11 +366,7 @@ class Engine {
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_processes_ = 0;
   std::exception_ptr first_error_;
-  EngineStats stats_;
+  EngineStats stats_;  // the engine's own counters; stats() adds the solver's
 };
-
-/// Awaits every activity in order (completion order does not matter for the
-/// resulting simulated time).
-Co<void> wait_all(Engine& engine, std::vector<ActivityPtr> activities);
 
 }  // namespace tir::sim

@@ -10,27 +10,10 @@ namespace tir::sim {
 namespace {
 constexpr double kEps = 1e-12;
 
-/// Progressive filling's rule for one unsaturated variable in a round whose
-/// smallest per-weight resource share is `share` (kInf: no resource limits
-/// the variable any more). The bound binds first when it lies below
-/// share · weight by the 1e-9 tolerance, or when no resource limits the
-/// variable (an error for an unbounded one): the variable then sits at its
-/// bound. Otherwise a binding resource rates it at min(bound, share · weight).
-/// Shared by fill_component and the lone path of add_variable, so a lone
-/// variable's rate is bit-identical to a fill's.
-struct RoundRate {
-  double rate;
-  bool bound_first;
-};
+/// Progressive filling found unsaturated variables but no resource share
+/// (every capacity infinite, or weights at most kEps): nothing limits them.
 [[noreturn, gnu::cold, gnu::noinline]] void throw_unconstrained() {
   throw Error("MaxMin: unconstrained variable (no live resource)");
-}
-RoundRate round_rate(double share, double weight, double bound) {
-  if (bound < share * weight * (1.0 - 1e-9) || share == MaxMin::kInf) {
-    if (bound == MaxMin::kInf) throw_unconstrained();
-    return {bound, true};
-  }
-  return {std::min(bound, share * weight), false};
 }
 }  // namespace
 
@@ -60,10 +43,10 @@ void MaxMin::mark_resource_modified(ResourceId r) {
 // -- slack resources ----------------------------------------------------------
 
 double MaxMin::ceiling_of(const Var& v) const {
-  // A weight at most kEps offers the fill no resource share, so only the
-  // bound limits such a variable.
-  if (v.weight <= kEps) return v.bound;
-  double ceiling = v.bound;
+  // A weight at most kEps offers the fill no resource share, so no capacity
+  // limits such a variable.
+  double ceiling = kInf;
+  if (v.weight <= kEps) return ceiling;
   for (const ResourceId r : v.resources)
     ceiling = std::min(ceiling, resources_[static_cast<std::size_t>(r)].capacity);
   return ceiling;
@@ -173,7 +156,7 @@ bool MaxMin::hub_admit(VarId id) {
   if (!touches) return false;
   // Every other resource must be the group's, slack, or new to the system
   // (`v` is already listed, so a second member means another component).
-  bool fits = join >= 0 && v.weight == 1.0 && v.bound == kInf;
+  bool fits = join >= 0 && v.weight == 1.0;
   for (const ResourceId r : v.resources) {
     const Res& res = resources_[static_cast<std::size_t>(r)];
     if (res.hub != join &&
@@ -226,7 +209,7 @@ void MaxMin::hub_try_enter(std::size_t c) {
   const Component& comp = components_[c];
   const std::size_t n = comp.var_end - comp.var_begin;
   for (std::size_t j = comp.var_begin; j < comp.var_end; ++j) {
-    if (fill_var_[j].weight != 1.0 || fill_var_[j].bound != kInf) return;
+    if (fill_var_[j].weight != 1.0) return;
   }
   // The hub offers the fill's best share; it must carry every member, and
   // no other resource may come within the fill's binding tolerance of it.
@@ -292,12 +275,9 @@ bool MaxMin::lone(const Var& v) const {
 }
 
 VarId MaxMin::add_variable(double weight,
-                           const std::vector<ResourceId>& resources,
-                           double bound) {
+                           const std::vector<ResourceId>& resources) {
   if (!(weight > 0)) throw Error("MaxMin: variable weight must be positive");
-  if (!(bound > 0)) throw Error("MaxMin: variable bound must be positive");
-  if (resources.empty() && bound == kInf)
-    throw Error("MaxMin: a variable needs a resource or a finite bound");
+  if (resources.empty()) throw Error("MaxMin: a variable needs a resource");
   for (const ResourceId r : resources) {
     if (r < 0 || static_cast<std::size_t>(r) >= resources_.size())
       throw Error("MaxMin: unknown resource id");
@@ -313,7 +293,6 @@ VarId MaxMin::add_variable(double weight,
   }
   Var& v = vars_[static_cast<std::size_t>(id)];
   v.weight = weight;
-  v.bound = bound;
   v.rate = 0.0;
   v.active = true;
   v.resources = resources;
@@ -346,24 +325,20 @@ VarId MaxMin::add_variable(double weight,
       const Res& res = resources_[static_cast<std::size_t>(r)];
       if (!res.slack) share = std::min(share, res.capacity / v.weight);
     }
-    try {
-      v.rate = round_rate(share, v.weight, v.bound).rate;
-    } catch (...) {
+    if (share == kInf) {
       remove_variable(id);
-      throw;
+      throw_unconstrained();
     }
+    v.rate = share * v.weight;
     ++stats_.lone_rates;
     return id;
   }
-  bool marked = false;
+  // Not lone, so some resource couples it: the one it shares with another
+  // variable, or, at a weight of at most kEps (an infinite ceiling), every
+  // one. Full-solve mode has no slack resource.
   for (const ResourceId r : v.resources) {
-    if (resources_[static_cast<std::size_t>(r)].slack) continue;
-    mark_resource_modified(r);
-    marked = true;
-  }
-  if (!marked && !v.modified) {  // no resource, or only slack ones
-    v.modified = true;
-    modified_vars_.push_back(id);
+    if (!resources_[static_cast<std::size_t>(r)].slack)
+      mark_resource_modified(r);
   }
   return id;
 }
@@ -452,7 +427,7 @@ void MaxMin::expand_components() {
     var.in_component = true;
     var.slot = static_cast<std::int32_t>(component_vars_.size());
     component_vars_.push_back(v);
-    fill_var_.push_back(FillVar{0.0, var.bound, var.weight, var.rate, false});
+    fill_var_.push_back(FillVar{0.0, var.weight, var.rate, false});
   };
 
   // Grows the full connected component around one seed. Seeds already swept
@@ -517,16 +492,10 @@ void MaxMin::expand_components() {
     }
   } else {
     for (const ResourceId r : modified_resources_) grow_from_res(r);
-    for (const VarId v : modified_vars_) {
-      if (vars_[static_cast<std::size_t>(v)].active) grow_from_var(v);
-    }
   }
   for (const ResourceId r : modified_resources_)
     resources_[static_cast<std::size_t>(r)].modified = false;
-  for (const VarId v : modified_vars_)
-    vars_[static_cast<std::size_t>(v)].modified = false;
   modified_resources_.clear();
-  modified_vars_.clear();
 }
 
 void MaxMin::fill_component(std::size_t c) {
@@ -560,34 +529,21 @@ void MaxMin::fill_component(std::size_t c) {
       if (fill_res_[i].wsum > kEps)
         best_share = std::min(best_share, fill_res_[i].rem / fill_res_[i].wsum);
     }
+    if (best_share == kInf) throw_unconstrained();
 
-    // Variables whose bound binds before (or at) the resource share.
-    bool any_bounded = false;
-    for (std::size_t j = vb; j < ve; ++j) {
-      const FillVar& fv = fill_var_[j];
-      if (fv.done) continue;
-      const RoundRate r = round_rate(best_share, fv.weight, fv.bound);
-      if (r.bound_first) {
-        saturate(j, component_vars_[j], r.rate);
-        --unsat_count;
-        any_bounded = true;
-      }
-    }
-    if (!any_bounded) {
-      // Saturate every variable touching a binding resource. No bound came
-      // first this round, so round_rate gives min(bound, share · weight).
-      for (std::size_t i = rb; i < re; ++i) {
-        if (fill_res_[i].wsum <= kEps) continue;
-        if (fill_res_[i].rem / fill_res_[i].wsum <= best_share * (1.0 + 1e-9)) {
-          for (const VarId id :
-               resources_[static_cast<std::size_t>(component_res_[i])].vars) {
-            const auto j = static_cast<std::size_t>(
-                vars_[static_cast<std::size_t>(id)].slot);
-            const FillVar& fv = fill_var_[j];
-            if (fv.done) continue;
-            saturate(j, id, round_rate(best_share, fv.weight, fv.bound).rate);
-            --unsat_count;
-          }
+    // Saturate every variable touching a binding resource at the share
+    // times its weight.
+    for (std::size_t i = rb; i < re; ++i) {
+      if (fill_res_[i].wsum <= kEps) continue;
+      if (fill_res_[i].rem / fill_res_[i].wsum <= best_share * (1.0 + 1e-9)) {
+        for (const VarId id :
+             resources_[static_cast<std::size_t>(component_res_[i])].vars) {
+          const auto j = static_cast<std::size_t>(
+              vars_[static_cast<std::size_t>(id)].slot);
+          const FillVar& fv = fill_var_[j];
+          if (fv.done) continue;
+          saturate(j, id, best_share * fv.weight);
+          --unsat_count;
         }
       }
     }
@@ -636,7 +592,7 @@ void MaxMin::solve() {
   exited_groups_.swap(pending_exits_);
   stats_.group_changes += changed_groups_.size();
   if (hub_answered) ++stats_.hub_solves;
-  if (modified_resources_.empty() && modified_vars_.empty()) return;
+  if (modified_resources_.empty()) return;
 
   expand_components();
 
@@ -649,7 +605,6 @@ void MaxMin::solve() {
   }
 
   stats_.vars_touched += component_vars_.size();
-  stats_.rate_changes += changed_.size();
   stats_.last_component_vars = component_vars_.size();
   stats_.max_component_vars =
       std::max(stats_.max_component_vars, component_vars_.size());

@@ -1,11 +1,12 @@
 // Max-min fairness solver (SimGrid's "LMM" — linear max-min model).
 //
 // Resources (CPUs, network links) have a capacity; variables (executions,
-// data flows) consume one or more resources with a weight and may carry an
-// upper rate bound. solve() assigns every active variable the max-min fair
-// rate: rates are raised uniformly (proportionally to weights) until either
-// a resource saturates or a variable hits its bound; saturated participants
-// are frozen and the process repeats (progressive filling).
+// data flows) consume one or more resources with a weight. solve() assigns
+// every active variable the max-min fair rate: rates are raised uniformly
+// (proportionally to weights) until a resource saturates; its members are
+// frozen and the process repeats (progressive filling). Unlike SimGrid's
+// LMM, a variable carries no rate bound of its own: every saturation comes
+// from a resource.
 //
 // Incremental solving (SimGrid's "lazy updates with partial invalidation",
 // Casanova et al.): mutations (add/remove variable, set_capacity) record
@@ -21,7 +22,7 @@
 //
 // Lone variables. A variable added alone on every resource it uses is a
 // component of its own, which one fill round would rate at the smallest
-// cap / weight over its resources, bound permitting. add_variable rates it
+// cap / weight over its resources, times its weight. add_variable rates it
 // at once with the fill's own expressions (so bit for bit) and marks
 // nothing: no solve follows, and no solve reports it. A removal marks only
 // resources that still have members, since an emptied resource's component
@@ -30,9 +31,9 @@
 // fill compares against the rate add_variable gave it. Full-solve mode and
 // weights at most the fill's 1e-12 epsilon never take the lone path.
 //
-// Slack resources. A variable's *ceiling* is its bound or the smallest
-// capacity it crosses, whichever is lower (just its bound when its weight
-// is at most the fill's epsilon): no fill rates it above that. A resource
+// Slack resources. A variable's *ceiling* is the smallest capacity it
+// crosses (infinite when its weight is at most the fill's epsilon, which
+// takes no resource share): no fill rates it above that. A resource
 // whose members' ceilings sum below capacity · (1 − kSlackMargin) is
 // *slack*: in any round of progressive filling with best share s, each
 // unsaturated member offers s · w at most its ceiling and each saturated
@@ -59,11 +60,11 @@
 // remove_variable is O(degree · log degree) swap-removes instead of
 // deferring compaction into the solver hot loop.
 //
-// Hub groups. A *hub component* is one where every variable has weight 1
-// and no bound, and one resource H (a saturated cluster backbone) is
-// crossed by every variable and is the only binding one: every other
-// member resource r offers a share cap_r / n_r above cap_H / n_H by more
-// than the fill's 1e-9 binding tolerance. Progressive filling then ends in
+// Hub groups. A *hub component* is one where every variable has weight 1,
+// and one resource H (a saturated cluster backbone) is crossed by every
+// variable and is the only binding one: every other member resource r
+// offers a share cap_r / n_r above cap_H / n_H by more than the fill's
+// 1e-9 binding tolerance. Progressive filling then ends in
 // one round with every rate equal to cap_H / n_H. After a fill of at least
 // kHubMinVars variables finds such a component, the solver keeps it as a
 // hub group named by a GroupId: adds and removes that keep the shape are
@@ -73,16 +74,15 @@
 // the fill's own expression, so it is bit-identical to a fill. The group
 // falls back to the BFS and fill (exited_groups()) on a set_capacity in the
 // component, on a variable that skips the hub, bridges into another
-// component or carries a non-unit weight or finite bound, and on a removal
-// that lets another resource reach the hub share. Full-solve mode never
-// forms groups. Members may cross slack resources, which stay outside the
-// group; one that stops being slack dissolves its members' groups before
-// it is marked.
+// component or carries a non-unit weight, and on a removal that lets
+// another resource reach the hub share. Full-solve mode never forms
+// groups. Members may cross slack resources, which stay outside the group;
+// one that stops being slack dissolves its members' groups before it is
+// marked.
 //
 // Optimality conditions (checked by the property tests):
 //   1. No resource exceeds its capacity.
-//   2. Every variable either sits at its bound or uses at least one
-//      saturated resource.
+//   2. Every variable uses at least one saturated resource.
 //   3. On a saturated resource, no variable's rate/weight ratio can grow
 //      without another's shrinking.
 #pragma once
@@ -128,7 +128,6 @@ class MaxMin {
     /// work the hub path did not answer (entries and fallbacks included).
     std::uint64_t large_fills = 0;
     std::uint64_t vars_touched = 0;   ///< component variables re-filled
-    std::uint64_t rate_changes = 0;   ///< variables whose rate moved
     std::uint64_t group_changes = 0;  ///< hub groups whose rate moved
     std::uint64_t hub_entries = 0;    ///< hub groups formed
     std::uint64_t hub_exits = 0;      ///< hub groups dissolved
@@ -145,19 +144,18 @@ class MaxMin {
   double capacity(ResourceId r) const;
   void set_capacity(ResourceId r, double capacity);
 
-  /// Adds an active variable. `resources` may repeat ids (a flow crossing
-  /// the same switch twice); repeated ids count once. An empty resource
-  /// list requires a finite bound.
+  /// Adds an active variable on a non-empty resource list. `resources` may
+  /// repeat ids (a flow crossing the same switch twice); repeated ids count
+  /// once.
   ///
   /// On return, rate(v) holds the variable's rate when it is lone (see the
   /// header comment): the system stays clean for it, and no solve reports
   /// it until a later mutation moves it. Throws, leaving the system as it
-  /// was, when a lone variable is unbounded and no capacity limits it (the
-  /// fill's own error). A hub-group member reads its group's rate
-  /// (group_of); any other variable reads 0 until the next solve rates it
-  /// and reports it in solve_changed().
-  VarId add_variable(double weight, const std::vector<ResourceId>& resources,
-                     double bound = kInf);
+  /// was, when no finite capacity limits a lone variable (the fill's own
+  /// error). A hub-group member reads its group's rate (group_of); any
+  /// other variable reads 0 until the next solve rates it and reports it
+  /// in solve_changed().
+  VarId add_variable(double weight, const std::vector<ResourceId>& resources);
 
   /// Deactivates a variable (O(degree) swap-removes). Its id is recycled.
   /// Marks only the resources left with members that were not slack:
@@ -166,8 +164,8 @@ class MaxMin {
 
   /// True when the system changed since the last solve().
   bool dirty() const {
-    return !modified_resources_.empty() || !modified_vars_.empty() ||
-           !pending_hubs_.empty() || !pending_exits_.empty();
+    return !modified_resources_.empty() || !pending_hubs_.empty() ||
+           !pending_exits_.empty();
   }
 
   /// Re-solves the components reachable from the modified set and the hub
@@ -253,11 +251,9 @@ class MaxMin {
   };
   struct Var {
     double weight = 1.0;
-    double bound = kInf;
     double ceiling = kInf;  // see the header comment
     double rate = 0.0;  // members of a hub group: see Hub::rate
     bool active = false;
-    bool modified = false;  // queued in modified_vars_ (resource-less vars)
     GroupId group = -1;
     // solve() scratch:
     bool in_component = false;
@@ -315,8 +311,8 @@ class MaxMin {
     };
   }
   void hub_queue(GroupId g);
-  /// Collects the connected components reachable from the modified sets
-  /// (or every active variable when full_solve_ is on) into
+  /// Collects the connected components reachable from the modified
+  /// resources (or every active variable when full_solve_ is on) into
   /// component_res_ / component_vars_, one Component slice per BFS, and
   /// clears the modified marks.
   /// The BFS doubles as the fill setup pass: every member joining a
@@ -335,9 +331,8 @@ class MaxMin {
   std::size_t active_count_ = 0;
   bool full_solve_ = false;
 
-  // Modified sets (each member once, via the per-entry `modified` flags).
+  // Modified resources (each once, via Res::modified).
   std::vector<ResourceId> modified_resources_;
-  std::vector<VarId> modified_vars_;
 
   // Hub groups, indexed by GroupId; free slots are recycled.
   std::vector<Hub> hubs_;
@@ -364,7 +359,6 @@ class MaxMin {
   };
   struct FillVar {
     double rate;   // rate being assigned
-    double bound;
     double weight;
     double prev;   // rate before this solve
     bool done;     // saturated flag

@@ -342,25 +342,26 @@ std::uint64_t TraceSet::resident_bytes() const {
 }
 
 double TraceSet::coverage() const {
-  Storage& s = *storage_;
-  s.ensure_policy();
+  // A file whose salvage is incomplete at size 0 could not be read (it
+  // cannot be opened, or is a directory): it has no bytes to weigh, so it
+  // counts as a whole file unread, scaling the readable files' byte ratio
+  // by the fraction of files read.
+  const std::vector<SalvageInfo> report = salvage_report();
   std::uint64_t consumed = 0;
   std::uint64_t total = 0;
-  if (s.effective_stream) {
-    for (const auto& idx : s.index) {
-      consumed += idx->salvage.bytes_consumed;
-      total += idx->salvage.bytes_total;
-    }
-  } else {
-    s.decode_all();
-    for (const SalvageInfo& info : s.salvage) {
-      consumed += info.bytes_consumed;
-      total += info.bytes_total;
-    }
+  std::size_t read = 0;
+  for (const SalvageInfo& info : report) {
+    if (!info.complete && info.bytes_total == 0) continue;
+    ++read;
+    consumed += info.bytes_consumed;
+    total += info.bytes_total;
   }
-  return total == 0 ? 1.0
-                    : static_cast<double>(consumed) /
-                          static_cast<double>(total);
+  if (report.empty()) return 1.0;
+  const double bytes = total == 0 ? 1.0
+                                   : static_cast<double>(consumed) /
+                                         static_cast<double>(total);
+  return bytes *
+         (static_cast<double>(read) / static_cast<double>(report.size()));
 }
 
 std::vector<SalvageInfo> TraceSet::salvage_report() const {

@@ -182,8 +182,10 @@ class TraceSet {
 
   // -- salvage reporting (lenient mode) ------------------------------------
 
-  /// Fraction of on-disk trace bytes that decoded cleanly, in [0, 1].
-  /// Forces a decode of every file. 1.0 for strict and in-memory sets.
+  /// Fraction of on-disk trace bytes that decoded cleanly, in [0, 1],
+  /// scaled by the fraction of files that could be read at all (see
+  /// salvage_report()). Forces a decode of every file. 1.0 for strict and
+  /// in-memory sets.
   double coverage() const;
 
   /// Salvage outcome per trace file (decodes on first use). Empty for

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -44,7 +45,6 @@ struct SystemState {
   struct LiveVar {
     VarId id;
     double weight;
-    double bound;
     std::vector<ResourceId> resources;
   };
   std::map<VarId, LiveVar> live;  // ordered: deterministic rebuild order
@@ -57,7 +57,7 @@ void check_against_rebuild(MaxMin& m, const SystemState& state) {
   for (const double c : state.capacities) fresh.add_resource(c);
   std::map<VarId, VarId> to_fresh;
   for (const auto& [id, v] : state.live)
-    to_fresh[id] = fresh.add_variable(v.weight, v.resources, v.bound);
+    to_fresh[id] = fresh.add_variable(v.weight, v.resources);
   fresh.solve();
   for (const auto& [id, v] : state.live)
     expect_close(m.rate(id), fresh.rate(to_fresh[id]), "vs fresh rebuild");
@@ -89,19 +89,16 @@ TEST(MaxMinIncremental, RandomOpStreamMatchesFullSolveAndRebuild) {
     for (int step = 0; step < 400; ++step) {
       const double dice = rng.next_double();
       if (state.live.empty() || dice < 0.45) {
-        // Add a variable (sometimes bound-only).
+        // Add a variable.
         std::vector<ResourceId> use;
-        const int n_use = static_cast<int>(rng.next_below(4));  // 0..3
+        const int n_use = 1 + static_cast<int>(rng.next_below(3));  // 1..3
         for (int k = 0; k < n_use; ++k)
           use.push_back(static_cast<ResourceId>(rng.next_below(n_res)));
-        const double bound = (use.empty() || rng.next_double() < 0.3)
-                                 ? rng.uniform(1.0, 300.0)
-                                 : MaxMin::kInf;
         const double weight = rng.uniform(0.5, 3.0);
-        const VarId a = inc.add_variable(weight, use, bound);
-        const VarId b = full.add_variable(weight, use, bound);
+        const VarId a = inc.add_variable(weight, use);
+        const VarId b = full.add_variable(weight, use);
         ASSERT_EQ(a, b) << "id recycling diverged";
-        state.live[a] = {a, weight, bound, use};
+        state.live[a] = {a, weight, use};
       } else if (dice < 0.75) {
         // Remove a random live variable.
         auto it = state.live.begin();
@@ -239,7 +236,7 @@ TEST(MaxMinIncremental, IntrusiveRemovalSurvivesHeavyChurn) {
         use.push_back(static_cast<ResourceId>(rng.next_below(6)));
       const double w = rng.uniform(0.5, 2.0);
       const VarId id = m.add_variable(w, use);
-      state.live[id] = {id, w, MaxMin::kInf, use};
+      state.live[id] = {id, w, use};
     }
     while (state.live.size() > 10) {
       auto it = state.live.begin();
@@ -274,11 +271,10 @@ class HubHarness {
     state_.capacities.push_back(cap);
     return inc_.add_resource(cap);
   }
-  VarId add(std::vector<ResourceId> use, double weight = 1.0,
-            double bound = MaxMin::kInf) {
-    const VarId a = inc_.add_variable(weight, use, bound);
-    EXPECT_EQ(a, full_.add_variable(weight, use, bound));
-    state_.live[a] = {a, weight, bound, std::move(use)};
+  VarId add(std::vector<ResourceId> use, double weight = 1.0) {
+    const VarId a = inc_.add_variable(weight, use);
+    EXPECT_EQ(a, full_.add_variable(weight, use));
+    state_.live[a] = {a, weight, std::move(use)};
     return a;
   }
   void remove(VarId v) {
@@ -306,7 +302,7 @@ class HubHarness {
     for (const double c : state_.capacities) fresh.add_resource(c);
     std::map<VarId, VarId> to_fresh;
     for (const auto& [id, v] : state_.live)
-      to_fresh[id] = fresh.add_variable(v.weight, v.resources, v.bound);
+      to_fresh[id] = fresh.add_variable(v.weight, v.resources);
     fresh.solve();
     for (const auto& [id, v] : state_.live) {
       const double rate = inc_.rate(id);
@@ -460,12 +456,11 @@ TEST(MaxMinHub, SetCapacityLeavesAndReentersHubMode) {
 
 TEST(MaxMinHub, VariablesThatBreakTheShapeDissolveTheGroup) {
   // Each odd variable touches the hub component without fitting it: it
-  // skips the hub, carries a non-unit weight or a bound, or bridges into
-  // another component. The group dissolves, and comes back once the odd
-  // variable is gone and a large fill sees the hub shape again.
-  enum class Odd { skips_hub, weighted, bounded, bridges };
-  for (const Odd odd :
-       {Odd::skips_hub, Odd::weighted, Odd::bounded, Odd::bridges}) {
+  // skips the hub, carries a non-unit weight, or bridges into another
+  // component. The group dissolves, and comes back once the odd variable
+  // is gone and a large fill sees the hub shape again.
+  enum class Odd { skips_hub, weighted, bridges };
+  for (const Odd odd : {Odd::skips_hub, Odd::weighted, Odd::bridges}) {
     SCOPED_TRACE(static_cast<int>(odd));
     HubHarness h;
     const Backbone b = build_backbone(h, 80);
@@ -480,7 +475,6 @@ TEST(MaxMinHub, VariablesThatBreakTheShapeDissolveTheGroup) {
     switch (odd) {
       case Odd::skips_hub: v = h.add({b.nics[2]}); break;
       case Odd::weighted: v = h.add({b.bb, b.nics[2]}, 2.0); break;
-      case Odd::bounded: v = h.add({b.bb, b.nics[2]}, 1.0, 5.0); break;
       case Odd::bridges: v = h.add({b.bb, side}); break;
     }
     EXPECT_EQ(m.group_of(v), -1);
@@ -591,10 +585,8 @@ TEST(MaxMinHub, RandomBackboneStreamsStayExact) {
           odd.push_back(!spare.empty() && rng.next_double() < 0.5
                             ? add_private(false)
                             : h.add({nic()}));
-        } else if (dice < 0.94) {
+        } else if (dice < 0.95) {
           odd.push_back(h.add({bb, nic()}, 2.0));
-        } else if (dice < 0.97) {
-          odd.push_back(h.add({bb, nic()}, 1.0, rng.uniform(1.0, 30.0)));
         } else {
           odd.push_back(h.add({bb, side}));
         }
@@ -628,12 +620,11 @@ class LoneTwin {
   }
   /// Adds to both solvers and expects the incremental one to rate the
   /// variable lone: no mark, no report, the twin's rate bit for bit.
-  VarId add_lone(const std::vector<ResourceId>& use, double weight = 1.0,
-                 double bound = MaxMin::kInf) {
+  VarId add_lone(const std::vector<ResourceId>& use, double weight = 1.0) {
     const auto lone_before = inc_.solve_stats().lone_rates;
     const auto solves_before = inc_.solve_stats().solves;
-    const VarId v = inc_.add_variable(weight, use, bound);
-    EXPECT_EQ(full_.add_variable(weight, use, bound), v);
+    const VarId v = inc_.add_variable(weight, use);
+    EXPECT_EQ(full_.add_variable(weight, use), v);
     EXPECT_EQ(inc_.solve_stats().lone_rates, lone_before + 1);
     EXPECT_FALSE(inc_.dirty());
     full_.solve();
@@ -643,10 +634,9 @@ class LoneTwin {
     return v;
   }
   /// Adds to both solvers without expectations.
-  VarId add(const std::vector<ResourceId>& use, double weight = 1.0,
-            double bound = MaxMin::kInf) {
-    const VarId v = inc_.add_variable(weight, use, bound);
-    EXPECT_EQ(full_.add_variable(weight, use, bound), v);
+  VarId add(const std::vector<ResourceId>& use, double weight = 1.0) {
+    const VarId v = inc_.add_variable(weight, use);
+    EXPECT_EQ(full_.add_variable(weight, use), v);
     return v;
   }
   void remove(VarId v) {
@@ -673,19 +663,6 @@ class LoneTwin {
 
 }  // namespace
 
-TEST(MaxMinLone, BindingAndNonBindingBounds) {
-  LoneTwin t;
-  const ResourceId r1 = t.add_resource(100.0);
-  const ResourceId r2 = t.add_resource(100.0);
-  const ResourceId r3 = t.add_resource(100.0);
-  EXPECT_EQ(t.inc().rate(t.add_lone({r1}, 1.0, 30.0)), 30.0);
-  EXPECT_EQ(t.inc().rate(t.add_lone({r2}, 1.0, 250.0)), 100.0);
-  // Inside the fill's 1e-9 binding tolerance the resource binds, and the
-  // bound, below the share, is the rate.
-  const double close = 100.0 * (1.0 - 1e-10);
-  EXPECT_EQ(t.inc().rate(t.add_lone({r3}, 1.0, close)), close);
-}
-
 TEST(MaxMinLone, NonUnitWeights) {
   LoneTwin t;
   const ResourceId r1 = t.add_resource(100.0);
@@ -695,7 +672,7 @@ TEST(MaxMinLone, NonUnitWeights) {
   t.add_lone({r1}, 3.0);
   t.add_lone({r2, r3}, 0.7);
   const ResourceId r4 = t.add_resource(1e9 / 3.0);
-  t.add_lone({r4}, 1.0 / 7.0, 2e9);
+  t.add_lone({r4}, 1.0 / 7.0);
 }
 
 TEST(MaxMinLone, ZeroCapacity) {
@@ -703,20 +680,22 @@ TEST(MaxMinLone, ZeroCapacity) {
   const ResourceId dead = t.add_resource(0.0);
   const ResourceId live = t.add_resource(50.0);
   EXPECT_EQ(t.inc().rate(t.add_lone({dead, live})), 0.0);
-  EXPECT_EQ(t.inc().rate(t.add_lone({t.add_resource(0.0)}, 2.0, 5.0)), 0.0);
+  EXPECT_EQ(t.inc().rate(t.add_lone({t.add_resource(0.0)}, 2.0)), 0.0);
 }
 
 TEST(MaxMinLone, InfiniteCapacity) {
   {
     LoneTwin t;
-    const ResourceId inf = t.add_resource(MaxMin::kInf);
     const ResourceId fin = t.add_resource(80.0);
-    EXPECT_EQ(t.inc().rate(t.add_lone({inf}, 1.0, 12.5)), 12.5);
     EXPECT_EQ(t.inc().rate(t.add_lone({t.add_resource(MaxMin::kInf), fin})),
               80.0);
+    EXPECT_EQ(t.inc().rate(t.add_lone({t.add_resource(MaxMin::kInf),
+                                       t.add_resource(12.5)},
+                                      2.0)),
+              12.5);
   }
-  // Unbounded with nothing finite to limit it: the fill's own error, and
-  // the add is undone.
+  // Nothing finite to limit it: the fill's own error, and the add is
+  // undone.
   MaxMin inc;
   MaxMin full;
   full.set_full_solve(true);
@@ -727,8 +706,9 @@ TEST(MaxMinLone, InfiniteCapacity) {
   EXPECT_FALSE(inc.dirty());
   full.add_variable(1.0, {r});
   EXPECT_THROW(full.solve(), Error);
-  // The resource is free again for a bounded variable.
-  const VarId v = inc.add_variable(1.0, {r}, 9.0);
+  // The resource is free again for a variable that also crosses a finite
+  // one.
+  const VarId v = inc.add_variable(1.0, {r, inc.add_resource(9.0)});
   EXPECT_EQ(inc.rate(v), 9.0);
   EXPECT_EQ(inc.solve_stats().lone_rates, 1u);
 }
@@ -751,7 +731,8 @@ TEST(MaxMinLone, SecondVariableJoinsAfterTheSolve) {
   const ResourceId r = t.add_resource(100.0);
   const VarId a = t.add_lone({r});
   EXPECT_TRUE(t.solve().empty());
-  const VarId b = t.add({r}, 1.0, 20.0);
+  // b's narrower second resource binds it at 20; a takes the rest of r.
+  const VarId b = t.add({r, t.add_resource(20.0)});
   EXPECT_EQ(t.solve(), (std::vector<VarId>{a, b}));
   t.expect_twin(a);
   t.expect_twin(b);
@@ -782,21 +763,31 @@ TEST(MaxMinLone, RemovingALoneVariableLeavesTheSystemClean) {
 TEST(MaxMinLone, TinyWeightsAndFullSolveTakeTheFill) {
   LoneTwin t;
   const ResourceId r = t.add_resource(100.0);
-  // A weight at most the fill's epsilon offers no resource share: the
-  // fill rates it at its bound.
-  const VarId v = t.add({r}, 1e-13, 7.0);
+  // A weight at most the fill's epsilon offers no resource share of its
+  // own: alone on r it is not lone but marks r for the fill. A unit-weight
+  // variable joins it there, and the fill rates both at r's share.
+  const VarId v = t.add({r}, 1e-13);
   EXPECT_TRUE(t.inc().dirty());
-  EXPECT_EQ(t.solve(), (std::vector<VarId>{v}));
-  EXPECT_EQ(t.inc().rate(v), 7.0);
+  const VarId w = t.add({r});
+  EXPECT_EQ(t.solve(), (std::vector<VarId>{v, w}));
+  EXPECT_GT(t.inc().rate(v), 0.0);
+  EXPECT_LT(t.inc().rate(v), 1e-10);
   t.expect_twin(v);
+  t.expect_twin(w);
   EXPECT_EQ(t.inc().solve_stats().lone_rates, 0u);
   EXPECT_EQ(t.full().solve_stats().lone_rates, 0u);
   EXPECT_EQ(t.full().solve_stats().solves, 1u);
+
+  // Alone, nothing binds it: the fill's unconstrained-variable error.
+  MaxMin alone;
+  alone.add_variable(1e-13, {alone.add_resource(100.0)});
+  EXPECT_TRUE(alone.dirty());
+  EXPECT_THROW(alone.solve(), Error);
 }
 
 // ---------------------------------------------------------------------------
-// Slack resources: a resource whose members' ceilings (bound or narrowest
-// capacity) sum below its capacity by kSlackMargin cannot bind, so it
+// Slack resources: a resource whose members' ceilings (narrowest capacity)
+// sum below its capacity by kSlackMargin cannot bind, so it
 // couples nobody. Rates must match a fresh rebuild and the full-solve twin
 // (which has no slack resources), and a rate is reported iff it moved.
 // ---------------------------------------------------------------------------
@@ -889,14 +880,15 @@ TEST(MaxMinSlack, ASumAtCapacityIsNotSlack) {
     h.solve_and_check();
   }
   // Below the margin it does not: nine flows of ceiling 1, and ten whose
-  // bounds sum to 9.99.
+  // ceilings sum to 9.99 (the tenth crosses a NIC of 0.99).
   HubHarness h;
   const ResourceId bb = h.add_resource(10.0);
   std::vector<ResourceId> nics;
-  for (int i = 0; i < 10; ++i) nics.push_back(h.add_resource(1.0));
+  for (int i = 0; i < 10; ++i)
+    nics.push_back(h.add_resource(i < 9 ? 1.0 : 0.99));
   for (int i = 0; i < 9; ++i) h.add({bb, nics[static_cast<std::size_t>(i)]});
   EXPECT_TRUE(h.solver().slack(bb));
-  h.add({bb, nics[9]}, 1.0, 0.99);
+  h.add({bb, nics[9]});
   EXPECT_TRUE(h.solver().slack(bb));
   EXPECT_FALSE(h.solver().dirty());
   h.solve_and_check();
@@ -988,9 +980,9 @@ TEST(MaxMinSlack, HubGroupMembersCrossASlackLinkThatLaterCouples) {
   const VarId joined = h.add({b.bb, b.nics[3], side});
   EXPECT_EQ(m.group_of(joined), g);
   h.solve_and_check();
-  // A bounded flow on the side link alone keeps it slack: lone, and the
-  // group does not see it.
-  const VarId guest = h.add({side}, 1.0, 10.0);
+  // A flow on the side link and a narrow private link of its own keeps the
+  // side link slack: lone, and the group does not see it.
+  const VarId guest = h.add({side, h.add_resource(10.0)});
   EXPECT_TRUE(m.slack(side));
   EXPECT_FALSE(m.dirty());
   EXPECT_EQ(m.rate(guest), 10.0);
@@ -1065,9 +1057,7 @@ TEST(MaxMinSlack, RandomStreamsCrossTheThresholdBothWays) {
           const double shape = rng.next_double();
           if (shape < 0.15) {
             h.add(use, rng.uniform(0.5, 3.0));
-          } else if (shape < 0.3) {
-            h.add(use, 1.0, rng.uniform(10.0, 200.0));
-          } else if (shape < 0.35) {
+          } else if (shape < 0.2) {
             h.add({nic()});
           } else {
             h.add(use);
@@ -1085,6 +1075,152 @@ TEST(MaxMinSlack, RandomStreamsCrossTheThresholdBothWays) {
     EXPECT_GT(to_coupling, 10);
     EXPECT_GT(to_slack, 10);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A pinned op stream: adds, removes and capacity changes, with non-unit
+// weights, over a backbone whose unit-weight flows form and lose hub
+// groups, a wide link that turns slack and coupling, private links that
+// rate lone variables, and weighted flows the fill rates in several
+// rounds. An FNV-1a digest over every solve's changed list and every live
+// rate, recorded before the fill lost its per-variable bound pass, pins
+// the solver's arithmetic bit for bit.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+class RateDigest {
+ public:
+  void fold(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void fold_double(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    fold(bits);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+}  // namespace
+
+TEST(MaxMinIncremental, RandomOpStreamRepeatsTheParentBitForBit) {
+  Rng rng(3141);
+  MaxMin m;
+  const ResourceId bb = m.add_resource(1000.0);
+  const ResourceId wide = m.add_resource(6000.0);
+  // Mostly roomy NICs, and every eighth a weak one that can outbind the
+  // backbone.
+  std::vector<ResourceId> nics;
+  for (int i = 0; i < 48; ++i)
+    nics.push_back(m.add_resource(i % 8 == 0 ? rng.uniform(60.0, 120.0)
+                                             : rng.uniform(300.0, 600.0)));
+  // Links of a weighted side component, which joins the backbone's only
+  // through the wide link.
+  std::vector<ResourceId> side;
+  for (int i = 0; i < 8; ++i)
+    side.push_back(m.add_resource(rng.uniform(100.0, 400.0)));
+  // Private links, each carrying at most one variable at a time.
+  std::vector<ResourceId> spare;
+  for (int i = 0; i < 16; ++i)
+    spare.push_back(m.add_resource(rng.uniform(50.0, 500.0)));
+  const auto pick = [&](const std::vector<ResourceId>& from) {
+    return from[rng.next_below(from.size())];
+  };
+  const auto weight = [&] { return rng.uniform(0.5, 3.0); };
+
+  std::vector<VarId> live;
+  std::vector<VarId> odd;  // short-lived weighted flows on the backbone
+  std::map<VarId, ResourceId> owner;  // variable -> its private link
+  const auto drop = [&](std::vector<VarId>& from, std::size_t i) {
+    const VarId v = from[i];
+    from[i] = from.back();
+    from.pop_back();
+    m.remove_variable(v);
+    if (const auto it = owner.find(v); it != owner.end()) {
+      spare.push_back(it->second);
+      owner.erase(it);
+    }
+  };
+  RateDigest digest;
+  int wide_flips = 0;
+  bool wide_slack = m.slack(wide);
+  for (int step = 0; step < 1500; ++step) {
+    // The live count swings across kHubMinVars, so hub groups form and
+    // dissolve.
+    const std::size_t target = (step / 60) % 2 == 0 ? 30 : 120;
+    const auto ops = 1 + rng.next_below(3);
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      // Draws are sequenced one per statement: argument evaluation order
+      // is unspecified, and the digest must not depend on the compiler.
+      const double dice = rng.next_double();
+      if (!odd.empty() && rng.next_double() < 0.5) {
+        drop(odd, odd.size() - 1);
+      } else if (dice < 0.04) {
+        m.set_capacity(bb, rng.uniform(800.0, 1200.0));
+      } else if (dice < 0.08) {
+        // The wide link's capacity decides whether it couples the side
+        // component to the backbone's.
+        const double which = rng.next_double();
+        if (which < 0.3) {
+          m.set_capacity(wide, rng.uniform(2000.0, 9000.0));
+        } else {
+          const ResourceId r = which < 0.6 ? pick(side) : pick(nics);
+          m.set_capacity(r, rng.uniform(100.0, 600.0));
+        }
+      } else if (dice < 0.14 && !spare.empty()) {
+        const ResourceId r = spare.back();
+        spare.pop_back();
+        const VarId v = m.add_variable(weight(), {r});
+        owner[v] = r;
+        live.push_back(v);
+      } else if (dice < 0.17) {
+        const ResourceId r = pick(nics);
+        odd.push_back(m.add_variable(weight(), {bb, r}));
+      } else if (live.size() < target) {
+        const double shape = rng.next_double();
+        std::vector<ResourceId> use;
+        double w = 1.0;
+        if (shape < 0.7) {
+          use = {bb, pick(nics), pick(nics)};
+        } else if (shape < 0.8) {
+          use = {bb, pick(nics), wide};
+        } else if (shape < 0.9) {
+          use = {pick(side), pick(side)};
+          w = weight();
+        } else {
+          use = {wide, pick(side)};
+          w = weight();
+        }
+        live.push_back(m.add_variable(w, use));
+      } else if (!live.empty()) {
+        drop(live, rng.next_below(live.size()));
+      }
+    }
+    const auto changed = m.solve_changed();
+    digest.fold(changed.size());
+    for (const VarId v : changed) digest.fold(static_cast<std::uint64_t>(v));
+    for (const VarId v : live) digest.fold_double(m.rate(v));
+    for (const VarId v : odd) digest.fold_double(m.rate(v));
+    if (m.slack(wide) != wide_slack) {
+      wide_slack = !wide_slack;
+      ++wide_flips;
+    }
+  }
+  const auto& st = m.solve_stats();
+  EXPECT_GT(st.lone_rates, 0u);
+  EXPECT_GT(st.hub_entries, 0u);
+  EXPECT_GT(st.hub_exits, 0u);
+  EXPECT_GT(st.hub_solves, 0u);
+  EXPECT_GT(st.large_fills, 0u);
+  EXPECT_GT(wide_flips, 10);
+  EXPECT_EQ(digest.value(), 0xdb81281e886d2c80ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -172,7 +172,6 @@ TEST(NonFinite, SolverAndPlatformConstructorsReject) {
   const auto r = m.add_resource(10.0);
   EXPECT_THROW(m.set_capacity(r, kNaN), Error);
   EXPECT_THROW(m.add_variable(kNaN, {r}), Error);
-  EXPECT_THROW(m.add_variable(1.0, {r}, kNaN), Error);
   EXPECT_EQ(m.active_variable_count(), 0u);
   EXPECT_FALSE(m.dirty());
 

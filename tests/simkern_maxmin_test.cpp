@@ -41,24 +41,6 @@ TEST(MaxMin, WeightedSharing) {
   EXPECT_DOUBLE_EQ(m.rate(b), 30.0);
 }
 
-TEST(MaxMin, BoundBinds) {
-  MaxMin m;
-  const auto r = m.add_resource(100.0);
-  const auto a = m.add_variable(1.0, {r}, /*bound=*/10.0);
-  const auto b = m.add_variable(1.0, {r});
-  m.solve();
-  // a is clamped at 10; b picks up the slack.
-  EXPECT_DOUBLE_EQ(m.rate(a), 10.0);
-  EXPECT_DOUBLE_EQ(m.rate(b), 90.0);
-}
-
-TEST(MaxMin, BoundOnlyVariable) {
-  MaxMin m;
-  const auto v = m.add_variable(1.0, {}, 42.0);
-  m.solve();
-  EXPECT_DOUBLE_EQ(m.rate(v), 42.0);
-}
-
 TEST(MaxMin, ClassicTandemNetwork) {
   // Two links; flow A crosses both, flows B and C use one link each.
   // Max-min: A and B share link 1 (50/50); C gets what remains of link 2.
@@ -191,8 +173,7 @@ TEST(MaxMin, RejectsInvalidArguments) {
   const auto r = m.add_resource(10.0);
   EXPECT_THROW(m.add_resource(-1.0), tir::Error);
   EXPECT_THROW(m.add_variable(0.0, {r}), tir::Error);
-  EXPECT_THROW(m.add_variable(1.0, {r}, 0.0), tir::Error);
-  EXPECT_THROW(m.add_variable(1.0, {}), tir::Error);  // unconstrained
+  EXPECT_THROW(m.add_variable(1.0, {}), tir::Error);  // no resource
   EXPECT_THROW(m.add_variable(1.0, {99}), tir::Error);
 }
 
@@ -207,7 +188,7 @@ struct RandomSystem {
   MaxMin m;
   std::vector<ResourceId> resources;
   std::vector<VarId> vars;
-  std::vector<double> bounds;
+  std::vector<double> ceilings;  // narrowest capacity each variable crosses
   std::vector<std::vector<ResourceId>> uses;
 };
 
@@ -224,12 +205,11 @@ RandomSystem make_random_system(std::uint64_t seed, int n_res, int n_vars,
     for (int k = 0; k < n_use; ++k)
       use.push_back(
           s.resources[rng.next_below(static_cast<std::uint64_t>(n_res))]);
-    const double bound = rng.next_double() < 0.3
-                             ? rng.uniform(1.0, 200.0)
-                             : MaxMin::kInf;
     const double weight = rng.uniform(0.5, 3.0);
-    s.vars.push_back(s.m.add_variable(weight, use, bound));
-    s.bounds.push_back(bound);
+    s.vars.push_back(s.m.add_variable(weight, use));
+    double ceiling = MaxMin::kInf;
+    for (const auto r : use) ceiling = std::min(ceiling, s.m.capacity(r));
+    s.ceilings.push_back(ceiling);
     s.uses.push_back(std::move(use));
   }
   s.m.solve();
@@ -251,17 +231,15 @@ TEST_P(MaxMinProperty, RatesArePositiveAndBounded) {
   for (std::size_t i = 0; i < s.vars.size(); ++i) {
     const double rate = s.m.rate(s.vars[i]);
     EXPECT_GT(rate, 0.0);
-    EXPECT_LE(rate, s.bounds[i] * (1 + 1e-9));
+    EXPECT_LE(rate, s.ceilings[i] * (1 + 1e-9));
   }
 }
 
 TEST_P(MaxMinProperty, EveryVariableIsBlockedSomewhere) {
-  // Max-min optimality: each variable is at its bound or touches at least
-  // one saturated resource (otherwise its rate could be raised).
+  // Max-min optimality: each variable touches at least one saturated
+  // resource (otherwise its rate could be raised).
   auto s = make_random_system(GetParam(), 8, 40);
   for (std::size_t i = 0; i < s.vars.size(); ++i) {
-    const double rate = s.m.rate(s.vars[i]);
-    if (rate >= s.bounds[i] * (1 - 1e-9)) continue;  // at bound
     bool blocked = false;
     for (const auto r : s.uses[i]) {
       if (s.m.resource_load(r) >= s.m.capacity(r) * (1 - 1e-9)) {
