@@ -334,10 +334,13 @@ ReplayResult replay_files(const std::filesystem::path& platform,
 ReplayReport run_scenario_report(const ScenarioSpec& spec) {
   ReplayReport report;
   // Trace decoding happens before simulation state exists, so a parse error
-  // here is a clean "failed" report with zero coverage.
+  // here is a clean "failed" report with zero coverage. The count is only a
+  // failed replay's coverage divisor: action_count forces the decode, or
+  // reads the streaming index, without walking the actions.
   std::uint64_t total_actions = 0;
   try {
-    total_actions = spec.traces.stats().actions;
+    for (int pid = 0; pid < spec.traces.nprocs(); ++pid)
+      total_actions += spec.traces.action_count(pid);
   } catch (const std::exception& e) {
     report.error = e.what();
     return report;

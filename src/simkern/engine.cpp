@@ -58,6 +58,9 @@ EngineStats Engine::stats() const {
   stats.solver_vars_touched = solver.vars_touched;
   stats.solver_component_size_max = solver.max_component_vars;
   stats.lone_rates = solver.lone_rates;
+  stats.links_certified = solver.certificates;
+  stats.certificates_revoked = solver.revocations;
+  stats.refill_passes = solver.refills;
   stats.solver_hub_solves = solver.hub_solves;
   stats.solver_large_fills = solver.large_fills;
   stats.hub_entries = solver.hub_entries;

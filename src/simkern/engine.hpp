@@ -27,7 +27,11 @@
 //     narrowest capacity) sum below its capacity, as on a cluster backbone
 //     crossed by fewer flows than it is NICs wide — couples nobody
 //     (maxmin.hpp's slack resources): components and the lone test look
-//     through it, so the backbone stops joining every flow in flight.
+//     through it, so the backbone stops joining every flow in flight. A
+//     backbone the last fill left below capacity is looked through the
+//     same way while its load stays there (maxmin.hpp's certified
+//     resources); a rate that eats the margin makes the solve fill again
+//     across it. The engine sees only the solver's changed set either way.
 //   - Fluid progress is tracked lazily: each fluid stores its remaining
 //     work as of `last_update`, and its predicted finish sits in an indexed
 //     4-ary min-heap — one entry per running flow and per busy host,
@@ -127,6 +131,12 @@ struct EngineStats {
   std::uint64_t flows_rerated = 0;  ///< transfers whose rate was requeued
   /// Flows rated when they started, alone on every link (no solve).
   std::uint64_t lone_rates = 0;
+  // Certified links (see maxmin.hpp): granted by a fill, revoked when a
+  // rate change eats their margin, and the solve passes that re-filled
+  // across revoked links.
+  std::uint64_t links_certified = 0;
+  std::uint64_t certificates_revoked = 0;
+  std::uint64_t refill_passes = 0;
   // Hub groups (see maxmin.hpp) and their engine-side share groups.
   std::uint64_t solver_hub_solves = 0;  ///< re-solves a hub group answered
   std::uint64_t solver_large_fills = 0;  ///< fills of >= kHubMinVars vars
@@ -146,8 +156,9 @@ class Engine {
   const plat::Platform& platform() const { return platform_; }
   SimTime now() const { return now_; }
   /// A snapshot of the counters: the engine's own, and the solver's
-  /// (vars touched, largest component, lone rates, hub solves, large fills,
-  /// hub entries and exits) read from MaxMin::solve_stats() at the call.
+  /// (vars touched, largest component, lone rates, certificates, hub
+  /// solves, large fills, hub entries and exits) read from
+  /// MaxMin::solve_stats() at the call.
   EngineStats stats() const;
   obs::Recorder* recorder() const { return config_.recorder; }
 

@@ -58,7 +58,29 @@ bool MaxMin::refresh_slack(Res& res) {
       !full_solve_ && res.ceiling_sum < res.capacity * (1.0 - kSlackMargin);
   const bool flipped = slack != res.slack;
   res.slack = slack;
+  // Looked through either way; slack needs no load kept.
+  if (slack) res.certified = false;
   return flipped;
+}
+
+// -- certified resources ------------------------------------------------------
+
+void MaxMin::revoke(ResourceId r) {
+  resources_[static_cast<std::size_t>(r)].certified = false;
+  ++stats_.revocations;
+  mark_resource_modified(r);
+}
+
+void MaxMin::queue_revocation(ResourceId r) {
+  if (resources_[static_cast<std::size_t>(r)].modified) return;
+  ++stats_.revocations;
+  mark_resource_modified(r);
+}
+
+void MaxMin::end_revocations() {
+  // Only queued revocations are marked during a solve.
+  for (const ResourceId r : modified_resources_)
+    resources_[static_cast<std::size_t>(r)].certified = false;
 }
 
 void MaxMin::dissolve_member_groups(const Res& res) {
@@ -80,10 +102,11 @@ void MaxMin::set_capacity(ResourceId r, double capacity) {
   const bool was_slack = res.slack;
 
   // The members' ceilings follow the capacity. Every resource they cross
-  // re-sums its ceilings exactly, once (`in_component` is free outside
-  // solve()), and one whose slack state flipped is marked. A flip to
-  // coupling first dissolves the groups it now joins; a group resource
-  // (never slack) turning slack dissolves its group.
+  // re-sums its ceilings and recounts its blockers exactly, once (`slot`
+  // is free outside solve()), and loses its certificate: its members'
+  // ceilings, or its own capacity, moved. One whose slack state flipped is
+  // marked. A flip to coupling first dissolves the groups it now joins; a
+  // group resource (never slack) turning slack dissolves its group.
   for (const VarId id : res.vars) {
     Var& v = vars_[static_cast<std::size_t>(id)];
     v.ceiling = ceiling_of(v);
@@ -91,11 +114,16 @@ void MaxMin::set_capacity(ResourceId r, double capacity) {
   for (const VarId id : res.vars) {
     for (const ResourceId t : vars_[static_cast<std::size_t>(id)].resources) {
       Res& other = resources_[static_cast<std::size_t>(t)];
-      if (other.in_component) continue;
-      other.in_component = true;
+      if (other.slot >= 0) continue;
+      other.slot = 0;
       other.ceiling_sum = 0.0;
-      for (const VarId m : other.vars)
-        other.ceiling_sum += vars_[static_cast<std::size_t>(m)].ceiling;
+      other.blockers = 0;
+      for (const VarId m : other.vars) {
+        const Var& member = vars_[static_cast<std::size_t>(m)];
+        other.ceiling_sum += member.ceiling;
+        other.blockers += blocks(member, other);
+      }
+      if (other.certified) revoke(t);
       if (!refresh_slack(other) || t == r) continue;
       if (other.hub >= 0) {
         hub_exit(other.hub);
@@ -107,7 +135,7 @@ void MaxMin::set_capacity(ResourceId r, double capacity) {
   }
   for (const VarId id : res.vars) {
     for (const ResourceId t : vars_[static_cast<std::size_t>(id)].resources)
-      resources_[static_cast<std::size_t>(t)].in_component = false;
+      resources_[static_cast<std::size_t>(t)].slot = -1;
   }
   // Marked unless it stayed slack: nothing couples through it then.
   if (was_slack && res.slack) return;
@@ -231,6 +259,19 @@ void MaxMin::hub_try_enter(std::size_t c) {
   for (std::size_t i = comp.res_begin; i < comp.res_end; ++i) {
     if (i != hub_i && share(i) <= rate * (1.0 + 1e-9)) return;
   }
+  // Members cross only group and slack resources: a certified one would
+  // stop seeing their rates. It couples again, and the next pass fills
+  // across it.
+  bool crosses_certified = false;
+  for (std::size_t j = comp.var_begin; j < comp.var_end; ++j) {
+    for (const ResourceId r :
+         vars_[static_cast<std::size_t>(component_vars_[j])].resources) {
+      if (!resources_[static_cast<std::size_t>(r)].certified) continue;
+      queue_revocation(r);
+      crosses_certified = true;
+    }
+  }
+  if (crosses_certified) return;
 
   GroupId g;
   if (!free_hubs_.empty()) {
@@ -269,7 +310,7 @@ bool MaxMin::lone(const Var& v) const {
   if (full_solve_ || v.weight <= kEps) return false;
   for (const ResourceId r : v.resources) {
     const Res& res = resources_[static_cast<std::size_t>(r)];
-    if (res.vars.size() != 1 && !res.slack) return false;
+    if (res.vars.size() != 1 && !res.slack && !res.certified) return false;
   }
   return true;
 }
@@ -311,9 +352,13 @@ VarId MaxMin::add_variable(double weight,
     v.positions.push_back(static_cast<std::uint32_t>(res.vars.size()));
     res.vars.push_back(id);
     res.ceiling_sum += v.ceiling;
+    const bool blocker = blocks(v, res);
+    res.blockers += blocker;
     // Turning coupling joins the members' components: groups among them
     // no longer have their shape. The mark below lets the BFS cross it.
     if (refresh_slack(res) && res.vars.size() > 1) dissolve_member_groups(res);
+    // A certificate assumes unit weights, each below its ceiling.
+    if (blocker && res.certified) revoke(r);
   }
   ++active_count_;
   if (hubs_.size() > free_hubs_.size() && hub_admit(id)) return id;
@@ -321,9 +366,12 @@ VarId MaxMin::add_variable(double weight,
     // A component of its own: one fill round over its coupling resources,
     // each offering cap / weight (the fill's rem / wsum), rates it exactly.
     double share = kInf;
+    bool crosses_certified = false;
     for (const ResourceId r : v.resources) {
       const Res& res = resources_[static_cast<std::size_t>(r)];
-      if (!res.slack) share = std::min(share, res.capacity / v.weight);
+      crosses_certified |= res.certified;
+      if (!res.slack && !res.certified)
+        share = std::min(share, res.capacity / v.weight);
     }
     if (share == kInf) {
       remove_variable(id);
@@ -331,14 +379,24 @@ VarId MaxMin::add_variable(double weight,
     }
     v.rate = share * v.weight;
     ++stats_.lone_rates;
+    // The rate loads the certified resources it crosses; one that reaches
+    // its mark couples again, and the next solve fills across it.
+    if (crosses_certified) {
+      for (const ResourceId r : v.resources) {
+        Res& res = resources_[static_cast<std::size_t>(r)];
+        if (!res.certified) continue;
+        res.load += v.rate;
+        if (res.load >= res.capacity * (1.0 - kSlackMargin)) revoke(r);
+      }
+    }
     return id;
   }
   // Not lone, so some resource couples it: the one it shares with another
   // variable, or, at a weight of at most kEps (an infinite ceiling), every
-  // one. Full-solve mode has no slack resource.
+  // one. Full-solve mode has no slack or certified resource.
   for (const ResourceId r : v.resources) {
-    if (!resources_[static_cast<std::size_t>(r)].slack)
-      mark_resource_modified(r);
+    const Res& res = resources_[static_cast<std::size_t>(r)];
+    if (!res.slack && !res.certified) mark_resource_modified(r);
   }
   return id;
 }
@@ -364,12 +422,18 @@ void MaxMin::remove_variable(VarId id) {
       m.positions[k] = pos;
     }
     const bool was_slack = res.slack;
+    const bool was_certified = res.certified;
     res.ceiling_sum = res.vars.empty() ? 0.0 : res.ceiling_sum - v.ceiling;
+    res.blockers -= blocks(v, res);
     refresh_slack(res);
-    // An emptied resource's component is empty, and a slack one coupled
-    // nobody: nothing to re-solve. One that turned slack is marked; the
-    // solve re-grows its members' components.
-    if (v.group < 0 && !res.vars.empty() && !was_slack)
+    if (was_certified) {
+      res.load -= v.rate;
+      if (res.vars.empty()) res.certified = false;
+    }
+    // An emptied resource's component is empty, and a slack or certified
+    // one coupled nobody: nothing to re-solve. One that turned slack is
+    // marked; the solve re-grows its members' components.
+    if (v.group < 0 && !res.vars.empty() && !was_slack && !was_certified)
       mark_resource_modified(r);
   }
   if (v.group >= 0) {
@@ -404,35 +468,36 @@ double MaxMin::resource_load(ResourceId r) const {
 }
 
 void MaxMin::expand_components() {
-  component_res_.clear();
-  component_vars_.clear();
-  components_.clear();
-  fill_res_.clear();
-  fill_var_.clear();
+  // A pass appends after the earlier passes' slices: a slot at or past
+  // these marks joined in this pass, one below it in an earlier one.
+  const auto res_pass = static_cast<std::int32_t>(component_res_.size());
+  const auto var_pass = static_cast<std::int32_t>(component_vars_.size());
 
   // Joining a component also loads the member into the fill scratch arrays
   // and records its slot — the BFS touches every Res/Var anyway, so the
   // fill needs no setup pass of its own.
-  const auto push_res = [this](ResourceId r) {
+  const auto push_res = [&](ResourceId r) {
     Res& res = resources_[static_cast<std::size_t>(r)];
-    if (res.in_component) return;
-    res.in_component = true;
+    if (res.slot >= res_pass) return;
     res.slot = static_cast<std::int32_t>(component_res_.size());
     component_res_.push_back(r);
     fill_res_.push_back(FillRes{res.capacity, 0.0});
   };
-  const auto push_var = [this](VarId v) {
+  const auto push_var = [&](VarId v) {
     Var& var = vars_[static_cast<std::size_t>(v)];
-    if (var.in_component) return;
-    var.in_component = true;
+    if (var.slot >= var_pass) return;
+    // Filled by an earlier pass: its rate before the solve is that fill's.
+    const double prev =
+        var.slot >= 0 ? fill_var_[static_cast<std::size_t>(var.slot)].prev
+                      : var.rate;
     var.slot = static_cast<std::int32_t>(component_vars_.size());
     component_vars_.push_back(v);
-    fill_var_.push_back(FillVar{0.0, var.weight, var.rate, false});
+    fill_var_.push_back(FillVar{0.0, var.weight, prev, false});
   };
 
   // Grows the full connected component around one seed. Seeds already swept
-  // into an earlier component are skipped by the callers (in_component),
-  // so each call emits one genuinely disjoint Component slice. Both lists
+  // into an earlier component of this pass are skipped by the callers, so
+  // each call emits one genuinely disjoint Component slice. Both lists
   // double as BFS worklists: every member of a component resource joins,
   // and every resource of a component variable joins. Weight sums
   // accumulate per (variable, resource) edge in discovery order — the same
@@ -451,7 +516,7 @@ void MaxMin::expand_components() {
             component_vars_[vi++])];
         for (const ResourceId r : var.resources) {
           const Res& res = resources_[static_cast<std::size_t>(r)];
-          if (res.slack) continue;  // couples nobody
+          if (res.slack || res.certified) continue;  // couples nobody
           push_res(r);
           fill_res_[static_cast<std::size_t>(res.slot)].wsum += var.weight;
         }
@@ -461,7 +526,7 @@ void MaxMin::expand_components() {
                                     var_begin, component_vars_.size()});
   };
   const auto grow_from_var = [&](VarId v) {
-    if (vars_[static_cast<std::size_t>(v)].in_component) return;
+    if (vars_[static_cast<std::size_t>(v)].slot >= var_pass) return;
     const std::size_t rb = component_res_.size();
     const std::size_t vb = component_vars_.size();
     push_var(v);
@@ -471,7 +536,7 @@ void MaxMin::expand_components() {
     // A resource marked before a hub group absorbed it is the group's to
     // answer; nothing outside a group reaches into it.
     const Res& res = resources_[static_cast<std::size_t>(r)];
-    if (res.in_component || res.hub >= 0) return;
+    if (res.slot >= res_pass || res.hub >= 0) return;
     if (res.slack) {
       // It turned slack (or changed while slack): each member's component
       // stands on its own now. Hub groups answer for their members.
@@ -509,8 +574,17 @@ void MaxMin::fill_component(std::size_t c) {
     fv.done = true;
     const Var& v = vars_[static_cast<std::size_t>(id)];
     for (const ResourceId r : v.resources) {
-      const Res& res = resources_[static_cast<std::size_t>(r)];
+      Res& res = resources_[static_cast<std::size_t>(r)];
       if (res.slack) continue;  // not in the component
+      if (res.certified) {
+        // Not in the component either: the new rate moves its load (v.rate
+        // is still the rate before this pass), which must stay below the
+        // mark for the certificate to hold.
+        res.load += rate - v.rate;
+        if (res.load >= res.capacity * (1.0 - kSlackMargin))
+          queue_revocation(r);
+        continue;
+      }
       FillRes& fr = fill_res_[static_cast<std::size_t>(res.slot)];
       fr.rem = std::max(0.0, fr.rem - rate);
       fr.wsum -= fv.weight;
@@ -557,6 +631,50 @@ void MaxMin::fill_component(std::size_t c) {
   }
 }
 
+void MaxMin::finish_solve(bool refilled) {
+  // A variable or resource an earlier pass filled again appears once per
+  // pass; its latest entry (`slot`) holds its final fill.
+  if (refilled) changed_.clear();
+  for (std::size_t j = 0; j < component_vars_.size(); ++j) {
+    Var& v = vars_[static_cast<std::size_t>(component_vars_[j])];
+    if (v.slot != static_cast<std::int32_t>(j)) continue;
+    v.slot = -1;
+    // Reported once, against its rate before the solve.
+    if (refilled && v.rate != fill_var_[j].prev)
+      changed_.push_back(component_vars_[j]);
+  }
+  for (std::size_t i = 0; i < component_res_.size(); ++i) {
+    Res& res = resources_[static_cast<std::size_t>(component_res_[i])];
+    if (res.slot != static_cast<std::int32_t>(i)) continue;
+    res.slot = -1;
+    // The fill's remaining capacity gives the load: certified below the
+    // mark, unless a member forbids it or a hub group took the resource.
+    if (full_solve_ || res.blockers != 0 || res.hub >= 0 || res.vars.empty())
+      continue;
+    const double load = res.capacity - fill_res_[i].rem;
+    if (load < res.capacity * (1.0 - kSlackMargin)) {
+      res.certified = true;
+      res.load = load;
+      ++stats_.certificates;
+    }
+  }
+}
+
+void MaxMin::abandon_solve() {
+  end_revocations();
+  for (const VarId id : component_vars_) {
+    Var& v = vars_[static_cast<std::size_t>(id)];
+    v.slot = -1;
+    for (const ResourceId r : v.resources) {
+      if (resources_[static_cast<std::size_t>(r)].certified) revoke(r);
+    }
+  }
+  for (const ResourceId r : component_res_) {
+    resources_[static_cast<std::size_t>(r)].slot = -1;
+    mark_resource_modified(r);
+  }
+}
+
 void MaxMin::solve() {
   changed_.clear();
   changed_groups_.clear();
@@ -594,25 +712,42 @@ void MaxMin::solve() {
   if (hub_answered) ++stats_.hub_solves;
   if (modified_resources_.empty()) return;
 
-  expand_components();
-
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    fill_component(c);
-    if (components_[c].var_end - components_[c].var_begin >= kHubMinVars) {
-      ++stats_.large_fills;
-      if (!full_solve_) hub_try_enter(c);
+  component_res_.clear();
+  component_vars_.clear();
+  components_.clear();
+  fill_res_.clear();
+  fill_var_.clear();
+  // Fill, then again from every resource whose certificate the fills
+  // revoked (each pass revokes at least one, and none is granted before
+  // the last), until a pass revokes nothing.
+  bool refilled = false;
+  try {
+    for (;;) {
+      const std::size_t first = components_.size();
+      expand_components();
+      for (std::size_t c = first; c < components_.size(); ++c) {
+        fill_component(c);
+        if (components_[c].var_end - components_[c].var_begin >=
+            kHubMinVars) {
+          ++stats_.large_fills;
+          if (!full_solve_) hub_try_enter(c);
+        }
+      }
+      if (modified_resources_.empty()) break;
+      end_revocations();
+      refilled = true;
+      ++stats_.refills;
     }
+  } catch (...) {
+    abandon_solve();
+    throw;
   }
 
   stats_.vars_touched += component_vars_.size();
   stats_.last_component_vars = component_vars_.size();
   stats_.max_component_vars =
       std::max(stats_.max_component_vars, component_vars_.size());
-
-  for (const ResourceId r : component_res_)
-    resources_[static_cast<std::size_t>(r)].in_component = false;
-  for (const VarId v : component_vars_)
-    vars_[static_cast<std::size_t>(v)].in_component = false;
+  finish_solve(refilled);
 }
 
 std::span<const VarId> MaxMin::solve_changed() {

@@ -48,6 +48,28 @@
 // bind at shares within the 1e-9 tolerance without being equal (the joint
 // fill binds both at the lower). Full-solve mode has no slack resources.
 //
+// Certified resources. A resource the last fill left below capacity ·
+// (1 − kSlackMargin) is nobody's bottleneck either, as long as its load
+// stays there. After a solve, a filled non-slack resource is *certified*
+// when its load (the members' rates) is under that mark, every member has
+// weight 1, none is in a hub group, and it is no member's narrowest
+// resource (every member's ceiling lies below its capacity; a NIC never
+// qualifies, a cluster backbone over narrower NICs may). While certified
+// it is looked through like a slack resource, and it keeps its load: every
+// rate the lone path or a fill gives a member moves it, and a member
+// leaving subtracts its rate and marks nothing. A load that reaches the
+// mark revokes the certificate and marks the resource; solve() then fills
+// again from the revoked resources, and repeats until none is revoked. A
+// variable filled in two passes is reported once, against its rate before
+// the solve. A certificate also ends on an add whose weight is not 1 or
+// whose narrowest resource it is, on set_capacity of the resource or of
+// one its members cross, on a hub group that would form across it, and
+// when the resource empties or turns slack. In exact arithmetic the
+// allocation is unchanged (a max-min allocation is unique, and a resource
+// below capacity binds nobody); with unit weights the pruned fill differs
+// from the joint one only as a slack resource's does. Full-solve mode
+// certifies nothing.
+//
 // Components are kept separate all the way through progressive filling:
 // expand_components() records one [res, var) slice per connected component
 // and fill stops at component boundaries, so each component's fill is a
@@ -78,7 +100,8 @@
 // another resource reach the hub share. Full-solve mode never forms
 // groups. Members may cross slack resources, which stay outside the group;
 // one that stops being slack dissolves its members' groups before it is
-// marked.
+// marked. They cross no certified resource: a component whose members
+// cross one revokes it instead of forming a group.
 //
 // Optimality conditions (checked by the property tests):
 //   1. No resource exceeds its capacity.
@@ -107,15 +130,17 @@ class MaxMin {
 
   /// Smallest filled component considered for a hub group. Measured on LU
   /// class B replays (bordereau cluster, best-of-3 CPU time over four
-  /// interleaved rounds): 32 and 64 are indistinguishable at 64 and at 256
-  /// ranks, 128 is ~10% slower at 256 ranks. 64 keeps B/64 — coupled
-  /// components of at most 62 variables — entirely on the fill path, bit
-  /// for bit, while B/256 couples ~280 flows on its backbone.
+  /// interleaved rounds, before slack and certified resources): 32 and 64
+  /// are indistinguishable at 64 and at 256 ranks, 128 is ~10% slower at
+  /// 256 ranks. 64 keeps B/64 — whose coupled components never reach 64
+  /// variables — entirely on the fill path, bit for bit, while B/256
+  /// couples ~280 flows on its saturated backbone.
   static constexpr std::size_t kHubMinVars = 64;
 
   /// A resource whose members' ceilings sum below capacity times
-  /// (1 − kSlackMargin) is slack (see the header comment). Large against
-  /// the rounding of the running sums and the fill's 1e-9 tolerance.
+  /// (1 − kSlackMargin) is slack, and a filled one whose members' rates do
+  /// may be certified (see the header comment). Large against the rounding
+  /// of the running sums and the fill's 1e-9 tolerance.
   static constexpr double kSlackMargin = 1e-6;
 
   /// Cumulative solver-work counters (observable via EngineStats).
@@ -127,13 +152,17 @@ class MaxMin {
     /// Fills of a component of at least kHubMinVars variables: the coupled
     /// work the hub path did not answer (entries and fallbacks included).
     std::uint64_t large_fills = 0;
-    std::uint64_t vars_touched = 0;   ///< component variables re-filled
+    /// Component variables filled, each pass of a solve counted.
+    std::uint64_t vars_touched = 0;
     std::uint64_t group_changes = 0;  ///< hub groups whose rate moved
     std::uint64_t hub_entries = 0;    ///< hub groups formed
     std::uint64_t hub_exits = 0;      ///< hub groups dissolved
     /// Lone variables rated by add_variable, no solve involved.
     std::uint64_t lone_rates = 0;
-    std::size_t last_component_vars = 0;  ///< size of the last fill
+    std::uint64_t certificates = 0;  ///< resources certified by a solve
+    std::uint64_t revocations = 0;   ///< certificates revoked (and marked)
+    std::uint64_t refills = 0;  ///< solve passes after the first (refills)
+    std::size_t last_component_vars = 0;  ///< vars the last solve filled
     /// Largest coupled component so far: filled, or re-rated as a group.
     std::size_t max_component_vars = 0;
   };
@@ -169,7 +198,9 @@ class MaxMin {
   }
 
   /// Re-solves the components reachable from the modified set and the hub
-  /// groups whose membership changed (no-op when not dirty).
+  /// groups whose membership changed (no-op when not dirty), filling again
+  /// from every resource whose certificate a fill revoked. When a fill
+  /// throws, every resource of the components it touched stays marked.
   void solve();
 
   /// solve(), then the variables whose rate changed in that solve, members
@@ -223,15 +254,20 @@ class MaxMin {
   double resource_load(ResourceId r) const;
 
   /// When on, every solve() re-solves the whole system (differential
-  /// testing of the incremental path), no resource is slack and no hub
-  /// group forms. Changed-variable reporting still works. Set it before
-  /// adding variables.
+  /// testing of the incremental path), no resource is slack or certified
+  /// and no hub group forms. Changed-variable reporting still works. Set
+  /// it before adding variables.
   void set_full_solve(bool on) { full_solve_ = on; }
   bool full_solve() const { return full_solve_; }
 
   /// True when `r` is slack: it cannot bind, so it couples no variables.
   bool slack(ResourceId r) const {
     return resources_[static_cast<std::size_t>(r)].slack;
+  }
+  /// True when `r` is certified: the last fill left it below capacity, so
+  /// it couples no variables while its load stays there.
+  bool certified(ResourceId r) const {
+    return resources_[static_cast<std::size_t>(r)].certified;
   }
 
   const SolveStats& solve_stats() const { return stats_; }
@@ -240,14 +276,19 @@ class MaxMin {
   struct Res {
     double capacity = 0.0;
     double ceiling_sum = 0.0;  // members' ceilings; 0 when empty
+    double load = 0.0;         // members' rates, kept while certified
     std::vector<VarId> vars;  // active members (positions mirrored in Var)
+    // Members that forbid a certificate: weight not 1, or this is their
+    // narrowest resource (ceiling at its capacity).
+    std::uint32_t blockers = 0;
     bool slack = false;       // see slack(); kept by refresh_slack
+    bool certified = false;   // see certified()
     bool modified = false;    // queued in modified_resources_
     GroupId hub = -1;         // hub group whose component holds it
     std::int32_t share_pos = -1;  // slot in that group's share heap
-    // solve() scratch:
-    bool in_component = false;
-    std::int32_t slot = -1;  // component-local index during a fill
+    // Scratch: -1 outside solve() and set_capacity(); in a solve, the
+    // latest position in component_res_ (the fill_res_ index).
+    std::int32_t slot = -1;
   };
   struct Var {
     double weight = 1.0;
@@ -255,9 +296,9 @@ class MaxMin {
     double rate = 0.0;  // members of a hub group: see Hub::rate
     bool active = false;
     GroupId group = -1;
-    // solve() scratch:
-    bool in_component = false;
-    std::int32_t slot = -1;  // component-local index during a fill
+    // solve() scratch: -1 outside a solve; inside, the latest position in
+    // component_vars_ (the fill_var_ index).
+    std::int32_t slot = -1;
     std::vector<ResourceId> resources;       // unique, sorted
     std::vector<std::uint32_t> positions;    // index in each resource's vars
   };
@@ -281,8 +322,27 @@ class MaxMin {
   void mark_resource_modified(ResourceId r);
   /// `v`'s ceiling under the current capacities.
   double ceiling_of(const Var& v) const;
-  /// Recomputes `res.slack` from its ceiling sum; true when it flipped.
+  /// Recomputes `res.slack` from its ceiling sum; true when it flipped. A
+  /// resource that turns slack drops its certificate.
   bool refresh_slack(Res& res);
+  /// True when member `v` forbids `res` a certificate.
+  static bool blocks(const Var& v, const Res& res) {
+    return v.weight != 1.0 || v.ceiling >= res.capacity;
+  }
+  /// Ends `r`'s certificate outside a fill and marks `r`.
+  void revoke(ResourceId r);
+  /// Inside a fill: marks certified `r` for the next pass, once. The fills
+  /// of this pass still look through it; the pass end drops the flag.
+  void queue_revocation(ResourceId r);
+  /// Drops the certificates of the resources queued by queue_revocation.
+  void end_revocations();
+  /// After the last pass: certifies each filled resource that qualifies
+  /// and resets the scratch slots; rebuilds changed_ after a refill.
+  void finish_solve(bool refilled);
+  /// A fill threw: resets the scratch slots, revokes every certificate a
+  /// component variable crosses (the failed fill moved their loads), and
+  /// marks every component resource for the next solve.
+  void abandon_solve();
   /// A slack resource turned coupling: dissolves its members' hub groups.
   void dissolve_member_groups(const Res& res);
   /// add_variable's lone test: every resource `v` uses carries it alone or
@@ -298,7 +358,8 @@ class MaxMin {
   /// marked modified so the next solve re-fills the component.
   void hub_exit(GroupId g);
   /// After fill_component(c): forms a hub group when component `c` has the
-  /// hub shape (see the header comment).
+  /// hub shape (see the header comment) and crosses no certified resource;
+  /// one it crosses is revoked instead.
   void hub_try_enter(std::size_t c);
   /// Re-keys (or adds / drops) resource `r` in its group's share heap after
   /// its member count changed.
@@ -314,7 +375,9 @@ class MaxMin {
   /// Collects the connected components reachable from the modified
   /// resources (or every active variable when full_solve_ is on) into
   /// component_res_ / component_vars_, one Component slice per BFS, and
-  /// clears the modified marks.
+  /// clears the modified marks. A refill pass appends after the earlier
+  /// passes' slices; a variable an earlier pass filled joins with its rate
+  /// before the solve as `prev`.
   /// The BFS doubles as the fill setup pass: every member joining a
   /// component is loaded into the fill_* scratch arrays at its slot
   /// (= global component position) and resource weight sums accumulate
@@ -360,7 +423,7 @@ class MaxMin {
   struct FillVar {
     double rate;   // rate being assigned
     double weight;
-    double prev;   // rate before this solve
+    double prev;   // rate before this solve (earlier passes included)
     bool done;     // saturated flag
   };
   std::vector<FillRes> fill_res_;

@@ -9,9 +9,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <vector>
 
+#include <unistd.h>
+
+#include "acquisition/acquisition.hpp"
+#include "apps/lu.hpp"
 #include "platform/cluster.hpp"
 #include "platform/deployment.hpp"
 #include "platform/topology.hpp"
@@ -20,6 +25,7 @@
 #include "simkern/maxmin.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "maxmin_harness.hpp"
 #include "trace/compact.hpp"
 #include "trace/synthetic.hpp"
 
@@ -27,28 +33,12 @@ using namespace tir;
 using tir::sim::MaxMin;
 using tir::sim::ResourceId;
 using tir::sim::VarId;
+using tir::test::expect_close;
+using tir::test::HubHarness;
+using tir::test::kTol;
+using tir::test::SystemState;
 
 namespace {
-
-constexpr double kTol = 1e-9;
-
-void expect_close(double a, double b, const char* what) {
-  const double scale = std::max({std::abs(a), std::abs(b), 1.0});
-  EXPECT_NEAR(a, b, kTol * scale) << what;
-}
-
-/// Mirror of one solver system, used to (a) drive a full-solve twin with the
-/// identical op stream (ids match because both recycle the same way) and
-/// (b) rebuild a fresh reference solver from the current state.
-struct SystemState {
-  std::vector<double> capacities;
-  struct LiveVar {
-    VarId id;
-    double weight;
-    std::vector<ResourceId> resources;
-  };
-  std::map<VarId, LiveVar> live;  // ordered: deterministic rebuild order
-};
 
 /// Rebuilds a fresh solver from `state` and checks every live rate of `m`
 /// against it.
@@ -150,6 +140,24 @@ TEST(MaxMinIncremental, RandomOpStreamMatchesFullSolveAndRebuild) {
     check_against_rebuild(inc, state);
     EXPECT_EQ(inc.active_variable_count(), state.live.size());
   }
+}
+
+TEST(MaxMinIncremental, AThrowingFillLeavesItsComponentMarked) {
+  // The fill's unconstrained-variable error: a weight of 1e-13 offers no
+  // share of r. Once that variable is gone, two unit-weight variables on r
+  // must share it; a solve that skipped r's component would leave the
+  // second at 0.
+  MaxMin m;
+  const ResourceId r = m.add_resource(100.0);
+  const VarId tiny = m.add_variable(1e-13, {r});
+  EXPECT_THROW(m.solve(), Error);
+  EXPECT_TRUE(m.dirty());
+  m.remove_variable(tiny);
+  const VarId a = m.add_variable(1.0, {r});
+  const VarId b = m.add_variable(1.0, {r});
+  m.solve();
+  EXPECT_EQ(m.rate(a), 50.0);
+  EXPECT_EQ(m.rate(b), 50.0);
 }
 
 TEST(MaxMinIncremental, DisjointComponentsAreNotTouched) {
@@ -259,87 +267,6 @@ TEST(MaxMinIncremental, IntrusiveRemovalSurvivesHeavyChurn) {
 namespace {
 
 using tir::sim::GroupId;
-
-/// Drives an incremental solver and a full-solve twin with one op stream,
-/// mirroring the system so it can be rebuilt from scratch.
-class HubHarness {
- public:
-  HubHarness() { full_.set_full_solve(true); }
-
-  ResourceId add_resource(double cap) {
-    full_.add_resource(cap);
-    state_.capacities.push_back(cap);
-    return inc_.add_resource(cap);
-  }
-  VarId add(std::vector<ResourceId> use, double weight = 1.0) {
-    const VarId a = inc_.add_variable(weight, use);
-    EXPECT_EQ(a, full_.add_variable(weight, use));
-    state_.live[a] = {a, weight, std::move(use)};
-    return a;
-  }
-  void remove(VarId v) {
-    inc_.remove_variable(v);
-    full_.remove_variable(v);
-    state_.live.erase(v);
-    last_.erase(v);
-  }
-  void set_capacity(ResourceId r, double cap) {
-    inc_.set_capacity(r, cap);
-    full_.set_capacity(r, cap);
-    state_.capacities[static_cast<std::size_t>(r)] = cap;
-  }
-
-  /// Solves both and checks rates and change reporting. Members of a hub
-  /// group are compared with EXPECT_EQ (the hub path claims bit identity
-  /// with the fill); other variables within the fill's own tolerance, since
-  /// discovery order may round multi-round fills differently.
-  std::vector<VarId> solve_and_check() {
-    const auto span = inc_.solve_changed();
-    const std::vector<VarId> changed(span.begin(), span.end());
-    full_.solve();
-    const auto groups = inc_.changed_groups();
-    MaxMin fresh;
-    for (const double c : state_.capacities) fresh.add_resource(c);
-    std::map<VarId, VarId> to_fresh;
-    for (const auto& [id, v] : state_.live)
-      to_fresh[id] = fresh.add_variable(v.weight, v.resources);
-    fresh.solve();
-    for (const auto& [id, v] : state_.live) {
-      const double rate = inc_.rate(id);
-      const GroupId g = inc_.group_of(id);
-      if (g >= 0) {
-        EXPECT_EQ(rate, fresh.rate(to_fresh[id])) << "member " << id;
-        EXPECT_EQ(rate, full_.rate(id)) << "member " << id;
-      } else {
-        expect_close(rate, fresh.rate(to_fresh[id]), "vs fresh rebuild");
-        expect_close(rate, full_.rate(id), "vs full-solve twin");
-      }
-      const auto it = last_.find(id);
-      if (it != last_.end()) {
-        const bool told =
-            std::find(changed.begin(), changed.end(), id) != changed.end() ||
-            (g >= 0 &&
-             std::find(groups.begin(), groups.end(), g) != groups.end());
-        EXPECT_EQ(rate != it->second, told) << "var " << id;
-      }
-      last_[id] = rate;
-    }
-    return changed;
-  }
-
-  MaxMin& solver() { return inc_; }
-  std::size_t live() const { return state_.live.size(); }
-  VarId nth_live(std::size_t i) const {
-    auto it = state_.live.begin();
-    std::advance(it, static_cast<long>(i));
-    return it->first;
-  }
-
- private:
-  MaxMin inc_, full_;
-  SystemState state_;
-  std::map<VarId, double> last_;
-};
 
 /// A backbone of capacity 1000 and `nics` private resources: every
 /// variable crosses the backbone and two NICs. NICs hold a few members
@@ -1082,9 +1009,13 @@ TEST(MaxMinSlack, RandomStreamsCrossTheThresholdBothWays) {
 // weights, over a backbone whose unit-weight flows form and lose hub
 // groups, a wide link that turns slack and coupling, private links that
 // rate lone variables, and weighted flows the fill rates in several
-// rounds. An FNV-1a digest over every solve's changed list and every live
-// rate, recorded before the fill lost its per-variable bound pass, pins
-// the solver's arithmetic bit for bit.
+// rounds. Its roomy NICs are no member's narrowest link, so fills that
+// leave them unsaturated certify them, and later rates revoke them. An
+// FNV-1a digest over every solve's changed list and every live rate,
+// recorded once certified resources joined the solver, pins its
+// arithmetic bit for bit; the harness holds every rate to a full-solve
+// twin and a fresh rebuild, and a variable is reported (itself or through
+// its group) iff its rate moved.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1112,24 +1043,25 @@ class RateDigest {
 
 TEST(MaxMinIncremental, RandomOpStreamRepeatsTheParentBitForBit) {
   Rng rng(3141);
-  MaxMin m;
-  const ResourceId bb = m.add_resource(1000.0);
-  const ResourceId wide = m.add_resource(6000.0);
+  HubHarness h;
+  MaxMin& m = h.solver();
+  const ResourceId bb = h.add_resource(1000.0);
+  const ResourceId wide = h.add_resource(6000.0);
   // Mostly roomy NICs, and every eighth a weak one that can outbind the
   // backbone.
   std::vector<ResourceId> nics;
   for (int i = 0; i < 48; ++i)
-    nics.push_back(m.add_resource(i % 8 == 0 ? rng.uniform(60.0, 120.0)
+    nics.push_back(h.add_resource(i % 8 == 0 ? rng.uniform(60.0, 120.0)
                                              : rng.uniform(300.0, 600.0)));
   // Links of a weighted side component, which joins the backbone's only
   // through the wide link.
   std::vector<ResourceId> side;
   for (int i = 0; i < 8; ++i)
-    side.push_back(m.add_resource(rng.uniform(100.0, 400.0)));
+    side.push_back(h.add_resource(rng.uniform(100.0, 400.0)));
   // Private links, each carrying at most one variable at a time.
   std::vector<ResourceId> spare;
   for (int i = 0; i < 16; ++i)
-    spare.push_back(m.add_resource(rng.uniform(50.0, 500.0)));
+    spare.push_back(h.add_resource(rng.uniform(50.0, 500.0)));
   const auto pick = [&](const std::vector<ResourceId>& from) {
     return from[rng.next_below(from.size())];
   };
@@ -1142,7 +1074,7 @@ TEST(MaxMinIncremental, RandomOpStreamRepeatsTheParentBitForBit) {
     const VarId v = from[i];
     from[i] = from.back();
     from.pop_back();
-    m.remove_variable(v);
+    h.remove(v);
     if (const auto it = owner.find(v); it != owner.end()) {
       spare.push_back(it->second);
       owner.erase(it);
@@ -1163,26 +1095,26 @@ TEST(MaxMinIncremental, RandomOpStreamRepeatsTheParentBitForBit) {
       if (!odd.empty() && rng.next_double() < 0.5) {
         drop(odd, odd.size() - 1);
       } else if (dice < 0.04) {
-        m.set_capacity(bb, rng.uniform(800.0, 1200.0));
+        h.set_capacity(bb, rng.uniform(800.0, 1200.0));
       } else if (dice < 0.08) {
         // The wide link's capacity decides whether it couples the side
         // component to the backbone's.
         const double which = rng.next_double();
         if (which < 0.3) {
-          m.set_capacity(wide, rng.uniform(2000.0, 9000.0));
+          h.set_capacity(wide, rng.uniform(2000.0, 9000.0));
         } else {
           const ResourceId r = which < 0.6 ? pick(side) : pick(nics);
-          m.set_capacity(r, rng.uniform(100.0, 600.0));
+          h.set_capacity(r, rng.uniform(100.0, 600.0));
         }
       } else if (dice < 0.14 && !spare.empty()) {
         const ResourceId r = spare.back();
         spare.pop_back();
-        const VarId v = m.add_variable(weight(), {r});
+        const VarId v = h.add({r}, weight());
         owner[v] = r;
         live.push_back(v);
       } else if (dice < 0.17) {
         const ResourceId r = pick(nics);
-        odd.push_back(m.add_variable(weight(), {bb, r}));
+        odd.push_back(h.add({bb, r}, weight()));
       } else if (live.size() < target) {
         const double shape = rng.next_double();
         std::vector<ResourceId> use;
@@ -1198,12 +1130,12 @@ TEST(MaxMinIncremental, RandomOpStreamRepeatsTheParentBitForBit) {
           use = {wide, pick(side)};
           w = weight();
         }
-        live.push_back(m.add_variable(w, use));
+        live.push_back(h.add(use, w));
       } else if (!live.empty()) {
         drop(live, rng.next_below(live.size()));
       }
     }
-    const auto changed = m.solve_changed();
+    const auto changed = h.solve_and_check();
     digest.fold(changed.size());
     for (const VarId v : changed) digest.fold(static_cast<std::uint64_t>(v));
     for (const VarId v : live) digest.fold_double(m.rate(v));
@@ -1219,8 +1151,10 @@ TEST(MaxMinIncremental, RandomOpStreamRepeatsTheParentBitForBit) {
   EXPECT_GT(st.hub_exits, 0u);
   EXPECT_GT(st.hub_solves, 0u);
   EXPECT_GT(st.large_fills, 0u);
+  EXPECT_GT(st.certificates, 0u);
+  EXPECT_GT(st.revocations, 0u);
   EXPECT_GT(wide_flips, 10);
-  EXPECT_EQ(digest.value(), 0xdb81281e886d2c80ull);
+  EXPECT_EQ(digest.value(), 0xc1a857ca239725c8ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -1354,6 +1288,57 @@ TEST(MaxMinIncremental, EngineLoneFlowsMatchFullSolveBitForBit) {
     EXPECT_LT(inc_result.engine_stats.solver_calls,
               full_result.engine_stats.solver_calls);
   }
+}
+
+TEST(MaxMinIncremental, EngineCertifiedLinksOnLuMatchFullSolve) {
+  // LU class B at 64 ranks, one iteration, acquired in F-8 mode and
+  // replayed on bordereau: its 10 GbE backbone, no flow's narrowest link,
+  // is certified whenever a fill leaves it below capacity, and revoked
+  // when a rate eats the margin. Every finish time stays within 1e-9
+  // relative of full_solve (which certifies nothing), and the makespan is
+  // the one recorded before certified links, which full_solve also gives.
+  const auto workdir = std::filesystem::temp_directory_path() /
+                       ("tir_certified_lu64_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(workdir);
+  apps::LuConfig lu;
+  lu.cls = apps::NpbClass::B;
+  lu.nprocs = 64;
+  lu.iteration_scale = 0.0;  // clamped to one iteration
+  acq::AcquisitionSpec acquisition;
+  acquisition.app = apps::make_lu_app(lu);
+  acquisition.mode = acq::Mode::folding;
+  acquisition.folding = 8;
+  acquisition.workdir = workdir;
+  acquisition.run_uninstrumented_baseline = false;
+  const auto acquired = acq::run_acquisition(acquisition);
+
+  const auto platform = std::make_shared<plat::Platform>();
+  ScenarioSpec spec;
+  spec.process_hosts =
+      plat::build_cluster(*platform, plat::bordereau_spec(lu.nprocs));
+  spec.platform = platform;
+  spec.traces = trace::TraceSet::per_process_files(acquired.ti_files);
+  ScenarioSpec full = spec;
+  full.config.full_solve = true;
+  const auto inc_result = run_scenario(spec);
+  const auto full_result = run_scenario(full);
+  std::filesystem::remove_all(workdir);
+
+  EXPECT_EQ(inc_result.simulated_time, 0.093713049103927165);
+  EXPECT_EQ(full_result.simulated_time, 0.093713049103927165);
+  ASSERT_EQ(inc_result.process_finish_times.size(),
+            full_result.process_finish_times.size());
+  for (std::size_t p = 0; p < inc_result.process_finish_times.size(); ++p) {
+    const double ref = full_result.process_finish_times[p];
+    EXPECT_NEAR(inc_result.process_finish_times[p], ref, kTol * ref)
+        << "rank " << p;
+  }
+  const auto& st = inc_result.engine_stats;
+  EXPECT_GT(st.links_certified, 0u);
+  EXPECT_GT(st.certificates_revoked, 0u);
+  EXPECT_GT(st.refill_passes, 0u);
+  EXPECT_EQ(full_result.engine_stats.links_certified, 0u);
+  EXPECT_LT(st.solver_vars_touched, full_result.engine_stats.solver_vars_touched);
 }
 
 TEST(MaxMinIncremental, DegradeLinkInvalidatesOnlyAffectedRoutes) {

@@ -750,3 +750,42 @@ TEST_F(StreamTraceTest, StrictDecodeErrorRepeatsOnEveryCall) {
   EXPECT_THROW(streamed.streaming(), ParseError);
   EXPECT_EQ(streamed.index_count(), 0u);
 }
+
+TEST_F(StreamTraceTest, ActionCountsAddUpToTheStatsCountEveryCodecAndPolicy) {
+  // run_scenario_report sums action_count over the processes as a failed
+  // replay's coverage divisor instead of draining every action through
+  // stats(): the two counts must agree for every codec and policy.
+  const auto program = mixed_actions(5, 3);
+  for (const trace::TraceFormat codec : test::kTraceFormats) {
+    SCOPED_TRACE(test::name(codec));
+    const auto files = write_files(program, codec);
+    for (const DecodePolicy policy :
+         {DecodePolicy::materialise, DecodePolicy::stream}) {
+      const auto set = trace::TraceSet::per_process_files(
+          files, trace::DecodeMode::strict, policy);
+      EXPECT_EQ(set.streaming(), policy == DecodePolicy::stream);
+      std::uint64_t counted = 0;
+      for (int p = 0; p < set.nprocs(); ++p) counted += set.action_count(p);
+      EXPECT_EQ(counted, set.stats().actions);
+      EXPECT_EQ(counted, 5u * program[0].size());
+    }
+  }
+
+  // A parse error is still a failed report with zero coverage: the count
+  // forces the decode before the replay starts.
+  const fs::path bad = dir_ / "bad.trace";
+  {
+    std::ofstream out(bad);
+    out << "p0 compute 100\np0 warp 9\n";
+  }
+  for (const DecodePolicy policy :
+       {DecodePolicy::materialise, DecodePolicy::stream}) {
+    ScenarioSpec spec = cluster_spec(1);
+    spec.traces = trace::TraceSet::per_process_files(
+        {bad}, trace::DecodeMode::strict, policy);
+    const ReplayReport report = run_scenario_report(spec);
+    EXPECT_EQ(report.status, ReplayStatus::failed);
+    EXPECT_EQ(report.coverage, 0.0);
+    EXPECT_EQ(report.result.actions_replayed, 0u);
+  }
+}

@@ -168,6 +168,10 @@ int run(int argc, char** argv) {
                 u64(st.solver_component_size_max));
     std::printf("  flows re-rated:         %llu\n", u64(st.flows_rerated));
     std::printf("  lone rates:             %llu\n", u64(st.lone_rates));
+    std::printf("  links certified:        %llu\n", u64(st.links_certified));
+    std::printf("  certificates revoked:   %llu\n",
+                u64(st.certificates_revoked));
+    std::printf("  refill passes:          %llu\n", u64(st.refill_passes));
     std::printf("  hub solves:             %llu\n", u64(st.solver_hub_solves));
     std::printf("  large fills:            %llu\n",
                 u64(st.solver_large_fills));
