@@ -23,15 +23,16 @@
 //     (O(changed), not O(live flows)). A flow that starts alone on every
 //     link it crosses is rated on the spot and leaves without a solve
 //     (maxmin.hpp's lone variables): on graph fabrics most flows are.
-//   - A link that cannot saturate — its flows' ceilings (each flow's
-//     narrowest capacity) sum below its capacity, as on a cluster backbone
-//     crossed by fewer flows than it is NICs wide — couples nobody
-//     (maxmin.hpp's slack resources): components and the lone test look
-//     through it, so the backbone stops joining every flow in flight. A
-//     backbone the last fill left below capacity is looked through the
-//     same way while its load stays there (maxmin.hpp's certified
-//     resources); a rate that eats the margin makes the solve fill again
-//     across it. The engine sees only the solver's changed set either way.
+//   - A link that is no flow's narrowest couples nobody while its load
+//     stays below capacity (maxmin.hpp's certified resources): each flow
+//     is charged its rate once rated and its ceiling (narrowest capacity)
+//     until then and while in a hub group. Components and the lone test
+//     look through it, and hub groups form across it, so a
+//     cluster backbone crossed by fewer flows than it is NICs wide, or one
+//     the last fill left unsaturated, stops joining every flow in flight.
+//     A load that reaches the mark closes it, at the add or in a fill,
+//     which then fills again across it. The engine sees only the solver's
+//     changed set either way.
 //   - Fluid progress is tracked lazily: each fluid stores its remaining
 //     work as of `last_update`, and its predicted finish sits in an indexed
 //     4-ary min-heap — one entry per running flow and per busy host,
@@ -127,13 +128,14 @@ struct EngineStats {
   std::uint64_t heap_events = 0;    ///< timed events dispatched
   // Solver work: how much of the network system each re-solve touched.
   std::uint64_t solver_vars_touched = 0;  ///< component vars re-solved (sum)
-  std::uint64_t solver_component_size_max = 0;  ///< largest single re-solve
+  /// Largest component one fill covered, or hub group re-rated as one.
+  std::uint64_t solver_component_size_max = 0;
   std::uint64_t flows_rerated = 0;  ///< transfers whose rate was requeued
   /// Flows rated when they started, alone on every link (no solve).
   std::uint64_t lone_rates = 0;
   // Certified links (see maxmin.hpp): granted by a fill, revoked when a
-  // rate change eats their margin, and the solve passes that re-filled
-  // across revoked links.
+  // link with members closes (its load reaches the mark, or a member
+  // blocks it), and the solve passes that re-filled across revoked links.
   std::uint64_t links_certified = 0;
   std::uint64_t certificates_revoked = 0;
   std::uint64_t refill_passes = 0;

@@ -26,7 +26,14 @@ ResourceId MaxMin::add_resource(double capacity) {
   if (!(capacity >= 0)) throw Error("MaxMin: capacity must be non-negative");
   resources_.push_back(Res{});
   resources_.back().capacity = capacity;
+  resources_.back().certified = !full_solve_;  // empty: load 0
   return static_cast<ResourceId>(resources_.size() - 1);
+}
+
+void MaxMin::set_full_solve(bool on) {
+  if (on != full_solve_ && !resources_.empty())
+    throw Error("MaxMin: set_full_solve after add_resource");
+  full_solve_ = on;
 }
 
 double MaxMin::capacity(ResourceId r) const {
@@ -40,7 +47,7 @@ void MaxMin::mark_resource_modified(ResourceId r) {
   modified_resources_.push_back(r);
 }
 
-// -- slack resources ----------------------------------------------------------
+// -- certified resources ------------------------------------------------------
 
 double MaxMin::ceiling_of(const Var& v) const {
   // A weight at most kEps offers the fill no resource share, so no capacity
@@ -52,21 +59,18 @@ double MaxMin::ceiling_of(const Var& v) const {
   return ceiling;
 }
 
-bool MaxMin::refresh_slack(Res& res) {
-  // An infinite ceiling makes the sum infinite (later NaN): never slack.
-  const bool slack =
-      !full_solve_ && res.ceiling_sum < res.capacity * (1.0 - kSlackMargin);
-  const bool flipped = slack != res.slack;
-  res.slack = slack;
-  // Looked through either way; slack needs no load kept.
-  if (slack) res.certified = false;
-  return flipped;
+void MaxMin::uncertify(Res& res) {
+  res.certified = false;
+  // Its grouped members were charged their ceilings, and the fill that
+  // crosses it now must see their rates: their groups dissolve.
+  for (const VarId id : res.vars) {
+    const GroupId g = vars_[static_cast<std::size_t>(id)].group;
+    if (g >= 0) hub_exit(g);
+  }
 }
 
-// -- certified resources ------------------------------------------------------
-
 void MaxMin::revoke(ResourceId r) {
-  resources_[static_cast<std::size_t>(r)].certified = false;
+  uncertify(resources_[static_cast<std::size_t>(r)]);
   ++stats_.revocations;
   mark_resource_modified(r);
 }
@@ -78,16 +82,11 @@ void MaxMin::queue_revocation(ResourceId r) {
 }
 
 void MaxMin::end_revocations() {
-  // Only queued revocations are marked during a solve.
-  for (const ResourceId r : modified_resources_)
-    resources_[static_cast<std::size_t>(r)].certified = false;
-}
-
-void MaxMin::dissolve_member_groups(const Res& res) {
-  for (const VarId id : res.vars) {
-    const GroupId g = vars_[static_cast<std::size_t>(id)].group;
-    if (g >= 0) hub_exit(g);
-  }
+  // Only queued revocations are marked during a solve; the hub resources
+  // of groups they dissolve join the list behind them.
+  const std::size_t queued = modified_resources_.size();
+  for (std::size_t i = 0; i < queued; ++i)
+    uncertify(resources_[static_cast<std::size_t>(modified_resources_[i])]);
 }
 
 void MaxMin::set_capacity(ResourceId r, double capacity) {
@@ -95,18 +94,16 @@ void MaxMin::set_capacity(ResourceId r, double capacity) {
   Res& res = resources_.at(static_cast<std::size_t>(r));
   if (res.capacity == capacity) return;
   if (res.hub >= 0) hub_exit(res.hub);
+  const bool widened = capacity > res.capacity;
   res.capacity = capacity;
-  // An emptied resource's component is empty; its next member refreshes
-  // its slack flag.
-  if (res.vars.empty()) return;
-  const bool was_slack = res.slack;
+  // An empty resource stays certified at load 0. A certified one that
+  // widens is still nobody's narrowest, and its load stays below the mark.
+  if (res.vars.empty() || (res.certified && widened)) return;
 
   // The members' ceilings follow the capacity. Every resource they cross
-  // re-sums its ceilings and recounts its blockers exactly, once (`slot`
-  // is free outside solve()), and loses its certificate: its members'
-  // ceilings, or its own capacity, moved. One whose slack state flipped is
-  // marked. A flip to coupling first dissolves the groups it now joins; a
-  // group resource (never slack) turning slack dissolves its group.
+  // recounts its blockers exactly, once (`slot` is free outside solve()),
+  // and loses its certificate: its members' ceilings, or its own capacity,
+  // moved. The solve fills them all again and certifies what qualifies.
   for (const VarId id : res.vars) {
     Var& v = vars_[static_cast<std::size_t>(id)];
     v.ceiling = ceiling_of(v);
@@ -116,30 +113,16 @@ void MaxMin::set_capacity(ResourceId r, double capacity) {
       Res& other = resources_[static_cast<std::size_t>(t)];
       if (other.slot >= 0) continue;
       other.slot = 0;
-      other.ceiling_sum = 0.0;
       other.blockers = 0;
-      for (const VarId m : other.vars) {
-        const Var& member = vars_[static_cast<std::size_t>(m)];
-        other.ceiling_sum += member.ceiling;
-        other.blockers += blocks(member, other);
-      }
+      for (const VarId m : other.vars)
+        other.blockers += blocks(vars_[static_cast<std::size_t>(m)], other);
       if (other.certified) revoke(t);
-      if (!refresh_slack(other) || t == r) continue;
-      if (other.hub >= 0) {
-        hub_exit(other.hub);
-      } else {
-        dissolve_member_groups(other);
-      }
-      mark_resource_modified(t);
     }
   }
   for (const VarId id : res.vars) {
     for (const ResourceId t : vars_[static_cast<std::size_t>(id)].resources)
       resources_[static_cast<std::size_t>(t)].slot = -1;
   }
-  // Marked unless it stayed slack: nothing couples through it then.
-  if (was_slack && res.slack) return;
-  if (was_slack) dissolve_member_groups(res);
   mark_resource_modified(r);
 }
 
@@ -148,7 +131,7 @@ void MaxMin::set_capacity(ResourceId r, double capacity) {
 void MaxMin::hub_update_share(ResourceId r) {
   Res& res = resources_[static_cast<std::size_t>(r)];
   Hub& hub = hubs_[static_cast<std::size_t>(res.hub)];
-  if (res.vars.empty() || res.slack) {  // r leaves the component
+  if (res.vars.empty()) {  // r leaves the component
     hub.shares.erase(static_cast<std::size_t>(res.share_pos), place_share());
     res.hub = -1;
     res.share_pos = -1;
@@ -182,13 +165,14 @@ bool MaxMin::hub_admit(VarId id) {
     if (join < 0 && hubs_[static_cast<std::size_t>(g)].res == r) join = g;
   }
   if (!touches) return false;
-  // Every other resource must be the group's, slack, or new to the system
+  // Every other resource must be the group's, certified (the add charged
+  // `v`'s ceiling there and left it below the mark), or new to the system
   // (`v` is already listed, so a second member means another component).
   bool fits = join >= 0 && v.weight == 1.0;
   for (const ResourceId r : v.resources) {
     const Res& res = resources_[static_cast<std::size_t>(r)];
     if (res.hub != join &&
-        (res.hub >= 0 || (!res.slack && res.vars.size() > 1)))
+        (res.hub >= 0 || (!res.certified && res.vars.size() > 1)))
       fits = false;
   }
   if (!fits) {
@@ -202,7 +186,7 @@ bool MaxMin::hub_admit(VarId id) {
   v.group = join;
   for (const ResourceId r : v.resources) {
     Res& res = resources_[static_cast<std::size_t>(r)];
-    if (r == hub_res || res.slack) continue;  // slack ones stay outside
+    if (r == hub_res || res.certified) continue;  // certified: outside
     res.hub = join;
     hub_update_share(r);
   }
@@ -217,6 +201,12 @@ void MaxMin::hub_exit(GroupId g) {
     Var& v = vars_[static_cast<std::size_t>(id)];
     v.group = -1;
     v.rate = hub.rate;
+    // Charged its ceiling while grouped, its rate from now on.
+    const double drop = v.ceiling - charge(v.rate, v);
+    for (const ResourceId r : v.resources) {
+      Res& res = resources_[static_cast<std::size_t>(r)];
+      if (res.certified) res.load -= drop;
+    }
   }
   for (std::size_t i = 0; i < hub.shares.size(); ++i) {
     Res& res = resources_[static_cast<std::size_t>(hub.shares[i])];
@@ -259,19 +249,38 @@ void MaxMin::hub_try_enter(std::size_t c) {
   for (std::size_t i = comp.res_begin; i < comp.res_end; ++i) {
     if (i != hub_i && share(i) <= rate * (1.0 + 1e-9)) return;
   }
-  // Members cross only group and slack resources: a certified one would
-  // stop seeing their rates. It couples again, and the next pass fills
-  // across it.
-  bool crosses_certified = false;
-  for (std::size_t j = comp.var_begin; j < comp.var_end; ++j) {
-    for (const ResourceId r :
-         vars_[static_cast<std::size_t>(component_vars_[j])].resources) {
-      if (!resources_[static_cast<std::size_t>(r)].certified) continue;
-      queue_revocation(r);
-      crosses_certified = true;
+  // Members may cross certified resources too. Grouped, a member is
+  // charged its ceiling there, so the group's re-rates never move those
+  // loads. A resource the charges carry to the mark joins the group when
+  // all its members are in the component (certified, it left their common
+  // rate below its share); any other sends the charges back, and the
+  // component stays on the fill path.
+  const auto in_component = [this, &comp](VarId m) {
+    // A slot of -1 (in no component) wraps past every slice.
+    const auto k =
+        static_cast<std::size_t>(vars_[static_cast<std::size_t>(m)].slot);
+    return k >= comp.var_begin && k < comp.var_end;
+  };
+  const auto recharge = [&](double sign) {
+    bool fits = true;
+    for (std::size_t j = comp.var_begin; j < comp.var_end; ++j) {
+      const Var& v = vars_[static_cast<std::size_t>(component_vars_[j])];
+      const double rise = sign * (v.ceiling - charge(v.rate, v));
+      for (const ResourceId r : v.resources) {
+        Res& res = resources_[static_cast<std::size_t>(r)];
+        if (!res.certified) continue;
+        res.load += rise;
+        fits = fits && (!at_mark(res, res.load) ||
+                        std::all_of(res.vars.begin(), res.vars.end(),
+                                    in_component));
+      }
     }
+    return fits;
+  };
+  if (!recharge(1.0)) {
+    recharge(-1.0);
+    return;
   }
-  if (crosses_certified) return;
 
   GroupId g;
   if (!free_hubs_.empty()) {
@@ -292,8 +301,19 @@ void MaxMin::hub_try_enter(std::size_t c) {
     hub.shares.push({share(i), static_cast<std::uint64_t>(r)}, r,
                     place_share());
   }
-  for (std::size_t j = comp.var_begin; j < comp.var_end; ++j)
-    vars_[static_cast<std::size_t>(component_vars_[j])].group = g;
+  for (std::size_t j = comp.var_begin; j < comp.var_end; ++j) {
+    Var& v = vars_[static_cast<std::size_t>(component_vars_[j])];
+    v.group = g;
+    for (const ResourceId r : v.resources) {
+      Res& res = resources_[static_cast<std::size_t>(r)];
+      if (!res.certified || !at_mark(res, res.load)) continue;
+      res.certified = false;
+      res.hub = g;
+      hub.shares.push({res.capacity / static_cast<double>(res.vars.size()),
+                       static_cast<std::uint64_t>(r)},
+                      r, place_share());
+    }
+  }
   entered_groups_.push_back(g);
   ++stats_.hub_entries;
 }
@@ -310,7 +330,7 @@ bool MaxMin::lone(const Var& v) const {
   if (full_solve_ || v.weight <= kEps) return false;
   for (const ResourceId r : v.resources) {
     const Res& res = resources_[static_cast<std::size_t>(r)];
-    if (res.vars.size() != 1 && !res.slack && !res.certified) return false;
+    if (res.vars.size() != 1 && !res.certified) return false;
   }
   return true;
 }
@@ -351,27 +371,30 @@ VarId MaxMin::add_variable(double weight,
     Res& res = resources_[static_cast<std::size_t>(r)];
     v.positions.push_back(static_cast<std::uint32_t>(res.vars.size()));
     res.vars.push_back(id);
-    res.ceiling_sum += v.ceiling;
     const bool blocker = blocks(v, res);
     res.blockers += blocker;
-    // Turning coupling joins the members' components: groups among them
-    // no longer have their shape. The mark below lets the BFS cross it.
-    if (refresh_slack(res) && res.vars.size() > 1) dissolve_member_groups(res);
-    // A certificate assumes unit weights, each below its ceiling.
-    if (blocker && res.certified) revoke(r);
+    if (!res.certified) continue;
+    // Unrated, `v` is charged its ceiling. A resource it blocks or loads to
+    // the mark closes; one that held only `v` has no rate to correct.
+    res.load += v.ceiling;
+    if (!blocker && !at_mark(res, res.load)) continue;
+    if (res.vars.size() > 1) {
+      revoke(r);
+    } else {
+      res.certified = false;
+    }
   }
   ++active_count_;
   if (hubs_.size() > free_hubs_.size() && hub_admit(id)) return id;
   if (lone(v)) {
     // A component of its own: one fill round over its coupling resources,
     // each offering cap / weight (the fill's rem / wsum), rates it exactly.
+    // A certified resource it crosses has it at weight 1 and below its
+    // capacity, so that rate is the ceiling it was charged.
     double share = kInf;
-    bool crosses_certified = false;
     for (const ResourceId r : v.resources) {
       const Res& res = resources_[static_cast<std::size_t>(r)];
-      crosses_certified |= res.certified;
-      if (!res.slack && !res.certified)
-        share = std::min(share, res.capacity / v.weight);
+      if (!res.certified) share = std::min(share, res.capacity / v.weight);
     }
     if (share == kInf) {
       remove_variable(id);
@@ -379,24 +402,14 @@ VarId MaxMin::add_variable(double weight,
     }
     v.rate = share * v.weight;
     ++stats_.lone_rates;
-    // The rate loads the certified resources it crosses; one that reaches
-    // its mark couples again, and the next solve fills across it.
-    if (crosses_certified) {
-      for (const ResourceId r : v.resources) {
-        Res& res = resources_[static_cast<std::size_t>(r)];
-        if (!res.certified) continue;
-        res.load += v.rate;
-        if (res.load >= res.capacity * (1.0 - kSlackMargin)) revoke(r);
-      }
-    }
     return id;
   }
   // Not lone, so some resource couples it: the one it shares with another
   // variable, or, at a weight of at most kEps (an infinite ceiling), every
-  // one. Full-solve mode has no slack or certified resource.
+  // one. Full-solve mode has no certified resource.
   for (const ResourceId r : v.resources) {
-    const Res& res = resources_[static_cast<std::size_t>(r)];
-    if (!res.slack && !res.certified) mark_resource_modified(r);
+    if (!resources_[static_cast<std::size_t>(r)].certified)
+      mark_resource_modified(r);
   }
   return id;
 }
@@ -421,25 +434,23 @@ void MaxMin::remove_variable(VarId id) {
       while (m.resources[k] != r) ++k;
       m.positions[k] = pos;
     }
-    const bool was_slack = res.slack;
-    const bool was_certified = res.certified;
-    res.ceiling_sum = res.vars.empty() ? 0.0 : res.ceiling_sum - v.ceiling;
     res.blockers -= blocks(v, res);
-    refresh_slack(res);
-    if (was_certified) {
-      res.load -= v.rate;
-      if (res.vars.empty()) res.certified = false;
-    }
-    // An emptied resource's component is empty, and a slack or certified
-    // one coupled nobody: nothing to re-solve. One that turned slack is
-    // marked; the solve re-grows its members' components.
-    if (v.group < 0 && !res.vars.empty() && !was_slack && !was_certified)
+    // An emptied resource couples nobody: certified at load 0. A certified
+    // one sheds the member's charge, and a hub group answers for its own
+    // members: nothing to re-solve. Any other resource is marked.
+    if (res.vars.empty()) {
+      res.certified = !full_solve_;
+      res.load = 0.0;
+    } else if (res.certified) {
+      res.load -= charge(v.rate, v);
+    } else if (v.group < 0) {
       mark_resource_modified(r);
+    }
   }
   if (v.group >= 0) {
     // A member leaving its hub group: O(degree · log R) share updates; the
     // group's rate and binding condition are settled by the next solve.
-    // Slack resources the member crossed are not the group's.
+    // Certified resources the member crossed are not the group's.
     const ResourceId hub_res = hubs_[static_cast<std::size_t>(v.group)].res;
     for (const ResourceId r : v.resources) {
       if (r != hub_res && resources_[static_cast<std::size_t>(r)].hub == v.group)
@@ -516,7 +527,7 @@ void MaxMin::expand_components() {
             component_vars_[vi++])];
         for (const ResourceId r : var.resources) {
           const Res& res = resources_[static_cast<std::size_t>(r)];
-          if (res.slack || res.certified) continue;  // couples nobody
+          if (res.certified) continue;  // couples nobody
           push_res(r);
           fill_res_[static_cast<std::size_t>(res.slot)].wsum += var.weight;
         }
@@ -534,17 +545,10 @@ void MaxMin::expand_components() {
   };
   const auto grow_from_res = [&](ResourceId r) {
     // A resource marked before a hub group absorbed it is the group's to
-    // answer; nothing outside a group reaches into it.
+    // answer; nothing outside a group reaches into it. A certified one was
+    // emptied since it was marked and couples nobody.
     const Res& res = resources_[static_cast<std::size_t>(r)];
-    if (res.slot >= res_pass || res.hub >= 0) return;
-    if (res.slack) {
-      // It turned slack (or changed while slack): each member's component
-      // stands on its own now. Hub groups answer for their members.
-      for (const VarId v : res.vars) {
-        if (vars_[static_cast<std::size_t>(v)].group < 0) grow_from_var(v);
-      }
-      return;
-    }
+    if (res.slot >= res_pass || res.hub >= 0 || res.certified) return;
     const std::size_t rb = component_res_.size();
     const std::size_t vb = component_vars_.size();
     push_res(r);
@@ -575,14 +579,12 @@ void MaxMin::fill_component(std::size_t c) {
     const Var& v = vars_[static_cast<std::size_t>(id)];
     for (const ResourceId r : v.resources) {
       Res& res = resources_[static_cast<std::size_t>(r)];
-      if (res.slack) continue;  // not in the component
       if (res.certified) {
-        // Not in the component either: the new rate moves its load (v.rate
-        // is still the rate before this pass), which must stay below the
-        // mark for the certificate to hold.
-        res.load += rate - v.rate;
-        if (res.load >= res.capacity * (1.0 - kSlackMargin))
-          queue_revocation(r);
+        // Not in the component: the new rate replaces the member's charge
+        // (v.rate is still the rate before this pass), and the load must
+        // stay below the mark for the certificate to hold.
+        res.load += charge(rate, v) - charge(v.rate, v);
+        if (at_mark(res, res.load)) queue_revocation(r);
         continue;
       }
       FillRes& fr = fill_res_[static_cast<std::size_t>(res.slot)];
@@ -647,12 +649,12 @@ void MaxMin::finish_solve(bool refilled) {
     Res& res = resources_[static_cast<std::size_t>(component_res_[i])];
     if (res.slot != static_cast<std::int32_t>(i)) continue;
     res.slot = -1;
-    // The fill's remaining capacity gives the load: certified below the
-    // mark, unless a member forbids it or a hub group took the resource.
-    if (full_solve_ || res.blockers != 0 || res.hub >= 0 || res.vars.empty())
-      continue;
+    // The fill's remaining capacity gives the load (every member is rated
+    // now): certified below the mark, unless a member forbids it or a hub
+    // group took the resource.
+    if (full_solve_ || res.blockers != 0 || res.hub >= 0) continue;
     const double load = res.capacity - fill_res_[i].rem;
-    if (load < res.capacity * (1.0 - kSlackMargin)) {
+    if (!at_mark(res, load)) {
       res.certified = true;
       res.load = load;
       ++stats_.certificates;
@@ -683,24 +685,32 @@ void MaxMin::solve() {
   if (!dirty()) return;
   ++stats_.solves;
 
-  // Hub groups whose membership changed: one division each — the fill's
-  // own cap / wsum, wsum summing unit weights exactly — unless another
-  // resource now binds with the hub, which sends the group back to the fill.
-  bool hub_answered = false;
+  // Hub groups whose membership changed: one where another resource now
+  // binds with the hub goes back to the fill.
   for (const GroupId g : pending_hubs_) {
-    Hub& hub = hubs_[static_cast<std::size_t>(g)];
+    const Hub& hub = hubs_[static_cast<std::size_t>(g)];
     if (!hub.pending) continue;  // dissolved since it was queued
-    hub.pending = false;
     const Res& h = resources_[static_cast<std::size_t>(hub.res)];
     const double rate = h.capacity / static_cast<double>(h.vars.size());
     if (!hub.shares.empty() &&
-        hub.shares.front_key().first <= rate * (1.0 + 1e-9)) {
+        hub.shares.front_key().first <= rate * (1.0 + 1e-9))
       hub_exit(g);
-      continue;
-    }
+  }
+  if (!modified_resources_.empty()) fill_modified();
+
+  // The others, unless the fill closed a certified resource their members
+  // cross: one division each, the fill's own cap / wsum, wsum summing unit
+  // weights exactly. A group the fill dissolved kept its published rate.
+  bool hub_answered = false;
+  for (const GroupId g : pending_hubs_) {
+    Hub& hub = hubs_[static_cast<std::size_t>(g)];
+    if (!hub.pending) continue;
+    hub.pending = false;
     hub_answered = true;
+    const Res& h = resources_[static_cast<std::size_t>(hub.res)];
     stats_.max_component_vars =
         std::max(stats_.max_component_vars, h.vars.size());
+    const double rate = h.capacity / static_cast<double>(h.vars.size());
     if (rate != hub.rate) {
       hub.rate = rate;
       changed_groups_.push_back(g);
@@ -710,8 +720,9 @@ void MaxMin::solve() {
   exited_groups_.swap(pending_exits_);
   stats_.group_changes += changed_groups_.size();
   if (hub_answered) ++stats_.hub_solves;
-  if (modified_resources_.empty()) return;
+}
 
+void MaxMin::fill_modified() {
   component_res_.clear();
   component_vars_.clear();
   components_.clear();
@@ -727,11 +738,9 @@ void MaxMin::solve() {
       expand_components();
       for (std::size_t c = first; c < components_.size(); ++c) {
         fill_component(c);
-        if (components_[c].var_end - components_[c].var_begin >=
-            kHubMinVars) {
-          ++stats_.large_fills;
-          if (!full_solve_) hub_try_enter(c);
-        }
+        const std::size_t n = components_[c].var_end - components_[c].var_begin;
+        stats_.max_component_vars = std::max(stats_.max_component_vars, n);
+        if (n >= kHubMinVars) ++stats_.large_fills;
       }
       if (modified_resources_.empty()) break;
       end_revocations();
@@ -743,10 +752,19 @@ void MaxMin::solve() {
     throw;
   }
 
+  // Hub groups form after the last pass, which leaves every load final. A
+  // component a later pass filled again is stale.
+  if (!full_solve_) {
+    for (std::size_t c = 0; c < components_.size(); ++c) {
+      const Component& comp = components_[c];
+      if (comp.var_end - comp.var_begin >= kHubMinVars &&
+          vars_[static_cast<std::size_t>(component_vars_[comp.var_begin])]
+                  .slot == static_cast<std::int32_t>(comp.var_begin))
+        hub_try_enter(c);
+    }
+  }
   stats_.vars_touched += component_vars_.size();
   stats_.last_component_vars = component_vars_.size();
-  stats_.max_component_vars =
-      std::max(stats_.max_component_vars, component_vars_.size());
   finish_solve(refilled);
 }
 

@@ -31,44 +31,30 @@
 // fill compares against the rate add_variable gave it. Full-solve mode and
 // weights at most the fill's 1e-12 epsilon never take the lone path.
 //
-// Slack resources. A variable's *ceiling* is the smallest capacity it
+// Certified resources. A variable's *ceiling* is the smallest capacity it
 // crosses (infinite when its weight is at most the fill's epsilon, which
-// takes no resource share): no fill rates it above that. A resource
-// whose members' ceilings sum below capacity · (1 − kSlackMargin) is
-// *slack*: in any round of progressive filling with best share s, each
-// unsaturated member offers s · w at most its ceiling and each saturated
-// one holds at most its ceiling, so the resource's remaining capacity
-// stays above s times its weight sum by far more than the 1e-9 binding
-// tolerance. It never binds and couples nobody: the component BFS does not
-// cross it, the fill leaves it out, the lone test ignores it, and a member
-// leaving it marks nothing. A mutation that flips a resource between slack
-// and coupling marks it; solve() seeds each member's own component from a
-// marked slack resource. In exact arithmetic the allocation is unchanged;
-// the pruned fill differs from the joint one only when two sub-components
-// bind at shares within the 1e-9 tolerance without being equal (the joint
-// fill binds both at the lower). Full-solve mode has no slack resources.
-//
-// Certified resources. A resource the last fill left below capacity ·
-// (1 − kSlackMargin) is nobody's bottleneck either, as long as its load
-// stays there. After a solve, a filled non-slack resource is *certified*
-// when its load (the members' rates) is under that mark, every member has
-// weight 1, none is in a hub group, and it is no member's narrowest
-// resource (every member's ceiling lies below its capacity; a NIC never
-// qualifies, a cluster backbone over narrower NICs may). While certified
-// it is looked through like a slack resource, and it keeps its load: every
-// rate the lone path or a fill gives a member moves it, and a member
-// leaving subtracts its rate and marks nothing. A load that reaches the
-// mark revokes the certificate and marks the resource; solve() then fills
-// again from the revoked resources, and repeats until none is revoked. A
-// variable filled in two passes is reported once, against its rate before
-// the solve. A certificate also ends on an add whose weight is not 1 or
-// whose narrowest resource it is, on set_capacity of the resource or of
-// one its members cross, on a hub group that would form across it, and
-// when the resource empties or turns slack. In exact arithmetic the
-// allocation is unchanged (a max-min allocation is unique, and a resource
-// below capacity binds nobody); with unit weights the pruned fill differs
-// from the joint one only as a slack resource's does. Full-solve mode
-// certifies nothing.
+// takes no resource share): no fill rates it above that. A resource is
+// *certified* while no member blocks it (a weight other than 1, or this is
+// its narrowest resource) and its load stays below capacity ·
+// (1 − kCertifiedMargin). The load charges each member its rate once a
+// fill or the lone path has rated it, and its ceiling until then and while
+// a hub group holds it; an empty resource is certified at load 0. No
+// member takes more than it is charged but through a fill, which moves the
+// load, so a certified resource binds and couples nobody: the component
+// BFS, the fill and the lone test look through it, and a member leaving it
+// subtracts its charge and marks nothing. An add that blocks it or carries
+// its load to the mark closes it (marked, when it had members), and so
+// does a fill: solve() then fills again from the closed resources until a
+// pass closes none, and reports a variable filled twice once, against its
+// rate before the solve. After the last pass, a filled resource that no
+// member blocks, no hub group holds and the fill left below the mark is
+// certified. set_capacity closes every certified resource its members
+// cross, but one it widens. In exact arithmetic the allocation is
+// unchanged (a max-min allocation is unique, and a resource below capacity
+// binds nobody); with unit weights the pruned fill differs from the joint
+// one only when two sub-components bind at shares within the 1e-9
+// tolerance without being equal (the joint fill binds both at the lower).
+// Full-solve mode certifies nothing.
 //
 // Components are kept separate all the way through progressive filling:
 // expand_components() records one [res, var) slice per connected component
@@ -98,10 +84,10 @@
 // component, on a variable that skips the hub, bridges into another
 // component or carries a non-unit weight, and on a removal that lets
 // another resource reach the hub share. Full-solve mode never forms
-// groups. Members may cross slack resources, which stay outside the group;
-// one that stops being slack dissolves its members' groups before it is
-// marked. They cross no certified resource: a component whose members
-// cross one revokes it instead of forming a group.
+// groups. Members may cross certified resources: one stays outside the
+// group while its load, each member charged its ceiling, stays below the
+// mark, and one that load would fill joins the group when only members
+// cross it. Closing one dissolves its members' groups.
 //
 // Optimality conditions (checked by the property tests):
 //   1. No resource exceeds its capacity.
@@ -110,6 +96,7 @@
 //      without another's shrinking.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -130,18 +117,17 @@ class MaxMin {
 
   /// Smallest filled component considered for a hub group. Measured on LU
   /// class B replays (bordereau cluster, best-of-3 CPU time over four
-  /// interleaved rounds, before slack and certified resources): 32 and 64
+  /// interleaved rounds, before resources were certified): 32 and 64
   /// are indistinguishable at 64 and at 256 ranks, 128 is ~10% slower at
   /// 256 ranks. 64 keeps B/64 — whose coupled components never reach 64
   /// variables — entirely on the fill path, bit for bit, while B/256
   /// couples ~280 flows on its saturated backbone.
   static constexpr std::size_t kHubMinVars = 64;
 
-  /// A resource whose members' ceilings sum below capacity times
-  /// (1 − kSlackMargin) is slack, and a filled one whose members' rates do
-  /// may be certified (see the header comment). Large against the rounding
-  /// of the running sums and the fill's 1e-9 tolerance.
-  static constexpr double kSlackMargin = 1e-6;
+  /// A resource stays certified while its load is below capacity times
+  /// (1 − kCertifiedMargin) (see the header comment). Large against the
+  /// rounding of the running loads and the fill's 1e-9 tolerance.
+  static constexpr double kCertifiedMargin = 1e-6;
 
   /// Cumulative solver-work counters (observable via EngineStats).
   struct SolveStats {
@@ -160,10 +146,12 @@ class MaxMin {
     /// Lone variables rated by add_variable, no solve involved.
     std::uint64_t lone_rates = 0;
     std::uint64_t certificates = 0;  ///< resources certified by a solve
-    std::uint64_t revocations = 0;   ///< certificates revoked (and marked)
+    /// Certificates closed on resources with members (each marked).
+    std::uint64_t revocations = 0;
     std::uint64_t refills = 0;  ///< solve passes after the first (refills)
     std::size_t last_component_vars = 0;  ///< vars the last solve filled
-    /// Largest coupled component so far: filled, or re-rated as a group.
+    /// Largest coupled component so far: one filled component slice, or a
+    /// group re-rated as one.
     std::size_t max_component_vars = 0;
   };
 
@@ -187,7 +175,7 @@ class MaxMin {
   VarId add_variable(double weight, const std::vector<ResourceId>& resources);
 
   /// Deactivates a variable (O(degree) swap-removes). Its id is recycled.
-  /// Marks only the resources left with members that were not slack:
+  /// Marks only the resources left with members that were not certified:
   /// removing a lone variable leaves dirty() as it was.
   void remove_variable(VarId v);
 
@@ -254,18 +242,14 @@ class MaxMin {
   double resource_load(ResourceId r) const;
 
   /// When on, every solve() re-solves the whole system (differential
-  /// testing of the incremental path), no resource is slack or certified
-  /// and no hub group forms. Changed-variable reporting still works. Set
-  /// it before adding variables.
-  void set_full_solve(bool on) { full_solve_ = on; }
+  /// testing of the incremental path), no resource is certified and no hub
+  /// group forms. Changed-variable reporting still works. Throws when the
+  /// mode changes after a resource was added (those are certified already).
+  void set_full_solve(bool on);
   bool full_solve() const { return full_solve_; }
 
-  /// True when `r` is slack: it cannot bind, so it couples no variables.
-  bool slack(ResourceId r) const {
-    return resources_[static_cast<std::size_t>(r)].slack;
-  }
-  /// True when `r` is certified: the last fill left it below capacity, so
-  /// it couples no variables while its load stays there.
+  /// True when `r` is certified: its load is below the mark, so it couples
+  /// no variables while the load stays there.
   bool certified(ResourceId r) const {
     return resources_[static_cast<std::size_t>(r)].certified;
   }
@@ -275,13 +259,11 @@ class MaxMin {
  private:
   struct Res {
     double capacity = 0.0;
-    double ceiling_sum = 0.0;  // members' ceilings; 0 when empty
-    double load = 0.0;         // members' rates, kept while certified
+    double load = 0.0;  // members' charges, kept while certified
     std::vector<VarId> vars;  // active members (positions mirrored in Var)
     // Members that forbid a certificate: weight not 1, or this is their
     // narrowest resource (ceiling at its capacity).
     std::uint32_t blockers = 0;
-    bool slack = false;       // see slack(); kept by refresh_slack
     bool certified = false;   // see certified()
     bool modified = false;    // queued in modified_resources_
     GroupId hub = -1;         // hub group whose component holds it
@@ -322,13 +304,22 @@ class MaxMin {
   void mark_resource_modified(ResourceId r);
   /// `v`'s ceiling under the current capacities.
   double ceiling_of(const Var& v) const;
-  /// Recomputes `res.slack` from its ceiling sum; true when it flipped. A
-  /// resource that turns slack drops its certificate.
-  bool refresh_slack(Res& res);
   /// True when member `v` forbids `res` a certificate.
   static bool blocks(const Var& v, const Res& res) {
     return v.weight != 1.0 || v.ceiling >= res.capacity;
   }
+  /// What member `v` adds to a certified resource's load: its rate once
+  /// rated (never above its ceiling), its ceiling until then and while it
+  /// is in a hub group (a capacity-0 resource gives both 0).
+  static double charge(double rate, const Var& v) {
+    return v.group < 0 && rate > 0.0 ? std::min(rate, v.ceiling) : v.ceiling;
+  }
+  /// True when `load` leaves `res` no certificate.
+  static bool at_mark(const Res& res, double load) {
+    return load >= res.capacity * (1.0 - kCertifiedMargin);
+  }
+  /// Drops `res`'s certificate and dissolves its members' hub groups.
+  void uncertify(Res& res);
   /// Ends `r`'s certificate outside a fill and marks `r`.
   void revoke(ResourceId r);
   /// Inside a fill: marks certified `r` for the next pass, once. The fills
@@ -343,23 +334,22 @@ class MaxMin {
   /// component variable crosses (the failed fill moved their loads), and
   /// marks every component resource for the next solve.
   void abandon_solve();
-  /// A slack resource turned coupling: dissolves its members' hub groups.
-  void dissolve_member_groups(const Res& res);
   /// add_variable's lone test: every resource `v` uses carries it alone or
-  /// is slack, its weight exceeds the fill's epsilon, and full-solve mode
-  /// is off.
+  /// is certified, its weight exceeds the fill's epsilon, and full-solve
+  /// mode is off.
   bool lone(const Var& v) const;
   /// add_variable's hub check: joins `v` to the group whose hub it crosses
   /// when the component keeps its shape, and dissolves every group it
   /// touches otherwise. Returns true when `v` joined.
   bool hub_admit(VarId v);
   /// Dissolves group `g` back into an ordinary component: members get the
-  /// group's published rate (the fill's `prev`), and the hub resource is
-  /// marked modified so the next solve re-fills the component.
+  /// group's published rate (the fill's `prev`), charged on the certified
+  /// resources they cross, and the hub resource is marked modified so the
+  /// next pass re-fills the component.
   void hub_exit(GroupId g);
-  /// After fill_component(c): forms a hub group when component `c` has the
-  /// hub shape (see the header comment) and crosses no certified resource;
-  /// one it crosses is revoked instead.
+  /// After the last pass: forms a hub group when component `c` has the hub
+  /// shape (see the header comment), taking in or charging the certified
+  /// resources its members cross.
   void hub_try_enter(std::size_t c);
   /// Re-keys (or adds / drops) resource `r` in its group's share heap after
   /// its member count changed.
@@ -383,6 +373,9 @@ class MaxMin {
   /// (= global component position) and resource weight sums accumulate
   /// edge by edge in discovery order.
   void expand_components();
+  /// solve()'s fill: passes until none revokes, then hub entries and
+  /// certificates.
+  void fill_modified();
   /// Progressive filling of one component, operating on that component's
   /// [res_begin, res_end) / [var_begin, var_end) slices of the fill_*
   /// arrays. Changed vars are appended to changed_.

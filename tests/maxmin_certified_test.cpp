@@ -1,9 +1,12 @@
-// Certified resources (simkern/maxmin.hpp): a filled resource left below
-// capacity by kSlackMargin couples nobody while its load stays there. Each
-// transition — the grant, every revocation path, emptying, a refill pass
-// inside one solve — is checked against a full-solve twin (which certifies
-// nothing) and a fresh rebuild: rates within the fill's tolerance, and a
-// rate reported once, iff it moved.
+// Certified resources (simkern/maxmin.hpp): a resource that no member
+// blocks couples nobody while its load (each member's rate once rated, its
+// ceiling until then and while grouped) stays below capacity by
+// kCertifiedMargin. Each transition (an empty resource, the ceiling
+// charged at an add, every revocation path, the grant after a fill, a
+// refill pass inside one solve, hub groups forming across a certified
+// resource or dissolving when it closes) is checked against a full-solve
+// twin (which certifies nothing) and a fresh rebuild: rates within the
+// fill's tolerance, and a rate reported once, iff it moved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +18,7 @@
 #include "support/rng.hpp"
 
 using namespace tir;
+using tir::sim::GroupId;
 using tir::sim::MaxMin;
 using tir::sim::ResourceId;
 using tir::sim::VarId;
@@ -23,8 +27,9 @@ using tir::test::HubHarness;
 namespace {
 
 /// A backbone over NICs of capacity 1, two flows per NIC: twelve flows
-/// hold ceilings of 12 against the backbone (not slack), but their NICs
-/// bind them at 0.5, so the fill leaves the backbone at a load of 6.
+/// charge ceilings of 12 against the backbone, which closes it at the tenth
+/// add on a backbone of 10, but their NICs bind them at 0.5, so the fill
+/// leaves it at a load of 6.
 struct Paired {
   ResourceId bb;
   std::vector<ResourceId> nics;
@@ -44,18 +49,24 @@ Paired build_paired(HubHarness& t, double backbone = 10.0) {
 
 TEST(MaxMinCertified, AnUnsaturatedBackboneIsCertifiedAndNicsAreNot) {
   HubHarness t;
-  const Paired p = build_paired(t);
   MaxMin& m = t.solver();
-  EXPECT_FALSE(m.slack(p.bb));
+  // An empty resource is certified at load 0; the full-solve twin
+  // certifies nothing.
+  const ResourceId spare = t.add_resource(5.0);
+  EXPECT_TRUE(m.certified(spare));
+  EXPECT_FALSE(t.full().certified(spare));
+  // The tenth ceiling of 1 closed the backbone (it had members: a
+  // revocation); the fill leaves it at 6 and certifies it again.
+  const Paired p = build_paired(t);
   EXPECT_FALSE(m.certified(p.bb));
+  EXPECT_EQ(m.solve_stats().revocations, 1u);
   t.solve_and_check();
   EXPECT_TRUE(m.certified(p.bb));
   EXPECT_DOUBLE_EQ(m.resource_load(p.bb), 6.0);
   for (const ResourceId nic : p.nics) EXPECT_FALSE(m.certified(nic));
   EXPECT_EQ(m.solve_stats().certificates, 1u);
-  EXPECT_EQ(m.solve_stats().revocations, 0u);
+  EXPECT_EQ(m.solve_stats().revocations, 1u);
   EXPECT_EQ(m.solve_stats().refills, 0u);
-  // The full-solve twin certifies nothing.
   EXPECT_FALSE(t.full().certified(p.bb));
   EXPECT_EQ(t.full().solve_stats().certificates, 0u);
 }
@@ -84,6 +95,7 @@ TEST(MaxMinCertified, ACertifiedBackboneIsLookedThrough) {
   MaxMin& m = t.solver();
   t.solve_and_check();
   ASSERT_TRUE(m.certified(p.bb));
+  const auto revoked = m.solve_stats().revocations;
 
   // A flow on a fresh NIC is lone: rated on the spot, and its rate loads
   // the backbone.
@@ -106,7 +118,7 @@ TEST(MaxMinCertified, ACertifiedBackboneIsLookedThrough) {
   // Leaving the lone flow marks nothing at all.
   t.remove(v);
   EXPECT_FALSE(m.dirty());
-  EXPECT_EQ(m.solve_stats().revocations, 0u);
+  EXPECT_EQ(m.solve_stats().revocations, revoked);
 }
 
 TEST(MaxMinCertified, ALoneRateThatReachesTheMarkRevokes) {
@@ -114,16 +126,22 @@ TEST(MaxMinCertified, ALoneRateThatReachesTheMarkRevokes) {
   const Paired p = build_paired(t);
   MaxMin& m = t.solver();
   t.solve_and_check();
-  // Three lone flows of 1 take the load to 9; a fourth of 1.5 would carry
-  // it past 10, so its add revokes the certificate and the solve fills the
-  // backbone jointly: it binds the four at 1.
+  // Three lone flows of 1 take the load to 9. A fourth is charged its
+  // ceiling of 1.5 before anything rates it: that carries the load past
+  // 10, so its add revokes the certificate, it is no longer alone on a
+  // coupling link, and the solve fills the backbone jointly: it binds the
+  // four at 1.
   for (int i = 0; i < 3; ++i) t.add({p.bb, t.add_resource(1.0)});
   EXPECT_FALSE(m.dirty());
+  EXPECT_TRUE(m.certified(p.bb));
+  const auto revoked = m.solve_stats().revocations;
+  const auto lone = m.solve_stats().lone_rates;
   const VarId wide = t.add({p.bb, t.add_resource(1.5)});
-  EXPECT_EQ(m.rate(wide), 1.5);  // the lone rate, until the solve
+  EXPECT_EQ(m.rate(wide), 0.0);  // unrated until the solve
+  EXPECT_EQ(m.solve_stats().lone_rates, lone);
   EXPECT_FALSE(m.certified(p.bb));
   EXPECT_TRUE(m.dirty());
-  EXPECT_EQ(m.solve_stats().revocations, 1u);
+  EXPECT_EQ(m.solve_stats().revocations, revoked + 1);
   EXPECT_EQ(t.solve_and_check(), (std::vector<VarId>{wide}));
   EXPECT_EQ(m.rate(wide), 1.0);
   EXPECT_FALSE(m.certified(p.bb));  // saturated now
@@ -131,78 +149,88 @@ TEST(MaxMinCertified, ALoneRateThatReachesTheMarkRevokes) {
 }
 
 TEST(MaxMinCertified, AFillThatReachesTheMarkRefillsInTheSameSolve) {
-  // A backbone of 6.2 over the paired flows' load of 6. A new flow D also
-  // crosses a side link S of 1.2 that a lone flow E holds; the first pass
-  // fills {S, D, E} (0.6 each), which carries the backbone past its mark.
-  // The second pass fills across it: it binds its 13 flows at 6.2 / 13, and
-  // E takes the rest of S. D and E are each filled twice and reported once.
+  // A backbone of 6.8 over the paired flows' 6, and F, which shares a NIC
+  // N of 1 with G, at 0.5: a load of 6.5, certified. G leaves, and the
+  // first pass fills {N, F}: F's 1 carries the backbone past its mark. The
+  // second pass fills across it: its NICs bind the pairs at 0.5, and F
+  // takes the backbone's remaining 0.8. F is filled twice and reported
+  // once.
   HubHarness t;
-  const Paired p = build_paired(t, 6.2);
+  const Paired p = build_paired(t, 6.8);
   MaxMin& m = t.solver();
-  const ResourceId side = t.add_resource(1.2);
-  const VarId e = t.add({side});
+  const ResourceId n = t.add_resource(1.0);
+  const VarId f = t.add({p.bb, n});
+  const VarId g = t.add({n});
   t.solve_and_check();
   ASSERT_TRUE(m.certified(p.bb));
-  EXPECT_EQ(m.rate(e), 1.2);
+  EXPECT_EQ(m.rate(f), 0.5);
 
-  const VarId d = t.add({p.bb, t.add_resource(1.0), side});
+  const auto revoked = m.solve_stats().revocations;
   const auto touched = m.solve_stats().vars_touched;
-  const auto changed = t.solve_and_check();
+  t.remove(g);
+  EXPECT_TRUE(m.certified(p.bb));
+  EXPECT_EQ(t.solve_and_check(), (std::vector<VarId>{f}));
   EXPECT_EQ(m.solve_stats().refills, 1u);
-  EXPECT_EQ(m.solve_stats().revocations, 1u);
+  EXPECT_EQ(m.solve_stats().revocations, revoked + 1);
   EXPECT_FALSE(m.certified(p.bb));
-  EXPECT_EQ(changed.size(), 14u);  // the 12 paired flows, D and E
-  EXPECT_EQ(m.rate(d), 6.2 / 13.0);
-  EXPECT_EQ(m.rate(p.flows[0]), 6.2 / 13.0);
-  EXPECT_NEAR(m.rate(e), 1.2 - 6.2 / 13.0, 1e-15);
-  // Both passes count: 2 then 14 variables (S's component again, with the
-  // backbone's twelve).
-  EXPECT_EQ(m.solve_stats().vars_touched - touched, 16u);
-  EXPECT_EQ(m.solve_stats().last_component_vars, 16u);
+  EXPECT_DOUBLE_EQ(m.rate(f), 0.8);
+  EXPECT_EQ(m.rate(p.flows[0]), 0.5);
+  // Both passes count: 1 then 13 variables (F again, with the backbone's
+  // twelve).
+  EXPECT_EQ(m.solve_stats().vars_touched - touched, 14u);
+  EXPECT_EQ(m.solve_stats().last_component_vars, 14u);
 
-  // D leaves: the backbone is under its mark again and is re-certified.
-  t.remove(d);
+  // G comes back: the backbone is under its mark again and is certified.
+  t.add({n});
   t.solve_and_check();
   EXPECT_TRUE(m.certified(p.bb));
-  EXPECT_EQ(m.rate(e), 1.2);
-  EXPECT_EQ(m.rate(p.flows[0]), 0.5);
+  EXPECT_EQ(m.rate(f), 0.5);
 }
 
 TEST(MaxMinCertified, ARateTheRefillMovesBackIsNotReported) {
-  // Twelve flows at 0.25 (paired NICs of 0.5) on a backbone of 3.3. F is
-  // lone at 0.6, the capacity of its private link P, beside a NIC N of 1.
-  // D joins N through the backbone: the first pass halves N (F and D at
-  // 0.5), and G on the side link S takes another 0.45, which carries the
-  // backbone past its mark. The refill binds the backbone's 14 flows at
-  // 3.3 / 14, which leaves F its 0.6 again: filled twice, not reported.
+  // Twelve flows at 0.25 (paired NICs of 0.5) on a backbone of 4.5, and
+  // three risers, each sharing a NIC of 1 with 19 flows off the backbone
+  // (0.05 each): a load of 3.15, certified. F is lone at 0.6, the capacity
+  // of its private link P, beside a NIC N of 1. In one epoch D joins N
+  // through the backbone (charged its ceiling of 1: 4.15, still under the
+  // mark) and the risers' partners leave. The first pass halves N (F and D
+  // at 0.5), and the risers' 1 each carries the backbone past its mark.
+  // The refill binds the backbone's D and risers at 1.5 / 4 = 0.375, which
+  // leaves F its 0.6 again: filled twice, not reported.
   HubHarness t;
-  const ResourceId bb = t.add_resource(3.3);
-  std::vector<VarId> paired;
+  const ResourceId bb = t.add_resource(4.5);
   for (int i = 0; i < 6; ++i) {
     const ResourceId nic = t.add_resource(0.5);
-    paired.push_back(t.add({bb, nic}));
-    paired.push_back(t.add({bb, nic}));
+    t.add({bb, nic});
+    t.add({bb, nic});
+  }
+  std::vector<VarId> risers, partners;
+  for (int i = 0; i < 3; ++i) {
+    const ResourceId nic = t.add_resource(1.0);
+    risers.push_back(t.add({bb, nic}));
+    for (int k = 0; k < 19; ++k) partners.push_back(t.add({nic}));
   }
   const ResourceId n = t.add_resource(1.0);
   const VarId f = t.add({n, t.add_resource(0.6)});
-  const ResourceId side = t.add_resource(0.9);
-  const VarId e = t.add({side});
   MaxMin& m = t.solver();
   t.solve_and_check();
   ASSERT_TRUE(m.certified(bb));
   EXPECT_EQ(m.rate(f), 0.6);
 
   const VarId d = t.add({bb, n});
-  const VarId g = t.add({bb, t.add_resource(1.0), side});
+  EXPECT_TRUE(m.certified(bb));
+  for (const VarId v : partners) t.remove(v);
   const auto changed = t.solve_and_check();
   EXPECT_EQ(m.solve_stats().refills, 1u);
   EXPECT_EQ(m.rate(f), 0.6);
   EXPECT_EQ(std::count(changed.begin(), changed.end(), f), 0);
   EXPECT_EQ(std::count(changed.begin(), changed.end(), d), 1);
-  EXPECT_EQ(std::count(changed.begin(), changed.end(), g), 1);
-  EXPECT_EQ(std::count(changed.begin(), changed.end(), e), 1);
-  EXPECT_EQ(changed.size(), 15u);  // 12 paired, D, G, E
-  EXPECT_EQ(m.rate(d), 3.3 / 14.0);
+  for (const VarId v : risers) {
+    EXPECT_EQ(std::count(changed.begin(), changed.end(), v), 1);
+    EXPECT_EQ(m.rate(v), 0.375);
+  }
+  EXPECT_EQ(changed.size(), 4u);  // D and the risers
+  EXPECT_EQ(m.rate(d), 0.375);
 }
 
 TEST(MaxMinCertified, AddsThatBreakTheCriterionRevoke) {
@@ -216,6 +244,7 @@ TEST(MaxMinCertified, AddsThatBreakTheCriterionRevoke) {
     MaxMin& m = t.solver();
     t.solve_and_check();
     ASSERT_TRUE(m.certified(p.bb));
+    const auto revoked = m.solve_stats().revocations;
     switch (kind) {
       case 0: t.add({p.bb, t.add_resource(1.0)}, 2.0); break;
       case 1: t.add({p.bb}); break;
@@ -223,7 +252,7 @@ TEST(MaxMinCertified, AddsThatBreakTheCriterionRevoke) {
     }
     EXPECT_FALSE(m.certified(p.bb));
     EXPECT_TRUE(m.dirty());
-    EXPECT_EQ(m.solve_stats().revocations, 1u);
+    EXPECT_EQ(m.solve_stats().revocations, revoked + 1);
     t.solve_and_check();
     // The new member still forbids a certificate.
     EXPECT_FALSE(m.certified(p.bb));
@@ -231,7 +260,7 @@ TEST(MaxMinCertified, AddsThatBreakTheCriterionRevoke) {
 }
 
 TEST(MaxMinCertified, SetCapacityRevokes) {
-  // On the backbone itself, and on a NIC its members cross.
+  // Narrowing the backbone itself, and a change on a NIC its members cross.
   for (const bool own : {true, false}) {
     SCOPED_TRACE(own);
     HubHarness t;
@@ -239,16 +268,31 @@ TEST(MaxMinCertified, SetCapacityRevokes) {
     MaxMin& m = t.solver();
     t.solve_and_check();
     ASSERT_TRUE(m.certified(p.bb));
+    const auto revoked = m.solve_stats().revocations;
     if (own) {
-      t.set_capacity(p.bb, 11.0);  // ceilings of 12: still coupling
+      t.set_capacity(p.bb, 9.0);
     } else {
       t.set_capacity(p.nics[2], 0.8);
     }
     EXPECT_FALSE(m.certified(p.bb));
     EXPECT_TRUE(m.dirty());
-    EXPECT_EQ(m.solve_stats().revocations, 1u);
+    EXPECT_EQ(m.solve_stats().revocations, revoked + 1);
     t.solve_and_check();
     EXPECT_TRUE(m.certified(p.bb));  // the refill grants it again
+  }
+  // Widening it moves no member's ceiling and leaves its load below the
+  // mark: it keeps the certificate and marks nothing.
+  {
+    HubHarness t;
+    const Paired p = build_paired(t);
+    MaxMin& m = t.solver();
+    t.solve_and_check();
+    const auto revoked = m.solve_stats().revocations;
+    t.set_capacity(p.bb, 11.0);
+    EXPECT_TRUE(m.certified(p.bb));
+    EXPECT_FALSE(m.dirty());
+    EXPECT_EQ(m.solve_stats().revocations, revoked);
+    t.solve_and_check();
   }
   // A capacity change on a link no member crosses leaves it alone.
   HubHarness t;
@@ -256,77 +300,341 @@ TEST(MaxMinCertified, SetCapacityRevokes) {
   const ResourceId other = t.add_resource(5.0);
   t.add({other});
   t.solve_and_check();
+  const auto revoked = t.solver().solve_stats().revocations;
   t.set_capacity(other, 4.0);
   EXPECT_TRUE(t.solver().certified(p.bb));
   t.solve_and_check();
-  EXPECT_EQ(t.solver().solve_stats().revocations, 0u);
+  EXPECT_EQ(t.solver().solve_stats().revocations, revoked);
 }
 
-TEST(MaxMinCertified, EmptyingOrTurningSlackDropsTheCertificate) {
+TEST(MaxMinCertified, AnEmptiedLinkIsCertifiedAtLoadZero) {
   HubHarness t;
   const Paired p = build_paired(t);
   MaxMin& m = t.solver();
   t.solve_and_check();
   ASSERT_TRUE(m.certified(p.bb));
-  // Nine flows hold ceilings of 9 against 10: slack, no load to keep.
-  for (std::size_t i = 0; i < 3; ++i) t.remove(p.flows[i]);
-  EXPECT_TRUE(m.slack(p.bb));
-  EXPECT_FALSE(m.certified(p.bb));
-  t.solve_and_check();
-  // Back to coupling at the tenth, and certified by the fill it takes.
-  t.add({p.bb, p.nics[0]});
-  EXPECT_FALSE(m.slack(p.bb));
-  t.solve_and_check();
+  const auto revoked = m.solve_stats().revocations;
+  // One flow of each pair leaves: the backbone keeps its certificate and
+  // sheds their load, and the solve covers their partners, each alone on
+  // its NIC at 1 now.
+  for (std::size_t i = 0; i < p.flows.size(); i += 2) t.remove(p.flows[i]);
   EXPECT_TRUE(m.certified(p.bb));
-  // Emptied: no certificate, and nothing to solve.
-  for (std::size_t i = 3; i < p.flows.size(); ++i) t.remove(p.flows[i]);
-  t.remove(t.nth_live(0));
-  EXPECT_FALSE(m.certified(p.bb));
+  EXPECT_EQ(t.solve_and_check().size(), 6u);
+  EXPECT_TRUE(m.certified(p.bb));
+  // The partners leave: every link empties, is certified at load 0, and
+  // nothing is left to solve.
+  for (std::size_t i = 1; i < p.flows.size(); i += 2) t.remove(p.flows[i]);
+  EXPECT_FALSE(m.dirty());
+  EXPECT_TRUE(m.certified(p.bb));
+  for (const ResourceId nic : p.nics) EXPECT_TRUE(m.certified(nic));
+  EXPECT_FALSE(t.full().certified(p.bb));
   t.solve_and_check();
-  EXPECT_EQ(m.solve_stats().revocations, 0u);
+  EXPECT_EQ(m.solve_stats().revocations, revoked);
   EXPECT_EQ(m.active_variable_count(), 0u);
+  // Its load starts again from 0: nine lone flows of ceiling 1 keep it
+  // certified, and the tenth closes it.
+  for (int i = 0; i < 9; ++i) t.add({p.bb, t.add_resource(1.0)});
+  EXPECT_TRUE(m.certified(p.bb));
+  EXPECT_FALSE(m.dirty());
+  t.add({p.bb, t.add_resource(1.0)});
+  EXPECT_FALSE(m.certified(p.bb));
+  EXPECT_EQ(m.solve_stats().revocations, revoked + 1);
+  t.solve_and_check();
 }
 
-TEST(MaxMinCertified, AHubGroupDoesNotFormAcrossACertifiedLink) {
-  // Twenty flows in pairs on private links of 200 leave a wide link of
-  // 3000 at a load of 2000: certified. Then 80 flows join a backbone of
-  // 1000 over roomy NICs, one of them also crossing the wide link. Their
-  // fill has the hub shape, but a group would hide that member's rate from
-  // the wide link: it is revoked, and the refill fills both together.
-  HubHarness t;
-  const ResourceId wide = t.add_resource(3000.0);
-  for (int i = 0; i < 10; ++i) {
-    const ResourceId priv = t.add_resource(200.0);
-    t.add({wide, priv});
-    t.add({wide, priv});
-  }
-  MaxMin& m = t.solver();
-  t.solve_and_check();
-  ASSERT_TRUE(m.certified(wide));
+namespace {
 
-  const ResourceId bb = t.add_resource(1000.0);
+/// Twenty flows in pairs on private links of 270, and 80 flows on a
+/// backbone of 1000 over NICs of 400, the first of them also crossing a
+/// wide link of 3000 that the twenty cross. Charged its ceiling of 400,
+/// that first flow closes the wide link at its add, and the first solve
+/// fills both sides jointly: no group (the twenty skip the backbone), and
+/// the wide link is certified at 2700 + 12.5.
+struct Bridged {
+  ResourceId wide, bb;
   std::vector<ResourceId> nics;
-  for (int i = 0; i < 40; ++i) nics.push_back(t.add_resource(400.0));
   std::vector<VarId> hub;
-  for (int i = 0; i < 80; ++i) {
-    std::vector<ResourceId> use{bb, nics[static_cast<std::size_t>(i % 40)],
-                                nics[static_cast<std::size_t>((i + 7) % 40)]};
-    if (i == 0) use.push_back(wide);
-    hub.push_back(t.add(use));
+};
+
+Bridged build_bridged(HubHarness& t) {
+  Bridged b;
+  b.wide = t.add_resource(3000.0);
+  for (int i = 0; i < 10; ++i) {
+    const ResourceId priv = t.add_resource(270.0);
+    t.add({b.wide, priv});
+    t.add({b.wide, priv});
   }
+  t.solve_and_check();
+  b.bb = t.add_resource(1000.0);
+  for (int i = 0; i < 40; ++i) b.nics.push_back(t.add_resource(400.0));
+  for (int i = 0; i < 80; ++i) {
+    std::vector<ResourceId> use{b.bb, b.nics[static_cast<std::size_t>(i % 40)],
+                                b.nics[static_cast<std::size_t>((i + 7) % 40)]};
+    if (i == 0) use.push_back(b.wide);
+    b.hub.push_back(t.add(use));
+  }
+  t.solve_and_check();
+  return b;
+}
+
+}  // namespace
+
+TEST(MaxMinCertified, AHubGroupDoesNotFormAcrossACertifiedLink) {
+  // A churn fills the 80 flows alone. The fill has the hub shape, but
+  // grouped, the first flow would be charged its ceiling of 400 on the
+  // wide link, past its mark, and the link has members outside the
+  // component: the component stays on the fill path, and the wide link
+  // keeps its certificate.
+  HubHarness t;
+  MaxMin& m = t.solver();
+  const Bridged b = build_bridged(t);
+  ASSERT_TRUE(m.certified(b.wide));
+  EXPECT_TRUE(m.entered_groups().empty());
+  const auto revoked = m.solve_stats().revocations;
+  t.remove(b.hub[1]);
+  t.add({b.bb, b.nics[1], b.nics[8]});
   t.solve_and_check();
   EXPECT_TRUE(m.entered_groups().empty());
-  EXPECT_EQ(m.group_of(hub[1]), -1);
-  EXPECT_EQ(m.solve_stats().revocations, 1u);
-  EXPECT_EQ(m.solve_stats().refills, 1u);
-  EXPECT_EQ(m.rate(hub[0]), 1000.0 / 80.0);
+  EXPECT_EQ(m.group_of(b.hub[2]), -1);
+  EXPECT_TRUE(m.certified(b.wide));
+  EXPECT_EQ(m.solve_stats().revocations, revoked);
+  EXPECT_EQ(m.solve_stats().refills, 0u);
+  EXPECT_EQ(m.solve_stats().last_component_vars, 80u);
+  EXPECT_EQ(m.rate(b.hub[0]), 1000.0 / 80.0);
 
   // Without the bridging member the next large fill forms the group.
-  t.remove(hub[0]);
+  t.remove(b.hub[0]);
   t.solve_and_check();
   ASSERT_EQ(m.entered_groups().size(), 1u);
-  EXPECT_GE(m.group_of(hub[1]), 0);
+  EXPECT_GE(m.group_of(b.hub[2]), 0);
   EXPECT_EQ(m.solve_stats().hub_entries, 1u);
+}
+
+TEST(MaxMinCertified, AHubShapedFillAcrossACertifiedLinkRevokesNothing) {
+  // Churn beside the bridging member: each solve fills the 80 flows once.
+  // It neither revokes the wide link nor fills its twenty flows again.
+  HubHarness t;
+  MaxMin& m = t.solver();
+  const Bridged b = build_bridged(t);
+  for (std::size_t k = 1; k <= 10; ++k) {
+    SCOPED_TRACE(k);
+    const auto revoked = m.solve_stats().revocations;
+    const auto refills = m.solve_stats().refills;
+    const auto touched = m.solve_stats().vars_touched;
+    t.remove(b.hub[k]);
+    t.add({b.bb, b.nics[k % 40], b.nics[(k + 7) % 40]});
+    t.solve_and_check();
+    EXPECT_EQ(m.solve_stats().revocations, revoked);
+    EXPECT_EQ(m.solve_stats().refills, refills);
+    EXPECT_LE(m.solve_stats().vars_touched - touched, 80u);
+    EXPECT_TRUE(m.certified(b.wide));
+    EXPECT_TRUE(m.entered_groups().empty());
+  }
+}
+
+namespace {
+
+/// Eighty flows on a backbone of 100, the narrowest link of each, so their
+/// group's rate is 1.25; each also crosses a private link of 500, certified
+/// outside the group at a load of one ceiling.
+struct Grouped {
+  ResourceId bb;
+  std::vector<VarId> flows;
+};
+
+Grouped add_grouped(HubHarness& t, std::size_t n = 80) {
+  Grouped gr;
+  gr.bb = t.add_resource(100.0);
+  for (std::size_t i = 0; i < n; ++i)
+    gr.flows.push_back(t.add({gr.bb, t.add_resource(500.0)}));
+  return gr;
+}
+
+}  // namespace
+
+TEST(MaxMinCertified, ALinkTheGroupsCeilingsWouldFillJoinsTheGroup) {
+  // Sixty flows over ten NICs of 500 (six per NIC), too few for a group:
+  // their fill binds them at 100 / 60 and certifies the NICs, nobody's
+  // narrowest link. Twenty more make the component hub-shaped. Grouped, a
+  // NIC's six members would be charged ceilings of 600 in all, past its
+  // mark; every member it has is in the component, so it joins the group
+  // instead, without a refill.
+  HubHarness t;
+  MaxMin& m = t.solver();
+  const ResourceId bb = t.add_resource(100.0);
+  std::vector<ResourceId> nics;
+  for (int i = 0; i < 10; ++i) nics.push_back(t.add_resource(500.0));
+  std::vector<VarId> flows;
+  for (std::size_t i = 0; i < 60; ++i)
+    flows.push_back(t.add({bb, nics[i % 10]}));
+  t.solve_and_check();
+  for (const ResourceId nic : nics) ASSERT_TRUE(m.certified(nic));
+  ASSERT_TRUE(m.entered_groups().empty());
+  std::vector<ResourceId> priv;
+  for (int i = 0; i < 20; ++i) {
+    priv.push_back(t.add_resource(500.0));
+    flows.push_back(t.add({bb, priv.back()}));
+  }
+  const auto revoked = m.solve_stats().revocations;
+  t.solve_and_check();
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+  const GroupId g = m.entered_groups()[0];
+  EXPECT_EQ(m.group_members(g).size(), 80u);
+  EXPECT_EQ(m.rate(flows[0]), 100.0 / 80.0);
+  for (const ResourceId nic : nics) EXPECT_FALSE(m.certified(nic));
+  for (const ResourceId r : priv) EXPECT_TRUE(m.certified(r));
+  EXPECT_EQ(m.solve_stats().revocations, revoked);
+  EXPECT_EQ(m.solve_stats().refills, 0u);
+
+  // A member leaves and another joins through a NIC: the group answers
+  // both without a fill.
+  const auto touched = m.solve_stats().vars_touched;
+  t.remove(flows[5]);
+  const VarId joined = t.add({bb, nics[5]});
+  EXPECT_EQ(m.group_of(joined), g);
+  t.solve_and_check();
+  EXPECT_EQ(m.solve_stats().vars_touched, touched);
+  EXPECT_EQ(m.group_of(flows[0]), g);
+}
+
+namespace {
+
+/// F and H cross a link X of 350, each beside a NIC of 100 it shares with
+/// one flow (G1, G2): at 50 each, a load of 100 on X, certified.
+struct Crossed {
+  ResourceId x;
+  VarId f, g1, h, g2;
+};
+
+Crossed build_crossed(HubHarness& t) {
+  Crossed c;
+  c.x = t.add_resource(350.0);
+  const ResourceId n1 = t.add_resource(100.0), n2 = t.add_resource(100.0);
+  c.f = t.add({c.x, n1});
+  c.g1 = t.add({n1});
+  c.h = t.add({c.x, n2});
+  c.g2 = t.add({n2});
+  t.solve_and_check();
+  return c;
+}
+
+}  // namespace
+
+TEST(MaxMinCertified, AFillThatClosesAGroupsLinkDissolvesItInTheSameSolve) {
+  // Two of the 80 group members also cross X, charged their ceilings of
+  // 100 there: a load of 300, certified. G1 and G2 leave, and a member
+  // with them, so the group is due a re-rate; the first pass rates F and H
+  // at 100, and X reaches its mark. The pass end closes it and dissolves
+  // the group, which is not re-rated, and the refill covers X, F, H and
+  // the 79 in the same solve. It reports the group's exit, and every
+  // former member against the group's published rate.
+  HubHarness t;
+  MaxMin& m = t.solver();
+  const Crossed c = build_crossed(t);
+  const ResourceId x = c.x;
+  const VarId f = c.f, h = c.h;
+  ASSERT_TRUE(m.certified(x));
+  const Grouped gr = add_grouped(t);
+  t.solve_and_check();
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+  const GroupId g = m.entered_groups()[0];
+  const VarId a = gr.flows[0], b = gr.flows[1];
+  t.remove(a);
+  t.remove(b);
+  const VarId a2 = t.add({gr.bb, x, t.add_resource(500.0)});
+  const VarId b2 = t.add({gr.bb, x, t.add_resource(500.0)});
+  EXPECT_EQ(m.group_of(a2), g);
+  EXPECT_EQ(m.group_of(b2), g);
+  t.solve_and_check();
+  ASSERT_TRUE(m.certified(x));
+  EXPECT_EQ(m.rate(f), 50.0);
+
+  const auto refills = m.solve_stats().refills;
+  t.remove(c.g1);
+  t.remove(c.g2);
+  t.remove(gr.flows[2]);
+  const auto changed = t.solve_and_check();
+  EXPECT_EQ(m.solve_stats().refills, refills + 1);
+  ASSERT_EQ(m.exited_groups().size(), 1u);
+  EXPECT_EQ(m.exited_groups()[0], g);
+  EXPECT_TRUE(m.changed_groups().empty());
+  EXPECT_TRUE(m.entered_groups().empty());  // F and H skip the backbone
+  EXPECT_EQ(m.group_of(a2), -1);
+  EXPECT_EQ(m.rate(f), 100.0);
+  EXPECT_EQ(m.rate(h), 100.0);
+  EXPECT_EQ(m.rate(a2), 100.0 / 79.0);
+  EXPECT_EQ(changed.size(), 81u);
+  EXPECT_TRUE(m.certified(x));  // the refill left it near 202.5
+
+  // F and H leave: the next churn groups the 79 across X again.
+  t.remove(f);
+  t.remove(h);
+  t.remove(gr.flows[3]);
+  t.add({gr.bb, t.add_resource(500.0)});
+  t.solve_and_check();
+  ASSERT_EQ(m.entered_groups().size(), 1u);
+  EXPECT_GE(m.group_of(a2), 0);
+  EXPECT_TRUE(m.certified(x));
+}
+
+TEST(MaxMinCertified, AHubGroupFormsAfterTheSolvesLastFill) {
+  // The 80 flows, two of them across X, arrive in the epoch in which G1
+  // and G2 leave. The backbone's component fills first, hub-shaped, but a
+  // group formed then would charge X its members' ceilings, and the fills
+  // of F and H after it would carry X past its mark and dissolve the new
+  // group in the same solve. Formed after the last fill, it sees X at
+  // 202.5, which the ceilings would carry to 400 with F and H outside the
+  // component: no group, no refill, and X keeps its certificate.
+  HubHarness t;
+  MaxMin& m = t.solver();
+  const Crossed c = build_crossed(t);
+  const ResourceId bb = t.add_resource(100.0);
+  for (int i = 0; i < 80; ++i) {
+    std::vector<ResourceId> use{bb, t.add_resource(500.0)};
+    if (i < 2) use.push_back(c.x);
+    t.add(use);
+  }
+  t.remove(c.g1);
+  t.remove(c.g2);
+  const auto revoked = m.solve_stats().revocations;
+  t.solve_and_check();
+  EXPECT_TRUE(m.entered_groups().empty());
+  EXPECT_TRUE(m.exited_groups().empty());
+  EXPECT_EQ(m.solve_stats().refills, 0u);
+  EXPECT_EQ(m.solve_stats().revocations, revoked);
+  EXPECT_TRUE(m.certified(c.x));
+  EXPECT_EQ(m.rate(c.f), 100.0);
+}
+
+TEST(MaxMinCertified, ABurstOfUnratedFlowsClosesTheBackboneAtTheAdd) {
+  // A backbone of 6 holds three lone flows (a load of 3). Eight unit flows
+  // then arrive in one instant, each over two NICs of 1 that it shares
+  // with its ring neighbours. Charged their ceilings of 1, they close the
+  // backbone at the third add, and the solve fills the ring and the lone
+  // flows once, jointly: the ring at 0.5, the lone flows at 2 / 3. Charged
+  // only their rates, they would leave it certified until a fill rated the
+  // ring, carried the load to 7, and revoked it for a second pass.
+  HubHarness t;
+  MaxMin& m = t.solver();
+  const ResourceId bb = t.add_resource(6.0);
+  std::vector<VarId> lone;
+  for (int i = 0; i < 3; ++i) lone.push_back(t.add({bb, t.add_resource(1.0)}));
+  EXPECT_FALSE(m.dirty());
+  ASSERT_TRUE(m.certified(bb));
+  std::vector<ResourceId> ring;
+  for (int i = 0; i < 8; ++i) ring.push_back(t.add_resource(1.0));
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    t.add({bb, ring[i], ring[(i + 1) % ring.size()]});
+    EXPECT_EQ(m.certified(bb), i < 2) << "flow " << i;
+  }
+  EXPECT_EQ(m.solve_stats().revocations, 1u);
+  EXPECT_EQ(t.solve_and_check().size(), 11u);
+  EXPECT_EQ(m.solve_stats().refills, 0u);
+  EXPECT_EQ(m.solve_stats().revocations, 1u);
+  EXPECT_EQ(m.solve_stats().vars_touched, 11u);
+  EXPECT_EQ(m.solve_stats().max_component_vars, 11u);
+  EXPECT_DOUBLE_EQ(m.rate(lone[0]), 2.0 / 3.0);
+  EXPECT_FALSE(m.certified(bb));  // saturated
 }
 
 TEST(MaxMinCertified, AThrowDuringARefillLeavesEverythingMarked) {
@@ -335,14 +643,15 @@ TEST(MaxMinCertified, AThrowDuringARefillLeavesEverythingMarked) {
   // throws after the first component queued the backbone's revocation.
   // The next solve, once it is gone, must still fill every touched link.
   HubHarness t;
-  const Paired p = build_paired(t, 6.2);
+  const Paired p = build_paired(t, 6.8);
   MaxMin& m = t.solver();
-  const ResourceId side = t.add_resource(1.2);
-  t.add({side});
+  const ResourceId n = t.add_resource(1.0);
+  const VarId f = t.add({p.bb, n});
+  const VarId g = t.add({n});
   t.solve_and_check();
   ASSERT_TRUE(m.certified(p.bb));
 
-  t.add({p.bb, t.add_resource(1.0), side});
+  t.remove(g);
   // Only the incremental solver sees the tiny variable.
   const VarId tiny = m.add_variable(1e-13, {t.add_resource(100.0)});
   EXPECT_THROW(m.solve(), Error);
@@ -350,7 +659,7 @@ TEST(MaxMinCertified, AThrowDuringARefillLeavesEverythingMarked) {
   EXPECT_TRUE(m.dirty());
   m.remove_variable(tiny);
   t.solve_and_check();
-  EXPECT_EQ(m.rate(p.flows[0]), 6.2 / 13.0);
+  EXPECT_DOUBLE_EQ(m.rate(f), 0.8);
 }
 
 TEST(MaxMinCertified, RandomBackboneOverNicStreamsMatchFullSolve) {

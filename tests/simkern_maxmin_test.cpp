@@ -168,6 +168,22 @@ TEST(MaxMin, SolverStatsAccumulate) {
   EXPECT_EQ(m.solve_stats().lone_rates, 2u);
 }
 
+TEST(MaxMin, MaxComponentSizeCountsOneComponent) {
+  // Two disjoint components of two variables each, filled by one solve:
+  // the solve fills four variables, its largest component holds two.
+  MaxMin m;
+  const auto r = m.add_resource(100.0);
+  const auto s = m.add_resource(100.0);
+  for (int i = 0; i < 2; ++i) {
+    m.add_variable(1.0, {r});
+    m.add_variable(1.0, {s});
+  }
+  m.solve();
+  EXPECT_EQ(m.solve_stats().solves, 1u);
+  EXPECT_EQ(m.solve_stats().last_component_vars, 4u);
+  EXPECT_EQ(m.solve_stats().max_component_vars, 2u);
+}
+
 TEST(MaxMin, RejectsInvalidArguments) {
   MaxMin m;
   const auto r = m.add_resource(10.0);
@@ -175,6 +191,10 @@ TEST(MaxMin, RejectsInvalidArguments) {
   EXPECT_THROW(m.add_variable(0.0, {r}), tir::Error);
   EXPECT_THROW(m.add_variable(1.0, {}), tir::Error);  // no resource
   EXPECT_THROW(m.add_variable(1.0, {99}), tir::Error);
+  // The existing resource is certified already: the exact reference must
+  // be chosen before it. Restating the mode is harmless.
+  EXPECT_THROW(m.set_full_solve(true), tir::Error);
+  m.set_full_solve(false);
 }
 
 // ---------------------------------------------------------------------------
